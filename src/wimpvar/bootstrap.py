@@ -86,6 +86,10 @@ class BootstrapConfig:
             raise ConfigError(f"need at least 39 bootstrap replications, got {self.n_boot}")
         if not 0 < self.gamma < 1:
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0 <= self.max_failure_share < 1:
+            raise ConfigError(
+                f"max_failure_share must lie in [0, 1), got {self.max_failure_share}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
         if self.resampling != "iid_centered":
@@ -109,16 +113,50 @@ class IntervalEstimate:
 
 @dataclass
 class IntervalSet:
-    """Per-query interval estimates from one bootstrap run."""
+    """Per-query interval estimates from one bootstrap run.
+
+    ``lower``, ``upper`` and ``point`` are read-only float arrays aligned
+    with ``queries``.
+    """
 
     method: str
     gamma: float
     rank: int | None
-    entries: dict
+    queries: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    point: np.ndarray
     n_boot: int
     n_failed: int
     rank_counts: dict | None = None
     model_fit_count: int = 0
+
+    def __post_init__(self):
+        self.queries = tuple(self.queries)
+        for name in ("lower", "upper", "point"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (len(self.queries),):
+                raise ConfigError(
+                    f"{name} has shape {values.shape}, expected ({len(self.queries)},)"
+                )
+            values.flags.writeable = False
+            setattr(self, name, values)
+        disordered = np.flatnonzero(self.lower > self.upper)
+        if disordered.size:
+            i = disordered[0]
+            raise EstimationError(
+                f"interval bounds out of order: [{self.lower[i]}, {self.upper[i]}]"
+            )
+
+    @property
+    def entries(self) -> dict:
+        """Query -> :class:`IntervalEstimate`, built on each access."""
+        return {
+            query: IntervalEstimate(lower, upper, point)
+            for query, lower, upper, point in zip(
+                self.queries, self.lower.tolist(), self.upper.tolist(), self.point.tolist()
+            )
+        }
 
     @property
     def n_success(self) -> int:
@@ -190,42 +228,73 @@ def rebuild_sample(fit: VecmFit, bootstrap_errors: np.ndarray, initial_values: n
 # query compilation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CompiledQueries:
+    """Queries compiled into flat indices over (..., H+1, K, K) response stacks.
+
+    ``groups`` holds one (kind, indices) gather per response kind for the
+    element queries, with (n,) indices, and one per kind and maximum
+    horizon for the maxima, with (n, h_max+1) indices reduced by ``max``.
+    The groups' values, concatenated, are the queries permuted by
+    ``order`` (None when already in query order).
+    """
+
     queries: tuple
     h_need: int
     need_structural: bool
     n_vars: int
+    groups: tuple
+    order: np.ndarray | None
 
     def evaluate(self, psi: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
         """Evaluate all queries on (B, H+1, K, K) stacks, returns (B, Q)."""
-        out = np.empty(psi.shape[:-3] + (len(self.queries),))
-        for pos, query in enumerate(self.queries):
-            stack = psi if query.kind == REDUCED_FORM else phi
-            series = stack[..., :, query.a - 1, query.b - 1]
-            if query.functional == "element":
-                out[..., pos] = series[..., query.horizon]
-            else:
-                out[..., pos] = series[..., : query.h_max + 1].max(axis=-1)
-        return out
+        lead = psi.shape[:-3]
+        flat = {REDUCED_FORM: psi.reshape(lead + (-1,))}
+        if phi is not None:
+            flat[STRUCTURAL_CHOLESKY] = phi.reshape(lead + (-1,))
+        parts = []
+        for kind, indices in self.groups:
+            values = flat[kind][..., indices]
+            parts.append(values if indices.ndim == 1 else values.max(axis=-1))
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        return out if self.order is None else out[..., self.order]
 
 
 def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
     queries = tuple(queries)
     if not queries:
         raise ConfigError("at least one impulse-response query is required")
-    for query in queries:
+    # group key -> (query positions, flat indices); element queries first
+    by_key: dict = {}
+    for pos, query in enumerate(queries):
         if not isinstance(query, IrfQuery):
             raise ConfigError(f"queries must be IrfQuery instances, got {type(query)!r}")
         if query.a > n_vars or query.b > n_vars:
             raise ConfigError(
                 f"query indices (a={query.a}, b={query.b}) out of range for K={n_vars}"
             )
+        cell = (query.a - 1) * n_vars + query.b - 1
+        if query.functional == "element":
+            key = (1, query.kind, -1)
+            index = query.horizon * n_vars * n_vars + cell
+        else:
+            key = (2, query.kind, query.h_max)
+            index = [h * n_vars * n_vars + cell for h in range(query.h_max + 1)]
+        positions, indices = by_key.setdefault(key, ([], []))
+        positions.append(pos)
+        indices.append(index)
+    groups, positions = [], []
+    for (_, kind, _), (group_positions, indices) in sorted(by_key.items()):
+        groups.append((kind, np.array(indices, dtype=np.intp)))
+        positions.extend(group_positions)
+    order = None if positions == list(range(len(queries))) else np.argsort(positions)
     return _CompiledQueries(
         queries=queries,
         h_need=max(q.needed_horizon for q in queries),
         need_structural=any(q.kind == STRUCTURAL_CHOLESKY for q in queries),
         n_vars=n_vars,
+        groups=tuple(groups),
+        order=order,
     )
 
 
@@ -242,6 +311,7 @@ class _Prepared:
     mode: DetrendMode
     cfg: BootstrapConfig
     _fits: dict = field(default_factory=dict)
+    _compiled: _CompiledQueries | None = None
 
     @property
     def n_vars(self) -> int:
@@ -250,6 +320,12 @@ class _Prepared:
     @property
     def n_obs(self) -> int:
         return self.raw.shape[0]
+
+    def compile(self, queries) -> _CompiledQueries:
+        """Compiled queries, reused while the same query tuple is passed."""
+        if self._compiled is None or self._compiled.queries is not queries:
+            self._compiled = _compile_queries(queries, self.n_vars)
+        return self._compiled
 
     def fit(self, rank: int) -> VecmFit:
         if rank not in self._fits:
@@ -311,10 +387,77 @@ def _stream(seed: int, level: int, code: int, rep: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 constants (Salmon et al., SC 2011), as in numpy's Philox.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_DRAW_CELLS = 8192  # counter-grid cells per pass; keeps the round temporaries in cache
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x."""
+    m_lo, m_hi = m & _M32, m >> _S32
+    x_lo, x_hi = x & _M32, x >> _S32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
+    w = (t & _M32) + x_lo * m_hi
+    return x_hi * m_hi + (t >> _S32) + (w >> _S32), x * m
+
+
+def _philox4x64(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray):
+    """Philox4x64-10 blocks for counters (counter, 0, 0, 0), broadcast over keys.
+
+    Returns the four output words of every block; with numpy's ``Philox``
+    they are what ``random_raw`` yields, in order, for that block.
+    """
+    zero = np.zeros(1, dtype=np.uint64)
+    x0, x1, x2, x3 = counter, zero, zero, zero
+    for rnd in range(10):
+        if rnd:
+            key0 = key0 + _PHILOX_W[0]
+            key1 = key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+    return x0, x1, x2, x3
+
+
 def _draw_index_matrix(seed, level, code, n_boot, pool_size, n_draw):
+    """Residual indices, (n_boot, n_draw); row r equals
+    ``_stream(seed, level, code, r).integers(0, pool_size, size=n_draw)``.
+
+    Runs Philox4x64-10 over the whole (replication x block) counter grid:
+    key word 0 is ``level<<48 | code<<32 | r``, key word 1 is ``seed`` and
+    the counters run 1, 2, ...  Each 64-bit output gives its low 32-bit word,
+    then its high one, and word w maps to (w * pool_size) >> 32, numpy's
+    buffered Lemire method (Lemire, ACM TOMACS 2019).  A row that meets a
+    word Lemire rejects (chance below pool_size / 2**32 per word) is redrawn
+    from the reference generator.
+    """
+    if not 1 <= pool_size <= 2**32:
+        raise ValueError(f"pool size must lie in 1..2**32, got {pool_size}")
+    n_blocks = -(-n_draw // 8)
     idx = np.empty((n_boot, n_draw), dtype=np.int64)
-    for rep in range(n_boot):
-        idx[rep] = _stream(seed, level, code, rep).integers(0, pool_size, size=n_draw)
+    rejected = np.zeros(n_boot, dtype=bool)
+    n = np.uint64(pool_size)
+    threshold = np.uint64((2**32 - pool_size) % pool_size)
+    counters = np.arange(1, n_blocks + 1, dtype=np.uint64)
+    seed_word = np.full(1, seed, dtype=np.uint64)
+    stream_bits = np.uint64((level << 48) | (code << 32))
+    rows_per_pass = max(1, _DRAW_CELLS // max(n_blocks, 1))
+    for start in range(0, n_boot, rows_per_pass):
+        reps = np.arange(start, min(start + rows_per_pass, n_boot), dtype=np.uint64)
+        words = np.empty((reps.size, n_blocks, 8), dtype=np.uint64)
+        block = _philox4x64(reps[:, None] | stream_bits, seed_word, counters)
+        for i, x in enumerate(block):
+            np.bitwise_and(x, _M32, out=words[:, :, 2 * i])
+            np.right_shift(x, _S32, out=words[:, :, 2 * i + 1])
+        scaled = words.reshape(reps.size, n_blocks * 8)[:, :n_draw] * n
+        if threshold:
+            rejected[start : start + reps.size] = ((scaled & _M32) < threshold).any(axis=1)
+        np.right_shift(scaled, _S32, out=idx[start : start + reps.size], casting="unsafe")
+    for rep in np.flatnonzero(rejected):
+        idx[rep] = _stream(seed, level, code, int(rep)).integers(0, pool_size, size=n_draw)
     return idx
 
 
@@ -404,7 +547,9 @@ def _take_sweep(sweep: _batch.BatchSweep, mask: np.ndarray) -> _batch.BatchSweep
 
 def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
     n_failed = int(ok.size - ok.sum())
-    if n_failed >= cfg.max_failure_share * ok.size or n_failed == ok.size:
+    # A zero share tolerates no failure; max_failure_share < 1, so a run in
+    # which every replication failed is always refused.
+    if n_failed and n_failed >= cfg.max_failure_share * ok.size:
         raise EstimationError(
             f"{n_failed} of {ok.size} bootstrap replications failed during {what}; "
             "the fitted model is too unstable for resampling"
@@ -423,15 +568,14 @@ def _finalize(center, zeta_star, ok, points, cfg, what):
 
 
 def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, **extra):
-    entries = {
-        query: IntervalEstimate(float(lower[i]), float(upper[i]), float(points[i]))
-        for i, query in enumerate(cq.queries)
-    }
     return IntervalSet(
         method=method,
         gamma=cfg.gamma,
         rank=rank,
-        entries=entries,
+        queries=cq.queries,
+        lower=lower,
+        upper=upper,
+        point=points,
         n_boot=cfg.n_boot,
         n_failed=n_failed,
         **extra,
@@ -459,7 +603,7 @@ def fixed_rank_interval(
     each at the same rank, and inverts the centered bootstrap distribution.
     """
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     if rank < 0 or rank > prep.n_vars:
         raise ConfigError(f"rank must lie in 0..{prep.n_vars}, got {rank}")
     points = prep.point_zetas(rank, cq)
@@ -511,7 +655,7 @@ def bers_interval(
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     r_hat = prep.select_rank(selector)
     dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
     points = prep.point_zetas(r_hat, cq)
@@ -551,7 +695,7 @@ def ma_interval(
     if weights_mode not in ("endogenous", "fixed"):
         raise ConfigError(f"weights_mode must be 'endogenous' or 'fixed', got {weights_mode!r}")
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     n_vars = prep.n_vars
     data_weights = plausibility_weights(
         trace_stats_from_eigenvalues(prep.jd.eigenvalues, prep.jd.t_eff),
@@ -610,7 +754,7 @@ def fdbb_interval(
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     r_hat = prep.select_rank(selector)
     dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
 
@@ -673,7 +817,7 @@ def lag_augmented_interval(
     which only the first p coefficient matrices feed the responses.
     """
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     n_vars = prep.n_vars
     if prep.n_obs < n_vars * (p + 1) + 10:
         raise DataError(
@@ -765,7 +909,7 @@ def wimp_interval(
     does not depend on it.
     """
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = _compile_queries(queries, prep.n_vars)
+    cq = prep.compile(queries)
     if fan is None:
         fan = per_rank_fan(data, p, queries, cfg, mode, _prep=prep, _batch_cache=_batch_cache)
     if sorted(fan) != list(range(prep.n_vars + 1)):
@@ -776,15 +920,12 @@ def wimp_interval(
         c1,
         c2,
     )
-    lowers = np.array(
-        [[fan[r].entries[q].lower for q in cq.queries] for r in range(prep.n_vars + 1)]
-    )
-    uppers = np.array(
-        [[fan[r].entries[q].upper for q in cq.queries] for r in range(prep.n_vars + 1)]
-    )
-    points = weights.normalized @ np.array(
-        [[fan[r].entries[q].point for q in cq.queries] for r in range(prep.n_vars + 1)]
-    )
+    members = [fan[r] for r in range(prep.n_vars + 1)]
+    if any(member.queries != cq.queries for member in members):
+        raise ConfigError("every fan member must carry the requested queries, in order")
+    lowers = np.stack([member.lower for member in members])
+    uppers = np.stack([member.upper for member in members])
+    points = weights.normalized @ np.stack([member.point for member in members])
     lower, upper = wimp_bounds(lowers, uppers, weights, transform)
     n_failed = max(fan[r].n_failed for r in fan)
     result = _to_interval_set(

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -343,10 +343,11 @@ _INTERVAL_HEADER = [
 def _interval_rows(result: bt.IntervalSet, config_hash: str):
     rank = "" if result.rank is None else str(result.rank)
     rows = []
-    for query, estimate in result.entries.items():
+    for query, lower, upper, point in zip(
+        result.queries, result.lower.tolist(), result.upper.tolist(), result.point.tolist()
+    ):
         rows.append(
-            [result.method, rank, *_query_row(query), estimate.lower, estimate.upper,
-             estimate.point, config_hash]
+            [result.method, rank, *_query_row(query), lower, upper, point, config_hash]
         )
     return rows
 
@@ -378,13 +379,7 @@ def analyze(cfg: RunConfig) -> dict:
             continue
         if method == "ols":
             ols = fan[data.n_vars]
-            results.append(
-                bt.IntervalSet(
-                    method="ols", gamma=ols.gamma, rank=ols.rank, entries=ols.entries,
-                    n_boot=ols.n_boot, n_failed=ols.n_failed,
-                    model_fit_count=ols.model_fit_count,
-                )
-            )
+            results.append(replace(ols, method="ols"))
             censuses["ols"] = ols.n_failed
             continue
         selector = None
@@ -462,7 +457,7 @@ def simulate(cfg: RunConfig) -> dict:
         h_max=cfg.h_max,
         methods=cfg.methods,
         seed=cfg.seed,
-        p=cfg.p if cfg.command != "simulate" else 1,
+        p=1,
         mode=DetrendMode.NONE,
         c1=cfg.c1,
         c2=cfg.c2,

@@ -340,13 +340,7 @@ def _run_method(ctx: _RepContext, method: str):
 
 def _bounds_from(result):
     if isinstance(result, bt.IntervalSet):
-        lower = np.fromiter(
-            (e.lower for e in result.entries.values()), float, len(result.entries)
-        )
-        upper = np.fromiter(
-            (e.upper for e in result.entries.values()), float, len(result.entries)
-        )
-        return lower, upper
+        return result.lower, result.upper
     lower, upper = result
     return np.asarray(lower, float).ravel(), np.asarray(upper, float).ravel()
 

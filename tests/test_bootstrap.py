@@ -5,6 +5,8 @@ from wimpvar import (
     BootstrapConfig,
     ConfigError,
     EstimationError,
+    IntervalEstimate,
+    IntervalSet,
     IrfQuery,
     RankSelector,
     VecmFit,
@@ -235,6 +237,28 @@ def test_census_threshold():
         _census(ok, cfg, "test")
 
 
+def test_zero_failure_share_accepts_clean_runs_only():
+    cfg = BootstrapConfig(n_boot=99, seed=0, max_failure_share=0.0)
+    ok = np.ones(99, dtype=bool)
+    assert _census(ok, cfg, "test") == 0
+    ok[7] = False
+    with pytest.raises(EstimationError, match="1 of 99"):
+        _census(ok, cfg, "test")
+
+
+@pytest.mark.parametrize("share", [-0.5, 1.0, 1.5, float("nan")])
+def test_failure_share_outside_unit_interval_rejected(share):
+    with pytest.raises(ConfigError, match="max_failure_share"):
+        BootstrapConfig(max_failure_share=share)
+
+
+def test_zero_failure_share_runs_clean_interval():
+    y = _sim(78)
+    cfg = BootstrapConfig(n_boot=59, seed=5, max_failure_share=0.0)
+    result = fixed_rank_interval(y, 1, 2, _queries(2), cfg)
+    assert result.n_failed == 0
+
+
 def test_degenerate_centered_stats_collapse_interval():
     # All-equal bootstrap statistics collapse the Hall interval onto the
     # point estimate.
@@ -415,6 +439,45 @@ def test_per_rank_fan_and_wimp_containment():
         assert level.upper >= ref.entries[q].upper
         assert level.lower >= min(fan[r].entries[q].lower for r in fan)
         assert level.upper <= max(fan[r].entries[q].upper for r in fan)
+
+
+def test_wimp_rejects_fan_with_other_queries():
+    y = _sim(90)
+    cfg = BootstrapConfig(n_boot=49, seed=18)
+    queries = _queries(3)
+    fan = per_rank_fan(y, 1, queries[::-1], cfg)
+    with pytest.raises(ConfigError, match="fan member"):
+        wimp_interval(y, 1, queries, cfg, fan=fan)
+
+
+def test_interval_set_arrays_align_with_entries():
+    y = _sim(89)
+    queries = _queries(2)
+    result = fixed_rank_interval(y, 1, 2, queries, BootstrapConfig(n_boot=49, seed=17))
+    assert result.queries == queries
+    assert not result.lower.flags.writeable
+    for i, q in enumerate(queries):
+        assert result.entries[q] == IntervalEstimate(
+            result.lower[i], result.upper[i], result.point[i]
+        )
+
+
+def _interval_set(lower, upper, point=(0.0, 0.0)):
+    return IntervalSet(
+        method="m", gamma=0.05, rank=1, queries=_queries(1)[:2],
+        lower=lower, upper=upper, point=point, n_boot=49, n_failed=0,
+    )
+
+
+def test_interval_set_rejects_out_of_order_bounds():
+    _interval_set([0.0, 1.0], [0.0, 2.0])  # equal bounds are fine
+    with pytest.raises(EstimationError, match=r"out of order: \[3.0, 2.0\]"):
+        _interval_set([0.0, 3.0], [1.0, 2.0])
+
+
+def test_interval_set_rejects_misaligned_arrays():
+    with pytest.raises(ConfigError, match="upper has shape"):
+        _interval_set([0.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_wimp_rejects_partial_fan():
