@@ -10,21 +10,21 @@ q*(g) the g-quantile of the centered bootstrap statistics, the interval is
 Randomness is counter-based: every bootstrap replication draws from a
 stream keyed by (seed, level, DGP code, replication index), so results are
 bit-identical regardless of scheduling or of which other methods run.
+
+``METHODS`` names every construction; ``run_methods`` runs a set of them
+on one prepared sample, building each level-1 batch once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import ChainMap
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import _batch
 from .errors import ConfigError, DataError, EstimationError
-from .ranks import (
-    RankSelector,
-    ic_values_from_eigenvalues,
-    plausibility_weights,
-    trace_critical_value,
-)
+from .ranks import RankSelector, plausibility_weights, select_rank
 from .timeseries import (
     DetrendedSeries,
     DetrendMode,
@@ -129,7 +129,6 @@ class IntervalSet:
     n_boot: int
     n_failed: int
     rank_counts: dict | None = None
-    model_fit_count: int = 0
 
     def __post_init__(self):
         self.queries = tuple(self.queries)
@@ -304,14 +303,22 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 
 @dataclass
 class _Prepared:
+    """One observed sample and what its methods share: the decomposition,
+    compiled queries, method settings, fixed-rank fan and one level-1 batch."""
+
     raw: np.ndarray
     tilde: DetrendedSeries
     jd: JohansenDecomposition
     p: int
     mode: DetrendMode
     cfg: BootstrapConfig
+    c1: float = 1.0
+    c2: float = 0.5
+    true_rank: int | None = None
     _fits: dict = field(default_factory=dict)
     _compiled: _CompiledQueries | None = None
+    _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
+    _held: _BootBatch | None = None
 
     @property
     def n_vars(self) -> int:
@@ -320,6 +327,10 @@ class _Prepared:
     @property
     def n_obs(self) -> int:
         return self.raw.shape[0]
+
+    @property
+    def queries(self) -> tuple:
+        return self._compiled.queries
 
     def compile(self, queries) -> _CompiledQueries:
         """Compiled queries, reused while the same query tuple is passed."""
@@ -343,25 +354,31 @@ class _Prepared:
         )[0]
 
     def select_rank(self, selector: RankSelector) -> int:
-        if selector.method == "fixed":
-            return int(selector.rank)
-        if selector.method in ("aic", "bic"):
-            values = ic_values_from_eigenvalues(
-                self.jd.eigenvalues,
-                self.jd.ln_det_s00,
-                self.jd.t_eff,
-                self.jd.p,
-                selector.method,
-            )
-            return int(np.argmin(values))
+        return select_rank(self.jd, selector)
+
+    def weights(self, c1: float, c2: float):
+        """Plausibility weights of the observed sample."""
         stats = trace_stats_from_eigenvalues(self.jd.eigenvalues, self.jd.t_eff)
-        for rank in range(self.n_vars):
-            if stats[rank] < trace_critical_value(self.n_vars - rank, selector.level):
-                return rank
-        return self.n_vars
+        return plausibility_weights(stats, self.jd.t_eff, c1, c2)
+
+    def level1(self, dgp_rank: int) -> _BootBatch:
+        """The level-1 batch at ``dgp_rank``; only the latest one is held."""
+        if self._held is None or self._held.dgp_rank != dgp_rank:
+            self._held = None  # free the old batch before building the next
+            self._held = _level1_batch(self, dgp_rank)
+        return self._held
+
+    def fan(self, rank: int) -> IntervalSet:
+        """Fixed-rank interval set at ``rank``, computed once; re-raises its error."""
+        if rank not in self._fan:
+            self._fan[rank] = _attempt(fixed_rank_interval, rank=rank, **_on(self))
+        entry = self._fan[rank]
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
 
 
-def _prepare(data, p: int, mode, cfg: BootstrapConfig) -> _Prepared:
+def _prepare(data, p: int, mode, cfg: BootstrapConfig, queries=None, **settings) -> _Prepared:
     if isinstance(data, TimeSeriesData):
         raw = data.values
     elif isinstance(data, DetrendedSeries):
@@ -375,7 +392,10 @@ def _prepare(data, p: int, mode, cfg: BootstrapConfig) -> _Prepared:
     jd = johansen_decomposition(
         build_vecm_regressors(tilde, p, cfg.paper_sample_convention)
     )
-    return _Prepared(raw=raw, tilde=tilde, jd=jd, p=p, mode=mode, cfg=cfg)
+    prep = _Prepared(raw=raw, tilde=tilde, jd=jd, p=p, mode=mode, cfg=cfg, **settings)
+    if queries is not None:
+        prep.compile(queries)
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +614,6 @@ def fixed_rank_interval(
     cfg: BootstrapConfig,
     mode: DetrendMode | str = DetrendMode.NONE,
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ) -> IntervalSet:
     """Hall percentile interval with the rank imposed throughout.
 
@@ -607,23 +626,11 @@ def fixed_rank_interval(
     if rank < 0 or rank > prep.n_vars:
         raise ConfigError(f"rank must lie in 0..{prep.n_vars}, got {rank}")
     points = prep.point_zetas(rank, cq)
-    boot = _cached_level1(prep, rank, _batch_cache)
-    zeta_star, ok = _zeta_at_rank(boot.sweep, rank, cq)
+    zeta_star, ok = _zeta_at_rank(prep.level1(rank).sweep, rank, cq)
     lower, upper, n_failed = _finalize(
         points, zeta_star, ok, points, cfg, f"the rank-{rank} bootstrap"
     )
-    return _to_interval_set(
-        "fixed_rank", rank, cq, lower, upper, points, cfg, n_failed,
-        model_fit_count=cfg.n_boot + 1,
-    )
-
-
-def _cached_level1(prep, dgp_rank, cache):
-    if cache is None:
-        return _level1_batch(prep, dgp_rank)
-    if dgp_rank not in cache:
-        cache[dgp_rank] = _level1_batch(prep, dgp_rank)
-    return cache[dgp_rank]
+    return _to_interval_set("fixed_rank", rank, cq, lower, upper, points, cfg, n_failed)
 
 
 def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
@@ -643,7 +650,6 @@ def bers_interval(
     mode: DetrendMode | str = DetrendMode.NONE,
     dgp_rank_mode: str = "estimated",
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ) -> IntervalSet:
     """Bootstrap with the rank re-selected inside every replication.
 
@@ -659,7 +665,7 @@ def bers_interval(
     r_hat = prep.select_rank(selector)
     dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
     points = prep.point_zetas(r_hat, cq)
-    boot = _cached_level1(prep, dgp_rank, _batch_cache)
+    boot = prep.level1(dgp_rank)
     ranks_star = _batch.select_batch(boot.sweep, selector)
     zeta_star, ok = _zeta_at_selected(boot.sweep, ranks_star, cq)
     lower, upper, n_failed = _finalize(
@@ -668,7 +674,6 @@ def bers_interval(
     return _to_interval_set(
         f"bers_{selector.label}", r_hat, cq, lower, upper, points, cfg, n_failed,
         rank_counts=_rank_census(ranks_star, ok & np.isfinite(zeta_star).all(axis=1), cfg.n_boot),
-        model_fit_count=cfg.n_boot + 1,
     )
 
 
@@ -682,7 +687,6 @@ def ma_interval(
     c1: float = 1.0,
     c2: float = 0.5,
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ) -> IntervalSet:
     """Interval for the plausibility-weighted average across all ranks.
 
@@ -697,16 +701,11 @@ def ma_interval(
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
     cq = prep.compile(queries)
     n_vars = prep.n_vars
-    data_weights = plausibility_weights(
-        trace_stats_from_eigenvalues(prep.jd.eigenvalues, prep.jd.t_eff),
-        prep.jd.t_eff,
-        c1,
-        c2,
-    )
+    data_weights = prep.weights(c1, c2)
     per_rank_points = np.stack([prep.point_zetas(r, cq) for r in range(n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
 
-    boot = _cached_level1(prep, data_weights.reference_rank, _batch_cache)
+    boot = prep.level1(data_weights.reference_rank)
     zeta_by_rank = np.empty((cfg.n_boot, n_vars + 1, len(cq.queries)))
     ok = boot.sweep.ok.copy()
     for rank in range(n_vars + 1):
@@ -728,7 +727,6 @@ def ma_interval(
         "ma" if weights_mode == "endogenous" else "ma_fixed",
         data_weights.reference_rank,
         cq, lower, upper, points, cfg, n_failed,
-        model_fit_count=cfg.n_boot + 1,
     )
 
 
@@ -741,7 +739,6 @@ def fdbb_interval(
     mode: DetrendMode | str = DetrendMode.NONE,
     dgp_rank_mode: str = "estimated",
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ) -> IntervalSet:
     """Fast-double-bootstrap bagging interval.
 
@@ -758,7 +755,7 @@ def fdbb_interval(
     r_hat = prep.select_rank(selector)
     dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
 
-    boot = _cached_level1(prep, dgp_rank, _batch_cache)
+    boot = prep.level1(dgp_rank)
     ranks_star = _batch.select_batch(boot.sweep, selector)
     zeta_star, ok1 = _zeta_at_selected(boot.sweep, ranks_star, cq)
 
@@ -798,7 +795,6 @@ def fdbb_interval(
     return _to_interval_set(
         f"fdbb_{selector.label}", r_hat, cq, lower, upper, bagged, cfg, n_failed,
         rank_counts=_rank_census(ranks_star, ok, n_boot),
-        model_fit_count=2 * cfg.n_boot + 1,
     )
 
 
@@ -859,10 +855,7 @@ def lag_augmented_interval(
     lower, upper, n_failed = _finalize(
         points, zeta_star, ok, points, cfg, "the lag-augmented bootstrap"
     )
-    return _to_interval_set(
-        "lavar", None, cq, lower, upper, points, cfg, n_failed,
-        model_fit_count=cfg.n_boot + 1,
-    )
+    return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -876,14 +869,11 @@ def per_rank_fan(
     cfg: BootstrapConfig,
     mode: DetrendMode | str = DetrendMode.NONE,
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ) -> dict:
     """Fixed-rank intervals for every rank 0..K on shared data."""
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
     return {
-        rank: fixed_rank_interval(
-            data, p, rank, queries, cfg, mode, _prep=prep, _batch_cache=_batch_cache
-        )
+        rank: fixed_rank_interval(data, p, rank, queries, cfg, mode, _prep=prep)
         for rank in range(prep.n_vars + 1)
     }
 
@@ -899,7 +889,6 @@ def wimp_interval(
     transform=None,
     fan: dict | None = None,
     _prep: _Prepared | None = None,
-    _batch_cache: dict | None = None,
 ):
     """Plausibility-weighted combination of the full per-rank fan.
 
@@ -911,15 +900,10 @@ def wimp_interval(
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
     cq = prep.compile(queries)
     if fan is None:
-        fan = per_rank_fan(data, p, queries, cfg, mode, _prep=prep, _batch_cache=_batch_cache)
+        fan = {rank: prep.fan(rank) for rank in range(prep.n_vars + 1)}
     if sorted(fan) != list(range(prep.n_vars + 1)):
         raise ConfigError("the fan must contain every rank 0..K; partial combination is refused")
-    weights = plausibility_weights(
-        trace_stats_from_eigenvalues(prep.jd.eigenvalues, prep.jd.t_eff),
-        prep.jd.t_eff,
-        c1,
-        c2,
-    )
+    weights = prep.weights(c1, c2)
     members = [fan[r] for r in range(prep.n_vars + 1)]
     if any(member.queries != cq.queries for member in members):
         raise ConfigError("every fan member must carry the requested queries, in order")
@@ -929,7 +913,113 @@ def wimp_interval(
     lower, upper = wimp_bounds(lowers, uppers, weights, transform)
     n_failed = max(fan[r].n_failed for r in fan)
     result = _to_interval_set(
-        "wimp", weights.reference_rank, cq, lower, upper, points, cfg, n_failed,
-        model_fit_count=sum(fan[r].model_fit_count for r in fan),
+        "wimp", weights.reference_rank, cq, lower, upper, points, cfg, n_failed
     )
     return result, weights, fan
+
+
+# ---------------------------------------------------------------------------
+# method registry
+
+
+@dataclass(frozen=True)
+class _Method:
+    """A method's runner, ``run(prep)``; ``rank(prep)`` is the DGP rank of the
+    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads."""
+
+    run: Callable
+    rank: Callable = lambda prep: None
+    fan: Callable = lambda prep: ()
+
+
+def _on(prep: _Prepared) -> dict:
+    """The arguments that run a public constructor on ``prep``."""
+    return dict(
+        data=prep.raw, p=prep.p, queries=prep.queries, cfg=prep.cfg, mode=prep.mode, _prep=prep
+    )
+
+
+def _fan_lookup(name: str, rank_of) -> _Method:
+    return _Method(
+        run=lambda prep: replace(prep.fan(rank_of(prep)), method=name),
+        fan=lambda prep: (rank_of(prep),),
+    )
+
+
+def _selected(selector: RankSelector):
+    return lambda prep: prep.select_rank(selector)
+
+
+def _reference_rank(prep: _Prepared) -> int:
+    return prep.weights(prep.c1, prep.c2).reference_rank
+
+
+def _known_rank(prep: _Prepared) -> int:
+    if prep.true_rank is None:
+        raise ConfigError("true_rank needs the rank of a known data-generating process")
+    return prep.true_rank
+
+
+_AIC, _BIC = RankSelector("aic"), RankSelector("bic")
+_EXTRA_METHODS: dict = {}  # added by register_method; shadows a built-in name
+# The runners look each constructor up by name when they run, so wrappers
+# installed on this module's names (profilers, tracers) see every call.
+METHODS = ChainMap(_EXTRA_METHODS, {
+    "ols": _fan_lookup("ols", lambda prep: prep.n_vars),
+    "true_rank": _fan_lookup("true_rank", _known_rank),
+    "aic": _fan_lookup("aic", _selected(_AIC)),
+    "bic": _fan_lookup("bic", _selected(_BIC)),
+    "bers_aic": _Method(lambda prep: bers_interval(selector=_AIC, **_on(prep)), _selected(_AIC)),
+    "bers_bic": _Method(lambda prep: bers_interval(selector=_BIC, **_on(prep)), _selected(_BIC)),
+    "ma": _Method(lambda prep: ma_interval(c1=prep.c1, c2=prep.c2, **_on(prep)), _reference_rank),
+    "ma_fixed": _Method(
+        lambda prep: ma_interval(weights_mode="fixed", c1=prep.c1, c2=prep.c2, **_on(prep)),
+        _reference_rank,
+    ),
+    "fdbb_aic": _Method(lambda prep: fdbb_interval(selector=_AIC, **_on(prep)), _selected(_AIC)),
+    "fdbb_bic": _Method(lambda prep: fdbb_interval(selector=_BIC, **_on(prep)), _selected(_BIC)),
+    "wimp": _Method(
+        lambda prep: wimp_interval(c1=prep.c1, c2=prep.c2, **_on(prep))[0],
+        fan=lambda prep: range(prep.n_vars + 1),
+    ),
+    "lavar": _Method(lambda prep: lag_augmented_interval(**_on(prep))),
+})
+
+
+def register_method(name: str, runner) -> None:
+    """Register ``runner`` as the interval method ``name``.
+
+    ``runner(prep)`` receives the prepared sample (``raw``, ``p``, ``mode``,
+    ``cfg``, ``queries``, ``c1``, ``c2``, ``true_rank``) and returns an
+    :class:`IntervalSet` or a (lower, upper) pair aligned with ``prep.queries``.
+    """
+    _EXTRA_METHODS[name] = _Method(runner)
+
+
+def _attempt(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except (DataError, EstimationError) as exc:
+        return exc
+
+
+def run_methods(prep: _Prepared, names) -> dict:
+    """Run the named methods on one prepared sample.
+
+    Returns name -> the method's result, or the :class:`DataError` or
+    :class:`EstimationError` it raised; a :class:`ConfigError` propagates.
+    Fan members and methods run in ascending level-1 rank, so each batch is
+    built once and at most one is held.  The order changes no result:
+    every method draws from its own counter-keyed streams.
+    """
+    fan_ranks = {rank for name in names for rank in METHODS[name].fan(prep)}
+    at_rank = {name: METHODS[name].rank(prep) for name in names}
+    out = {}
+    for rank in [*sorted(fan_ranks.union(at_rank.values()) - {None}), None]:
+        if rank in fan_ranks:
+            _attempt(prep.fan, rank)  # an error stays in the fan for its readers
+        for name, method_rank in at_rank.items():
+            if method_rank == rank:
+                out[name] = _attempt(METHODS[name].run, prep)
+    prep._held = None
+    return {name: out[name] for name in names}

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from . import __version__
 from . import bootstrap as bt
 from .errors import ConfigError, DataError, EstimationError, WimpvarError
 from .montecarlo import ExperimentConfig, make_dgp, run_experiment
-from .ranks import RankSelector
 from .timeseries import DetrendMode, TimeSeriesData
 from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY
 
@@ -250,7 +249,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            file_values[key] = _CONFIG_KEYS[key](value)
+            try:
+                file_values[key] = _CONFIG_KEYS[key](value)
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
     for key, value in file_values.items():
         attr = "n_boot" if key == "B" else key
         if attr == "methods":
@@ -283,6 +285,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("weight constants need c1 > 0 and 0 < c2 < 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
+    detrend_modes = [m.value for m in DetrendMode]
+    if cfg.detrend not in detrend_modes:
+        raise ConfigError(f"detrend must be one of {', '.join(detrend_modes)}, got {cfg.detrend!r}")
     if cfg.command == "analyze":
         unknown = [m for m in cfg.methods if m not in _ANALYZE_EXTRAS]
         if unknown:
@@ -365,42 +370,21 @@ def analyze(cfg: RunConfig) -> dict:
         seed=cfg.seed,
         paper_sample_convention=cfg.paper_sample_convention,
     )
-    mode = DetrendMode(cfg.detrend)
     config_hash = cfg.hash()
 
-    wimp_set, weights, fan = bt.wimp_interval(
-        data, cfg.p, queries, bcfg, mode, c1=cfg.c1, c2=cfg.c2
-    )
-    results = [fan[rank] for rank in sorted(fan)] + [wimp_set]
-    censuses = {f"fixed_rank_{rank}": fan[rank].n_failed for rank in sorted(fan)}
-    censuses["wimp"] = wimp_set.n_failed
-    for method in cfg.methods:
-        if method == "wimp":
-            continue
-        if method == "ols":
-            ols = fan[data.n_vars]
-            results.append(replace(ols, method="ols"))
-            censuses["ols"] = ols.n_failed
-            continue
-        selector = None
-        if method.startswith(("bers_", "fdbb_")):
-            selector = RankSelector(method.split("_", 1)[1])
-        if method.startswith("bers_"):
-            extra = bt.bers_interval(data, cfg.p, selector, queries, bcfg, mode)
-        elif method.startswith("fdbb_"):
-            extra = bt.fdbb_interval(data, cfg.p, selector, queries, bcfg, mode)
-        elif method in ("ma", "ma_fixed"):
-            extra = bt.ma_interval(
-                data, cfg.p, queries, bcfg, mode,
-                weights_mode="endogenous" if method == "ma" else "fixed",
-                c1=cfg.c1, c2=cfg.c2,
-            )
-        elif method == "lavar":
-            extra = bt.lag_augmented_interval(data, cfg.p, queries, bcfg, mode)
-        else:
-            raise ConfigError(f"unknown analyze method {method!r}")
-        results.append(extra)
-        censuses[extra.method] = extra.n_failed
+    prep = bt._prepare(data, cfg.p, cfg.detrend, bcfg, queries, c1=cfg.c1, c2=cfg.c2)
+    names = tuple(dict.fromkeys(("wimp", *cfg.methods)))
+    outcome = bt.run_methods(prep, names)
+    # The first failure is reported in the order the results are written:
+    # the fan by rank, the combined interval, then the extras.
+    results = [prep.fan(rank) for rank in range(data.n_vars + 1)]
+    censuses = {f"fixed_rank_{result.rank}": result.n_failed for result in results}
+    for name in names:
+        if isinstance(outcome[name], Exception):
+            raise outcome[name]
+        results.append(outcome[name])
+        censuses[name] = outcome[name].n_failed
+    weights = prep.weights(cfg.c1, cfg.c2)
 
     os.makedirs(cfg.out, exist_ok=True)
     interval_rows = []

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bootstrap as bt
+from .bootstrap import _EXTRA_METHODS, register_method  # noqa: F401  (re-exported)
 from .errors import ConfigError, DataError, EstimationError
-from .ranks import RankSelector
 from .timeseries import DetrendMode
 from .vecm import IrfArray, IrfQuery, REDUCED_FORM
 
@@ -108,32 +108,7 @@ def true_irf(spec: DgpSpec, h_max: int) -> IrfArray:
     return IrfArray(psi, REDUCED_FORM)
 
 
-KNOWN_METHODS = (
-    "ols",
-    "true_rank",
-    "aic",
-    "bic",
-    "bers_aic",
-    "bers_bic",
-    "ma",
-    "ma_fixed",
-    "fdbb_aic",
-    "fdbb_bic",
-    "wimp",
-    "lavar",
-)
-
-_EXTRA_METHODS: dict = {}
-
-
-def register_method(name: str, runner) -> None:
-    """Register a custom interval method for experiments.
-
-    ``runner(ctx)`` receives a :class:`_RepContext` and returns either an
-    :class:`wimpvar.bootstrap.IntervalSet` or a (lower, upper) pair of
-    arrays aligned with ``ctx.queries``.
-    """
-    _EXTRA_METHODS[name] = runner
+KNOWN_METHODS = tuple(bt.METHODS)
 
 
 @dataclass(frozen=True)
@@ -155,15 +130,16 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "mode", DetrendMode(self.mode))
-        unknown = [
-            m for m in self.methods if m not in KNOWN_METHODS and m not in _EXTRA_METHODS
-        ]
+        unknown = [m for m in self.methods if m not in bt.METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")
         if self.n_mc < 1:
             raise ConfigError("n_mc must be positive")
         if self.h_max < 1:
             raise ConfigError("h_max must be at least 1")
+        min_obs = self.dgp.n_vars * self.p + 10  # the estimator's own minimum
+        if self.dgp.T < min_obs:
+            raise ConfigError(f"T must be at least K*p + 10 = {min_obs}, got {self.dgp.T}")
         # fail fast on settings the per-replication bootstrap would reject
         bt.BootstrapConfig(n_boot=self.n_boot, gamma=self.gamma, seed=self.seed)
 
@@ -261,83 +237,6 @@ def summarize_widths(table: CoverageTable) -> dict:
 # per-replication machinery
 
 
-class _RepContext:
-    """Everything one replication's method runners need, with shared caches."""
-
-    def __init__(self, cfg: ExperimentConfig, data: np.ndarray, boot_seed: int):
-        self.cfg = cfg
-        self.data = data
-        self.bcfg = bt.BootstrapConfig(
-            n_boot=cfg.n_boot, gamma=cfg.gamma, seed=boot_seed
-        )
-        self.queries = tuple(
-            IrfQuery(a=a, b=b, horizon=j, functional="element", kind=REDUCED_FORM)
-            for a in range(1, 4)
-            for b in range(1, 4)
-            for j in range(1, cfg.h_max + 1)
-        )
-        self.prep = bt._prepare(data, cfg.p, cfg.mode, self.bcfg)
-        self.level1_cache: dict = {}
-        self._fan: dict = {}
-
-    def fan_entry(self, rank: int):
-        """Fixed-rank interval set at `rank`, computed once per replication."""
-        if rank not in self._fan:
-            self._fan[rank] = bt.fixed_rank_interval(
-                self.data,
-                self.cfg.p,
-                rank,
-                self.queries,
-                self.bcfg,
-                self.cfg.mode,
-                _prep=self.prep,
-                _batch_cache=self.level1_cache,
-            )
-        return self._fan[rank]
-
-    def full_fan(self):
-        return {rank: self.fan_entry(rank) for rank in range(4)}
-
-
-def _run_method(ctx: _RepContext, method: str):
-    cfg = ctx.cfg
-    if method in _EXTRA_METHODS:
-        return _EXTRA_METHODS[method](ctx)
-    if method == "ols":
-        return ctx.fan_entry(3)
-    if method == "true_rank":
-        return ctx.fan_entry(cfg.dgp.true_rank)
-    if method in ("aic", "bic"):
-        return ctx.fan_entry(ctx.prep.select_rank(RankSelector(method)))
-    if method in ("bers_aic", "bers_bic"):
-        return bt.bers_interval(
-            ctx.data, cfg.p, RankSelector(method.split("_")[1]), ctx.queries,
-            ctx.bcfg, cfg.mode, _prep=ctx.prep, _batch_cache=ctx.level1_cache,
-        )
-    if method in ("ma", "ma_fixed"):
-        return bt.ma_interval(
-            ctx.data, cfg.p, ctx.queries, ctx.bcfg, cfg.mode,
-            weights_mode="endogenous" if method == "ma" else "fixed",
-            c1=cfg.c1, c2=cfg.c2, _prep=ctx.prep, _batch_cache=ctx.level1_cache,
-        )
-    if method in ("fdbb_aic", "fdbb_bic"):
-        return bt.fdbb_interval(
-            ctx.data, cfg.p, RankSelector(method.split("_")[1]), ctx.queries,
-            ctx.bcfg, cfg.mode, _prep=ctx.prep, _batch_cache=ctx.level1_cache,
-        )
-    if method == "wimp":
-        result, _, _ = bt.wimp_interval(
-            ctx.data, cfg.p, ctx.queries, ctx.bcfg, cfg.mode,
-            c1=cfg.c1, c2=cfg.c2, fan=ctx.full_fan(), _prep=ctx.prep,
-        )
-        return result
-    if method == "lavar":
-        return bt.lag_augmented_interval(
-            ctx.data, cfg.p, ctx.queries, ctx.bcfg, cfg.mode, _prep=ctx.prep
-        )
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _bounds_from(result):
     if isinstance(result, bt.IntervalSet):
         return result.lower, result.upper
@@ -352,19 +251,29 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
     width_sum = np.zeros((n_methods, n_vars, n_vars, h_max))
     success = np.zeros(n_methods, dtype=np.int64)
     truth = np.moveaxis(true_irf(cfg.dgp, h_max).values[1:], 0, -1)  # (K, K, H)
+    queries = tuple(
+        IrfQuery(a=a, b=b, horizon=j, functional="element", kind=REDUCED_FORM)
+        for a in range(1, n_vars + 1)
+        for b in range(1, n_vars + 1)
+        for j in range(1, h_max + 1)
+    )
 
     for rep in rep_indices:
         data = simulate_path(cfg.dgp, bt._stream(cfg.seed, 7, 901, rep))
         boot_seed = int(bt._stream(cfg.seed, 7, 902, rep).integers(0, 2**63))
+        bcfg = bt.BootstrapConfig(n_boot=cfg.n_boot, gamma=cfg.gamma, seed=boot_seed)
         try:
-            ctx = _RepContext(cfg, data, boot_seed)
+            prep = bt._prepare(
+                data, cfg.p, cfg.mode, bcfg, queries,
+                c1=cfg.c1, c2=cfg.c2, true_rank=cfg.dgp.true_rank,
+            )
         except (DataError, EstimationError):
             continue  # every method fails for this replication
+        results = bt.run_methods(prep, cfg.methods)
         for m, method in enumerate(cfg.methods):
-            try:
-                lower, upper = _bounds_from(_run_method(ctx, method))
-            except (DataError, EstimationError):
-                continue
+            if isinstance(results[method], Exception):
+                continue  # the method failed on this replication
+            lower, upper = _bounds_from(results[method])
             low = lower.reshape(n_vars, n_vars, h_max)
             upp = upper.reshape(n_vars, n_vars, h_max)
             covered[m] += (low <= truth) & (truth <= upp)

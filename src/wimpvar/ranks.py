@@ -15,6 +15,7 @@ __all__ = [
     "TRACE_CRIT_LEVELS",
     "TRACE_CRIT_VALUES",
     "ic_values_from_eigenvalues",
+    "select_rank",
     "select_rank_ic",
     "select_rank_sequential",
     "plausibility_weights",
@@ -121,6 +122,23 @@ def _decompose(data, p, mode, paper_convention):
     return johansen_decomposition(build_vecm_regressors(tilde, p, paper_convention))
 
 
+def select_rank(jd, selector: RankSelector) -> int:
+    """The rank ``selector`` picks from one Johansen decomposition."""
+    if selector.method == "fixed":
+        return int(selector.rank)
+    if selector.method in ("aic", "bic"):
+        values = ic_values_from_eigenvalues(
+            jd.eigenvalues, jd.ln_det_s00, jd.t_eff, jd.p, selector.method
+        )
+        return int(np.argmin(values))
+    n_vars = jd.n_vars
+    stats = trace_stats_from_eigenvalues(jd.eigenvalues, jd.t_eff)
+    for rank in range(n_vars):
+        if stats[rank] < trace_critical_value(n_vars - rank, selector.level):
+            return rank
+    return n_vars
+
+
 def select_rank_ic(
     data,
     p: int,
@@ -133,11 +151,9 @@ def select_rank_ic(
     ``criterion`` is ``"aic"`` (c_T = 2) or ``"bic"`` (c_T = ln T_eff); ties
     break toward the smaller rank.
     """
-    jd = _decompose(data, p, mode, paper_convention)
-    values = ic_values_from_eigenvalues(
-        jd.eigenvalues, jd.ln_det_s00, jd.t_eff, jd.p, criterion
-    )
-    return int(np.argmin(values))
+    if criterion not in ("aic", "bic"):
+        raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
+    return select_rank(_decompose(data, p, mode, paper_convention), RankSelector(criterion))
 
 
 def select_rank_sequential(
@@ -148,18 +164,8 @@ def select_rank_sequential(
     paper_convention: bool = False,
 ) -> int:
     """Smallest rank whose trace statistic fails to reject, K if all reject."""
-    jd = _decompose(data, p, mode, paper_convention)
-    n_vars = jd.n_vars
-    if n_vars > TRACE_CRIT_VALUES.shape[0]:
-        raise ConfigError(
-            f"sequential trace selection supports K <= {TRACE_CRIT_VALUES.shape[0]}; "
-            "use an information criterion"
-        )
-    stats = trace_stats_from_eigenvalues(jd.eigenvalues, jd.t_eff)
-    for rank in range(n_vars):
-        if stats[rank] < trace_critical_value(n_vars - rank, level):
-            return rank
-    return n_vars
+    selector = RankSelector("sequential_trace", level=level)
+    return select_rank(_decompose(data, p, mode, paper_convention), selector)
 
 
 @dataclass(frozen=True)

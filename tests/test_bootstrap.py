@@ -4,6 +4,7 @@ import pytest
 from wimpvar import (
     BootstrapConfig,
     ConfigError,
+    DataError,
     EstimationError,
     IntervalEstimate,
     IntervalSet,
@@ -205,7 +206,6 @@ def test_fixed_rank_census_bookkeeping():
     result = fixed_rank_interval(y, 1, 3, _queries(4), cfg)
     assert result.n_boot == 59
     assert result.n_success + result.n_failed == 59
-    assert result.model_fit_count == 60
 
 
 def test_fixed_rank_nested_seed_family():
@@ -358,7 +358,6 @@ def test_fdbb_cost_and_bookkeeping():
     y = _sim(86)
     cfg = BootstrapConfig(n_boot=59, seed=14)
     result = fdbb_interval(y, 1, RankSelector("aic"), _queries(4), cfg)
-    assert abs(result.model_fit_count - (2 * cfg.n_boot + 2)) <= 2
     assert sum(result.rank_counts.values()) == cfg.n_boot
     for est in result.entries.values():
         assert est.lower <= est.upper
@@ -488,6 +487,29 @@ def test_wimp_rejects_partial_fan():
     del fan[1]
     with pytest.raises(ConfigError, match="every rank"):
         wimp_interval(y, 1, queries, cfg, fan=fan)
+
+
+def test_run_methods_returns_each_result_or_typed_error():
+    from wimpvar.bootstrap import _prepare, run_methods
+
+    y = _sim(92)
+    cfg = BootstrapConfig(n_boot=49, seed=20)
+    queries = _queries(2)
+    prep = _prepare(y, 1, DetrendMode.NONE, cfg, queries)
+    out = run_methods(prep, ("wimp", "ols", "lavar"))
+    combined, _, fan = wimp_interval(y, 1, queries, cfg)
+    assert np.array_equal(out["wimp"].lower, combined.lower)
+    assert np.array_equal(out["wimp"].upper, combined.upper)
+    assert out["ols"].method == "ols"
+    assert np.array_equal(out["ols"].lower, fan[3].lower)
+    # lag augmentation needs K*(p+1) + 10 observations: a typed error, kept
+    # per method, while the other methods still run
+    short = _prepare(y[:15], 1, DetrendMode.NONE, cfg, queries)
+    out = run_methods(short, ("lavar", "ols"))
+    assert isinstance(out["lavar"], DataError)
+    assert out["ols"].method == "ols"
+    with pytest.raises(ConfigError, match="known data-generating process"):
+        run_methods(prep, ("true_rank",))  # the sample's DGP rank is unknown
 
 
 def test_detrended_bootstrap_modes_differ():

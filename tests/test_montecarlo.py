@@ -199,3 +199,10 @@ def test_experiment_config_validation():
         ExperimentConfig(dgp=make_dgp("dgp1", 100), n_boot=5)
     with pytest.raises(ConfigError):
         ExperimentConfig(dgp=make_dgp("dgp1", 100), gamma=2.0)
+    # a sample shorter than the estimator's K*p + 10 minimum fails every
+    # replication, so it is refused up front
+    with pytest.raises(ConfigError, match="K\\*p \\+ 10"):
+        ExperimentConfig(dgp=make_dgp("dgp1", 5))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dgp=make_dgp("dgp1", 15), p=2)
+    assert ExperimentConfig(dgp=make_dgp("dgp1", 13)).dgp.T == 13
