@@ -1,10 +1,14 @@
-"""Batched (vectorized across bootstrap replications) estimation kernels.
+"""Estimation kernels over stacks of samples: the one implementation.
 
-These mirror the single-sample routines in :mod:`wimpvar.vecm` but operate
-on stacks of samples at once, which is what makes the resampling loops and
-the Monte Carlo harness fast on a single core.  Replications that fail
-numerically are flagged in an ``ok`` mask instead of raising, so one bad
-sample cannot abort a batch.
+Every estimator step (detrending, regressor blocks, the reduced-rank
+sweep, rank fits, VAR conversion, impulse responses, trace statistics,
+rank selection, weights and the Hall order statistic) works on a stack of
+B samples.  The bootstrap runs whole batches of replications through them;
+the single-sample functions of :mod:`wimpvar.timeseries`,
+:mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and :mod:`wimpvar.bootstrap` are
+B=1 calls that validate their input and turn a failure into a typed error.
+Samples that fail numerically are flagged in a per-sample ``reason``
+bitmask instead of raising, so one bad sample cannot abort a batch.
 
 Shapes use B for the batch axis, T for time, K for variables.
 """
@@ -14,30 +18,84 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranks import RankSelector, trace_critical_value
-from .timeseries import DetrendMode
+from .errors import ConfigError
 
+# Squared canonical correlations above this bound indicate a (numerically)
+# perfect fit and break the log-likelihood identities.
 _EIG_CEIL = 1.0 - 1e-12
 _EIG_FLOOR = -1e-10
 
+# Sweep failure reasons, one bit each, in the order the sweep meets them.
+NONFINITE = 1  # non-finite sample or regressors
+SINGULAR_Z2 = 2  # lagged-difference moment matrix Z2'Z2 not positive definite
+SINGULAR_S11 = 4
+SINGULAR_S00 = 8
+EIG_CEIL = 16  # largest squared canonical correlation at or above 1
+EIG_FLOOR = 32  # an eigenvalue below the numerical floor, or not finite
 
-def detrend_batch(y: np.ndarray, mode: DetrendMode) -> np.ndarray:
-    """Per-sample OLS detrending of a (B, T, K) stack."""
-    if mode is DetrendMode.NONE:
-        return y
-    n_obs = y.shape[1]
+# Asymptotic quantiles of the trace statistic for a system estimated without
+# deterministic terms, dimensions 1..12, from the standard published
+# response-surface tables (not derived in this project).  Columns are the
+# 90%, 95% and 99% quantiles.
+TRACE_CRIT_LEVELS = (0.10, 0.05, 0.01)
+TRACE_CRIT_VALUES = np.array(
+    [
+        [2.9762, 4.1296, 6.9406],
+        [10.4741, 12.3212, 16.3640],
+        [21.7781, 24.2761, 29.5147],
+        [37.0339, 40.1749, 46.5716],
+        [56.2839, 60.0627, 67.6367],
+        [79.5329, 83.9383, 92.7136],
+        [106.7351, 111.7797, 121.7375],
+        [137.9954, 143.6691, 154.7977],
+        [173.2292, 179.5199, 191.8122],
+        [212.4721, 219.4051, 232.8291],
+        [255.6732, 263.2603, 277.9962],
+        [302.9054, 311.1288, 326.9716],
+    ]
+)
+
+
+def trace_critical_value(dim: int, level: float) -> float:
+    """Critical value for a `dim`-dimensional trace test at `level`."""
+    if not 1 <= dim <= TRACE_CRIT_VALUES.shape[0]:
+        raise ConfigError(
+            f"no trace critical values for dimension {dim}; use an information criterion"
+        )
+    for idx, lvl in enumerate(TRACE_CRIT_LEVELS):
+        if abs(level - lvl) < 1e-9:
+            return float(TRACE_CRIT_VALUES[dim - 1, idx])
+    raise ConfigError(f"level must be one of {TRACE_CRIT_LEVELS}, got {level}")
+
+
+def detrend_batch(y: np.ndarray, mode: str):
+    """Per-sample OLS detrending of a (B, T, K) stack.
+
+    ``mode`` is a detrend mode value (``none``, ``constant`` or
+    ``constant_and_trend``); the regressors are 1 and t = 1..T.  Returns
+    (detrended stack, coefficients (B, d, K)) with d the number of
+    deterministic terms, 0 for ``none``.
+    """
+    n_batch, n_obs, n_vars = y.shape
+    if mode == "none":
+        return y, np.zeros((n_batch, 0, n_vars))
     t = np.arange(1.0, n_obs + 1.0)
-    if mode is DetrendMode.CONSTANT:
+    if mode == "constant":
         design = np.ones((n_obs, 1))
     else:
         design = np.column_stack([np.ones(n_obs), t])
     proj = np.linalg.solve(design.T @ design, design.T)  # (d, T)
     coef = proj @ y  # broadcasts to (B, d, K)
-    return y - design @ coef
+    return y - design @ coef, coef
 
 
 def regressors_batch(tilde: np.ndarray, p: int, paper_convention: bool = False):
-    """Batched version of the (Z0, Z1, Z2) block construction."""
+    """The (Z0, Z1, Z2) regression blocks of a (B, T, K) stack for lag order p.
+
+    Z0 holds the differences, Z1 the lagged levels and Z2 the p-1 lagged
+    differences side by side; see :class:`~wimpvar.timeseries.VecmRegressors`
+    for the alignment.
+    """
     n_obs = tilde.shape[1]
     dy = np.diff(tilde, axis=1)
     start = p - 1 + (1 if paper_convention else 0)
@@ -78,36 +136,63 @@ class BatchSweep:
     """Rank-generic reduced-rank regression pieces for a batch of samples."""
 
     eigenvalues: np.ndarray  # (B, K) descending, clipped to [0, 1)
-    vectors: np.ndarray  # (B, K, K)
+    vectors: np.ndarray  # (B, K, K), columns normalized V' S11 V = I
     S00: np.ndarray  # (B, K, K)
     S01: np.ndarray  # (B, K, K)
-    R0: np.ndarray  # (B, T_eff, K)
-    R1: np.ndarray  # (B, T_eff, K)
-    P20: np.ndarray  # (B, K(p-1), K)
-    P21: np.ndarray  # (B, K(p-1), K)
+    R0: np.ndarray  # (B, T_eff, K) partialled differenced block
+    R1: np.ndarray  # (B, T_eff, K) partialled lagged-level block
+    P20: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z0
+    P21: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z1
     ln_det_s00: np.ndarray  # (B,)
     p: int
     t_eff: int
-    ok: np.ndarray  # (B,) bool
+    reason: np.ndarray  # (B,) failure bits, 0 for a usable sample
 
     @property
     def n_vars(self) -> int:
         return self.S00.shape[-1]
 
+    @property
+    def ok(self) -> np.ndarray:
+        """Usable samples, (B,) bool; a new array on each access."""
+        return self.reason == 0
+
+    def take(self, mask: np.ndarray) -> BatchSweep:
+        """The samples selected by ``mask`` (a boolean or index array)."""
+        return BatchSweep(
+            **{
+                name: value[mask] if isinstance(value, np.ndarray) else value
+                for name, value in vars(self).items()
+            }
+        )
+
+
+def _flag(reason: np.ndarray, good: np.ndarray, bit: int) -> None:
+    reason[~good] |= bit
+
 
 def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> BatchSweep:
-    """Batched reduced-rank regression sweep with per-sample failure masking."""
+    """Batched reduced-rank regression sweep with per-sample failure bits.
+
+    Partials Z2 out of Z0 and Z1, forms the moment matrices and solves the
+    generalized eigenproblem ``lam * S11 v = S10 S00^{-1} S01 v`` by
+    reducing it with a Cholesky factor of S11 to an ordinary symmetric
+    problem.  One sweep serves every rank.
+    """
     n_batch, t_eff, n_vars = z0.shape
-    ok = (
+    reason = np.zeros(n_batch, dtype=np.int64)
+    _flag(
+        reason,
         np.isfinite(z0).all(axis=(1, 2))
         & np.isfinite(z1).all(axis=(1, 2))
-        & np.isfinite(z2).all(axis=(1, 2))
+        & np.isfinite(z2).all(axis=(1, 2)),
+        NONFINITE,
     )
 
     if z2.shape[2]:
         a22 = np.swapaxes(z2, 1, 2) @ z2
-        ok &= _spd_mask(a22)
-        a22 = _masked(a22, ok)
+        _flag(reason, _spd_mask(a22), SINGULAR_Z2)
+        a22 = _masked(a22, reason == 0)
         p20 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z0)
         p21 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z1)
         r0 = z0 - z2 @ p20
@@ -121,8 +206,12 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
     s01 = np.swapaxes(r0, 1, 2) @ r1 / t_eff
     s11 = np.swapaxes(r1, 1, 2) @ r1 / t_eff
 
-    ok &= _spd_mask(s00) & _spd_mask(s11)
+    _flag(reason, _spd_mask(s11), SINGULAR_S11)
+    _flag(reason, _spd_mask(s00), SINGULAR_S00)
+    ok = reason == 0
     chol = np.linalg.cholesky(_masked(s11, ok))
+    # Whiten: M = C^{-1} S10 S00^{-1} S01 C^{-T} is symmetric PSD with the
+    # same eigenvalues as the generalized problem.
     x = np.linalg.solve(_masked(s00, ok), s01)
     inner = np.swapaxes(s01, 1, 2) @ x
     m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, inner), 1, 2))
@@ -132,12 +221,14 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
     lam = lam[:, ::-1]
     w = w[:, :, ::-1]
 
-    ok &= np.isfinite(lam).all(axis=1) & (lam[:, 0] < _EIG_CEIL) & (lam[:, -1] > _EIG_FLOOR)
+    finite = np.isfinite(lam).all(axis=1)
+    _flag(reason, ~finite | (lam[:, 0] < _EIG_CEIL), EIG_CEIL)
+    _flag(reason, finite & (lam[:, -1] > _EIG_FLOOR), EIG_FLOOR)
     lam = np.clip(lam, 0.0, _EIG_CEIL)
 
     vectors = np.linalg.solve(np.swapaxes(chol, 1, 2), w)
-    # Sign convention: make the first coordinate exceeding the tolerance
-    # positive, matching the single-sample estimator.
+    # Sign convention, deterministic across platforms: the first coordinate
+    # of each column exceeding the tolerance is made positive.
     scale = np.abs(vectors).max(axis=1, keepdims=True)
     big = np.abs(vectors) > 1e-12 * np.maximum(scale, np.finfo(float).tiny)
     first = np.argmax(big, axis=1)  # (B, K) column-wise first index
@@ -146,7 +237,7 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
     vectors = vectors * signs[:, None, :]
 
     sign, ln_det = np.linalg.slogdet(s00)
-    ok &= (sign > 0) & np.isfinite(ln_det)
+    _flag(reason, (sign > 0) & np.isfinite(ln_det), SINGULAR_S00)
 
     return BatchSweep(
         eigenvalues=lam,
@@ -160,29 +251,27 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
         ln_det_s00=ln_det,
         p=p,
         t_eff=t_eff,
-        ok=ok,
+        reason=reason,
     )
+
+
+def loadings_batch(sweep: BatchSweep, rank: int):
+    """(alpha (B, K, r), beta (B, K, r)) for one imposed rank r."""
+    beta = sweep.vectors[:, :, :rank]
+    return sweep.S01 @ beta, beta
 
 
 def rank_fit_batch(sweep: BatchSweep, rank: int):
     """Pi and Gamma stacks for one imposed rank.
 
-    Returns (Pi (B, K, K), Gammas (B, p-1, K, K)).
+    Returns (Pi (B, K, K), Gammas (B, p-1, K, K)).  Rank 0 gives Pi = 0 and
+    regresses the differences on the lagged differences alone.
     """
     n_batch, n_vars = sweep.eigenvalues.shape
-    if rank == 0:
-        pi = np.zeros((n_batch, n_vars, n_vars))
-    else:
-        beta = sweep.vectors[:, :, :rank]
-        alpha = sweep.S01 @ beta
-        pi = alpha @ np.swapaxes(beta, 1, 2)
-    if sweep.p > 1:
-        stack = sweep.P20 - sweep.P21 @ np.swapaxes(pi, 1, 2)  # (B, K(p-1), K)
-        gammas = np.swapaxes(
-            stack.reshape(n_batch, sweep.p - 1, n_vars, n_vars), 2, 3
-        )
-    else:
-        gammas = np.empty((n_batch, 0, n_vars, n_vars))
+    alpha, beta = loadings_batch(sweep, rank)
+    pi = alpha @ np.swapaxes(beta, 1, 2)
+    stack = sweep.P20 - sweep.P21 @ np.swapaxes(pi, 1, 2)  # (B, K(p-1), K)
+    gammas = np.swapaxes(stack.reshape(n_batch, sweep.p - 1, n_vars, n_vars), 2, 3)
     return pi, gammas
 
 
@@ -192,11 +281,11 @@ def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
 
 
 def sigma_batch(sweep: BatchSweep, rank: int) -> np.ndarray:
-    """Residual covariance S00 - alpha alpha' for one imposed rank."""
-    if rank == 0:
-        return sweep.S00.copy()
-    beta = sweep.vectors[:, :, :rank]
-    alpha = sweep.S01 @ beta
+    """Residual covariance S00 - alpha alpha' for one imposed rank.
+
+    Equals residuals' residuals / T_eff in exact arithmetic.
+    """
+    alpha, _ = loadings_batch(sweep, rank)
     return sweep.S00 - alpha @ np.swapaxes(alpha, 1, 2)
 
 
@@ -248,6 +337,9 @@ def rebuild_vecm_batch(
     n_batch, n_steps, n_vars = errors.shape
     if pi.ndim == 2:
         pi = np.broadcast_to(pi, (n_batch, n_vars, n_vars))
+    # einsum's rounding depends on the operand layout: a contiguous copy
+    # gives the same paths whatever layout the Gammas arrive in.
+    gammas = np.ascontiguousarray(gammas)
     if gammas.ndim == 3:
         gammas = np.broadcast_to(
             gammas, (n_batch,) + gammas.shape
@@ -300,32 +392,56 @@ def ols_var_levels_batch(y: np.ndarray, p: int):
     return mats, resid, ok
 
 
+def cholesky_batch(sigmas: np.ndarray):
+    """Lower Cholesky factors of a (B, K, K) stack; returns (factors, ok).
+
+    A matrix that is not safely positive definite is flagged and factored
+    as the identity instead.
+    """
+    ok = _spd_mask(sigmas)
+    return np.linalg.cholesky(_masked(sigmas, ok)), ok
+
+
 def trace_stats_batch(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
-    """Trace statistics (B, K+1) with the zero statistic appended."""
+    """Trace statistics J[r] = -T * sum_{i>r} ln(1 - lam_i), r = 0..K, (B, K+1).
+
+    J[K] = 0 exactly (empty sum).
+    """
     terms = np.log1p(-eigenvalues)
     tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    return -t_eff * np.concatenate([tails, np.zeros((eigenvalues.shape[0], 1))], axis=1)
+    stats = -t_eff * np.concatenate([tails, np.zeros((eigenvalues.shape[0], 1))], axis=1)
+    return stats + 0.0  # normalize -0.0 so J[K] is exactly zero
 
 
-def ic_select_batch(sweep: BatchSweep, criterion: str) -> np.ndarray:
-    """Information-criterion rank selection per sample, (B,) ints."""
-    n_vars = sweep.n_vars
-    c_t = 2.0 if criterion == "aic" else float(np.log(sweep.t_eff))
+def ic_param_count(rank, n_vars: int, p: int):
+    """Free short/long-run parameters that vary with the rank restriction."""
+    return 2 * n_vars * rank - rank * rank + n_vars * n_vars * (p - 1)
+
+
+def ic_values_batch(
+    eigenvalues: np.ndarray, ln_det_s00: np.ndarray, t_eff: int, p: int, criterion: str
+) -> np.ndarray:
+    """Information-criterion values for ranks 0..K per sample, (B, K+1).
+
+    Uses the determinant identity ln det Sigma(r) = ln det S00 +
+    sum_{i<=r} ln(1 - lam_i), so no per-rank refitting is needed.
+    """
+    if criterion == "aic":
+        c_t = 2.0
+    elif criterion == "bic":
+        c_t = float(np.log(t_eff))
+    else:
+        raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
+    n_batch, n_vars = eigenvalues.shape
     cum = np.concatenate(
-        [
-            np.zeros((sweep.eigenvalues.shape[0], 1)),
-            np.cumsum(np.log1p(-sweep.eigenvalues), axis=1),
-        ],
-        axis=1,
+        [np.zeros((n_batch, 1)), np.cumsum(np.log1p(-eigenvalues), axis=1)], axis=1
     )
-    ranks = np.arange(n_vars + 1)
-    penalty = c_t * (2 * n_vars * ranks - ranks**2 + n_vars**2 * (sweep.p - 1)) / sweep.t_eff
-    values = sweep.ln_det_s00[:, None] + cum + penalty[None, :]
-    return np.argmin(values, axis=1)
+    penalty = c_t * ic_param_count(np.arange(n_vars + 1), n_vars, p) / t_eff
+    return ln_det_s00[:, None] + cum + penalty[None, :]
 
 
 def seq_select_batch(sweep: BatchSweep, level: float) -> np.ndarray:
-    """Sequential trace-test rank selection per sample, (B,) ints."""
+    """Smallest rank whose trace statistic fails to reject, K if all reject, (B,)."""
     n_vars = sweep.n_vars
     stats = trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
     crit = np.array([trace_critical_value(n_vars - r, level) for r in range(n_vars)])
@@ -335,22 +451,42 @@ def seq_select_batch(sweep: BatchSweep, level: float) -> np.ndarray:
     return np.where(any_below, first, n_vars)
 
 
-def select_batch(sweep: BatchSweep, selector: RankSelector) -> np.ndarray:
+def select_batch(sweep: BatchSweep, selector) -> np.ndarray:
+    """The rank a :class:`~wimpvar.ranks.RankSelector` picks per sample, (B,).
+
+    Information criteria break ties toward the smaller rank.
+    """
     if selector.method in ("aic", "bic"):
-        return ic_select_batch(sweep, selector.method)
+        values = ic_values_batch(
+            sweep.eigenvalues, sweep.ln_det_s00, sweep.t_eff, sweep.p, selector.method
+        )
+        return np.argmin(values, axis=1)
     if selector.method == "sequential_trace":
         return seq_select_batch(sweep, selector.level)
     return np.full(sweep.eigenvalues.shape[0], selector.rank, dtype=int)
 
 
-def weights_batch(
-    trace_stats: np.ndarray, t_eff: int, c1: float, c2: float
-) -> np.ndarray:
-    """Normalized plausibility weights per sample, (B, K+1)."""
+def weights_batch(trace_stats: np.ndarray, t_eff: int, c1: float, c2: float):
+    """Plausibility weights per sample; returns (raw, normalized), each (B, K+1).
+
+    With a = c1 * T_eff**(-c2): raw[0] = exp(-a J[0]) and raw[r] =
+    exp(-a J[r]) - exp(-a J[r-1]), which telescopes to a unit sum.
+    """
     shrink = c1 * float(t_eff) ** (-c2)
     survivals = np.exp(-shrink * trace_stats)
     raw = np.empty_like(survivals)
     raw[:, 0] = survivals[:, 0]
     raw[:, 1:] = survivals[:, 1:] - survivals[:, :-1]
     raw = np.maximum(raw, 0.0)
-    return raw / raw.sum(axis=1, keepdims=True)
+    return raw, raw / raw.sum(axis=1, keepdims=True)
+
+
+def hall_quantiles(stats: np.ndarray, points) -> list:
+    """Order statistics ceil((n+1) g), clamped to 1..n, along axis 0.
+
+    One (n, ...) stack of bootstrap statistics in, one array of shape
+    ``stats.shape[1:]`` out per quantile point g.
+    """
+    n = stats.shape[0]
+    ordered = np.sort(stats, axis=0)
+    return [ordered[min(max(int(np.ceil((n + 1) * g)), 1), n) - 1] for g in points]

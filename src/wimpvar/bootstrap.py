@@ -23,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import _batch
+from ._batch import cholesky_batch as _chol_batch  # its own layer in perfbench/tracing.py
 from .errors import ConfigError, DataError, EstimationError
-from .ranks import RankSelector, plausibility_weights, select_rank
+from .ranks import RankSelector, plausibility_weights
 from .timeseries import (
     DetrendedSeries,
     DetrendMode,
@@ -32,20 +33,7 @@ from .timeseries import (
     build_vecm_regressors,
     detrend,
 )
-from .vecm import (
-    IrfQuery,
-    JohansenDecomposition,
-    REDUCED_FORM,
-    STRUCTURAL_CHOLESKY,
-    VecmFit,
-    cholesky_factor,
-    irf_reduced,
-    irf_structural,
-    johansen_decomposition,
-    johansen_fit_from,
-    trace_stats_from_eigenvalues,
-    vecm_to_var,
-)
+from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, VecmFit, observed_sweep
 from .wimp import wimp_bounds
 
 __all__ = [
@@ -171,20 +159,12 @@ def hall_quantile(centered_stats, gamma_point: float) -> float:
         raise ValueError("bootstrap statistics must be finite")
     if not 0 < gamma_point < 1:
         raise ValueError(f"quantile point must lie in (0, 1), got {gamma_point}")
-    n = stats.size
-    idx = int(np.ceil((n + 1) * gamma_point))
-    idx = min(max(idx, 1), n)
-    return float(np.sort(stats)[idx - 1])
+    return float(_batch.hall_quantiles(stats, (gamma_point,))[0])
 
 
 def _hall_bounds(centered: np.ndarray, points: np.ndarray, gamma: float):
     """Vectorized Hall interval bounds per query column."""
-    n = centered.shape[0]
-    lo_idx = min(max(int(np.ceil((n + 1) * gamma / 2.0)), 1), n)
-    hi_idx = min(max(int(np.ceil((n + 1) * (1.0 - gamma / 2.0))), 1), n)
-    ordered = np.sort(centered, axis=0)
-    q_lo = ordered[lo_idx - 1]
-    q_hi = ordered[hi_idx - 1]
+    q_lo, q_hi = _batch.hall_quantiles(centered, (gamma / 2.0, 1.0 - gamma / 2.0))
     return points - q_hi, points - q_lo
 
 
@@ -303,19 +283,19 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 
 @dataclass
 class _Prepared:
-    """One observed sample and what its methods share: the decomposition,
-    compiled queries, method settings, fixed-rank fan and one level-1 batch."""
+    """One observed sample and what its methods share: its sweep (a batch of
+    one, run through the same kernels as the replications), compiled
+    queries, method settings, fixed-rank fan and one level-1 batch."""
 
     raw: np.ndarray
     tilde: DetrendedSeries
-    jd: JohansenDecomposition
+    sweep: _batch.BatchSweep
     p: int
     mode: DetrendMode
     cfg: BootstrapConfig
     c1: float = 1.0
     c2: float = 0.5
     true_rank: int | None = None
-    _fits: dict = field(default_factory=dict)
     _compiled: _CompiledQueries | None = None
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
@@ -338,28 +318,20 @@ class _Prepared:
             self._compiled = _compile_queries(queries, self.n_vars)
         return self._compiled
 
-    def fit(self, rank: int) -> VecmFit:
-        if rank not in self._fits:
-            self._fits[rank] = johansen_fit_from(self.jd, rank)
-        return self._fits[rank]
-
     def point_zetas(self, rank: int, cq: _CompiledQueries) -> np.ndarray:
-        fit = self.fit(rank)
-        psi = irf_reduced(vecm_to_var(fit), cq.h_need)
-        phi = None
-        if cq.need_structural:
-            phi = irf_structural(psi, cholesky_factor(fit.Sigma_u))
-        return cq.evaluate(
-            psi.values[None], phi.values[None] if phi is not None else None
-        )[0]
+        """Query values of the observed sample at ``rank``, (Q,)."""
+        values, ok = _zeta_at_rank(self.sweep, rank, cq)
+        if not ok[0]:
+            raise EstimationError("covariance matrix is not positive definite")
+        return values[0]
 
     def select_rank(self, selector: RankSelector) -> int:
-        return select_rank(self.jd, selector)
+        return int(_batch.select_batch(self.sweep, selector)[0])
 
     def weights(self, c1: float, c2: float):
         """Plausibility weights of the observed sample."""
-        stats = trace_stats_from_eigenvalues(self.jd.eigenvalues, self.jd.t_eff)
-        return plausibility_weights(stats, self.jd.t_eff, c1, c2)
+        stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
+        return plausibility_weights(stats, self.sweep.t_eff, c1, c2)
 
     def level1(self, dgp_rank: int) -> _BootBatch:
         """The level-1 batch at ``dgp_rank``; only the latest one is held."""
@@ -389,10 +361,8 @@ def _prepare(data, p: int, mode, cfg: BootstrapConfig, queries=None, **settings)
             raw = raw[:, None]
     mode = DetrendMode(mode)
     tilde = detrend(raw, mode)
-    jd = johansen_decomposition(
-        build_vecm_regressors(tilde, p, cfg.paper_sample_convention)
-    )
-    prep = _Prepared(raw=raw, tilde=tilde, jd=jd, p=p, mode=mode, cfg=cfg, **settings)
+    sweep = observed_sweep(build_vecm_regressors(tilde, p, cfg.paper_sample_convention))
+    prep = _Prepared(raw=raw, tilde=tilde, sweep=sweep, p=p, mode=mode, cfg=cfg, **settings)
     if queries is not None:
         prep.compile(queries)
     return prep
@@ -492,32 +462,33 @@ class _BootBatch:
     dgp_rank: int
 
 
+def _redetrend(samples: np.ndarray, prep: _Prepared):
+    """Detrend rebuilt paths like the observed sample, non-finite paths zeroed;
+    returns (detrended paths, finite mask)."""
+    finite = np.isfinite(samples).all(axis=(1, 2))
+    use_mode = prep.mode if prep.cfg.detrend_bootstrap else DetrendMode.NONE
+    tilde, _ = _batch.detrend_batch(np.where(finite[:, None, None], samples, 0.0), use_mode)
+    return tilde, finite
+
+
+def _resweep(samples: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+    """Sweep of rebuilt paths; a non-finite path is flagged."""
+    tilde, finite = _redetrend(samples, prep)
+    z0, z1, z2 = _batch.regressors_batch(tilde, prep.p, prep.cfg.paper_sample_convention)
+    sweep = _batch.sweep_batch(z0, z1, z2, prep.p)
+    sweep.reason[~finite] |= _batch.NONFINITE
+    return sweep
+
+
 def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
     cfg = prep.cfg
-    fit = prep.fit(dgp_rank)
-    resid = fit.residuals
+    pi, gammas = _batch.rank_fit_batch(prep.sweep, dgp_rank)
+    resid = _batch.residuals_batch(prep.sweep, pi)[0]
     centered = resid - resid.mean(axis=0)
     n_draw = prep.n_obs - prep.p - 1
     idx = _draw_index_matrix(cfg.seed, 1, dgp_rank, cfg.n_boot, resid.shape[0], n_draw)
-    errors = centered[idx]
-    init = prep.raw[: prep.p + 1]
-    gammas = (
-        np.stack(fit.Gammas) if fit.Gammas else np.empty((0, prep.n_vars, prep.n_vars))
-    )
-    samples = _batch.rebuild_vecm_batch(fit.Pi, gammas, errors, init)
-    finite = np.isfinite(samples).all(axis=(1, 2))
-    use_mode = prep.mode if cfg.detrend_bootstrap else DetrendMode.NONE
-    tilde = _batch.detrend_batch(np.where(finite[:, None, None], samples, 0.0), use_mode)
-    z0, z1, z2 = _batch.regressors_batch(tilde, prep.p, cfg.paper_sample_convention)
-    sweep = _batch.sweep_batch(z0, z1, z2, prep.p)
-    sweep.ok &= finite
-    return _BootBatch(samples=samples, sweep=sweep, dgp_rank=dgp_rank)
-
-
-def _chol_batch(sigmas: np.ndarray):
-    ok = _batch._spd_mask(sigmas)
-    chol = np.linalg.cholesky(_batch._masked(sigmas, ok))
-    return chol, ok
+    samples = _batch.rebuild_vecm_batch(pi[0], gammas[0], centered[idx], prep.raw[: prep.p + 1])
+    return _BootBatch(samples=samples, sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
 
 
 def _zeta_at_rank(sweep: _batch.BatchSweep, rank: int, cq: _CompiledQueries):
@@ -525,7 +496,7 @@ def _zeta_at_rank(sweep: _batch.BatchSweep, rank: int, cq: _CompiledQueries):
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
     mats = _batch.var_matrices_batch(pi, gammas)
     psi = _batch.irf_batch(mats, cq.h_need)
-    ok = sweep.ok.copy()
+    ok = sweep.ok
     phi = None
     if cq.need_structural:
         chol, chol_ok = _chol_batch(_batch.sigma_batch(sweep, rank))
@@ -538,31 +509,13 @@ def _zeta_at_selected(sweep: _batch.BatchSweep, ranks: np.ndarray, cq: _Compiled
     """Per-sample query values at per-sample ranks; returns ((B, Q), ok)."""
     n_batch = ranks.shape[0]
     out = np.full((n_batch, len(cq.queries)), np.nan)
-    ok = sweep.ok.copy()
+    ok = sweep.ok
     for rank in np.unique(ranks):
         mask = ranks == rank
-        sub = _take_sweep(sweep, mask)
-        values, sub_ok = _zeta_at_rank(sub, int(rank), cq)
+        values, sub_ok = _zeta_at_rank(sweep.take(mask), int(rank), cq)
         out[mask] = values
         ok[mask] &= sub_ok
     return out, ok
-
-
-def _take_sweep(sweep: _batch.BatchSweep, mask: np.ndarray) -> _batch.BatchSweep:
-    return _batch.BatchSweep(
-        eigenvalues=sweep.eigenvalues[mask],
-        vectors=sweep.vectors[mask],
-        S00=sweep.S00[mask],
-        S01=sweep.S01[mask],
-        R0=sweep.R0[mask],
-        R1=sweep.R1[mask],
-        P20=sweep.P20[mask],
-        P21=sweep.P21[mask],
-        ln_det_s00=sweep.ln_det_s00[mask],
-        p=sweep.p,
-        t_eff=sweep.t_eff,
-        ok=sweep.ok[mask],
-    )
 
 
 def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
@@ -707,14 +660,14 @@ def ma_interval(
 
     boot = prep.level1(data_weights.reference_rank)
     zeta_by_rank = np.empty((cfg.n_boot, n_vars + 1, len(cq.queries)))
-    ok = boot.sweep.ok.copy()
+    ok = boot.sweep.ok
     for rank in range(n_vars + 1):
         values, rank_ok = _zeta_at_rank(boot.sweep, rank, cq)
         zeta_by_rank[:, rank] = values
         ok &= rank_ok
     if weights_mode == "endogenous":
         stats = _batch.trace_stats_batch(boot.sweep.eigenvalues, boot.sweep.t_eff)
-        weights_star = _batch.weights_batch(stats, boot.sweep.t_eff, c1, c2)
+        _, weights_star = _batch.weights_batch(stats, boot.sweep.t_eff, c1, c2)
     else:
         weights_star = np.broadcast_to(
             data_weights.normalized, (cfg.n_boot, n_vars + 1)
@@ -766,7 +719,7 @@ def fdbb_interval(
     gam_star = np.empty((n_boot, max(prep.p - 1, 0), n_vars, n_vars))
     for rank in np.unique(ranks_star):
         mask = ranks_star == rank
-        pi_r, gam_r = _batch.rank_fit_batch(_take_sweep(boot.sweep, mask), int(rank))
+        pi_r, gam_r = _batch.rank_fit_batch(boot.sweep.take(mask), int(rank))
         pi_star[mask] = pi_r
         gam_star[mask] = gam_r
     resid_star = _batch.residuals_batch(boot.sweep, pi_star)
@@ -779,12 +732,7 @@ def fdbb_interval(
     errors2 = np.take_along_axis(centered, idx[:, :, None], axis=1)
     init2 = boot.samples[:, : prep.p + 1]
     samples2 = _batch.rebuild_vecm_batch(pi_star, gam_star, errors2, init2)
-    finite2 = np.isfinite(samples2).all(axis=(1, 2))
-    use_mode = prep.mode if cfg.detrend_bootstrap else DetrendMode.NONE
-    tilde2 = _batch.detrend_batch(np.where(finite2[:, None, None], samples2, 0.0), use_mode)
-    z0, z1, z2 = _batch.regressors_batch(tilde2, prep.p, cfg.paper_sample_convention)
-    sweep2 = _batch.sweep_batch(z0, z1, z2, prep.p)
-    sweep2.ok &= finite2
+    sweep2 = _resweep(samples2, prep)
     ranks_2 = _batch.select_batch(sweep2, selector)
     zeta_2, ok2 = _zeta_at_selected(sweep2, ranks_2, cq)
 
@@ -820,16 +768,9 @@ def lag_augmented_interval(
             f"lag augmentation needs at least K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations"
         )
     tilde = prep.tilde.tilde_values
-
-    mats_aug, resid_aug, ok_point = _batch.ols_var_levels_batch(tilde[None], p + 1)
-    if not ok_point[0]:
+    (points,), (ok_point,) = _lavar_zetas(tilde[None], p, cq)
+    if not ok_point:
         raise EstimationError("singular design in the lag-augmented levels regression")
-    psi_point = _batch.irf_batch(mats_aug[:, :p], cq.h_need)
-    phi_point = None
-    if cq.need_structural:
-        sigma = resid_aug[0].T @ resid_aug[0] / resid_aug.shape[1]
-        phi_point = psi_point @ cholesky_factor(sigma)
-    points = cq.evaluate(psi_point, phi_point)[0]
 
     mats_dgp, resid_dgp, ok_dgp = _batch.ols_var_levels_batch(tilde[None], p)
     if not ok_dgp[0]:
@@ -837,25 +778,26 @@ def lag_augmented_interval(
     centered = resid_dgp[0] - resid_dgp[0].mean(axis=0)
     n_draw = prep.n_obs - p - 1
     idx = _draw_index_matrix(cfg.seed, 1, _LAVAR_CODE, cfg.n_boot, centered.shape[0], n_draw)
-    errors = centered[idx]
-    samples = _batch.rebuild_levels_batch(mats_dgp[0], errors, prep.raw[: p + 1])
-    finite = np.isfinite(samples).all(axis=(1, 2))
-    use_mode = prep.mode if cfg.detrend_bootstrap else DetrendMode.NONE
-    tilde_star = _batch.detrend_batch(np.where(finite[:, None, None], samples, 0.0), use_mode)
-    mats_star, resid_star, ok = _batch.ols_var_levels_batch(tilde_star, p + 1)
-    ok &= finite
-    psi_star = _batch.irf_batch(mats_star[:, :p], cq.h_need)
-    phi_star = None
-    if cq.need_structural:
-        sigmas = np.swapaxes(resid_star, 1, 2) @ resid_star / resid_star.shape[1]
-        chol, chol_ok = _chol_batch(sigmas)
-        ok &= chol_ok
-        phi_star = psi_star @ chol[:, None]
-    zeta_star = cq.evaluate(psi_star, phi_star)
+    samples = _batch.rebuild_levels_batch(mats_dgp[0], centered[idx], prep.raw[: p + 1])
+    tilde_star, finite = _redetrend(samples, prep)
+    zeta_star, ok = _lavar_zetas(tilde_star, p, cq)
     lower, upper, n_failed = _finalize(
-        points, zeta_star, ok, points, cfg, "the lag-augmented bootstrap"
+        points, zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
     )
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
+
+
+def _lavar_zetas(tilde: np.ndarray, p: int, cq: _CompiledQueries):
+    """Query values of a levels VAR(p+1) fit, first p lags only; ((B, Q), ok)."""
+    mats, resid, ok = _batch.ols_var_levels_batch(tilde, p + 1)
+    psi = _batch.irf_batch(mats[:, :p], cq.h_need)
+    phi = None
+    if cq.need_structural:
+        sigmas = np.swapaxes(resid, 1, 2) @ resid / resid.shape[1]
+        chol, chol_ok = _chol_batch(sigmas)
+        ok = ok & chol_ok
+        phi = psi @ chol[:, None]
+    return cq.evaluate(psi, phi), ok
 
 
 # ---------------------------------------------------------------------------

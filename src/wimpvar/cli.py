@@ -162,6 +162,16 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _parse_flag(value: str) -> bool:
+    """A config-file boolean: 1/true/yes/on or 0/false/no/off, in any case."""
+    word = value.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
 _CONFIG_KEYS = {
     "input": str,
     "out": str,
@@ -180,7 +190,7 @@ _CONFIG_KEYS = {
     "T": int,
     "n_mc": int,
     "workers": int,
-    "paper_sample_convention": lambda v: v.lower() in ("1", "true", "yes"),
+    "paper_sample_convention": _parse_flag,
 }
 
 

@@ -237,11 +237,28 @@ def summarize_widths(table: CoverageTable) -> dict:
 # per-replication machinery
 
 
-def _bounds_from(result):
+def _bounds_from(method: str, result, n_queries: int):
+    """A method's (lower, upper) arrays, checked against the query count.
+
+    Raises ConfigError naming the method when the result is not a pair of
+    ``n_queries`` bounds each, and EstimationError when a lower bound
+    exceeds its upper bound.
+    """
     if isinstance(result, bt.IntervalSet):
-        return result.lower, result.upper
-    lower, upper = result
-    return np.asarray(lower, float).ravel(), np.asarray(upper, float).ravel()
+        lower, upper = result.lower, result.upper
+    else:
+        try:
+            lower, upper = (np.asarray(bounds, float).ravel() for bounds in result)
+        except (TypeError, ValueError):
+            raise ConfigError(f"method {method!r} must return a (lower, upper) pair") from None
+    if lower.shape != (n_queries,) or upper.shape != (n_queries,):
+        raise ConfigError(
+            f"method {method!r} returned {lower.size} lower and {upper.size} upper "
+            f"bounds for {n_queries} queries"
+        )
+    if np.any(lower > upper):
+        raise EstimationError(f"method {method!r} returned a lower bound above its upper bound")
+    return lower, upper
 
 
 def _run_chunk(cfg: ExperimentConfig, rep_indices):
@@ -273,7 +290,10 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
         for m, method in enumerate(cfg.methods):
             if isinstance(results[method], Exception):
                 continue  # the method failed on this replication
-            lower, upper = _bounds_from(results[method])
+            try:
+                lower, upper = _bounds_from(method, results[method], len(queries))
+            except EstimationError:
+                continue  # bounds out of order count as a failure, as in IntervalSet
             low = lower.reshape(n_vars, n_vars, h_max)
             upp = upper.reshape(n_vars, n_vars, h_max)
             covered[m] += (low <= truth) & (truth <= upp)
@@ -284,7 +304,11 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("WIMPVAR_WORKERS", "1"))
+        value = os.environ.get("WIMPVAR_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ConfigError(f"WIMPVAR_WORKERS must be an integer, got {value!r}") from None
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     return workers

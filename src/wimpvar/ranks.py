@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batch
+from ._batch import TRACE_CRIT_LEVELS, TRACE_CRIT_VALUES, ic_param_count, trace_critical_value
 from .errors import ConfigError
 from .timeseries import DetrendedSeries, DetrendMode, build_vecm_regressors, detrend
 from .vecm import johansen_decomposition, trace_stats_from_eigenvalues
@@ -14,6 +16,7 @@ __all__ = [
     "PlausibilityWeights",
     "TRACE_CRIT_LEVELS",
     "TRACE_CRIT_VALUES",
+    "ic_param_count",
     "ic_values_from_eigenvalues",
     "select_rank",
     "select_rank_ic",
@@ -21,41 +24,8 @@ __all__ = [
     "plausibility_weights",
     "plausibility_weights_from_fit",
     "relative_plausibility",
+    "trace_critical_value",
 ]
-
-# Asymptotic quantiles of the trace statistic for a system estimated without
-# deterministic terms, dimensions 1..12, from the standard published
-# response-surface tables (not derived in this project).  Columns are the
-# 90%, 95% and 99% quantiles.
-TRACE_CRIT_LEVELS = (0.10, 0.05, 0.01)
-TRACE_CRIT_VALUES = np.array(
-    [
-        [2.9762, 4.1296, 6.9406],
-        [10.4741, 12.3212, 16.3640],
-        [21.7781, 24.2761, 29.5147],
-        [37.0339, 40.1749, 46.5716],
-        [56.2839, 60.0627, 67.6367],
-        [79.5329, 83.9383, 92.7136],
-        [106.7351, 111.7797, 121.7375],
-        [137.9954, 143.6691, 154.7977],
-        [173.2292, 179.5199, 191.8122],
-        [212.4721, 219.4051, 232.8291],
-        [255.6732, 263.2603, 277.9962],
-        [302.9054, 311.1288, 326.9716],
-    ]
-)
-
-
-def trace_critical_value(dim: int, level: float) -> float:
-    """Critical value for a `dim`-dimensional trace test at `level`."""
-    if not 1 <= dim <= TRACE_CRIT_VALUES.shape[0]:
-        raise ConfigError(
-            f"no trace critical values for dimension {dim}; use an information criterion"
-        )
-    for idx, lvl in enumerate(TRACE_CRIT_LEVELS):
-        if abs(level - lvl) < 1e-9:
-            return float(TRACE_CRIT_VALUES[dim - 1, idx])
-    raise ConfigError(f"level must be one of {TRACE_CRIT_LEVELS}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +60,6 @@ class RankSelector:
         return self.method
 
 
-def ic_param_count(rank: int, n_vars: int, p: int) -> int:
-    """Free short/long-run parameters that vary with the rank restriction."""
-    return 2 * n_vars * rank - rank * rank + n_vars * n_vars * (p - 1)
-
-
 def ic_values_from_eigenvalues(
     eigenvalues: np.ndarray, ln_det_s00: float, t_eff: int, p: int, criterion: str
 ) -> np.ndarray:
@@ -104,17 +69,7 @@ def ic_values_from_eigenvalues(
     sum_{i<=r} ln(1 - lam_i), so no per-rank refitting is needed.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    n_vars = lam.size
-    if criterion == "aic":
-        c_t = 2.0
-    elif criterion == "bic":
-        c_t = float(np.log(t_eff))
-    else:
-        raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
-    ln_det = ln_det_s00 + np.concatenate([[0.0], np.cumsum(np.log1p(-lam))])
-    ranks = np.arange(n_vars + 1)
-    penalty = c_t * (2 * n_vars * ranks - ranks**2 + n_vars**2 * (p - 1)) / t_eff
-    return ln_det + penalty
+    return _batch.ic_values_batch(lam[None], np.array([ln_det_s00]), t_eff, p, criterion)[0]
 
 
 def _decompose(data, p, mode, paper_convention):
@@ -124,19 +79,7 @@ def _decompose(data, p, mode, paper_convention):
 
 def select_rank(jd, selector: RankSelector) -> int:
     """The rank ``selector`` picks from one Johansen decomposition."""
-    if selector.method == "fixed":
-        return int(selector.rank)
-    if selector.method in ("aic", "bic"):
-        values = ic_values_from_eigenvalues(
-            jd.eigenvalues, jd.ln_det_s00, jd.t_eff, jd.p, selector.method
-        )
-        return int(np.argmin(values))
-    n_vars = jd.n_vars
-    stats = trace_stats_from_eigenvalues(jd.eigenvalues, jd.t_eff)
-    for rank in range(n_vars):
-        if stats[rank] < trace_critical_value(n_vars - rank, selector.level):
-            return rank
-    return n_vars
+    return int(_batch.select_batch(jd.sweep, selector)[0])
 
 
 def select_rank_ic(
@@ -220,13 +163,7 @@ def plausibility_weights(
     if t_eff < 1:
         raise ValueError(f"t_eff must be positive, got {t_eff}")
 
-    shrink = c1 * float(t_eff) ** (-c2)
-    survivals = np.exp(-shrink * stats)
-    raw = np.empty_like(survivals)
-    raw[0] = survivals[0]
-    raw[1:] = survivals[1:] - survivals[:-1]
-    raw = np.maximum(raw, 0.0)
-    normalized = raw / raw.sum()
+    (raw,), (normalized,) = _batch.weights_batch(stats[None], t_eff, c1, c2)
     return PlausibilityWeights(
         raw=raw,
         normalized=normalized,

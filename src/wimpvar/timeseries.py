@@ -11,6 +11,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _batch
 from .errors import DataError
 
 __all__ = [
@@ -155,20 +156,10 @@ def detrend(data, mode: DetrendMode | str) -> DetrendedSeries:
     n_obs, n_vars = values.shape
     if n_obs < 3:
         raise DataError(f"need at least 3 observations to detrend, got {n_obs}")
-
-    if mode is DetrendMode.NONE:
-        return DetrendedSeries(values.copy(), np.zeros(n_vars), np.zeros(n_vars), mode)
-
-    t = np.arange(1.0, n_obs + 1.0)
-    if mode is DetrendMode.CONSTANT:
-        design = np.ones((n_obs, 1))
-    else:
-        design = np.column_stack([np.ones(n_obs), t])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    tilde = values - design @ coef
-    mu0 = coef[0].copy()
-    mu1 = coef[1].copy() if mode is DetrendMode.CONSTANT_AND_TREND else np.zeros(n_vars)
-    return DetrendedSeries(tilde, mu0, mu1, mode)
+    tilde, coef = _batch.detrend_batch(values[None], mode)
+    mu0, mu1 = np.concatenate([coef[0], np.zeros((2 - coef.shape[1], n_vars))])
+    # A copy: for "none" detrend_batch hands back its input, which the caller owns.
+    return DetrendedSeries(tilde[0].copy(), mu0, mu1, mode)
 
 
 def difference(data) -> np.ndarray:
@@ -237,13 +228,5 @@ def build_vecm_regressors(
         raise DataError(
             f"need at least {p + n_vars + 2 + extra} observations for p={p}, K={n_vars}; got {n_obs}"
         )
-    dy = np.diff(values, axis=0)  # row j is the difference at calendar time j + 2
-    start = p - 1 + extra
-    z0 = dy[start:]
-    z1 = values[start : n_obs - 1]
-    if p > 1:
-        blocks = [dy[start - lag : n_obs - 1 - lag] for lag in range(1, p)]
-        z2 = np.hstack(blocks)
-    else:
-        z2 = np.empty((z0.shape[0], 0))
-    return VecmRegressors(z0, z1, z2, p, n_obs, paper_convention)
+    z0, z1, z2 = _batch.regressors_batch(values[None], p, paper_convention)
+    return VecmRegressors(z0[0], z1[0], z2[0], p, n_obs, paper_convention)

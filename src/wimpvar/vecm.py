@@ -6,6 +6,9 @@ the moment matrices of the partialled residuals and solve the resulting
 generalized symmetric eigenvalue problem by Cholesky whitening.  One
 decomposition serves every rank, so fitting all K+1 ranks on the same data
 is essentially free after the first fit.
+
+The arithmetic lives in :mod:`wimpvar._batch`; the functions here run one
+sample through it as a batch of one and raise typed errors.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batch
 from .errors import ConfigError, DataError, EstimationError
 from .timeseries import DetrendedSeries, DetrendMode, VecmRegressors, build_vecm_regressors, detrend
 
@@ -22,6 +26,7 @@ __all__ = [
     "IrfArray",
     "IrfQuery",
     "JohansenDecomposition",
+    "observed_sweep",
     "johansen_decomposition",
     "johansen_fit",
     "fit_vecm",
@@ -36,11 +41,6 @@ __all__ = [
     "irf_structural",
     "evaluate_zeta",
 ]
-
-# Squared canonical correlations above this bound indicate a (numerically)
-# perfect fit and break the log-likelihood identities.
-_EIG_CEIL = 1.0 - 1e-12
-_EIG_FLOOR = -1e-10
 
 REDUCED_FORM = "reduced_form"
 STRUCTURAL_CHOLESKY = "structural_cholesky"
@@ -136,54 +136,47 @@ class IrfQuery:
 
 @dataclass(frozen=True)
 class JohansenDecomposition:
-    """Shared pieces of the reduced-rank regression, valid for every rank."""
+    """Shared pieces of the reduced-rank regression, valid for every rank.
 
-    eigenvalues: np.ndarray  # descending, length K
-    vectors: np.ndarray  # K x K, columns normalized V' S11 V = I
-    S00: np.ndarray
-    S01: np.ndarray
-    R0: np.ndarray  # partialled differenced block, t_eff x K
-    R1: np.ndarray  # partialled lagged-level block, t_eff x K
-    P20: np.ndarray  # (Z2'Z2)^{-1} Z2'Z0, empty when p = 1
-    P21: np.ndarray  # (Z2'Z2)^{-1} Z2'Z1, empty when p = 1
-    ln_det_s00: float
-    p: int
-    t_eff: int
+    Wraps the sweep of one sample, a B=1 :class:`~wimpvar._batch.BatchSweep`,
+    and reads its attributes as that sample's values: ``eigenvalues``
+    (descending, length K), ``vectors`` (K x K, V' S11 V = I), ``S00``,
+    ``S01``, ``R0``, ``R1``, ``P20``, ``P21``, ``ln_det_s00``, ``p``,
+    ``t_eff`` and ``n_vars``.
+    """
 
-    @property
-    def n_vars(self) -> int:
-        return self.S00.shape[0]
+    sweep: _batch.BatchSweep
 
-
-def _solve_pd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            f"singular {what}; try a smaller lag order or more observations"
-        ) from exc
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = getattr(self.sweep, name)
+        return value[0] if isinstance(value, np.ndarray) else value
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # Deterministic output across platforms: first non-negligible
-    # coordinate of each column made positive.
-    v = vectors.copy()
-    scale = np.abs(v).max(axis=0)
-    scale[scale == 0] = 1.0
-    for col in range(v.shape[1]):
-        nz = np.nonzero(np.abs(v[:, col]) > 1e-12 * scale[col])[0]
-        if nz.size and v[nz[0], col] < 0:
-            v[:, col] = -v[:, col]
-    return v
+# Sweep failure bit -> message, in the order the sweep meets them.
+_SWEEP_ERRORS = (
+    (_batch.NONFINITE, "non-finite regressors; clean the input before estimation"),
+    (
+        _batch.SINGULAR_Z2,
+        "singular lagged-difference moment matrix; try a smaller lag order or more observations",
+    ),
+    (_batch.SINGULAR_S11, "singular S11 moment matrix; try a smaller lag order or more data"),
+    (_batch.SINGULAR_S00, "singular S00 moment matrix; residual variance degenerate"),
+    (
+        _batch.EIG_CEIL,
+        "largest squared canonical correlation is at or above 1; "
+        "the regression fits (numerically) perfectly",
+    ),
+    (
+        _batch.EIG_FLOOR,
+        "an eigenvalue is below the numerical floor; moment matrices inconsistent",
+    ),
+)
 
 
-def johansen_decomposition(reg: VecmRegressors) -> JohansenDecomposition:
-    """Solve the rank-generic part of the reduced-rank regression.
-
-    Partials Z2 out of Z0 and Z1, forms the moment matrices and solves the
-    generalized eigenproblem ``lam * S11 v = S10 S00^{-1} S01 v`` by
-    reducing it with a Cholesky factor of S11 to an ordinary symmetric
-    problem.
+def observed_sweep(reg: VecmRegressors) -> _batch.BatchSweep:
+    """The reduced-rank sweep of one sample, as a batch of one.
 
     Raises
     ------
@@ -197,98 +190,36 @@ def johansen_decomposition(reg: VecmRegressors) -> JohansenDecomposition:
         raise DataError(
             f"need at least K*p + 10 = {n_vars * p + 10} observations, got {reg.n_obs}"
         )
-    t_eff = reg.t_eff
-    z0, z1, z2 = reg.Z0, reg.Z1, reg.Z2
+    sweep = _batch.sweep_batch(reg.Z0[None], reg.Z1[None], reg.Z2[None], p)
+    for bit, message in _SWEEP_ERRORS:
+        if sweep.reason[0] & bit:
+            raise EstimationError(message)
+    return sweep
 
-    if z2.shape[1]:
-        a22 = z2.T @ z2
-        p20 = _solve_pd(a22, z2.T @ z0, "lagged-difference moment matrix")
-        p21 = _solve_pd(a22, z2.T @ z1, "lagged-difference moment matrix")
-        r0 = z0 - z2 @ p20
-        r1 = z1 - z2 @ p21
-    else:
-        p20 = np.empty((0, n_vars))
-        p21 = np.empty((0, n_vars))
-        r0, r1 = z0, z1
 
-    s00 = r0.T @ r0 / t_eff
-    s01 = r0.T @ r1 / t_eff
-    s11 = r1.T @ r1 / t_eff
+def johansen_decomposition(reg: VecmRegressors) -> JohansenDecomposition:
+    """Solve the rank-generic part of the reduced-rank regression.
 
-    try:
-        chol = np.linalg.cholesky(s11)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(
-            "singular S11 moment matrix; try a smaller lag order or more data"
-        ) from exc
-    sign, ln_det_s00 = np.linalg.slogdet(s00)
-    if sign <= 0 or not np.isfinite(ln_det_s00):
-        raise EstimationError("singular S00 moment matrix; residual variance degenerate")
-
-    # Whiten: M = C^{-1} S10 S00^{-1} S01 C^{-T} is symmetric PSD with the
-    # same eigenvalues as the generalized problem.
-    x = _solve_pd(s00, s01, "S00 moment matrix")
-    inner = s01.T @ x
-    m = np.linalg.solve(chol, np.linalg.solve(chol, inner).T).T
-    m = (m + m.T) / 2.0
-    lam, w = np.linalg.eigh(m)
-    lam = lam[::-1]
-    w = w[:, ::-1]
-
-    if lam.size and lam[0] >= _EIG_CEIL:
-        raise EstimationError(
-            f"largest squared canonical correlation {lam[0]:.15g} is at or above 1; "
-            "the regression fits (numerically) perfectly"
-        )
-    if lam.size and lam[-1] < _EIG_FLOOR:
-        raise EstimationError(
-            f"eigenvalue {lam[-1]:.3g} below the numerical floor; moment matrices inconsistent"
-        )
-    lam = np.clip(lam, 0.0, _EIG_CEIL)
-
-    vectors = _fix_signs(np.linalg.solve(chol.T, w))
-    return JohansenDecomposition(
-        eigenvalues=lam,
-        vectors=vectors,
-        S00=s00,
-        S01=s01,
-        R0=r0,
-        R1=r1,
-        P20=p20,
-        P21=p21,
-        ln_det_s00=float(ln_det_s00),
-        p=p,
-        t_eff=t_eff,
-    )
+    See :func:`observed_sweep` for the errors raised.
+    """
+    return JohansenDecomposition(observed_sweep(reg))
 
 
 def johansen_fit_from(jd: JohansenDecomposition, rank: int) -> VecmFit:
     """Extract the rank-`rank` fit from a shared decomposition."""
-    n_vars = jd.n_vars
-    if rank < 0 or rank > n_vars:
-        raise ConfigError(f"rank must lie in 0..{n_vars}, got {rank}")
-    beta = jd.vectors[:, :rank]
-    alpha = jd.S01 @ beta
-    pi = alpha @ beta.T if rank else np.zeros((n_vars, n_vars))
-
-    if jd.P20.shape[0]:
-        gamma_stack = jd.P20 - jd.P21 @ pi.T  # K(p-1) x K, rows grouped by lag
-        gammas = tuple(
-            gamma_stack[lag * n_vars : (lag + 1) * n_vars].T.copy()
-            for lag in range(jd.p - 1)
-        )
-    else:
-        gammas = ()
-    residuals = jd.R0 - jd.R1 @ pi.T
-    sigma = residuals.T @ residuals / jd.t_eff
+    if rank < 0 or rank > jd.n_vars:
+        raise ConfigError(f"rank must lie in 0..{jd.n_vars}, got {rank}")
+    sweep = jd.sweep
+    alpha, beta = _batch.loadings_batch(sweep, rank)
+    pi, gammas = _batch.rank_fit_batch(sweep, rank)
     return VecmFit(
         rank=rank,
-        alpha=alpha,
-        beta=beta,
-        Pi=pi,
-        Gammas=gammas,
-        Sigma_u=sigma,
-        residuals=residuals,
+        alpha=alpha[0],
+        beta=beta[0],
+        Pi=pi[0],
+        Gammas=tuple(gammas[0]),
+        Sigma_u=_batch.sigma_batch(sweep, rank)[0],
+        residuals=_batch.residuals_batch(sweep, pi)[0],
         eigenvalues=jd.eigenvalues,
         p=jd.p,
         t_eff=jd.t_eff,
@@ -334,9 +265,7 @@ def trace_stats_from_eigenvalues(eigenvalues: np.ndarray, t_eff: int) -> np.ndar
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size and (lam.min() < 0 or lam.max() >= 1):
         raise ValueError("eigenvalues must lie in [0, 1)")
-    terms = np.log1p(-lam)
-    tails = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
-    return -t_eff * tails + 0.0  # normalize -0.0 so J[K] is exactly zero
+    return _batch.trace_stats_batch(lam[None], t_eff)[0]
 
 
 def trace_statistics(fit: VecmFit) -> np.ndarray:
@@ -350,18 +279,11 @@ def vecm_to_var(fit) -> VarLevels:
     A1 = I + Pi + Gamma_1, A_j = Gamma_j - Gamma_{j-1} for 1 < j < p,
     A_p = -Gamma_{p-1}; for p = 1 simply A1 = I + Pi.
     """
-    pi = fit.Pi if hasattr(fit, "Pi") else np.asarray(fit[0])
+    pi = np.asarray(fit.Pi if hasattr(fit, "Pi") else fit[0], dtype=float)
     gammas = fit.Gammas if hasattr(fit, "Gammas") else tuple(fit[1])
     n_vars = pi.shape[0]
-    p = len(gammas) + 1
-    eye = np.eye(n_vars)
-    if p == 1:
-        return VarLevels((eye + pi,))
-    mats = [eye + pi + gammas[0]]
-    for j in range(1, p - 1):
-        mats.append(gammas[j] - gammas[j - 1])
-    mats.append(-gammas[p - 2])
-    return VarLevels(tuple(mats))
+    stack = np.array(gammas, dtype=float).reshape(len(gammas), n_vars, n_vars)
+    return VarLevels(tuple(_batch.var_matrices_batch(pi[None], stack[None])[0]))
 
 
 def var_to_vecm(var: VarLevels):
@@ -396,29 +318,16 @@ def irf_reduced(var: VarLevels, h_max: int) -> IrfArray:
     """
     if h_max < 0:
         raise ConfigError(f"h_max must be >= 0, got {h_max}")
-    n_vars, p = var.n_vars, var.p
-    psi = np.zeros((h_max + 1, n_vars, n_vars))
-    psi[0] = np.eye(n_vars)
-    for j in range(1, h_max + 1):
-        acc = np.zeros((n_vars, n_vars))
-        for i in range(1, min(j, p) + 1):
-            acc += var.A[i - 1] @ psi[j - i]
-        psi[j] = acc
-    return IrfArray(psi, REDUCED_FORM)
+    return IrfArray(_batch.irf_batch(np.stack(var.A)[None], h_max)[0], REDUCED_FORM)
 
 
 def cholesky_factor(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular P with P P' = sigma and positive diagonal."""
     sigma = np.asarray(sigma, dtype=float)
-    sym = (sigma + sigma.T) / 2.0
-    floor = 1e-12 * np.trace(sym) / sym.shape[0]
-    try:
-        p = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("covariance matrix is not positive definite") from exc
-    if np.any(np.diag(p) ** 2 <= floor):
-        raise EstimationError("covariance matrix is numerically singular")
-    return p
+    chol, ok = _batch.cholesky_batch(((sigma + sigma.T) / 2.0)[None])
+    if not ok[0]:
+        raise EstimationError("covariance matrix is not positive definite")
+    return chol[0]
 
 
 def irf_structural(irf: IrfArray, chol: np.ndarray) -> IrfArray:

@@ -60,6 +60,17 @@ def _relative_plausibilities(
     return x
 
 
+def _extensions(lowers: np.ndarray, uppers: np.ndarray, weights: PlausibilityWeights, transform):
+    """Relative plausibilities (K+1,) and the lower and upper extension of
+    each rank's bounds, ranks along axis 0."""
+    x = _relative_plausibilities(weights, transform)
+    ref = weights.reference_rank
+    x_col = x.reshape((-1,) + (1,) * (lowers.ndim - 1))
+    low_ext = x_col * np.maximum(lowers[ref] - lowers, 0.0)
+    upp_ext = x_col * np.maximum(uppers - uppers[ref], 0.0)
+    return x, low_ext, upp_ext
+
+
 def wimp_bounds(
     lowers: np.ndarray,
     uppers: np.ndarray,
@@ -83,11 +94,8 @@ def wimp_bounds(
         raise ConfigError("per-rank bounds must cover all ranks 0..K")
     if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
         raise ConfigError("per-rank bounds must be finite for every rank (no missing ranks)")
-    x = _relative_plausibilities(weights, transform)
+    _, low_ext, upp_ext = _extensions(lowers, uppers, weights, transform)
     ref = weights.reference_rank
-    shape = (-1,) + (1,) * (lowers.ndim - 1)
-    low_ext = x.reshape(shape) * np.maximum(lowers[ref] - lowers, 0.0)
-    upp_ext = x.reshape(shape) * np.maximum(uppers - uppers[ref], 0.0)
     return lowers[ref] - low_ext.max(axis=0), uppers[ref] + upp_ext.max(axis=0)
 
 
@@ -120,23 +128,18 @@ def wimp_combine(
         raise ConfigError(
             f"expected bounds for all {weights.raw.size} ranks, got {lowers.size}"
         )
-    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
-        raise ConfigError("per-rank bounds must be finite for every rank (no missing ranks)")
+    lower, upper = wimp_bounds(lowers, uppers, weights, transform)
     if np.any(lowers > uppers):
         raise ConfigError("every per-rank interval needs lower <= upper")
-
-    x = _relative_plausibilities(weights, transform)
-    ref = weights.reference_rank
-    low_ext = x * np.maximum(lowers[ref] - lowers, 0.0)
-    upp_ext = x * np.maximum(uppers - uppers[ref], 0.0)
+    x, low_ext, upp_ext = _extensions(lowers, uppers, weights, transform)
     contributions = tuple(
         RankContribution(r, float(x[r]), float(low_ext[r]), float(upp_ext[r]))
         for r in range(lowers.size)
     )
     return WimpInterval(
-        lower=float(lowers[ref] - low_ext.max()),
-        upper=float(uppers[ref] + upp_ext.max()),
-        reference_rank=ref,
+        lower=float(lower),
+        upper=float(upper),
+        reference_rank=weights.reference_rank,
         gamma=float(gamma),
         contributions=contributions,
     )

@@ -1,19 +1,31 @@
-"""The batched kernels must agree with the single-sample reference path."""
+"""The batch kernels against closed-form oracles.
+
+Each estimator step has one implementation, in ``wimpvar._batch``; the
+single-sample API is its B=1 call, so every test also checks that the
+public function returns exactly the matching slice of a B>1 batch.
+"""
 import numpy as np
 import pytest
 
 from wimpvar import _batch
 from wimpvar.ranks import (
     RankSelector,
-    ic_values_from_eigenvalues,
+    TRACE_CRIT_LEVELS,
+    TRACE_CRIT_VALUES,
+    ic_param_count,
     plausibility_weights,
+    select_rank_ic,
+    select_rank_sequential,
 )
 from wimpvar.timeseries import DetrendMode, build_vecm_regressors, detrend
 from wimpvar.vecm import (
+    VarLevels,
+    companion_matrix,
     irf_reduced,
     johansen_decomposition,
     johansen_fit_from,
     trace_stats_from_eigenvalues,
+    var_to_vecm,
     vecm_to_var,
 )
 from wimpvar.montecarlo import make_dgp, simulate_path
@@ -26,13 +38,29 @@ def _stack(n_batch, T=120, seed=60, variant="dgp1"):
     )
 
 
+def _sweep(ys, p):
+    return _batch.sweep_batch(*_batch.regressors_batch(ys, p), p)
+
+
 @pytest.mark.parametrize("mode", list(DetrendMode))
 def test_detrend_batch_matches_reference(mode):
     ys = _stack(6)
-    batched = _batch.detrend_batch(ys, mode)
+    tilde, coef = _batch.detrend_batch(ys, mode)
+    t = np.arange(1.0, ys.shape[1] + 1.0)
+    design = {
+        DetrendMode.NONE: np.empty((t.size, 0)),
+        DetrendMode.CONSTANT: np.ones((t.size, 1)),
+        DetrendMode.CONSTANT_AND_TREND: np.column_stack([np.ones(t.size), t]),
+    }[mode]
     for i in range(6):
-        ref = detrend(ys[i], mode).tilde_values
-        assert np.allclose(batched[i], ref, atol=1e-10)
+        # OLS oracle: the residual is orthogonal to the design, and adding
+        # the fitted deterministics back reproduces the data.
+        assert np.allclose(design.T @ tilde[i], 0.0, atol=1e-9)
+        assert np.allclose(tilde[i] + design @ coef[i], ys[i], rtol=0, atol=1e-12)
+        ref = detrend(ys[i], mode)
+        assert np.array_equal(ref.tilde_values, tilde[i])
+        padded = np.vstack([coef[i], np.zeros((2 - coef.shape[1], 3))])
+        assert np.array_equal(np.vstack([ref.mu0, ref.mu1]), padded)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -40,11 +68,18 @@ def test_detrend_batch_matches_reference(mode):
 def test_regressors_batch_matches_reference(p, paper):
     ys = _stack(4)
     z0, z1, z2 = _batch.regressors_batch(ys, p, paper)
+    first = p + (1 if paper else 0)  # 0-based time index of the first Z0 row
     for i in range(4):
-        ref = build_vecm_regressors(ys[i], p, paper)
-        assert np.array_equal(z0[i], ref.Z0)
-        assert np.array_equal(z1[i], ref.Z1)
-        assert np.array_equal(z2[i], ref.Z2)
+        y = ys[i]
+        rows = range(first, y.shape[0])
+        assert np.array_equal(z0[i], [y[t] - y[t - 1] for t in rows])
+        assert np.array_equal(z1[i], [y[t - 1] for t in rows])
+        oracle_z2 = [[y[t - lag] - y[t - lag - 1] for lag in range(1, p)] for t in rows]
+        assert np.array_equal(z2[i], np.reshape(oracle_z2, z2[i].shape))
+        ref = build_vecm_regressors(y, p, paper)
+        assert np.array_equal(ref.Z0, z0[i])
+        assert np.array_equal(ref.Z1, z1[i])
+        assert np.array_equal(ref.Z2, z2[i])
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -54,11 +89,25 @@ def test_sweep_batch_matches_decomposition(p):
     sweep = _batch.sweep_batch(z0, z1, z2, p)
     assert sweep.ok.all()
     for i in range(5):
+        # Partialling oracle: R0 and R1 are least-squares residuals on Z2.
+        if p > 1:
+            coef, *_ = np.linalg.lstsq(z2[i], np.hstack([z0[i], z1[i]]), rcond=None)
+            resid = np.hstack([z0[i], z1[i]]) - z2[i] @ coef
+            assert np.allclose(np.hstack([sweep.R0[i], sweep.R1[i]]), resid, atol=1e-10)
+        # Generalized eigenproblem oracle: lam S11 v = S10 S00^{-1} S01 v
+        # with the normalization V' S11 V = I.
+        s11 = sweep.R1[i].T @ sweep.R1[i] / sweep.t_eff
+        s01 = sweep.S01[i]
+        lam, vecs = sweep.eigenvalues[i], sweep.vectors[i]
+        lhs = s11 @ vecs * lam
+        rhs = s01.T @ np.linalg.solve(sweep.S00[i], s01) @ vecs
+        assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
+        assert np.allclose(vecs.T @ s11 @ vecs, np.eye(3), atol=1e-9)
+        assert np.all(np.diff(lam) <= 0) and lam[-1] >= 0 and lam[0] < 1
         jd = johansen_decomposition(build_vecm_regressors(ys[i], p))
-        assert np.allclose(sweep.eigenvalues[i], jd.eigenvalues, atol=1e-10)
-        assert np.allclose(sweep.vectors[i], jd.vectors, atol=1e-8)
-        assert np.allclose(sweep.S00[i], jd.S00, atol=1e-12)
-        assert np.allclose(sweep.ln_det_s00[i], jd.ln_det_s00, atol=1e-10)
+        for name in ("eigenvalues", "vectors", "S00", "S01", "R0", "R1", "P20", "P21"):
+            assert np.array_equal(getattr(jd, name), getattr(sweep, name)[i])
+        assert jd.ln_det_s00 == sweep.ln_det_s00[i]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -71,28 +120,46 @@ def test_rank_fit_batch_matches_reference(p, rank):
     resid = _batch.residuals_batch(sweep, pi)
     sigma = _batch.sigma_batch(sweep, rank)
     for i in range(4):
+        assert np.linalg.matrix_rank(pi[i], tol=1e-10) <= rank
+        # Given Pi, the Gammas are the OLS fit of Z0 - Z1 Pi' on Z2, and the
+        # residuals are what that regression leaves.
+        target = z0[i] - z1[i] @ pi[i].T
+        if p > 1:
+            coef, *_ = np.linalg.lstsq(z2[i], target, rcond=None)
+            for lag in range(p - 1):
+                assert np.allclose(gammas[i, lag], coef[lag * 3 : (lag + 1) * 3].T, atol=1e-9)
+        stacked = np.hstack(list(gammas[i])) if p > 1 else np.empty((3, 0))
+        assert np.allclose(resid[i], target - z2[i] @ stacked.T, atol=1e-10)
+        # S00 - alpha alpha' equals the residual covariance.
+        assert np.allclose(sigma[i], resid[i].T @ resid[i] / sweep.t_eff, atol=1e-12)
         fit = johansen_fit_from(johansen_decomposition(build_vecm_regressors(ys[i], p)), rank)
-        assert np.allclose(pi[i], fit.Pi, atol=1e-9)
-        for lag in range(p - 1):
-            assert np.allclose(gammas[i, lag], fit.Gammas[lag], atol=1e-9)
-        assert np.allclose(resid[i], fit.residuals, atol=1e-9)
-        assert np.allclose(sigma[i], fit.Sigma_u, atol=1e-9)
+        assert np.array_equal(fit.Pi, pi[i])
+        assert np.array_equal(np.reshape(fit.Gammas, gammas[i].shape), gammas[i])
+        assert np.array_equal(fit.residuals, resid[i])
+        assert np.array_equal(fit.Sigma_u, sigma[i])
 
 
 def test_var_matrices_and_irf_batch_match_reference():
     ys = _stack(4)
-    z0, z1, z2 = _batch.regressors_batch(ys, 3)
-    sweep = _batch.sweep_batch(z0, z1, z2, 3)
+    sweep = _sweep(ys, 3)
     pi, gammas = _batch.rank_fit_batch(sweep, 2)
     mats = _batch.var_matrices_batch(pi, gammas)
     psi = _batch.irf_batch(mats, 15)
     for i in range(4):
+        var = VarLevels(tuple(mats[i]))
+        # Closed-form inverse of the conversion.
+        pi_back, gammas_back = var_to_vecm(var)
+        assert np.allclose(pi_back, pi[i], atol=1e-12)
+        assert np.allclose(gammas_back, gammas[i], atol=1e-12)
+        # Psi_h = J C^h J' with C the companion matrix.
+        comp = companion_matrix(var)
+        power = np.eye(comp.shape[0])
+        for h in range(16):
+            assert np.allclose(psi[i, h], power[:3, :3], atol=1e-10)
+            power = comp @ power
         fit = johansen_fit_from(johansen_decomposition(build_vecm_regressors(ys[i], 3)), 2)
-        var = vecm_to_var(fit)
-        for lag in range(3):
-            assert np.allclose(mats[i, lag], var.A[lag], atol=1e-9)
-        ref = irf_reduced(var, 15)
-        assert np.allclose(psi[i], ref.values, atol=1e-8)
+        assert np.array_equal(np.stack(vecm_to_var(fit).A), mats[i])
+        assert np.array_equal(irf_reduced(vecm_to_var(fit), 15).values, psi[i])
 
 
 def test_rebuild_vecm_batch_matches_scalar_loop():
@@ -146,38 +213,59 @@ def test_ols_var_levels_batch_matches_lstsq():
 
 def test_trace_and_weights_batch_match_reference():
     ys = _stack(5)
-    z0, z1, z2 = _batch.regressors_batch(ys, 1)
-    sweep = _batch.sweep_batch(z0, z1, z2, 1)
+    sweep = _sweep(ys, 1)
     stats = _batch.trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
-    weights = _batch.weights_batch(stats, sweep.t_eff, 1.0, 0.5)
+    raw, weights = _batch.weights_batch(stats, sweep.t_eff, 1.0, 0.5)
+    shrink = sweep.t_eff ** -0.5
     for i in range(5):
-        ref_stats = trace_stats_from_eigenvalues(sweep.eigenvalues[i], sweep.t_eff)
-        assert np.allclose(stats[i], ref_stats, atol=1e-9)
+        lam = sweep.eigenvalues[i]
+        oracle = [-sweep.t_eff * sum(np.log(1.0 - lam[j]) for j in range(r, 3)) for r in range(4)]
+        assert np.allclose(stats[i], oracle, atol=1e-9)
+        assert stats[i, -1] == 0.0 and not np.signbit(stats[i, -1])
+        survival = [np.exp(-shrink * j) for j in oracle]
+        oracle_w = [survival[0]] + [survival[r] - survival[r - 1] for r in range(1, 4)]
+        assert np.allclose(raw[i], oracle_w, atol=1e-12)
+        assert np.allclose(weights[i], np.array(oracle_w) / sum(oracle_w), atol=1e-12)
+        ref_stats = trace_stats_from_eigenvalues(lam, sweep.t_eff)
+        assert np.array_equal(ref_stats, stats[i])
         ref_w = plausibility_weights(ref_stats, sweep.t_eff, 1.0, 0.5)
-        assert np.allclose(weights[i], ref_w.normalized, atol=1e-12)
+        assert np.array_equal(ref_w.raw, raw[i])
+        assert np.array_equal(ref_w.normalized, weights[i])
 
 
 @pytest.mark.parametrize("criterion", ["aic", "bic"])
 def test_ic_select_batch_matches_reference(criterion):
     ys = _stack(6, variant="dgp2")
-    z0, z1, z2 = _batch.regressors_batch(ys, 2)
-    sweep = _batch.sweep_batch(z0, z1, z2, 2)
-    picked = _batch.ic_select_batch(sweep, criterion)
+    sweep = _sweep(ys, 2)
+    picked = _batch.select_batch(sweep, RankSelector(criterion))
+    c_t = 2.0 if criterion == "aic" else np.log(sweep.t_eff)
     for i in range(6):
+        # Oracle: refit every rank and compare ln det Sigma(r) + penalty.
         jd = johansen_decomposition(build_vecm_regressors(ys[i], 2))
-        values = ic_values_from_eigenvalues(jd.eigenvalues, jd.ln_det_s00, jd.t_eff, 2, criterion)
+        values = []
+        for rank in range(4):
+            resid = johansen_fit_from(jd, rank).residuals
+            _, ln_det = np.linalg.slogdet(resid.T @ resid / sweep.t_eff)
+            values.append(ln_det + c_t * ic_param_count(rank, 3, 2) / sweep.t_eff)
         assert picked[i] == np.argmin(values)
+        assert select_rank_ic(ys[i], 2, criterion) == picked[i]
 
 
 def test_seq_select_batch_matches_reference():
     ys = _stack(6, variant="dgp2")
-    z0, z1, z2 = _batch.regressors_batch(ys, 1)
-    sweep = _batch.sweep_batch(z0, z1, z2, 1)
+    sweep = _sweep(ys, 1)
     picked = _batch.seq_select_batch(sweep, 0.05)
-    from wimpvar.ranks import select_rank_sequential
-
+    column = TRACE_CRIT_LEVELS.index(0.05)
     for i in range(6):
-        assert picked[i] == select_rank_sequential(ys[i], 1, 0.05)
+        lam = sweep.eigenvalues[i]
+        oracle = 3
+        for rank in range(3):
+            stat = -sweep.t_eff * np.sum(np.log(1.0 - lam[rank:]))
+            if stat < TRACE_CRIT_VALUES[3 - rank - 1, column]:
+                oracle = rank
+                break
+        assert picked[i] == oracle
+        assert select_rank_sequential(ys[i], 1, 0.05) == picked[i]
 
 
 def test_select_batch_fixed():
@@ -193,6 +281,7 @@ def test_sweep_batch_masks_degenerate_samples():
     z0, z1, z2 = _batch.regressors_batch(ys, 1)
     sweep = _batch.sweep_batch(z0, z1, z2, 1)
     assert not sweep.ok[2]
+    assert sweep.reason[2] & _batch.SINGULAR_S11
     assert sweep.ok[[0, 1, 3, 4]].all()
     # the healthy samples are unaffected by the bad one
     clean = _batch.sweep_batch(*_batch.regressors_batch(ys[[0, 1, 3, 4]], 1), 1)

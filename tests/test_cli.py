@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wimpvar import DataError, TimeSeriesData, make_dgp, simulate_path
+from wimpvar import cli
 from wimpvar.cli import emit_csv_matrix, ingest_csv, main
 
 
@@ -215,13 +216,43 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("line", ["p = abc", "detrend = bogus"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "p = abc",
+        "detrend = bogus",
+        "paper_sample_convention = ture",
+        "paper_sample_convention = 2",
+        "paper_sample_convention = ",
+    ],
+)
 def test_config_file_bad_value_exit_code(tmp_path, capsys, line):
     csv_path = _toy_csv(tmp_path, seed=8)
     config = _write(tmp_path, "run.cfg", line + "\n")
     code = main(["analyze", "--config", config, "--input", csv_path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+     ("0", False), ("false", False), ("NO", False), ("Off", False)],
+)
+def test_config_file_flag_spellings(tmp_path, value, expected):
+    config = _write(tmp_path, "run.cfg", f"paper_sample_convention = {value}\n")
+    args = cli._build_parser().parse_args(
+        ["analyze", "--config", config, "--input", "x.csv", "--out", str(tmp_path / "o")]
+    )
+    assert cli._merge_config(args).paper_sample_convention is expected
+
+
+def test_bad_worker_environment_variable_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WIMPVAR_WORKERS", "abc")
+    code = main(["simulate", "--dgp", "dgp1", "--T", "80", "--n-mc", "2",
+                 "--h-max", "2", "--methods", "ols", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "WIMPVAR_WORKERS" in capsys.readouterr().err
 
 
 # --- methods share one prepared sample --------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from wimpvar import (
     ConfigError,
     DgpSpec,
+    EstimationError,
     ExperimentConfig,
     VarLevels,
     companion_roots,
@@ -14,7 +15,7 @@ from wimpvar import (
     summarize_widths,
     true_irf,
 )
-from wimpvar.montecarlo import register_method
+from wimpvar.montecarlo import _EXTRA_METHODS, _bounds_from, register_method
 
 
 def test_make_dgp_matrices():
@@ -185,6 +186,30 @@ def test_stub_constant_interval_constant_width():
     finally:
         from wimpvar.montecarlo import _EXTRA_METHODS
 
+        _EXTRA_METHODS.clear()
+
+
+def test_runner_pair_of_wrong_length_is_a_config_error():
+    register_method("stub_short", lambda prep: (np.zeros(3), np.ones(3)))
+    try:
+        with pytest.raises(ConfigError, match="stub_short"):
+            run_experiment(_tiny_config(("stub_short",), n_mc=2))
+        with pytest.raises(ConfigError, match="stub_triple"):
+            _bounds_from("stub_triple", (np.zeros(2), np.ones(2), np.ones(2)), 2)
+    finally:
+        _EXTRA_METHODS.clear()
+
+
+def test_runner_bounds_out_of_order_fail_the_replication():
+    n_queries = 9 * 6
+    register_method("stub_reversed", lambda prep: (np.ones(n_queries), np.zeros(n_queries)))
+    try:
+        table = run_experiment(_tiny_config(("ols", "stub_reversed"), n_mc=3))
+        assert table.n_failed("stub_reversed") == 3
+        assert table.n_failed("ols") == 0
+        with pytest.raises(EstimationError, match="stub_reversed"):
+            _bounds_from("stub_reversed", (np.ones(2), np.zeros(2)), 2)
+    finally:
         _EXTRA_METHODS.clear()
 
 
