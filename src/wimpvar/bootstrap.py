@@ -63,8 +63,6 @@ class BootstrapConfig:
     n_boot: int = 399
     gamma: float = 0.05
     seed: int = 0
-    resampling: str = "iid_centered"
-    initial_values: str = "observed_prefix"
     detrend_bootstrap: bool = True
     max_failure_share: float = 0.05
     paper_sample_convention: bool = False
@@ -80,10 +78,6 @@ class BootstrapConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
-        if self.resampling != "iid_centered":
-            raise ConfigError(f"unsupported resampling scheme {self.resampling!r}")
-        if self.initial_values != "observed_prefix":
-            raise ConfigError(f"unsupported initialization {self.initial_values!r}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,8 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 class _Prepared:
     """One observed sample and what its methods share: its sweep (a batch of
     one, run through the same kernels as the replications), compiled
-    queries, method settings, fixed-rank fan and one level-1 batch."""
+    queries with the sample's query values at every rank, method settings,
+    fixed-rank fan and one level-1 batch."""
 
     raw: np.ndarray
     tilde: DetrendedSeries
@@ -297,6 +292,7 @@ class _Prepared:
     c2: float = 0.5
     true_rank: int | None = None
     _compiled: _CompiledQueries | None = None
+    _points: tuple | None = None  # ((K+1, Q) query values at ranks 0..K, (K+1,) ok)
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
 
@@ -313,17 +309,22 @@ class _Prepared:
         return self._compiled.queries
 
     def compile(self, queries) -> _CompiledQueries:
-        """Compiled queries, reused while the same query tuple is passed."""
+        """Compiled queries, reused while the same query tuple is passed; compiling
+        evaluates the observed sample at every rank 0..K as one (K+1)-row batch."""
         if self._compiled is None or self._compiled.queries is not queries:
-            self._compiled = _compile_queries(queries, self.n_vars)
+            cq = _compile_queries(queries, self.n_vars)
+            copies = self.sweep.take(np.zeros(self.n_vars + 1, dtype=int))
+            values, ok, _ = _zeta_at_rank(copies, np.arange(self.n_vars + 1), cq)
+            values.flags.writeable = False
+            self._points, self._compiled = (values, ok), cq
         return self._compiled
 
-    def point_zetas(self, rank: int, cq: _CompiledQueries) -> np.ndarray:
+    def point_zetas(self, rank: int) -> np.ndarray:
         """Query values of the observed sample at ``rank``, (Q,)."""
-        values, ok = _zeta_at_rank(self.sweep, rank, cq)
-        if not ok[0]:
+        values, ok = self._points
+        if not ok[rank]:
             raise EstimationError("covariance matrix is not positive definite")
-        return values[0]
+        return values[rank]
 
     def select_rank(self, selector: RankSelector) -> int:
         return int(_batch.select_batch(self.sweep, selector)[0])
@@ -480,42 +481,62 @@ def _resweep(samples: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
     return sweep
 
 
+def _draw_errors(resid: np.ndarray, cfg: BootstrapConfig, level: int, code: int, n_draw: int):
+    """Innovations drawn i.i.d. from column-centered residuals on the (level,
+    code) streams, (n_boot, n_draw, K); ``resid`` is (1, n, K), one pool shared by
+    every replication, or (n_boot, n, K), one pool each."""
+    centered = resid - resid.mean(axis=1, keepdims=True)
+    n_pool, n_vars = centered.shape[1:]
+    idx = _draw_index_matrix(cfg.seed, level, code, cfg.n_boot, n_pool, n_draw)
+    if centered.shape[0] > 1:
+        idx += np.arange(0, centered.shape[0] * n_pool, n_pool)[:, None]
+    return centered.reshape(-1, n_vars)[idx]
+
+
 def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
-    cfg = prep.cfg
     pi, gammas = _batch.rank_fit_batch(prep.sweep, dgp_rank)
-    resid = _batch.residuals_batch(prep.sweep, pi)[0]
-    centered = resid - resid.mean(axis=0)
+    resid = _batch.residuals_batch(prep.sweep, pi)
     n_draw = prep.n_obs - prep.p - 1
-    idx = _draw_index_matrix(cfg.seed, 1, dgp_rank, cfg.n_boot, resid.shape[0], n_draw)
-    samples = _batch.rebuild_vecm_batch(pi[0], gammas[0], centered[idx], prep.raw[: prep.p + 1])
+    samples = _batch.rebuild_vecm_batch(
+        pi[0], gammas[0], _draw_errors(resid, prep.cfg, 1, dgp_rank, n_draw), prep.raw[: prep.p + 1]
+    )
     return _BootBatch(samples=samples, sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
 
 
-def _zeta_at_rank(sweep: _batch.BatchSweep, rank: int, cq: _CompiledQueries):
-    """Per-sample query values at one imposed rank; returns ((B, Q), ok)."""
-    pi, gammas = _batch.rank_fit_batch(sweep, rank)
-    mats = _batch.var_matrices_batch(pi, gammas)
+def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries):
+    """Per-sample query values at an imposed rank, an int or a (B,) array of
+    per-sample ranks; returns ((B, Q) values, (B,) ok, (Pi, Gammas) fit).
+
+    Each distinct rank is fitted once on the whole batch (Sigma too, when a
+    query is structural) and its rows are scattered into the first rank's
+    fit, so row b equals the int-rank call at ``rank[b]``.
+    """
+    ranks = np.broadcast_to(rank, sweep.reason.shape)
+    fit = None
+    for r in np.unique(ranks):
+        part = _batch.rank_fit_batch(sweep, int(r))
+        if cq.need_structural:
+            part += (_batch.sigma_batch(sweep, int(r)),)
+        if fit is None:
+            fit = part
+            continue
+        mask = ranks == r
+        for whole, piece in zip(fit, part):
+            whole[mask] = piece[mask]
+    pi, gammas, *sigma = fit
+    values, ok = _query_values(_batch.var_matrices_batch(pi, gammas), sweep.ok, cq, *sigma)
+    return values, ok, (pi, gammas)
+
+
+def _query_values(mats: np.ndarray, ok: np.ndarray, cq: _CompiledQueries, sigma=None):
+    """((B, Q) query values, ok) of levels VAR stacks; structural queries use ``sigma``."""
     psi = _batch.irf_batch(mats, cq.h_need)
-    ok = sweep.ok
     phi = None
     if cq.need_structural:
-        chol, chol_ok = _chol_batch(_batch.sigma_batch(sweep, rank))
-        ok &= chol_ok
+        chol, chol_ok = _chol_batch(sigma)
+        ok = ok & chol_ok
         phi = psi @ chol[:, None]
     return cq.evaluate(psi, phi), ok
-
-
-def _zeta_at_selected(sweep: _batch.BatchSweep, ranks: np.ndarray, cq: _CompiledQueries):
-    """Per-sample query values at per-sample ranks; returns ((B, Q), ok)."""
-    n_batch = ranks.shape[0]
-    out = np.full((n_batch, len(cq.queries)), np.nan)
-    ok = sweep.ok
-    for rank in np.unique(ranks):
-        mask = ranks == rank
-        values, sub_ok = _zeta_at_rank(sweep.take(mask), int(rank), cq)
-        out[mask] = values
-        ok[mask] &= sub_ok
-    return out, ok
 
 
 def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
@@ -530,13 +551,12 @@ def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
     return n_failed
 
 
-def _finalize(center, zeta_star, ok, points, cfg, what):
-    """Drop failed replications, apply the failure budget, take Hall bounds."""
-    finite = np.isfinite(zeta_star).all(axis=1)
-    ok = ok & finite
+def _finalize(zeta_star, ok, points, cfg, what):
+    """Drop failed replications, apply the failure budget, take Hall bounds
+    of the replications centered at ``points``."""
+    ok = ok & np.isfinite(zeta_star).all(axis=1)
     n_failed = _census(ok, cfg, what)
-    centered = zeta_star[ok] - center[None, :]
-    lower, upper = _hall_bounds(centered, points, cfg.gamma)
+    lower, upper = _hall_bounds(zeta_star[ok] - points, points, cfg.gamma)
     return lower, upper, n_failed
 
 
@@ -578,11 +598,9 @@ def fixed_rank_interval(
     cq = prep.compile(queries)
     if rank < 0 or rank > prep.n_vars:
         raise ConfigError(f"rank must lie in 0..{prep.n_vars}, got {rank}")
-    points = prep.point_zetas(rank, cq)
-    zeta_star, ok = _zeta_at_rank(prep.level1(rank).sweep, rank, cq)
-    lower, upper, n_failed = _finalize(
-        points, zeta_star, ok, points, cfg, f"the rank-{rank} bootstrap"
-    )
+    points = prep.point_zetas(rank)
+    zeta_star, ok, _ = _zeta_at_rank(prep.level1(rank).sweep, rank, cq)
+    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, f"the rank-{rank} bootstrap")
     return _to_interval_set("fixed_rank", rank, cq, lower, upper, points, cfg, n_failed)
 
 
@@ -592,6 +610,16 @@ def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
     if n_failed:
         counts[-1] = n_failed
     return counts
+
+
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, cq):
+    """Level one of the rank re-selection bootstraps: the observed rank, the
+    level-1 batch, its per-sample selected ranks and the replications' query
+    values, ok flags and fit at those ranks."""
+    r_hat = prep.select_rank(selector)
+    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars)
+    ranks_star = _batch.select_batch(boot.sweep, selector)
+    return (r_hat, boot, ranks_star, *_zeta_at_rank(boot.sweep, ranks_star, cq))
 
 
 def bers_interval(
@@ -615,14 +643,10 @@ def bers_interval(
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
     cq = prep.compile(queries)
-    r_hat = prep.select_rank(selector)
-    dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
-    points = prep.point_zetas(r_hat, cq)
-    boot = prep.level1(dgp_rank)
-    ranks_star = _batch.select_batch(boot.sweep, selector)
-    zeta_star, ok = _zeta_at_selected(boot.sweep, ranks_star, cq)
+    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, cq)
+    points = prep.point_zetas(r_hat)
     lower, upper, n_failed = _finalize(
-        points, zeta_star, ok, points, cfg, "the rank re-selection bootstrap"
+        zeta_star, ok, points, cfg, "the rank re-selection bootstrap"
     )
     return _to_interval_set(
         f"bers_{selector.label}", r_hat, cq, lower, upper, points, cfg, n_failed,
@@ -655,14 +679,14 @@ def ma_interval(
     cq = prep.compile(queries)
     n_vars = prep.n_vars
     data_weights = prep.weights(c1, c2)
-    per_rank_points = np.stack([prep.point_zetas(r, cq) for r in range(n_vars + 1)])
+    per_rank_points = np.stack([prep.point_zetas(r) for r in range(n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
 
     boot = prep.level1(data_weights.reference_rank)
     zeta_by_rank = np.empty((cfg.n_boot, n_vars + 1, len(cq.queries)))
     ok = boot.sweep.ok
     for rank in range(n_vars + 1):
-        values, rank_ok = _zeta_at_rank(boot.sweep, rank, cq)
+        values, rank_ok, _ = _zeta_at_rank(boot.sweep, rank, cq)
         zeta_by_rank[:, rank] = values
         ok &= rank_ok
     if weights_mode == "endogenous":
@@ -673,9 +697,7 @@ def ma_interval(
             data_weights.normalized, (cfg.n_boot, n_vars + 1)
         )
     zeta_star = np.einsum("br,brq->bq", weights_star, zeta_by_rank)
-    lower, upper, n_failed = _finalize(
-        points, zeta_star, ok, points, cfg, "the model-averaging bootstrap"
-    )
+    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the model-averaging bootstrap")
     return _to_interval_set(
         "ma" if weights_mode == "endogenous" else "ma_fixed",
         data_weights.reference_rank,
@@ -705,36 +727,20 @@ def fdbb_interval(
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
     cq = prep.compile(queries)
-    r_hat = prep.select_rank(selector)
-    dgp_rank = r_hat if dgp_rank_mode == "estimated" else prep.n_vars
-
-    boot = prep.level1(dgp_rank)
-    ranks_star = _batch.select_batch(boot.sweep, selector)
-    zeta_star, ok1 = _zeta_at_selected(boot.sweep, ranks_star, cq)
+    r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
+        prep, selector, dgp_rank_mode, cq
+    )
 
     # Level two: one sample per level-one sample, rebuilt under its own
     # selected rank, with the same centered-residual resampling scheme.
-    n_vars, n_boot = prep.n_vars, cfg.n_boot
-    pi_star = np.empty((n_boot, n_vars, n_vars))
-    gam_star = np.empty((n_boot, max(prep.p - 1, 0), n_vars, n_vars))
-    for rank in np.unique(ranks_star):
-        mask = ranks_star == rank
-        pi_r, gam_r = _batch.rank_fit_batch(boot.sweep.take(mask), int(rank))
-        pi_star[mask] = pi_r
-        gam_star[mask] = gam_r
-    resid_star = _batch.residuals_batch(boot.sweep, pi_star)
-    centered = resid_star - resid_star.mean(axis=1, keepdims=True)
-    n_draw = prep.n_obs - prep.p - 1
-    idx = _draw_index_matrix(
-        cfg.seed, 2, _SELECTOR_CODES[selector.method], n_boot,
-        centered.shape[1], n_draw,
+    code, n_draw = _SELECTOR_CODES[selector.method], prep.n_obs - prep.p - 1
+    samples2 = _batch.rebuild_vecm_batch(
+        pi_star, gam_star,
+        _draw_errors(_batch.residuals_batch(boot.sweep, pi_star), cfg, 2, code, n_draw),
+        boot.samples[:, : prep.p + 1],
     )
-    errors2 = np.take_along_axis(centered, idx[:, :, None], axis=1)
-    init2 = boot.samples[:, : prep.p + 1]
-    samples2 = _batch.rebuild_vecm_batch(pi_star, gam_star, errors2, init2)
     sweep2 = _resweep(samples2, prep)
-    ranks_2 = _batch.select_batch(sweep2, selector)
-    zeta_2, ok2 = _zeta_at_selected(sweep2, ranks_2, cq)
+    zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), cq)
 
     ok = ok1 & ok2 & np.isfinite(zeta_star).all(axis=1) & np.isfinite(zeta_2).all(axis=1)
     n_failed = _census(ok, cfg, "the double bootstrap")
@@ -742,7 +748,7 @@ def fdbb_interval(
     lower, upper = _hall_bounds(zeta_2[ok] - zeta_star[ok], bagged, cfg.gamma)
     return _to_interval_set(
         f"fdbb_{selector.label}", r_hat, cq, lower, upper, bagged, cfg, n_failed,
-        rank_counts=_rank_census(ranks_star, ok, n_boot),
+        rank_counts=_rank_census(ranks_star, ok, cfg.n_boot),
     )
 
 
@@ -775,14 +781,14 @@ def lag_augmented_interval(
     mats_dgp, resid_dgp, ok_dgp = _batch.ols_var_levels_batch(tilde[None], p)
     if not ok_dgp[0]:
         raise EstimationError("singular design in the levels bootstrap regression")
-    centered = resid_dgp[0] - resid_dgp[0].mean(axis=0)
-    n_draw = prep.n_obs - p - 1
-    idx = _draw_index_matrix(cfg.seed, 1, _LAVAR_CODE, cfg.n_boot, centered.shape[0], n_draw)
-    samples = _batch.rebuild_levels_batch(mats_dgp[0], centered[idx], prep.raw[: p + 1])
+    samples = _batch.rebuild_levels_batch(
+        mats_dgp[0], _draw_errors(resid_dgp, cfg, 1, _LAVAR_CODE, prep.n_obs - p - 1),
+        prep.raw[: p + 1],
+    )
     tilde_star, finite = _redetrend(samples, prep)
     zeta_star, ok = _lavar_zetas(tilde_star, p, cq)
     lower, upper, n_failed = _finalize(
-        points, zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
+        zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
     )
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
 
@@ -790,14 +796,8 @@ def lag_augmented_interval(
 def _lavar_zetas(tilde: np.ndarray, p: int, cq: _CompiledQueries):
     """Query values of a levels VAR(p+1) fit, first p lags only; ((B, Q), ok)."""
     mats, resid, ok = _batch.ols_var_levels_batch(tilde, p + 1)
-    psi = _batch.irf_batch(mats[:, :p], cq.h_need)
-    phi = None
-    if cq.need_structural:
-        sigmas = np.swapaxes(resid, 1, 2) @ resid / resid.shape[1]
-        chol, chol_ok = _chol_batch(sigmas)
-        ok = ok & chol_ok
-        phi = psi @ chol[:, None]
-    return cq.evaluate(psi, phi), ok
+    sigma = np.swapaxes(resid, 1, 2) @ resid / resid.shape[1] if cq.need_structural else None
+    return _query_values(mats[:, :p], ok, cq, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Three subcommands:
 * ``analyze``  - per-rank interval fan, plausibility weights and combined
   interval (plus any extra requested methods) for a CSV dataset.
 * ``simulate`` - coverage/width experiment on a built-in simulation design.
-* ``report``   - flatten a result bundle into plot-ready tables.
+* ``report``   - copy a result bundle's tables under plot-ready names.
 
 All outputs are deterministic given (input, configuration, seed): no
 timestamps, stable row order, 17-significant-digit serialization, and every
@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 
@@ -236,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use 1000 replications x 399 bootstrap draws instead of the 300 x 199 default",
     )
 
-    report = sub.add_parser("report", help="flatten a result bundle into plot-ready tables")
+    report = sub.add_parser("report", help="copy a result bundle's tables under plot-ready names")
     report.add_argument("--bundle", required=True)
     report.add_argument("--out", required=True)
     return parser
@@ -494,15 +495,15 @@ def simulate(cfg: RunConfig) -> dict:
 # report
 
 
-def _read_csv_rows(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        return header, list(reader)
+# bundle table -> report table, per command; copied byte for byte
+_REPORT_TABLES = {
+    "analyze": {"intervals.csv": "interval_table.csv", "weights.csv": "weight_bars.csv"},
+    "simulate": {"coverage.csv": "coverage_table.csv", "summary.csv": "summary_table.csv"},
+}
 
 
 def report(bundle: str, out: str) -> None:
-    """Flatten a bundle into plot-ready tables under ``out``."""
+    """Copy a bundle's tables under their plot-ready names into ``out``."""
     meta_path = os.path.join(bundle, "metadata.json")
     if not os.path.exists(meta_path):
         raise DataError(f"not a result bundle (missing metadata.json): {bundle}")
@@ -513,45 +514,15 @@ def report(bundle: str, out: str) -> None:
             f"bundle schema version {metadata.get('schema_version')!r} is not "
             f"supported (expected {SCHEMA_VERSION})"
         )
+    tables = _REPORT_TABLES.get(metadata.get("command"))
+    if tables is None:
+        raise DataError(f"bundle command {metadata.get('command')!r} has no report tables")
     os.makedirs(out, exist_ok=True)
-    config_hash = metadata["config_hash"]
-
-    if metadata["command"] == "analyze":
-        header, rows = _read_csv_rows(os.path.join(bundle, "intervals.csv"))
-        _write_csv(os.path.join(out, "interval_table.csv"), header, [r for r in rows])
-        w_header, w_rows = _read_csv_rows(os.path.join(bundle, "weights.csv"))
-        _write_csv(os.path.join(out, "weight_bars.csv"), w_header, w_rows)
-        return
-
-    header, rows = _read_csv_rows(os.path.join(bundle, "coverage.csv"))
-    col = {name: i for i, name in enumerate(header)}
-    _write_csv(os.path.join(out, "coverage_table.csv"), header, rows)
-
-    # Recompute the per-horizon summary from the raw per-cell table.
-    methods = []
-    for row in rows:
-        if row[col["method"]] not in methods:
-            methods.append(row[col["method"]])
-    by_key: dict = {}
-    widths: dict = {}
-    for row in rows:
-        key = (row[col["method"]], int(row[col["horizon"]]))
-        by_key.setdefault(key, []).append(float(row[col["coverage"]]))
-        widths.setdefault(key, []).append(float(row[col["mean_width"]]))
-    horizons = sorted({h for _, h in by_key})
-    out_rows = []
-    for method in methods:
-        for h in horizons:
-            rates = np.array(by_key[(method, h)])
-            out_rows.append(
-                [method, h, float(np.median(rates)), float(rates.min()),
-                 float(np.mean(widths[(method, h)])), config_hash]
-            )
-    _write_csv(
-        os.path.join(out, "summary_table.csv"),
-        ["method", "horizon", "median_cp", "min_cp", "mean_width", "config_hash"],
-        out_rows,
-    )
+    for source, target in tables.items():
+        try:
+            shutil.copyfile(os.path.join(bundle, source), os.path.join(out, target))
+        except FileNotFoundError:
+            raise DataError(f"bundle {bundle} has no {source}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,25 @@ def test_fdbb_cost_and_bookkeeping():
         assert est.lower <= est.upper
 
 
+def test_fdbb_makes_one_irf_call_per_batch(monkeypatch):
+    # the observed sample at every rank, level one and level two: one IRF
+    # call each, however many distinct ranks the replications select
+    from wimpvar import _batch
+
+    calls, irf_batch = [], _batch.irf_batch
+
+    def counted(mats, h_max):
+        calls.append(mats.shape[0])
+        return irf_batch(mats, h_max)
+
+    monkeypatch.setattr(_batch, "irf_batch", counted)
+    y = _sim(86)
+    cfg = BootstrapConfig(n_boot=59, seed=14)
+    result = fdbb_interval(y, 1, RankSelector("aic"), _queries(4), cfg)
+    assert len([rank for rank in result.rank_counts if rank >= 0]) >= 2
+    assert calls == [y.shape[1] + 1, cfg.n_boot, cfg.n_boot]
+
+
 def test_fdbb_interval_centers_at_bagged_estimate():
     # The bagged point must differ from the plug-in estimate in general.
     y = _sim(87)
@@ -532,5 +551,5 @@ def test_config_validation():
         BootstrapConfig(gamma=1.5)
     with pytest.raises(ConfigError):
         BootstrapConfig(seed=-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # one resampling scheme, so no option to choose it
         BootstrapConfig(resampling="wild")

@@ -314,24 +314,34 @@ def test_simulate_and_report_round_trip(tmp_path):
     tables = str(tmp_path / "tables")
     assert main(["report", "--bundle", out, "--out", tables]) == 0
 
-    # recount oracle: the recomputed per-horizon summary must equal the
-    # summary the harness wrote
+    # report copies the bundle's tables byte for byte
+    for source, target in (("coverage.csv", "coverage_table.csv"), ("summary.csv", "summary_table.csv")):
+        with open(os.path.join(out, source), "rb") as a, open(os.path.join(tables, target), "rb") as b:
+            assert a.read() == b.read(), target
+
+    # recount oracle: the per-horizon summary recomputed from the per-cell
+    # coverage table must equal the summary the harness wrote
     def read(path):
         with open(path) as handle:
             header = handle.readline().strip().split(",")
             rows = [line.strip().split(",") for line in handle if line.strip()]
-        return header, rows
+        return {name: i for i, name in enumerate(header)}, rows
 
-    h1, emitted = read(os.path.join(out, "summary.csv"))
-    h2, recomputed = read(os.path.join(tables, "summary_table.csv"))
-    assert h1 == h2
-    emit = {(r[0], r[1]): r[2:5] for r in emitted}
-    reco = {(r[0], r[1]): r[2:5] for r in recomputed}
-    assert emit.keys() == reco.keys()
+    col, cells = read(os.path.join(out, "coverage.csv"))
+    by_key: dict = {}
+    for row in cells:
+        key = (row[col["method"]], row[col["horizon"]])
+        by_key.setdefault(key, []).append((float(row[col["coverage"]]), float(row[col["mean_width"]])))
+    recount = {
+        key: [float(np.median([c for c, _ in pairs])), min(c for c, _ in pairs),
+              float(np.mean([w for _, w in pairs]))]
+        for key, pairs in by_key.items()
+    }
+    _, emitted = read(os.path.join(out, "summary.csv"))
+    emit = {(r[0], r[1]): [float(x) for x in r[2:5]] for r in emitted}
+    assert emit.keys() == recount.keys()
     for key in emit:
-        assert [float(x) for x in emit[key]] == pytest.approx(
-            [float(x) for x in reco[key]], abs=1e-12
-        )
+        assert emit[key] == pytest.approx(recount[key], abs=1e-12)
 
 
 def test_simulate_full_method_list(tmp_path):
@@ -363,6 +373,15 @@ def test_simulate_deterministic_rerun(tmp_path):
 def test_report_rejects_non_bundle(tmp_path):
     code = main(["report", "--bundle", str(tmp_path), "--out", str(tmp_path / "t")])
     assert code == 3
+
+
+def test_report_rejects_bundle_missing_a_table(tmp_path):
+    bundle = tmp_path / "b"
+    bundle.mkdir()
+    (bundle / "metadata.json").write_text(json.dumps({"schema_version": 1, "command": "simulate", "config_hash": "x"}))
+    (bundle / "coverage.csv").write_text("method\n")
+    code = main(["report", "--bundle", str(bundle), "--out", str(tmp_path / "t")])
+    assert code == 3  # summary.csv is missing
 
 
 def test_report_rejects_schema_mismatch(tmp_path):

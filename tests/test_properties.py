@@ -2,6 +2,9 @@
 
 * One implementation: a B=1 batch gives, bit for bit, the matching slice of
   a B>1 batch, for every kernel the single-sample API calls.
+* One query-value path: query values at per-sample ranks equal, row by row
+  and bit for bit, the values at each row's rank imposed on the whole batch,
+  and the observed sample's table at ranks 0..K equals B=1 calls.
 * Equivariance: at a fixed rank the reduced-rank fit commutes with a
   relabelling or rescaling of the variables, so the squared canonical
   correlations and trace statistics do not move, and the reduced-form
@@ -14,7 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from wimpvar import _batch  # noqa: E402
+from wimpvar import BootstrapConfig, IrfQuery  # noqa: E402
 from wimpvar import fit_vecm, irf_reduced, trace_statistics, vecm_to_var  # noqa: E402
+from wimpvar.bootstrap import _compile_queries, _prepare, _zeta_at_rank  # noqa: E402
 from wimpvar.timeseries import DetrendMode  # noqa: E402
 
 
@@ -72,6 +77,53 @@ def test_one_sample_equals_its_slice_of_a_batch(seed, n_batch, mode, p, data):
     alone = _pipeline(ys[index : index + 1], mode, p)
     for name, values in alone.items():
         assert np.array_equal(values[0], batched[name][index]), name
+
+
+def _query_set(kind):
+    """Element and maximum queries of one response kind over K=3."""
+    return tuple(
+        [IrfQuery(a=a, b=b, horizon=h, kind=kind) for a in (1, 3) for b in (2, 3) for h in (0, 4)]
+        + [IrfQuery(a=2, b=1, h_max=6, functional="max_over_horizons", kind=kind)]
+    )
+
+
+QUERY_SETS = st.sampled_from([_query_set("reduced_form"), _query_set("structural_cholesky")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(2, 9),
+    mode=MODES,
+    p=st.integers(1, 3),
+    queries=QUERY_SETS,
+    data=st.data(),
+)
+def test_per_sample_ranks_equal_each_rank_imposed_on_the_batch(seed, n_batch, mode, p, queries, data):
+    tilde, _ = _batch.detrend_batch(_paths(seed, n_batch), mode)
+    sweep = _batch.sweep_batch(*_batch.regressors_batch(tilde, p), p)
+    cq = _compile_queries(queries, 3)
+    ranks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_batch, max_size=n_batch)))
+    values, ok, (pi, gammas) = _zeta_at_rank(sweep, ranks, cq)
+    for rank in range(4):
+        rows = ranks == rank
+        at_rank, ok_at_rank, (pi_at_rank, gammas_at_rank) = _zeta_at_rank(sweep, rank, cq)
+        assert np.array_equal(values[rows], at_rank[rows], equal_nan=True)
+        assert np.array_equal(ok[rows], ok_at_rank[rows])
+        assert np.array_equal(pi[rows], pi_at_rank[rows])
+        assert np.array_equal(gammas[rows], gammas_at_rank[rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=MODES, p=st.integers(1, 3), queries=QUERY_SETS)
+def test_observed_table_rows_equal_one_sample_calls(seed, mode, p, queries):
+    prep = _prepare(_paths(seed, 1)[0], p, mode, BootstrapConfig(), queries)
+    table, table_ok = prep._points
+    assert table.shape == (4, len(queries))
+    for rank in range(4):
+        alone, ok_alone, _ = _zeta_at_rank(prep.sweep, rank, prep.compile(queries))
+        assert np.array_equal(table[rank], alone[0], equal_nan=True)
+        assert table_ok[rank] == ok_alone[0]
 
 
 def _fit_pieces(y, p, rank, mode, h_max=10):
