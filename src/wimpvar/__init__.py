@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .bootstrap import (
     BootstrapConfig,
-    IntervalEstimate,
     IntervalSet,
     bers_interval,
     fdbb_interval,
@@ -12,11 +11,9 @@ from .bootstrap import (
     hall_quantile,
     lag_augmented_interval,
     ma_interval,
-    per_rank_fan,
-    rebuild_sample,
-    resample_residuals,
     wimp_interval,
 )
+from .bootstrap import _prepare as prepare
 from .errors import ConfigError, DataError, EstimationError, WimpvarError
 from .montecarlo import (
     CoverageTable,
@@ -25,14 +22,12 @@ from .montecarlo import (
     make_dgp,
     run_experiment,
     simulate_path,
-    summarize_widths,
     true_irf,
 )
 from .ranks import (
     PlausibilityWeights,
     RankSelector,
     plausibility_weights,
-    plausibility_weights_from_fit,
     relative_plausibility,
     select_rank_ic,
     select_rank_sequential,
@@ -53,11 +48,8 @@ from .vecm import (
     VecmFit,
     cholesky_factor,
     companion_matrix,
-    companion_roots,
-    evaluate_zeta,
     fit_vecm,
     irf_reduced,
-    irf_structural,
     johansen_fit,
     trace_statistics,
     var_to_vecm,

@@ -11,8 +11,10 @@ Randomness is counter-based: every bootstrap replication draws from a
 stream keyed by (seed, level, DGP code, replication index), so results are
 bit-identical regardless of scheduling or of which other methods run.
 
-``METHODS`` names every construction; ``run_methods`` runs a set of them
-on one prepared sample, building each level-1 batch once.
+Every construction is a function of one prepared sample (``_prepare``,
+exported as ``wimpvar.prepare``).  ``METHODS`` names every construction;
+``run_methods`` runs a set of them on one prepared sample, building each
+level-1 batch once.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import _batch
 from ._batch import cholesky_batch as _chol_batch  # its own layer in perfbench/tracing.py
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, check_integer
 from .ranks import RankSelector, plausibility_weights
 from .timeseries import (
     DetrendedSeries,
@@ -33,22 +35,18 @@ from .timeseries import (
     build_vecm_regressors,
     detrend,
 )
-from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, VecmFit, observed_sweep
+from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, observed_sweep
 from .wimp import wimp_bounds
 
 __all__ = [
     "BootstrapConfig",
-    "IntervalEstimate",
     "IntervalSet",
     "hall_quantile",
-    "resample_residuals",
-    "rebuild_sample",
     "fixed_rank_interval",
     "bers_interval",
     "ma_interval",
     "fdbb_interval",
     "lag_augmented_interval",
-    "per_rank_fan",
     "wimp_interval",
 ]
 
@@ -68,6 +66,8 @@ class BootstrapConfig:
     paper_sample_convention: bool = False
 
     def __post_init__(self):
+        check_integer("n_boot", self.n_boot)
+        check_integer("seed", self.seed)
         if self.n_boot < 39:
             raise ConfigError(f"need at least 39 bootstrap replications, got {self.n_boot}")
         if not 0 < self.gamma < 1:
@@ -78,19 +78,6 @@ class BootstrapConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must be a non-negative 64-bit integer")
-
-
-@dataclass(frozen=True)
-class IntervalEstimate:
-    lower: float
-    upper: float
-    point: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise EstimationError(
-                f"interval bounds out of order: [{self.lower}, {self.upper}]"
-            )
 
 
 @dataclass
@@ -130,16 +117,6 @@ class IntervalSet:
             )
 
     @property
-    def entries(self) -> dict:
-        """Query -> :class:`IntervalEstimate`, built on each access."""
-        return {
-            query: IntervalEstimate(lower, upper, point)
-            for query, lower, upper, point in zip(
-                self.queries, self.lower.tolist(), self.upper.tolist(), self.point.tolist()
-            )
-        }
-
-    @property
     def n_success(self) -> int:
         return self.n_boot - self.n_failed
 
@@ -160,41 +137,6 @@ def _hall_bounds(centered: np.ndarray, points: np.ndarray, gamma: float):
     """Vectorized Hall interval bounds per query column."""
     q_lo, q_hi = _batch.hall_quantiles(centered, (gamma / 2.0, 1.0 - gamma / 2.0))
     return points - q_hi, points - q_lo
-
-
-def resample_residuals(residuals: np.ndarray, rng, n_rows: int | None = None) -> np.ndarray:
-    """Draw rows i.i.d. with replacement from the column-centered residuals."""
-    resid = np.asarray(residuals, dtype=float)
-    if resid.ndim != 2 or resid.shape[0] < 1:
-        raise ValueError("residuals must be a non-empty T x K matrix")
-    centered = resid - resid.mean(axis=0)
-    n = n_rows if n_rows is not None else resid.shape[0]
-    return centered[rng.integers(0, resid.shape[0], size=n)]
-
-
-def rebuild_sample(fit: VecmFit, bootstrap_errors: np.ndarray, initial_values: np.ndarray) -> np.ndarray:
-    """Rebuild one sample path from error-correction parameters.
-
-    The recursion y*_t = y*_{t-1} + Pi y*_{t-1} + sum_j Gamma_j (y*_{t-j} -
-    y*_{t-j-1}) + u*_t starts after the p+1 supplied initial rows, so the
-    output has p + 1 + len(bootstrap_errors) rows.
-    """
-    errors = np.asarray(bootstrap_errors, dtype=float)
-    init = np.asarray(initial_values, dtype=float)
-    p = fit.p
-    if init.shape != (p + 1, fit.n_vars):
-        raise ConfigError(
-            f"initial values must be the first p+1 = {p + 1} rows, got shape {init.shape}"
-        )
-    out = _batch.rebuild_vecm_batch(
-        fit.Pi,
-        np.stack(fit.Gammas) if fit.Gammas else np.empty((0, fit.n_vars, fit.n_vars)),
-        errors[None],
-        init,
-    )[0]
-    if not np.isfinite(out).all():
-        raise EstimationError("bootstrap path diverged; the fitted model is explosive")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +230,11 @@ class _Prepared:
     p: int
     mode: DetrendMode
     cfg: BootstrapConfig
+    cq: _CompiledQueries
+    points: tuple  # ((K+1, Q) query values at ranks 0..K, (K+1,) ok)
     c1: float = 1.0
     c2: float = 0.5
     true_rank: int | None = None
-    _compiled: _CompiledQueries | None = None
-    _points: tuple | None = None  # ((K+1, Q) query values at ranks 0..K, (K+1,) ok)
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
 
@@ -306,22 +248,11 @@ class _Prepared:
 
     @property
     def queries(self) -> tuple:
-        return self._compiled.queries
-
-    def compile(self, queries) -> _CompiledQueries:
-        """Compiled queries, reused while the same query tuple is passed; compiling
-        evaluates the observed sample at every rank 0..K as one (K+1)-row batch."""
-        if self._compiled is None or self._compiled.queries is not queries:
-            cq = _compile_queries(queries, self.n_vars)
-            copies = self.sweep.take(np.zeros(self.n_vars + 1, dtype=int))
-            values, ok, _ = _zeta_at_rank(copies, np.arange(self.n_vars + 1), cq)
-            values.flags.writeable = False
-            self._points, self._compiled = (values, ok), cq
-        return self._compiled
+        return self.cq.queries
 
     def point_zetas(self, rank: int) -> np.ndarray:
         """Query values of the observed sample at ``rank``, (Q,)."""
-        values, ok = self._points
+        values, ok = self.points
         if not ok[rank]:
             raise EstimationError("covariance matrix is not positive definite")
         return values[rank]
@@ -329,10 +260,10 @@ class _Prepared:
     def select_rank(self, selector: RankSelector) -> int:
         return int(_batch.select_batch(self.sweep, selector)[0])
 
-    def weights(self, c1: float, c2: float):
-        """Plausibility weights of the observed sample."""
+    def weights(self):
+        """Plausibility weights of the observed sample, with ``c1`` and ``c2``."""
         stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
-        return plausibility_weights(stats, self.sweep.t_eff, c1, c2)
+        return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
     def level1(self, dgp_rank: int) -> _BootBatch:
         """The level-1 batch at ``dgp_rank``; only the latest one is held."""
@@ -344,14 +275,31 @@ class _Prepared:
     def fan(self, rank: int) -> IntervalSet:
         """Fixed-rank interval set at ``rank``, computed once; re-raises its error."""
         if rank not in self._fan:
-            self._fan[rank] = _attempt(fixed_rank_interval, rank=rank, **_on(self))
+            self._fan[rank] = _attempt(fixed_rank_interval, self, rank)
         entry = self._fan[rank]
         if isinstance(entry, Exception):
             raise entry
         return entry
 
 
-def _prepare(data, p: int, mode, cfg: BootstrapConfig, queries=None, **settings) -> _Prepared:
+def _prepare(
+    data,
+    p: int,
+    queries,
+    cfg: BootstrapConfig,
+    mode: DetrendMode | str = DetrendMode.NONE,
+    c1: float = 1.0,
+    c2: float = 0.5,
+    true_rank: int | None = None,
+) -> _Prepared:
+    """Prepare one observed sample for the interval methods.
+
+    Detrends ``data`` (raw T x K levels), sweeps it once for every rank and
+    compiles ``queries``, evaluating them on the sample at every rank 0..K
+    as one (K+1)-row batch.  ``c1`` and ``c2`` set the plausibility weights;
+    ``true_rank`` is the rank of a known data-generating process.
+    """
+    check_integer("p", p)
     if isinstance(data, TimeSeriesData):
         raw = data.values
     elif isinstance(data, DetrendedSeries):
@@ -363,10 +311,15 @@ def _prepare(data, p: int, mode, cfg: BootstrapConfig, queries=None, **settings)
     mode = DetrendMode(mode)
     tilde = detrend(raw, mode)
     sweep = observed_sweep(build_vecm_regressors(tilde, p, cfg.paper_sample_convention))
-    prep = _Prepared(raw=raw, tilde=tilde, sweep=sweep, p=p, mode=mode, cfg=cfg, **settings)
-    if queries is not None:
-        prep.compile(queries)
-    return prep
+    n_vars = raw.shape[1]
+    cq = _compile_queries(queries, n_vars)
+    copies = sweep.take(np.zeros(n_vars + 1, dtype=int))
+    values, ok, _ = _zeta_at_rank(copies, np.arange(n_vars + 1), cq)
+    values.flags.writeable = False
+    return _Prepared(
+        raw=raw, tilde=tilde, sweep=sweep, p=p, mode=mode, cfg=cfg, cq=cq, points=(values, ok),
+        c1=c1, c2=c2, true_rank=true_rank,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -579,23 +532,15 @@ def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, **ex
 # the five interval constructions
 
 
-def fixed_rank_interval(
-    data,
-    p: int,
-    rank: int,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    _prep: _Prepared | None = None,
-) -> IntervalSet:
+def fixed_rank_interval(prep: _Prepared, rank: int) -> IntervalSet:
     """Hall percentile interval with the rank imposed throughout.
 
     Fits the error-correction model at ``rank``, rebuilds ``cfg.n_boot``
     samples recursively from the centered residuals, re-detrends and refits
     each at the same rank, and inverts the centered bootstrap distribution.
+    ``prep.fan(rank)`` holds this interval, computed once per sample.
     """
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
+    cq, cfg = prep.cq, prep.cfg
     if rank < 0 or rank > prep.n_vars:
         raise ConfigError(f"rank must lie in 0..{prep.n_vars}, got {rank}")
     points = prep.point_zetas(rank)
@@ -612,25 +557,18 @@ def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
     return counts
 
 
-def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, cq):
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str):
     """Level one of the rank re-selection bootstraps: the observed rank, the
     level-1 batch, its per-sample selected ranks and the replications' query
     values, ok flags and fit at those ranks."""
     r_hat = prep.select_rank(selector)
     boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars)
     ranks_star = _batch.select_batch(boot.sweep, selector)
-    return (r_hat, boot, ranks_star, *_zeta_at_rank(boot.sweep, ranks_star, cq))
+    return (r_hat, boot, ranks_star, *_zeta_at_rank(boot.sweep, ranks_star, prep.cq))
 
 
 def bers_interval(
-    data,
-    p: int,
-    selector: RankSelector,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    dgp_rank_mode: str = "estimated",
-    _prep: _Prepared | None = None,
+    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated"
 ) -> IntervalSet:
     """Bootstrap with the rank re-selected inside every replication.
 
@@ -641,9 +579,8 @@ def bers_interval(
     """
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
-    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, cq)
+    cq, cfg = prep.cq, prep.cfg
+    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode)
     points = prep.point_zetas(r_hat)
     lower, upper, n_failed = _finalize(
         zeta_star, ok, points, cfg, "the rank re-selection bootstrap"
@@ -654,31 +591,20 @@ def bers_interval(
     )
 
 
-def ma_interval(
-    data,
-    p: int,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    weights_mode: str = "endogenous",
-    c1: float = 1.0,
-    c2: float = 0.5,
-    _prep: _Prepared | None = None,
-) -> IntervalSet:
+def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSet:
     """Interval for the plausibility-weighted average across all ranks.
 
     The point estimate averages the K+1 fixed-rank estimates with the
     trace-based weights; the bootstrap statistic is the same average on
     each replication, with weights recomputed per replication when
     ``weights_mode="endogenous"`` and frozen at the observed-data weights
-    otherwise.  The bootstrap process is built at the reference rank.
+    otherwise.  The weights use the sample's ``c1`` and ``c2``; the
+    bootstrap process is built at the reference rank.
     """
     if weights_mode not in ("endogenous", "fixed"):
         raise ConfigError(f"weights_mode must be 'endogenous' or 'fixed', got {weights_mode!r}")
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
-    n_vars = prep.n_vars
-    data_weights = prep.weights(c1, c2)
+    cq, cfg, n_vars = prep.cq, prep.cfg, prep.n_vars
+    data_weights = prep.weights()
     per_rank_points = np.stack([prep.point_zetas(r) for r in range(n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
 
@@ -691,7 +617,7 @@ def ma_interval(
         ok &= rank_ok
     if weights_mode == "endogenous":
         stats = _batch.trace_stats_batch(boot.sweep.eigenvalues, boot.sweep.t_eff)
-        _, weights_star = _batch.weights_batch(stats, boot.sweep.t_eff, c1, c2)
+        _, weights_star = _batch.weights_batch(stats, boot.sweep.t_eff, prep.c1, prep.c2)
     else:
         weights_star = np.broadcast_to(
             data_weights.normalized, (cfg.n_boot, n_vars + 1)
@@ -706,14 +632,7 @@ def ma_interval(
 
 
 def fdbb_interval(
-    data,
-    p: int,
-    selector: RankSelector,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    dgp_rank_mode: str = "estimated",
-    _prep: _Prepared | None = None,
+    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated"
 ) -> IntervalSet:
     """Fast-double-bootstrap bagging interval.
 
@@ -725,10 +644,9 @@ def fdbb_interval(
     """
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
+    cq, cfg = prep.cq, prep.cfg
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
-        prep, selector, dgp_rank_mode, cq
+        prep, selector, dgp_rank_mode
     )
 
     # Level two: one sample per level-one sample, rebuilt under its own
@@ -752,23 +670,14 @@ def fdbb_interval(
     )
 
 
-def lag_augmented_interval(
-    data,
-    p: int,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    _prep: _Prepared | None = None,
-) -> IntervalSet:
+def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     """Levels bootstrap with one extra estimation lag.
 
     The bootstrap process is a levels VAR(p) fitted by OLS; both the point
     estimate and every bootstrap estimate come from a VAR(p+1) in levels of
     which only the first p coefficient matrices feed the responses.
     """
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
-    n_vars = prep.n_vars
+    cq, cfg, n_vars, p = prep.cq, prep.cfg, prep.n_vars, prep.p
     if prep.n_obs < n_vars * (p + 1) + 10:
         raise DataError(
             f"lag augmentation needs at least K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations"
@@ -801,63 +710,27 @@ def _lavar_zetas(tilde: np.ndarray, p: int, cq: _CompiledQueries):
 
 
 # ---------------------------------------------------------------------------
-# fan and combined interval
+# combined interval
 
 
-def per_rank_fan(
-    data,
-    p: int,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    _prep: _Prepared | None = None,
-) -> dict:
-    """Fixed-rank intervals for every rank 0..K on shared data."""
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    return {
-        rank: fixed_rank_interval(data, p, rank, queries, cfg, mode, _prep=prep)
-        for rank in range(prep.n_vars + 1)
-    }
-
-
-def wimp_interval(
-    data,
-    p: int,
-    queries,
-    cfg: BootstrapConfig,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    c1: float = 1.0,
-    c2: float = 0.5,
-    transform=None,
-    fan: dict | None = None,
-    _prep: _Prepared | None = None,
-):
+def wimp_interval(prep: _Prepared) -> IntervalSet:
     """Plausibility-weighted combination of the full per-rank fan.
 
-    Returns (interval set, weights, fan).  The reported point estimate is
-    the weighted average of the fixed-rank estimates, the natural companion
-    estimator; the interval itself is anchored at the reference rank and
-    does not depend on it.
+    The reported point estimate is the weighted average of the fixed-rank
+    estimates, the natural companion estimator; the interval itself is
+    anchored at the reference rank and does not depend on it.  The fan
+    members are ``prep.fan(rank)`` and the weights ``prep.weights()``.
     """
-    prep = _prep if _prep is not None else _prepare(data, p, mode, cfg)
-    cq = prep.compile(queries)
-    if fan is None:
-        fan = {rank: prep.fan(rank) for rank in range(prep.n_vars + 1)}
-    if sorted(fan) != list(range(prep.n_vars + 1)):
-        raise ConfigError("the fan must contain every rank 0..K; partial combination is refused")
-    weights = prep.weights(c1, c2)
-    members = [fan[r] for r in range(prep.n_vars + 1)]
-    if any(member.queries != cq.queries for member in members):
-        raise ConfigError("every fan member must carry the requested queries, in order")
+    members = [prep.fan(rank) for rank in range(prep.n_vars + 1)]
+    weights = prep.weights()
     lowers = np.stack([member.lower for member in members])
     uppers = np.stack([member.upper for member in members])
     points = weights.normalized @ np.stack([member.point for member in members])
-    lower, upper = wimp_bounds(lowers, uppers, weights, transform)
-    n_failed = max(fan[r].n_failed for r in fan)
-    result = _to_interval_set(
-        "wimp", weights.reference_rank, cq, lower, upper, points, cfg, n_failed
+    lower, upper = wimp_bounds(lowers, uppers, weights)
+    n_failed = max(member.n_failed for member in members)
+    return _to_interval_set(
+        "wimp", weights.reference_rank, prep.cq, lower, upper, points, prep.cfg, n_failed
     )
-    return result, weights, fan
 
 
 # ---------------------------------------------------------------------------
@@ -874,13 +747,6 @@ class _Method:
     fan: Callable = lambda prep: ()
 
 
-def _on(prep: _Prepared) -> dict:
-    """The arguments that run a public constructor on ``prep``."""
-    return dict(
-        data=prep.raw, p=prep.p, queries=prep.queries, cfg=prep.cfg, mode=prep.mode, _prep=prep
-    )
-
-
 def _fan_lookup(name: str, rank_of) -> _Method:
     return _Method(
         run=lambda prep: replace(prep.fan(rank_of(prep)), method=name),
@@ -893,7 +759,7 @@ def _selected(selector: RankSelector):
 
 
 def _reference_rank(prep: _Prepared) -> int:
-    return prep.weights(prep.c1, prep.c2).reference_rank
+    return prep.weights().reference_rank
 
 
 def _known_rank(prep: _Prepared) -> int:
@@ -911,20 +777,14 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "true_rank": _fan_lookup("true_rank", _known_rank),
     "aic": _fan_lookup("aic", _selected(_AIC)),
     "bic": _fan_lookup("bic", _selected(_BIC)),
-    "bers_aic": _Method(lambda prep: bers_interval(selector=_AIC, **_on(prep)), _selected(_AIC)),
-    "bers_bic": _Method(lambda prep: bers_interval(selector=_BIC, **_on(prep)), _selected(_BIC)),
-    "ma": _Method(lambda prep: ma_interval(c1=prep.c1, c2=prep.c2, **_on(prep)), _reference_rank),
-    "ma_fixed": _Method(
-        lambda prep: ma_interval(weights_mode="fixed", c1=prep.c1, c2=prep.c2, **_on(prep)),
-        _reference_rank,
-    ),
-    "fdbb_aic": _Method(lambda prep: fdbb_interval(selector=_AIC, **_on(prep)), _selected(_AIC)),
-    "fdbb_bic": _Method(lambda prep: fdbb_interval(selector=_BIC, **_on(prep)), _selected(_BIC)),
-    "wimp": _Method(
-        lambda prep: wimp_interval(c1=prep.c1, c2=prep.c2, **_on(prep))[0],
-        fan=lambda prep: range(prep.n_vars + 1),
-    ),
-    "lavar": _Method(lambda prep: lag_augmented_interval(**_on(prep))),
+    "bers_aic": _Method(lambda prep: bers_interval(prep, _AIC), _selected(_AIC)),
+    "bers_bic": _Method(lambda prep: bers_interval(prep, _BIC), _selected(_BIC)),
+    "ma": _Method(lambda prep: ma_interval(prep), _reference_rank),
+    "ma_fixed": _Method(lambda prep: ma_interval(prep, weights_mode="fixed"), _reference_rank),
+    "fdbb_aic": _Method(lambda prep: fdbb_interval(prep, _AIC), _selected(_AIC)),
+    "fdbb_bic": _Method(lambda prep: fdbb_interval(prep, _BIC), _selected(_BIC)),
+    "wimp": _Method(lambda prep: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
+    "lavar": _Method(lambda prep: lag_augmented_interval(prep)),
 })
 
 

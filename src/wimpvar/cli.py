@@ -193,6 +193,11 @@ _CONFIG_KEYS = {
     "workers": int,
     "paper_sample_convention": _parse_flag,
 }
+# config-file keys a command does not read; giving one is an error
+_IGNORED_KEYS = {
+    "analyze": ("dgp", "T", "n_mc", "workers"),
+    "simulate": ("input", "p", "detrend", "kind", "queries", "paper_sample_convention"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,6 +265,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in _IGNORED_KEYS[args.command]:
+                raise ConfigError(
+                    f"config key {key!r} does not apply to the {args.command} command"
+                )
             try:
                 file_values[key] = _CONFIG_KEYS[key](value)
             except ValueError:
@@ -383,7 +392,7 @@ def analyze(cfg: RunConfig) -> dict:
     )
     config_hash = cfg.hash()
 
-    prep = bt._prepare(data, cfg.p, cfg.detrend, bcfg, queries, c1=cfg.c1, c2=cfg.c2)
+    prep = bt._prepare(data, cfg.p, queries, bcfg, cfg.detrend, c1=cfg.c1, c2=cfg.c2)
     names = tuple(dict.fromkeys(("wimp", *cfg.methods)))
     outcome = bt.run_methods(prep, names)
     # The first failure is reported in the order the results are written:
@@ -395,7 +404,7 @@ def analyze(cfg: RunConfig) -> dict:
             raise outcome[name]
         results.append(outcome[name])
         censuses[name] = outcome[name].n_failed
-    weights = prep.weights(cfg.c1, cfg.c2)
+    weights = prep.weights()
 
     os.makedirs(cfg.out, exist_ok=True)
     interval_rows = []

@@ -3,6 +3,7 @@
 The split mirrors the CLI exit codes: configuration problems, data
 problems, and estimation-time failures are reported differently.
 """
+import operator
 
 
 class WimpvarError(Exception):
@@ -19,3 +20,11 @@ class DataError(WimpvarError):
 
 class EstimationError(WimpvarError):
     """Estimation or bootstrap failure (singular moments, explosive fits)."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer (numpy integers too)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bootstrap as bt
-from .bootstrap import _EXTRA_METHODS, register_method  # noqa: F401  (re-exported)
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, check_integer
 from .timeseries import DetrendMode
 from .vecm import IrfArray, IrfQuery, REDUCED_FORM
 
@@ -29,8 +28,6 @@ __all__ = [
     "simulate_path",
     "true_irf",
     "run_experiment",
-    "summarize_widths",
-    "register_method",
     "KNOWN_METHODS",
 ]
 
@@ -130,6 +127,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "mode", DetrendMode(self.mode))
+        for name in ("n_mc", "h_max", "p", "seed"):
+            check_integer(name, getattr(self, name))
         unknown = [m for m in self.methods if m not in bt.METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")
@@ -228,11 +227,6 @@ class CoverageTable:
         return rows
 
 
-def summarize_widths(table: CoverageTable) -> dict:
-    """Per-method mean interval width by horizon, averaged over pairs."""
-    return {m: table.mean_width_by_horizon(m) for m in table.methods}
-
-
 # ---------------------------------------------------------------------------
 # per-replication machinery
 
@@ -281,7 +275,7 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
         bcfg = bt.BootstrapConfig(n_boot=cfg.n_boot, gamma=cfg.gamma, seed=boot_seed)
         try:
             prep = bt._prepare(
-                data, cfg.p, cfg.mode, bcfg, queries,
+                data, cfg.p, queries, bcfg, cfg.mode,
                 c1=cfg.c1, c2=cfg.c2, true_rank=cfg.dgp.true_rank,
             )
         except (DataError, EstimationError):

@@ -9,7 +9,7 @@ from . import _batch
 from ._batch import TRACE_CRIT_LEVELS, TRACE_CRIT_VALUES, ic_param_count, trace_critical_value
 from .errors import ConfigError
 from .timeseries import DetrendedSeries, DetrendMode, build_vecm_regressors, detrend
-from .vecm import johansen_decomposition, trace_stats_from_eigenvalues
+from .vecm import observed_sweep
 
 __all__ = [
     "RankSelector",
@@ -22,7 +22,6 @@ __all__ = [
     "select_rank_ic",
     "select_rank_sequential",
     "plausibility_weights",
-    "plausibility_weights_from_fit",
     "relative_plausibility",
     "trace_critical_value",
 ]
@@ -74,12 +73,12 @@ def ic_values_from_eigenvalues(
 
 def _decompose(data, p, mode, paper_convention):
     tilde = data if isinstance(data, DetrendedSeries) else detrend(data, mode)
-    return johansen_decomposition(build_vecm_regressors(tilde, p, paper_convention))
+    return observed_sweep(build_vecm_regressors(tilde, p, paper_convention))
 
 
-def select_rank(jd, selector: RankSelector) -> int:
-    """The rank ``selector`` picks from one Johansen decomposition."""
-    return int(_batch.select_batch(jd.sweep, selector)[0])
+def select_rank(sweep: _batch.BatchSweep, selector: RankSelector) -> int:
+    """The rank ``selector`` picks from the sweep of one sample."""
+    return int(_batch.select_batch(sweep, selector)[0])
 
 
 def select_rank_ic(
@@ -173,12 +172,6 @@ def plausibility_weights(
         t_eff=int(t_eff),
         reference_rank=int(np.argmax(normalized)),
     )
-
-
-def plausibility_weights_from_fit(fit, c1: float = 1.0, c2: float = 0.5) -> PlausibilityWeights:
-    """Weights computed from a fit's eigenvalues and effective sample size."""
-    stats = trace_stats_from_eigenvalues(fit.eigenvalues, fit.t_eff)
-    return plausibility_weights(stats, fit.t_eff, c1, c2)
 
 
 def relative_plausibility(weights: PlausibilityWeights, r: int, s: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, check_integer
 from .timeseries import DetrendedSeries, DetrendMode, VecmRegressors, build_vecm_regressors, detrend
 
 __all__ = [
@@ -25,9 +25,8 @@ __all__ = [
     "VarLevels",
     "IrfArray",
     "IrfQuery",
-    "JohansenDecomposition",
     "observed_sweep",
-    "johansen_decomposition",
+    "johansen_fit_from",
     "johansen_fit",
     "fit_vecm",
     "trace_statistics",
@@ -35,11 +34,8 @@ __all__ = [
     "vecm_to_var",
     "var_to_vecm",
     "companion_matrix",
-    "companion_roots",
     "irf_reduced",
     "cholesky_factor",
-    "irf_structural",
-    "evaluate_zeta",
 ]
 
 REDUCED_FORM = "reduced_form"
@@ -120,6 +116,8 @@ class IrfQuery:
     kind: str = REDUCED_FORM
 
     def __post_init__(self):
+        for name in ("a", "b", "horizon", "h_max"):
+            check_integer(name, getattr(self, name))
         if self.kind not in (REDUCED_FORM, STRUCTURAL_CHOLESKY):
             raise ConfigError(f"unknown impulse-response kind {self.kind!r}")
         if self.functional not in ("element", "max_over_horizons"):
@@ -132,26 +130,6 @@ class IrfQuery:
     @property
     def needed_horizon(self) -> int:
         return self.horizon if self.functional == "element" else self.h_max
-
-
-@dataclass(frozen=True)
-class JohansenDecomposition:
-    """Shared pieces of the reduced-rank regression, valid for every rank.
-
-    Wraps the sweep of one sample, a B=1 :class:`~wimpvar._batch.BatchSweep`,
-    and reads its attributes as that sample's values: ``eigenvalues``
-    (descending, length K), ``vectors`` (K x K, V' S11 V = I), ``S00``,
-    ``S01``, ``R0``, ``R1``, ``P20``, ``P21``, ``ln_det_s00``, ``p``,
-    ``t_eff`` and ``n_vars``.
-    """
-
-    sweep: _batch.BatchSweep
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        value = getattr(self.sweep, name)
-        return value[0] if isinstance(value, np.ndarray) else value
 
 
 # Sweep failure bit -> message, in the order the sweep meets them.
@@ -197,19 +175,10 @@ def observed_sweep(reg: VecmRegressors) -> _batch.BatchSweep:
     return sweep
 
 
-def johansen_decomposition(reg: VecmRegressors) -> JohansenDecomposition:
-    """Solve the rank-generic part of the reduced-rank regression.
-
-    See :func:`observed_sweep` for the errors raised.
-    """
-    return JohansenDecomposition(observed_sweep(reg))
-
-
-def johansen_fit_from(jd: JohansenDecomposition, rank: int) -> VecmFit:
-    """Extract the rank-`rank` fit from a shared decomposition."""
-    if rank < 0 or rank > jd.n_vars:
-        raise ConfigError(f"rank must lie in 0..{jd.n_vars}, got {rank}")
-    sweep = jd.sweep
+def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
+    """Extract the rank-`rank` fit from the sweep of one sample (see :func:`observed_sweep`)."""
+    if rank < 0 or rank > sweep.n_vars:
+        raise ConfigError(f"rank must lie in 0..{sweep.n_vars}, got {rank}")
     alpha, beta = _batch.loadings_batch(sweep, rank)
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
     return VecmFit(
@@ -220,9 +189,9 @@ def johansen_fit_from(jd: JohansenDecomposition, rank: int) -> VecmFit:
         Gammas=tuple(gammas[0]),
         Sigma_u=_batch.sigma_batch(sweep, rank)[0],
         residuals=_batch.residuals_batch(sweep, pi)[0],
-        eigenvalues=jd.eigenvalues,
-        p=jd.p,
-        t_eff=jd.t_eff,
+        eigenvalues=sweep.eigenvalues[0],
+        p=sweep.p,
+        t_eff=sweep.t_eff,
     )
 
 
@@ -242,7 +211,7 @@ def johansen_fit(reg: VecmRegressors, rank: int) -> VecmFit:
         Rank K reproduces the unrestricted OLS fit; rank 0 sets Pi to zero
         and regresses the differences on the lagged differences alone.
     """
-    return johansen_fit_from(johansen_decomposition(reg), rank)
+    return johansen_fit_from(observed_sweep(reg), rank)
 
 
 def fit_vecm(
@@ -260,7 +229,7 @@ def fit_vecm(
 def trace_stats_from_eigenvalues(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:
     """Trace statistics J[r] = -T * sum_{i>r} ln(1 - lam_i), r = 0..K.
 
-    The returned vector has K+1 entries with J[K] = 0 exactly (empty sum).
+    The returned vector has K+1 elements with J[K] = 0 exactly (empty sum).
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.size and (lam.min() < 0 or lam.max() >= 1):
@@ -305,12 +274,6 @@ def companion_matrix(var: VarLevels) -> np.ndarray:
     return np.vstack([top, lower])
 
 
-def companion_roots(var: VarLevels) -> np.ndarray:
-    """Moduli of the companion-matrix eigenvalues, sorted descending."""
-    moduli = np.abs(np.linalg.eigvals(companion_matrix(var)))
-    return np.sort(moduli)[::-1]
-
-
 def irf_reduced(var: VarLevels, h_max: int) -> IrfArray:
     """Forecast-error impulse responses Psi_0..Psi_h of the levels VAR.
 
@@ -328,31 +291,3 @@ def cholesky_factor(sigma: np.ndarray) -> np.ndarray:
     if not ok[0]:
         raise EstimationError("covariance matrix is not positive definite")
     return chol[0]
-
-
-def irf_structural(irf: IrfArray, chol: np.ndarray) -> IrfArray:
-    """Structural responses Phi_j = Psi_j P for a given impact factor P."""
-    if irf.kind != REDUCED_FORM:
-        raise ConfigError("structural responses are built from reduced-form ones")
-    return IrfArray(irf.values @ chol, STRUCTURAL_CHOLESKY)
-
-
-def evaluate_zeta(irf: IrfArray, query: IrfQuery) -> float:
-    """Evaluate one impulse-response functional on an IRF stack."""
-    if query.kind != irf.kind:
-        raise ConfigError(
-            f"query kind {query.kind!r} does not match responses of kind {irf.kind!r}"
-        )
-    n_vars = irf.n_vars
-    if query.a > n_vars or query.b > n_vars:
-        raise ConfigError(
-            f"indices (a={query.a}, b={query.b}) out of range for K={n_vars}"
-        )
-    if query.needed_horizon > irf.h_max:
-        raise ConfigError(
-            f"query needs horizon {query.needed_horizon} but responses stop at {irf.h_max}"
-        )
-    series = irf.values[:, query.a - 1, query.b - 1]
-    if query.functional == "element":
-        return float(series[query.horizon])
-    return float(series[: query.h_max + 1].max())

@@ -8,12 +8,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import numpy as np
 import pytest
 
+from reference import companion_roots
 from wimpvar import (
     ExperimentConfig,
     PlausibilityWeights,
     VarLevels,
     build_vecm_regressors,
-    companion_roots,
     irf_reduced,
     johansen_fit,
     make_dgp,

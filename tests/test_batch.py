@@ -22,8 +22,8 @@ from wimpvar.vecm import (
     VarLevels,
     companion_matrix,
     irf_reduced,
-    johansen_decomposition,
     johansen_fit_from,
+    observed_sweep,
     trace_stats_from_eigenvalues,
     var_to_vecm,
     vecm_to_var,
@@ -104,10 +104,10 @@ def test_sweep_batch_matches_decomposition(p):
         assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
         assert np.allclose(vecs.T @ s11 @ vecs, np.eye(3), atol=1e-9)
         assert np.all(np.diff(lam) <= 0) and lam[-1] >= 0 and lam[0] < 1
-        jd = johansen_decomposition(build_vecm_regressors(ys[i], p))
+        one = observed_sweep(build_vecm_regressors(ys[i], p))
         for name in ("eigenvalues", "vectors", "S00", "S01", "R0", "R1", "P20", "P21"):
-            assert np.array_equal(getattr(jd, name), getattr(sweep, name)[i])
-        assert jd.ln_det_s00 == sweep.ln_det_s00[i]
+            assert np.array_equal(getattr(one, name)[0], getattr(sweep, name)[i])
+        assert one.ln_det_s00[0] == sweep.ln_det_s00[i]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -132,7 +132,7 @@ def test_rank_fit_batch_matches_reference(p, rank):
         assert np.allclose(resid[i], target - z2[i] @ stacked.T, atol=1e-10)
         # S00 - alpha alpha' equals the residual covariance.
         assert np.allclose(sigma[i], resid[i].T @ resid[i] / sweep.t_eff, atol=1e-12)
-        fit = johansen_fit_from(johansen_decomposition(build_vecm_regressors(ys[i], p)), rank)
+        fit = johansen_fit_from(observed_sweep(build_vecm_regressors(ys[i], p)), rank)
         assert np.array_equal(fit.Pi, pi[i])
         assert np.array_equal(np.reshape(fit.Gammas, gammas[i].shape), gammas[i])
         assert np.array_equal(fit.residuals, resid[i])
@@ -157,7 +157,7 @@ def test_var_matrices_and_irf_batch_match_reference():
         for h in range(16):
             assert np.allclose(psi[i, h], power[:3, :3], atol=1e-10)
             power = comp @ power
-        fit = johansen_fit_from(johansen_decomposition(build_vecm_regressors(ys[i], 3)), 2)
+        fit = johansen_fit_from(observed_sweep(build_vecm_regressors(ys[i], 3)), 2)
         assert np.array_equal(np.stack(vecm_to_var(fit).A), mats[i])
         assert np.array_equal(irf_reduced(vecm_to_var(fit), 15).values, psi[i])
 
@@ -241,10 +241,10 @@ def test_ic_select_batch_matches_reference(criterion):
     c_t = 2.0 if criterion == "aic" else np.log(sweep.t_eff)
     for i in range(6):
         # Oracle: refit every rank and compare ln det Sigma(r) + penalty.
-        jd = johansen_decomposition(build_vecm_regressors(ys[i], 2))
+        one = observed_sweep(build_vecm_regressors(ys[i], 2))
         values = []
         for rank in range(4):
-            resid = johansen_fit_from(jd, rank).residuals
+            resid = johansen_fit_from(one, rank).residuals
             _, ln_det = np.linalg.slogdet(resid.T @ resid / sweep.t_eff)
             values.append(ln_det + c_t * ic_param_count(rank, 3, 2) / sweep.t_eff)
         assert picked[i] == np.argmin(values)

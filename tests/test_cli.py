@@ -235,6 +235,39 @@ def test_config_file_bad_value_exit_code(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "input = data.csv"),
+        ("simulate", "p = 3"),
+        ("simulate", "detrend = constant_and_trend"),
+        ("simulate", "kind = structural_cholesky"),
+        ("simulate", "queries = element:1,1,1"),
+        ("simulate", "paper_sample_convention = yes"),
+        ("analyze", "dgp = dgp2"),
+        ("analyze", "T = 80"),
+        ("analyze", "n_mc = 5"),
+        ("analyze", "workers = 2"),
+    ],
+)
+def test_config_file_key_the_command_ignores_exit_code(tmp_path, capsys, command, line):
+    # A key the command would not read must not reach the bundle's metadata
+    # and config hash as if it had been used.
+    config = _write(tmp_path, "run.cfg", line + "\n")
+    out = str(tmp_path / "o")
+    if command == "analyze":
+        argv = ["analyze", "--input", _toy_csv(tmp_path, seed=8), "--B", "39",
+                "--h-max", "1"]
+    else:
+        argv = ["simulate", "--T", "40", "--n-mc", "1", "--B", "39", "--h-max", "1",
+                "--methods", "ols", "--workers", "1"]
+    code = main(argv + ["--config", config, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(line.split(" = ")[0]) in err and command in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "value, expected",
     [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
      ("0", False), ("false", False), ("NO", False), ("Off", False)],

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
+from reference import companion_roots
 from wimpvar import (
     ConfigError,
     DgpSpec,
     EstimationError,
     ExperimentConfig,
     VarLevels,
-    companion_roots,
     irf_reduced,
     make_dgp,
     run_experiment,
     simulate_path,
-    summarize_widths,
     true_irf,
 )
-from wimpvar.montecarlo import _EXTRA_METHODS, _bounds_from, register_method
+from wimpvar.bootstrap import _EXTRA_METHODS, register_method
+from wimpvar.montecarlo import _bounds_from
 
 
 def test_make_dgp_matrices():
@@ -168,8 +168,6 @@ def test_stub_methods_oracle_and_degenerate():
         assert np.all(table.coverage("stub_degenerate") == 0.0)
         assert np.all(table.mean_width("stub_degenerate") == 0.0)
     finally:
-        from wimpvar.montecarlo import _EXTRA_METHODS
-
         _EXTRA_METHODS.clear()
 
 
@@ -181,11 +179,9 @@ def test_stub_constant_interval_constant_width():
     register_method("stub_unit", stub_unit)
     try:
         table = run_experiment(_tiny_config(("stub_unit",), n_mc=3))
-        widths = summarize_widths(table)["stub_unit"]
+        widths = table.mean_width_by_horizon("stub_unit")
         assert np.allclose(widths, 1.0)
     finally:
-        from wimpvar.montecarlo import _EXTRA_METHODS
-
         _EXTRA_METHODS.clear()
 
 

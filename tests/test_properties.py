@@ -117,11 +117,11 @@ def test_per_sample_ranks_equal_each_rank_imposed_on_the_batch(seed, n_batch, mo
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mode=MODES, p=st.integers(1, 3), queries=QUERY_SETS)
 def test_observed_table_rows_equal_one_sample_calls(seed, mode, p, queries):
-    prep = _prepare(_paths(seed, 1)[0], p, mode, BootstrapConfig(), queries)
-    table, table_ok = prep._points
+    prep = _prepare(_paths(seed, 1)[0], p, queries, BootstrapConfig(), mode)
+    table, table_ok = prep.points
     assert table.shape == (4, len(queries))
     for rank in range(4):
-        alone, ok_alone, _ = _zeta_at_rank(prep.sweep, rank, prep.compile(queries))
+        alone, ok_alone, _ = _zeta_at_rank(prep.sweep, rank, prep.cq)
         assert np.array_equal(table[rank], alone[0], equal_nan=True)
         assert table_ok[rank] == ok_alone[0]
 

@@ -5,12 +5,12 @@ from wimpvar import (
     ConfigError,
     make_dgp,
     plausibility_weights,
-    plausibility_weights_from_fit,
     fit_vecm,
     relative_plausibility,
     select_rank_ic,
     select_rank_sequential,
     simulate_path,
+    trace_statistics,
 )
 from wimpvar.ranks import (
     RankSelector,
@@ -21,7 +21,7 @@ from wimpvar.ranks import (
     trace_critical_value,
 )
 from wimpvar.timeseries import build_vecm_regressors
-from wimpvar.vecm import johansen_decomposition, johansen_fit
+from wimpvar.vecm import johansen_fit, observed_sweep
 
 
 def _sim(seed, variant="dgp2", T=200):
@@ -54,10 +54,10 @@ def test_ic_values_match_per_rank_refits():
     # with explicitly refitting every rank.
     y = _sim(41, "dgp1")
     reg = build_vecm_regressors(y, 2)
-    jd = johansen_decomposition(reg)
+    sweep = observed_sweep(reg)
     for criterion, c_t in (("aic", 2.0), ("bic", np.log(reg.t_eff))):
         values = ic_values_from_eigenvalues(
-            jd.eigenvalues, jd.ln_det_s00, jd.t_eff, jd.p, criterion
+            sweep.eigenvalues[0], sweep.ln_det_s00[0], sweep.t_eff, sweep.p, criterion
         )
         for rank in range(4):
             fit = johansen_fit(reg, rank)
@@ -221,7 +221,7 @@ def test_weights_oracle_limit_on_strong_cointegration():
         acc = 0.0
         for seed in range(n_rep):
             fit = fit_vecm(_sim(seed, T=T), 1, 2)
-            acc += plausibility_weights_from_fit(fit).normalized[2]
+            acc += plausibility_weights(trace_statistics(fit), fit.t_eff).normalized[2]
         return acc / n_rep
 
     at_200 = average_weight(200, 200)

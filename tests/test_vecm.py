@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import companion_roots, evaluate_zeta, irf_structural
 from wimpvar import (
     ConfigError,
     EstimationError,
@@ -9,11 +10,8 @@ from wimpvar import (
     build_vecm_regressors,
     cholesky_factor,
     companion_matrix,
-    companion_roots,
-    evaluate_zeta,
     fit_vecm,
     irf_reduced,
-    irf_structural,
     johansen_fit,
     make_dgp,
     simulate_path,

@@ -1,7 +1,8 @@
 """Vectorized kernels against their loop references.
 
 The counter-grid draw is checked against numpy's own Philox generator, the
-compiled query gather against the scalar ``evaluate_zeta``.
+compiled query gather against the scalar ``evaluate_zeta`` of the tests'
+reference module.
 """
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wimpvar import IrfArray, IrfQuery, evaluate_zeta  # noqa: E402
+from reference import evaluate_zeta  # noqa: E402
+from wimpvar import IrfArray, IrfQuery  # noqa: E402
 from wimpvar.bootstrap import _compile_queries, _draw_index_matrix, _philox4x64  # noqa: E402
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY  # noqa: E402
 
