@@ -318,61 +318,69 @@ def irf_batch(mats: np.ndarray, h_max: int) -> np.ndarray:
     return psi
 
 
-def rebuild_vecm_batch(
-    pi: np.ndarray, gammas: np.ndarray, errors: np.ndarray, init: np.ndarray
-) -> np.ndarray:
-    """Recursive error-correction resampling paths.
+# Steps per block and rows per matrix product of the shared-coefficient
+# recursion.  Every product has the same (_CHUNK, (p + _BLOCK) K) shape, so
+# BLAS rounds each row the same way whatever the batch around it.
+_BLOCK = 8
+_CHUNK = 64
 
-    Parameters
-    ----------
-    pi : (K, K) or (B, K, K)
-    gammas : (p-1, K, K) or (B, p-1, K, K)
-    errors : (B, n, K) innovations for times p+2..T
-    init : (p+1, K) shared initial rows, or (B, p+1, K) per-sample rows.
 
-    Returns
-    -------
-    (B, T, K) with T = p + 1 + n.
-    """
-    n_batch, n_steps, n_vars = errors.shape
-    if pi.ndim == 2:
-        pi = np.broadcast_to(pi, (n_batch, n_vars, n_vars))
-    # einsum's rounding depends on the operand layout: a contiguous copy
-    # gives the same paths whatever layout the Gammas arrive in.
-    gammas = np.ascontiguousarray(gammas)
-    if gammas.ndim == 3:
-        gammas = np.broadcast_to(
-            gammas, (n_batch,) + gammas.shape
-        )
-    p = gammas.shape[1] + 1
-    n_obs = p + 1 + n_steps
-    out = np.empty((n_batch, n_obs, n_vars))
-    out[:, : p + 1] = init if init.ndim == 3 else init[None]
-    growth = np.eye(n_vars) + pi  # (B, K, K)
-    for t in range(p + 1, n_obs):
-        acc = np.einsum("bij,bj->bi", growth, out[:, t - 1])
-        for lag in range(1, p):
-            acc += np.einsum(
-                "bij,bj->bi", gammas[:, lag - 1], out[:, t - lag] - out[:, t - lag - 1]
-            )
-        out[:, t] = acc + errors[:, t - p - 1]
-    return out
+def _step_levels(out: np.ndarray, mats: np.ndarray, start: int) -> None:
+    """Per-step levels recursion in place: rows ``start:`` of ``out`` (B, T, K)
+    hold innovations on entry and levels on exit; ``mats`` is (B, p, K, K)."""
+    for t in range(start, out.shape[1]):
+        for lag in range(1, mats.shape[1] + 1):
+            out[:, t] += np.einsum("bij,bj->bi", mats[:, lag - 1], out[:, t - lag])
+
+
+def _step_map(mats: np.ndarray) -> np.ndarray:
+    """The ((p + L) K, L K) map from [p lagged levels, next L innovations] to
+    the next L levels, L = _BLOCK, for shared ``mats`` (p, K, K): the
+    per-step recursion run on the identity basis."""
+    p, n_vars = mats.shape[0], mats.shape[1]
+    width = (p + _BLOCK) * n_vars
+    basis = np.eye(width).reshape(width, p + _BLOCK, n_vars)
+    _step_levels(basis, np.broadcast_to(mats, (width,) + mats.shape), p)
+    return basis[:, p:].reshape(width, _BLOCK * n_vars)
 
 
 def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Recursive levels-VAR resampling paths; arguments mirror the VECM case."""
+    """Recursive levels-VAR resampling paths.
+
+    Parameters
+    ----------
+    mats : (p, K, K) shared or (B, p, K, K) per-sample levels VAR matrices,
+        e.g. ``var_matrices_batch(pi, gammas)`` of an error-correction fit.
+    errors : (B, n, K) innovations for the steps after the initial rows.
+    init : (m, K) shared initial rows, or (B, m, K) per-sample rows, m >= p.
+
+    Returns
+    -------
+    (B, m + n, K).  Shared coefficients advance _BLOCK steps per matrix
+    product; per-sample coefficients advance one step at a time.
+    """
     n_batch, n_steps, n_vars = errors.shape
-    if mats.ndim == 3:
-        mats = np.broadcast_to(mats, (n_batch,) + mats.shape)
-    p = mats.shape[1]
-    n_obs = init.shape[-2] + n_steps
-    out = np.empty((n_batch, n_obs, n_vars))
-    out[:, : init.shape[-2]] = init if init.ndim == 3 else init[None]
-    for t in range(init.shape[-2], n_obs):
-        acc = errors[:, t - init.shape[-2]].copy()
-        for lag in range(1, p + 1):
-            acc += np.einsum("bij,bj->bi", mats[:, lag - 1], out[:, t - lag])
-        out[:, t] = acc
+    n_init = init.shape[-2]
+    # einsum's rounding depends on the operand layout: a contiguous copy
+    # gives the same paths whatever layout the matrices arrive in.
+    mats = np.ascontiguousarray(mats)
+    out = np.empty((n_batch, n_init + n_steps, n_vars))
+    out[:, :n_init] = init
+    out[:, n_init:] = errors
+    if mats.ndim == 4:
+        _step_levels(out, mats, n_init)
+        return out
+    p = mats.shape[0]
+    step_map = _step_map(mats)
+    n_chunks = -(-n_batch // _CHUNK)
+    window = np.zeros((n_chunks * _CHUNK, (p + _BLOCK) * n_vars))
+    for t in range(n_init, n_init + n_steps, _BLOCK):
+        steps = min(_BLOCK, n_init + n_steps - t)
+        cols = (p + steps) * n_vars
+        window[:n_batch, :cols] = out[:, t - p : t + steps].reshape(n_batch, cols)
+        chunks = window[:, :cols].reshape(n_chunks, _CHUNK, cols)
+        levels = chunks @ step_map[:cols, : steps * n_vars]
+        out[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
     return out
 
 

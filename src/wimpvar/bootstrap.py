@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _batch
 from ._batch import cholesky_batch as _chol_batch  # its own layer in perfbench/tracing.py
-from .errors import ConfigError, DataError, EstimationError, check_integer
+from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
 from .ranks import RankSelector, plausibility_weights
 from .timeseries import (
     DetrendedSeries,
@@ -300,6 +300,7 @@ def _prepare(
     ``true_rank`` is the rank of a known data-generating process.
     """
     check_integer("p", p)
+    check_weight_constants(c1, c2)
     if isinstance(data, TimeSeriesData):
         raw = data.values
     elif isinstance(data, DetrendedSeries):
@@ -450,8 +451,10 @@ def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
     pi, gammas = _batch.rank_fit_batch(prep.sweep, dgp_rank)
     resid = _batch.residuals_batch(prep.sweep, pi)
     n_draw = prep.n_obs - prep.p - 1
-    samples = _batch.rebuild_vecm_batch(
-        pi[0], gammas[0], _draw_errors(resid, prep.cfg, 1, dgp_rank, n_draw), prep.raw[: prep.p + 1]
+    samples = _batch.rebuild_levels_batch(
+        _batch.var_matrices_batch(pi, gammas)[0],
+        _draw_errors(resid, prep.cfg, 1, dgp_rank, n_draw),
+        prep.raw[: prep.p + 1],
     )
     return _BootBatch(samples=samples, sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
 
@@ -652,8 +655,8 @@ def fdbb_interval(
     # Level two: one sample per level-one sample, rebuilt under its own
     # selected rank, with the same centered-residual resampling scheme.
     code, n_draw = _SELECTOR_CODES[selector.method], prep.n_obs - prep.p - 1
-    samples2 = _batch.rebuild_vecm_batch(
-        pi_star, gam_star,
+    samples2 = _batch.rebuild_levels_batch(
+        _batch.var_matrices_batch(pi_star, gam_star),
         _draw_errors(_batch.residuals_batch(boot.sweep, pi_star), cfg, 2, code, n_draw),
         boot.samples[:, : prep.p + 1],
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import bootstrap as bt
-from .errors import ConfigError, DataError, EstimationError, WimpvarError
+from .errors import ConfigError, DataError, EstimationError, WimpvarError, check_weight_constants
 from .montecarlo import ExperimentConfig, make_dgp, run_experiment
 from .timeseries import DetrendMode, TimeSeriesData
 from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY
@@ -301,8 +301,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
     if cfg.h_max < 1:
         raise ConfigError(f"h_max must be >= 1, got {cfg.h_max}")
-    if cfg.c1 <= 0 or not 0 < cfg.c2 < 1:
-        raise ConfigError("weight constants need c1 > 0 and 0 < c2 < 1")
+    check_weight_constants(cfg.c1, cfg.c2)
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     detrend_modes = [m.value for m in DetrendMode]

@@ -28,3 +28,10 @@ def check_integer(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_weight_constants(c1, c2) -> None:
+    """Raise ConfigError unless c1 > 0 and 0 < c2 < 1 (NaN fails), the
+    domain of the plausibility weights' shrink factor c1 * T**(-c2)."""
+    if not (c1 > 0 and 0 < c2 < 1):
+        raise ConfigError(f"weight constants need c1 > 0 and 0 < c2 < 1, got c1={c1!r}, c2={c2!r}")

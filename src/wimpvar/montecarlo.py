@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bootstrap as bt
-from .errors import ConfigError, DataError, EstimationError, check_integer
+from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
 from .timeseries import DetrendMode
 from .vecm import IrfArray, IrfQuery, REDUCED_FORM
 
@@ -28,7 +28,6 @@ __all__ = [
     "simulate_path",
     "true_irf",
     "run_experiment",
-    "KNOWN_METHODS",
 ]
 
 # Fixed loading/cointegration vectors of the simulation design.
@@ -105,9 +104,6 @@ def true_irf(spec: DgpSpec, h_max: int) -> IrfArray:
     return IrfArray(psi, REDUCED_FORM)
 
 
-KNOWN_METHODS = tuple(bt.METHODS)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Monte Carlo design; defaults follow the full-scale experiment."""
@@ -129,6 +125,7 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", DetrendMode(self.mode))
         for name in ("n_mc", "h_max", "p", "seed"):
             check_integer(name, getattr(self, name))
+        check_weight_constants(self.c1, self.c2)
         unknown = [m for m in self.methods if m not in bt.METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(unknown)}")

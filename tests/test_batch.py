@@ -162,13 +162,14 @@ def test_var_matrices_and_irf_batch_match_reference():
         assert np.array_equal(irf_reduced(vecm_to_var(fit), 15).values, psi[i])
 
 
-def test_rebuild_vecm_batch_matches_scalar_loop():
+def test_rebuild_of_vecm_matrices_matches_scalar_loop():
     rng = np.random.default_rng(61)
     pi = rng.standard_normal((3, 3)) * 0.05
     gammas = rng.standard_normal((1, 3, 3)) * 0.1
     errors = rng.standard_normal((4, 30, 3))
     init = rng.standard_normal((3, 3))  # p + 1 = 3 rows
-    out = _batch.rebuild_vecm_batch(pi, gammas, errors, init)
+    mats = _batch.var_matrices_batch(pi[None], gammas[None])[0]
+    out = _batch.rebuild_levels_batch(mats, errors, init)
     assert out.shape == (4, 33, 3)
     for b in range(4):
         path = np.zeros((33, 3))
@@ -195,6 +196,26 @@ def test_rebuild_levels_batch_matches_scalar_loop():
         for t in range(3, 23):
             path[t] = mats[0] @ path[t - 1] + mats[1] @ path[t - 2] + errors[b, t - 3]
         assert np.allclose(out[b], path, atol=1e-12)
+
+
+def test_rebuild_levels_batch_p4_matches_scalar_loop_across_blocks():
+    # 3 full blocks of _BLOCK steps and a partial one, with shared coefficients.
+    rng = np.random.default_rng(63)
+    mats = rng.standard_normal((4, 3, 3)) * 0.15
+    n_steps = 3 * _batch._BLOCK + 5
+    errors = rng.standard_normal((5, n_steps, 3))
+    init = rng.standard_normal((5, 3))
+    out = _batch.rebuild_levels_batch(mats, errors, init)
+    assert out.shape == (5, 5 + n_steps, 3)
+    for b in range(5):
+        path = np.zeros((5 + n_steps, 3))
+        path[:5] = init
+        for t in range(5, 5 + n_steps):
+            path[t] = errors[b, t - 5]
+            for lag in range(1, 5):
+                path[t] += mats[lag - 1] @ path[t - lag]
+        assert np.array_equal(out[b, :5], init)
+        assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
 
 
 def test_ols_var_levels_batch_matches_lstsq():

@@ -117,15 +117,15 @@ def test_resample_deterministic_given_seed():
 
 def _rebuild_one(fit, errors, init):
     """One path of the bootstrap recursion under a fit's Pi and Gammas."""
-    gammas = np.reshape(fit.Gammas, (fit.p - 1, fit.n_vars, fit.n_vars))
-    return _batch.rebuild_vecm_batch(fit.Pi, gammas, errors[None], init)[0]
+    gammas = np.reshape(fit.Gammas, (1, fit.p - 1, fit.n_vars, fit.n_vars))
+    mats = _batch.var_matrices_batch(fit.Pi[None], gammas)[0]
+    return _batch.rebuild_levels_batch(mats, errors[None], init)[0]
 
 
 def test_rebuild_zero_dynamics_constant_path():
     init = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = _batch.rebuild_vecm_batch(
-        np.zeros((2, 2)), np.empty((0, 2, 2)), np.zeros((1, 6, 2)), init
-    )[0]
+    mats = _batch.var_matrices_batch(np.zeros((1, 2, 2)), np.empty((1, 0, 2, 2)))[0]
+    out = _batch.rebuild_levels_batch(mats, np.zeros((1, 6, 2)), init)[0]
     assert out.shape == (8, 2)
     assert np.array_equal(out[:2], init)
     assert np.all(out[2:] == init[1])
@@ -160,14 +160,35 @@ def test_rebuild_rejects_explosive():
     # a stable path in the same batch is swept as usual.
     prep = prepare(_sim(76), 1, _queries(1), BootstrapConfig(n_boot=39))
     pi = np.stack([np.eye(3) * 99.0, np.zeros((3, 3))])
+    mats = _batch.var_matrices_batch(pi, np.empty((2, 0, 3, 3)))
     errors = np.random.default_rng(8).standard_normal((2, 300, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _batch.rebuild_vecm_batch(pi, np.empty((0, 3, 3)), errors, np.ones((2, 3)))
+        samples = _batch.rebuild_levels_batch(mats, errors, np.ones((2, 3)))
     assert not np.isfinite(samples[0]).all() and np.isfinite(samples[1]).all()
     sweep = _resweep(samples, prep)
     assert sweep.reason[0] & _batch.NONFINITE
     assert not sweep.reason[1] & _batch.NONFINITE
     assert list(sweep.ok) == [False, True]
+
+
+def test_rebuild_nan_innovation_stays_in_its_row():
+    # One NaN innovation spoils its own path only: every other row of the
+    # shared-coefficient batch is bitwise the clean run, and only the
+    # spoilt sample is flagged as non-finite by the re-sweep.
+    prep = prepare(_sim(77), 2, _queries(1), BootstrapConfig(n_boot=39))
+    pi, gammas = _batch.rank_fit_batch(prep.sweep, 1)
+    mats = _batch.var_matrices_batch(pi, gammas)[0]
+    errors = np.random.default_rng(9).standard_normal((70, prep.n_obs - 3, 3))
+    clean = _batch.rebuild_levels_batch(mats, errors, prep.raw[:3])
+    errors[66, 44, 1] = np.nan  # time 47, inside the block of times 43..50
+    spoilt = _batch.rebuild_levels_batch(mats, errors, prep.raw[:3])
+    others = np.arange(70) != 66
+    assert np.array_equal(spoilt[others], clean[others])
+    assert np.array_equal(spoilt[66, :43], clean[66, :43])  # the blocks before it
+    assert np.isnan(spoilt[66, 47]).any()
+    sweep = _resweep(spoilt, prep)
+    assert list(np.flatnonzero(sweep.reason & _batch.NONFINITE)) == [66]
+    assert np.array_equal(sweep.reason[others], _resweep(clean, prep).reason[others])
 
 
 # --- fixed-rank intervals --------------------------------------------------------------
@@ -570,6 +591,21 @@ def test_integer_settings_accept_numpy_integers():
     numpy = fixed_rank_interval(prepare(y, np.int64(1), queries, cfg), 2)
     assert np.array_equal(plain.lower, numpy.lower)
     assert np.array_equal(plain.upper, numpy.upper)
+
+
+BAD_WEIGHT_CONSTANTS = [(-1.0, 0.5), (0.0, 0.5), (float("nan"), 0.5), (1.0, 1.5), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("c1, c2", BAD_WEIGHT_CONSTANTS)
+def test_weight_constants_rejected_by_prepare(c1, c2):
+    with pytest.raises(ConfigError, match="weight constants"):
+        prepare(_sim(94), 1, _queries(1), BootstrapConfig(n_boot=39), c1=c1, c2=c2)
+
+
+@pytest.mark.parametrize("c1, c2", BAD_WEIGHT_CONSTANTS)
+def test_weight_constants_rejected_by_experiment_config(c1, c2):
+    with pytest.raises(ConfigError, match="weight constants"):
+        ExperimentConfig(dgp=make_dgp("dgp1", 60), n_mc=2, methods=("wimp",), c1=c1, c2=c2)
 
 
 def test_config_validation():

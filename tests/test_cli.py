@@ -193,6 +193,26 @@ def test_analyze_estimation_failure_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("analyze", ["--c1", "-1"]),
+    ("analyze", ["--c2", "1.5"]),
+    ("simulate", "c1 = 0"),
+    ("simulate", "c2 = 1.5"),
+])
+def test_weight_constants_exit_code(tmp_path, capsys, command, setting):
+    out = str(tmp_path / "o")
+    if command == "analyze":
+        argv = ["analyze", "--input", _toy_csv(tmp_path, seed=8), "--B", "39", "--h-max", "1"]
+        argv += setting
+    else:
+        argv = ["simulate", "--T", "40", "--n-mc", "1", "--B", "39", "--h-max", "1",
+                "--methods", "wimp", "--workers", "1",
+                "--config", _write(tmp_path, "run.cfg", setting + "\n")]
+    assert main(argv + ["--out", out]) == 2
+    assert "weight constants" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_config_file_with_flag_override(tmp_path):
     csv_path = _toy_csv(tmp_path, seed=7)
     config = _write(

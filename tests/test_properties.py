@@ -1,7 +1,8 @@
 """Property-based tests of invariants the estimator guarantees.
 
 * One implementation: a B=1 batch gives, bit for bit, the matching slice of
-  a B>1 batch, for every kernel the single-sample API calls.
+  a B>1 batch, for every kernel the single-sample API calls and for the
+  resampling recursion, at every position of the batch.
 * One query-value path: query values at per-sample ranks equal, row by row
   and bit for bit, the values at each row's rank imposed on the whole batch,
   and the observed sample's table at ranks 0..K equals B=1 calls.
@@ -77,6 +78,44 @@ def test_one_sample_equals_its_slice_of_a_batch(seed, n_batch, mode, p, data):
     alone = _pipeline(ys[index : index + 1], mode, p)
     for name, values in alone.items():
         assert np.array_equal(values[0], batched[name][index]), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(2, 70),
+    p=st.integers(1, 4),
+    n_vars=st.integers(1, 4),
+    n_steps=st.integers(0, 3 * _batch._BLOCK),
+    shared_mats=st.booleans(),
+    shared_init=st.booleans(),
+    data=st.data(),
+)
+def test_rebuilt_path_is_independent_of_its_batch(
+    seed, n_batch, p, n_vars, n_steps, shared_mats, shared_init, data
+):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((n_batch, p, n_vars, n_vars)) * (0.5 / p)
+    init = rng.standard_normal((n_batch, p + 1, n_vars))
+    errors = rng.standard_normal((n_batch, n_steps, n_vars))
+    if shared_mats:
+        mats = mats[0]
+    if shared_init:
+        init = init[0]
+
+    def rebuild(rows):
+        return _batch.rebuild_levels_batch(
+            mats if shared_mats else mats[rows],
+            errors[rows],
+            init if shared_init else init[rows],
+        )
+
+    full = rebuild(np.arange(n_batch))
+    assert full.shape == (n_batch, p + 1 + n_steps, n_vars)
+    index = data.draw(st.integers(0, n_batch - 1))
+    assert np.array_equal(rebuild(np.array([index]))[0], full[index])
+    order = np.array(data.draw(st.permutations(range(n_batch))))
+    assert np.array_equal(rebuild(order), full[order])
 
 
 def _query_set(kind):
