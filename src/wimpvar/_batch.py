@@ -86,7 +86,8 @@ def detrend_batch(y: np.ndarray, mode: str):
         design = np.column_stack([np.ones(n_obs), t])
     proj = np.linalg.solve(design.T @ design, design.T)  # (d, T)
     coef = proj @ y  # broadcasts to (B, d, K)
-    return y - design @ coef, coef
+    tilde = design @ coef
+    return np.subtract(y, tilde, out=tilde), coef
 
 
 def regressors_batch(tilde: np.ndarray, p: int, paper_convention: bool = False):
@@ -195,8 +196,10 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
         a22 = _masked(a22, reason == 0)
         p20 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z0)
         p21 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z1)
-        r0 = z0 - z2 @ p20
-        r1 = z1 - z2 @ p21
+        r0 = z2 @ p20
+        np.subtract(z0, r0, out=r0)
+        r1 = z2 @ p21
+        np.subtract(z1, r1, out=r1)
     else:
         p20 = np.empty((n_batch, 0, n_vars))
         p21 = np.empty((n_batch, 0, n_vars))
@@ -277,7 +280,8 @@ def rank_fit_batch(sweep: BatchSweep, rank: int):
 
 def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
     """Error-correction residuals implied by a Pi stack, (B, T_eff, K)."""
-    return sweep.R0 - sweep.R1 @ np.swapaxes(pi, 1, 2)
+    resid = sweep.R1 @ np.swapaxes(pi, 1, 2)
+    return np.subtract(sweep.R0, resid, out=resid)
 
 
 def sigma_batch(sweep: BatchSweep, rank: int) -> np.ndarray:

@@ -85,7 +85,8 @@ class IntervalSet:
     """Per-query interval estimates from one bootstrap run.
 
     ``lower``, ``upper`` and ``point`` are read-only float arrays aligned
-    with ``queries``.
+    with ``queries``.  An infinite bound is an unbounded end; a NaN bound, a
+    non-finite point or bounds out of order raise :class:`EstimationError`.
     """
 
     method: str
@@ -109,6 +110,10 @@ class IntervalSet:
                 )
             values.flags.writeable = False
             setattr(self, name, values)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise EstimationError(f"the {self.method} interval set has a NaN bound")
+        if not np.isfinite(self.point).all():
+            raise EstimationError(f"the {self.method} interval set has a non-finite point")
         disordered = np.flatnonzero(self.lower > self.upper)
         if disordered.size:
             i = disordered[0]
@@ -412,17 +417,26 @@ def _draw_index_matrix(seed, level, code, n_boot, pool_size, n_draw):
 
 @dataclass
 class _BootBatch:
-    samples: np.ndarray  # (B, T, K) rebuilt level paths
+    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and the
+    per-batch results its methods share, keyed by step (read-only arrays).
+
+    The paths themselves are not kept: they start from the observed initial
+    rows, which is all FDBB level two reads of them.
+    """
+
     sweep: _batch.BatchSweep
     dgp_rank: int
+    memo: dict = field(default_factory=dict)
 
 
 def _redetrend(samples: np.ndarray, prep: _Prepared):
     """Detrend rebuilt paths like the observed sample, non-finite paths zeroed;
     returns (detrended paths, finite mask)."""
     finite = np.isfinite(samples).all(axis=(1, 2))
+    if not finite.all():
+        samples = np.where(finite[:, None, None], samples, 0.0)
     use_mode = prep.mode if prep.cfg.detrend_bootstrap else DetrendMode.NONE
-    tilde, _ = _batch.detrend_batch(np.where(finite[:, None, None], samples, 0.0), use_mode)
+    tilde, _ = _batch.detrend_batch(samples, use_mode)
     return tilde, finite
 
 
@@ -444,7 +458,7 @@ def _draw_errors(resid: np.ndarray, cfg: BootstrapConfig, level: int, code: int,
     idx = _draw_index_matrix(cfg.seed, level, code, cfg.n_boot, n_pool, n_draw)
     if centered.shape[0] > 1:
         idx += np.arange(0, centered.shape[0] * n_pool, n_pool)[:, None]
-    return centered.reshape(-1, n_vars)[idx]
+    return np.take(centered.reshape(-1, n_vars), idx, axis=0)  # a faster gather than [idx]
 
 
 def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
@@ -456,7 +470,13 @@ def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
         _draw_errors(resid, prep.cfg, 1, dgp_rank, n_draw),
         prep.raw[: prep.p + 1],
     )
-    return _BootBatch(samples=samples, sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
+    return _BootBatch(sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries):
@@ -563,11 +583,17 @@ def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
 def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str):
     """Level one of the rank re-selection bootstraps: the observed rank, the
     level-1 batch, its per-sample selected ranks and the replications' query
-    values, ok flags and fit at those ranks."""
+    values, ok flags and fit at those ranks.  The batch keeps the per-sample
+    part, so ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
     r_hat = prep.select_rank(selector)
     boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars)
-    ranks_star = _batch.select_batch(boot.sweep, selector)
-    return (r_hat, boot, ranks_star, *_zeta_at_rank(boot.sweep, ranks_star, prep.cq))
+    key = ("reselect", selector)
+    if key not in boot.memo:
+        ranks_star = _batch.select_batch(boot.sweep, selector)
+        values, ok, (pi, gammas) = _zeta_at_rank(boot.sweep, ranks_star, prep.cq)
+        _read_only(ranks_star, values, ok, pi, gammas)
+        boot.memo[key] = (ranks_star, values, ok, (pi, gammas))
+    return (r_hat, boot, *boot.memo[key])
 
 
 def bers_interval(
@@ -594,6 +620,31 @@ def bers_interval(
     )
 
 
+def _ma_sums(prep: _Prepared, boot: _BootBatch):
+    """The replications' per-rank query values averaged with their own
+    weights and with the observed-data weights, (B, Q) each, and ok.
+
+    One pass over ranks 0..K serves ``ma`` and ``ma_fixed``; each rank's
+    values go straight into the two sums, summed in rank order from zero.
+    """
+    if "ma" not in boot.memo:
+        sweep = boot.sweep
+        stats = _batch.trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
+        _, weights_star = _batch.weights_batch(stats, sweep.t_eff, prep.c1, prep.c2)
+        data_weights = prep.weights().normalized
+        endogenous = np.zeros((sweep.reason.size, len(prep.queries)))
+        fixed = np.zeros_like(endogenous)
+        ok = sweep.ok
+        for rank in range(prep.n_vars + 1):
+            values, rank_ok, _ = _zeta_at_rank(sweep, rank, prep.cq)
+            ok &= rank_ok
+            fixed += data_weights[rank] * values
+            values *= weights_star[:, rank, None]
+            endogenous += values
+        boot.memo["ma"] = _read_only(endogenous, fixed, ok)
+    return boot.memo["ma"]
+
+
 def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSet:
     """Interval for the plausibility-weighted average across all ranks.
 
@@ -606,26 +657,12 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSe
     """
     if weights_mode not in ("endogenous", "fixed"):
         raise ConfigError(f"weights_mode must be 'endogenous' or 'fixed', got {weights_mode!r}")
-    cq, cfg, n_vars = prep.cq, prep.cfg, prep.n_vars
+    cq, cfg = prep.cq, prep.cfg
     data_weights = prep.weights()
-    per_rank_points = np.stack([prep.point_zetas(r) for r in range(n_vars + 1)])
+    per_rank_points = np.stack([prep.point_zetas(r) for r in range(prep.n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
-
-    boot = prep.level1(data_weights.reference_rank)
-    zeta_by_rank = np.empty((cfg.n_boot, n_vars + 1, len(cq.queries)))
-    ok = boot.sweep.ok
-    for rank in range(n_vars + 1):
-        values, rank_ok, _ = _zeta_at_rank(boot.sweep, rank, cq)
-        zeta_by_rank[:, rank] = values
-        ok &= rank_ok
-    if weights_mode == "endogenous":
-        stats = _batch.trace_stats_batch(boot.sweep.eigenvalues, boot.sweep.t_eff)
-        _, weights_star = _batch.weights_batch(stats, boot.sweep.t_eff, prep.c1, prep.c2)
-    else:
-        weights_star = np.broadcast_to(
-            data_weights.normalized, (cfg.n_boot, n_vars + 1)
-        )
-    zeta_star = np.einsum("br,brq->bq", weights_star, zeta_by_rank)
+    endogenous, fixed, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank))
+    zeta_star = endogenous if weights_mode == "endogenous" else fixed
     lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the model-averaging bootstrap")
     return _to_interval_set(
         "ma" if weights_mode == "endogenous" else "ma_fixed",
@@ -653,12 +690,13 @@ def fdbb_interval(
     )
 
     # Level two: one sample per level-one sample, rebuilt under its own
-    # selected rank, with the same centered-residual resampling scheme.
+    # selected rank, with the same centered-residual resampling scheme and
+    # the same initial rows, the observed ones.
     code, n_draw = _SELECTOR_CODES[selector.method], prep.n_obs - prep.p - 1
     samples2 = _batch.rebuild_levels_batch(
         _batch.var_matrices_batch(pi_star, gam_star),
         _draw_errors(_batch.residuals_batch(boot.sweep, pi_star), cfg, 2, code, n_draw),
-        boot.samples[:, : prep.p + 1],
+        prep.raw[: prep.p + 1],
     )
     sweep2 = _resweep(samples2, prep)
     zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), cq)

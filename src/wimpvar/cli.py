@@ -46,10 +46,13 @@ _ANALYZE_EXTRAS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _row_format(row) -> str:
+    """One %-format for rows typed like ``row``: strings as they are, integers
+    (bools included) in decimal, any other number with 17 significant digits."""
+    return ",".join(
+        "%s" if isinstance(cell, str) else "%d" if isinstance(cell, (int, np.integer)) else "%.17g"
+        for cell in row
+    )
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -60,9 +63,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Write a table whose columns keep one type each: every row is formatted
+    with the first row's format."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    if rows:
+        row_format = _row_format(rows[0])
+        lines.extend(row_format % tuple(row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

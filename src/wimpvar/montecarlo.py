@@ -232,8 +232,9 @@ def _bounds_from(method: str, result, n_queries: int):
     """A method's (lower, upper) arrays, checked against the query count.
 
     Raises ConfigError naming the method when the result is not a pair of
-    ``n_queries`` bounds each, and EstimationError when a lower bound
-    exceeds its upper bound.
+    ``n_queries`` bounds each, and EstimationError when a bound is NaN or
+    a lower bound exceeds its upper bound (an infinite bound is an
+    unbounded end).
     """
     if isinstance(result, bt.IntervalSet):
         lower, upper = result.lower, result.upper
@@ -247,6 +248,8 @@ def _bounds_from(method: str, result, n_queries: int):
             f"method {method!r} returned {lower.size} lower and {upper.size} upper "
             f"bounds for {n_queries} queries"
         )
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise EstimationError(f"method {method!r} returned a NaN bound")
     if np.any(lower > upper):
         raise EstimationError(f"method {method!r} returned a lower bound above its upper bound")
     return lower, upper
@@ -284,7 +287,7 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
             try:
                 lower, upper = _bounds_from(method, results[method], len(queries))
             except EstimationError:
-                continue  # bounds out of order count as a failure, as in IntervalSet
+                continue  # NaN or disordered bounds fail, as in IntervalSet
             low = lower.reshape(n_vars, n_vars, h_max)
             upp = upper.reshape(n_vars, n_vars, h_max)
             covered[m] += (low <= truth) & (truth <= upp)

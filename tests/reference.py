@@ -1,7 +1,8 @@
 """Single-sample reference implementations that the package no longer ships.
 
-The package evaluates queries through compiled batch gathers; these are the
-plain per-query versions the tests check it against.
+The package evaluates queries through compiled batch gathers and writes CSV
+rows with one format per table; these are the plain per-query and per-cell
+versions the tests check it against.
 """
 import numpy as np
 
@@ -41,3 +42,13 @@ def evaluate_zeta(irf: IrfArray, query: IrfQuery) -> float:
     if query.functional == "element":
         return float(series[query.horizon])
     return float(series[: query.h_max + 1].max())
+
+
+def format_cell(value) -> str:
+    """One CSV cell: a string as it is, an integer in decimal, any other
+    number with 17 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")

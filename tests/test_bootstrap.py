@@ -506,6 +506,17 @@ def test_interval_set_rejects_out_of_order_bounds():
         _interval_set([0.0, 3.0], [1.0, 2.0])
 
 
+def test_interval_set_rejects_nan_bounds_and_non_finite_points():
+    _interval_set([-np.inf, 0.0], [np.inf, 1.0])  # an infinite bound is an unbounded end
+    with pytest.raises(EstimationError, match="NaN bound"):
+        _interval_set([np.nan, 0.0], [1.0, 1.0])  # NaN > 1.0 is False: no order error
+    with pytest.raises(EstimationError, match="NaN bound"):
+        _interval_set([0.0, 0.0], [1.0, np.nan])
+    for point in ((np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(EstimationError, match="non-finite point"):
+            _interval_set([0.0, 0.0], [1.0, 1.0], point)
+
+
 def test_interval_set_rejects_misaligned_arrays():
     with pytest.raises(ConfigError, match="upper has shape"):
         _interval_set([0.0, 1.0], [1.0, 2.0, 3.0])

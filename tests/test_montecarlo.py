@@ -7,6 +7,7 @@ from wimpvar import (
     DgpSpec,
     EstimationError,
     ExperimentConfig,
+    IntervalSet,
     VarLevels,
     irf_reduced,
     make_dgp,
@@ -205,6 +206,29 @@ def test_runner_bounds_out_of_order_fail_the_replication():
         assert table.n_failed("ols") == 0
         with pytest.raises(EstimationError, match="stub_reversed"):
             _bounds_from("stub_reversed", (np.ones(2), np.zeros(2)), 2)
+    finally:
+        _EXTRA_METHODS.clear()
+
+
+def test_runner_nan_bound_fails_the_replication():
+    n_queries = 9 * 6
+    lower, upper = np.zeros(n_queries), np.full(n_queries, 2.0)
+    lower[0] = np.nan
+
+    def stub_nan_set(prep):
+        return IntervalSet(
+            method="stub_nan_set", gamma=0.05, rank=None, queries=prep.queries,
+            lower=lower, upper=upper, point=np.ones(n_queries), n_boot=39, n_failed=0,
+        )
+
+    register_method("stub_nan", lambda prep: (lower, upper))
+    register_method("stub_nan_set", stub_nan_set)
+    try:
+        table = run_experiment(_tiny_config(("ols", "stub_nan", "stub_nan_set"), n_mc=3))
+        assert table.n_failed("stub_nan") == table.n_failed("stub_nan_set") == 3
+        assert table.n_failed("ols") == 0
+        with pytest.raises(EstimationError, match="stub_nan"):
+            _bounds_from("stub_nan", (lower[:2], upper[:2]), 2)
     finally:
         _EXTRA_METHODS.clear()
 

@@ -10,17 +10,27 @@
   relabelling or rescaling of the variables, so the squared canonical
   correlations and trace statistics do not move, and the reduced-form
   responses follow the transformation, Psi -> D Psi D^{-1}.
+* Shared work on a held level-1 batch: ``ma``/``ma_fixed`` and each
+  ``bers_*``/``fdbb_*`` pair compute their common part once, read-only,
+  and every method's interval set is, bit for bit, the one it gives alone
+  on a fresh sample, whatever order the methods run in.
+* One row format per CSV table writes the cells the per-cell format did.
 """
+import functools
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wimpvar import _batch  # noqa: E402
-from wimpvar import BootstrapConfig, IrfQuery  # noqa: E402
+from reference import format_cell  # noqa: E402
+from wimpvar import _batch, bootstrap, cli  # noqa: E402
+from wimpvar import BootstrapConfig, IntervalSet, IrfQuery, RankSelector  # noqa: E402
 from wimpvar import fit_vecm, irf_reduced, trace_statistics, vecm_to_var  # noqa: E402
-from wimpvar.bootstrap import _compile_queries, _prepare, _zeta_at_rank  # noqa: E402
+from wimpvar.bootstrap import (  # noqa: E402
+    METHODS, _attempt, _compile_queries, _prepare, _zeta_at_rank, run_methods,
+)
 from wimpvar.timeseries import DetrendMode  # noqa: E402
 
 
@@ -209,3 +219,127 @@ def test_rescaling_a_variable_scales_its_response_row_and_column(seed, var, scal
     factor[var] = scale
     expected = psi * factor[None, :, None] / factor[None, None, :]
     assert np.allclose(psi_s, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
+
+
+# ---------------------------------------------------------------------------
+# work shared on the held level-1 batch
+
+MEMO_SEEDS = (0, 11)  # seed 0: AIC, BIC and the reference rank share one batch
+
+
+def _fresh(seed):
+    """A K=3, p=2 sample with structural queries, prepared anew."""
+    cfg = BootstrapConfig(n_boot=39, seed=seed)
+    return _prepare(_paths(seed, 1, n_obs=70)[0], 2, _query_set("structural_cholesky"), cfg,
+                    DetrendMode.CONSTANT)
+
+
+@functools.lru_cache(maxsize=None)
+def _alone(seed):
+    """Every analyze method's result, each on its own fresh sample."""
+    return {name: _attempt(METHODS[name].run, _fresh(seed)) for name in cli._ANALYZE_EXTRAS}
+
+
+def _same_result(a, b) -> bool:
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    fields = ("method", "rank", "queries", "n_boot", "n_failed", "rank_counts")
+    return isinstance(b, IntervalSet) and all(
+        getattr(a, name) == getattr(b, name) for name in fields
+    ) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("lower", "upper", "point")
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.sampled_from(MEMO_SEEDS), order=st.permutations(cli._ANALYZE_EXTRAS))
+def test_run_methods_gives_each_method_its_result_alone_in_any_order(seed, order):
+    out = run_methods(_fresh(seed), order)
+    assert list(out) == list(order)
+    for name in order:
+        assert _same_result(out[name], _alone(seed)[name]), name
+
+
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
+    built, zeta_sweeps = [], []
+    build, zeta = bootstrap._level1_batch, bootstrap._zeta_at_rank
+
+    def building(prep, dgp_rank):
+        boot = build(prep, dgp_rank)
+        built.append(boot.sweep)
+        return boot
+
+    def counting(sweep, *args, **kwargs):
+        zeta_sweeps.append(sweep)
+        return zeta(sweep, *args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "_level1_batch", building)
+    monkeypatch.setattr(bootstrap, "_zeta_at_rank", counting)
+
+    def level1_calls(names):
+        built.clear()
+        zeta_sweeps.clear()
+        out = run_methods(_fresh(seed), names)
+        assert all(isinstance(result, IntervalSet) for result in out.values()), out
+        assert len(built) == 1  # the pair reads one batch
+        return sum(sweep is built[0] for sweep in zeta_sweeps)
+
+    assert level1_calls(("ma", "ma_fixed")) == 4  # ranks 0..K, K = 3
+    assert level1_calls(("ma_fixed", "ma")) == 4
+    for label in ("aic", "bic"):
+        assert level1_calls((f"bers_{label}", f"fdbb_{label}")) == 1
+        assert level1_calls((f"fdbb_{label}", f"bers_{label}")) == 1
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [array for item in value for array in _arrays(item)]
+
+
+def test_memo_arrays_are_read_only():
+    prep = _fresh(MEMO_SEEDS[0])
+    for run in (lambda: bootstrap.bers_interval(prep, RankSelector("aic")),
+                lambda: bootstrap.ma_interval(prep, "fixed")):
+        run()
+        arrays = _arrays(list(prep._held.memo.values()))
+        assert len(arrays) >= 3
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# CSV rows
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+    2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3,
+]
+# One strategy per type a table column can hold.
+_CELLS = {
+    "int": st.integers(-(2**70), 2**70),
+    "int8": st.integers(-128, 127).map(np.int8),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "uint64": st.integers(0, 2**64 - 1).map(np.uint64),
+    "bool": st.booleans(),
+    "numpy_bool": st.booleans().map(np.bool_),
+    "str": st.text(st.characters(blacklist_characters=",\r\n"), max_size=12),
+    "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+    "float64": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=8), data=st.data())
+def test_csv_row_format_writes_the_per_cell_format(tmp_path_factory, kinds, data):
+    rows = [[data.draw(_CELLS[kind]) for kind in kinds] for _ in range(data.draw(st.integers(1, 4)))]
+    header = [f"c{i}" for i in range(len(kinds))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    cli._write_csv(str(path), header, rows)
+    expected = [",".join(header)] + [",".join(format_cell(cell) for cell in row) for row in rows]
+    assert path.read_bytes().decode("utf-8") == "\n".join(expected) + "\n"
