@@ -309,17 +309,40 @@ def var_matrices_batch(pi: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return mats
 
 
-def irf_batch(mats: np.ndarray, h_max: int) -> np.ndarray:
-    """Reduced-form responses (B, h_max+1, K, K) of a levels VAR stack."""
+def companion_batch(mats: np.ndarray) -> np.ndarray:
+    """Companion stack (B, Kp, Kp) of levels VAR stacks (B, p, K, K): the
+    first K rows hold [A_1 ... A_p], the rows below shift the lags down."""
     n_batch, p, n_vars, _ = mats.shape
-    psi = np.empty((n_batch, h_max + 1, n_vars, n_vars))
-    psi[:, 0] = np.eye(n_vars)
-    for j in range(1, h_max + 1):
-        acc = mats[:, 0] @ psi[:, j - 1]
-        for i in range(2, min(j, p) + 1):
-            acc += mats[:, i - 1] @ psi[:, j - i]
-        psi[:, j] = acc
-    return psi
+    width = p * n_vars
+    comp = np.zeros((n_batch, width, width))
+    comp[:, :n_vars] = mats.transpose(0, 2, 1, 3).reshape(n_batch, n_vars, width)
+    comp[:, n_vars:, : width - n_vars] = np.eye(width - n_vars)
+    return comp
+
+
+def irf_batch(mats: np.ndarray, h_max: int) -> np.ndarray:
+    """Reduced-form responses (B, h_max+1, K, K) of a levels VAR stack.
+
+    Psi_h = J C^h J' with C the companion matrix and J = [I_K 0].  The rows
+    R_h = J C^h are filled by doubling: R[n:n+m] = R[:m] C^n, one batched
+    product into R's own rows, then C^n is squared; ceil(log2(h_max+1))
+    products in all.  The result is R's first K columns, R itself when
+    p = 1 and else a compact copy, so the p times wider R is freed here.
+    """
+    n_batch, p, n_vars, _ = mats.shape
+    width = p * n_vars
+    power = companion_batch(mats)
+    rows = np.empty((n_batch, h_max + 1, n_vars, width))
+    rows[:, 0] = np.eye(n_vars, width)
+    flat = rows.reshape(n_batch, (h_max + 1) * n_vars, width)
+    done = 1
+    while done <= h_max:
+        m = min(done, h_max + 1 - done)
+        np.matmul(flat[:, : m * n_vars], power, out=flat[:, done * n_vars : (done + m) * n_vars])
+        done += m
+        if done <= h_max:
+            power = power @ power
+    return np.ascontiguousarray(rows[..., :n_vars])
 
 
 # Steps per block and rows per matrix product of the shared-coefficient
@@ -497,8 +520,9 @@ def hall_quantiles(stats: np.ndarray, points) -> list:
     """Order statistics ceil((n+1) g), clamped to 1..n, along axis 0.
 
     One (n, ...) stack of bootstrap statistics in, one array of shape
-    ``stats.shape[1:]`` out per quantile point g.
+    ``stats.shape[1:]`` out per quantile point g.  The stack is sorted in
+    place: pass a temporary, or a copy.
     """
     n = stats.shape[0]
-    ordered = np.sort(stats, axis=0)
-    return [ordered[min(max(int(np.ceil((n + 1) * g)), 1), n) - 1] for g in points]
+    stats.sort(axis=0)
+    return [stats[min(max(int(np.ceil((n + 1) * g)), 1), n) - 1] for g in points]

@@ -135,11 +135,12 @@ def hall_quantile(centered_stats, gamma_point: float) -> float:
         raise ValueError("bootstrap statistics must be finite")
     if not 0 < gamma_point < 1:
         raise ValueError(f"quantile point must lie in (0, 1), got {gamma_point}")
-    return float(_batch.hall_quantiles(stats, (gamma_point,))[0])
+    return float(_batch.hall_quantiles(stats.copy(), (gamma_point,))[0])
 
 
 def _hall_bounds(centered: np.ndarray, points: np.ndarray, gamma: float):
-    """Vectorized Hall interval bounds per query column."""
+    """Vectorized Hall interval bounds per query column; sorts the
+    temporary ``centered`` in place."""
     q_lo, q_hi = _batch.hall_quantiles(centered, (gamma / 2.0, 1.0 - gamma / 2.0))
     return points - q_hi, points - q_lo
 
@@ -532,7 +533,9 @@ def _finalize(zeta_star, ok, points, cfg, what):
     of the replications centered at ``points``."""
     ok = ok & np.isfinite(zeta_star).all(axis=1)
     n_failed = _census(ok, cfg, what)
-    lower, upper = _hall_bounds(zeta_star[ok] - points, points, cfg.gamma)
+    if n_failed:
+        zeta_star = zeta_star[ok]
+    lower, upper = _hall_bounds(zeta_star - points, points, cfg.gamma)
     return lower, upper, n_failed
 
 
@@ -703,8 +706,13 @@ def fdbb_interval(
 
     ok = ok1 & ok2 & np.isfinite(zeta_star).all(axis=1) & np.isfinite(zeta_2).all(axis=1)
     n_failed = _census(ok, cfg, "the double bootstrap")
+    # The mean reads the mask copy even when nothing failed: the copy is
+    # C-ordered, so the mean adds its rows one by one, whereas on the
+    # F-ordered query gathers it would sum pairwise and round otherwise.
     bagged = zeta_star[ok].mean(axis=0)
-    lower, upper = _hall_bounds(zeta_2[ok] - zeta_star[ok], bagged, cfg.gamma)
+    if n_failed:
+        zeta_star, zeta_2 = zeta_star[ok], zeta_2[ok]
+    lower, upper = _hall_bounds(zeta_2 - zeta_star, bagged, cfg.gamma)
     return _to_interval_set(
         f"fdbb_{selector.label}", r_hat, cq, lower, upper, bagged, cfg, n_failed,
         rank_counts=_rank_census(ranks_star, ok, cfg.n_boot),

@@ -266,18 +266,16 @@ def var_to_vecm(var: VarLevels):
 
 def companion_matrix(var: VarLevels) -> np.ndarray:
     """Kp x Kp companion form of the levels VAR."""
-    n_vars, p = var.n_vars, var.p
-    top = np.hstack(var.A)
-    if p == 1:
-        return top
-    lower = np.hstack([np.eye(n_vars * (p - 1)), np.zeros((n_vars * (p - 1), n_vars))])
-    return np.vstack([top, lower])
+    return _batch.companion_batch(np.stack(var.A)[None])[0]
 
 
 def irf_reduced(var: VarLevels, h_max: int) -> IrfArray:
     """Forecast-error impulse responses Psi_0..Psi_h of the levels VAR.
 
-    Psi_0 = I and Psi_j = sum_{i=1..min(j,p)} A_i Psi_{j-i}.
+    Psi_0 = I and Psi_j = sum_{i=1..min(j,p)} A_i Psi_{j-i}, computed as
+    Psi_h = J C^h J' with C = :func:`companion_matrix` and J = [I_K 0], by
+    doubling the powers of C: ceil(log2(h_max+1)) matrix products, which
+    equal the recursion up to rounding.
     """
     if h_max < 0:
         raise ConfigError(f"h_max must be >= 0, got {h_max}")

@@ -16,6 +16,20 @@ def companion_roots(var: VarLevels) -> np.ndarray:
     return np.sort(moduli)[::-1]
 
 
+def irf_stepwise(mats: np.ndarray, h_max: int) -> np.ndarray:
+    """Reduced-form responses (B, h_max+1, K, K) of a levels VAR stack by
+    the step recursion Psi_0 = I, Psi_j = sum_{i=1..min(j,p)} A_i Psi_{j-i}."""
+    n_batch, p, n_vars, _ = mats.shape
+    psi = np.empty((n_batch, h_max + 1, n_vars, n_vars))
+    psi[:, 0] = np.eye(n_vars)
+    for j in range(1, h_max + 1):
+        acc = mats[:, 0] @ psi[:, j - 1]
+        for i in range(2, min(j, p) + 1):
+            acc += mats[:, i - 1] @ psi[:, j - i]
+        psi[:, j] = acc
+    return psi
+
+
 def irf_structural(irf: IrfArray, chol: np.ndarray) -> IrfArray:
     """Structural responses Phi_j = Psi_j P for a given impact factor P."""
     if irf.kind != REDUCED_FORM:

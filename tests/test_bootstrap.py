@@ -29,7 +29,7 @@ from wimpvar import (
     wimp_interval,
 )
 from wimpvar import _batch
-from wimpvar.bootstrap import _census, _draw_errors, _draw_index_matrix, _resweep
+from wimpvar.bootstrap import _census, _draw_errors, _draw_index_matrix, _finalize, _resweep
 from wimpvar.timeseries import DetrendMode
 
 
@@ -82,6 +82,41 @@ def test_hall_quantile_rejects_empty_and_nan():
         hall_quantile(np.array([]), 0.5)
     with pytest.raises(ValueError):
         hall_quantile(np.array([1.0, np.nan]), 0.5)
+
+
+def test_hall_quantile_leaves_the_callers_array_alone():
+    # The batch quantile sorts its input in place; the public one sorts a copy.
+    rng = np.random.default_rng(72)
+    stats = rng.standard_normal((15, 20))  # 2-D, so the flattened stats are a view
+    before = stats.copy()
+    assert hall_quantile(stats, 0.3) == np.sort(before.ravel())[90]
+    assert np.array_equal(stats, before)
+    frozen = rng.standard_normal(50)
+    frozen.flags.writeable = False
+    before = frozen.copy()
+    assert hall_quantile(frozen, 0.3) == np.sort(before)[15]
+    assert np.array_equal(frozen, before)
+
+
+@pytest.mark.parametrize("failure", ["flag", "nan"])
+def test_finalize_bounds_without_a_failed_row_equal_the_clean_batch(failure):
+    # A clean batch takes no mask copy; masking one failed row out of an
+    # otherwise clean batch must give the same bounds, bit for bit.
+    rng = np.random.default_rng(73)
+    clean = np.asfortranarray(rng.standard_normal((99, 6)))  # the gathers' layout
+    points = rng.standard_normal(6)
+    cfg = BootstrapConfig(n_boot=100, max_failure_share=0.05)
+    kept = clean.copy()
+    lower, upper, n_failed = _finalize(clean, np.ones(99, bool), points, cfg, "a test")
+    assert n_failed == 0
+    assert np.array_equal(clean, kept)
+    row = np.full(6, np.nan) if failure == "nan" else rng.standard_normal(6)
+    dirty = np.asfortranarray(np.insert(clean, 40, row, axis=0))
+    ok = np.ones(100, bool)
+    ok[40] = failure == "nan"
+    lower2, upper2, n_failed2 = _finalize(dirty, ok, points, cfg, "a test")
+    assert n_failed2 == 1
+    assert lower2.tobytes() == lower.tobytes() and upper2.tobytes() == upper.tobytes()
 
 
 # --- resampling -------------------------------------------------------------------
