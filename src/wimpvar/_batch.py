@@ -90,24 +90,68 @@ def detrend_batch(y: np.ndarray, mode: str):
     return np.subtract(y, tilde, out=tilde), coef
 
 
+# Samples per design chunk of the sweep and rows per matrix product of the
+# shared-coefficient recursion.  Either way every BLAS call has a shape fixed
+# by the problem, not by the batch, so a sample's result does not depend on
+# the batch around it.
+_CHUNK = 64
+
+
+def _fill_design(out: np.ndarray, tilde: np.ndarray) -> None:
+    """Variable-major regression design of a (m, T, K) stack into ``out``,
+    (m, K(p+1), T_eff).
+
+    Column s explains the last T_eff times, t = T - T_eff + s (0-based), and
+    holds, top to bottom, [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t] with
+    dy_t = y_t - y_{t-1}: the lagged differences (Z2), the lagged level (Z1)
+    and the difference (Z0).
+    """
+    n_obs, n_vars = tilde.shape[1:]
+    p = out.shape[1] // n_vars - 1
+    start = n_obs - 1 - out.shape[2]
+    levels = np.swapaxes(tilde, 1, 2)
+    for lag in range(p):
+        row = n_vars * (lag - 1 if lag else p)
+        np.subtract(
+            levels[:, :, start + 1 - lag : n_obs - lag],
+            levels[:, :, start - lag : n_obs - 1 - lag],
+            out=out[:, row : row + n_vars],
+        )
+    out[:, n_vars * (p - 1) : n_vars * p] = levels[:, :, start : n_obs - 1]
+
+
+def _design_shape(tilde: np.ndarray, p: int, paper_convention: bool):
+    """(K(p+1), T_eff): the minimal sample drops p presample rows, the
+    alternative convention one more."""
+    n_obs, n_vars = tilde.shape[1:]
+    return n_vars * (p + 1), n_obs - p - (1 if paper_convention else 0)
+
+
+def _design_chunks(tilde: np.ndarray, p: int, paper_convention: bool):
+    """Yield (lo, hi, design): the design of samples lo:hi of a (B, T, K)
+    stack, _CHUNK samples at a time, filled into one reused buffer."""
+    n_batch = tilde.shape[0]
+    buf = np.empty((min(n_batch, _CHUNK),) + _design_shape(tilde, p, paper_convention))
+    for lo in range(0, n_batch, _CHUNK):
+        hi = min(lo + _CHUNK, n_batch)
+        _fill_design(buf[: hi - lo], tilde[lo:hi])
+        yield lo, hi, buf[: hi - lo]
+
+
 def regressors_batch(tilde: np.ndarray, p: int, paper_convention: bool = False):
     """The (Z0, Z1, Z2) regression blocks of a (B, T, K) stack for lag order p.
 
     Z0 holds the differences, Z1 the lagged levels and Z2 the p-1 lagged
     differences side by side; see :class:`~wimpvar.timeseries.VecmRegressors`
-    for the alignment.
+    for the alignment.  Each block is a (B, T_eff, .) view of one design
+    array, filled as the sweep fills its chunks.
     """
-    n_obs = tilde.shape[1]
-    dy = np.diff(tilde, axis=1)
-    start = p - 1 + (1 if paper_convention else 0)
-    z0 = dy[:, start:]
-    z1 = tilde[:, start : n_obs - 1]
-    if p > 1:
-        blocks = [dy[:, start - lag : n_obs - 1 - lag] for lag in range(1, p)]
-        z2 = np.concatenate(blocks, axis=2)
-    else:
-        z2 = np.empty((tilde.shape[0], z0.shape[1], 0))
-    return z0, z1, z2
+    design = np.empty((tilde.shape[0],) + _design_shape(tilde, p, paper_convention))
+    _fill_design(design, tilde)
+    blocks = np.swapaxes(design, 1, 2)
+    n_vars = tilde.shape[2]
+    lagged = n_vars * (p - 1)
+    return blocks[:, :, lagged + n_vars :], blocks[:, :, lagged : lagged + n_vars], blocks[:, :, :lagged]
 
 
 def _spd_mask(mats: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -140,12 +184,12 @@ class BatchSweep:
     vectors: np.ndarray  # (B, K, K), columns normalized V' S11 V = I
     S00: np.ndarray  # (B, K, K)
     S01: np.ndarray  # (B, K, K)
-    R0: np.ndarray  # (B, T_eff, K) partialled differenced block
-    R1: np.ndarray  # (B, T_eff, K) partialled lagged-level block
     P20: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z0
     P21: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z1
     ln_det_s00: np.ndarray  # (B,)
+    tilde: np.ndarray  # (B, T, K) the detrended stack swept, not a copy
     p: int
+    paper_convention: bool  # the sample convention of the design
     t_eff: int
     reason: np.ndarray  # (B,) failure bits, 0 for a usable sample
 
@@ -172,43 +216,66 @@ def _flag(reason: np.ndarray, good: np.ndarray, bit: int) -> None:
     reason[~good] |= bit
 
 
-def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> BatchSweep:
+def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> BatchSweep:
     """Batched reduced-rank regression sweep with per-sample failure bits.
 
-    Partials Z2 out of Z0 and Z1, forms the moment matrices and solves the
-    generalized eigenproblem ``lam * S11 v = S10 S00^{-1} S01 v`` by
-    reducing it with a Cholesky factor of S11 to an ordinary symmetric
-    problem.  One sweep serves every rank.
+    Every moment comes from one Gram matrix per sample, G = X X' of the
+    variable-major design X = [Z2 | Z1 | Z0]' (see :func:`_fill_design`),
+    filled _CHUNK samples at a time.  The Schur complement of G22 gives the
+    moments of Z0 and Z1 with Z2 partialled out, S_ij = (G_ij - G_i2
+    G22^{-1} G_2j) / T_eff (Johansen 1995, ch. 6), and one solve gives
+    [P21 P20] = G22^{-1} [G21 G20].  The generalized eigenproblem ``lam *
+    S11 v = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`.
+    One sweep serves every rank.
     """
-    n_batch, t_eff, n_vars = z0.shape
+    n_batch, _, n_vars = tilde.shape
+    width, t_eff = _design_shape(tilde, p, paper_convention)
+    gram = np.empty((n_batch, width, width))
+    for lo, hi, design in _design_chunks(tilde, p, paper_convention):
+        np.matmul(design, np.swapaxes(design, 1, 2), out=gram[lo:hi])
     reason = np.zeros(n_batch, dtype=np.int64)
-    _flag(
-        reason,
-        np.isfinite(z0).all(axis=(1, 2))
-        & np.isfinite(z1).all(axis=(1, 2))
-        & np.isfinite(z2).all(axis=(1, 2)),
-        NONFINITE,
+    finite = np.isfinite(np.diagonal(gram, axis1=1, axis2=2)).all(axis=1)
+    _flag(reason, finite, NONFINITE)
+    # A non-finite sample is swept as an all-zero one: it fails every moment
+    # check instead of aborting the batch in the eigensolver.
+    gram[~finite] = 0.0
+
+    lagged = width - 2 * n_vars
+    cross, moments = gram[:, :lagged, lagged:], gram[:, lagged:, lagged:]
+    if lagged:
+        g22 = gram[:, :lagged, :lagged]
+        _flag(reason, _spd_mask(g22), SINGULAR_Z2)
+        coef = np.linalg.solve(_masked(g22, reason == 0), cross)  # [P21 P20]
+        moments = moments - np.swapaxes(cross, 1, 2) @ coef
+    else:
+        coef = cross
+    # [[S11 S10], [S01 S00]], made exactly symmetric
+    s = (moments + np.swapaxes(moments, 1, 2)) / (2.0 * t_eff)
+    s11, s01, s00 = s[:, :n_vars, :n_vars], s[:, n_vars:, :n_vars], s[:, n_vars:, n_vars:]
+    lam, vectors, ln_det = _canonical(s00, s01, s11, reason)
+    return BatchSweep(
+        eigenvalues=lam,
+        vectors=vectors,
+        S00=s00,
+        S01=s01,
+        P20=coef[:, :, n_vars:],
+        P21=coef[:, :, :n_vars],
+        ln_det_s00=ln_det,
+        tilde=tilde,
+        p=p,
+        paper_convention=paper_convention,
+        t_eff=t_eff,
+        reason=reason,
     )
 
-    if z2.shape[2]:
-        a22 = np.swapaxes(z2, 1, 2) @ z2
-        _flag(reason, _spd_mask(a22), SINGULAR_Z2)
-        a22 = _masked(a22, reason == 0)
-        p20 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z0)
-        p21 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z1)
-        r0 = z2 @ p20
-        np.subtract(z0, r0, out=r0)
-        r1 = z2 @ p21
-        np.subtract(z1, r1, out=r1)
-    else:
-        p20 = np.empty((n_batch, 0, n_vars))
-        p21 = np.empty((n_batch, 0, n_vars))
-        r0, r1 = z0, z1
 
-    s00 = np.swapaxes(r0, 1, 2) @ r0 / t_eff
-    s01 = np.swapaxes(r0, 1, 2) @ r1 / t_eff
-    s11 = np.swapaxes(r1, 1, 2) @ r1 / t_eff
+def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.ndarray):
+    """Eigenvalues (B, K), vectors (B, K, K) and ln det S00 (B,) of the
+    reduced-rank problem ``lam * S11 v = S10 S00^{-1} S01 v``, adding failure
+    bits to ``reason`` in place.
 
+    A Cholesky factor of S11 reduces it to an ordinary symmetric problem.
+    """
     _flag(reason, _spd_mask(s11), SINGULAR_S11)
     _flag(reason, _spd_mask(s00), SINGULAR_S00)
     ok = reason == 0
@@ -241,21 +308,7 @@ def sweep_batch(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int) -> Batch
 
     sign, ln_det = np.linalg.slogdet(s00)
     _flag(reason, (sign > 0) & np.isfinite(ln_det), SINGULAR_S00)
-
-    return BatchSweep(
-        eigenvalues=lam,
-        vectors=vectors,
-        S00=s00,
-        S01=s01,
-        R0=r0,
-        R1=r1,
-        P20=p20,
-        P21=p21,
-        ln_det_s00=ln_det,
-        p=p,
-        t_eff=t_eff,
-        reason=reason,
-    )
+    return lam, vectors, ln_det
 
 
 def loadings_batch(sweep: BatchSweep, rank: int):
@@ -279,9 +332,22 @@ def rank_fit_batch(sweep: BatchSweep, rank: int):
 
 
 def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
-    """Error-correction residuals implied by a Pi stack, (B, T_eff, K)."""
-    resid = sweep.R1 @ np.swapaxes(pi, 1, 2)
-    return np.subtract(sweep.R0, resid, out=resid)
+    """Error-correction residuals dy_t - Pi y_{t-1} - sum_i Gamma_i dy_{t-i}
+    implied by a Pi stack, (B, T_eff, K), with the Gammas of that Pi.
+
+    Built from the swept stack's design chunks, one product per sample.
+    """
+    n_batch, n_vars = pi.shape[:2]
+    width = n_vars * sweep.p
+    pi_t = np.swapaxes(pi, 1, 2)
+    # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, (B, Kp, K), as in rank_fit_batch
+    coef = np.concatenate([sweep.P20 - sweep.P21 @ pi_t, pi_t], axis=1)
+    resid = np.empty((n_batch, sweep.t_eff, n_vars))
+    for lo, hi, design in _design_chunks(sweep.tilde, sweep.p, sweep.paper_convention):
+        blocks = np.swapaxes(design, 1, 2)  # (m, T_eff, K(p+1)), [Z2 Z1 Z0]
+        fit = np.matmul(blocks[:, :, :width], coef[lo:hi], out=resid[lo:hi])
+        np.subtract(blocks[:, :, width:], fit, out=fit)
+    return resid
 
 
 def sigma_batch(sweep: BatchSweep, rank: int) -> np.ndarray:
@@ -345,11 +411,10 @@ def irf_batch(mats: np.ndarray, h_max: int) -> np.ndarray:
     return np.ascontiguousarray(rows[..., :n_vars])
 
 
-# Steps per block and rows per matrix product of the shared-coefficient
-# recursion.  Every product has the same (_CHUNK, (p + _BLOCK) K) shape, so
-# BLAS rounds each row the same way whatever the batch around it.
+# Steps per block of the shared-coefficient recursion.  Every product has
+# the same (_CHUNK, (p + _BLOCK) K) shape, so BLAS rounds each row the same
+# way whatever the batch around it.
 _BLOCK = 8
-_CHUNK = 64
 
 
 def _step_levels(out: np.ndarray, mats: np.ndarray, start: int) -> None:

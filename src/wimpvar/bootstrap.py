@@ -421,8 +421,9 @@ class _BootBatch:
     """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and the
     per-batch results its methods share, keyed by step (read-only arrays).
 
-    The paths themselves are not kept: they start from the observed initial
-    rows, which is all FDBB level two reads of them.
+    The sweep holds the detrended paths, from which FDBB level two builds
+    its residuals; the paths start from the observed initial rows, which
+    is all level two reads of the paths themselves.
     """
 
     sweep: _batch.BatchSweep
@@ -444,8 +445,7 @@ def _redetrend(samples: np.ndarray, prep: _Prepared):
 def _resweep(samples: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
     """Sweep of rebuilt paths; a non-finite path is flagged."""
     tilde, finite = _redetrend(samples, prep)
-    z0, z1, z2 = _batch.regressors_batch(tilde, prep.p, prep.cfg.paper_sample_convention)
-    sweep = _batch.sweep_batch(z0, z1, z2, prep.p)
+    sweep = _batch.sweep_batch(tilde, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 

@@ -179,15 +179,20 @@ class VecmRegressors:
     alternative sample convention (one more presample row dropped).
 
     Z0 holds the differenced observations, Z1 the lagged levels and Z2 the
-    stacked lagged differences with K(p-1) columns (empty when p = 1).
+    stacked lagged differences with K(p-1) columns (empty when p = 1);
+    ``levels`` is the (T, K) series they were built from.
     """
 
     Z0: np.ndarray
     Z1: np.ndarray
     Z2: np.ndarray
     p: int
-    n_obs: int
+    levels: np.ndarray
     paper_convention: bool = False
+
+    @property
+    def n_obs(self) -> int:
+        return self.levels.shape[0]
 
     @property
     def n_vars(self) -> int:
@@ -229,4 +234,5 @@ def build_vecm_regressors(
             f"need at least {p + n_vars + 2 + extra} observations for p={p}, K={n_vars}; got {n_obs}"
         )
     z0, z1, z2 = _batch.regressors_batch(values[None], p, paper_convention)
-    return VecmRegressors(z0[0], z1[0], z2[0], p, n_obs, paper_convention)
+    # A copy: the sweep of these regressors reads the levels again later.
+    return VecmRegressors(z0[0], z1[0], z2[0], p, values.copy(), paper_convention)

@@ -168,7 +168,7 @@ def observed_sweep(reg: VecmRegressors) -> _batch.BatchSweep:
         raise DataError(
             f"need at least K*p + 10 = {n_vars * p + 10} observations, got {reg.n_obs}"
         )
-    sweep = _batch.sweep_batch(reg.Z0[None], reg.Z1[None], reg.Z2[None], p)
+    sweep = _batch.sweep_batch(reg.levels[None], p, reg.paper_convention)
     for bit, message in _SWEEP_ERRORS:
         if sweep.reason[0] & bit:
             raise EstimationError(message)

@@ -1,12 +1,15 @@
-"""Single-sample reference implementations that the package no longer ships.
+"""Reference implementations that the package no longer ships.
 
-The package evaluates queries through compiled batch gathers and writes CSV
-rows with one format per table; these are the plain per-query and per-cell
-versions the tests check it against.
+The package evaluates queries through compiled batch gathers, writes CSV
+rows with one format per table, builds responses by doubling and sweeps one
+Gram matrix per sample; these are the plain per-query, per-cell, step-by-step
+and explicitly partialled versions the tests check it against.
 """
+from types import SimpleNamespace
+
 import numpy as np
 
-from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, companion_matrix
+from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, _batch, companion_matrix
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY
 
 
@@ -66,3 +69,43 @@ def format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):
+    """The reduced-rank sweep by explicit partialling: R0 and R1 are the
+    residuals of Z0 and Z1 on Z2, and the moments are their products.  The
+    eigenproblem is solved by the package's own step, ``_batch._canonical``.
+
+    Returns a namespace with the fields of ``_batch.BatchSweep`` that the
+    moments determine, plus S11, R0 and R1.
+    """
+    n_batch, t_eff, n_vars = z0.shape
+    reason = np.zeros(n_batch, dtype=np.int64)
+    finite = (
+        np.isfinite(z0).all(axis=(1, 2))
+        & np.isfinite(z1).all(axis=(1, 2))
+        & np.isfinite(z2).all(axis=(1, 2))
+    )
+    _batch._flag(reason, finite, _batch.NONFINITE)
+    # A non-finite sample is swept as zeros, as the package sweeps it.
+    z0, z1, z2 = (np.where(finite[:, None, None], z, 0.0) for z in (z0, z1, z2))
+    if z2.shape[2]:
+        a22 = np.swapaxes(z2, 1, 2) @ z2
+        _batch._flag(reason, _batch._spd_mask(a22), _batch.SINGULAR_Z2)
+        a22 = _batch._masked(a22, reason == 0)
+        p20 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z0)
+        p21 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z1)
+        r0 = z0 - z2 @ p20
+        r1 = z1 - z2 @ p21
+    else:
+        p20 = np.empty((n_batch, 0, n_vars))
+        p21 = np.empty((n_batch, 0, n_vars))
+        r0, r1 = z0, z1
+    s00 = np.swapaxes(r0, 1, 2) @ r0 / t_eff
+    s01 = np.swapaxes(r0, 1, 2) @ r1 / t_eff
+    s11 = np.swapaxes(r1, 1, 2) @ r1 / t_eff
+    lam, vectors, ln_det = _batch._canonical(s00, s01, s11, reason)
+    return SimpleNamespace(
+        eigenvalues=lam, vectors=vectors, S00=s00, S01=s01, S11=s11, R0=r0, R1=r1,
+        P20=p20, P21=p21, ln_det_s00=ln_det, p=p, t_eff=t_eff, reason=reason,
+    )

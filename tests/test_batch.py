@@ -7,7 +7,8 @@ public function returns exactly the matching slice of a B>1 batch.
 import numpy as np
 import pytest
 
-from wimpvar import _batch
+from reference import sweep_partialled
+from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
     RankSelector,
     TRACE_CRIT_LEVELS,
@@ -17,7 +18,7 @@ from wimpvar.ranks import (
     select_rank_ic,
     select_rank_sequential,
 )
-from wimpvar.timeseries import DetrendMode, build_vecm_regressors, detrend
+from wimpvar.timeseries import DetrendMode, DetrendedSeries, build_vecm_regressors, detrend
 from wimpvar.vecm import (
     VarLevels,
     companion_matrix,
@@ -39,7 +40,7 @@ def _stack(n_batch, T=120, seed=60, variant="dgp1"):
 
 
 def _sweep(ys, p):
-    return _batch.sweep_batch(*_batch.regressors_batch(ys, p), p)
+    return _batch.sweep_batch(ys, p)
 
 
 @pytest.mark.parametrize("mode", list(DetrendMode))
@@ -86,26 +87,32 @@ def test_regressors_batch_matches_reference(p, paper):
 def test_sweep_batch_matches_decomposition(p):
     ys = _stack(5)
     z0, z1, z2 = _batch.regressors_batch(ys, p)
-    sweep = _batch.sweep_batch(z0, z1, z2, p)
+    sweep = _batch.sweep_batch(ys, p)
     assert sweep.ok.all()
     for i in range(5):
-        # Partialling oracle: R0 and R1 are least-squares residuals on Z2.
+        # Partialling oracle: S00, S01 and S11 are the moment matrices of the
+        # least-squares residuals of Z0 and Z1 on Z2.
+        resid = np.hstack([z0[i], z1[i]])
         if p > 1:
-            coef, *_ = np.linalg.lstsq(z2[i], np.hstack([z0[i], z1[i]]), rcond=None)
-            resid = np.hstack([z0[i], z1[i]]) - z2[i] @ coef
-            assert np.allclose(np.hstack([sweep.R0[i], sweep.R1[i]]), resid, atol=1e-10)
-        # Generalized eigenproblem oracle: lam S11 v = S10 S00^{-1} S01 v
-        # with the normalization V' S11 V = I.
-        s11 = sweep.R1[i].T @ sweep.R1[i] / sweep.t_eff
+            coef, *_ = np.linalg.lstsq(z2[i], resid, rcond=None)
+            resid = resid - z2[i] @ coef
+        r0, r1 = resid[:, :3], resid[:, 3:]
+        s11 = r1.T @ r1 / sweep.t_eff
         s01 = sweep.S01[i]
         lam, vecs = sweep.eigenvalues[i], sweep.vectors[i]
+        assert np.allclose(sweep.S00[i], r0.T @ r0 / sweep.t_eff, atol=1e-10)
+        assert np.allclose(s01, r0.T @ r1 / sweep.t_eff, atol=1e-10)
+        # The sweep's S11 is the one its vectors normalize, V' S11 V = I.
+        assert np.allclose(np.linalg.inv(vecs @ vecs.T), s11, atol=1e-10)
+        # Generalized eigenproblem oracle: lam S11 v = S10 S00^{-1} S01 v
+        # with the normalization V' S11 V = I.
         lhs = s11 @ vecs * lam
         rhs = s01.T @ np.linalg.solve(sweep.S00[i], s01) @ vecs
         assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
         assert np.allclose(vecs.T @ s11 @ vecs, np.eye(3), atol=1e-9)
         assert np.all(np.diff(lam) <= 0) and lam[-1] >= 0 and lam[0] < 1
         one = observed_sweep(build_vecm_regressors(ys[i], p))
-        for name in ("eigenvalues", "vectors", "S00", "S01", "R0", "R1", "P20", "P21"):
+        for name in ("eigenvalues", "vectors", "S00", "S01", "P20", "P21"):
             assert np.array_equal(getattr(one, name)[0], getattr(sweep, name)[i])
         assert one.ln_det_s00[0] == sweep.ln_det_s00[i]
 
@@ -115,7 +122,7 @@ def test_sweep_batch_matches_decomposition(p):
 def test_rank_fit_batch_matches_reference(p, rank):
     ys = _stack(4)
     z0, z1, z2 = _batch.regressors_batch(ys, p)
-    sweep = _batch.sweep_batch(z0, z1, z2, p)
+    sweep = _batch.sweep_batch(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
     resid = _batch.residuals_batch(sweep, pi)
     sigma = _batch.sigma_batch(sweep, rank)
@@ -291,19 +298,85 @@ def test_seq_select_batch_matches_reference():
 
 def test_select_batch_fixed():
     ys = _stack(2)
-    z0, z1, z2 = _batch.regressors_batch(ys, 1)
-    sweep = _batch.sweep_batch(z0, z1, z2, 1)
+    sweep = _batch.sweep_batch(ys, 1)
     assert np.all(_batch.select_batch(sweep, RankSelector("fixed", rank=2)) == 2)
 
 
 def test_sweep_batch_masks_degenerate_samples():
     ys = _stack(5)
     ys[2] = 1.0  # constant sample: singular moment matrices
-    z0, z1, z2 = _batch.regressors_batch(ys, 1)
-    sweep = _batch.sweep_batch(z0, z1, z2, 1)
+    sweep = _batch.sweep_batch(ys, 1)
     assert not sweep.ok[2]
     assert sweep.reason[2] & _batch.SINGULAR_S11
     assert sweep.ok[[0, 1, 3, 4]].all()
     # the healthy samples are unaffected by the bad one
-    clean = _batch.sweep_batch(*_batch.regressors_batch(ys[[0, 1, 3, 4]], 1), 1)
+    clean = _batch.sweep_batch(ys[[0, 1, 3, 4]], 1)
     assert np.allclose(sweep.eigenvalues[[0, 1, 3, 4]], clean.eigenvalues, atol=1e-12)
+
+
+def _constant(y):
+    return np.ones_like(y)
+
+
+def _nan_row(y):
+    y = y.copy()
+    y[40] = np.nan
+    return y
+
+
+def _duplicate_difference(y):
+    y = y.copy()
+    y[:, 1] = y[:, 0]
+    return y
+
+
+def _perfect_fit(y):
+    # Noise-free VAR(1) levels: Z1 explains Z0 exactly.
+    turn = np.array([[np.cos(0.3), -np.sin(0.3), 0.0], [np.sin(0.3), np.cos(0.3), 0.0], [0.0, 0.0, 0.5]])
+    out = np.empty_like(y)
+    out[0] = [1.0, 0.0, 1.0]
+    for t in range(1, y.shape[0]):
+        out[t] = 0.99 * turn @ out[t - 1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spoil, p, bit, message",
+    [
+        (_constant, 1, _batch.SINGULAR_S11, "singular S11 moment matrix"),
+        (_nan_row, 2, _batch.NONFINITE, "non-finite regressors"),
+        (_duplicate_difference, 2, _batch.SINGULAR_Z2, "singular lagged-difference moment matrix"),
+        (_perfect_fit, 1, _batch.EIG_CEIL, "largest squared canonical correlation"),
+    ],
+)
+def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, message):
+    ys = _stack(4)
+    ys[2] = spoil(ys[2])
+    sweep = _batch.sweep_batch(ys, p)
+    oracle = sweep_partialled(*_batch.regressors_batch(ys, p), p)
+    assert sweep.reason[2] & bit and oracle.reason[2] & bit
+    assert np.array_equal(sweep.reason, oracle.reason)
+    assert sweep.ok[[0, 1, 3]].all()
+    # The sample alone raises the message of its first failure bit; a
+    # non-finite sample gets that far only as an already detrended series.
+    alone = DetrendedSeries(ys[2], np.zeros(3), np.zeros(3), DetrendMode.NONE)
+    with pytest.raises(EstimationError, match=message):
+        observed_sweep(build_vecm_regressors(alone, p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("paper", [False, True])
+def test_residuals_from_the_levels_match_the_partialled_blocks(p, paper):
+    ys = _stack(6)
+    sweep = _batch.sweep_batch(ys, p, paper)
+    oracle = sweep_partialled(*_batch.regressors_batch(ys, p, paper), p)
+    # Per-sample ranks, as FDBB's level two uses them.
+    ranks = np.array([0, 1, 2, 3, 1, 2])
+    fits = np.stack([_batch.rank_fit_batch(sweep, rank)[0] for rank in range(4)])
+    pi = fits[ranks, np.arange(6)]
+    resid = _batch.residuals_batch(sweep, pi)
+    expected = oracle.R0 - oracle.R1 @ np.swapaxes(pi, 1, 2)
+    assert resid.shape == expected.shape == (6, sweep.t_eff, 3)
+    # Both are differences of the same regression at rounding level: within
+    # 1e-12 of the largest difference of the data.
+    assert np.allclose(resid, expected, rtol=0, atol=1e-12 * np.abs(oracle.R0).max())

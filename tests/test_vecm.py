@@ -370,7 +370,7 @@ def test_evaluate_rejects_out_of_range():
 # --- cross-check against an established implementation ------------------------
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
 def test_eigenvalues_match_statsmodels(p):
     sm = pytest.importorskip("statsmodels.tsa.vector_ar.vecm")
     y = _sim(22, T=300)
