@@ -36,8 +36,6 @@ from .timeseries import (
     DetrendMode,
     DetrendedSeries,
     TimeSeriesData,
-    VecmRegressors,
-    build_vecm_regressors,
     detrend,
     difference,
 )
@@ -50,7 +48,6 @@ from .vecm import (
     companion_matrix,
     fit_vecm,
     irf_reduced,
-    johansen_fit,
     trace_statistics,
     var_to_vecm,
     vecm_to_var,

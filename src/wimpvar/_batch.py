@@ -1,12 +1,14 @@
 """Estimation kernels over stacks of samples: the one implementation.
 
-Every estimator step (detrending, regressor blocks, the reduced-rank
-sweep, rank fits, VAR conversion, impulse responses, trace statistics,
-rank selection, weights and the Hall order statistic) works on a stack of
-B samples.  The bootstrap runs whole batches of replications through them;
-the single-sample functions of :mod:`wimpvar.timeseries`,
-:mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and :mod:`wimpvar.bootstrap` are
-B=1 calls that validate their input and turn a failure into a typed error.
+Every estimator step (detrending, the reduced-rank sweep, rank fits and
+residuals, VAR conversion, impulse responses, trace statistics, rank
+selection, weights and the Hall order statistic) works on a stack of B
+samples.  The lag alignment of the regression has one implementation, the
+design fill that the sweep and the residuals read.  The bootstrap runs
+whole batches of replications through them; the single-sample functions
+of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and
+:mod:`wimpvar.bootstrap` are B=1 calls that validate their input and turn
+a failure into a typed error.
 Samples that fail numerically are flagged in a per-sample ``reason``
 bitmask instead of raising, so one bad sample cannot abort a batch.
 
@@ -136,22 +138,6 @@ def _design_chunks(tilde: np.ndarray, p: int, paper_convention: bool):
         hi = min(lo + _CHUNK, n_batch)
         _fill_design(buf[: hi - lo], tilde[lo:hi])
         yield lo, hi, buf[: hi - lo]
-
-
-def regressors_batch(tilde: np.ndarray, p: int, paper_convention: bool = False):
-    """The (Z0, Z1, Z2) regression blocks of a (B, T, K) stack for lag order p.
-
-    Z0 holds the differences, Z1 the lagged levels and Z2 the p-1 lagged
-    differences side by side; see :class:`~wimpvar.timeseries.VecmRegressors`
-    for the alignment.  Each block is a (B, T_eff, .) view of one design
-    array, filled as the sweep fills its chunks.
-    """
-    design = np.empty((tilde.shape[0],) + _design_shape(tilde, p, paper_convention))
-    _fill_design(design, tilde)
-    blocks = np.swapaxes(design, 1, 2)
-    n_vars = tilde.shape[2]
-    lagged = n_vars * (p - 1)
-    return blocks[:, :, lagged + n_vars :], blocks[:, :, lagged : lagged + n_vars], blocks[:, :, :lagged]
 
 
 def _spd_mask(mats: np.ndarray, floor: float = 1e-12) -> np.ndarray:

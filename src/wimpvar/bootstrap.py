@@ -28,13 +28,7 @@ from . import _batch
 from ._batch import cholesky_batch as _chol_batch  # its own layer in perfbench/tracing.py
 from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
 from .ranks import RankSelector, plausibility_weights
-from .timeseries import (
-    DetrendedSeries,
-    DetrendMode,
-    TimeSeriesData,
-    build_vecm_regressors,
-    detrend,
-)
+from .timeseries import DetrendedSeries, DetrendMode, TimeSeriesData
 from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, observed_sweep
 from .wimp import wimp_bounds
 
@@ -231,7 +225,6 @@ class _Prepared:
     fixed-rank fan and one level-1 batch."""
 
     raw: np.ndarray
-    tilde: DetrendedSeries
     sweep: _batch.BatchSweep
     p: int
     mode: DetrendMode
@@ -300,31 +293,28 @@ def _prepare(
 ) -> _Prepared:
     """Prepare one observed sample for the interval methods.
 
-    Detrends ``data`` (raw T x K levels), sweeps it once for every rank and
-    compiles ``queries``, evaluating them on the sample at every rank 0..K
+    Sweeps ``data`` (raw T x K levels) once for every rank through
+    :func:`~wimpvar.vecm.observed_sweep`, which detrends and validates it,
+    and compiles ``queries``, evaluating them on the sample at every rank 0..K
     as one (K+1)-row batch.  ``c1`` and ``c2`` set the plausibility weights;
     ``true_rank`` is the rank of a known data-generating process.
     """
-    check_integer("p", p)
     check_weight_constants(c1, c2)
-    if isinstance(data, TimeSeriesData):
-        raw = data.values
-    elif isinstance(data, DetrendedSeries):
+    if isinstance(data, DetrendedSeries):
         raise ConfigError("pass raw observations; detrending happens inside the bootstrap")
-    else:
-        raw = np.asarray(data, dtype=float)
-        if raw.ndim == 1:
-            raw = raw[:, None]
     mode = DetrendMode(mode)
-    tilde = detrend(raw, mode)
-    sweep = observed_sweep(build_vecm_regressors(tilde, p, cfg.paper_sample_convention))
+    sweep = observed_sweep(data, p, mode, cfg.paper_sample_convention)
+    # observed_sweep has checked these levels.
+    raw = data.values if isinstance(data, TimeSeriesData) else np.asarray(data, dtype=float)
+    if raw.ndim == 1:
+        raw = raw[:, None]
     n_vars = raw.shape[1]
     cq = _compile_queries(queries, n_vars)
     copies = sweep.take(np.zeros(n_vars + 1, dtype=int))
     values, ok, _ = _zeta_at_rank(copies, np.arange(n_vars + 1), cq)
     values.flags.writeable = False
     return _Prepared(
-        raw=raw, tilde=tilde, sweep=sweep, p=p, mode=mode, cfg=cfg, cq=cq, points=(values, ok),
+        raw=raw, sweep=sweep, p=p, mode=mode, cfg=cfg, cq=cq, points=(values, ok),
         c1=c1, c2=c2, true_rank=true_rank,
     )
 
@@ -731,7 +721,7 @@ def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
         raise DataError(
             f"lag augmentation needs at least K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations"
         )
-    tilde = prep.tilde.tilde_values
+    tilde = prep.sweep.tilde[0]
     (points,), (ok_point,) = _lavar_zetas(tilde[None], p, cq)
     if not ok_point:
         raise EstimationError("singular design in the lag-augmented levels regression")

@@ -56,9 +56,19 @@ def _row_format(row) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file, which
+    is removed if the write fails."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    handle = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+    except BaseException as exc:
+        os.remove(tmp)
+        if isinstance(exc, UnicodeEncodeError):
+            bad = exc.object[exc.start:exc.end]
+            raise DataError(f"{path}: cannot write {bad!r} as UTF-8") from None
+        raise
     os.replace(tmp, path)
 
 

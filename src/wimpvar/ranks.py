@@ -8,7 +8,7 @@ import numpy as np
 from . import _batch
 from ._batch import TRACE_CRIT_LEVELS, TRACE_CRIT_VALUES, ic_param_count, trace_critical_value
 from .errors import ConfigError
-from .timeseries import DetrendedSeries, DetrendMode, build_vecm_regressors, detrend
+from .timeseries import DetrendMode
 from .vecm import observed_sweep
 
 __all__ = [
@@ -71,11 +71,6 @@ def ic_values_from_eigenvalues(
     return _batch.ic_values_batch(lam[None], np.array([ln_det_s00]), t_eff, p, criterion)[0]
 
 
-def _decompose(data, p, mode, paper_convention):
-    tilde = data if isinstance(data, DetrendedSeries) else detrend(data, mode)
-    return observed_sweep(build_vecm_regressors(tilde, p, paper_convention))
-
-
 def select_rank(sweep: _batch.BatchSweep, selector: RankSelector) -> int:
     """The rank ``selector`` picks from the sweep of one sample."""
     return int(_batch.select_batch(sweep, selector)[0])
@@ -95,7 +90,7 @@ def select_rank_ic(
     """
     if criterion not in ("aic", "bic"):
         raise ConfigError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
-    return select_rank(_decompose(data, p, mode, paper_convention), RankSelector(criterion))
+    return select_rank(observed_sweep(data, p, mode, paper_convention), RankSelector(criterion))
 
 
 def select_rank_sequential(
@@ -107,7 +102,7 @@ def select_rank_sequential(
 ) -> int:
     """Smallest rank whose trace statistic fails to reject, K if all reject."""
     selector = RankSelector("sequential_trace", level=level)
-    return select_rank(_decompose(data, p, mode, paper_convention), selector)
+    return select_rank(observed_sweep(data, p, mode, paper_convention), selector)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Time-series containers, detrending, differencing and VECM regressor blocks.
+"""Time-series containers, detrending and differencing.
 
 Everything downstream (estimation, bootstrap, Monte Carlo) consumes the
-matrices produced here, so the alignment conventions are fixed in one place:
-rows are time, columns are variables, and calendar time runs t = 1..T.
+matrices produced here: rows are time, columns are variables, and calendar
+time runs t = 1..T.  The lag alignment of the error-correction regression
+lives in one place, the design fill of :mod:`wimpvar._batch`.
 """
 from __future__ import annotations
 
@@ -12,16 +13,14 @@ from enum import Enum
 import numpy as np
 
 from . import _batch
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "DetrendMode",
     "TimeSeriesData",
     "DetrendedSeries",
-    "VecmRegressors",
     "detrend",
     "difference",
-    "build_vecm_regressors",
 ]
 
 
@@ -31,6 +30,11 @@ class DetrendMode(str, Enum):
     NONE = "none"
     CONSTANT = "constant"
     CONSTANT_AND_TREND = "constant_and_trend"
+
+    @classmethod
+    def _missing_(cls, value):
+        modes = ", ".join(mode.value for mode in cls)
+        raise ConfigError(f"detrend mode must be one of {modes}, got {value!r}")
 
 
 def _check_finite(values: np.ndarray, names=None) -> None:
@@ -168,71 +172,3 @@ def difference(data) -> np.ndarray:
     if values.shape[0] < 2:
         raise DataError("need at least 2 observations to difference")
     return np.diff(values, axis=0)
-
-
-@dataclass(frozen=True)
-class VecmRegressors:
-    """Aligned regressor blocks for the error-correction regression.
-
-    Row s of every block corresponds to calendar time t = start + s + 1,
-    where ``start = p`` by default and ``start = p + 1`` under the
-    alternative sample convention (one more presample row dropped).
-
-    Z0 holds the differenced observations, Z1 the lagged levels and Z2 the
-    stacked lagged differences with K(p-1) columns (empty when p = 1);
-    ``levels`` is the (T, K) series they were built from.
-    """
-
-    Z0: np.ndarray
-    Z1: np.ndarray
-    Z2: np.ndarray
-    p: int
-    levels: np.ndarray
-    paper_convention: bool = False
-
-    @property
-    def n_obs(self) -> int:
-        return self.levels.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.Z0.shape[1]
-
-    @property
-    def t_eff(self) -> int:
-        return self.Z0.shape[0]
-
-
-def build_vecm_regressors(
-    data, p: int, paper_convention: bool = False
-) -> VecmRegressors:
-    """Build the aligned (Z0, Z1, Z2) regression blocks for lag order p.
-
-    Parameters
-    ----------
-    data : DetrendedSeries or array_like, shape (T, K)
-        Series to difference and lag; detrend first if deterministics are
-        to be removed.
-    p : int
-        VAR lag order in levels; the regression uses p - 1 lagged
-        differences.
-    paper_convention : bool
-        When True, drop one additional presample row so the effective
-        sample has T - p - 1 rows instead of the minimal T - p.
-
-    Returns
-    -------
-    VecmRegressors
-    """
-    values = _as_values(data)
-    n_obs, n_vars = values.shape
-    if p < 1:
-        raise DataError(f"lag order must be >= 1, got {p}")
-    extra = 1 if paper_convention else 0
-    if n_obs < p + n_vars + 2 + extra:
-        raise DataError(
-            f"need at least {p + n_vars + 2 + extra} observations for p={p}, K={n_vars}; got {n_obs}"
-        )
-    z0, z1, z2 = _batch.regressors_batch(values[None], p, paper_convention)
-    # A copy: the sweep of these regressors reads the levels again later.
-    return VecmRegressors(z0[0], z1[0], z2[0], p, values.copy(), paper_convention)

@@ -9,6 +9,9 @@ is essentially free after the first fit.
 
 The arithmetic lives in :mod:`wimpvar._batch`; the functions here run one
 sample through it as a batch of one and raise typed errors.
+:func:`observed_sweep` is the one path from data to the sweep of an
+observed sample: the prepared sample of the bootstrap, the rank selectors
+and :func:`fit_vecm` all start from it.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import _batch
 from .errors import ConfigError, DataError, EstimationError, check_integer
-from .timeseries import DetrendedSeries, DetrendMode, VecmRegressors, build_vecm_regressors, detrend
+from .timeseries import DetrendedSeries, DetrendMode, TimeSeriesData, _as_values
 
 __all__ = [
     "VecmFit",
@@ -27,7 +30,6 @@ __all__ = [
     "IrfQuery",
     "observed_sweep",
     "johansen_fit_from",
-    "johansen_fit",
     "fit_vecm",
     "trace_statistics",
     "trace_stats_from_eigenvalues",
@@ -153,30 +155,101 @@ _SWEEP_ERRORS = (
 )
 
 
-def observed_sweep(reg: VecmRegressors) -> _batch.BatchSweep:
+# Bits whose moment matrix a constant or collinear column makes singular.
+_COLUMN_BITS = _batch.SINGULAR_Z2 | _batch.SINGULAR_S11 | _batch.SINGULAR_S00
+
+
+def _dependent_columns(tilde: np.ndarray, levels: np.ndarray) -> list:
+    """Indices of the columns whose detrended differences are zero or, to
+    the sweep's floor of 1e-12, a linear combination of earlier columns.
+
+    The Gram matrix of the differences is scaled to a unit diagonal, so the
+    check does not depend on the units of the variables.  A column that
+    detrending leaves at rounding level of its ``levels`` counts as zero.
+    """
+    diff = np.diff(tilde, axis=0)
+    # 1e-10 is far above the rounding of detrending and far below the
+    # variation of any series that is not constant.
+    diff[:, np.abs(tilde).max(axis=0) <= 1e-10 * np.abs(levels).max(axis=0)] = 0.0
+    norms = np.linalg.norm(diff, axis=0)
+    # R'R is the unit-diagonal Gram matrix, so R_jj^2 is the pivot of column
+    # j: its Schur complement given the earlier columns.
+    r = np.linalg.qr(diff / np.where(norms > 0, norms, 1.0), mode="r")
+    return np.flatnonzero(np.diagonal(r) ** 2 <= 1e-12).tolist()
+
+
+def _sweep_error(reason: int, tilde: np.ndarray, levels: np.ndarray, names) -> EstimationError:
+    """The error for a sample's first failure bit, naming the columns at
+    fault when a moment matrix is singular because of them."""
+    bit, message = next((bit, message) for bit, message in _SWEEP_ERRORS if reason & bit)
+    dependent = _dependent_columns(tilde, levels) if bit & _COLUMN_BITS else []
+    if dependent:
+        labels = ", ".join(names[j] if names else f"column {j + 1}" for j in dependent)
+        verb = "is" if len(dependent) == 1 else "are each"
+        message = (
+            f"{message.split(';')[0]}; {labels} {verb} "
+            "constant or a linear combination of earlier columns"
+        )
+    return EstimationError(message)
+
+
+def observed_sweep(
+    data, p: int, mode: DetrendMode | str = DetrendMode.NONE, paper_convention: bool = False
+) -> _batch.BatchSweep:
     """The reduced-rank sweep of one sample, as a batch of one.
+
+    Parameters
+    ----------
+    data : TimeSeriesData, DetrendedSeries or array_like, shape (T, K)
+        Levels, detrended with ``mode`` first unless already a
+        :class:`DetrendedSeries`.
+    p : int
+        VAR lag order in levels, >= 1.
+    mode : DetrendMode
+    paper_convention : bool
+        When True, drop one more presample row, so the effective sample has
+        T - p - 1 rows instead of T - p.
 
     Raises
     ------
-    EstimationError
-        If a moment matrix is singular or an eigenvalue reaches 1.
+    ConfigError
+        If ``p`` is not an integer or ``mode`` is unknown.
     DataError
-        If the sample is shorter than K*p + 10 observations.
+        If ``p`` < 1 or the sample is shorter than K*p + 10 observations.
+    EstimationError
+        If a moment matrix is singular or an eigenvalue reaches 1; a column
+        that is constant or collinear with earlier ones is named.
     """
-    n_vars, p = reg.n_vars, reg.p
-    if reg.n_obs < n_vars * p + 10:
+    check_integer("p", p)
+    mode = DetrendMode(mode)
+    if p < 1:
+        raise DataError(f"lag order must be >= 1, got {p}")
+    values = _as_values(data)
+    n_obs, n_vars = values.shape
+    if n_obs < n_vars * p + 10:
         raise DataError(
-            f"need at least K*p + 10 = {n_vars * p + 10} observations, got {reg.n_obs}"
+            f"need at least K*p + 10 = {n_vars * p + 10} observations, got {n_obs}"
         )
-    sweep = _batch.sweep_batch(reg.levels[None], p, reg.paper_convention)
-    for bit, message in _SWEEP_ERRORS:
-        if sweep.reason[0] & bit:
-            raise EstimationError(message)
+    detrended = isinstance(data, DetrendedSeries)
+    tilde, _ = (values[None], None) if detrended else _batch.detrend_batch(values[None], mode)
+    # A copy: the sweep holds it, and a DetrendedSeries or mode "none" hands
+    # back the caller's own array.
+    tilde = tilde[0].copy()
+    sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
+    if sweep.reason[0]:
+        names = data.names if isinstance(data, TimeSeriesData) else None
+        levels = data.retrend() if detrended else values
+        raise _sweep_error(int(sweep.reason[0]), tilde, levels, names)
     return sweep
 
 
 def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
-    """Extract the rank-`rank` fit from the sweep of one sample (see :func:`observed_sweep`)."""
+    """Extract the rank-`rank` fit from the sweep of one sample (see :func:`observed_sweep`).
+
+    Rank K reproduces the unrestricted OLS fit; rank 0 sets Pi to zero and
+    regresses the differences on the lagged differences alone.
+    """
+    check_integer("rank", rank)
     if rank < 0 or rank > sweep.n_vars:
         raise ConfigError(f"rank must lie in 0..{sweep.n_vars}, got {rank}")
     alpha, beta = _batch.loadings_batch(sweep, rank)
@@ -195,25 +268,6 @@ def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
     )
 
 
-def johansen_fit(reg: VecmRegressors, rank: int) -> VecmFit:
-    """Reduced-rank quasi-ML fit of the error-correction regression.
-
-    Parameters
-    ----------
-    reg : VecmRegressors
-        Aligned regressor blocks from :func:`build_vecm_regressors`.
-    rank : int
-        Imposed cointegration rank, 0..K.
-
-    Returns
-    -------
-    VecmFit
-        Rank K reproduces the unrestricted OLS fit; rank 0 sets Pi to zero
-        and regresses the differences on the lagged differences alone.
-    """
-    return johansen_fit_from(observed_sweep(reg), rank)
-
-
 def fit_vecm(
     data,
     p: int,
@@ -221,9 +275,9 @@ def fit_vecm(
     mode: DetrendMode | str = DetrendMode.NONE,
     paper_convention: bool = False,
 ) -> VecmFit:
-    """Convenience wrapper: detrend, build regressors and fit at `rank`."""
-    tilde = data if isinstance(data, DetrendedSeries) else detrend(data, mode)
-    return johansen_fit(build_vecm_regressors(tilde, p, paper_convention), rank)
+    """Reduced-rank quasi-ML fit at ``rank``: the :func:`observed_sweep` of
+    ``data``, then :func:`johansen_fit_from`."""
+    return johansen_fit_from(observed_sweep(data, p, mode, paper_convention), rank)
 
 
 def trace_stats_from_eigenvalues(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference implementations that the package no longer ships.
 
 The package evaluates queries through compiled batch gathers, writes CSV
-rows with one format per table, builds responses by doubling and sweeps one
-Gram matrix per sample; these are the plain per-query, per-cell, step-by-step
-and explicitly partialled versions the tests check it against.
+rows with one format per table, builds responses by doubling, fills one
+variable-major design per chunk of samples and sweeps one Gram matrix per
+sample; these are the plain per-query, per-cell, step-by-step, explicitly
+indexed and explicitly partialled versions the tests check it against.
 """
 from types import SimpleNamespace
 
@@ -69,6 +70,25 @@ def format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def regressor_blocks(tilde: np.ndarray, p: int, paper_convention: bool = False):
+    """The (Z0, Z1, Z2) regression blocks of a (B, T, K) stack, indexed
+    time by time.
+
+    Row s of every block is calendar time t = first + s (0-based), with
+    first = p, or p + 1 under the alternative sample convention.  Z0 holds
+    the differences y_t - y_{t-1}, Z1 the lagged levels y_{t-1} and Z2 the
+    lagged differences y_{t-i} - y_{t-i-1}, i = 1..p-1, side by side.
+    """
+    n_batch, n_obs, n_vars = tilde.shape
+    rows = range(p + (1 if paper_convention else 0), n_obs)
+    z0 = np.array([[y[t] - y[t - 1] for t in rows] for y in tilde])
+    z1 = np.array([[y[t - 1] for t in rows] for y in tilde])
+    z2 = np.array(
+        [[[y[t - i] - y[t - i - 1] for i in range(1, p)] for t in rows] for y in tilde]
+    ).reshape(n_batch, len(rows), n_vars * (p - 1))
+    return z0, z1, z2
 
 
 def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):

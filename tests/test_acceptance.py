@@ -8,14 +8,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import numpy as np
 import pytest
 
-from reference import companion_roots
+from reference import companion_roots, regressor_blocks
 from wimpvar import (
     ExperimentConfig,
     PlausibilityWeights,
     VarLevels,
-    build_vecm_regressors,
     irf_reduced,
-    johansen_fit,
     make_dgp,
     plausibility_weights,
     run_experiment,
@@ -23,6 +21,7 @@ from wimpvar import (
     wimp_combine,
 )
 from wimpvar.cli import _write_csv
+from wimpvar.vecm import johansen_fit_from, observed_sweep
 
 SEED = 20250808
 SCALE = dict(n_mc=300, n_boot=199, gamma=0.05, h_max=60)
@@ -82,11 +81,12 @@ def test_criterion_02_estimator_oracle():
         n_obs = int(rng.integers(80, 140))
         y = np.cumsum(rng.standard_normal((n_obs, n_vars)), axis=0)
         y += rng.standard_normal((n_obs, n_vars))
-        reg = build_vecm_regressors(y, p)
+        sweep = observed_sweep(y, p)
+        (z0,), (z1,), (z2,) = regressor_blocks(y[None], p)
 
-        full = johansen_fit(reg, n_vars)
-        design = np.hstack([reg.Z1, reg.Z2])
-        coef, *_ = np.linalg.lstsq(design, reg.Z0, rcond=None)
+        full = johansen_fit_from(sweep, n_vars)
+        design = np.hstack([z1, z2])
+        coef, *_ = np.linalg.lstsq(design, z0, rcond=None)
         pi_ols = coef[:n_vars].T
         err = np.linalg.norm(full.Pi - pi_ols) / max(np.linalg.norm(pi_ols), 1.0)
         worst = max(worst, err)
@@ -96,10 +96,10 @@ def test_criterion_02_estimator_oracle():
             rel = np.linalg.norm(full.Gammas[lag] - block) / max(np.linalg.norm(block), 1.0)
             assert rel < 1e-8
 
-        zero = johansen_fit(reg, 0)
+        zero = johansen_fit_from(sweep, 0)
         assert np.all(zero.Pi == 0)
-        if reg.Z2.shape[1]:
-            coef0, *_ = np.linalg.lstsq(reg.Z2, reg.Z0, rcond=None)
+        if z2.shape[1]:
+            coef0, *_ = np.linalg.lstsq(z2, z0, rcond=None)
             for lag in range(p - 1):
                 block = coef0[lag * n_vars : (lag + 1) * n_vars].T
                 assert np.allclose(zero.Gammas[lag], block, atol=1e-8)

@@ -7,7 +7,7 @@ public function returns exactly the matching slice of a B>1 batch.
 import numpy as np
 import pytest
 
-from reference import sweep_partialled
+from reference import regressor_blocks, sweep_partialled
 from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
     RankSelector,
@@ -18,7 +18,7 @@ from wimpvar.ranks import (
     select_rank_ic,
     select_rank_sequential,
 )
-from wimpvar.timeseries import DetrendMode, DetrendedSeries, build_vecm_regressors, detrend
+from wimpvar.timeseries import DetrendMode, DetrendedSeries, detrend
 from wimpvar.vecm import (
     VarLevels,
     companion_matrix,
@@ -67,26 +67,22 @@ def test_detrend_batch_matches_reference(mode):
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("paper", [False, True])
 def test_regressors_batch_matches_reference(p, paper):
-    ys = _stack(4)
-    z0, z1, z2 = _batch.regressors_batch(ys, p, paper)
-    first = p + (1 if paper else 0)  # 0-based time index of the first Z0 row
-    for i in range(4):
-        y = ys[i]
-        rows = range(first, y.shape[0])
-        assert np.array_equal(z0[i], [y[t] - y[t - 1] for t in rows])
-        assert np.array_equal(z1[i], [y[t - 1] for t in rows])
-        oracle_z2 = [[y[t - lag] - y[t - lag - 1] for lag in range(1, p)] for t in rows]
-        assert np.array_equal(z2[i], np.reshape(oracle_z2, z2[i].shape))
-        ref = build_vecm_regressors(y, p, paper)
-        assert np.array_equal(ref.Z0, z0[i])
-        assert np.array_equal(ref.Z1, z1[i])
-        assert np.array_equal(ref.Z2, z2[i])
+    # The design the sweep and the residuals read, chunk by chunk across a
+    # chunk edge, is [Z2 | Z1 | Z0]' of the time-indexed blocks.
+    ys = _stack(_batch._CHUNK + 3)
+    z0, z1, z2 = regressor_blocks(ys, p, paper)
+    blocks = np.concatenate([z2, z1, z0], axis=2)
+    spans = []
+    for lo, hi, design in _batch._design_chunks(ys, p, paper):
+        assert np.array_equal(np.swapaxes(design, 1, 2), blocks[lo:hi])
+        spans.append((lo, hi))
+    assert spans == [(0, _batch._CHUNK), (_batch._CHUNK, ys.shape[0])]
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_sweep_batch_matches_decomposition(p):
     ys = _stack(5)
-    z0, z1, z2 = _batch.regressors_batch(ys, p)
+    z0, z1, z2 = regressor_blocks(ys, p)
     sweep = _batch.sweep_batch(ys, p)
     assert sweep.ok.all()
     for i in range(5):
@@ -111,7 +107,7 @@ def test_sweep_batch_matches_decomposition(p):
         assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
         assert np.allclose(vecs.T @ s11 @ vecs, np.eye(3), atol=1e-9)
         assert np.all(np.diff(lam) <= 0) and lam[-1] >= 0 and lam[0] < 1
-        one = observed_sweep(build_vecm_regressors(ys[i], p))
+        one = observed_sweep(ys[i], p)
         for name in ("eigenvalues", "vectors", "S00", "S01", "P20", "P21"):
             assert np.array_equal(getattr(one, name)[0], getattr(sweep, name)[i])
         assert one.ln_det_s00[0] == sweep.ln_det_s00[i]
@@ -121,7 +117,7 @@ def test_sweep_batch_matches_decomposition(p):
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_rank_fit_batch_matches_reference(p, rank):
     ys = _stack(4)
-    z0, z1, z2 = _batch.regressors_batch(ys, p)
+    z0, z1, z2 = regressor_blocks(ys, p)
     sweep = _batch.sweep_batch(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
     resid = _batch.residuals_batch(sweep, pi)
@@ -139,7 +135,7 @@ def test_rank_fit_batch_matches_reference(p, rank):
         assert np.allclose(resid[i], target - z2[i] @ stacked.T, atol=1e-10)
         # S00 - alpha alpha' equals the residual covariance.
         assert np.allclose(sigma[i], resid[i].T @ resid[i] / sweep.t_eff, atol=1e-12)
-        fit = johansen_fit_from(observed_sweep(build_vecm_regressors(ys[i], p)), rank)
+        fit = johansen_fit_from(observed_sweep(ys[i], p), rank)
         assert np.array_equal(fit.Pi, pi[i])
         assert np.array_equal(np.reshape(fit.Gammas, gammas[i].shape), gammas[i])
         assert np.array_equal(fit.residuals, resid[i])
@@ -164,7 +160,7 @@ def test_var_matrices_and_irf_batch_match_reference():
         for h in range(16):
             assert np.allclose(psi[i, h], power[:3, :3], atol=1e-10)
             power = comp @ power
-        fit = johansen_fit_from(observed_sweep(build_vecm_regressors(ys[i], 3)), 2)
+        fit = johansen_fit_from(observed_sweep(ys[i], 3), 2)
         assert np.array_equal(np.stack(vecm_to_var(fit).A), mats[i])
         assert np.array_equal(irf_reduced(vecm_to_var(fit), 15).values, psi[i])
 
@@ -269,7 +265,7 @@ def test_ic_select_batch_matches_reference(criterion):
     c_t = 2.0 if criterion == "aic" else np.log(sweep.t_eff)
     for i in range(6):
         # Oracle: refit every rank and compare ln det Sigma(r) + penalty.
-        one = observed_sweep(build_vecm_regressors(ys[i], 2))
+        one = observed_sweep(ys[i], 2)
         values = []
         for rank in range(4):
             resid = johansen_fit_from(one, rank).residuals
@@ -353,7 +349,7 @@ def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, messag
     ys = _stack(4)
     ys[2] = spoil(ys[2])
     sweep = _batch.sweep_batch(ys, p)
-    oracle = sweep_partialled(*_batch.regressors_batch(ys, p), p)
+    oracle = sweep_partialled(*regressor_blocks(ys, p), p)
     assert sweep.reason[2] & bit and oracle.reason[2] & bit
     assert np.array_equal(sweep.reason, oracle.reason)
     assert sweep.ok[[0, 1, 3]].all()
@@ -361,7 +357,7 @@ def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, messag
     # non-finite sample gets that far only as an already detrended series.
     alone = DetrendedSeries(ys[2], np.zeros(3), np.zeros(3), DetrendMode.NONE)
     with pytest.raises(EstimationError, match=message):
-        observed_sweep(build_vecm_regressors(alone, p))
+        observed_sweep(alone, p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -369,7 +365,7 @@ def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, messag
 def test_residuals_from_the_levels_match_the_partialled_blocks(p, paper):
     ys = _stack(6)
     sweep = _batch.sweep_batch(ys, p, paper)
-    oracle = sweep_partialled(*_batch.regressors_batch(ys, p, paper), p)
+    oracle = sweep_partialled(*regressor_blocks(ys, p, paper), p)
     # Per-sample ranks, as FDBB's level two uses them.
     ranks = np.array([0, 1, 2, 3, 1, 2])
     fits = np.stack([_batch.rank_fit_batch(sweep, rank)[0] for rank in range(4)])

@@ -59,6 +59,13 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert back.names == data.names
 
 
+def test_unencodable_name_is_a_data_error_and_leaves_no_file(tmp_path):
+    data = TimeSeriesData(np.ones((3, 2)), ("\ud800", "v"))
+    with pytest.raises(DataError, match="cannot write '\\\\ud800' as UTF-8"):
+        emit_csv_matrix(str(tmp_path / "m.csv"), data)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- analyze ------------------------------------------------------------------
 
 

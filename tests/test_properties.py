@@ -10,6 +10,8 @@
 * One query-value path: query values at per-sample ranks equal, row by row
   and bit for bit, the values at each row's rank imposed on the whole batch,
   and the observed sample's table at ranks 0..K equals B=1 calls.
+* One entry point: the prepared sample's sweep is, field for field and bit
+  for bit, the sweep ``observed_sweep`` gives the same data.
 * Equivariance: at a fixed rank the reduced-rank fit commutes with a
   relabelling or rescaling of the variables, so the squared canonical
   correlations and trace statistics do not move, and the reduced-form
@@ -28,14 +30,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from reference import format_cell, irf_stepwise, sweep_partialled  # noqa: E402
+from reference import format_cell, irf_stepwise, regressor_blocks, sweep_partialled  # noqa: E402
 from wimpvar import _batch, bootstrap, cli  # noqa: E402
 from wimpvar import BootstrapConfig, IntervalSet, IrfQuery, RankSelector  # noqa: E402
 from wimpvar import fit_vecm, irf_reduced, trace_statistics, vecm_to_var  # noqa: E402
 from wimpvar.bootstrap import (  # noqa: E402
     METHODS, _attempt, _compile_queries, _prepare, _zeta_at_rank, run_methods,
 )
+from wimpvar.errors import DataError  # noqa: E402
 from wimpvar.timeseries import DetrendMode  # noqa: E402
+from wimpvar.vecm import observed_sweep  # noqa: E402
 
 
 def _paths(seed: int, n_batch: int, n_obs: int = 90, n_vars: int = 3) -> np.ndarray:
@@ -52,7 +56,7 @@ MODES = st.sampled_from(list(DetrendMode))
 def _pipeline(ys, mode, p, h_max=8):
     """Every batch step the single-sample API runs, on one stack."""
     tilde, coef = _batch.detrend_batch(ys, mode)
-    z0, z1, z2 = _batch.regressors_batch(tilde, p)
+    z0, z1, z2 = regressor_blocks(tilde, p)
     sweep = _batch.sweep_batch(tilde, p)
     out = {"tilde": tilde, "coef": coef, "z0": z0, "z1": z1, "z2": z2}
     for name in ("eigenvalues", "vectors", "S00", "S01", "ln_det_s00", "reason"):
@@ -144,7 +148,7 @@ def test_rebuilt_path_is_independent_of_its_batch(
 )
 def test_gram_sweep_matches_the_partialled_sweep(seed, n_batch, mode, p, n_vars, paper, data):
     tilde, _ = _batch.detrend_batch(_paths(seed, n_batch, n_vars=n_vars), mode)
-    blocks = _batch.regressors_batch(tilde, p, paper)
+    blocks = regressor_blocks(tilde, p, paper)
     fast = _batch.sweep_batch(tilde, p, paper)
     slow = sweep_partialled(*blocks, p)
     assert fast.t_eff == slow.t_eff
@@ -255,9 +259,22 @@ def test_per_sample_ranks_equal_each_rank_imposed_on_the_batch(seed, n_batch, mo
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), mode=MODES, p=st.integers(1, 3), queries=QUERY_SETS)
-def test_observed_table_rows_equal_one_sample_calls(seed, mode, p, queries):
-    prep = _prepare(_paths(seed, 1)[0], p, queries, BootstrapConfig(), mode)
+@given(
+    seed=st.integers(0, 2**32 - 1), mode=MODES, p=st.integers(1, 3), paper=st.booleans(),
+    queries=QUERY_SETS,
+)
+def test_observed_table_rows_equal_one_sample_calls(seed, mode, p, paper, queries):
+    y = _paths(seed, 1)[0]
+    prep = _prepare(y, p, queries, BootstrapConfig(paper_sample_convention=paper), mode)
+    # The prepared sample's sweep is the one entry point's, field for field.
+    sweep = observed_sweep(y, p, mode, paper)
+    for name, value in vars(prep.sweep).items():
+        other = getattr(sweep, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.shape == other.shape, name
+            assert value.tobytes() == other.tobytes(), name
+        else:
+            assert value == other, name
     table, table_ok = prep.points
     assert table.shape == (4, len(queries))
     for rank in range(4):
@@ -425,12 +442,23 @@ _CELLS = {
 }
 
 
+def _utf8(text: str) -> bool:
+    """Whether ``text`` has a UTF-8 form: it holds no lone surrogate."""
+    return not any(0xD800 <= ord(char) <= 0xDFFF for char in text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(kinds=st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=8), data=st.data())
 def test_csv_row_format_writes_the_per_cell_format(tmp_path_factory, kinds, data):
     rows = [[data.draw(_CELLS[kind]) for kind in kinds] for _ in range(data.draw(st.integers(1, 4)))]
     header = [f"c{i}" for i in range(len(kinds))]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
+    if not all(_utf8(cell) for row in rows for cell in row if isinstance(cell, str)):
+        # A lone surrogate has no UTF-8 form: a typed error, and no file left behind.
+        with pytest.raises(DataError, match="as UTF-8"):
+            cli._write_csv(str(path), header, rows)
+        assert not any(path.parent.iterdir())
+        return
     cli._write_csv(str(path), header, rows)
     expected = [",".join(header)] + [",".join(format_cell(cell) for cell in row) for row in rows]
     assert path.read_bytes().decode("utf-8") == "\n".join(expected) + "\n"

@@ -20,8 +20,7 @@ from wimpvar.ranks import (
     ic_values_from_eigenvalues,
     trace_critical_value,
 )
-from wimpvar.timeseries import build_vecm_regressors
-from wimpvar.vecm import johansen_fit, observed_sweep
+from wimpvar.vecm import johansen_fit_from, observed_sweep
 
 
 def _sim(seed, variant="dgp2", T=200):
@@ -36,14 +35,14 @@ def test_ic_binary_case_equals_direct_comparison():
     rng = np.random.default_rng(40)
     for trial in range(10):
         y = np.cumsum(rng.standard_normal(80))[:, None] + rng.standard_normal((80, 1))
-        reg = build_vecm_regressors(y, 1)
-        fit0 = johansen_fit(reg, 0)
-        fit1 = johansen_fit(reg, 1)
-        for criterion, c_t in (("aic", 2.0), ("bic", np.log(reg.t_eff))):
+        sweep = observed_sweep(y, 1)
+        fit0 = johansen_fit_from(sweep, 0)
+        fit1 = johansen_fit_from(sweep, 1)
+        for criterion, c_t in (("aic", 2.0), ("bic", np.log(sweep.t_eff))):
             ic0 = np.log(np.linalg.det(np.atleast_2d(fit0.Sigma_u)))
             ic1 = (
                 np.log(np.linalg.det(np.atleast_2d(fit1.Sigma_u)))
-                + c_t * ic_param_count(1, 1, 1) / reg.t_eff
+                + c_t * ic_param_count(1, 1, 1) / sweep.t_eff
             )
             oracle = 0 if ic0 <= ic1 else 1
             assert select_rank_ic(y, 1, criterion) == oracle
@@ -53,17 +52,16 @@ def test_ic_values_match_per_rank_refits():
     # The determinant identity behind the vectorized criterion must agree
     # with explicitly refitting every rank.
     y = _sim(41, "dgp1")
-    reg = build_vecm_regressors(y, 2)
-    sweep = observed_sweep(reg)
-    for criterion, c_t in (("aic", 2.0), ("bic", np.log(reg.t_eff))):
+    sweep = observed_sweep(y, 2)
+    for criterion, c_t in (("aic", 2.0), ("bic", np.log(sweep.t_eff))):
         values = ic_values_from_eigenvalues(
             sweep.eigenvalues[0], sweep.ln_det_s00[0], sweep.t_eff, sweep.p, criterion
         )
         for rank in range(4):
-            fit = johansen_fit(reg, rank)
+            fit = johansen_fit_from(sweep, rank)
             direct = (
                 np.log(np.linalg.det(fit.Sigma_u))
-                + c_t * ic_param_count(rank, 3, 2) / reg.t_eff
+                + c_t * ic_param_count(rank, 3, 2) / sweep.t_eff
             )
             assert values[rank] == pytest.approx(direct, abs=1e-9)
 

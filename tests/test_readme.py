@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and the names its
+tables list as removed are gone."""
+import importlib
 import os
+import pkgutil
 import re
 
 import numpy as np
 
+import wimpvar
 from wimpvar import TimeSeriesData, make_dgp, simulate_path
 from wimpvar.cli import emit_csv_matrix
 
@@ -31,3 +35,47 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     interval = namespace["interval"]
     assert interval.method == "wimp"
     assert np.all(interval.lower <= interval.upper)
+
+
+NAME = r"`[A-Za-z_]\w*(?:\.\w+)*`"
+
+
+def _removed_names() -> list:
+    """The names in the first column of every "Removed" table whose cell is
+    a list of bare backticked names or dotted paths, a remark in
+    parentheses aside; cells with a signature or prose are skipped."""
+    with open(README, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    names, in_table = [], False
+    for line in lines:
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[:1] == ["Removed"]:
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not set(cells[0]) <= set("-: "):
+            cell = re.sub(r"\s*\([^`]*\)$", "", cells[0])
+            if re.fullmatch(rf"{NAME}(?:(?:, | and ){NAME})*", cell):
+                names += re.findall(r"`([^`]*)`", cell)
+    return names
+
+
+def _resolves(path: str, owner) -> bool:
+    for attr in path.split("."):
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+def test_readme_removed_names_are_gone():
+    submodules = pkgutil.iter_modules(wimpvar.__path__)
+    modules = [wimpvar] + [importlib.import_module(f"wimpvar.{info.name}") for info in submodules]
+    names = _removed_names()
+    assert {"VecmRegressors", "build_vecm_regressors", "wimpvar._batch.regressors_batch"} <= set(
+        names
+    )
+    for name in names:
+        path = name.removeprefix("wimpvar.")
+        found = [module.__name__ for module in modules if _resolves(path, module)]
+        assert not found, f"{name}, listed as removed, resolves in {found}"

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from wimpvar import DataError, DetrendMode, TimeSeriesData, build_vecm_regressors, detrend, difference
+from wimpvar import DataError, DetrendMode, TimeSeriesData, _batch, detrend, difference
+from wimpvar.vecm import observed_sweep
 
 
 def test_detrend_constant_series_exact():
@@ -100,10 +103,24 @@ def test_difference_inverts_cumsum():
     assert np.allclose(difference(path), noise[1:], atol=1e-12)
 
 
+def _blocks(y, p, paper_convention=False):
+    """The Z0, Z1 and Z2 blocks of one sample, read from the design the sweep
+    and the residuals fill."""
+    ((_, _, design),) = _batch._design_chunks(np.asarray(y, dtype=float)[None], p, paper_convention)
+    blocks = design[0].T  # (T_eff, K(p+1)): [Z2 Z1 Z0]
+    lagged = y.shape[1] * (p - 1)
+    return SimpleNamespace(
+        Z0=blocks[:, lagged + y.shape[1] :],
+        Z1=blocks[:, lagged : lagged + y.shape[1]],
+        Z2=blocks[:, :lagged],
+        t_eff=blocks.shape[0],
+    )
+
+
 def test_regressors_p1_has_empty_lag_block():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((30, 2))
-    reg = build_vecm_regressors(y, 1)
+    reg = _blocks(y, 1)
     assert reg.Z2.shape == (29, 0)
     assert reg.Z0.shape == (29, 2)
     assert reg.Z1.shape == (29, 2)
@@ -111,7 +128,7 @@ def test_regressors_p1_has_empty_lag_block():
 
 def test_regressors_hand_case_p2():
     y = np.array([1.0, 2.0, 4.0, 7.0, 11.0])[:, None]
-    reg = build_vecm_regressors(y, 2)
+    reg = _blocks(y, 2)
     assert np.array_equal(reg.Z0.ravel(), [2.0, 3.0, 4.0])
     assert np.array_equal(reg.Z1.ravel(), [2.0, 4.0, 7.0])
     assert np.array_equal(reg.Z2.ravel(), [1.0, 2.0, 3.0])
@@ -121,7 +138,7 @@ def test_regressors_hand_case_p2():
 def test_regressors_row_counts(p):
     rng = np.random.default_rng(6)
     y = rng.standard_normal((50, 3))
-    reg = build_vecm_regressors(y, p)
+    reg = _blocks(y, p)
     assert reg.Z0.shape[0] == reg.Z1.shape[0] == reg.Z2.shape[0] == 50 - p
     assert reg.Z2.shape[1] == 3 * (p - 1)
 
@@ -129,8 +146,8 @@ def test_regressors_row_counts(p):
 def test_regressors_paper_convention_drops_one_row():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((50, 3))
-    minimal = build_vecm_regressors(y, 2)
-    paper = build_vecm_regressors(y, 2, paper_convention=True)
+    minimal = _blocks(y, 2)
+    paper = _blocks(y, 2, paper_convention=True)
     assert paper.t_eff == minimal.t_eff - 1
     assert np.array_equal(paper.Z0, minimal.Z0[1:])
     assert np.array_equal(paper.Z1, minimal.Z1[1:])
@@ -149,11 +166,11 @@ def test_regressors_alignment_regenerates_innovations():
     y[1] = y[0] + innov[1]
     for t in range(2, T):
         y[t] = y[t - 1] + pi @ y[t - 1] + gamma @ (y[t - 1] - y[t - 2]) + innov[t]
-    reg = build_vecm_regressors(y, 2)
+    reg = _blocks(y, 2)
     recovered = reg.Z0 - reg.Z1 @ pi.T - reg.Z2 @ gamma.T
     assert np.allclose(recovered, innov[2:], atol=1e-10)
 
 
 def test_regressors_reject_bad_lag_order():
     with pytest.raises(DataError):
-        build_vecm_regressors(np.ones((30, 2)) + np.arange(30)[:, None], 0)
+        observed_sweep(np.ones((30, 2)) + np.arange(30)[:, None], 0)

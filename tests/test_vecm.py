@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from reference import companion_roots, evaluate_zeta, irf_structural
+from reference import companion_roots, evaluate_zeta, irf_structural, regressor_blocks
 from wimpvar import (
+    BootstrapConfig,
     ConfigError,
     EstimationError,
     IrfQuery,
+    TimeSeriesData,
     VarLevels,
-    build_vecm_regressors,
+    _batch,
     cholesky_factor,
     companion_matrix,
     fit_vecm,
     irf_reduced,
-    johansen_fit,
     make_dgp,
+    prepare,
+    select_rank_ic,
+    select_rank_sequential,
     simulate_path,
     trace_statistics,
     var_to_vecm,
@@ -35,17 +39,17 @@ def _random_stable_var(rng, n_vars, p, radius=0.9):
             return var
 
 
-# --- johansen_fit -----------------------------------------------------------
+# --- fit_vecm ---------------------------------------------------------------
 
 
 def test_rank_zero_equals_differenced_ols():
     rng = np.random.default_rng(10)
     y = np.cumsum(rng.standard_normal((150, 3)), axis=0)
-    reg = build_vecm_regressors(y, 3)
-    fit = johansen_fit(reg, 0)
+    fit = fit_vecm(y, 3, 0)
     assert np.all(fit.Pi == 0)
     # oracle: plain OLS of the differences on the lagged differences
-    coef, *_ = np.linalg.lstsq(reg.Z2, reg.Z0, rcond=None)
+    (z0,), _, (z2,) = regressor_blocks(y[None], 3)
+    coef, *_ = np.linalg.lstsq(z2, z0, rcond=None)
     for lag in range(2):
         oracle = coef[lag * 3 : (lag + 1) * 3].T
         assert np.allclose(fit.Gammas[lag], oracle, atol=1e-8)
@@ -55,16 +59,16 @@ def test_rank_zero_equals_differenced_ols():
 def test_full_rank_equals_unrestricted_ols(seed):
     rng = np.random.default_rng(seed)
     y = np.cumsum(rng.standard_normal((120, 3)), axis=0) + rng.standard_normal((120, 3))
-    reg = build_vecm_regressors(y, 2)
-    fit = johansen_fit(reg, 3)
-    design = np.hstack([reg.Z1, reg.Z2])
-    coef, *_ = np.linalg.lstsq(design, reg.Z0, rcond=None)
+    fit = fit_vecm(y, 2, 3)
+    (z0,), (z1,), (z2,) = regressor_blocks(y[None], 2)
+    design = np.hstack([z1, z2])
+    coef, *_ = np.linalg.lstsq(design, z0, rcond=None)
     pi_ols = coef[:3].T
     gamma_ols = coef[3:6].T
     scale = max(np.linalg.norm(pi_ols), 1.0)
     assert np.linalg.norm(fit.Pi - pi_ols) / scale < 1e-8
     assert np.linalg.norm(fit.Gammas[0] - gamma_ols) / max(np.linalg.norm(gamma_ols), 1.0) < 1e-8
-    resid_ols = reg.Z0 - design @ coef
+    resid_ols = z0 - design @ coef
     assert np.allclose(fit.residuals, resid_ols, atol=1e-8)
 
 
@@ -103,9 +107,9 @@ def test_eigenvalues_identical_across_ranks():
 
 def test_beta_normalization():
     y = _sim(13)
-    reg = build_vecm_regressors(y, 1)
-    fit = johansen_fit(reg, 2)
-    s11 = reg.Z1.T @ reg.Z1 / reg.t_eff
+    fit = fit_vecm(y, 1, 2)
+    _, (z1,), _ = regressor_blocks(y[None], 1)
+    s11 = z1.T @ z1 / fit.t_eff
     gram = fit.beta.T @ s11 @ fit.beta
     assert np.allclose(gram, np.eye(2), atol=1e-8)
 
@@ -114,6 +118,106 @@ def test_singular_moments_rejected():
     y = np.ones((40, 2)) * 3.0  # constant series: S11 singular
     with pytest.raises(EstimationError):
         fit_vecm(y, 1, 1)
+
+
+def _walk():
+    """A K=3 random walk, T=200."""
+    return np.cumsum(np.random.default_rng(0).standard_normal((200, 3)), axis=0)
+
+
+def _constant(y):
+    y[:, 2] = 3.0
+
+
+def _duplicate(y):
+    y[:, 2] = y[:, 0]
+
+
+def _combination(y):
+    y[:, 2] = y[:, 0] + 2.0 * y[:, 1]
+
+
+LAGGED = "singular lagged-difference moment matrix"
+
+
+@pytest.mark.parametrize(
+    "spoil, p, mode, phrase",
+    [
+        (_constant, 2, "none", LAGGED),
+        (_constant, 1, "none", "singular S00 moment matrix"),
+        (_constant, 1, "constant", "singular S11 moment matrix"),
+        (_constant, 2, "constant_and_trend", LAGGED),
+        (_duplicate, 2, "none", LAGGED),
+        (_duplicate, 1, "none", "singular S11 moment matrix"),
+        (_combination, 2, "none", LAGGED),
+        (_combination, 1, "none", "singular S11 moment matrix"),
+    ],
+)
+def test_singular_moments_name_the_column_at_fault(spoil, p, mode, phrase):
+    y = _walk()
+    spoil(y)
+    fault = "is constant or a linear combination of earlier columns"
+    with pytest.raises(EstimationError) as raised:
+        fit_vecm(y, p, 1, mode)
+    assert str(raised.value) == f"{phrase}; column 3 {fault}"
+    with pytest.raises(EstimationError) as raised:
+        fit_vecm(TimeSeriesData(y, names=("gdp", "cons", "inv")), p, 1, mode)
+    assert str(raised.value) == f"{phrase}; inv {fault}"
+
+
+@pytest.mark.parametrize("spoil", ["near_collinear", "rescaled"])
+def test_near_singular_moments_keep_their_message(spoil):
+    # Both fail the sweep's moment check without a column at fault: y3 is
+    # y1 plus noise 1e-6 times as large, or y3 in units 1e7 times smaller.
+    y = _walk()
+    if spoil == "near_collinear":
+        y[:, 2] = y[:, 0] + 1e-6 * np.random.default_rng(1).standard_normal(200)
+    else:
+        y[:, 2] *= 1e7
+    with pytest.raises(EstimationError) as raised:
+        fit_vecm(y, 2, 1)
+    assert str(raised.value) == f"{LAGGED}; try a smaller lag order or more observations"
+
+
+ROUTES = {
+    "prepare": lambda y, p, mode="none": prepare(
+        y, p, (IrfQuery(a=1, b=2),), BootstrapConfig(n_boot=39), mode
+    ),
+    "select_rank_ic": lambda y, p, mode="none": select_rank_ic(y, p, "aic", mode),
+    "select_rank_sequential": lambda y, p, mode="none": select_rank_sequential(y, p, 0.05, mode),
+    "fit_vecm": lambda y, p, mode="none": fit_vecm(y, p, 1, mode),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_from_data_rejects_bad_settings_as_config_errors(route):
+    y = _walk()
+    with pytest.raises(ConfigError, match="p must be an integer"):
+        ROUTES[route](y, 2.0)
+    with pytest.raises(ConfigError, match="detrend mode must be one of"):
+        ROUTES[route](y, 1, "linear")
+    if route == "fit_vecm":
+        with pytest.raises(ConfigError, match="rank must be an integer"):
+            fit_vecm(y, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "route, fills",
+    [("prepare", 1), ("select_rank_ic", 1), ("select_rank_sequential", 1), ("fit_vecm", 2)],
+)
+def test_every_route_fills_the_design_once_per_product(route, fills, monkeypatch):
+    # The observed sample's design is filled once for its sweep, and once
+    # more for a fit's residuals.
+    calls = []
+    fill = _batch._fill_design
+
+    def counting(out, tilde):
+        calls.append(tilde.shape)
+        fill(out, tilde)
+
+    monkeypatch.setattr(_batch, "_fill_design", counting)
+    ROUTES[route](_walk(), 2)
+    assert calls == [(1, 200, 3)] * fills
 
 
 def test_insufficient_sample_rejected():
@@ -374,8 +478,7 @@ def test_evaluate_rejects_out_of_range():
 def test_eigenvalues_match_statsmodels(p):
     sm = pytest.importorskip("statsmodels.tsa.vector_ar.vecm")
     y = _sim(22, T=300)
-    reg = build_vecm_regressors(y, p)
-    fit = johansen_fit(reg, 1)
+    fit = fit_vecm(y, p, 1)
     res = sm.coint_johansen(y, det_order=-1, k_ar_diff=p - 1)
     assert np.allclose(fit.eigenvalues, np.sort(res.eig)[::-1], atol=1e-8)
 
