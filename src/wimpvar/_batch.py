@@ -10,7 +10,9 @@ of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and
 :mod:`wimpvar.bootstrap` are B=1 calls that validate their input and turn
 a failure into a typed error.
 Samples that fail numerically are flagged in a per-sample ``reason``
-bitmask instead of raising, so one bad sample cannot abort a batch.
+bitmask instead of raising, so one bad sample cannot abort a batch.  One
+factor, :func:`cholesky_batch`, decides whether a moment matrix is positive
+definite, by a test that does not depend on units, and serves its solves.
 
 Shapes use B for the batch axis, T for time, K for variables.
 """
@@ -140,26 +142,30 @@ def _design_chunks(tilde: np.ndarray, p: int, paper_convention: bool):
         yield lo, hi, buf[: hi - lo]
 
 
-def _spd_mask(mats: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """True where a stack of symmetric matrices is safely positive definite.
+_PIVOT_FLOOR = 1e-12
 
-    Non-finite matrices are marked False without being fed to the
-    eigensolver, so one bad sample cannot abort the whole batch.
+
+def cholesky_batch(mats: np.ndarray):
+    """Lower Cholesky factors of a (B, n, n) stack; returns (factors, ok).
+
+    Reads the lower triangle column by column and never raises.  A sample
+    fails, and gets the identity, when it is not finite or a pivot is not
+    above _PIVOT_FLOOR times its diagonal entry.  That share is 1 - R^2 of
+    the column on the earlier ones, which no rescaling of a variable moves.
     """
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    safe = np.where(finite[..., None, None], mats, 0.0)
-    ev = np.linalg.eigvalsh((safe + np.swapaxes(safe, -1, -2)) / 2.0)
-    scale = np.maximum(ev[..., -1], np.finfo(float).tiny)
-    return finite & (ev[..., 0] > floor * scale)
-
-
-def _masked(mats: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Replace failed samples with the identity so batched solves never raise."""
-    if ok.all():
-        return mats
-    out = mats.copy()
-    out[~ok] = np.eye(mats.shape[-1])
-    return out
+    n = mats.shape[-1]
+    ok = np.isfinite(mats).all(axis=(1, 2))
+    mats = np.where(ok[:, None, None], mats, 0.0)
+    factor = np.zeros_like(mats)
+    for j in range(n):
+        # column j of A minus the part the earlier columns explain, rows j..n-1
+        col = mats[:, j:, j] - (factor[:, j:, :j] @ factor[:, j, :j, None])[:, :, 0]
+        ok &= col[:, 0] > _PIVOT_FLOOR * mats[:, j, j]
+        root = np.sqrt(np.where(ok, col[:, 0], 1.0))
+        factor[:, j, j] = root
+        factor[:, j + 1 :, j] = np.where(ok[:, None], col[:, 1:] / root[:, None], 0.0)
+    factor[~ok] = np.eye(n)
+    return factor, ok
 
 
 @dataclass
@@ -209,16 +215,18 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     variable-major design X = [Z2 | Z1 | Z0]' (see :func:`_fill_design`),
     filled _CHUNK samples at a time.  The Schur complement of G22 gives the
     moments of Z0 and Z1 with Z2 partialled out, S_ij = (G_ij - G_i2
-    G22^{-1} G_2j) / T_eff (Johansen 1995, ch. 6), and one solve gives
-    [P21 P20] = G22^{-1} [G21 G20].  The generalized eigenproblem ``lam *
-    S11 v = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`.
-    One sweep serves every rank.
+    G22^{-1} G_2j) / T_eff (Johansen 1995, ch. 6): with G22 = L L' (its
+    test sets SINGULAR_Z2) and H = L^{-1} [G21 G20], that is H'H, and
+    [P21 P20] = L^{-T} H.  The generalized eigenproblem ``lam * S11 v = S10
+    S00^{-1} S01 v`` is then solved as in :func:`_canonical`.  One sweep
+    serves every rank.
     """
     n_batch, _, n_vars = tilde.shape
     width, t_eff = _design_shape(tilde, p, paper_convention)
     gram = np.empty((n_batch, width, width))
     for lo, hi, design in _design_chunks(tilde, p, paper_convention):
         np.matmul(design, np.swapaxes(design, 1, 2), out=gram[lo:hi])
+    del design  # the last view of the design buffer: free it before the factors
     reason = np.zeros(n_batch, dtype=np.int64)
     finite = np.isfinite(np.diagonal(gram, axis1=1, axis2=2)).all(axis=1)
     _flag(reason, finite, NONFINITE)
@@ -229,10 +237,11 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     lagged = width - 2 * n_vars
     cross, moments = gram[:, :lagged, lagged:], gram[:, lagged:, lagged:]
     if lagged:
-        g22 = gram[:, :lagged, :lagged]
-        _flag(reason, _spd_mask(g22), SINGULAR_Z2)
-        coef = np.linalg.solve(_masked(g22, reason == 0), cross)  # [P21 P20]
-        moments = moments - np.swapaxes(cross, 1, 2) @ coef
+        chol, good = cholesky_batch(gram[:, :lagged, :lagged])
+        _flag(reason, good, SINGULAR_Z2)
+        half = np.linalg.solve(chol, cross)  # L^{-1} [G21 G20], G22 = L L'
+        moments = moments - np.swapaxes(half, 1, 2) @ half
+        coef = np.linalg.solve(np.swapaxes(chol, 1, 2), half)  # [P21 P20]
     else:
         coef = cross
     # [[S11 S10], [S01 S00]], made exactly symmetric
@@ -260,19 +269,18 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     reduced-rank problem ``lam * S11 v = S10 S00^{-1} S01 v``, adding failure
     bits to ``reason`` in place.
 
-    A Cholesky factor of S11 reduces it to an ordinary symmetric problem.
+    One factor each, S11 = L11 L11' and S00 = L00 L00', sets SINGULAR_S11
+    and SINGULAR_S00.  M = Q'Q with Q = L00^{-1} S01 L11^{-T} is symmetric
+    with the same eigenvalues, the vectors are L11^{-T} times M's, and
+    ln det S00 = 2 sum ln diag L00.
     """
-    _flag(reason, _spd_mask(s11), SINGULAR_S11)
-    _flag(reason, _spd_mask(s00), SINGULAR_S00)
-    ok = reason == 0
-    chol = np.linalg.cholesky(_masked(s11, ok))
-    # Whiten: M = C^{-1} S10 S00^{-1} S01 C^{-T} is symmetric PSD with the
-    # same eigenvalues as the generalized problem.
-    x = np.linalg.solve(_masked(s00, ok), s01)
-    inner = np.swapaxes(s01, 1, 2) @ x
-    m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, inner), 1, 2))
-    m = np.swapaxes(m, 1, 2)
-    m = (m + np.swapaxes(m, 1, 2)) / 2.0
+    l11, good = cholesky_batch(s11)
+    _flag(reason, good, SINGULAR_S11)
+    l00, good = cholesky_batch(s00)
+    _flag(reason, good, SINGULAR_S00)
+    half = np.linalg.solve(l00, s01)  # L00^{-1} S01
+    q = np.swapaxes(np.linalg.solve(l11, np.swapaxes(half, 1, 2)), 1, 2)
+    m = np.swapaxes(q, 1, 2) @ q
     lam, w = np.linalg.eigh(m)
     lam = lam[:, ::-1]
     w = w[:, :, ::-1]
@@ -282,7 +290,7 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     _flag(reason, finite & (lam[:, -1] > _EIG_FLOOR), EIG_FLOOR)
     lam = np.clip(lam, 0.0, _EIG_CEIL)
 
-    vectors = np.linalg.solve(np.swapaxes(chol, 1, 2), w)
+    vectors = np.linalg.solve(np.swapaxes(l11, 1, 2), w)
     # Sign convention, deterministic across platforms: the first coordinate
     # of each column exceeding the tolerance is made positive.
     scale = np.abs(vectors).max(axis=1, keepdims=True)
@@ -292,8 +300,7 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     signs = np.where(lead < 0, -1.0, 1.0)
     vectors = vectors * signs[:, None, :]
 
-    sign, ln_det = np.linalg.slogdet(s00)
-    _flag(reason, (sign > 0) & np.isfinite(ln_det), SINGULAR_S00)
+    ln_det = 2.0 * np.log(np.diagonal(l00, axis1=1, axis2=2)).sum(axis=1)
     return lam, vectors, ln_det
 
 
@@ -470,22 +477,13 @@ def ols_var_levels_batch(y: np.ndarray, p: int):
     n_batch, n_obs, n_vars = y.shape
     target = y[:, p:]
     design = np.concatenate([y[:, p - lag : n_obs - lag] for lag in range(1, p + 1)], axis=2)
-    gram = np.swapaxes(design, 1, 2) @ design
-    ok = np.isfinite(y).all(axis=(1, 2)) & _spd_mask(gram)
-    coef = np.linalg.solve(_masked(gram, ok), np.swapaxes(design, 1, 2) @ target)
+    chol, ok = cholesky_batch(np.swapaxes(design, 1, 2) @ design)
+    ok &= np.isfinite(y).all(axis=(1, 2))
+    coef = np.linalg.solve(chol, np.swapaxes(design, 1, 2) @ target)  # L^{-1} X'y
+    coef = np.linalg.solve(np.swapaxes(chol, 1, 2), coef)  # then L^{-T}
     resid = target - design @ coef
     mats = np.swapaxes(coef.reshape(n_batch, p, n_vars, n_vars), 2, 3)
     return mats, resid, ok
-
-
-def cholesky_batch(sigmas: np.ndarray):
-    """Lower Cholesky factors of a (B, K, K) stack; returns (factors, ok).
-
-    A matrix that is not safely positive definite is flagged and factored
-    as the identity instead.
-    """
-    ok = _spd_mask(sigmas)
-    return np.linalg.cholesky(_masked(sigmas, ok)), ok
 
 
 def trace_stats_batch(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:

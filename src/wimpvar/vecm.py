@@ -159,30 +159,26 @@ _SWEEP_ERRORS = (
 _COLUMN_BITS = _batch.SINGULAR_Z2 | _batch.SINGULAR_S11 | _batch.SINGULAR_S00
 
 
-def _dependent_columns(tilde: np.ndarray, levels: np.ndarray) -> list:
+def _dependent_columns(tilde: np.ndarray) -> list:
     """Indices of the columns whose detrended differences are zero or, to
     the sweep's floor of 1e-12, a linear combination of earlier columns.
 
     The Gram matrix of the differences is scaled to a unit diagonal, so the
-    check does not depend on the units of the variables.  A column that
-    detrending leaves at rounding level of its ``levels`` counts as zero.
+    check does not depend on the units of the variables.
     """
     diff = np.diff(tilde, axis=0)
-    # 1e-10 is far above the rounding of detrending and far below the
-    # variation of any series that is not constant.
-    diff[:, np.abs(tilde).max(axis=0) <= 1e-10 * np.abs(levels).max(axis=0)] = 0.0
     norms = np.linalg.norm(diff, axis=0)
     # R'R is the unit-diagonal Gram matrix, so R_jj^2 is the pivot of column
     # j: its Schur complement given the earlier columns.
     r = np.linalg.qr(diff / np.where(norms > 0, norms, 1.0), mode="r")
-    return np.flatnonzero(np.diagonal(r) ** 2 <= 1e-12).tolist()
+    return np.flatnonzero(np.diagonal(r) ** 2 <= _batch._PIVOT_FLOOR).tolist()
 
 
-def _sweep_error(reason: int, tilde: np.ndarray, levels: np.ndarray, names) -> EstimationError:
+def _sweep_error(reason: int, tilde: np.ndarray, names) -> EstimationError:
     """The error for a sample's first failure bit, naming the columns at
     fault when a moment matrix is singular because of them."""
     bit, message = next((bit, message) for bit, message in _SWEEP_ERRORS if reason & bit)
-    dependent = _dependent_columns(tilde, levels) if bit & _COLUMN_BITS else []
+    dependent = _dependent_columns(tilde) if bit & _COLUMN_BITS else []
     if dependent:
         labels = ", ".join(names[j] if names else f"column {j + 1}" for j in dependent)
         verb = "is" if len(dependent) == 1 else "are each"
@@ -235,11 +231,14 @@ def observed_sweep(
     # A copy: the sweep holds it, and a DetrendedSeries or mode "none" hands
     # back the caller's own array.
     tilde = tilde[0].copy()
+    # A column that detrending leaves within 1e-10 of its levels' magnitude
+    # (far above rounding, far below real variation) is constant: swept as 0.
+    levels = data.retrend() if detrended else values
+    tilde[:, np.abs(tilde).max(axis=0) <= 1e-10 * np.abs(levels).max(axis=0)] = 0.0
     sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
     if sweep.reason[0]:
         names = data.names if isinstance(data, TimeSeriesData) else None
-        levels = data.retrend() if detrended else values
-        raise _sweep_error(int(sweep.reason[0]), tilde, levels, names)
+        raise _sweep_error(int(sweep.reason[0]), tilde, names)
     return sweep
 
 

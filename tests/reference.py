@@ -111,8 +111,9 @@ def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):
     z0, z1, z2 = (np.where(finite[:, None, None], z, 0.0) for z in (z0, z1, z2))
     if z2.shape[2]:
         a22 = np.swapaxes(z2, 1, 2) @ z2
-        _batch._flag(reason, _batch._spd_mask(a22), _batch.SINGULAR_Z2)
-        a22 = _batch._masked(a22, reason == 0)
+        _, good = _batch.cholesky_batch(a22)
+        _batch._flag(reason, good, _batch.SINGULAR_Z2)
+        a22[reason != 0] = np.eye(a22.shape[-1])
         p20 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z0)
         p21 = np.linalg.solve(a22, np.swapaxes(z2, 1, 2) @ z1)
         r0 = z0 - z2 @ p20

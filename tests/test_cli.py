@@ -517,3 +517,57 @@ def test_report_on_analyze_bundle(tmp_path):
     assert main(["report", "--bundle", out, "--out", tables]) == 0
     assert os.path.exists(os.path.join(tables, "interval_table.csv"))
     assert os.path.exists(os.path.join(tables, "weight_bars.csv"))
+
+
+# --- results that do not depend on the units of the variables ----------------
+
+
+def _benchmark_input(seed, index):
+    """(levels (200, 4), --seed) of an ``analyze_k4`` benchmark operation:
+    two random walks and two stationary AR(2) parts, mixed, plus a constant
+    and a trend (the recipe of ``perfbench/workloads.py``)."""
+    rng = np.random.default_rng([1, seed, index])
+    op_seed = int(rng.integers(0, 2**31))
+    shocks = rng.standard_normal((250, 4))
+    parts = np.empty((250, 4))
+    parts[:, :2] = np.cumsum(shocks[:, :2], axis=0)
+    stationary = np.zeros((250, 2))
+    for t in range(2, 250):
+        stationary[t] = 0.5 * stationary[t - 1] - 0.2 * stationary[t - 2] + shocks[t, 2:]
+    parts[:, 2:] = stationary
+    while True:
+        mix = rng.uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
+        if np.linalg.cond(mix) <= 10.0:
+            break
+    return parts[50:] @ mix.T + 10.0 + 0.02 * np.arange(200.0)[:, None], op_seed
+
+
+def _weights_of_analyze(tmp_path, name, values, op_seed):
+    path = str(tmp_path / f"{name}.csv")
+    emit_csv_matrix(path, TimeSeriesData(values, ("y1", "y2", "y3", "y4")))
+    out = tmp_path / name
+    argv = ["analyze", "--input", path, "--out", str(out), "--seed", str(op_seed)]
+    assert main(argv + ["--p", "2", "--B", "199"]) == 0
+    rows = (tmp_path / name / "weights.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return np.array([[float(cell) for cell in row.split(",")[1:5]] for row in rows])
+
+
+UNITS = {
+    "y4_1e5": (1.0, 1.0, 1.0, 1e5),
+    "y4_1e6": (1.0, 1.0, 1.0, 1e6),
+    "y1_1e-4_y4_1e2": (1e-4, 1.0, 1.0, 1e2),
+}
+
+
+@pytest.mark.parametrize("seed, index", [(7, 1), (7, 2), (7, 3), (11, 1)])
+def test_analyze_does_not_depend_on_the_units(tmp_path, seed, index):
+    # The rescaled inputs were refused as singular lagged-difference moment
+    # matrices (all but three of y4_1e5) while the moment check compared
+    # eigenvalues across variables.
+    values, op_seed = _benchmark_input(seed, index)
+    expected = _weights_of_analyze(tmp_path, "unscaled", values, op_seed)
+    for name, scales in UNITS.items():
+        weights = _weights_of_analyze(tmp_path, name, values * np.array(scales), op_seed)
+        # raw weight, weight and trace statistic per rank; the reference rank
+        assert np.allclose(weights[:, :3], expected[:, :3], rtol=1e-10, atol=0), name
+        assert np.array_equal(weights[:, 3], expected[:, 3]), name

@@ -3,6 +3,9 @@
 * One implementation: a B=1 batch gives, bit for bit, the matching slice of
   a B>1 batch, for every kernel the single-sample API calls and for the
   resampling recursion, at every position of the batch.
+* One positive-definiteness test: the batched Cholesky factor equals
+  LAPACK's to rounding, gives a non-finite or zero sample the identity, and
+  flags the same samples whatever the units of the variables.
 * The doubling response kernel equals the step recursion up to rounding
   bounded by the responses of the absolute coefficients, and the Gram sweep
   equals the explicitly partialled one up to rounding bounded by the moment
@@ -33,7 +36,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from reference import format_cell, irf_stepwise, regressor_blocks, sweep_partialled  # noqa: E402
 from wimpvar import _batch, bootstrap, cli  # noqa: E402
 from wimpvar import BootstrapConfig, IntervalSet, IrfQuery, RankSelector  # noqa: E402
-from wimpvar import fit_vecm, irf_reduced, trace_statistics, vecm_to_var  # noqa: E402
+from wimpvar import fit_vecm, irf_reduced, select_rank_ic, trace_statistics, vecm_to_var  # noqa: E402
 from wimpvar.bootstrap import (  # noqa: E402
     METHODS, _attempt, _compile_queries, _prepare, _zeta_at_rank, run_methods,
 )
@@ -134,6 +137,78 @@ def test_rebuilt_path_is_independent_of_its_batch(
     assert np.array_equal(rebuild(np.array([index]))[0], full[index])
     order = np.array(data.draw(st.permutations(range(n_batch))))
     assert np.array_equal(rebuild(order), full[order])
+
+
+def _moment_stack(seed: int, n_batch: int, n: int, singular: bool = False) -> np.ndarray:
+    """(B, n, n) moment matrices X X' of Gaussian X (n, 2n + 5), well
+    conditioned; when ``singular``, X's last row is a random combination of
+    the others (zero for n = 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_batch, n, 2 * n + 5))
+    if singular:
+        x[:, -1] = (rng.standard_normal((n_batch, 1, n - 1)) @ x[:, :-1])[:, 0]
+    return x @ np.swapaxes(x, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 9),
+    n=st.integers(1, 9),
+    data=st.data(),
+)
+def test_cholesky_batch_equals_the_lapack_factor(seed, n_batch, n, data):
+    mats = _moment_stack(seed, n_batch, n)
+    factor, ok = _batch.cholesky_batch(mats)
+    assert ok.all()
+    # Both round sums of n products of factor entries, each bounded by the
+    # root of its row's diagonal entry.
+    scale = np.sqrt(np.diagonal(mats, axis1=1, axis2=2).max(axis=1))
+    error = np.abs(factor - np.linalg.cholesky(mats)).max(axis=(1, 2))
+    assert np.all(error <= 1e-13 * scale)
+    index = data.draw(st.integers(0, n_batch - 1))
+    alone, ok_alone = _batch.cholesky_batch(mats[index : index + 1])
+    assert np.array_equal(alone[0], factor[index]) and ok_alone[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 9),
+    n=st.integers(1, 6),
+    singular=st.booleans(),
+    exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+)
+def test_cholesky_batch_test_does_not_depend_on_units(seed, n_batch, n, singular, exponents):
+    mats = _moment_stack(seed, n_batch, n, singular)
+    scales = 10.0 ** np.array(exponents[:n])
+    _, ok = _batch.cholesky_batch(mats)
+    _, ok_scaled = _batch.cholesky_batch(mats * scales[:, None] * scales[None, :])
+    assert np.array_equal(ok, np.full(n_batch, not singular))
+    assert np.array_equal(ok_scaled, ok)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(2, 9),
+    n=st.integers(1, 6),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, 0.0]),
+    data=st.data(),
+)
+def test_cholesky_batch_gives_a_bad_sample_the_identity(seed, n_batch, n, bad, data):
+    mats = _moment_stack(seed, n_batch, n)
+    index = data.draw(st.integers(0, n_batch - 1))
+    if bad == 0.0:
+        mats[index] = 0.0
+    else:
+        mats[index, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = bad
+    factor, ok = _batch.cholesky_batch(mats)
+    assert not ok[index] and np.array_equal(factor[index], np.eye(n))
+    assert np.delete(ok, index).all()
+    for row in range(n_batch):
+        alone, _ = _batch.cholesky_batch(mats[row : row + 1])
+        assert np.array_equal(alone[0], factor[row])
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +385,7 @@ def test_permuting_the_variables_permutes_the_responses(seed, order, p, rank, mo
 @given(
     seed=st.integers(0, 2**32 - 1),
     var=st.integers(0, 2),
-    scale=st.floats(0.01, 100.0).filter(lambda c: abs(c - 1.0) > 1e-3),
+    scale=st.floats(1e-6, 1e6).filter(lambda c: abs(c - 1.0) > 1e-3),
     p=st.integers(1, 2),
     rank=st.integers(0, 3),
     mode=MODES,
@@ -327,6 +402,8 @@ def test_rescaling_a_variable_scales_its_response_row_and_column(seed, var, scal
     factor[var] = scale
     expected = psi * factor[None, :, None] / factor[None, None, :]
     assert np.allclose(psi_s, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
+    for criterion in ("aic", "bic"):
+        assert select_rank_ic(scaled, p, criterion, mode) == select_rank_ic(y, p, criterion, mode)
 
 
 # ---------------------------------------------------------------------------

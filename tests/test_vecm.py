@@ -129,6 +129,12 @@ def _constant(y):
     y[:, 2] = 3.0
 
 
+def _large_constant(y):
+    # Detrending leaves rounding noise of the 1e12 level, which the sweep's
+    # unit-invariant pivot test alone would read as a variable.
+    y[:, 2] = 1e12
+
+
 def _duplicate(y):
     y[:, 2] = y[:, 0]
 
@@ -147,6 +153,8 @@ LAGGED = "singular lagged-difference moment matrix"
         (_constant, 1, "none", "singular S00 moment matrix"),
         (_constant, 1, "constant", "singular S11 moment matrix"),
         (_constant, 2, "constant_and_trend", LAGGED),
+        (_large_constant, 1, "constant_and_trend", "singular S11 moment matrix"),
+        (_large_constant, 2, "constant_and_trend", LAGGED),
         (_duplicate, 2, "none", LAGGED),
         (_duplicate, 1, "none", "singular S11 moment matrix"),
         (_combination, 2, "none", LAGGED),
@@ -165,18 +173,32 @@ def test_singular_moments_name_the_column_at_fault(spoil, p, mode, phrase):
     assert str(raised.value) == f"{phrase}; inv {fault}"
 
 
-@pytest.mark.parametrize("spoil", ["near_collinear", "rescaled"])
+# The sweep's pivot test against each spoiled walk: y3 in units 1e7 times
+# smaller fits; y3 = y1 plus noise 1e-6 times as large passes in the lagged
+# differences (a pivot share of 1.8e-12, as the column check finds no column
+# at fault) but not in the lagged levels (4.9e-15); at noise 1e-8 the
+# differences fail too, and the column is named.
+NEAR_SINGULAR = {
+    "rescaled": None,
+    "near_collinear": "singular S11 moment matrix; try a smaller lag order or more data",
+    "collinear": f"{LAGGED}; column 3 is constant or a linear combination of earlier columns",
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(NEAR_SINGULAR))
 def test_near_singular_moments_keep_their_message(spoil):
-    # Both fail the sweep's moment check without a column at fault: y3 is
-    # y1 plus noise 1e-6 times as large, or y3 in units 1e7 times smaller.
     y = _walk()
-    if spoil == "near_collinear":
-        y[:, 2] = y[:, 0] + 1e-6 * np.random.default_rng(1).standard_normal(200)
-    else:
-        y[:, 2] *= 1e7
+    if spoil == "rescaled":
+        scaled = y.copy()
+        scaled[:, 2] *= 1e7
+        expected = fit_vecm(y, 2, 1).eigenvalues
+        assert np.allclose(fit_vecm(scaled, 2, 1).eigenvalues, expected, rtol=1e-10, atol=0)
+        return
+    noise = 1e-6 if spoil == "near_collinear" else 1e-8
+    y[:, 2] = y[:, 0] + noise * np.random.default_rng(1).standard_normal(200)
     with pytest.raises(EstimationError) as raised:
         fit_vecm(y, 2, 1)
-    assert str(raised.value) == f"{LAGGED}; try a smaller lag order or more observations"
+    assert str(raised.value) == NEAR_SINGULAR[spoil]
 
 
 ROUTES = {
