@@ -4,7 +4,7 @@ Every estimator step (detrending, the reduced-rank sweep, rank fits and
 residuals, VAR conversion, impulse responses, trace statistics, rank
 selection, weights and the Hall order statistic) works on a stack of B
 samples.  The lag alignment of the regression has one implementation, the
-design fill that the sweep and the residuals read.  The bootstrap runs
+block fill that the sweep and the residuals read.  The bootstrap runs
 whole batches of replications through them; the single-sample functions
 of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and
 :mod:`wimpvar.bootstrap` are B=1 calls that validate their input and turn
@@ -94,52 +94,77 @@ def detrend_batch(y: np.ndarray, mode: str):
     return np.subtract(y, tilde, out=tilde), coef
 
 
-# Samples per design chunk of the sweep and rows per matrix product of the
-# shared-coefficient recursion.  Either way every BLAS call has a shape fixed
-# by the problem, not by the batch, so a sample's result does not depend on
-# the batch around it.
+# Samples per block fill of the sweep and the residuals, and rows per matrix
+# product of the shared-coefficient recursion.  Either way every BLAS call
+# has a shape fixed by the problem, not by the batch, so a sample's result
+# does not depend on the batch around it.
 _CHUNK = 64
 
 
-def _fill_design(out: np.ndarray, tilde: np.ndarray) -> None:
-    """Variable-major regression design of a (m, T, K) stack into ``out``,
-    (m, K(p+1), T_eff).
+def _lag_blocks(tilde: np.ndarray, p: int, t_eff: int):
+    """Yield (lo, hi, v, lags) for samples lo:hi of a (B, T, K) stack,
+    _CHUNK samples at a time, filled into reused buffers.
 
-    Column s explains the last T_eff times, t = T - T_eff + s (0-based), and
-    holds, top to bottom, [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t] with
-    dy_t = y_t - y_{t-1}: the lagged differences (Z2), the lagged level (Z1)
-    and the difference (Z0).
+    Over the last T_eff times t, ``v`` (m, 2K, T_eff) is the contiguous
+    block [y_{t-1}; dy_t] with dy_t = y_t - y_{t-1}, and ``lags[i]`` (m, K,
+    T_eff) is dy_{t-i}, i = 0..p-1: views at offsets of one buffer of
+    differences, computed once.  At p = 1 the differences go straight into
+    ``v``.
     """
-    n_obs, n_vars = tilde.shape[1:]
-    p = out.shape[1] // n_vars - 1
-    start = n_obs - 1 - out.shape[2]
-    levels = np.swapaxes(tilde, 1, 2)
-    for lag in range(p):
-        row = n_vars * (lag - 1 if lag else p)
-        np.subtract(
-            levels[:, :, start + 1 - lag : n_obs - lag],
-            levels[:, :, start - lag : n_obs - 1 - lag],
-            out=out[:, row : row + n_vars],
-        )
-    out[:, n_vars * (p - 1) : n_vars * p] = levels[:, :, start : n_obs - 1]
-
-
-def _design_shape(tilde: np.ndarray, p: int, paper_convention: bool):
-    """(K(p+1), T_eff): the minimal sample drops p presample rows, the
-    alternative convention one more."""
-    n_obs, n_vars = tilde.shape[1:]
-    return n_vars * (p + 1), n_obs - p - (1 if paper_convention else 0)
-
-
-def _design_chunks(tilde: np.ndarray, p: int, paper_convention: bool):
-    """Yield (lo, hi, design): the design of samples lo:hi of a (B, T, K)
-    stack, _CHUNK samples at a time, filled into one reused buffer."""
-    n_batch = tilde.shape[0]
-    buf = np.empty((min(n_batch, _CHUNK),) + _design_shape(tilde, p, paper_convention))
+    n_batch, n_obs, n_vars = tilde.shape
+    first = n_obs - t_eff
+    size = min(n_batch, _CHUNK)
+    v_buf = np.empty((size, 2 * n_vars, t_eff))
+    d_buf = np.empty((size, n_vars, t_eff + p - 1)) if p > 1 else None
     for lo in range(0, n_batch, _CHUNK):
         hi = min(lo + _CHUNK, n_batch)
-        _fill_design(buf[: hi - lo], tilde[lo:hi])
-        yield lo, hi, buf[: hi - lo]
+        levels = np.swapaxes(tilde[lo:hi], 1, 2)
+        v = v_buf[: hi - lo]
+        diffs = v[:, n_vars:] if p == 1 else d_buf[: hi - lo]
+        np.subtract(levels[:, :, first - p + 1 :], levels[:, :, first - p : n_obs - 1], out=diffs)
+        v[:, :n_vars] = levels[:, :, first - 1 : n_obs - 1]
+        if p > 1:
+            v[:, n_vars:] = diffs[:, :, p - 1 :]
+        yield lo, hi, v, [diffs[:, :, p - 1 - lag : p - 1 - lag + t_eff] for lag in range(p)]
+
+
+def gram_batch(tilde: np.ndarray, p: int, t_eff: int) -> np.ndarray:
+    """Gram matrices G = X X' (B, K(p+1), K(p+1)) of the variable-major
+    regression design X = [Z2 | Z1 | Z0]' of the last T_eff times t of a
+    (B, T, K) stack, whose rows are [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t].
+
+    Only V = [y_{t-1}; dy_t] is filled (see :func:`_lag_blocks`).  Three
+    kinds of block:
+    - V V', one product;
+    - sum_t dy_{t-i} V_t', i = 1..p-1, one product each on a shifted view
+      of the differences;
+    - sum_t dy_{t-i} dy_{t-j}', 1 <= i <= j < p, the same sum at lags
+      (i-1, j-1) over a window one step later: it adds dy_{t0-i} dy_{t0-j}'
+      at the first time t0 and drops dy_{T-i} dy_{T-j}' at T.  Its rounding
+      error is relative to the largest of those terms, not to the block.
+    At p = 1, G is V V', the product of the design itself.
+    """
+    n_batch, _, n_vars = tilde.shape
+    lagged = n_vars * (p - 1)
+    width = lagged + 2 * n_vars
+    gram = np.empty((n_batch, width, width))
+    # Gram rows of dy_{t-i}, i = 0..p-1
+    at = [slice(lagged + n_vars, width)]
+    at += [slice(n_vars * i, n_vars * (i + 1)) for i in range(p - 1)]
+    for lo, hi, v, lags in _lag_blocks(tilde, p, t_eff):
+        g = gram[lo:hi]
+        v_t = np.swapaxes(v, 1, 2)
+        np.matmul(v, v_t, out=g[:, lagged:, lagged:])
+        for lag in range(1, p):
+            np.matmul(lags[lag], v_t, out=g[:, at[lag], lagged:])
+        g[:, lagged:, :lagged] = np.swapaxes(g[:, :lagged, lagged:], 1, 2)
+        for i in range(1, p):
+            for j in range(i, p):
+                block = g[:, at[i - 1], at[j - 1]] + lags[i][:, :, :1] * lags[j][:, None, :, 0]
+                block -= lags[i - 1][:, :, -1:] * lags[j - 1][:, None, :, -1]
+                g[:, at[i], at[j]] = block
+                g[:, at[j], at[i]] = np.swapaxes(block, 1, 2)
+    return gram
 
 
 _PIVOT_FLOOR = 1e-12
@@ -181,8 +206,7 @@ class BatchSweep:
     ln_det_s00: np.ndarray  # (B,)
     tilde: np.ndarray  # (B, T, K) the detrended stack swept, not a copy
     p: int
-    paper_convention: bool  # the sample convention of the design
-    t_eff: int
+    t_eff: int  # rows of the effective sample, which fixes the sample convention
     reason: np.ndarray  # (B,) failure bits, 0 for a usable sample
 
     @property
@@ -212,21 +236,18 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     """Batched reduced-rank regression sweep with per-sample failure bits.
 
     Every moment comes from one Gram matrix per sample, G = X X' of the
-    variable-major design X = [Z2 | Z1 | Z0]' (see :func:`_fill_design`),
-    filled _CHUNK samples at a time.  The Schur complement of G22 gives the
-    moments of Z0 and Z1 with Z2 partialled out, S_ij = (G_ij - G_i2
-    G22^{-1} G_2j) / T_eff (Johansen 1995, ch. 6): with G22 = L L' (its
-    test sets SINGULAR_Z2) and H = L^{-1} [G21 G20], that is H'H, and
-    [P21 P20] = L^{-T} H.  The generalized eigenproblem ``lam * S11 v = S10
-    S00^{-1} S01 v`` is then solved as in :func:`_canonical`.  One sweep
-    serves every rank.
+    variable-major design X = [Z2 | Z1 | Z0]' (see :func:`gram_batch`).
+    The Schur complement of G22 gives the moments of Z0 and Z1 with Z2
+    partialled out, S_ij = (G_ij - G_i2 G22^{-1} G_2j) / T_eff (Johansen
+    1995, ch. 6): with G22 = L L' (its test sets SINGULAR_Z2) and H = L^{-1}
+    [G21 G20], that is H'H, and [P21 P20] = L^{-T} H.  The generalized
+    eigenproblem ``lam * S11 v = S10 S00^{-1} S01 v`` is then solved as in
+    :func:`_canonical`.  One sweep serves every rank.
     """
-    n_batch, _, n_vars = tilde.shape
-    width, t_eff = _design_shape(tilde, p, paper_convention)
-    gram = np.empty((n_batch, width, width))
-    for lo, hi, design in _design_chunks(tilde, p, paper_convention):
-        np.matmul(design, np.swapaxes(design, 1, 2), out=gram[lo:hi])
-    del design  # the last view of the design buffer: free it before the factors
+    n_batch, n_obs, n_vars = tilde.shape
+    # The minimal sample drops p presample rows, the alternative convention one more.
+    t_eff = n_obs - p - (1 if paper_convention else 0)
+    gram = gram_batch(tilde, p, t_eff)
     reason = np.zeros(n_batch, dtype=np.int64)
     finite = np.isfinite(np.diagonal(gram, axis1=1, axis2=2)).all(axis=1)
     _flag(reason, finite, NONFINITE)
@@ -234,7 +255,7 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     # check instead of aborting the batch in the eigensolver.
     gram[~finite] = 0.0
 
-    lagged = width - 2 * n_vars
+    lagged = n_vars * (p - 1)
     cross, moments = gram[:, :lagged, lagged:], gram[:, lagged:, lagged:]
     if lagged:
         chol, good = cholesky_batch(gram[:, :lagged, :lagged])
@@ -258,7 +279,6 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
         ln_det_s00=ln_det,
         tilde=tilde,
         p=p,
-        paper_convention=paper_convention,
         t_eff=t_eff,
         reason=reason,
     )
@@ -328,18 +348,21 @@ def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
     """Error-correction residuals dy_t - Pi y_{t-1} - sum_i Gamma_i dy_{t-i}
     implied by a Pi stack, (B, T_eff, K), with the Gammas of that Pi.
 
-    Built from the swept stack's design chunks, one product per sample.
+    Read from the blocks of :func:`_lag_blocks` of the swept stack: one
+    product for the lagged level and one per lagged difference.
     """
     n_batch, n_vars = pi.shape[:2]
-    width = n_vars * sweep.p
+    lagged = n_vars * (sweep.p - 1)
     pi_t = np.swapaxes(pi, 1, 2)
     # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, (B, Kp, K), as in rank_fit_batch
     coef = np.concatenate([sweep.P20 - sweep.P21 @ pi_t, pi_t], axis=1)
     resid = np.empty((n_batch, sweep.t_eff, n_vars))
-    for lo, hi, design in _design_chunks(sweep.tilde, sweep.p, sweep.paper_convention):
-        blocks = np.swapaxes(design, 1, 2)  # (m, T_eff, K(p+1)), [Z2 Z1 Z0]
-        fit = np.matmul(blocks[:, :, :width], coef[lo:hi], out=resid[lo:hi])
-        np.subtract(blocks[:, :, width:], fit, out=fit)
+    for lo, hi, v, lags in _lag_blocks(sweep.tilde, sweep.p, sweep.t_eff):
+        fit = np.matmul(np.swapaxes(v[:, :n_vars], 1, 2), coef[lo:hi, lagged:], out=resid[lo:hi])
+        for lag in range(1, sweep.p):
+            rows = coef[lo:hi, n_vars * (lag - 1) : n_vars * lag]
+            fit += np.swapaxes(lags[lag], 1, 2) @ rows
+        np.subtract(np.swapaxes(lags[0], 1, 2), fit, out=fit)
     return resid
 
 

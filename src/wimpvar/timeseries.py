@@ -3,7 +3,7 @@
 Everything downstream (estimation, bootstrap, Monte Carlo) consumes the
 matrices produced here: rows are time, columns are variables, and calendar
 time runs t = 1..T.  The lag alignment of the error-correction regression
-lives in one place, the design fill of :mod:`wimpvar._batch`.
+lives in one place, the block fill of :mod:`wimpvar._batch`.
 """
 from __future__ import annotations
 

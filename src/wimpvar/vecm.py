@@ -159,28 +159,33 @@ _SWEEP_ERRORS = (
 _COLUMN_BITS = _batch.SINGULAR_Z2 | _batch.SINGULAR_S11 | _batch.SINGULAR_S00
 
 
-def _dependent_columns(tilde: np.ndarray) -> list:
-    """Indices of the columns whose detrended differences are zero or, to
-    the sweep's floor of 1e-12, a linear combination of earlier columns.
+def _dependent_columns(block: np.ndarray) -> list:
+    """Indices of the columns of a (n, K) block that are zero or, to the
+    sweep's floor of 1e-12, a linear combination of earlier columns.
 
-    The Gram matrix of the differences is scaled to a unit diagonal, so the
-    check does not depend on the units of the variables.
+    The Gram matrix of the block is scaled to a unit diagonal, so the check
+    does not depend on the units of the variables.
     """
-    diff = np.diff(tilde, axis=0)
-    norms = np.linalg.norm(diff, axis=0)
+    norms = np.linalg.norm(block, axis=0)
     # R'R is the unit-diagonal Gram matrix, so R_jj^2 is the pivot of column
     # j: its Schur complement given the earlier columns.
-    r = np.linalg.qr(diff / np.where(norms > 0, norms, 1.0), mode="r")
+    r = np.linalg.qr(block / np.where(norms > 0, norms, 1.0), mode="r")
     return np.flatnonzero(np.diagonal(r) ** 2 <= _batch._PIVOT_FLOOR).tolist()
 
 
-def _sweep_error(reason: int, tilde: np.ndarray, names) -> EstimationError:
-    """The error for a sample's first failure bit, naming the columns at
-    fault when a moment matrix is singular because of them."""
+def _sweep_error(sweep: _batch.BatchSweep, names) -> EstimationError:
+    """The error for the first failure bit of a swept sample, naming the
+    columns at fault when a moment matrix is singular because of them: in
+    the detrended differences, and for S11 in the lagged levels too."""
+    reason, tilde = int(sweep.reason[0]), sweep.tilde[0]
     bit, message = next((bit, message) for bit, message in _SWEEP_ERRORS if reason & bit)
-    dependent = _dependent_columns(tilde) if bit & _COLUMN_BITS else []
+    dependent = set()
+    if bit & _COLUMN_BITS:
+        dependent.update(_dependent_columns(np.diff(tilde, axis=0)))
+    if bit == _batch.SINGULAR_S11:
+        dependent.update(_dependent_columns(tilde[tilde.shape[0] - sweep.t_eff - 1 : -1]))
     if dependent:
-        labels = ", ".join(names[j] if names else f"column {j + 1}" for j in dependent)
+        labels = ", ".join(names[j] if names else f"column {j + 1}" for j in sorted(dependent))
         verb = "is" if len(dependent) == 1 else "are each"
         message = (
             f"{message.split(';')[0]}; {labels} {verb} "
@@ -238,7 +243,7 @@ def observed_sweep(
     sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
     if sweep.reason[0]:
         names = data.names if isinstance(data, TimeSeriesData) else None
-        raise _sweep_error(int(sweep.reason[0]), tilde, names)
+        raise _sweep_error(sweep, names)
     return sweep
 
 

@@ -1,10 +1,11 @@
 """Reference implementations that the package no longer ships.
 
 The package evaluates queries through compiled batch gathers, writes CSV
-rows with one format per table, builds responses by doubling, fills one
-variable-major design per chunk of samples and sweeps one Gram matrix per
-sample; these are the plain per-query, per-cell, step-by-step, explicitly
-indexed and explicitly partialled versions the tests check it against.
+rows with one format per table, builds responses by doubling, builds each
+sample's Gram matrix from the lag structure of the design without filling
+it, and sweeps that Gram matrix; these are the plain per-query, per-cell,
+step-by-step, explicitly indexed and explicitly partialled versions the
+tests check it against.
 """
 from types import SimpleNamespace
 

@@ -6,6 +6,7 @@ public function returns exactly the matching slice of a B>1 batch.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference import regressor_blocks, sweep_partialled
 from wimpvar import EstimationError, _batch
@@ -67,16 +68,58 @@ def test_detrend_batch_matches_reference(mode):
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("paper", [False, True])
 def test_regressors_batch_matches_reference(p, paper):
-    # The design the sweep and the residuals read, chunk by chunk across a
-    # chunk edge, is [Z2 | Z1 | Z0]' of the time-indexed blocks.
+    # The blocks the sweep and the residuals read, chunk by chunk across a
+    # chunk edge, are [Z1 | Z0]' and the lagged differences of the
+    # time-indexed blocks.
     ys = _stack(_batch._CHUNK + 3)
     z0, z1, z2 = regressor_blocks(ys, p, paper)
-    blocks = np.concatenate([z2, z1, z0], axis=2)
+    t_eff = z0.shape[1]
     spans = []
-    for lo, hi, design in _batch._design_chunks(ys, p, paper):
-        assert np.array_equal(np.swapaxes(design, 1, 2), blocks[lo:hi])
+    for lo, hi, v, lags in _batch._lag_blocks(ys, p, t_eff):
+        assert np.array_equal(np.swapaxes(v, 1, 2), np.concatenate([z1, z0], axis=2)[lo:hi])
+        assert np.array_equal(np.swapaxes(lags[0], 1, 2), z0[lo:hi])
+        for lag in range(1, p):
+            z2_lag = z2[lo:hi, :, 3 * (lag - 1) : 3 * lag]
+            assert np.array_equal(np.swapaxes(lags[lag], 1, 2), z2_lag)
         spans.append((lo, hi))
     assert spans == [(0, _batch._CHUNK), (_batch._CHUNK, ys.shape[0])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vars=st.integers(1, 4),
+    p=st.integers(1, 5),
+    paper=st.booleans(),
+    data=st.data(),
+)
+def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper, data):
+    n_obs = data.draw(st.integers(n_vars * p + 10, 300))
+    exponents = data.draw(st.lists(st.floats(-6, 6), min_size=n_vars, max_size=n_vars))
+    rng = np.random.default_rng(seed)
+    ys = np.cumsum(rng.standard_normal((3, n_obs, n_vars)), axis=1) * 10.0 ** np.array(exponents)
+    z0, z1, z2 = regressor_blocks(ys, p, paper)
+    design = np.concatenate([z2, z1, z0], axis=2)
+    expected = np.swapaxes(design, 1, 2) @ design
+    gram = _batch.gram_batch(ys, p, z0.shape[1])
+    # Each entry within 1e-13 of the root of its two diagonal entries.
+    root = np.sqrt(np.diagonal(expected, axis1=1, axis2=2))
+    assert np.all(np.abs(gram - expected) <= 1e-13 * root[:, :, None] * root[:, None, :])
+    if p == 1:
+        # The product of the contiguous variable-major [Z1 | Z0] block itself.
+        block = np.ascontiguousarray(np.swapaxes(np.concatenate([z1, z0], axis=2), 1, 2))
+        assert np.array_equal(gram, np.matmul(block, np.swapaxes(block, 1, 2)))
+    sweep = _batch.sweep_batch(ys, p, paper)
+    pi, gammas = _batch.rank_fit_batch(sweep, data.draw(st.integers(0, n_vars)))
+    # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, the coefficients of [Z2 | Z1]
+    coef = np.concatenate(
+        [np.swapaxes(gammas, 2, 3).reshape(3, -1, n_vars), np.swapaxes(pi, 1, 2)], axis=1
+    )
+    lagged = np.concatenate([z2, z1], axis=2)
+    # Each residual within 1e-13 of the sum of the magnitudes of its terms.
+    scale = np.abs(z0) + np.abs(lagged) @ np.abs(coef)
+    resid = _batch.residuals_batch(sweep, pi)
+    assert np.all(np.abs(resid - (z0 - lagged @ coef)) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("p", [1, 2])

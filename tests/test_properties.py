@@ -252,8 +252,8 @@ def test_gram_sweep_matches_the_partialled_sweep(seed, n_batch, mode, p, n_vars,
             error = np.abs(getattr(fast, name) - ref).max(axis=(1, 2))
             bound = tol * moment * (1.0 + np.abs(ref).max(axis=(1, 2))) / floor22
             assert np.all(error <= bound), name
-    # The design chunks hold _CHUNK samples: a sample's sweep is the same bit
-    # for bit alone and at any place in a batch, across chunk edges too.
+    # The blocks are filled _CHUNK samples at a time: a sample's sweep is the
+    # same bit for bit alone and at any place in a batch, across chunk edges.
     index = data.draw(st.integers(0, n_batch - 1))
     order = np.array(data.draw(st.permutations(range(n_batch))))
     for rows in (np.array([index]), order):

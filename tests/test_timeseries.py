@@ -104,16 +104,16 @@ def test_difference_inverts_cumsum():
 
 
 def _blocks(y, p, paper_convention=False):
-    """The Z0, Z1 and Z2 blocks of one sample, read from the design the sweep
+    """The Z0, Z1 and Z2 blocks of one sample, read from the blocks the sweep
     and the residuals fill."""
-    ((_, _, design),) = _batch._design_chunks(np.asarray(y, dtype=float)[None], p, paper_convention)
-    blocks = design[0].T  # (T_eff, K(p+1)): [Z2 Z1 Z0]
-    lagged = y.shape[1] * (p - 1)
+    t_eff = y.shape[0] - p - (1 if paper_convention else 0)
+    ((_, _, v, lags),) = _batch._lag_blocks(np.asarray(y, dtype=float)[None], p, t_eff)
+    n_vars = y.shape[1]
     return SimpleNamespace(
-        Z0=blocks[:, lagged + y.shape[1] :],
-        Z1=blocks[:, lagged : lagged + y.shape[1]],
-        Z2=blocks[:, :lagged],
-        t_eff=blocks.shape[0],
+        Z0=v[0, n_vars:].T,
+        Z1=v[0, :n_vars].T,
+        Z2=np.hstack([np.empty((t_eff, 0))] + [lag[0].T for lag in lags[1:]]),
+        t_eff=t_eff,
     )
 
 

@@ -175,12 +175,13 @@ def test_singular_moments_name_the_column_at_fault(spoil, p, mode, phrase):
 
 # The sweep's pivot test against each spoiled walk: y3 in units 1e7 times
 # smaller fits; y3 = y1 plus noise 1e-6 times as large passes in the lagged
-# differences (a pivot share of 1.8e-12, as the column check finds no column
-# at fault) but not in the lagged levels (4.9e-15); at noise 1e-8 the
-# differences fail too, and the column is named.
+# differences (a pivot share of 1.8e-12) but not in the lagged levels
+# (4.9e-15), so S11 fails and the level check names the column; at noise
+# 1e-8 the differences fail too.
 NEAR_SINGULAR = {
     "rescaled": None,
-    "near_collinear": "singular S11 moment matrix; try a smaller lag order or more data",
+    "near_collinear": "singular S11 moment matrix; column 3 is constant or a linear combination "
+    "of earlier columns",
     "collinear": f"{LAGGED}; column 3 is constant or a linear combination of earlier columns",
 }
 
@@ -228,16 +229,16 @@ def test_every_route_from_data_rejects_bad_settings_as_config_errors(route):
     [("prepare", 1), ("select_rank_ic", 1), ("select_rank_sequential", 1), ("fit_vecm", 2)],
 )
 def test_every_route_fills_the_design_once_per_product(route, fills, monkeypatch):
-    # The observed sample's design is filled once for its sweep, and once
-    # more for a fit's residuals.
+    # The observed sample's design blocks are filled once for its sweep,
+    # and once more for a fit's residuals.
     calls = []
-    fill = _batch._fill_design
+    fill = _batch._lag_blocks
 
-    def counting(out, tilde):
+    def counting(tilde, p, t_eff):
         calls.append(tilde.shape)
-        fill(out, tilde)
+        yield from fill(tilde, p, t_eff)
 
-    monkeypatch.setattr(_batch, "_fill_design", counting)
+    monkeypatch.setattr(_batch, "_lag_blocks", counting)
     ROUTES[route](_walk(), 2)
     assert calls == [(1, 200, 3)] * fills
 
