@@ -12,7 +12,8 @@ a failure into a typed error.
 Samples that fail numerically are flagged in a per-sample ``reason``
 bitmask instead of raising, so one bad sample cannot abort a batch.  One
 factor, :func:`cholesky_batch`, decides whether a moment matrix is positive
-definite, by a test that does not depend on units, and serves its solves.
+definite, by a test that does not depend on units; its inverse,
+:func:`tril_inverse_batch`, turns every solve on it into a stacked product.
 
 Shapes use B for the batch axis, T for time, K for variables.
 """
@@ -193,6 +194,21 @@ def cholesky_batch(mats: np.ndarray):
     return factor, ok
 
 
+def tril_inverse_batch(factor: np.ndarray) -> np.ndarray:
+    """Inverses of a (B, n, n) stack of lower-triangular factors with a
+    nonzero diagonal, such as :func:`cholesky_batch` gives, built row by
+    row: row i of X = L^{-1} is (e_i - L[i, :i] X[:i]) / L[i, i].  An
+    identity factor gets the identity exactly.
+    """
+    n = factor.shape[-1]
+    inv = np.zeros_like(factor)
+    for i in range(n):
+        row = -(factor[:, i : i + 1, :i] @ inv[:, :i, : i + 1])[:, 0]
+        row[:, i] += 1.0
+        inv[:, i, : i + 1] = row / factor[:, i, i, None]
+    return inv
+
+
 @dataclass
 class BatchSweep:
     """Rank-generic reduced-rank regression pieces for a batch of samples."""
@@ -240,9 +256,10 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     The Schur complement of G22 gives the moments of Z0 and Z1 with Z2
     partialled out, S_ij = (G_ij - G_i2 G22^{-1} G_2j) / T_eff (Johansen
     1995, ch. 6): with G22 = L L' (its test sets SINGULAR_Z2) and H = L^{-1}
-    [G21 G20], that is H'H, and [P21 P20] = L^{-T} H.  The generalized
-    eigenproblem ``lam * S11 v = S10 S00^{-1} S01 v`` is then solved as in
-    :func:`_canonical`.  One sweep serves every rank.
+    [G21 G20], that is H'H, and [P21 P20] = L^{-T} H, two stacked products
+    by the one inverse L^{-1}.  The generalized eigenproblem ``lam * S11 v
+    = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`.  One
+    sweep serves every rank.
     """
     n_batch, n_obs, n_vars = tilde.shape
     # The minimal sample drops p presample rows, the alternative convention one more.
@@ -260,9 +277,10 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     if lagged:
         chol, good = cholesky_batch(gram[:, :lagged, :lagged])
         _flag(reason, good, SINGULAR_Z2)
-        half = np.linalg.solve(chol, cross)  # L^{-1} [G21 G20], G22 = L L'
+        inv = tril_inverse_batch(chol)
+        half = inv @ cross  # L^{-1} [G21 G20], G22 = L L'
         moments = moments - np.swapaxes(half, 1, 2) @ half
-        coef = np.linalg.solve(np.swapaxes(chol, 1, 2), half)  # [P21 P20]
+        coef = np.swapaxes(inv, 1, 2) @ half  # [P21 P20]
     else:
         coef = cross
     # [[S11 S10], [S01 S00]], made exactly symmetric
@@ -292,14 +310,15 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     One factor each, S11 = L11 L11' and S00 = L00 L00', sets SINGULAR_S11
     and SINGULAR_S00.  M = Q'Q with Q = L00^{-1} S01 L11^{-T} is symmetric
     with the same eigenvalues, the vectors are L11^{-T} times M's, and
-    ln det S00 = 2 sum ln diag L00.
+    ln det S00 = 2 sum ln diag L00.  Each L^{-1} is one
+    :func:`tril_inverse_batch`, so every step is a stacked product.
     """
     l11, good = cholesky_batch(s11)
     _flag(reason, good, SINGULAR_S11)
     l00, good = cholesky_batch(s00)
     _flag(reason, good, SINGULAR_S00)
-    half = np.linalg.solve(l00, s01)  # L00^{-1} S01
-    q = np.swapaxes(np.linalg.solve(l11, np.swapaxes(half, 1, 2)), 1, 2)
+    inv11_t = np.swapaxes(tril_inverse_batch(l11), 1, 2)  # L11^{-T}
+    q = tril_inverse_batch(l00) @ s01 @ inv11_t
     m = np.swapaxes(q, 1, 2) @ q
     lam, w = np.linalg.eigh(m)
     lam = lam[:, ::-1]
@@ -310,7 +329,7 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     _flag(reason, finite & (lam[:, -1] > _EIG_FLOOR), EIG_FLOOR)
     lam = np.clip(lam, 0.0, _EIG_CEIL)
 
-    vectors = np.linalg.solve(np.swapaxes(l11, 1, 2), w)
+    vectors = inv11_t @ w
     # Sign convention, deterministic across platforms: the first coordinate
     # of each column exceeding the tolerance is made positive.
     scale = np.abs(vectors).max(axis=1, keepdims=True)
@@ -435,10 +454,18 @@ _BLOCK = 8
 
 def _step_levels(out: np.ndarray, mats: np.ndarray, start: int) -> None:
     """Per-step levels recursion in place: rows ``start:`` of ``out`` (B, T, K)
-    hold innovations on entry and levels on exit; ``mats`` is (B, p, K, K)."""
-    for t in range(start, out.shape[1]):
-        for lag in range(1, mats.shape[1] + 1):
-            out[:, t] += np.einsum("bij,bj->bi", mats[:, lag - 1], out[:, t - lag])
+    hold innovations on entry and levels on exit; ``mats`` is (B, p, K, K).
+
+    Each step is one contraction of [A_p ... A_1] (B, K, pK), laid side by
+    side in a contiguous copy, against the window y_{t-p..t-1}, a view.
+    einsum's rounding depends on the operand layout, so the copy gives the
+    same paths whatever layout the matrices arrive in.
+    """
+    n_batch, p, n_vars, _ = mats.shape
+    wide = np.ascontiguousarray(mats[:, ::-1].transpose(0, 2, 1, 3)).reshape(n_batch, n_vars, -1)
+    flat = out.reshape(len(out), -1)  # a view: both callers own a C-contiguous ``out``
+    for t in range(start * n_vars, flat.shape[1], n_vars):
+        flat[:, t : t + n_vars] += np.einsum("bij,bj->bi", wide, flat[:, t - p * n_vars : t])
 
 
 def _step_map(mats: np.ndarray) -> np.ndarray:
@@ -465,13 +492,11 @@ def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, init: np.ndarray)
     Returns
     -------
     (B, m + n, K).  Shared coefficients advance _BLOCK steps per matrix
-    product; per-sample coefficients advance one step at a time.
+    product; per-sample coefficients advance one step per contraction of
+    all p lags.
     """
     n_batch, n_steps, n_vars = errors.shape
     n_init = init.shape[-2]
-    # einsum's rounding depends on the operand layout: a contiguous copy
-    # gives the same paths whatever layout the matrices arrive in.
-    mats = np.ascontiguousarray(mats)
     out = np.empty((n_batch, n_init + n_steps, n_vars))
     out[:, :n_init] = init
     out[:, n_init:] = errors
@@ -495,15 +520,18 @@ def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, init: np.ndarray)
 def ols_var_levels_batch(y: np.ndarray, p: int):
     """Levels VAR(p) OLS without deterministics on a (B, T, K) stack.
 
-    Returns (mats (B, p, K, K), residuals (B, T-p, K), ok (B,)).
+    Returns (mats (B, p, K, K), residuals (B, T-p, K), ok (B,)).  The
+    normal equations X'X b = X'y are solved as b = L^{-T} (L^{-1} X'y) with
+    X'X = L L', two stacked products by one :func:`tril_inverse_batch`.
     """
     n_batch, n_obs, n_vars = y.shape
     target = y[:, p:]
     design = np.concatenate([y[:, p - lag : n_obs - lag] for lag in range(1, p + 1)], axis=2)
-    chol, ok = cholesky_batch(np.swapaxes(design, 1, 2) @ design)
+    design_t = np.swapaxes(design, 1, 2)
+    chol, ok = cholesky_batch(design_t @ design)
     ok &= np.isfinite(y).all(axis=(1, 2))
-    coef = np.linalg.solve(chol, np.swapaxes(design, 1, 2) @ target)  # L^{-1} X'y
-    coef = np.linalg.solve(np.swapaxes(chol, 1, 2), coef)  # then L^{-T}
+    inv = tril_inverse_batch(chol)
+    coef = np.swapaxes(inv, 1, 2) @ (inv @ (design_t @ target))
     resid = target - design @ coef
     mats = np.swapaxes(coef.reshape(n_batch, p, n_vars, n_vars), 2, 3)
     return mats, resid, ok

@@ -502,7 +502,8 @@ def _query_values(mats: np.ndarray, ok: np.ndarray, cq: _CompiledQueries, sigma=
     if cq.need_structural:
         chol, chol_ok = _chol_batch(sigma)
         ok = ok & chol_ok
-        phi = psi @ chol[:, None]
+        # one (B, (H+1)K, K) @ (B, K, K) product per batch, bitwise the per-horizon ones
+        phi = (psi.reshape(len(psi), -1, psi.shape[-1]) @ chol).reshape(psi.shape)
     return cq.evaluate(psi, phi), ok
 
 

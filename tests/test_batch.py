@@ -264,6 +264,27 @@ def test_rebuild_levels_batch_p4_matches_scalar_loop_across_blocks():
         assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_steps", [_batch._BLOCK - 1, _batch._BLOCK, 3 * _batch._BLOCK + 5])
+def test_rebuild_levels_batch_per_sample_matches_scalar_loop(p, n_steps):
+    # Per-sample matrices and initial rows: every sample its own recursion.
+    rng = np.random.default_rng(64 + p)
+    mats = rng.standard_normal((5, p, 3, 3)) * (0.4 / p)
+    errors = rng.standard_normal((5, n_steps, 3))
+    init = rng.standard_normal((5, p + 1, 3))
+    out = _batch.rebuild_levels_batch(mats, errors, init)
+    assert out.shape == (5, p + 1 + n_steps, 3)
+    for b in range(5):
+        path = np.zeros((p + 1 + n_steps, 3))
+        path[: p + 1] = init[b]
+        for t in range(p + 1, p + 1 + n_steps):
+            path[t] = errors[b, t - p - 1]
+            for lag in range(1, p + 1):
+                path[t] += mats[b, lag - 1] @ path[t - lag]
+        assert np.array_equal(out[b, : p + 1], init[b])
+        assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
+
+
 def test_ols_var_levels_batch_matches_lstsq():
     ys = _stack(3, T=80)
     mats, resid, ok = _batch.ols_var_levels_batch(ys, 2)

@@ -5,7 +5,9 @@
   resampling recursion, at every position of the batch.
 * One positive-definiteness test: the batched Cholesky factor equals
   LAPACK's to rounding, gives a non-finite or zero sample the identity, and
-  flags the same samples whatever the units of the variables.
+  flags the same samples whatever the units of the variables.  Its batched
+  inverse inverts it to rounding bounded by |L^{-1}| |L|, also near the
+  pivot floor, and gives a failed sample's identity the identity.
 * The doubling response kernel equals the step recursion up to rounding
   bounded by the responses of the absolute coefficients, and the Gram sweep
   equals the explicitly partialled one up to rounding bounded by the moment
@@ -139,14 +141,19 @@ def test_rebuilt_path_is_independent_of_its_batch(
     assert np.array_equal(rebuild(order), full[order])
 
 
-def _moment_stack(seed: int, n_batch: int, n: int, singular: bool = False) -> np.ndarray:
+def _moment_stack(
+    seed: int, n_batch: int, n: int, singular: bool = False, jitter: float = 0.0
+) -> np.ndarray:
     """(B, n, n) moment matrices X X' of Gaussian X (n, 2n + 5), well
     conditioned; when ``singular``, X's last row is a random combination of
-    the others (zero for n = 1)."""
+    the others (zero for n = 1), plus ``jitter`` times a Gaussian row, which
+    leaves the last pivot a share of about jitter^2 / (n - 1) for n > 1."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_batch, n, 2 * n + 5))
     if singular:
         x[:, -1] = (rng.standard_normal((n_batch, 1, n - 1)) @ x[:, :-1])[:, 0]
+        if jitter:
+            x[:, -1] += jitter * rng.standard_normal((n_batch, 2 * n + 5))
     return x @ np.swapaxes(x, 1, 2)
 
 
@@ -169,6 +176,39 @@ def test_cholesky_batch_equals_the_lapack_factor(seed, n_batch, n, data):
     index = data.draw(st.integers(0, n_batch - 1))
     alone, ok_alone = _batch.cholesky_batch(mats[index : index + 1])
     assert np.array_equal(alone[0], factor[index]) and ok_alone[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 9),
+    n=st.integers(1, 9),
+    near_floor=st.booleans(),
+    jitter=st.floats(-5.5, -3.0),
+    exponents=st.lists(st.floats(-6.0, 6.0), min_size=9, max_size=9),
+    spoil=st.booleans(),
+    data=st.data(),
+)
+def test_tril_inverse_batch_inverts_the_factor(
+    seed, n_batch, n, near_floor, jitter, exponents, spoil, data
+):
+    # A near-floor stack leaves the last pivot a share of 1e-11 to 1e-6;
+    # the shares below _PIVOT_FLOOR fail.
+    mats = _moment_stack(seed, n_batch, n, near_floor, 10.0**jitter)
+    scales = 10.0 ** np.array(exponents[:n])
+    mats = mats * scales[:, None] * scales[None, :]
+    if spoil:
+        mats[data.draw(st.integers(0, n_batch - 1)), 0, 0] = np.nan
+    factor, ok = _batch.cholesky_batch(mats)
+    inv = _batch.tril_inverse_batch(factor)
+    assert np.all(inv[~ok] == np.eye(n))
+    # Row-wise substitution leaves |X L - I| <= c n eps |X| |L| for X = L^{-1},
+    # whatever the units.  The largest error seen, over 6000 such draws, was
+    # 1.6 eps |X| |L| (at n = 6); the bound here is n eps |X| |L|.
+    error = np.abs(inv @ factor - np.eye(n))
+    assert np.all(error <= n * np.finfo(float).eps * (np.abs(inv) @ np.abs(factor)))
+    for row in range(n_batch):
+        assert np.array_equal(_batch.tril_inverse_batch(factor[row : row + 1])[0], inv[row])
 
 
 @settings(max_examples=60, deadline=None)
