@@ -73,17 +73,26 @@ def trace_critical_value(dim: int, level: float) -> float:
     raise ConfigError(f"level must be one of {TRACE_CRIT_LEVELS}, got {level}")
 
 
-def detrend_batch(y: np.ndarray, mode: str):
-    """Per-sample OLS detrending of a (B, T, K) stack.
+# Samples per block fill of the sweep and the residuals, and rows per matrix
+# product of the shared-coefficient recursion.  Either way every BLAS call
+# has a shape fixed by the problem, not by the batch, so a sample's result
+# does not depend on the batch around it.
+_CHUNK = 64
+
+
+def detrend_batch(y: np.ndarray, mode: str) -> np.ndarray:
+    """Per-sample OLS detrending of a (B, T, K) stack, in place.
 
     ``mode`` is a detrend mode value (``none``, ``constant`` or
-    ``constant_and_trend``); the regressors are 1 and t = 1..T.  Returns
-    (detrended stack, coefficients (B, d, K)) with d the number of
-    deterministic terms, 0 for ``none``.
+    ``constant_and_trend``); the regressors are 1 and t = 1..T.  ``y`` is
+    overwritten by the residuals; returns the coefficients (B, d, K) with d
+    the number of deterministic terms, 0 for ``none``.  The fit is formed
+    _CHUNK samples at a time in one reused buffer, so no second (B, T, K)
+    array is made.
     """
     n_batch, n_obs, n_vars = y.shape
     if mode == "none":
-        return y, np.zeros((n_batch, 0, n_vars))
+        return np.zeros((n_batch, 0, n_vars))
     t = np.arange(1.0, n_obs + 1.0)
     if mode == "constant":
         design = np.ones((n_obs, 1))
@@ -91,15 +100,11 @@ def detrend_batch(y: np.ndarray, mode: str):
         design = np.column_stack([np.ones(n_obs), t])
     proj = np.linalg.solve(design.T @ design, design.T)  # (d, T)
     coef = proj @ y  # broadcasts to (B, d, K)
-    tilde = design @ coef
-    return np.subtract(y, tilde, out=tilde), coef
-
-
-# Samples per block fill of the sweep and the residuals, and rows per matrix
-# product of the shared-coefficient recursion.  Either way every BLAS call
-# has a shape fixed by the problem, not by the batch, so a sample's result
-# does not depend on the batch around it.
-_CHUNK = 64
+    fit = np.empty((min(n_batch, _CHUNK), n_obs, n_vars))
+    for lo in range(0, n_batch, _CHUNK):
+        hi = min(lo + _CHUNK, n_batch)
+        np.subtract(y[lo:hi], np.matmul(design, coef[lo:hi], out=fit[: hi - lo]), out=y[lo:hi])
+    return coef
 
 
 def _lag_blocks(tilde: np.ndarray, p: int, t_eff: int):
@@ -479,42 +484,44 @@ def _step_map(mats: np.ndarray) -> np.ndarray:
     return basis[:, p:].reshape(width, _BLOCK * n_vars)
 
 
-def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Recursive levels-VAR resampling paths.
+def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, n_init: int) -> np.ndarray:
+    """Recursive levels-VAR resampling paths, built in place.
 
     Parameters
     ----------
     mats : (p, K, K) shared or (B, p, K, K) per-sample levels VAR matrices,
         e.g. ``var_matrices_batch(pi, gammas)`` of an error-correction fit.
-    errors : (B, n, K) innovations for the steps after the initial rows.
-    init : (m, K) shared initial rows, or (B, m, K) per-sample rows, m >= p.
+    errors : (B, m + n, K) C-contiguous path buffer, named for what it holds
+        on entry: the initial rows in rows :m and the innovations of the n
+        steps after them in rows m:.
+    n_init : the number m >= p of initial rows.
 
     Returns
     -------
-    (B, m + n, K).  Shared coefficients advance _BLOCK steps per matrix
-    product; per-sample coefficients advance one step per contraction of
-    all p lags.
+    ``errors`` itself, each innovation row overwritten by its level; the
+    initial rows are left as they are.  Shared coefficients advance _BLOCK
+    steps per matrix product; per-sample coefficients advance one step per
+    contraction of all p lags.
     """
-    n_batch, n_steps, n_vars = errors.shape
-    n_init = init.shape[-2]
-    out = np.empty((n_batch, n_init + n_steps, n_vars))
-    out[:, :n_init] = init
-    out[:, n_init:] = errors
+    n_batch, n_obs, n_vars = errors.shape
+    if not errors.flags.c_contiguous:
+        raise ValueError("the path buffer must be C-contiguous: it is written through a flat view")
+    paths = errors
     if mats.ndim == 4:
-        _step_levels(out, mats, n_init)
-        return out
+        _step_levels(paths, mats, n_init)
+        return paths
     p = mats.shape[0]
     step_map = _step_map(mats)
     n_chunks = -(-n_batch // _CHUNK)
     window = np.zeros((n_chunks * _CHUNK, (p + _BLOCK) * n_vars))
-    for t in range(n_init, n_init + n_steps, _BLOCK):
-        steps = min(_BLOCK, n_init + n_steps - t)
+    for t in range(n_init, n_obs, _BLOCK):
+        steps = min(_BLOCK, n_obs - t)
         cols = (p + steps) * n_vars
-        window[:n_batch, :cols] = out[:, t - p : t + steps].reshape(n_batch, cols)
+        window[:n_batch, :cols] = paths[:, t - p : t + steps].reshape(n_batch, cols)
         chunks = window[:, :cols].reshape(n_chunks, _CHUNK, cols)
         levels = chunks @ step_map[:cols, : steps * n_vars]
-        out[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
-    return out
+        paths[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
+    return paths
 
 
 def ols_var_levels_batch(y: np.ndarray, p: int):

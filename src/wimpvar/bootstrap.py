@@ -265,10 +265,15 @@ class _Prepared:
         return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
     def level1(self, dgp_rank: int) -> _BootBatch:
-        """The level-1 batch at ``dgp_rank``; only the latest one is held."""
+        """The level-1 batch at ``dgp_rank``; only the latest one is held.
+
+        The next rank's batch is built in the held batch's path buffer, its
+        ``sweep.tilde``, so a batch's paths are valid only while it is held.
+        """
         if self._held is None or self._held.dgp_rank != dgp_rank:
-            self._held = None  # free the old batch before building the next
-            self._held = _level1_batch(self, dgp_rank)
+            paths = _path_buffer(self) if self._held is None else self._held.sweep.tilde
+            self._held = None  # free the old batch's results before building the next
+            self._held = _level1_batch(self, dgp_rank, paths)
         return self._held
 
     def fan(self, rank: int) -> IntervalSet:
@@ -363,42 +368,36 @@ def _philox4x64(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray):
     return x0, x1, x2, x3
 
 
-def _draw_index_matrix(seed, level, code, n_boot, pool_size, n_draw):
-    """Residual indices, (n_boot, n_draw); row r equals
-    ``_stream(seed, level, code, r).integers(0, pool_size, size=n_draw)``.
+def _draw_index_matrix(seed, level, code, reps, pool_size, n_draw):
+    """Residual indices of the replications in the range ``reps``,
+    (len(reps), n_draw); row i equals
+    ``_stream(seed, level, code, reps[i]).integers(0, pool_size, size=n_draw)``.
 
-    Runs Philox4x64-10 over the whole (replication x block) counter grid:
-    key word 0 is ``level<<48 | code<<32 | r``, key word 1 is ``seed`` and
-    the counters run 1, 2, ...  Each 64-bit output gives its low 32-bit word,
-    then its high one, and word w maps to (w * pool_size) >> 32, numpy's
-    buffered Lemire method (Lemire, ACM TOMACS 2019).  A row that meets a
-    word Lemire rejects (chance below pool_size / 2**32 per word) is redrawn
-    from the reference generator.
+    Runs Philox4x64-10 over the (replication x block) counter grid in one
+    pass: key word 0 is ``level<<48 | code<<32 | r``, key word 1 is ``seed``
+    and the counters run 1, 2, ...  Each 64-bit output gives its low 32-bit
+    word, then its high one, and word w maps to (w * pool_size) >> 32,
+    numpy's buffered Lemire method (Lemire, ACM TOMACS 2019).  A row that
+    meets a word Lemire rejects (chance below pool_size / 2**32 per word) is
+    redrawn from the reference generator.
     """
     if not 1 <= pool_size <= 2**32:
         raise ValueError(f"pool size must lie in 1..2**32, got {pool_size}")
-    n_blocks = -(-n_draw // 8)
-    idx = np.empty((n_boot, n_draw), dtype=np.int64)
-    rejected = np.zeros(n_boot, dtype=bool)
-    n = np.uint64(pool_size)
-    threshold = np.uint64((2**32 - pool_size) % pool_size)
+    n_rows, n_blocks = len(reps), -(-n_draw // 8)
+    keys = np.asarray(reps, dtype=np.uint64)[:, None] | np.uint64((level << 48) | (code << 32))
     counters = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    seed_word = np.full(1, seed, dtype=np.uint64)
-    stream_bits = np.uint64((level << 48) | (code << 32))
-    rows_per_pass = max(1, _DRAW_CELLS // max(n_blocks, 1))
-    for start in range(0, n_boot, rows_per_pass):
-        reps = np.arange(start, min(start + rows_per_pass, n_boot), dtype=np.uint64)
-        words = np.empty((reps.size, n_blocks, 8), dtype=np.uint64)
-        block = _philox4x64(reps[:, None] | stream_bits, seed_word, counters)
-        for i, x in enumerate(block):
-            np.bitwise_and(x, _M32, out=words[:, :, 2 * i])
-            np.right_shift(x, _S32, out=words[:, :, 2 * i + 1])
-        scaled = words.reshape(reps.size, n_blocks * 8)[:, :n_draw] * n
-        if threshold:
-            rejected[start : start + reps.size] = ((scaled & _M32) < threshold).any(axis=1)
-        np.right_shift(scaled, _S32, out=idx[start : start + reps.size], casting="unsafe")
-    for rep in np.flatnonzero(rejected):
-        idx[rep] = _stream(seed, level, code, int(rep)).integers(0, pool_size, size=n_draw)
+    block = _philox4x64(keys, np.full(1, seed, dtype=np.uint64), counters)
+    words = np.empty((n_rows, n_blocks, 8), dtype=np.uint64)
+    for i, x in enumerate(block):
+        np.bitwise_and(x, _M32, out=words[:, :, 2 * i])
+        np.right_shift(x, _S32, out=words[:, :, 2 * i + 1])
+    scaled = words.reshape(n_rows, n_blocks * 8)[:, :n_draw] * np.uint64(pool_size)
+    idx = np.empty((n_rows, n_draw), dtype=np.int64)
+    np.right_shift(scaled, _S32, out=idx, casting="unsafe")
+    threshold = np.uint64((2**32 - pool_size) % pool_size)
+    if threshold:
+        for row in np.flatnonzero(((scaled & _M32) < threshold).any(axis=1)):
+            idx[row] = _stream(seed, level, code, reps[row]).integers(0, pool_size, size=n_draw)
     return idx
 
 
@@ -411,9 +410,10 @@ class _BootBatch:
     """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and the
     per-batch results its methods share, keyed by step (read-only arrays).
 
-    The sweep holds the detrended paths, from which FDBB level two builds
-    its residuals; the paths start from the observed initial rows, which
-    is all level two reads of the paths themselves.
+    The sweep holds the detrended paths as its ``tilde``, the path buffer
+    that the prepared sample hands to the next rank's build.  FDBB level two
+    builds its residuals from them; the paths start from the observed
+    initial rows, which is all level two reads of the paths themselves.
     """
 
     sweep: _batch.BatchSweep
@@ -421,47 +421,81 @@ class _BootBatch:
     memo: dict = field(default_factory=dict)
 
 
-def _redetrend(samples: np.ndarray, prep: _Prepared):
-    """Detrend rebuilt paths like the observed sample, non-finite paths zeroed;
-    returns (detrended paths, finite mask)."""
-    finite = np.isfinite(samples).all(axis=(1, 2))
+def _path_buffer(prep: _Prepared) -> np.ndarray:
+    """A fresh (n_boot, T, K) buffer for one batch of bootstrap paths."""
+    return np.empty((prep.cfg.n_boot, prep.n_obs, prep.n_vars))
+
+
+def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
+    """Innovations drawn i.i.d. from column-centered residuals on the (level,
+    code) streams into rows m: of ``paths`` (n_boot, m + n_draw, K), a
+    C-contiguous buffer, behind the initial rows ``init`` (m, K) in rows :m;
+    ``resid`` is (1, n, K), one pool shared by every replication, or
+    (n_boot, n, K), one pool each.
+
+    Each pass of replications, _DRAW_CELLS counter-grid cells, is drawn and
+    gathered in turn, so no (n_boot, n_draw) index matrix is held.  The
+    initial rows sit at the end of the pool, so a pass gathers whole rows,
+    contiguous in ``paths``, and np.take writes straight into the buffer.
+    """
+    n_pools, n_pool, n_vars = resid.shape
+    n_init, n_draw = len(init), paths.shape[1] - len(init)
+    pool = np.empty((n_pools * n_pool + n_init, n_vars))
+    centered = pool[: n_pools * n_pool].reshape(resid.shape)
+    np.subtract(resid, resid.mean(axis=1, keepdims=True), out=centered)
+    pool[n_pools * n_pool :] = init
+    step = max(1, _DRAW_CELLS // max(-(-n_draw // 8), 1))
+    idx = np.empty((min(step, cfg.n_boot), paths.shape[1]), dtype=np.int64)
+    idx[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
+    for start in range(0, cfg.n_boot, step):
+        reps = range(start, min(start + step, cfg.n_boot))
+        rows = idx[: len(reps)]
+        rows[:, n_init:] = _draw_index_matrix(cfg.seed, level, code, reps, n_pool, n_draw)
+        if n_pools > 1:
+            rows[:, n_init:] += np.arange(start * n_pool, reps.stop * n_pool, n_pool)[:, None]
+        # Every index is in range, and "clip", unlike "raise", gathers
+        # straight into ``paths`` instead of through a copy.
+        np.take(pool, rows, axis=0, out=paths[start : reps.stop], mode="clip")
+
+
+def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> np.ndarray:
+    """Bootstrap paths built in ``paths``, a (n_boot, T, K) buffer: the
+    observed initial rows, then innovations drawn from ``resid`` on the
+    (level, code) streams, turned into levels by the recursion under
+    ``mats``.  Returns ``paths``."""
+    init = prep.raw[: prep.p + 1]
+    _draw_errors(resid, prep.cfg, level, code, init, paths)
+    return _batch.rebuild_levels_batch(mats, paths, len(init))
+
+
+def _redetrend(paths: np.ndarray, prep: _Prepared) -> np.ndarray:
+    """Detrend rebuilt paths in place like the observed sample, non-finite
+    paths zeroed first; returns the (n_boot,) finite mask."""
+    finite = np.isfinite(paths).all(axis=(1, 2))
     if not finite.all():
-        samples = np.where(finite[:, None, None], samples, 0.0)
-    use_mode = prep.mode if prep.cfg.detrend_bootstrap else DetrendMode.NONE
-    tilde, _ = _batch.detrend_batch(samples, use_mode)
-    return tilde, finite
+        paths[~finite] = 0.0
+    _batch.detrend_batch(paths, prep.mode if prep.cfg.detrend_bootstrap else DetrendMode.NONE)
+    return finite
 
 
-def _resweep(samples: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
-    """Sweep of rebuilt paths; a non-finite path is flagged."""
-    tilde, finite = _redetrend(samples, prep)
-    sweep = _batch.sweep_batch(tilde, prep.p, prep.cfg.paper_sample_convention)
+def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+    """Sweep of rebuilt paths, detrended in place and kept as the sweep's
+    ``tilde``; a non-finite path is flagged."""
+    finite = _redetrend(paths, prep)
+    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 
 
-def _draw_errors(resid: np.ndarray, cfg: BootstrapConfig, level: int, code: int, n_draw: int):
-    """Innovations drawn i.i.d. from column-centered residuals on the (level,
-    code) streams, (n_boot, n_draw, K); ``resid`` is (1, n, K), one pool shared by
-    every replication, or (n_boot, n, K), one pool each."""
-    centered = resid - resid.mean(axis=1, keepdims=True)
-    n_pool, n_vars = centered.shape[1:]
-    idx = _draw_index_matrix(cfg.seed, level, code, cfg.n_boot, n_pool, n_draw)
-    if centered.shape[0] > 1:
-        idx += np.arange(0, centered.shape[0] * n_pool, n_pool)[:, None]
-    return np.take(centered.reshape(-1, n_vars), idx, axis=0)  # a faster gather than [idx]
-
-
-def _level1_batch(prep: _Prepared, dgp_rank: int) -> _BootBatch:
+def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> _BootBatch:
+    """The level-1 batch at ``dgp_rank``, built and swept in the path buffer ``paths``."""
     pi, gammas = _batch.rank_fit_batch(prep.sweep, dgp_rank)
     resid = _batch.residuals_batch(prep.sweep, pi)
-    n_draw = prep.n_obs - prep.p - 1
-    samples = _batch.rebuild_levels_batch(
-        _batch.var_matrices_batch(pi, gammas)[0],
-        _draw_errors(resid, prep.cfg, 1, dgp_rank, n_draw),
-        prep.raw[: prep.p + 1],
+    mats = _batch.var_matrices_batch(pi, gammas)[0]
+    return _BootBatch(
+        sweep=_resweep(_build_paths(paths, prep, mats, resid, 1, dgp_rank), prep),
+        dgp_rank=dgp_rank,
     )
-    return _BootBatch(sweep=_resweep(samples, prep), dgp_rank=dgp_rank)
 
 
 def _read_only(*arrays):
@@ -686,13 +720,11 @@ def fdbb_interval(
     # Level two: one sample per level-one sample, rebuilt under its own
     # selected rank, with the same centered-residual resampling scheme and
     # the same initial rows, the observed ones.
-    code, n_draw = _SELECTOR_CODES[selector.method], prep.n_obs - prep.p - 1
-    samples2 = _batch.rebuild_levels_batch(
-        _batch.var_matrices_batch(pi_star, gam_star),
-        _draw_errors(_batch.residuals_batch(boot.sweep, pi_star), cfg, 2, code, n_draw),
-        prep.raw[: prep.p + 1],
+    paths2 = _build_paths(
+        _path_buffer(prep), prep, _batch.var_matrices_batch(pi_star, gam_star),
+        _batch.residuals_batch(boot.sweep, pi_star), 2, _SELECTOR_CODES[selector.method],
     )
-    sweep2 = _resweep(samples2, prep)
+    sweep2 = _resweep(paths2, prep)
     zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), cq)
 
     ok = ok1 & ok2 & np.isfinite(zeta_star).all(axis=1) & np.isfinite(zeta_2).all(axis=1)
@@ -730,12 +762,9 @@ def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     mats_dgp, resid_dgp, ok_dgp = _batch.ols_var_levels_batch(tilde[None], p)
     if not ok_dgp[0]:
         raise EstimationError("singular design in the levels bootstrap regression")
-    samples = _batch.rebuild_levels_batch(
-        mats_dgp[0], _draw_errors(resid_dgp, cfg, 1, _LAVAR_CODE, prep.n_obs - p - 1),
-        prep.raw[: p + 1],
-    )
-    tilde_star, finite = _redetrend(samples, prep)
-    zeta_star, ok = _lavar_zetas(tilde_star, p, cq)
+    paths = _build_paths(_path_buffer(prep), prep, mats_dgp[0], resid_dgp, 1, _LAVAR_CODE)
+    finite = _redetrend(paths, prep)
+    zeta_star, ok = _lavar_zetas(paths, p, cq)
     lower, upper, n_failed = _finalize(
         zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
     )

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import _batch
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, plain
 
 __all__ = [
     "DetrendMode",
@@ -45,7 +45,7 @@ def _check_finite(values: np.ndarray, names=None) -> None:
     label = names[col] if names else f"column {col + 1}"
     raise DataError(
         f"non-finite value at row {row + 1}, {label} "
-        f"({values[row, col]!r}); clean the input before estimation"
+        f"({plain(values[row, col])}); clean the input before estimation"
     )
 
 
@@ -68,7 +68,7 @@ class TimeSeriesData:
     frequency: str | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: it is frozen below, the input is not
         if values.ndim != 2:
             raise DataError(f"expected a 2-d observation matrix, got ndim={values.ndim}")
         if values.shape[0] < 1 or values.shape[1] < 1:
@@ -160,10 +160,10 @@ def detrend(data, mode: DetrendMode | str) -> DetrendedSeries:
     n_obs, n_vars = values.shape
     if n_obs < 3:
         raise DataError(f"need at least 3 observations to detrend, got {n_obs}")
-    tilde, coef = _batch.detrend_batch(values[None], mode)
+    tilde = values.copy()  # detrending runs in place; ``values`` is the caller's
+    coef = _batch.detrend_batch(tilde[None], mode)
     mu0, mu1 = np.concatenate([coef[0], np.zeros((2 - coef.shape[1], n_vars))])
-    # A copy: for "none" detrend_batch hands back its input, which the caller owns.
-    return DetrendedSeries(tilde[0].copy(), mu0, mu1, mode)
+    return DetrendedSeries(tilde, mu0, mu1, mode)
 
 
 def difference(data) -> np.ndarray:

@@ -232,10 +232,11 @@ def observed_sweep(
             f"need at least K*p + 10 = {n_vars * p + 10} observations, got {n_obs}"
         )
     detrended = isinstance(data, DetrendedSeries)
-    tilde, _ = (values[None], None) if detrended else _batch.detrend_batch(values[None], mode)
-    # A copy: the sweep holds it, and a DetrendedSeries or mode "none" hands
-    # back the caller's own array.
-    tilde = tilde[0].copy()
+    # A copy: detrending runs in place and the sweep holds the result, but
+    # ``values`` is the caller's own array.
+    tilde = values.copy()
+    if not detrended:
+        _batch.detrend_batch(tilde[None], mode)
     # A column that detrending leaves within 1e-10 of its levels' magnitude
     # (far above rounding, far below real variation) is constant: swept as 0.
     levels = data.retrend() if detrended else values

@@ -3,9 +3,9 @@
 The package evaluates queries through compiled batch gathers, writes CSV
 rows with one format per table, builds responses by doubling, builds each
 sample's Gram matrix from the lag structure of the design without filling
-it, and sweeps that Gram matrix; these are the plain per-query, per-cell,
-step-by-step, explicitly indexed and explicitly partialled versions the
-tests check it against.
+it, sweeps that Gram matrix and builds bootstrap paths in place; these are
+the plain per-query, per-cell, step-by-step, explicitly indexed, explicitly
+partialled and out-of-place versions the tests check it against.
 """
 from types import SimpleNamespace
 
@@ -131,3 +131,14 @@ def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):
         eigenvalues=lam, vectors=vectors, S00=s00, S01=s01, S11=s11, R0=r0, R1=r1,
         P20=p20, P21=p21, ln_det_s00=ln_det, p=p, t_eff=t_eff, reason=reason,
     )
+
+
+def rebuild_levels(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Paths of ``_batch.rebuild_levels_batch`` in a new (B, m + n, K) array,
+    from innovations (B, n, K) and initial rows, shared (m, K) or per sample
+    (B, m, K); the caller's arrays are left as they are."""
+    n_batch, n_steps, n_vars = errors.shape
+    n_init = init.shape[-2]
+    paths = np.empty((n_batch, n_init + n_steps, n_vars))
+    paths[:, :n_init], paths[:, n_init:] = init, errors
+    return _batch.rebuild_levels_batch(mats, paths, n_init)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import regressor_blocks, sweep_partialled
+from reference import rebuild_levels, regressor_blocks, sweep_partialled
 from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
     RankSelector,
@@ -47,7 +47,8 @@ def _sweep(ys, p):
 @pytest.mark.parametrize("mode", list(DetrendMode))
 def test_detrend_batch_matches_reference(mode):
     ys = _stack(6)
-    tilde, coef = _batch.detrend_batch(ys, mode)
+    tilde = ys.copy()
+    coef = _batch.detrend_batch(tilde, mode)
     t = np.arange(1.0, ys.shape[1] + 1.0)
     design = {
         DetrendMode.NONE: np.empty((t.size, 0)),
@@ -215,7 +216,7 @@ def test_rebuild_of_vecm_matrices_matches_scalar_loop():
     errors = rng.standard_normal((4, 30, 3))
     init = rng.standard_normal((3, 3))  # p + 1 = 3 rows
     mats = _batch.var_matrices_batch(pi[None], gammas[None])[0]
-    out = _batch.rebuild_levels_batch(mats, errors, init)
+    out = rebuild_levels(mats, errors, init)
     assert out.shape == (4, 33, 3)
     for b in range(4):
         path = np.zeros((33, 3))
@@ -235,7 +236,7 @@ def test_rebuild_levels_batch_matches_scalar_loop():
     mats = rng.standard_normal((2, 2, 2)) * 0.3
     errors = rng.standard_normal((3, 20, 2))
     init = rng.standard_normal((3, 2))
-    out = _batch.rebuild_levels_batch(mats, errors, init)
+    out = rebuild_levels(mats, errors, init)
     for b in range(3):
         path = np.zeros((23, 2))
         path[:3] = init
@@ -251,7 +252,7 @@ def test_rebuild_levels_batch_p4_matches_scalar_loop_across_blocks():
     n_steps = 3 * _batch._BLOCK + 5
     errors = rng.standard_normal((5, n_steps, 3))
     init = rng.standard_normal((5, 3))
-    out = _batch.rebuild_levels_batch(mats, errors, init)
+    out = rebuild_levels(mats, errors, init)
     assert out.shape == (5, 5 + n_steps, 3)
     for b in range(5):
         path = np.zeros((5 + n_steps, 3))
@@ -264,6 +265,13 @@ def test_rebuild_levels_batch_p4_matches_scalar_loop_across_blocks():
         assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
 
 
+def test_rebuild_levels_batch_refuses_a_buffer_it_cannot_write_in_place():
+    mats = np.zeros((2, 1, 2, 2))
+    strided = np.zeros((2, 10, 4))[:, :, :2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _batch.rebuild_levels_batch(mats, strided, 1)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_steps", [_batch._BLOCK - 1, _batch._BLOCK, 3 * _batch._BLOCK + 5])
 def test_rebuild_levels_batch_per_sample_matches_scalar_loop(p, n_steps):
@@ -272,7 +280,7 @@ def test_rebuild_levels_batch_per_sample_matches_scalar_loop(p, n_steps):
     mats = rng.standard_normal((5, p, 3, 3)) * (0.4 / p)
     errors = rng.standard_normal((5, n_steps, 3))
     init = rng.standard_normal((5, p + 1, 3))
-    out = _batch.rebuild_levels_batch(mats, errors, init)
+    out = rebuild_levels(mats, errors, init)
     assert out.shape == (5, p + 1 + n_steps, 3)
     for b in range(5):
         path = np.zeros((p + 1 + n_steps, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import evaluate_zeta, irf_structural
+from reference import evaluate_zeta, irf_structural, rebuild_levels
 from wimpvar import (
     BootstrapConfig,
     ConfigError,
@@ -30,6 +30,7 @@ from wimpvar import (
 )
 from wimpvar import _batch
 from wimpvar.bootstrap import _census, _draw_errors, _draw_index_matrix, _finalize, _resweep
+from wimpvar.errors import check_integer, check_weight_constants
 from wimpvar.timeseries import DetrendMode
 
 
@@ -122,28 +123,51 @@ def test_finalize_bounds_without_a_failed_row_equal_the_clean_batch(failure):
 # --- resampling -------------------------------------------------------------------
 
 
+def _draws(resid, cfg, n_draw, init=None):
+    """The innovations ``_draw_errors`` gathers into a path buffer behind the
+    initial rows ``init`` (one zero row by default), (n_boot, n_draw, K)."""
+    init = np.zeros((1, resid.shape[-1])) if init is None else init
+    paths = np.full((cfg.n_boot, len(init) + n_draw, resid.shape[-1]), np.nan)
+    _draw_errors(resid, cfg, 1, 0, init, paths)
+    assert np.array_equal(paths[:, : len(init)], np.broadcast_to(init, paths[:, : len(init)].shape))
+    return paths[:, len(init) :]
+
+
 def test_resample_single_row_gives_zero_rows():
     resid = np.array([[[2.0, -1.0]]])
-    out = _draw_errors(resid, BootstrapConfig(n_boot=39), 1, 0, 5)
+    out = _draws(resid, BootstrapConfig(n_boot=39), 5, init=np.ones((3, 2)))
     assert np.array_equal(out, np.zeros((39, 5, 2)))
 
 
 def test_resample_mean_law_of_large_numbers():
     rng = np.random.default_rng(72)
     resid = rng.standard_normal((50, 2)) + 3.0
-    draws = _draw_errors(resid[None], BootstrapConfig(n_boot=1000, seed=1), 1, 0, 100)
+    draws = _draws(resid[None], BootstrapConfig(n_boot=1000, seed=1), 100)
     draws = draws.reshape(-1, 2)  # 100,000 rows
     centered = resid - resid.mean(axis=0)
     se = centered.std(axis=0) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0)) < 4 * se)
 
 
+@pytest.mark.parametrize("n_pools", [1, 200])
+def test_draw_gathers_each_replications_own_stream_across_passes(n_pools):
+    # 200 replications of 795 draws take three passes of 81 rows; row r
+    # gathers stream r's indices from its pool, shared or its own.
+    resid = np.random.default_rng(70).standard_normal((n_pools, 40, 2))
+    cfg = BootstrapConfig(n_boot=200, seed=4)
+    centered = resid - resid.mean(axis=1, keepdims=True)
+    idx = _draw_index_matrix(4, 1, 0, range(200), 40, 795)
+    expected = centered[np.arange(200) % n_pools][np.arange(200)[:, None], idx]
+    init = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(_draws(resid, cfg, 795, init=init), expected)
+
+
 def test_resample_deterministic_given_seed():
     resid = np.random.default_rng(73).standard_normal((1, 30, 3))
-    a = _draw_errors(resid, BootstrapConfig(n_boot=39, seed=99), 1, 0, 40)
-    b = _draw_errors(resid, BootstrapConfig(n_boot=39, seed=99), 1, 0, 40)
+    a = _draws(resid, BootstrapConfig(n_boot=39, seed=99), 40)
+    b = _draws(resid, BootstrapConfig(n_boot=39, seed=99), 40)
     assert np.array_equal(a, b)
-    c = _draw_errors(resid, BootstrapConfig(n_boot=39, seed=98), 1, 0, 40)
+    c = _draws(resid, BootstrapConfig(n_boot=39, seed=98), 40)
     assert not np.array_equal(a, c)
 
 
@@ -154,13 +178,13 @@ def _rebuild_one(fit, errors, init):
     """One path of the bootstrap recursion under a fit's Pi and Gammas."""
     gammas = np.reshape(fit.Gammas, (1, fit.p - 1, fit.n_vars, fit.n_vars))
     mats = _batch.var_matrices_batch(fit.Pi[None], gammas)[0]
-    return _batch.rebuild_levels_batch(mats, errors[None], init)[0]
+    return rebuild_levels(mats, errors[None], init)[0]
 
 
 def test_rebuild_zero_dynamics_constant_path():
     init = np.array([[1.0, 2.0], [3.0, 4.0]])
     mats = _batch.var_matrices_batch(np.zeros((1, 2, 2)), np.empty((1, 0, 2, 2)))[0]
-    out = _batch.rebuild_levels_batch(mats, np.zeros((1, 6, 2)), init)[0]
+    out = rebuild_levels(mats, np.zeros((1, 6, 2)), init)[0]
     assert out.shape == (8, 2)
     assert np.array_equal(out[:2], init)
     assert np.all(out[2:] == init[1])
@@ -198,7 +222,7 @@ def test_rebuild_rejects_explosive():
     mats = _batch.var_matrices_batch(pi, np.empty((2, 0, 3, 3)))
     errors = np.random.default_rng(8).standard_normal((2, 300, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _batch.rebuild_levels_batch(mats, errors, np.ones((2, 3)))
+        samples = rebuild_levels(mats, errors, np.ones((2, 3)))
     assert not np.isfinite(samples[0]).all() and np.isfinite(samples[1]).all()
     sweep = _resweep(samples, prep)
     assert sweep.reason[0] & _batch.NONFINITE
@@ -214,9 +238,9 @@ def test_rebuild_nan_innovation_stays_in_its_row():
     pi, gammas = _batch.rank_fit_batch(prep.sweep, 1)
     mats = _batch.var_matrices_batch(pi, gammas)[0]
     errors = np.random.default_rng(9).standard_normal((70, prep.n_obs - 3, 3))
-    clean = _batch.rebuild_levels_batch(mats, errors, prep.raw[:3])
+    clean = rebuild_levels(mats, errors, prep.raw[:3])
     errors[66, 44, 1] = np.nan  # time 47, inside the block of times 43..50
-    spoilt = _batch.rebuild_levels_batch(mats, errors, prep.raw[:3])
+    spoilt = rebuild_levels(mats, errors, prep.raw[:3])
     others = np.arange(70) != 66
     assert np.array_equal(spoilt[others], clean[others])
     assert np.array_equal(spoilt[66, :43], clean[66, :43])  # the blocks before it
@@ -268,8 +292,8 @@ def test_fixed_rank_census_bookkeeping():
 
 def test_fixed_rank_nested_seed_family():
     # The first B draws of a larger run reuse the same substreams.
-    small = _draw_index_matrix(9, 1, 2, 50, 123, 80)
-    large = _draw_index_matrix(9, 1, 2, 200, 123, 80)
+    small = _draw_index_matrix(9, 1, 2, range(50), 123, 80)
+    large = _draw_index_matrix(9, 1, 2, range(200), 123, 80)
     assert np.array_equal(large[:50], small)
 
 
@@ -625,6 +649,15 @@ def test_integer_settings_reject_non_integral_values(case):
         _integer_cases()[case]()
 
 
+@pytest.mark.parametrize(
+    "value, shown", [(np.float64(2.5), "2.5"), (np.float32(2.0), "2.0"), (2.5, "2.5"), ("2", "'2'")]
+)
+def test_integer_message_shows_a_plain_value(value, shown):
+    with pytest.raises(ConfigError) as raised:
+        check_integer("p", value)
+    assert str(raised.value) == f"p must be an integer, got {shown}"
+
+
 def test_integer_settings_accept_numpy_integers():
     y, queries = _sim(93), _queries(1)
     ExperimentConfig(
@@ -646,6 +679,15 @@ BAD_WEIGHT_CONSTANTS = [(-1.0, 0.5), (0.0, 0.5), (float("nan"), 0.5), (1.0, 1.5)
 def test_weight_constants_rejected_by_prepare(c1, c2):
     with pytest.raises(ConfigError, match="weight constants"):
         prepare(_sim(94), 1, _queries(1), BootstrapConfig(n_boot=39), c1=c1, c2=c2)
+
+
+def test_weight_constants_message_shows_plain_numbers():
+    with pytest.raises(ConfigError) as raised:
+        check_weight_constants(np.float64(-1.0), np.float32(0.5))
+    assert str(raised.value) == "weight constants need c1 > 0 and 0 < c2 < 1, got c1=-1.0, c2=0.5"
+    with pytest.raises(ConfigError) as raised:
+        prepare(_sim(94), 1, _queries(1), BootstrapConfig(n_boot=39), c1=np.float64(np.nan))
+    assert str(raised.value).endswith("got c1=nan, c2=0.5")
 
 
 @pytest.mark.parametrize("c1, c2", BAD_WEIGHT_CONSTANTS)

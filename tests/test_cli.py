@@ -336,9 +336,9 @@ def test_analyze_builds_each_level1_batch_once_in_rank_order(tmp_path, monkeypat
     built = []
     original = bootstrap._level1_batch
 
-    def counting(prep, dgp_rank):
+    def counting(prep, dgp_rank, paths):
         built.append(dgp_rank)
-        return original(prep, dgp_rank)
+        return original(prep, dgp_rank, paths)
 
     monkeypatch.setattr(bootstrap, "_level1_batch", counting)
     csv_path = _toy_csv(tmp_path, seed=5, K=2, T=80)

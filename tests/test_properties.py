@@ -35,7 +35,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from reference import format_cell, irf_stepwise, regressor_blocks, sweep_partialled  # noqa: E402
+from reference import (  # noqa: E402
+    format_cell, irf_stepwise, rebuild_levels, regressor_blocks, sweep_partialled,
+)
 from wimpvar import _batch, bootstrap, cli  # noqa: E402
 from wimpvar import BootstrapConfig, IntervalSet, IrfQuery, RankSelector  # noqa: E402
 from wimpvar import fit_vecm, irf_reduced, select_rank_ic, trace_statistics, vecm_to_var  # noqa: E402
@@ -60,7 +62,8 @@ MODES = st.sampled_from(list(DetrendMode))
 
 def _pipeline(ys, mode, p, h_max=8):
     """Every batch step the single-sample API runs, on one stack."""
-    tilde, coef = _batch.detrend_batch(ys, mode)
+    tilde = ys.copy()
+    coef = _batch.detrend_batch(tilde, mode)
     z0, z1, z2 = regressor_blocks(tilde, p)
     sweep = _batch.sweep_batch(tilde, p)
     out = {"tilde": tilde, "coef": coef, "z0": z0, "z1": z1, "z2": z2}
@@ -127,7 +130,7 @@ def test_rebuilt_path_is_independent_of_its_batch(
         init = init[0]
 
     def rebuild(rows):
-        return _batch.rebuild_levels_batch(
+        return rebuild_levels(
             mats if shared_mats else mats[rows],
             errors[rows],
             init if shared_init else init[rows],
@@ -262,7 +265,8 @@ def test_cholesky_batch_gives_a_bad_sample_the_identity(seed, n_batch, n, bad, d
     data=st.data(),
 )
 def test_gram_sweep_matches_the_partialled_sweep(seed, n_batch, mode, p, n_vars, paper, data):
-    tilde, _ = _batch.detrend_batch(_paths(seed, n_batch, n_vars=n_vars), mode)
+    tilde = _paths(seed, n_batch, n_vars=n_vars)
+    _batch.detrend_batch(tilde, mode)
     blocks = regressor_blocks(tilde, p, paper)
     fast = _batch.sweep_batch(tilde, p, paper)
     slow = sweep_partialled(*blocks, p)
@@ -359,7 +363,8 @@ QUERY_SETS = st.sampled_from([_query_set("reduced_form"), _query_set("structural
     data=st.data(),
 )
 def test_per_sample_ranks_equal_each_rank_imposed_on_the_batch(seed, n_batch, mode, p, queries, data):
-    tilde, _ = _batch.detrend_batch(_paths(seed, n_batch), mode)
+    tilde = _paths(seed, n_batch)
+    _batch.detrend_batch(tilde, mode)
     sweep = _batch.sweep_batch(tilde, p)
     cq = _compile_queries(queries, 3)
     ranks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_batch, max_size=n_batch)))
@@ -491,8 +496,8 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
     built, zeta_sweeps = [], []
     build, zeta = bootstrap._level1_batch, bootstrap._zeta_at_rank
 
-    def building(prep, dgp_rank):
-        boot = build(prep, dgp_rank)
+    def building(prep, dgp_rank, paths):
+        boot = build(prep, dgp_rank, paths)
         built.append(boot.sweep)
         return boot
 
@@ -535,6 +540,89 @@ def test_memo_arrays_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one path buffer, recycled across the level-1 batches of a prepared sample
+
+_SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "tilde", "reason")
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_level1(seed, rank):
+    """The bytes of each swept field of the level-1 batch at ``rank`` of a
+    fresh sample, built in a fresh path buffer."""
+    sweep = _fresh(seed).level1(rank).sweep
+    return {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_fan(seed, rank):
+    return _attempt(_fresh(seed).fan, rank)
+
+
+# A step is a fixed-rank interval ("fan", r), a level-1 batch ("level1", r)
+# or an analyze method by name.
+_STEPS = st.one_of(
+    st.tuples(st.sampled_from(("fan", "level1")), st.integers(0, 3)),
+    st.sampled_from(cli._ANALYZE_EXTRAS),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.sampled_from(MEMO_SEEDS), steps=st.lists(_STEPS, min_size=2, max_size=8))
+def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, steps):
+    # Every step on one prepared sample, whose level-1 batches share one
+    # path buffer, equals the same step on a fresh sample, bit for bit.
+    prep = _fresh(seed)
+    for step in steps:
+        if step in cli._ANALYZE_EXTRAS:
+            assert _same_result(_attempt(METHODS[step].run, prep), _alone(seed)[step]), step
+            continue
+        kind, rank = step
+        if kind == "fan":
+            assert _same_result(_attempt(prep.fan, rank), _fresh_fan(seed, rank)), step
+            continue
+        sweep = prep.level1(rank).sweep
+        got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
+        assert got == _fresh_level1(seed, rank), step
+
+
+def test_successive_level1_batches_are_built_in_one_path_buffer():
+    prep = _fresh(MEMO_SEEDS[0])
+    first = prep.level1(0)
+    paths = first.sweep.tilde
+    assert paths.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
+    assert prep.level1(0) is first  # the held batch is not rebuilt
+    for rank in (1, 3, 0, 2):
+        assert prep.level1(rank).sweep.tilde is paths
+    run_methods(prep, ["ma"])
+    assert prep._held is None  # the run frees the batch and its buffer
+
+
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed):
+    prep = _fresh(seed)
+    held = prep.level1(prep.select_rank(RankSelector("aic")))
+    before = held.sweep.tilde.tobytes()
+    for name in ("fdbb_aic", "lavar"):
+        assert _same_result(_attempt(METHODS[name].run, prep), _alone(seed)[name]), name
+        assert prep._held is held
+        assert held.sweep.tilde.tobytes() == before, name
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_batch=st.integers(2, 140), mode=MODES, data=st.data())
+def test_detrending_in_place_equals_each_sample_alone(seed, n_batch, mode, data):
+    # The fit is formed _CHUNK samples at a time; across chunk edges each
+    # sample is still detrended exactly as on its own.
+    ys = _paths(seed, n_batch, n_obs=40)
+    tilde = ys.copy()
+    coef = _batch.detrend_batch(tilde, mode)
+    index = data.draw(st.integers(0, n_batch - 1))
+    alone = ys[index : index + 1].copy()
+    assert np.array_equal(_batch.detrend_batch(alone, mode), coef[index : index + 1])
+    assert np.array_equal(alone[0], tilde[index])
 
 
 # ---------------------------------------------------------------------------

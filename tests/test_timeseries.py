@@ -82,6 +82,19 @@ def test_non_finite_input_rejected_with_coordinates():
         detrend(y, DetrendMode.CONSTANT)
 
 
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_non_finite_message_shows_a_plain_number(value, shown):
+    y = np.ones((10, 2))
+    y[5, 0] = value
+    expected = f"non-finite value at row 6, y1 ({shown}); clean the input before estimation"
+    with pytest.raises(DataError) as named:
+        TimeSeriesData(y)
+    assert str(named.value) == expected
+    with pytest.raises(DataError) as bare:
+        detrend(y, DetrendMode.CONSTANT)
+    assert str(bare.value) == expected.replace("y1", "column 1")
+
+
 def test_timeseriesdata_rejects_duplicate_names():
     with pytest.raises(DataError, match="duplicate"):
         TimeSeriesData(np.ones((5, 2)), names=("a", "a"))

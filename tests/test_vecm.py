@@ -23,7 +23,8 @@ from wimpvar import (
     var_to_vecm,
     vecm_to_var,
 )
-from wimpvar.vecm import trace_stats_from_eigenvalues
+from wimpvar.timeseries import DetrendMode, detrend
+from wimpvar.vecm import observed_sweep, trace_stats_from_eigenvalues
 
 
 def _sim(seed, variant="dgp1", T=200):
@@ -222,6 +223,29 @@ def test_every_route_from_data_rejects_bad_settings_as_config_errors(route):
     if route == "fit_vecm":
         with pytest.raises(ConfigError, match="rank must be an integer"):
             fit_vecm(y, 1, 1.0)
+
+
+DATA_ROUTES = {
+    **ROUTES,
+    "observed_sweep": lambda y, p, mode="none": observed_sweep(y, p, mode),
+    "detrend": lambda y, p, mode="none": detrend(y, mode),
+}
+
+
+@pytest.mark.parametrize("route", sorted(DATA_ROUTES))
+@pytest.mark.parametrize("mode", list(DetrendMode))
+@pytest.mark.parametrize("container", ["ndarray", "TimeSeriesData"])
+def test_no_route_from_data_writes_to_the_callers_array(route, mode, container):
+    # Detrending runs in place, on a copy: the caller's array keeps its
+    # values and stays writeable, whether passed bare or wrapped.
+    y = _walk()
+    before = y.tobytes()
+    data = y if container == "ndarray" else TimeSeriesData(y)
+    DATA_ROUTES[route](data, 2, mode)
+    assert y.tobytes() == before
+    assert y.flags.writeable
+    if container == "TimeSeriesData":
+        assert not data.values.flags.writeable and data.values.tobytes() == before
 
 
 @pytest.mark.parametrize(

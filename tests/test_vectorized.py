@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from reference import evaluate_zeta  # noqa: E402
 from wimpvar import IrfArray, IrfQuery  # noqa: E402
-from wimpvar.bootstrap import _compile_queries, _draw_index_matrix, _philox4x64  # noqa: E402
+from wimpvar.bootstrap import _DRAW_CELLS, _compile_queries, _draw_index_matrix, _philox4x64  # noqa: E402
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY  # noqa: E402
 
 U64 = st.integers(0, 2**64 - 1)
@@ -45,7 +45,7 @@ def _reference_loop(seed, level, code, n_boot, pool_size, n_draw):
     n_draw=st.integers(0, 41),
 )
 def test_draw_matches_per_replication_generators(seed, level, code, n_boot, pool_size, n_draw):
-    got = _draw_index_matrix(seed, level, code, n_boot, pool_size, n_draw)
+    got = _draw_index_matrix(seed, level, code, range(n_boot), pool_size, n_draw)
     assert got.dtype == np.int64
     assert np.array_equal(got, _reference_loop(seed, level, code, n_boot, pool_size, n_draw))
 
@@ -67,22 +67,28 @@ def test_draw_fallback_rows_match_reference():
     # (2**32 - n) % n = 2**31 - 1: about half the words are rejected.
     pool = 2**31 + 1
     assert np.array_equal(
-        _draw_index_matrix(3, 1, 2, 25, pool, 19), _reference_loop(3, 1, 2, 25, pool, 19)
+        _draw_index_matrix(3, 1, 2, range(25), pool, 19), _reference_loop(3, 1, 2, 25, pool, 19)
     )
 
 
 def test_draw_large_grid_spans_several_passes():
-    # 399 x 100 blocks is processed in row chunks; rows must not shift.
-    assert np.array_equal(
-        _draw_index_matrix(2**64 - 1, 1, 3, 399, 795, 795),
-        _reference_loop(2**64 - 1, 1, 3, 399, 795, 795),
-    )
+    # 399 x 100 blocks are drawn in passes of _DRAW_CELLS cells, 81 rows;
+    # rows must not shift, and one call over the whole grid agrees.
+    step = _DRAW_CELLS // 100
+    passes = [
+        _draw_index_matrix(2**64 - 1, 1, 3, range(lo, min(lo + step, 399)), 795, 795)
+        for lo in range(0, 399, step)
+    ]
+    expected = _reference_loop(2**64 - 1, 1, 3, 399, 795, 795)
+    assert len(passes) == 5
+    assert np.array_equal(np.concatenate(passes), expected)
+    assert np.array_equal(_draw_index_matrix(2**64 - 1, 1, 3, range(399), 795, 795), expected)
 
 
 @pytest.mark.parametrize("pool_size", [0, 2**32 + 1])
 def test_draw_rejects_pool_outside_32_bits(pool_size):
     with pytest.raises(ValueError, match="pool size"):
-        _draw_index_matrix(0, 1, 1, 4, pool_size, 8)
+        _draw_index_matrix(0, 1, 1, range(4), pool_size, 8)
 
 
 # --- compiled queries -------------------------------------------------------------
