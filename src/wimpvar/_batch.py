@@ -4,11 +4,12 @@ Every estimator step (detrending, the reduced-rank sweep, rank fits and
 residuals, VAR conversion, impulse responses, trace statistics, rank
 selection, weights and the Hall order statistic) works on a stack of B
 samples.  The lag alignment of the regression has one implementation, the
-block fill that the sweep and the residuals read.  The bootstrap runs
-whole batches of replications through them; the single-sample functions
-of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`, :mod:`wimpvar.ranks` and
-:mod:`wimpvar.bootstrap` are B=1 calls that validate their input and turn
-a failure into a typed error.
+block fill that the sweep and the residuals read.  The unrestricted levels
+VAR(p) is the sweep's fit at rank K, not a regression of its own.  The
+bootstrap runs whole batches of replications through them; the
+single-sample functions of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`,
+:mod:`wimpvar.ranks` and :mod:`wimpvar.bootstrap` are B=1 calls that
+validate their input and turn a failure into a typed error.
 Samples that fail numerically are flagged in a per-sample ``reason``
 bitmask instead of raising, so one bad sample cannot abort a batch.  One
 factor, :func:`cholesky_batch`, decides whether a moment matrix is positive
@@ -31,7 +32,7 @@ _EIG_CEIL = 1.0 - 1e-12
 _EIG_FLOOR = -1e-10
 
 # Sweep failure reasons, one bit each, in the order the sweep meets them.
-NONFINITE = 1  # non-finite sample or regressors
+NONFINITE = 1  # non-finite sample or regressors, or a canonical matrix that overflows
 SINGULAR_Z2 = 2  # lagged-difference moment matrix Z2'Z2 not positive definite
 SINGULAR_S11 = 4
 SINGULAR_S00 = 8
@@ -325,6 +326,11 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     inv11_t = np.swapaxes(tril_inverse_batch(l11), 1, 2)  # L11^{-T}
     q = tril_inverse_batch(l00) @ s01 @ inv11_t
     m = np.swapaxes(q, 1, 2) @ q
+    # A finite but explosive sample can overflow M: flagged and solved as
+    # zeros, so it cannot stop the eigensolver for the whole batch.
+    finite = np.isfinite(m).all(axis=(1, 2))
+    _flag(reason, finite, NONFINITE)
+    m[~finite] = 0.0
     lam, w = np.linalg.eigh(m)
     lam = lam[:, ::-1]
     w = w[:, :, ::-1]
@@ -522,26 +528,6 @@ def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, n_init: int) -> n
         levels = chunks @ step_map[:cols, : steps * n_vars]
         paths[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
     return paths
-
-
-def ols_var_levels_batch(y: np.ndarray, p: int):
-    """Levels VAR(p) OLS without deterministics on a (B, T, K) stack.
-
-    Returns (mats (B, p, K, K), residuals (B, T-p, K), ok (B,)).  The
-    normal equations X'X b = X'y are solved as b = L^{-T} (L^{-1} X'y) with
-    X'X = L L', two stacked products by one :func:`tril_inverse_batch`.
-    """
-    n_batch, n_obs, n_vars = y.shape
-    target = y[:, p:]
-    design = np.concatenate([y[:, p - lag : n_obs - lag] for lag in range(1, p + 1)], axis=2)
-    design_t = np.swapaxes(design, 1, 2)
-    chol, ok = cholesky_batch(design_t @ design)
-    ok &= np.isfinite(y).all(axis=(1, 2))
-    inv = tril_inverse_batch(chol)
-    coef = np.swapaxes(inv, 1, 2) @ (inv @ (design_t @ target))
-    resid = target - design @ coef
-    mats = np.swapaxes(coef.reshape(n_batch, p, n_vars, n_vars), 2, 3)
-    return mats, resid, ok
 
 
 def trace_stats_batch(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:

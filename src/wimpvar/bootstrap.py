@@ -222,7 +222,7 @@ class _Prepared:
     """One observed sample and what its methods share: its sweep (a batch of
     one, run through the same kernels as the replications), compiled
     queries with the sample's query values at every rank, method settings,
-    fixed-rank fan and one level-1 batch."""
+    fixed-rank fan, one level-1 batch and one scratch path buffer."""
 
     raw: np.ndarray
     sweep: _batch.BatchSweep
@@ -236,6 +236,7 @@ class _Prepared:
     true_rank: int | None = None
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
+    _scratch: np.ndarray | None = None
 
     @property
     def n_vars(self) -> int:
@@ -275,6 +276,13 @@ class _Prepared:
             self._held = None  # free the old batch's results before building the next
             self._held = _level1_batch(self, dgp_rank, paths)
         return self._held
+
+    def scratch(self) -> np.ndarray:
+        """The path buffer of FDBB level two and the lag-augmented bootstrap,
+        made on first use; each build overwrites the last one's paths."""
+        if self._scratch is None:
+            self._scratch = _path_buffer(self)
+        return self._scratch
 
     def fan(self, rank: int) -> IntervalSet:
         """Fixed-rank interval set at ``rank``, computed once; re-raises its error."""
@@ -487,15 +495,17 @@ def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
     return sweep
 
 
+def _dgp(prep: _Prepared, rank: int):
+    """The observed sample's rank-``rank`` fit as a bootstrap process: its
+    levels VAR matrices (p, K, K) and residuals (1, T_eff, K)."""
+    pi, gammas = _batch.rank_fit_batch(prep.sweep, rank)
+    return _batch.var_matrices_batch(pi, gammas)[0], _batch.residuals_batch(prep.sweep, pi)
+
+
 def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> _BootBatch:
     """The level-1 batch at ``dgp_rank``, built and swept in the path buffer ``paths``."""
-    pi, gammas = _batch.rank_fit_batch(prep.sweep, dgp_rank)
-    resid = _batch.residuals_batch(prep.sweep, pi)
-    mats = _batch.var_matrices_batch(pi, gammas)[0]
-    return _BootBatch(
-        sweep=_resweep(_build_paths(paths, prep, mats, resid, 1, dgp_rank), prep),
-        dgp_rank=dgp_rank,
-    )
+    paths = _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
+    return _BootBatch(sweep=_resweep(paths, prep), dgp_rank=dgp_rank)
 
 
 def _read_only(*arrays):
@@ -721,7 +731,7 @@ def fdbb_interval(
     # selected rank, with the same centered-residual resampling scheme and
     # the same initial rows, the observed ones.
     paths2 = _build_paths(
-        _path_buffer(prep), prep, _batch.var_matrices_batch(pi_star, gam_star),
+        prep.scratch(), prep, _batch.var_matrices_batch(pi_star, gam_star),
         _batch.residuals_batch(boot.sweep, pi_star), 2, _SELECTOR_CODES[selector.method],
     )
     sweep2 = _resweep(paths2, prep)
@@ -745,37 +755,33 @@ def fdbb_interval(
 def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     """Levels bootstrap with one extra estimation lag.
 
-    The bootstrap process is a levels VAR(p) fitted by OLS; both the point
-    estimate and every bootstrap estimate come from a VAR(p+1) in levels of
-    which only the first p coefficient matrices feed the responses.
+    A levels VAR without deterministic terms is the error-correction fit at
+    full rank K.  The bootstrap process is the sample's rank-K fit; the
+    point estimate and every bootstrap estimate come from the rank-K fit of
+    a VAR(p+1), of which only the first p levels matrices feed the
+    responses.  The VAR(p+1) fits use rows t = p+2..T under either sample
+    convention.
     """
-    cq, cfg, n_vars, p = prep.cq, prep.cfg, prep.n_vars, prep.p
-    if prep.n_obs < n_vars * (p + 1) + 10:
-        raise DataError(
-            f"lag augmentation needs at least K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations"
-        )
-    tilde = prep.sweep.tilde[0]
-    (points,), (ok_point,) = _lavar_zetas(tilde[None], p, cq)
+    cq, cfg, p = prep.cq, prep.cfg, prep.p
+    (points,), (ok_point,) = _lavar_zetas(observed_sweep(prep.sweep.tilde[0], p + 1), cq)
     if not ok_point:
-        raise EstimationError("singular design in the lag-augmented levels regression")
-
-    mats_dgp, resid_dgp, ok_dgp = _batch.ols_var_levels_batch(tilde[None], p)
-    if not ok_dgp[0]:
-        raise EstimationError("singular design in the levels bootstrap regression")
-    paths = _build_paths(_path_buffer(prep), prep, mats_dgp[0], resid_dgp, 1, _LAVAR_CODE)
+        raise EstimationError("covariance matrix is not positive definite")
+    paths = _build_paths(prep.scratch(), prep, *_dgp(prep, prep.n_vars), 1, _LAVAR_CODE)
     finite = _redetrend(paths, prep)
-    zeta_star, ok = _lavar_zetas(paths, p, cq)
+    zeta_star, ok = _lavar_zetas(_batch.sweep_batch(paths, p + 1), cq)
     lower, upper, n_failed = _finalize(
         zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
     )
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
 
 
-def _lavar_zetas(tilde: np.ndarray, p: int, cq: _CompiledQueries):
-    """Query values of a levels VAR(p+1) fit, first p lags only; ((B, Q), ok)."""
-    mats, resid, ok = _batch.ols_var_levels_batch(tilde, p + 1)
-    sigma = np.swapaxes(resid, 1, 2) @ resid / resid.shape[1] if cq.need_structural else None
-    return _query_values(mats[:, :p], ok, cq, sigma)
+def _lavar_zetas(sweep: _batch.BatchSweep, cq: _CompiledQueries):
+    """Query values of the rank-K fit of a VAR(p+1) sweep, first p levels
+    matrices only; ((B, Q), ok)."""
+    rank = sweep.n_vars
+    pi, gammas = _batch.rank_fit_batch(sweep, rank)
+    sigma = _batch.sigma_batch(sweep, rank) if cq.need_structural else None
+    return _query_values(_batch.var_matrices_batch(pi, gammas)[:, :-1], sweep.ok, cq, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -892,5 +898,5 @@ def run_methods(prep: _Prepared, names) -> dict:
         for name, method_rank in at_rank.items():
             if method_rank == rank:
                 out[name] = _attempt(METHODS[name].run, prep)
-    prep._held = None
+    prep._held = prep._scratch = None
     return {name: out[name] for name in names}

@@ -229,7 +229,7 @@ def observed_sweep(
     n_obs, n_vars = values.shape
     if n_obs < n_vars * p + 10:
         raise DataError(
-            f"need at least K*p + 10 = {n_vars * p + 10} observations, got {n_obs}"
+            f"need at least K*p + 10 = {n_vars * p + 10} observations for p = {p}, got {n_obs}"
         )
     detrended = isinstance(data, DetrendedSeries)
     # A copy: detrending runs in place and the sweep holds the result, but

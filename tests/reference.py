@@ -3,9 +3,10 @@
 The package evaluates queries through compiled batch gathers, writes CSV
 rows with one format per table, builds responses by doubling, builds each
 sample's Gram matrix from the lag structure of the design without filling
-it, sweeps that Gram matrix and builds bootstrap paths in place; these are
-the plain per-query, per-cell, step-by-step, explicitly indexed, explicitly
-partialled and out-of-place versions the tests check it against.
+it, sweeps that Gram matrix, fits a levels VAR as the sweep's full-rank fit
+and builds bootstrap paths in place; these are the plain per-query,
+per-cell, step-by-step, explicitly indexed, explicitly partialled,
+least-squares and out-of-place versions the tests check it against.
 """
 from types import SimpleNamespace
 
@@ -142,3 +143,20 @@ def rebuild_levels(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np
     paths = np.empty((n_batch, n_init + n_steps, n_vars))
     paths[:, :n_init], paths[:, n_init:] = init, errors
     return _batch.rebuild_levels_batch(mats, paths, n_init)
+
+
+def levels_ols(y: np.ndarray, p: int, first: int | None = None):
+    """Levels VAR(p) without deterministic terms by least squares on one
+    (T, K) sample: y_t on y_{t-1}, ..., y_{t-p} over the rows t = first..T-1
+    (0-based), first = p unless given.
+
+    Returns (mats (p, K, K) with mats[i] = A_{i+1}, residuals (T - first, K),
+    residuals' residuals / (T - first)).
+    """
+    n_obs, n_vars = y.shape
+    rows = np.arange(p if first is None else first, n_obs)
+    design = np.hstack([y[rows - lag] for lag in range(1, p + 1)])
+    coef, *_ = np.linalg.lstsq(design, y[rows], rcond=None)
+    resid = y[rows] - design @ coef
+    mats = coef.T.reshape(n_vars, p, n_vars).transpose(1, 0, 2)
+    return mats, resid, resid.T @ resid / len(rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import rebuild_levels, regressor_blocks, sweep_partialled
+from reference import levels_ols, rebuild_levels, regressor_blocks, sweep_partialled
 from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
     RankSelector,
@@ -293,18 +293,23 @@ def test_rebuild_levels_batch_per_sample_matches_scalar_loop(p, n_steps):
         assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
 
 
-def test_ols_var_levels_batch_matches_lstsq():
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_rank_k_fit_is_the_levels_ols(p):
+    # A levels VAR(p) without deterministic terms is the error-correction
+    # fit at full rank: same regressor space, same rows t = p+1..T.
     ys = _stack(3, T=80)
-    mats, resid, ok = _batch.ols_var_levels_batch(ys, 2)
-    assert ok.all()
+    sweep = _batch.sweep_batch(ys, p)
+    pi, gammas = _batch.rank_fit_batch(sweep, 3)
+    mats = _batch.var_matrices_batch(pi, gammas)
+    resid = _batch.residuals_batch(sweep, pi)
+    sigma = _batch.sigma_batch(sweep, 3)
     for i in range(3):
-        y = ys[i]
-        target = y[2:]
-        design = np.hstack([y[1:-1], y[:-2]])
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        assert np.allclose(mats[i, 0], coef[:3].T, atol=1e-8)
-        assert np.allclose(mats[i, 1], coef[3:].T, atol=1e-8)
-        assert np.allclose(resid[i], target - design @ coef, atol=1e-8)
+        ols_mats, ols_resid, ols_sigma = levels_ols(ys[i], p)
+        assert resid[i].shape == ols_resid.shape == (80 - p, 3)
+        assert np.allclose(mats[i], ols_mats, rtol=0, atol=1e-8)
+        scale = np.abs(ols_resid).max()
+        assert np.allclose(resid[i], ols_resid, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(sigma[i], ols_sigma, rtol=0, atol=1e-10 * scale**2)
 
 
 def test_trace_and_weights_batch_match_reference():
@@ -380,6 +385,34 @@ def test_sweep_batch_masks_degenerate_samples():
     # the healthy samples are unaffected by the bad one
     clean = _batch.sweep_batch(ys[[0, 1, 3, 4]], 1)
     assert np.allclose(sweep.eigenvalues[[0, 1, 3, 4]], clean.eigenvalues, atol=1e-12)
+
+
+def _explosive(n_obs, rate):
+    """A finite VAR(1) path y_t = rate * y_{t-1} + e_t of three variables."""
+    shocks = np.random.default_rng(3).standard_normal((n_obs, 3))
+    path = np.empty((n_obs, 3))
+    path[0] = shocks[0]
+    for t in range(1, n_obs):
+        path[t] = rate * path[t - 1] + shocks[t]
+    return path
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_sweep_flags_an_explosive_sample_and_keeps_the_others(p):
+    # The path is finite (about 4e83) and so are its Gram matrix and
+    # moments, but the matrix of the canonical eigenproblem overflows; the
+    # eigensolver would otherwise fail for the whole batch.
+    ys = _stack(5)
+    ys[2] = _explosive(ys.shape[1], 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep = _batch.sweep_batch(ys, p)
+    assert np.isfinite(ys[2]).all()
+    assert sweep.reason[2] & _batch.NONFINITE
+    assert not sweep.ok[2]
+    for i in (0, 1, 3, 4):
+        one = _batch.sweep_batch(ys[i : i + 1], p)
+        for name in ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "reason"):
+            assert np.array_equal(getattr(one, name)[0], getattr(sweep, name)[i]), name
 
 
 def _constant(y):

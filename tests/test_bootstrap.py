@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import evaluate_zeta, irf_structural, rebuild_levels
+from reference import evaluate_zeta, irf_structural, levels_ols, rebuild_levels
 from wimpvar import (
     BootstrapConfig,
     ConfigError,
@@ -11,6 +11,7 @@ from wimpvar import (
     IntervalSet,
     IrfQuery,
     RankSelector,
+    VarLevels,
     bers_interval,
     cholesky_factor,
     fdbb_interval,
@@ -29,7 +30,7 @@ from wimpvar import (
     wimp_interval,
 )
 from wimpvar import _batch
-from wimpvar.bootstrap import _census, _draw_errors, _draw_index_matrix, _finalize, _resweep
+from wimpvar.bootstrap import _census, _dgp, _draw_errors, _draw_index_matrix, _finalize, _resweep
 from wimpvar.errors import check_integer, check_weight_constants
 from wimpvar.timeseries import DetrendMode
 
@@ -512,15 +513,34 @@ def test_lag_augmented_short_horizon_coverage_on_stationary_var():
 
 def test_lag_augmented_point_uses_augmented_fit():
     y = _sim(88, "dgp1", T=120)
-    cfg = BootstrapConfig(n_boot=49, seed=16)
-    query = IrfQuery(a=1, b=1, horizon=4)
-    result = lag_augmented_interval(prepare(y, 1, [query], cfg))
-    # oracle: VAR(2) levels OLS, responses from the first matrix only
-    target = y[2:]
-    design = np.hstack([y[1:-1], y[:-2]])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    a1 = coef[:3].T
-    assert result.point[0] == pytest.approx(np.linalg.matrix_power(a1, 4)[0, 0], abs=1e-10)
+    queries = [
+        IrfQuery(a=1, b=1, horizon=4),
+        IrfQuery(a=2, b=1, horizon=3, kind="structural_cholesky"),
+    ]
+    # oracle: VAR(3) levels OLS over rows t = 4..T under either sample
+    # convention, responses from the first two matrices only
+    mats, _, sigma = levels_ols(y, 3)
+    irf = irf_reduced(VarLevels(tuple(mats[:2])), 4)
+    structural = irf_structural(irf, cholesky_factor(sigma))
+    expected = [evaluate_zeta(irf, queries[0]), evaluate_zeta(structural, queries[1])]
+    for paper in (False, True):
+        cfg = BootstrapConfig(n_boot=49, seed=16, paper_sample_convention=paper)
+        result = lag_augmented_interval(prepare(y, 2, queries, cfg))
+        assert np.allclose(result.point, expected, rtol=1e-9, atol=0), paper
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_lag_augmented_process_follows_the_sample_convention(p):
+    # The bootstrap process is the levels VAR(p) fitted over the rows the
+    # sample's sweep keeps, t = p+2..T under the alternative convention.
+    y = _sim(87, "dgp1", T=120)
+    cfg = BootstrapConfig(n_boot=49, seed=16, paper_sample_convention=True)
+    prep = prepare(y, p, _queries(2), cfg, mode="constant")
+    mats, resid = _dgp(prep, prep.n_vars)
+    ols_mats, ols_resid, _ = levels_ols(prep.sweep.tilde[0], p, first=p + 1)
+    assert resid.shape == (1, 120 - p - 1, 3)
+    assert np.allclose(mats, ols_mats, rtol=0, atol=1e-8)
+    assert np.allclose(resid[0], ols_resid, rtol=0, atol=1e-10 * np.abs(ols_resid).max())
 
 
 # --- fan and combined interval ------------------------------------------------------------------
@@ -595,11 +615,13 @@ def test_run_methods_returns_each_result_or_typed_error():
     assert np.array_equal(out["wimp"].upper, combined.upper)
     assert out["ols"].method == "ols"
     assert np.array_equal(out["ols"].lower, fixed_rank_interval(alone, 3).lower)
-    # lag augmentation needs K*(p+1) + 10 observations: a typed error, kept
-    # per method, while the other methods still run
+    # lag augmentation sweeps at p + 1, which needs K*(p+1) + 10
+    # observations: a typed error naming that lag order, kept per method,
+    # while the other methods still run
     short = prepare(y[:15], 1, queries, cfg)
     out = run_methods(short, ("lavar", "ols"))
     assert isinstance(out["lavar"], DataError)
+    assert str(out["lavar"]) == "need at least K*p + 10 = 16 observations for p = 2, got 15"
     assert out["ols"].method == "ols"
     with pytest.raises(ConfigError, match="known data-generating process"):
         run_methods(prep, ("true_rank",))  # the sample's DGP rank is unknown

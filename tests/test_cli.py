@@ -571,3 +571,20 @@ def test_analyze_does_not_depend_on_the_units(tmp_path, seed, index):
         # raw weight, weight and trace statistic per rank; the reference rank
         assert np.allclose(weights[:, :3], expected[:, :3], rtol=1e-10, atol=0), name
         assert np.array_equal(weights[:, 3], expected[:, 3]), name
+
+
+def test_analyze_of_an_explosive_recoding_ends_in_exit_4_or_0(tmp_path):
+    # A recoding with condition number 1e7 makes the fitted levels models
+    # explosive, and the rank-0 bootstrap paths reach about 1e44.  Their
+    # canonical matrices overflow, which stopped the eigensolver for the
+    # whole batch with an uncaught numpy error (exit 1).  Each such sample
+    # is now a failed replication: all 199 of the rank-0 bootstrap fail, so
+    # the run ends in a typed estimation error (exit 4).
+    values, _ = _benchmark_input(7, 2)
+    g = np.random.default_rng(7).standard_normal((2, 4, 4))
+    mix = np.linalg.qr(g[0]).Q @ np.diag(np.logspace(0, 7, 4)) @ np.linalg.qr(g[1]).Q
+    path = str(tmp_path / "mixed.csv")
+    emit_csv_matrix(path, TimeSeriesData(values @ mix.T, ("y1", "y2", "y3", "y4")))
+    argv = ["analyze", "--input", path, "--out", str(tmp_path / "out"), "--seed", "5"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--p", "2", "--B", "199"]) in (0, 4)

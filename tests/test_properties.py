@@ -602,13 +602,24 @@ def test_successive_level1_batches_are_built_in_one_path_buffer():
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed):
+    # FDBB level two and the lag-augmented bootstrap build their paths in
+    # one scratch buffer of the prepared sample, each in turn, never in the
+    # held level-1 batch's buffer; each gives the bytes it gives alone.
     prep = _fresh(seed)
-    held = prep.level1(prep.select_rank(RankSelector("aic")))
-    before = held.sweep.tilde.tobytes()
-    for name in ("fdbb_aic", "lavar"):
+    held = scratch = None
+    for name in ("fdbb_aic", "fdbb_bic", "lavar", "fdbb_aic"):
+        rank = METHODS[name].rank(prep)
+        held = held if rank is None else prep.level1(rank)
+        before = held.sweep.tilde.tobytes()
         assert _same_result(_attempt(METHODS[name].run, prep), _alone(seed)[name]), name
         assert prep._held is held
         assert held.sweep.tilde.tobytes() == before, name
+        scratch = prep._scratch if scratch is None else scratch
+        assert scratch is not None and prep._scratch is scratch, name
+        assert scratch is not held.sweep.tilde, name
+    assert scratch.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
+    run_methods(prep, ["fdbb_bic", "lavar"])
+    assert prep._held is None and prep._scratch is None  # the run frees both buffers
 
 
 @settings(max_examples=20, deadline=None)
