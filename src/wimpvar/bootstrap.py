@@ -324,7 +324,8 @@ def _prepare(
     n_vars = raw.shape[1]
     cq = _compile_queries(queries, n_vars)
     copies = sweep.take(np.zeros(n_vars + 1, dtype=int))
-    values, ok, _ = _zeta_at_rank(copies, np.arange(n_vars + 1), cq)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged in ``ok``
+        values, ok, _ = _zeta_at_rank(copies, np.arange(n_vars + 1), cq)
     values.flags.writeable = False
     return _Prepared(
         raw=raw, sweep=sweep, p=p, mode=mode, cfg=cfg, cq=cq, points=(values, ok),
@@ -887,16 +888,19 @@ def run_methods(prep: _Prepared, names) -> dict:
     :class:`EstimationError` it raised; a :class:`ConfigError` propagates.
     Fan members and methods run in ascending level-1 rank, so each batch is
     built once and at most one is held.  The order changes no result:
-    every method draws from its own counter-keyed streams.
+    every method draws from its own counter-keyed streams.  Numpy's
+    floating-point warnings are silenced: a replication they concern is
+    flagged by the kernels and counted as failed.
     """
     fan_ranks = {rank for name in names for rank in METHODS[name].fan(prep)}
-    at_rank = {name: METHODS[name].rank(prep) for name in names}
     out = {}
-    for rank in [*sorted(fan_ranks.union(at_rank.values()) - {None}), None]:
-        if rank in fan_ranks:
-            _attempt(prep.fan, rank)  # an error stays in the fan for its readers
-        for name, method_rank in at_rank.items():
-            if method_rank == rank:
-                out[name] = _attempt(METHODS[name].run, prep)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        at_rank = {name: METHODS[name].rank(prep) for name in names}
+        for rank in [*sorted(fan_ranks.union(at_rank.values()) - {None}), None]:
+            if rank in fan_ranks:
+                _attempt(prep.fan, rank)  # an error stays in the fan for its readers
+            for name, method_rank in at_rank.items():
+                if method_rank == rank:
+                    out[name] = _attempt(METHODS[name].run, prep)
     prep._held = prep._scratch = None
     return {name: out[name] for name in names}

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import bootstrap as bt
+from ._memory import pin_allocator
 from .errors import ConfigError, DataError, EstimationError, WimpvarError, check_weight_constants
 from .montecarlo import ExperimentConfig, make_dgp, run_experiment
 from .timeseries import DetrendMode, TimeSeriesData
@@ -554,6 +555,7 @@ def report(bundle: str, out: str) -> None:
 
 
 def main(argv=None) -> int:
+    pin_allocator()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bootstrap as bt
+from ._memory import pin_allocator
 from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
 from .timeseries import DetrendMode
 from .vecm import IrfArray, IrfQuery, REDUCED_FORM
@@ -313,7 +314,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
 
     Replications are processed in fixed 16-replication chunks and reduced
     in chunk order, so the result is bit-identical whether it is computed
-    in-process (``workers=1``) or on a process pool.
+    in-process (``workers=1``) or on a process pool.  Pool workers pin
+    glibc's allocator thresholds (:func:`~wimpvar._memory.pin_allocator`);
+    the caller's own process is left as it is.
     """
     workers = _resolve_workers(workers)
     chunks = [
@@ -322,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
     if workers == 1:
         partials = [_run_chunk(cfg, chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=pin_allocator) as pool:
             partials = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
 
     n_methods = len(cfg.methods)

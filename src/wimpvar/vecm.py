@@ -241,7 +241,10 @@ def observed_sweep(
     # (far above rounding, far below real variation) is constant: swept as 0.
     levels = data.retrend() if detrended else values
     tilde[:, np.abs(tilde).max(axis=0) <= 1e-10 * np.abs(levels).max(axis=0)] = 0.0
-    sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
+    # A sample the sweep cannot finish is flagged in its reason bits and
+    # raised below; numpy's warnings about it would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
     if sweep.reason[0]:
         names = data.names if isinstance(data, TimeSeriesData) else None
         raise _sweep_error(sweep, names)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -579,12 +580,15 @@ def test_analyze_of_an_explosive_recoding_ends_in_exit_4_or_0(tmp_path):
     # canonical matrices overflow, which stopped the eigensolver for the
     # whole batch with an uncaught numpy error (exit 1).  Each such sample
     # is now a failed replication: all 199 of the rank-0 bootstrap fail, so
-    # the run ends in a typed estimation error (exit 4).
+    # the run ends in a typed estimation error (exit 4).  Those samples are
+    # flagged, so no numpy warning about them reaches the user's stderr.
     values, _ = _benchmark_input(7, 2)
     g = np.random.default_rng(7).standard_normal((2, 4, 4))
     mix = np.linalg.qr(g[0]).Q @ np.diag(np.logspace(0, 7, 4)) @ np.linalg.qr(g[1]).Q
     path = str(tmp_path / "mixed.csv")
     emit_csv_matrix(path, TimeSeriesData(values @ mix.T, ("y1", "y2", "y3", "y4")))
     argv = ["analyze", "--input", path, "--out", str(tmp_path / "out"), "--seed", "5"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv + ["--p", "2", "--B", "199"]) in (0, 4)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -1,0 +1,117 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+
+import pytest
+
+import wimpvar
+from wimpvar import _memory, montecarlo
+from wimpvar.montecarlo import run_experiment
+
+from test_montecarlo import _tiny_config
+
+ELEVEN_METHODS = "ols,true_rank,aic,bic,bers_aic,bers_bic,ma,fdbb_aic,fdbb_bic,wimp,lavar"
+GLIBC_SETTINGS = (*_memory.USER_SETTINGS, "GLIBC_TUNABLES")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The (option, value) pairs pin_allocator passes to a stand-in mallopt."""
+    for name in GLIBC_SETTINGS:
+        monkeypatch.delenv(name, raising=False)
+    seen = []
+    monkeypatch.setattr(_memory, "_mallopt", lambda: lambda option, value: seen.append((option, value)))
+    return seen
+
+
+def test_pins_mmap_then_trim_threshold(calls):
+    _memory.pin_allocator()
+    # glibc's dynamic ceiling on 64-bit systems, and trim = 2 x mmap
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, "1048576") for name in _memory.USER_SETTINGS]
+    + [("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1048576")],
+)
+def test_the_users_glibc_settings_take_precedence(calls, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    _memory.pin_allocator()
+    assert calls == []
+
+
+def test_other_tunables_leave_the_pinning_on(calls, monkeypatch):
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2")
+    _memory.pin_allocator()
+    assert len(calls) == 2
+
+
+def test_a_libc_without_mallopt_is_left_alone(monkeypatch):
+    import ctypes
+
+    for name in GLIBC_SETTINGS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert _memory._mallopt() is None
+    _memory.pin_allocator()
+
+
+def test_run_experiment_pins_its_pool_workers_only(calls, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    cfg = _tiny_config(("ols",), n_mc=2)
+    run_experiment(cfg, workers=1)
+    assert pools == []
+    run_experiment(cfg, workers=2)
+    assert pools == [{"max_workers": 2, "initializer": _memory.pin_allocator}]
+    assert calls == []  # never in the caller's own process
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_repeated_simulate_calls_fault_in_few_pages(tmp_path):
+    # Without pinned thresholds glibc hands the megabyte-sized arrays of
+    # one call back to the kernel and faults them in again on the next:
+    # about 10k minor faults per call on this shape, against under 20.
+    script = f"""
+import json, resource, sys
+from wimpvar.cli import main
+
+faults = []
+for i in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(["simulate", "--dgp", "dgp1", "--n-mc", "4", "--B", "199", "--h-max", "60",
+                 "--workers", "1", "--seed", str(i), "--methods", {ELEVEN_METHODS!r},
+                 "--out", {str(tmp_path)!r} + f"/bundle{{i}}"])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert code == 0, code
+print(json.dumps(faults))
+"""
+    env = {name: value for name, value in os.environ.items() if name not in GLIBC_SETTINGS}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wimpvar.__file__)))
+    env.update(
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(count < 1000 for count in faults[1:]), faults
