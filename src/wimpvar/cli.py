@@ -20,7 +20,8 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -133,34 +134,114 @@ def emit_csv_matrix(path: str, data: TimeSeriesData) -> None:
 # configuration
 
 
+def _parse_flag(value: str) -> bool:
+    """A config-file boolean: 1/true/yes/on or 0/false/no/off, in any case."""
+    word = value.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _parse_methods(value: str) -> tuple:
+    """A comma list of method names; blanks and repeats are dropped."""
+    return tuple(dict.fromkeys(v.strip() for v in value.split(",") if v.strip()))
+
+
+_COMMANDS = {
+    "analyze": "per-rank fan, weights and combined interval for a CSV dataset",
+    "simulate": "coverage/width experiment on a simulation design",
+    "report": "copy a result bundle's tables under plot-ready names",
+}
+_BOTH = ("analyze", "simulate")  # the commands that take a --config file
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+
+
+@dataclass(frozen=True)
+class _Option:
+    """How a RunConfig field is set: its flag, its config-file key (None:
+    flag only), the parser of its text, the commands that read it, its
+    default and the checks on its value."""
+
+    flag: str
+    key: str | None
+    parse: Callable[[str], object]
+    commands: tuple
+    default: object = None
+    simulate: object = None  # simulate's default; None: ``default``
+    required: bool = False
+    choices: tuple = ()
+    check: tuple | None = None  # (predicate, rule): the value must satisfy the predicate
+    help: str = ""
+
+    def default_for(self, command: str):
+        return self.simulate if command == "simulate" and self.simulate is not None else self.default
+
+
+def _option(*args, **kwargs):
+    """A RunConfig field carrying ``_Option(*args, **kwargs)``."""
+    option = _Option(*args, **kwargs)
+    return field(default=option.default, metadata={"option": option})
+
+
 @dataclass
 class RunConfig:
+    """One run's settings; every field but ``command`` is an option."""
+
     command: str
-    input: str | None = None
-    out: str = "."
-    p: int = 1
-    gamma: float = 0.05
-    n_boot: int = 399
-    methods: tuple = ()
-    detrend: str = "constant_and_trend"
-    kind: str = STRUCTURAL_CHOLESKY
-    h_max: int = 20
-    queries: str = "grid"
-    c1: float = 1.0
-    c2: float = 0.5
-    seed: int = 0
-    dgp: str = "dgp1"
-    T: int = 100
-    n_mc: int = 300
-    workers: int | None = None
-    paper_sample_convention: bool = False
-    bundle: str | None = None
+    input: str | None = _option("--input", "input", str, ("analyze",), required=True,
+                                help="CSV file with a header row")
+    out: str = _option("--out", "out", str, tuple(_COMMANDS), ".", required=True,
+                       help="output directory")
+    p: int = _option("--p", "p", int, ("analyze",), 1, check=_AT_LEAST_1,
+                     help="lag order of the levels VAR")
+    gamma: float = _option("--gamma", "gamma", float, _BOTH, 0.05,
+                           check=(lambda v: 0 < v < 1, "lie in (0, 1)"),
+                           help="miscoverage; 0.32 is the 68%-band preset")
+    n_boot: int = _option("--B", "B", int, _BOTH, 399, simulate=199,
+                          help="bootstrap draws (simulate --paper-scale: 399)")
+    methods: tuple = _option("--methods", "methods", _parse_methods, _BOTH, (),
+                             simulate=("ols", "true_rank", "wimp"),
+                             help="comma list of methods (analyze: extras to the fan and wimp)")
+    detrend: str = _option("--detrend", "detrend", str, ("analyze",), "constant_and_trend",
+                           simulate=DetrendMode.NONE.value,
+                           choices=tuple(m.value for m in DetrendMode),
+                           help="deterministic terms removed by OLS before estimation")
+    kind: str = _option("--kind", "kind", str, ("analyze",), STRUCTURAL_CHOLESKY,
+                        simulate=REDUCED_FORM, choices=(REDUCED_FORM, STRUCTURAL_CHOLESKY),
+                        help="reduced-form or Cholesky-identified structural responses")
+    h_max: int = _option("--h-max", "h_max", int, _BOTH, 20, simulate=60, check=_AT_LEAST_1,
+                         help="largest horizon")
+    queries: str = _option("--queries", "queries", str, ("analyze",), "grid",
+                           help="'grid' or ';'-separated element:a,b,j / max:a,b items")
+    c1: float = _option("--c1", "c1", float, _BOTH, 1.0, help="weight constant, > 0")
+    c2: float = _option("--c2", "c2", float, _BOTH, 0.5, help="weight constant, in (0, 1)")
+    seed: int = _option("--seed", "seed", int, _BOTH, 0, check=(lambda v: v >= 0, "be >= 0"),
+                        help="random seed")
+    dgp: str = _option("--dgp", "dgp", str, ("simulate",), "dgp1", choices=("dgp1", "dgp2"),
+                       help="weak (dgp1) or strong (dgp2) cointegration design")
+    T: int = _option("--T", "T", int, ("simulate",), 100, help="length of each simulated path")
+    n_mc: int = _option("--n-mc", "n_mc", int, ("simulate",), 300,
+                        help="Monte Carlo replications (--paper-scale: 1000)")
+    workers: int | None = _option("--workers", "workers", int, ("simulate",),
+                                  help="worker processes (none: WIMPVAR_WORKERS, else 1)")
+    paper_sample_convention: bool = _option("--paper-sample-convention", "paper_sample_convention",
+                                            _parse_flag, ("analyze",), False,
+                                            help="estimate on t = p+2..T, not t = p+1..T")
+    bundle: str | None = _option("--bundle", None, str, ("report",), required=True,
+                                 help="result bundle to report on")
 
     def hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k not in ("out", "bundle", "workers")}
         payload["methods"] = list(self.methods)
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         return digest[:16]
+
+
+# RunConfig field -> its option, in field order; config-file key -> field
+_OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig) if f.metadata}
+_KEYS = {option.key: name for name, option in _OPTIONS.items() if option.key}
 
 
 def _read_config_file(path: str) -> dict:
@@ -180,150 +261,67 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_flag(value: str) -> bool:
-    """A config-file boolean: 1/true/yes/on or 0/false/no/off, in any case."""
-    word = value.lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(value)
-
-
-_CONFIG_KEYS = {
-    "input": str,
-    "out": str,
-    "p": int,
-    "gamma": float,
-    "B": int,
-    "methods": str,
-    "detrend": str,
-    "kind": str,
-    "h_max": int,
-    "queries": str,
-    "c1": float,
-    "c2": float,
-    "seed": int,
-    "dgp": str,
-    "T": int,
-    "n_mc": int,
-    "workers": int,
-    "paper_sample_convention": _parse_flag,
-}
-# config-file keys a command does not read; giving one is an error
-_IGNORED_KEYS = {
-    "analyze": ("dgp", "T", "n_mc", "workers"),
-    "simulate": ("input", "p", "detrend", "kind", "queries", "paper_sample_convention"),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: --p would otherwise be simulate's --paper-scale.
     parser = argparse.ArgumentParser(
-        prog="wimpvar",
+        prog="wimpvar", allow_abbrev=False,
         description="Bootstrap impulse-response intervals under cointegration-rank uncertainty",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="per-rank fan, weights and combined interval for a CSV dataset")
-    analyze.add_argument("--input", required=True, help="CSV file with a header row")
-    analyze.add_argument("--out", required=True, help="output bundle directory")
-    analyze.add_argument("--config", help="flat key=value config file (flags override)")
-    analyze.add_argument("--p", type=int)
-    analyze.add_argument("--gamma", type=float, help="miscoverage; 0.32 is the 68%%-band preset")
-    analyze.add_argument("--B", type=int, dest="n_boot")
-    analyze.add_argument("--methods", help="comma list of extra methods")
-    analyze.add_argument("--detrend", choices=[m.value for m in DetrendMode])
-    analyze.add_argument("--kind", choices=[REDUCED_FORM, STRUCTURAL_CHOLESKY])
-    analyze.add_argument("--h-max", type=int, dest="h_max")
-    analyze.add_argument("--queries", help="'grid' or ';'-separated element:a,b,j / max:a,b items")
-    analyze.add_argument("--c1", type=float)
-    analyze.add_argument("--c2", type=float)
-    analyze.add_argument("--seed", type=int)
-    analyze.add_argument("--paper-sample-convention", action="store_true", default=None,
-                         dest="paper_sample_convention")
-
-    simulate = sub.add_parser("simulate", help="coverage/width experiment on a simulation design")
-    simulate.add_argument("--out", required=True)
-    simulate.add_argument("--config", help="flat key=value config file (flags override)")
-    simulate.add_argument("--dgp", choices=["dgp1", "dgp2"])
-    simulate.add_argument("--T", type=int, dest="T")
-    simulate.add_argument("--n-mc", type=int, dest="n_mc")
-    simulate.add_argument("--B", type=int, dest="n_boot")
-    simulate.add_argument("--gamma", type=float)
-    simulate.add_argument("--h-max", type=int, dest="h_max")
-    simulate.add_argument("--methods")
-    simulate.add_argument("--seed", type=int)
-    simulate.add_argument("--workers", type=int)
-    simulate.add_argument(
-        "--paper-scale", action="store_true",
-        help="use 1000 replications x 399 bootstrap draws instead of the 300 x 199 default",
-    )
-
-    report = sub.add_parser("report", help="copy a result bundle's tables under plot-ready names")
-    report.add_argument("--bundle", required=True)
-    report.add_argument("--out", required=True)
+    for command, summary in _COMMANDS.items():
+        commands = sub.add_parser(command, help=summary, allow_abbrev=False)
+        if command in _BOTH:
+            commands.add_argument("--config", help="flat key=value config file (flags override)")
+        for name, option in _OPTIONS.items():
+            if command not in option.commands:
+                continue
+            # An absent flag sets no attribute, so the merge sees only the flags given.
+            spec = {"dest": name, "default": argparse.SUPPRESS, "help": option.help.replace("%", "%%")}
+            if option.parse is _parse_flag:
+                spec["action"] = "store_true"
+            else:
+                spec.update(type=option.parse, choices=option.choices or None)
+            commands.add_argument(option.flag, **spec)
+        if command == "simulate":
+            commands.add_argument(
+                "--paper-scale", action="store_true",
+                help="use 1000 replications x 399 bootstrap draws instead of the 300 x 199 default",
+            )
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "simulate":
-        cfg.detrend = DetrendMode.NONE.value
-        cfg.kind = REDUCED_FORM
-        cfg.h_max = 60
-        cfg.methods = ("ols", "true_rank", "wimp")
-        if getattr(args, "paper_scale", False):
-            cfg.n_mc, cfg.n_boot = 1000, 399
-        else:
-            cfg.n_mc, cfg.n_boot = 300, 199
-    file_values = {}
+    """The command's defaults, overridden by the config file's values, then
+    by the flags given; each value is checked."""
+    command = args.command
+    values = {name: option.default_for(command) for name, option in _OPTIONS.items()}
+    if getattr(args, "paper_scale", False):
+        values.update(n_mc=1000, n_boot=399)
+    given = {}
     if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+        for key, text in _read_config_file(args.config).items():
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in _IGNORED_KEYS[args.command]:
-                raise ConfigError(
-                    f"config key {key!r} does not apply to the {args.command} command"
-                )
+            option = _OPTIONS[_KEYS[key]]
+            if command not in option.commands:
+                raise ConfigError(f"config key {key!r} does not apply to the {command} command")
             try:
-                file_values[key] = _CONFIG_KEYS[key](value)
+                given[_KEYS[key]] = option.parse(text)
             except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
-    for key, value in file_values.items():
-        attr = "n_boot" if key == "B" else key
-        if attr == "methods":
-            cfg.methods = tuple(v.strip() for v in value.split(",") if v.strip())
-        else:
-            setattr(cfg, attr, value)
-    for attr in (
-        "input", "out", "p", "gamma", "n_boot", "detrend", "kind", "h_max",
-        "queries", "c1", "c2", "seed", "dgp", "T", "n_mc", "workers",
-        "paper_sample_convention", "bundle",
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "methods", None) is not None:
-        cfg.methods = tuple(v.strip() for v in args.methods.split(",") if v.strip())
-    cfg.methods = tuple(dict.fromkeys(cfg.methods))  # dedupe, keep order
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if not 0 < cfg.gamma < 1:
-        raise ConfigError(f"gamma must lie in (0, 1), got {cfg.gamma}")
-    if cfg.p < 1:
-        raise ConfigError(f"p must be >= 1, got {cfg.p}")
-    if cfg.h_max < 1:
-        raise ConfigError(f"h_max must be >= 1, got {cfg.h_max}")
+                raise ConfigError(f"config key {key!r}: cannot parse {text!r}") from None
+    given.update((name, value) for name, value in vars(args).items() if name in _OPTIONS)
+    for name, option in _OPTIONS.items():
+        if option.required and command in option.commands and name not in given:
+            also = f" or config key {option.key!r}" if command in _BOTH else ""
+            raise ConfigError(f"the {command} command needs {option.flag}{also}")
+    cfg = RunConfig(command=command, **{**values, **given})
+    for name, option in _OPTIONS.items():
+        value = getattr(cfg, name)
+        if option.choices and value not in option.choices:
+            raise ConfigError(f"{name} must be one of {', '.join(option.choices)}, got {value!r}")
+        if option.check and not option.check[0](value):
+            raise ConfigError(f"{name} must {option.check[1]}, got {value}")
     check_weight_constants(cfg.c1, cfg.c2)
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    detrend_modes = [m.value for m in DetrendMode]
-    if cfg.detrend not in detrend_modes:
-        raise ConfigError(f"detrend must be one of {', '.join(detrend_modes)}, got {cfg.detrend!r}")
     if cfg.command == "analyze":
         unknown = [m for m in cfg.methods if m not in _ANALYZE_EXTRAS]
         if unknown:
@@ -331,6 +329,7 @@ def _validate_config(cfg: RunConfig) -> None:
                 f"unknown analyze methods: {', '.join(unknown)}; "
                 f"choose from {', '.join(_ANALYZE_EXTRAS)}"
             )
+    return cfg
 
 
 def _parse_queries(cfg: RunConfig, n_vars: int):
@@ -559,14 +558,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = _merge_config(args)
         if args.command == "report":
-            report(args.bundle, args.out)
+            report(cfg.bundle, cfg.out)
         else:
-            cfg = _merge_config(args)
-            if args.command == "analyze":
-                metadata = analyze(cfg)
-            else:
-                metadata = simulate(cfg)
+            metadata = analyze(cfg) if args.command == "analyze" else simulate(cfg)
             print(f"wrote bundle {cfg.out} (config hash {metadata['config_hash']})")
         return 0
     except ConfigError as exc:

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shutil
 import warnings
 
 import numpy as np
@@ -206,16 +209,21 @@ def test_analyze_estimation_failure_exit_code(tmp_path):
     ("analyze", ["--c2", "1.5"]),
     ("simulate", "c1 = 0"),
     ("simulate", "c2 = 1.5"),
+    ("simulate", ["--c1", "0"]),
+    ("simulate", ["--c2", "1.5"]),
 ])
 def test_weight_constants_exit_code(tmp_path, capsys, command, setting):
+    # A list is flags, a string a config-file line.
     out = str(tmp_path / "o")
     if command == "analyze":
         argv = ["analyze", "--input", _toy_csv(tmp_path, seed=8), "--B", "39", "--h-max", "1"]
-        argv += setting
     else:
         argv = ["simulate", "--T", "40", "--n-mc", "1", "--B", "39", "--h-max", "1",
-                "--methods", "wimp", "--workers", "1",
-                "--config", _write(tmp_path, "run.cfg", setting + "\n")]
+                "--methods", "wimp", "--workers", "1"]
+    if isinstance(setting, list):
+        argv += setting
+    else:
+        argv += ["--config", _write(tmp_path, "run.cfg", setting + "\n")]
     assert main(argv + ["--out", out]) == 2
     assert "weight constants" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -306,6 +314,129 @@ def test_config_file_flag_spellings(tmp_path, value, expected):
         ["analyze", "--config", config, "--input", "x.csv", "--out", str(tmp_path / "o")]
     )
     assert cli._merge_config(args).paper_sample_convention is expected
+
+
+def _run_config(argv):
+    return cli._merge_config(cli._build_parser().parse_args(argv))
+
+
+def test_simulate_c1_flag_and_key_give_one_config_hash(tmp_path):
+    config = _write(tmp_path, "run.cfg", "c1 = 0.5\n")
+    by_flag = _run_config(["simulate", "--out", "o", "--c1", "0.5"])
+    by_key = _run_config(["simulate", "--out", "o", "--config", config])
+    assert by_flag.c1 == by_key.c1 == 0.5
+    assert by_flag.hash() == by_key.hash() != _run_config(["simulate", "--out", "o"]).hash()
+
+
+# The hashes of these configurations as released; every bundle carries one.
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "--input", "data.csv", "--out", "o"], "c197966e12bd4309"),
+    (["analyze", "--input", "data.csv", "--out", "o", "--p", "2", "--B", "399", "--methods",
+      "ols,bers_aic,bers_bic,ma,ma_fixed,fdbb_aic,fdbb_bic,lavar", "--paper-sample-convention"],
+     "c0d6e41db945e0be"),
+    (["simulate", "--out", "o"], "aeb0c4374ab4d6cd"),
+    (["simulate", "--out", "o", "--paper-scale"], "2d46ac1bd95a5a59"),
+    (["simulate", "--out", "o", "--dgp", "dgp2", "--T", "200", "--workers", "2"], "a659b6ab892b2dc3"),
+])
+def test_config_hash_is_pinned(argv, expected):
+    assert _run_config(argv).hash() == expected
+
+
+def test_input_and_out_from_the_config_file_write_the_flags_bundle(tmp_path):
+    csv_path = _toy_csv(tmp_path, seed=7)
+    out = str(tmp_path / "bundle")
+    settings = ["--B", "39", "--h-max", "2", "--seed", "3"]
+    names = ("intervals.csv", "weights.csv", "metadata.json")
+    assert main(["analyze", "--input", csv_path, "--out", out, *settings]) == 0
+    by_flags = {name: (tmp_path / "bundle" / name).read_bytes() for name in names}
+    shutil.rmtree(out)
+    config = _write(tmp_path, "run.cfg", f"input = {csv_path}\nout = {out}\n")
+    assert main(["analyze", "--config", config, *settings]) == 0
+    assert {name: (tmp_path / "bundle" / name).read_bytes() for name in names} == by_flags
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["analyze", "--out", "o"], "--input or config key 'input'"),
+    (["analyze", "--input", "x.csv"], "--out or config key 'out'"),
+    (["simulate"], "--out or config key 'out'"),
+    (["report", "--out", "o"], "--bundle"),
+    (["report", "--bundle", "b"], "--out"),
+])
+def test_missing_required_option_exit_code(tmp_path, capsys, monkeypatch, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: the {argv[0]} command needs {missing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# A valid value for every option, unlike every command's default.
+_SAMPLE_TEXT = {
+    "input": "x.csv", "out": "elsewhere", "p": "3", "gamma": "0.1", "n_boot": "49",
+    "methods": "ols, wimp,ols", "detrend": "constant", "kind": "reduced_form", "h_max": "7",
+    "queries": "max:1,2", "c1": "2.5", "c2": "0.25", "seed": "11", "dgp": "dgp2", "T": "80",
+    "n_mc": "5", "workers": "2", "paper_sample_convention": "yes", "bundle": "b",
+}
+_COMMANDS = ("analyze", "simulate", "report")
+
+
+def _flag_argv(name):
+    option = cli._OPTIONS[name]
+    return [option.flag] if option.parse is cli._parse_flag else [option.flag, _SAMPLE_TEXT[name]]
+
+
+def _required_argv(command, but):
+    argv = [command]
+    for name, option in cli._OPTIONS.items():
+        if option.required and command in option.commands and name != but:
+            argv += _flag_argv(name)
+    return argv
+
+
+def test_every_option_has_a_sample_value():
+    assert set(cli._OPTIONS) == set(_SAMPLE_TEXT)
+
+
+@pytest.mark.parametrize("name", list(cli._OPTIONS))
+def test_option_flag_and_key_agree_and_commands_that_do_not_read_it_refuse_both(
+    tmp_path, capsys, monkeypatch, name
+):
+    monkeypatch.chdir(tmp_path)
+    option = cli._OPTIONS[name]
+    for command in _COMMANDS:
+        flag_argv = _required_argv(command, name) + _flag_argv(name)
+        has_config = command != "report"
+        if has_config and option.key:
+            config = _write(tmp_path, "run.cfg", f"{option.key} = {_SAMPLE_TEXT[name]}\n")
+            key_argv = _required_argv(command, name) + ["--config", config]
+        if command in option.commands:
+            by_flag = _run_config(flag_argv)
+            assert getattr(by_flag, name) == option.parse(_SAMPLE_TEXT[name]), command
+            assert getattr(by_flag, name) != option.default_for(command), command
+            if has_config and option.key:
+                assert _run_config(key_argv) == by_flag, command
+            continue
+        with pytest.raises(SystemExit) as raised:
+            cli._build_parser().parse_args(flag_argv)
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {option.flag}" in capsys.readouterr().err
+        if has_config and option.key:
+            assert main(key_argv) == 2
+            assert f"config key {option.key!r} does not apply to the {command}" in capsys.readouterr().err
+    assert not (tmp_path / _SAMPLE_TEXT["out"]).exists()
+
+
+def test_every_help_text_formats():
+    parser = cli._build_parser()
+    assert "{analyze,simulate,report}" in parser.format_help()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(subparsers.choices) == _COMMANDS
+    for command, subparser in subparsers.choices.items():
+        text = subparser.format_help()
+        assert text.startswith(f"usage: wimpvar {command}")
+        flags = set(re.findall(r"--[\w-]+", text))
+        for option in cli._OPTIONS.values():
+            assert (option.flag in flags) == (command in option.commands), (command, option.flag)
+    assert "68%-band" in subparsers.choices["analyze"].format_help()
 
 
 def test_bad_worker_environment_variable_exit_code(tmp_path, capsys, monkeypatch):

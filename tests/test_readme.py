@@ -1,5 +1,5 @@
-"""The README's library quick start runs as written, and the names its
-tables list as removed are gone."""
+"""The README's library quick start runs as written, the names its tables
+list as removed are gone, and its options table is the command line's."""
 import importlib
 import os
 import pkgutil
@@ -9,6 +9,7 @@ import numpy as np
 
 import wimpvar
 from wimpvar import TimeSeriesData, make_dgp, simulate_path
+from wimpvar import cli
 from wimpvar.cli import emit_csv_matrix
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -79,3 +80,42 @@ def test_readme_removed_names_are_gone():
         path = name.removeprefix("wimpvar.")
         found = [module.__name__ for module in modules if _resolves(path, module)]
         assert not found, f"{name}, listed as removed, resolves in {found}"
+
+
+COMMANDS = ("analyze", "simulate", "report")
+
+
+def _default_cell(option, command) -> str:
+    """A command's default as the options table shows it: "—" where the
+    command does not read the option, "none" for no value."""
+    if command not in option.commands:
+        return "—"
+    if option.required:
+        return "required"
+    value = option.default_for(command)
+    if value is None or value == ():
+        return "none"
+    if isinstance(value, bool):
+        return f"`{str(value).lower()}`"
+    return f"`{','.join(value) if isinstance(value, tuple) else value}`"
+
+
+def _options_table() -> list:
+    """The rows of the README's options table, cells stripped."""
+    with open(README, encoding="utf-8") as handle:
+        lines = handle.read().split("\n| Flag |", 1)[1].splitlines()
+    rows = [["Flag"] + [cell.strip() for cell in lines[0].strip().strip("|").split("|")]]
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def test_readme_options_table_is_the_command_lines():
+    expected = [["Flag", "Config key", *(f"`{c}`" for c in COMMANDS), "Meaning"]]
+    for option in cli._OPTIONS.values():
+        key = f"`{option.key}`" if option.key else "—"
+        cells = [_default_cell(option, command) for command in COMMANDS]
+        expected.append([f"`{option.flag}`", key, *cells, option.help])
+    assert _options_table() == expected
