@@ -7,9 +7,12 @@ levels variant.  All of them share the Hall percentile machinery: with
 q*(g) the g-quantile of the centered bootstrap statistics, the interval is
 [point - q*(1 - gamma/2), point - q*(gamma/2)].
 
-Randomness is counter-based: every bootstrap replication draws from a
-stream keyed by (seed, level, DGP code, replication index), so results are
-bit-identical regardless of scheduling or of which other methods run.
+Every bootstrap build (a level-1 batch, FDBB's level two, the lag-augmented
+bootstrap) draws its residual indices from one Philox stream, ``_stream``,
+keyed by (seed, level, DGP code); replication r takes the stream's r-th run
+of draws.  So results are bit-identical whatever the worker count and
+whichever other methods run, in any order, and the first B replications of
+a larger build equal a build of B.
 
 Every construction is a function of one prepared sample (``_prepare``,
 exported as ``wimpvar.prepare``).  ``METHODS`` names every construction;
@@ -334,80 +337,36 @@ def _prepare(
 
 
 # ---------------------------------------------------------------------------
-# counter-based streams
+# random streams
 
 
-def _stream(seed: int, level: int, code: int, rep: int):
-    key = (int(seed) << 64) | (level << 48) | (code << 32) | int(rep)
+def _stream(seed: int, level: int, code: int, rep: int = 0):
+    """numpy's Philox generator keyed by ``seed<<64 | level<<48 | code<<32 | rep``.
+
+    Each field must fit its width, so no two (seed, level, code, rep) share a key.
+    """
+    seed, level, code, rep = int(seed), int(level), int(code), int(rep)
+    if not (0 <= level < 2**16 and 0 <= code < 2**16 and 0 <= rep < 2**32 and 0 <= seed < 2**64):
+        raise ValueError(
+            f"stream key fields out of range: seed={seed}, level={level}, code={code}, rep={rep}"
+        )
+    key = (seed << 64) | (level << 48) | (code << 32) | rep
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Philox4x64-10 constants (Salmon et al., SC 2011), as in numpy's Philox.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_M32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_DRAW_CELLS = 8192  # counter-grid cells per pass; keeps the round temporaries in cache
+_PASS_INDICES = 32768  # residual indices drawn per pass; bounds the index buffer
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit products m * x."""
-    m_lo, m_hi = m & _M32, m >> _S32
-    x_lo, x_hi = x & _M32, x >> _S32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
-    w = (t & _M32) + x_lo * m_hi
-    return x_hi * m_hi + (t >> _S32) + (w >> _S32), x * m
+def _draw_index_matrix(stream, n_rows: int, pool_size: int, n_draw: int) -> np.ndarray:
+    """The next ``n_rows`` runs of ``n_draw`` residual indices in
+    0..pool_size-1 from ``stream``, (n_rows, n_draw) int64.
 
-
-def _philox4x64(key0: np.ndarray, key1: np.ndarray, counter: np.ndarray):
-    """Philox4x64-10 blocks for counters (counter, 0, 0, 0), broadcast over keys.
-
-    Returns the four output words of every block; with numpy's ``Philox``
-    they are what ``random_raw`` yields, in order, for that block.
+    numpy's generator continues its stream across calls, so splitting a
+    build's rows over several calls gives the same indices as one call.
     """
-    zero = np.zeros(1, dtype=np.uint64)
-    x0, x1, x2, x3 = counter, zero, zero, zero
-    for rnd in range(10):
-        if rnd:
-            key0 = key0 + _PHILOX_W[0]
-            key1 = key1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
-    return x0, x1, x2, x3
-
-
-def _draw_index_matrix(seed, level, code, reps, pool_size, n_draw):
-    """Residual indices of the replications in the range ``reps``,
-    (len(reps), n_draw); row i equals
-    ``_stream(seed, level, code, reps[i]).integers(0, pool_size, size=n_draw)``.
-
-    Runs Philox4x64-10 over the (replication x block) counter grid in one
-    pass: key word 0 is ``level<<48 | code<<32 | r``, key word 1 is ``seed``
-    and the counters run 1, 2, ...  Each 64-bit output gives its low 32-bit
-    word, then its high one, and word w maps to (w * pool_size) >> 32,
-    numpy's buffered Lemire method (Lemire, ACM TOMACS 2019).  A row that
-    meets a word Lemire rejects (chance below pool_size / 2**32 per word) is
-    redrawn from the reference generator.
-    """
-    if not 1 <= pool_size <= 2**32:
-        raise ValueError(f"pool size must lie in 1..2**32, got {pool_size}")
-    n_rows, n_blocks = len(reps), -(-n_draw // 8)
-    keys = np.asarray(reps, dtype=np.uint64)[:, None] | np.uint64((level << 48) | (code << 32))
-    counters = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    block = _philox4x64(keys, np.full(1, seed, dtype=np.uint64), counters)
-    words = np.empty((n_rows, n_blocks, 8), dtype=np.uint64)
-    for i, x in enumerate(block):
-        np.bitwise_and(x, _M32, out=words[:, :, 2 * i])
-        np.right_shift(x, _S32, out=words[:, :, 2 * i + 1])
-    scaled = words.reshape(n_rows, n_blocks * 8)[:, :n_draw] * np.uint64(pool_size)
-    idx = np.empty((n_rows, n_draw), dtype=np.int64)
-    np.right_shift(scaled, _S32, out=idx, casting="unsafe")
-    threshold = np.uint64((2**32 - pool_size) % pool_size)
-    if threshold:
-        for row in np.flatnonzero(((scaled & _M32) < threshold).any(axis=1)):
-            idx[row] = _stream(seed, level, code, reps[row]).integers(0, pool_size, size=n_draw)
-    return idx
+    if pool_size < 1:
+        raise ValueError(f"pool size must be at least 1, got {pool_size}")
+    return stream.integers(0, pool_size, size=(n_rows, n_draw))
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +395,19 @@ def _path_buffer(prep: _Prepared) -> np.ndarray:
 
 
 def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
-    """Innovations drawn i.i.d. from column-centered residuals on the (level,
-    code) streams into rows m: of ``paths`` (n_boot, m + n_draw, K), a
-    C-contiguous buffer, behind the initial rows ``init`` (m, K) in rows :m;
-    ``resid`` is (1, n, K), one pool shared by every replication, or
-    (n_boot, n, K), one pool each.
+    """Innovations drawn i.i.d. from column-centered residuals on the build's
+    stream ``_stream(cfg.seed, level, code)`` into rows m: of ``paths``
+    (n_boot, m + n_draw, K), a C-contiguous buffer, behind the initial rows
+    ``init`` (m, K) in rows :m; ``resid`` is (1, n, K), one pool shared by
+    every replication, or (n_boot, n, K), one pool each.
 
-    Each pass of replications, _DRAW_CELLS counter-grid cells, is drawn and
-    gathered in turn, so no (n_boot, n_draw) index matrix is held.  The
-    initial rows sit at the end of the pool, so a pass gathers whole rows,
-    contiguous in ``paths``, and np.take writes straight into the buffer.
+    Replication r takes the r-th run of n_draw indices of the stream, so the
+    first B replications of a larger build equal a build of B.  The rows are
+    drawn and gathered in passes of about _PASS_INDICES indices, so no
+    (n_boot, n_draw) index matrix is held; the pass size does not enter the
+    draws.  The initial rows sit at the end of the pool, so a pass gathers
+    whole rows, contiguous in ``paths``, and np.take writes straight into
+    the buffer.
     """
     n_pools, n_pool, n_vars = resid.shape
     n_init, n_draw = len(init), paths.shape[1] - len(init)
@@ -453,24 +415,25 @@ def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths
     centered = pool[: n_pools * n_pool].reshape(resid.shape)
     np.subtract(resid, resid.mean(axis=1, keepdims=True), out=centered)
     pool[n_pools * n_pool :] = init
-    step = max(1, _DRAW_CELLS // max(-(-n_draw // 8), 1))
+    stream = _stream(cfg.seed, level, code)
+    step = max(1, _PASS_INDICES // max(n_draw, 1))
     idx = np.empty((min(step, cfg.n_boot), paths.shape[1]), dtype=np.int64)
     idx[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
     for start in range(0, cfg.n_boot, step):
-        reps = range(start, min(start + step, cfg.n_boot))
-        rows = idx[: len(reps)]
-        rows[:, n_init:] = _draw_index_matrix(cfg.seed, level, code, reps, n_pool, n_draw)
+        stop = min(start + step, cfg.n_boot)
+        rows = idx[: stop - start]
+        rows[:, n_init:] = _draw_index_matrix(stream, stop - start, n_pool, n_draw)
         if n_pools > 1:
-            rows[:, n_init:] += np.arange(start * n_pool, reps.stop * n_pool, n_pool)[:, None]
+            rows[:, n_init:] += np.arange(start * n_pool, stop * n_pool, n_pool)[:, None]
         # Every index is in range, and "clip", unlike "raise", gathers
         # straight into ``paths`` instead of through a copy.
-        np.take(pool, rows, axis=0, out=paths[start : reps.stop], mode="clip")
+        np.take(pool, rows, axis=0, out=paths[start:stop], mode="clip")
 
 
 def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> np.ndarray:
     """Bootstrap paths built in ``paths``, a (n_boot, T, K) buffer: the
     observed initial rows, then innovations drawn from ``resid`` on the
-    (level, code) streams, turned into levels by the recursion under
+    (level, code) stream, turned into levels by the recursion under
     ``mats``.  Returns ``paths``."""
     init = prep.raw[: prep.p + 1]
     _draw_errors(resid, prep.cfg, level, code, init, paths)

@@ -30,7 +30,7 @@ from wimpvar import (
     wimp_interval,
 )
 from wimpvar import _batch
-from wimpvar.bootstrap import _census, _dgp, _draw_errors, _draw_index_matrix, _finalize, _resweep
+from wimpvar.bootstrap import _census, _dgp, _draw_errors, _finalize, _resweep
 from wimpvar.errors import check_integer, check_weight_constants
 from wimpvar.timeseries import DetrendMode
 
@@ -151,13 +151,15 @@ def test_resample_mean_law_of_large_numbers():
 
 
 @pytest.mark.parametrize("n_pools", [1, 200])
-def test_draw_gathers_each_replications_own_stream_across_passes(n_pools):
-    # 200 replications of 795 draws take three passes of 81 rows; row r
-    # gathers stream r's indices from its pool, shared or its own.
+def test_draw_gathers_the_builds_stream_across_passes(n_pools):
+    # 200 replications of 795 draws take five passes of 41 rows; row r
+    # gathers the r-th run of 795 indices of the build's stream from its
+    # pool, shared or its own.
     resid = np.random.default_rng(70).standard_normal((n_pools, 40, 2))
     cfg = BootstrapConfig(n_boot=200, seed=4)
     centered = resid - resid.mean(axis=1, keepdims=True)
-    idx = _draw_index_matrix(4, 1, 0, range(200), 40, 795)
+    stream = np.random.Generator(np.random.Philox(key=(4 << 64) | (1 << 48)))
+    idx = stream.integers(0, 40, size=200 * 795).reshape(200, 795)
     expected = centered[np.arange(200) % n_pools][np.arange(200)[:, None], idx]
     init = np.arange(6.0).reshape(3, 2)
     assert np.array_equal(_draws(resid, cfg, 795, init=init), expected)
@@ -292,9 +294,10 @@ def test_fixed_rank_census_bookkeeping():
 
 
 def test_fixed_rank_nested_seed_family():
-    # The first B draws of a larger run reuse the same substreams.
-    small = _draw_index_matrix(9, 1, 2, range(50), 123, 80)
-    large = _draw_index_matrix(9, 1, 2, range(200), 123, 80)
+    # The first B replications of a larger build draw the same innovations.
+    resid = np.random.default_rng(9).standard_normal((1, 123, 2))
+    small = _draws(resid, BootstrapConfig(n_boot=50, seed=9), 80)
+    large = _draws(resid, BootstrapConfig(n_boot=200, seed=9), 80)
     assert np.array_equal(large[:50], small)
 
 

@@ -1,9 +1,11 @@
 """Vectorized kernels against their loop references.
 
-The counter-grid draw is checked against numpy's own Philox generator, the
-compiled query gather against the scalar ``evaluate_zeta`` of the tests'
-reference module.
+The bootstrap draw is checked against numpy's own Philox generator for the
+build's key, the compiled query gather against the scalar ``evaluate_zeta``
+of the tests' reference module.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,84 +13,126 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from reference import evaluate_zeta  # noqa: E402
-from wimpvar import IrfArray, IrfQuery  # noqa: E402
-from wimpvar.bootstrap import _DRAW_CELLS, _compile_queries, _draw_index_matrix, _philox4x64  # noqa: E402
+from wimpvar import BootstrapConfig, IrfArray, IrfQuery  # noqa: E402
+from wimpvar import bootstrap  # noqa: E402
+from wimpvar.bootstrap import (  # noqa: E402
+    _compile_queries,
+    _draw_errors,
+    _draw_index_matrix,
+    _stream,
+)
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY  # noqa: E402
 
 U64 = st.integers(0, 2**64 - 1)
-# Pools just above 2**31 reject about half of all words, so nearly every row
-# takes the reference-generator fallback.
+U16 = st.integers(0, 2**16 - 1)
+# Pools just above 2**31 make numpy reject about half of all 32-bit words;
+# pools above 2**32 take its 64-bit path.
 POOLS = st.one_of(
     st.integers(1, 2**32),
     st.integers(2**31 - 2, 2**31 + 3),
-    st.sampled_from([1, 2, 3, 98, 795, 2**32 - 1, 2**32]),
+    st.sampled_from([1, 2, 3, 98, 795, 2**32 - 1, 2**32, 2**32 + 1, 2**40]),
 )
 
 
-def _reference_loop(seed, level, code, n_boot, pool_size, n_draw):
-    """One generator per replication: the draw as first written."""
-    idx = np.empty((n_boot, n_draw), dtype=np.int64)
-    for rep in range(n_boot):
-        key = (seed << 64) | (level << 48) | (code << 32) | rep
-        rng = np.random.Generator(np.random.Philox(key=key))
-        idx[rep] = rng.integers(0, pool_size, size=n_draw)
-    return idx
+def _reference(seed, level, code, n_rows, pool_size, n_draw):
+    """Rows of the build's stream, drawn in one flat call of numpy's generator."""
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (level << 48) | (code << 32)))
+    return rng.integers(0, pool_size, size=n_rows * n_draw).reshape(n_rows, n_draw)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=U64,
-    level=st.integers(0, 2**16 - 1),
-    code=st.integers(0, 2**16 - 1),
-    n_boot=st.integers(0, 12),
+    level=U16,
+    code=U16,
+    splits=st.lists(st.integers(0, 6), max_size=4),
     pool_size=POOLS,
     n_draw=st.integers(0, 41),
 )
-def test_draw_matches_per_replication_generators(seed, level, code, n_boot, pool_size, n_draw):
-    got = _draw_index_matrix(seed, level, code, range(n_boot), pool_size, n_draw)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _reference_loop(seed, level, code, n_boot, pool_size, n_draw))
+def test_draw_matches_the_builds_generator(seed, level, code, splits, pool_size, n_draw):
+    # Passes of any sizes continue the build's stream: together they equal
+    # one flat call of numpy's generator under the build's key.
+    stream = _stream(seed, level, code)
+    parts = [_draw_index_matrix(stream, n_rows, pool_size, n_draw) for n_rows in splits]
+    got = np.concatenate(parts) if parts else np.empty((0, n_draw), dtype=np.int64)
+    assert all(part.dtype == np.int64 for part in parts)
+    assert np.array_equal(got, _reference(seed, level, code, sum(splits), pool_size, n_draw))
 
 
-@settings(max_examples=100, deadline=None)
-@given(key0=U64, key1=U64, n_blocks=st.integers(1, 5))
-def test_philox_blocks_match_random_raw(key0, key1, n_blocks):
-    blocks = _philox4x64(
-        np.array([[key0]], dtype=np.uint64),
-        np.array([key1], dtype=np.uint64),
-        np.arange(1, n_blocks + 1, dtype=np.uint64),
-    )
-    words = np.stack([np.broadcast_to(x, (1, n_blocks)) for x in blocks], axis=-1).ravel()
-    raw = np.random.Philox(key=(key1 << 64) | key0).random_raw(4 * n_blocks)
-    assert np.array_equal(words, raw)
-
-
-def test_draw_fallback_rows_match_reference():
-    # (2**32 - n) % n = 2**31 - 1: about half the words are rejected.
+def test_draw_half_rejecting_pool_matches_numpy():
+    # (2**32 - n) % n = 2**31 - 1: numpy rejects about half the words.
     pool = 2**31 + 1
-    assert np.array_equal(
-        _draw_index_matrix(3, 1, 2, range(25), pool, 19), _reference_loop(3, 1, 2, 25, pool, 19)
-    )
+    stream = _stream(3, 1, 2)
+    got = np.concatenate([_draw_index_matrix(stream, n, pool, 19) for n in (7, 1, 17)])
+    assert np.array_equal(got, _reference(3, 1, 2, 25, pool, 19))
 
 
 def test_draw_large_grid_spans_several_passes():
-    # 399 x 100 blocks are drawn in passes of _DRAW_CELLS cells, 81 rows;
-    # rows must not shift, and one call over the whole grid agrees.
-    step = _DRAW_CELLS // 100
-    passes = [
-        _draw_index_matrix(2**64 - 1, 1, 3, range(lo, min(lo + step, 399)), 795, 795)
-        for lo in range(0, 399, step)
-    ]
-    expected = _reference_loop(2**64 - 1, 1, 3, 399, 795, 795)
-    assert len(passes) == 5
-    assert np.array_equal(np.concatenate(passes), expected)
-    assert np.array_equal(_draw_index_matrix(2**64 - 1, 1, 3, range(399), 795, 795), expected)
+    # 399 replications of 795 draws take ten passes of 41 rows; rows must
+    # not shift across the pass boundaries.
+    assert bootstrap._PASS_INDICES // 795 == 41
+    # Pool row i holds i, so the gathered paths read back as the indices
+    # (exact in floats once the pool's mean, 397, is added back).
+    resid = np.arange(795.0)[None, :, None]
+    paths = np.full((399, 1 + 795, 1), np.nan)
+    _draw_errors(resid, BootstrapConfig(n_boot=399, seed=2**64 - 1), 1, 3, np.zeros((1, 1)), paths)
+    expected = _reference(2**64 - 1, 1, 3, 399, 795, 795)
+    assert np.array_equal(paths[:, 1:, 0] + 397, expected)
 
 
-@pytest.mark.parametrize("pool_size", [0, 2**32 + 1])
-def test_draw_rejects_pool_outside_32_bits(pool_size):
+@settings(max_examples=40, deadline=None)
+@given(
+    n_boot=st.integers(39, 90),
+    n_small=st.integers(39, 90),
+    n_draw=st.integers(1, 60),
+    pool_size=st.integers(1, 300),
+    level=U16,
+    code=U16,
+    own_pools=st.booleans(),
+)
+def test_draw_pass_boundaries_never_enter_the_draws(
+    n_boot, n_small, n_draw, pool_size, level, code, own_pools
+):
+    # One row per pass and all rows in one pass draw the same paths, and a
+    # smaller build draws the leading rows of a larger one.
+    n_small = min(n_small, n_boot)
+    n_pools = n_boot if own_pools else 1
+    resid = np.random.default_rng(n_draw).standard_normal((n_pools, pool_size, 2))
+    init = np.ones((2, 2))
+
+    def draws(n, pass_indices):
+        cfg = BootstrapConfig(n_boot=n, seed=11)
+        paths = np.full((n, 2 + n_draw, 2), np.nan)
+        with mock.patch.object(bootstrap, "_PASS_INDICES", pass_indices):
+            _draw_errors(resid[:n] if n_pools > 1 else resid, cfg, level, code, init, paths)
+        return paths
+
+    one_row = draws(n_boot, 1)
+    assert np.array_equal(draws(n_boot, n_boot * n_draw), one_row)
+    assert np.array_equal(draws(n_small, n_boot * n_draw), one_row[:n_small])
+    assert np.array_equal(draws(n_small, 1), one_row[:n_small])
+
+
+def test_draw_rejects_an_empty_pool():
     with pytest.raises(ValueError, match="pool size"):
-        _draw_index_matrix(0, 1, 1, range(4), pool_size, 8)
+        _draw_index_matrix(_stream(0, 1, 1), 4, 0, 8)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(0, 2**16, 0, 0), (0, 0, 2**16, 0), (0, 0, 0, 2**32), (2**64, 0, 0, 0),
+     (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)],
+)
+def test_stream_refuses_key_fields_out_of_range(fields):
+    # Unchecked, code 2**16 at level 0 would be the key of level 1, code 0.
+    with pytest.raises(ValueError, match="stream key fields"):
+        _stream(*fields)
+
+
+def test_stream_key_fields_fill_their_widths():
+    top = _stream(2**64 - 1, 2**16 - 1, 2**16 - 1, 2**32 - 1)
+    expected = np.random.Philox(key=2**128 - 1).random_raw(4)
+    assert np.array_equal(top.bit_generator.random_raw(4), expected)
 
 
 # --- compiled queries -------------------------------------------------------------
