@@ -110,29 +110,26 @@ def detrend_batch(y: np.ndarray, mode: str) -> np.ndarray:
 
 def _lag_blocks(tilde: np.ndarray, p: int, t_eff: int):
     """Yield (lo, hi, v, lags) for samples lo:hi of a (B, T, K) stack,
-    _CHUNK samples at a time, filled into reused buffers.
+    _CHUNK samples at a time, as views of one reused buffer.
 
-    Over the last T_eff times t, ``v`` (m, 2K, T_eff) is the contiguous
-    block [y_{t-1}; dy_t] with dy_t = y_t - y_{t-1}, and ``lags[i]`` (m, K,
-    T_eff) is dy_{t-i}, i = 0..p-1: views at offsets of one buffer of
-    differences, computed once.  At p = 1 the differences go straight into
-    ``v``.
+    Each chunk fills one (m, 2K, T_eff + p) buffer: rows :K get the levels
+    y_s of the last T_eff + p times, one transposing copy, and rows K: their
+    differences dy_s = y_s - y_{s-1}, one contiguous subtraction that leaves
+    the last column unused.  Over the last T_eff times t, ``v`` (m, 2K,
+    T_eff) is the view [y_{t-1}; dy_t] and ``lags[i]`` (m, K, T_eff) is the
+    view dy_{t-i}, i = 0..p-1, the difference rows shifted by i.  No other
+    copy is made.
     """
     n_batch, n_obs, n_vars = tilde.shape
-    first = n_obs - t_eff
-    size = min(n_batch, _CHUNK)
-    v_buf = np.empty((size, 2 * n_vars, t_eff))
-    d_buf = np.empty((size, n_vars, t_eff + p - 1)) if p > 1 else None
+    buf = np.empty((min(n_batch, _CHUNK), 2 * n_vars, t_eff + p))
     for lo in range(0, n_batch, _CHUNK):
         hi = min(lo + _CHUNK, n_batch)
-        levels = np.swapaxes(tilde[lo:hi], 1, 2)
-        v = v_buf[: hi - lo]
-        diffs = v[:, n_vars:] if p == 1 else d_buf[: hi - lo]
-        np.subtract(levels[:, :, first - p + 1 :], levels[:, :, first - p : n_obs - 1], out=diffs)
-        v[:, :n_vars] = levels[:, :, first - 1 : n_obs - 1]
-        if p > 1:
-            v[:, n_vars:] = diffs[:, :, p - 1 :]
-        yield lo, hi, v, [diffs[:, :, p - 1 - lag : p - 1 - lag + t_eff] for lag in range(p)]
+        block = buf[: hi - lo]
+        levels = block[:, :n_vars]
+        levels[...] = np.swapaxes(tilde[lo:hi, n_obs - t_eff - p :], 1, 2)
+        np.subtract(levels[:, :, 1:], levels[:, :, :-1], out=block[:, n_vars:, :-1])
+        v = block[:, :, p - 1 : p - 1 + t_eff]
+        yield lo, hi, v, [block[:, n_vars:, p - 1 - lag : p - 1 - lag + t_eff] for lag in range(p)]
 
 
 def gram_batch(tilde: np.ndarray, p: int, t_eff: int) -> np.ndarray:
@@ -140,30 +137,34 @@ def gram_batch(tilde: np.ndarray, p: int, t_eff: int) -> np.ndarray:
     regression design X = [Z2 | Z1 | Z0]' of the last T_eff times t of a
     (B, T, K) stack, whose rows are [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t].
 
-    Only V = [y_{t-1}; dy_t] is filled (see :func:`_lag_blocks`).  Three
-    kinds of block:
-    - V V', one product;
-    - sum_t dy_{t-i} V_t', i = 1..p-1, one product each on a shifted view
+    X is never filled; the products read the views of :func:`_lag_blocks`.
+    Three kinds of block:
+    - V V' with V = [y_{t-1}; dy_t]: the product V y_{t-1}' and the i = 0
+      product below, with the y_{t-1} dy_t' block mirrored from dy_t
+      y_{t-1}'.  numpy hands a product of one buffer with its own
+      transpose, such as V V', to BLAS SYRK, which at these shapes is about
+      twice as slow as GEMM; no product here is of that form;
+    - sum_t dy_{t-i} V_t', i = 0..p-1, one product each on a shifted view
       of the differences;
     - sum_t dy_{t-i} dy_{t-j}', 1 <= i <= j < p, the same sum at lags
       (i-1, j-1) over a window one step later: it adds dy_{t0-i} dy_{t0-j}'
       at the first time t0 and drops dy_{T-i} dy_{T-j}' at T.  Its rounding
       error is relative to the largest of those terms, not to the block.
-    At p = 1, G is V V', the product of the design itself.
     """
     n_batch, _, n_vars = tilde.shape
     lagged = n_vars * (p - 1)
     width = lagged + 2 * n_vars
+    levels, diffs = slice(lagged, lagged + n_vars), slice(lagged + n_vars, width)
     gram = np.empty((n_batch, width, width))
     # Gram rows of dy_{t-i}, i = 0..p-1
-    at = [slice(lagged + n_vars, width)]
-    at += [slice(n_vars * i, n_vars * (i + 1)) for i in range(p - 1)]
+    at = [diffs] + [slice(n_vars * i, n_vars * (i + 1)) for i in range(p - 1)]
     for lo, hi, v, lags in _lag_blocks(tilde, p, t_eff):
         g = gram[lo:hi]
         v_t = np.swapaxes(v, 1, 2)
-        np.matmul(v, v_t, out=g[:, lagged:, lagged:])
-        for lag in range(1, p):
+        np.matmul(v, v_t[:, :, :n_vars], out=g[:, lagged:, levels])
+        for lag in range(p):
             np.matmul(lags[lag], v_t, out=g[:, at[lag], lagged:])
+        g[:, levels, diffs] = np.swapaxes(g[:, diffs, levels], 1, 2)
         g[:, lagged:, :lagged] = np.swapaxes(g[:, :lagged, lagged:], 1, 2)
         for i in range(1, p):
             for j in range(i, p):

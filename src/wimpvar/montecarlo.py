@@ -137,6 +137,13 @@ class ExperimentConfig:
         min_obs = self.dgp.n_vars * self.p + 10  # the estimator's own minimum
         if self.dgp.T < min_obs:
             raise ConfigError(f"T must be at least K*p + 10 = {min_obs}, got {self.dgp.T}")
+        # lavar sweeps at p + 1, so below its minimum every replication would fail
+        min_lavar = min_obs + self.dgp.n_vars
+        if "lavar" in self.methods and self.dgp.T < min_lavar:
+            raise ConfigError(
+                f"lavar fits a VAR(p + 1): T must be at least K*(p+1) + 10 = {min_lavar},"
+                f" got {self.dgp.T}"
+            )
         # fail fast on settings the per-replication bootstrap would reject
         bt.BootstrapConfig(n_boot=self.n_boot, gamma=self.gamma, seed=self.seed)
 

@@ -66,12 +66,13 @@ def test_detrend_batch_matches_reference(mode):
         assert np.array_equal(np.vstack([ref.mu0, ref.mu1]), padded)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("paper", [False, True])
 def test_regressors_batch_matches_reference(p, paper):
     # The blocks the sweep and the residuals read, chunk by chunk across a
     # chunk edge, are [Z1 | Z0]' and the lagged differences of the
-    # time-indexed blocks.
+    # time-indexed blocks, bit for bit, at lag orders up to and past the
+    # benchmark's p = 4.
     ys = _stack(_batch._CHUNK + 3)
     z0, z1, z2 = regressor_blocks(ys, p, paper)
     t_eff = z0.shape[1]
@@ -107,9 +108,16 @@ def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper
     root = np.sqrt(np.diagonal(expected, axis1=1, axis2=2))
     assert np.all(np.abs(gram - expected) <= 1e-13 * root[:, :, None] * root[:, None, :])
     if p == 1:
-        # The product of the contiguous variable-major [Z1 | Z0] block itself.
+        # The two GEMM products of the contiguous variable-major V = [Z1 | Z0]'
+        # block, V Z1 and Z0' V', with Z1' Z0 mirrored from Z0' Z1; never V V',
+        # a block with its own transpose, which numpy hands to SYRK.
         block = np.ascontiguousarray(np.swapaxes(np.concatenate([z1, z0], axis=2), 1, 2))
-        assert np.array_equal(gram, np.matmul(block, np.swapaxes(block, 1, 2)))
+        block_t = np.swapaxes(block, 1, 2)
+        pinned = np.empty_like(gram)
+        pinned[:, :, :n_vars] = block @ block_t[:, :, :n_vars]
+        pinned[:, n_vars:] = block[:, n_vars:] @ block_t
+        pinned[:, :n_vars, n_vars:] = np.swapaxes(pinned[:, n_vars:, :n_vars], 1, 2)
+        assert np.array_equal(gram, pinned)
     sweep = _batch.sweep_batch(ys, p, paper)
     pi, gammas = _batch.rank_fit_batch(sweep, data.draw(st.integers(0, n_vars)))
     # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, the coefficients of [Z2 | Z1]

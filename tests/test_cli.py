@@ -594,6 +594,24 @@ def test_simulate_scale_defaults(tmp_path):
     assert meta["config"]["n_mc"] == 2  # explicit flag wins
 
 
+@pytest.mark.parametrize("n_obs", [13, 14, 15, 16])
+def test_simulate_refuses_a_sample_too_short_for_lavar(tmp_path, capsys, n_obs):
+    # lavar sweeps at p + 1, so at K = 3, p = 1 it needs K*(p+1) + 10 = 16
+    # observations; below that every replication would fail and every
+    # coverage row would be NaN, so the run is refused up front
+    out = tmp_path / "s"
+    code = main(["simulate", "--n-mc", "2", "--B", "39", "--T", str(n_obs), "--h-max", "2",
+                 "--methods", "lavar", "--workers", "1", "--out", str(out)])
+    if n_obs < 16:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lavar fits a VAR(p + 1): T must be at least K*(p+1) + 10 = 16" in err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert json.loads((out / "metadata.json").read_text())["failure_census"] == {"lavar": 0}
+
+
 def test_simulate_empty_methods_header_only(tmp_path):
     out = str(tmp_path / "s")
     code = main(["simulate", "--dgp", "dgp1", "--T", "80", "--n-mc", "2",

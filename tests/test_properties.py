@@ -92,9 +92,10 @@ def _pipeline(ys, mode, p, h_max=8):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_batch=st.integers(2, 9),
+    # past one _CHUNK, so a sample may sit anywhere in the reused lag buffer
+    n_batch=st.integers(2, 70),
     mode=MODES,
-    p=st.integers(1, 3),
+    p=st.integers(1, 4),
     data=st.data(),
 )
 def test_one_sample_equals_its_slice_of_a_batch(seed, n_batch, mode, p, data):
