@@ -289,7 +289,7 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
         moments = moments - np.swapaxes(half, 1, 2) @ half
         coef = np.swapaxes(inv, 1, 2) @ half  # [P21 P20]
     else:
-        coef = cross
+        coef = cross.copy()  # empty, and unlike the view it does not keep ``gram`` alive
     # [[S11 S10], [S01 S00]], made exactly symmetric
     s = (moments + np.swapaxes(moments, 1, 2)) / (2.0 * t_eff)
     s11, s01, s00 = s[:, :n_vars, :n_vars], s[:, n_vars:, :n_vars], s[:, n_vars:, n_vars:]

@@ -15,14 +15,18 @@ whichever other methods run, in any order, and the first B replications of
 a larger build equal a build of B.
 
 Every construction is a function of one prepared sample (``_prepare``,
-exported as ``wimpvar.prepare``).  ``METHODS`` names every construction;
-``run_methods`` runs a set of them on one prepared sample, building each
-level-1 batch once.
+exported as ``wimpvar.prepare``; ``_prepare_many`` prepares a stack of
+samples with one sweep).  ``METHODS`` names every construction;
+``run_methods`` runs a set of them on one prepared sample or on a group of
+them.  It builds each level-1 batch once, and at each rank it sweeps the
+batches of the whole group as one stack; everything downstream of the
+sweep (responses, query values, Hall bounds) runs per sample, on its slice.
 """
 from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,8 +35,10 @@ from . import _batch
 from ._batch import cholesky_batch as _chol_batch  # its own layer in perfbench/tracing.py
 from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
 from .ranks import RankSelector, plausibility_weights
-from .timeseries import DetrendedSeries, DetrendMode, TimeSeriesData
-from .vecm import IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, observed_sweep
+from .timeseries import DetrendedSeries, DetrendMode, TimeSeriesData, _as_values
+from .vecm import (
+    IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, _check_lag_order, _sweep_error, sweep_samples,
+)
 from .wimp import wimp_bounds
 
 __all__ = [
@@ -220,12 +226,28 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 # shared preparation of the observed sample
 
 
+class _Stack:
+    """The detrended observed samples of one preparation, (n, T, K)."""
+
+    def __init__(self, tilde: np.ndarray, p: int):
+        self.tilde, self.p = tilde, p
+
+    @cached_property
+    def lavar_sweep(self) -> _batch.BatchSweep:
+        """Their VAR(p+1) sweep, lavar's point fit: one sweep for them all,
+        made on first use.  Samples too short for it raise a DataError, on
+        every use."""
+        return sweep_samples(self.tilde, self.p + 1)
+
+
 @dataclass
 class _Prepared:
     """One observed sample and what its methods share: its sweep (a batch of
-    one, run through the same kernels as the replications), compiled
-    queries with the sample's query values at every rank, method settings,
-    fixed-rank fan, one level-1 batch and one scratch path buffer."""
+    one, run through the same kernels as the replications), the stack it
+    was prepared in (row ``row``), compiled queries with the sample's query
+    values at every rank, method settings, fixed-rank fan, one level-1
+    batch, one scratch path buffer and the lag-augmented sweep its group
+    built for it."""
 
     raw: np.ndarray
     sweep: _batch.BatchSweep
@@ -234,12 +256,15 @@ class _Prepared:
     cfg: BootstrapConfig
     cq: _CompiledQueries
     points: tuple  # ((K+1, Q) query values at ranks 0..K, (K+1,) ok)
+    stack: _Stack
+    row: int
     c1: float = 1.0
     c2: float = 0.5
     true_rank: int | None = None
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
     _scratch: np.ndarray | None = None
+    _lavar: _batch.BatchSweep | None = None
 
     @property
     def n_vars(self) -> int:
@@ -273,11 +298,11 @@ class _Prepared:
 
         The next rank's batch is built in the held batch's path buffer, its
         ``sweep.tilde``, so a batch's paths are valid only while it is held.
+        ``run_methods`` builds a group's batches itself (:func:`_hold_level1`).
         """
         if self._held is None or self._held.dgp_rank != dgp_rank:
             paths = _path_buffer(self) if self._held is None else self._held.sweep.tilde
-            self._held = None  # free the old batch's results before building the next
-            self._held = _level1_batch(self, dgp_rank, paths)
+            _hold_level1([self], dgp_rank, paths)
         return self._held
 
     def scratch(self) -> np.ndarray:
@@ -309,31 +334,68 @@ def _prepare(
 ) -> _Prepared:
     """Prepare one observed sample for the interval methods.
 
-    Sweeps ``data`` (raw T x K levels) once for every rank through
-    :func:`~wimpvar.vecm.observed_sweep`, which detrends and validates it,
-    and compiles ``queries``, evaluating them on the sample at every rank 0..K
-    as one (K+1)-row batch.  ``c1`` and ``c2`` set the plausibility weights;
-    ``true_rank`` is the rank of a known data-generating process.
+    Sweeps ``data`` (raw T x K levels) once for every rank, as a stack of
+    one (:func:`_prepare_many`), which detrends it and raises like
+    :func:`~wimpvar.vecm.observed_sweep`, and compiles ``queries``,
+    evaluating them on the sample at every rank 0..K as one (K+1)-row
+    batch.  ``c1`` and ``c2`` set the plausibility weights; ``true_rank``
+    is the rank of a known data-generating process.
     """
     check_weight_constants(c1, c2)
     if isinstance(data, DetrendedSeries):
         raise ConfigError("pass raw observations; detrending happens inside the bootstrap")
     mode = DetrendMode(mode)
-    sweep = observed_sweep(data, p, mode, cfg.paper_sample_convention)
-    # observed_sweep has checked these levels.
-    raw = data.values if isinstance(data, TimeSeriesData) else np.asarray(data, dtype=float)
-    if raw.ndim == 1:
-        raw = raw[:, None]
-    n_vars = raw.shape[1]
-    cq = _compile_queries(queries, n_vars)
-    copies = sweep.take(np.zeros(n_vars + 1, dtype=int))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged in ``ok``
-        values, ok, _ = _zeta_at_rank(copies, np.arange(n_vars + 1), cq)
-    values.flags.writeable = False
-    return _Prepared(
-        raw=raw, sweep=sweep, p=p, mode=mode, cfg=cfg, cq=cq, points=(values, ok),
-        c1=c1, c2=c2, true_rank=true_rank,
+    _check_lag_order(p)
+    names = data.names if isinstance(data, TimeSeriesData) else None
+    (prep,) = _prepare_many(
+        _as_values(data)[None], p, queries, [cfg], mode, c1, c2, true_rank, names
     )
+    if isinstance(prep, EstimationError):
+        raise prep
+    return prep
+
+
+def _prepare_many(
+    samples: np.ndarray,
+    p: int,
+    queries,
+    cfgs,
+    mode: DetrendMode | str = DetrendMode.NONE,
+    c1: float = 1.0,
+    c2: float = 0.5,
+    true_rank: int | None = None,
+    names=None,
+) -> list:
+    """:func:`_prepare` for each of a (n, T, K) stack of finite raw samples,
+    with ``cfgs[i]`` for sample i: one sweep of the stack
+    (:func:`~wimpvar.vecm.sweep_samples`) and one query table of n (K+1)
+    rows serve them all.
+
+    Returns each sample's prepared sample, bitwise the one :func:`_prepare`
+    gives, or the :class:`EstimationError` it raises, naming the columns
+    ``names``.  A bad ``p``, too few observations or a bad query or weight
+    constant raise for the whole stack.
+    """
+    check_weight_constants(c1, c2)
+    mode = DetrendMode(mode)
+    sweep = sweep_samples(samples, p, mode, cfgs[0].paper_sample_convention)
+    n_samples, _, n_vars = samples.shape
+    cq = _compile_queries(queries, n_vars)
+    width = n_vars + 1
+    copies = sweep.take(np.repeat(np.arange(n_samples), width))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged in ``ok``
+        values, ok, _ = _zeta_at_rank(copies, np.tile(np.arange(width), n_samples), cq)
+    values.flags.writeable = False
+    stack = _Stack(sweep.tilde, p)
+    preps = []
+    for i, cfg in enumerate(cfgs):
+        own, rows = sweep.take(slice(i, i + 1)), slice(i * width, (i + 1) * width)
+        preps.append(_sweep_error(own, names) if own.reason[0] else _Prepared(
+            raw=samples[i], sweep=own, p=p, mode=mode, cfg=cfg, cq=cq,
+            points=(values[rows], ok[rows]), stack=stack, row=i,
+            c1=c1, c2=c2, true_rank=true_rank,
+        ))
+    return preps
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +440,9 @@ class _BootBatch:
     """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and the
     per-batch results its methods share, keyed by step (read-only arrays).
 
-    The sweep holds the detrended paths as its ``tilde``, the path buffer
-    that the prepared sample hands to the next rank's build.  FDBB level two
+    The sweep is the sample's slice of its group's stacked sweep, and holds
+    the detrended paths as its ``tilde``, the sample's slice of the group's
+    path buffer, which the next rank's build overwrites.  FDBB level two
     builds its residuals from them; the paths start from the observed
     initial rows, which is all level two reads of the paths themselves.
     """
@@ -389,9 +452,9 @@ class _BootBatch:
     memo: dict = field(default_factory=dict)
 
 
-def _path_buffer(prep: _Prepared) -> np.ndarray:
-    """A fresh (n_boot, T, K) buffer for one batch of bootstrap paths."""
-    return np.empty((prep.cfg.n_boot, prep.n_obs, prep.n_vars))
+def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
+    """A fresh (count n_boot, T, K) buffer for ``count`` batches of bootstrap paths."""
+    return np.empty((count * prep.cfg.n_boot, prep.n_obs, prep.n_vars))
 
 
 def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
@@ -450,11 +513,16 @@ def _redetrend(paths: np.ndarray, prep: _Prepared) -> np.ndarray:
     return finite
 
 
-def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+def _resweep(paths: np.ndarray, prep: _Prepared, lavar: bool = False) -> _batch.BatchSweep:
     """Sweep of rebuilt paths, detrended in place and kept as the sweep's
-    ``tilde``; a non-finite path is flagged."""
+    ``tilde``; a non-finite path is flagged.  The sweep is at lag order p
+    under the sample's convention, or with ``lavar`` at p+1 over rows
+    t = p+2..T under either convention."""
     finite = _redetrend(paths, prep)
-    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
+    if lavar:
+        sweep = _batch.sweep_batch(paths, prep.p + 1)
+    else:
+        sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 
@@ -466,10 +534,38 @@ def _dgp(prep: _Prepared, rank: int):
     return _batch.var_matrices_batch(pi, gammas)[0], _batch.residuals_batch(prep.sweep, pi)
 
 
-def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> _BootBatch:
-    """The level-1 batch at ``dgp_rank``, built and swept in the path buffer ``paths``."""
-    paths = _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
-    return _BootBatch(sweep=_resweep(paths, prep), dgp_rank=dgp_rank)
+def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> np.ndarray:
+    """The level-1 paths at ``dgp_rank``, built in the (n_boot, T, K) buffer
+    ``paths`` and returned; :func:`_hold_level1` sweeps them."""
+    return _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
+
+
+def _sweep_stack(preps, paths: np.ndarray, build, lavar: bool = False) -> list:
+    """Each sample's paths, built by ``build(prep, rows)`` in consecutive
+    n_boot-row slices ``rows`` of ``paths``, then swept as one stack
+    (:func:`_resweep`); returns each sample's slice of the sweep.
+
+    Each build keeps its own stream and its own recursion, so a sample's
+    slice is bitwise what it would be alone: every kernel treats each
+    sample of a stack alone.  The samples share their shape and settings
+    (see :func:`run_methods`).
+    """
+    n_boot = preps[0].cfg.n_boot
+    rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
+    for prep, part in zip(preps, rows):
+        build(prep, paths[part])
+    sweep = _resweep(paths[: rows[-1].stop], preps[0], lavar)
+    return [sweep.take(part) for part in rows]
+
+
+def _hold_level1(preps, dgp_rank: int, paths: np.ndarray) -> None:
+    """Build each sample's level-1 batch at ``dgp_rank`` in its slice of
+    ``paths``, sweep them as one stack and hold each sample's slice."""
+    for prep in preps:
+        prep._held = None  # free the old batches' results before building
+    build = lambda prep, rows: _level1_batch(prep, dgp_rank, rows)  # noqa: E731
+    for prep, sweep in zip(preps, _sweep_stack(preps, paths, build)):
+        prep._held = _BootBatch(sweep=sweep, dgp_rank=dgp_rank)
 
 
 def _read_only(*arrays):
@@ -643,6 +739,7 @@ def _ma_sums(prep: _Prepared, boot: _BootBatch):
             fixed += data_weights[rank] * values
             values *= weights_star[:, rank, None]
             endogenous += values
+            del values  # freed before the next rank's are made
         boot.memo["ma"] = _read_only(endogenous, fixed, ok)
     return boot.memo["ma"]
 
@@ -724,19 +821,34 @@ def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     point estimate and every bootstrap estimate come from the rank-K fit of
     a VAR(p+1), of which only the first p levels matrices feed the
     responses.  The VAR(p+1) fits use rows t = p+2..T under either sample
-    convention.
+    convention.  In a ``run_methods`` group the bootstrap sweep is the
+    sample's slice of one stacked sweep (:func:`_stage_lavar`).
     """
-    cq, cfg, p = prep.cq, prep.cfg, prep.p
-    (points,), (ok_point,) = _lavar_zetas(observed_sweep(prep.sweep.tilde[0], p + 1), cq)
+    cq, cfg = prep.cq, prep.cfg
+    observed = prep.stack.lavar_sweep.take(slice(prep.row, prep.row + 1))
+    if observed.reason[0]:
+        raise _sweep_error(observed, None)
+    (points,), (ok_point,) = _lavar_zetas(observed, cq)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    paths = _build_paths(prep.scratch(), prep, *_dgp(prep, prep.n_vars), 1, _LAVAR_CODE)
-    finite = _redetrend(paths, prep)
-    zeta_star, ok = _lavar_zetas(_batch.sweep_batch(paths, p + 1), cq)
-    lower, upper, n_failed = _finalize(
-        zeta_star, ok & finite, points, cfg, "the lag-augmented bootstrap"
-    )
+    if prep._lavar is None:
+        _stage_lavar([prep], prep.scratch())
+    sweep, prep._lavar = prep._lavar, None
+    zeta_star, ok = _lavar_zetas(sweep, cq)
+    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the lag-augmented bootstrap")
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
+
+
+def _stage_lavar(preps, paths: np.ndarray) -> None:
+    """lavar's group stage: each sample's bootstrap paths, built from its
+    rank-K fit on its own stream in its slice of ``paths``, are swept at
+    p+1 as one stack, and each sample keeps its slice of the sweep until its
+    :func:`lag_augmented_interval` reads it."""
+    def build(prep, rows):
+        _build_paths(rows, prep, *_dgp(prep, prep.n_vars), 1, _LAVAR_CODE)
+
+    for prep, sweep in zip(preps, _sweep_stack(preps, paths, build, lavar=True)):
+        prep._lavar = sweep
 
 
 def _lavar_zetas(sweep: _batch.BatchSweep, cq: _CompiledQueries):
@@ -779,11 +891,15 @@ def wimp_interval(prep: _Prepared) -> IntervalSet:
 @dataclass(frozen=True)
 class _Method:
     """A method's runner, ``run(prep)``; ``rank(prep)`` is the DGP rank of the
-    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads."""
+    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads.
+    A method that reads no level-1 batch may have a group stage,
+    ``stage(preps, paths)``, which ``run_methods`` runs once for its group
+    before the runs, with the group's path buffer ``paths``."""
 
     run: Callable
     rank: Callable = lambda prep: None
     fan: Callable = lambda prep: ()
+    stage: Callable | None = None
 
 
 def _fan_lookup(name: str, rank_of) -> _Method:
@@ -823,7 +939,10 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "fdbb_aic": _Method(lambda prep: fdbb_interval(prep, _AIC), _selected(_AIC)),
     "fdbb_bic": _Method(lambda prep: fdbb_interval(prep, _BIC), _selected(_BIC)),
     "wimp": _Method(lambda prep: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
-    "lavar": _Method(lambda prep: lag_augmented_interval(prep)),
+    "lavar": _Method(
+        lambda prep: lag_augmented_interval(prep),
+        stage=lambda preps, paths: _stage_lavar(preps, paths),
+    ),
 })
 
 
@@ -844,26 +963,67 @@ def _attempt(run, *args, **kwargs):
         return exc
 
 
-def run_methods(prep: _Prepared, names) -> dict:
-    """Run the named methods on one prepared sample.
+def run_methods(preps, names):
+    """Run the named methods on one prepared sample or on a group of them.
 
-    Returns name -> the method's result, or the :class:`DataError` or
-    :class:`EstimationError` it raised; a :class:`ConfigError` propagates.
-    Fan members and methods run in ascending level-1 rank, so each batch is
-    built once and at most one is held.  The order changes no result:
-    every method draws from its own counter-keyed streams.  Numpy's
-    floating-point warnings are silenced: a replication they concern is
-    flagged by the kernels and counted as failed.
+    Returns, for one sample, name -> the method's result, or the
+    :class:`DataError` or :class:`EstimationError` it raised; for a
+    sequence, one such dict per sample, in order.  A :class:`ConfigError`
+    propagates.  The samples of a group share their shape, lag order,
+    detrending and bootstrap size; their seeds may differ.
+
+    Fan members and methods run in ascending level-1 rank.  At each rank,
+    every sample that reads it builds its batch, on its own stream, in its
+    slice of one group path buffer; one sweep covers the stack, and each
+    sample runs its fan member and methods there on its slice, then drops
+    it.  A method's group stage runs before its runs.  The order changes no
+    result: every method draws from its own Philox streams, keyed by (seed,
+    level, code), and every kernel treats each sample of a stack alone.
+    Numpy's floating-point warnings are silenced: a replication they concern
+    is flagged by the kernels and counted as failed.
     """
-    fan_ranks = {rank for name in names for rank in METHODS[name].fan(prep)}
-    out = {}
+    single = isinstance(preps, _Prepared)
+    group = [preps] if single else list(preps)
+    shared = {
+        (prep.raw.shape, prep.p, prep.mode, prep.cfg.n_boot, prep.cfg.detrend_bootstrap,
+         prep.cfg.paper_sample_convention)
+        for prep in group
+    }
+    if len(shared) > 1:
+        raise ConfigError(
+            "samples run together must share their shape, lag order, detrending and bootstrap size"
+        )
+    out = [{} for _ in group]
+    paths = scratch = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        at_rank = {name: METHODS[name].rank(prep) for name in names}
-        for rank in [*sorted(fan_ranks.union(at_rank.values()) - {None}), None]:
-            if rank in fan_ranks:
-                _attempt(prep.fan, rank)  # an error stays in the fan for its readers
-            for name, method_rank in at_rank.items():
-                if method_rank == rank:
-                    out[name] = _attempt(METHODS[name].run, prep)
-    prep._held = prep._scratch = None
-    return {name: out[name] for name in names}
+        fans = [{rank for name in names for rank in METHODS[name].fan(prep)} for prep in group]
+        at_rank = [{name: METHODS[name].rank(prep) for name in names} for prep in group]
+        ranks = set().union(*fans, *(plan.values() for plan in at_rank)) - {None}
+        for rank in [*sorted(ranks), None]:
+            readers = [
+                i for i, fan in enumerate(fans) if rank in fan or rank in at_rank[i].values()
+            ]
+            if not readers:
+                continue
+            members = [group[i] for i in readers]
+            stages = [] if rank is not None else [
+                METHODS[name].stage for name in dict.fromkeys(names) if METHODS[name].stage
+            ]
+            if paths is None and (rank is not None or stages):
+                paths = _path_buffer(group[0], len(group))
+            if rank is not None:
+                _hold_level1(members, rank, paths)
+            for stage in stages:
+                stage(members, paths)
+            for i, prep in zip(readers, members):
+                prep._scratch = scratch  # one scratch buffer serves the group
+                if rank in fans[i]:
+                    _attempt(prep.fan, rank)  # an error stays in the fan for its readers
+                for name, method_rank in at_rank[i].items():
+                    if method_rank == rank:
+                        out[i][name] = _attempt(METHODS[name].run, prep)
+                scratch, prep._scratch, prep._held = prep._scratch, None, None
+    for prep in group:
+        prep._held = prep._scratch = prep._lavar = None
+    out = [{name: results[name] for name in names} for results in out]
+    return out[0] if single else out

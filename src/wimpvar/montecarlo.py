@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bootstrap as bt
 from ._memory import pin_allocator
-from .errors import ConfigError, DataError, EstimationError, check_integer, check_weight_constants
+from .errors import ConfigError, EstimationError, check_integer, check_weight_constants
 from .timeseries import DetrendMode
 from .vecm import IrfArray, IrfQuery, REDUCED_FORM
 
@@ -38,6 +38,9 @@ _BETA1 = np.array([2.0, -1.0, 0.0])
 _BETA2 = np.array([1.0, -1.0, -1.0])
 
 _CHUNK = 16  # fixed reduction granularity; must not depend on the worker count
+# Replications whose bootstrap batches are swept as one stack.  Bigger
+# groups save more calls and hold one more path buffer per replication.
+_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -277,30 +280,40 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
         for j in range(1, h_max + 1)
     )
 
-    for rep in rep_indices:
-        data = simulate_path(cfg.dgp, bt._stream(cfg.seed, 7, 901, rep))
-        boot_seed = int(bt._stream(cfg.seed, 7, 902, rep).integers(0, 2**63))
-        bcfg = bt.BootstrapConfig(n_boot=cfg.n_boot, gamma=cfg.gamma, seed=boot_seed)
-        try:
-            prep = bt._prepare(
-                data, cfg.p, queries, bcfg, cfg.mode,
-                c1=cfg.c1, c2=cfg.c2, true_rank=cfg.dgp.true_rank,
-            )
-        except (DataError, EstimationError):
-            continue  # every method fails for this replication
-        results = bt.run_methods(prep, cfg.methods)
-        for m, method in enumerate(cfg.methods):
-            if isinstance(results[method], Exception):
-                continue  # the method failed on this replication
-            try:
-                lower, upper = _bounds_from(method, results[method], len(queries))
-            except EstimationError:
-                continue  # NaN or disordered bounds fail, as in IntervalSet
-            low = lower.reshape(n_vars, n_vars, h_max)
-            upp = upper.reshape(n_vars, n_vars, h_max)
-            covered[m] += (low <= truth) & (truth <= upp)
-            width_sum[m] += upp - low
-            success[m] += 1
+    reps = list(rep_indices)
+    samples = np.stack([simulate_path(cfg.dgp, bt._stream(cfg.seed, 7, 901, rep)) for rep in reps])
+    bcfgs = [
+        bt.BootstrapConfig(
+            n_boot=cfg.n_boot, gamma=cfg.gamma,
+            seed=int(bt._stream(cfg.seed, 7, 902, rep).integers(0, 2**63)),
+        )
+        for rep in reps
+    ]
+    # A rejected sample (an EstimationError) fails every method of its replication.
+    preps = [
+        prep
+        for prep in bt._prepare_many(
+            samples, cfg.p, queries, bcfgs, cfg.mode,
+            c1=cfg.c1, c2=cfg.c2, true_rank=cfg.dgp.true_rank,
+        )
+        if isinstance(prep, bt._Prepared)
+    ]
+    while preps:
+        # A group's prepared samples and results are dropped once reduced.
+        group, preps[:_GROUP] = preps[:_GROUP], []
+        for results in bt.run_methods(group, cfg.methods):
+            for m, method in enumerate(cfg.methods):
+                if isinstance(results[method], Exception):
+                    continue  # the method failed on this replication
+                try:
+                    lower, upper = _bounds_from(method, results[method], len(queries))
+                except EstimationError:
+                    continue  # NaN or disordered bounds fail, as in IntervalSet
+                low = lower.reshape(n_vars, n_vars, h_max)
+                upp = upper.reshape(n_vars, n_vars, h_max)
+                covered[m] += (low <= truth) & (truth <= upp)
+                width_sum[m] += upp - low
+                success[m] += 1
     return covered, width_sum, success
 
 

@@ -9,9 +9,10 @@ is essentially free after the first fit.
 
 The arithmetic lives in :mod:`wimpvar._batch`; the functions here run one
 sample through it as a batch of one and raise typed errors.
-:func:`observed_sweep` is the one path from data to the sweep of an
-observed sample: the prepared sample of the bootstrap, the rank selectors
-and :func:`fit_vecm` all start from it.
+:func:`sweep_samples` is the one path from data to the sweeps of observed
+samples, a stack of them at once; :func:`observed_sweep` runs one sample
+through it and raises its failure.  The prepared samples of the bootstrap,
+the rank selectors and :func:`fit_vecm` all start from them.
 """
 from __future__ import annotations
 
@@ -194,6 +195,13 @@ def _sweep_error(sweep: _batch.BatchSweep, names) -> EstimationError:
     return EstimationError(message)
 
 
+def _check_lag_order(p) -> None:
+    """Refuse a lag order that is not an integer (ConfigError) or below 1 (DataError)."""
+    check_integer("p", p)
+    if p < 1:
+        raise DataError(f"lag order must be >= 1, got {p}")
+
+
 def observed_sweep(
     data, p: int, mode: DetrendMode | str = DetrendMode.NONE, paper_convention: bool = False
 ) -> _batch.BatchSweep:
@@ -221,34 +229,55 @@ def observed_sweep(
         If a moment matrix is singular or an eigenvalue reaches 1; a column
         that is constant or collinear with earlier ones is named.
     """
-    check_integer("p", p)
+    _check_lag_order(p)
     mode = DetrendMode(mode)
-    if p < 1:
-        raise DataError(f"lag order must be >= 1, got {p}")
     values = _as_values(data)
-    n_obs, n_vars = values.shape
-    if n_obs < n_vars * p + 10:
-        raise DataError(
-            f"need at least K*p + 10 = {n_vars * p + 10} observations for p = {p}, got {n_obs}"
-        )
     detrended = isinstance(data, DetrendedSeries)
-    # A copy: detrending runs in place and the sweep holds the result, but
-    # ``values`` is the caller's own array.
-    tilde = values.copy()
-    if not detrended:
-        _batch.detrend_batch(tilde[None], mode)
-    # A column that detrending leaves within 1e-10 of its levels' magnitude
-    # (far above rounding, far below real variation) is constant: swept as 0.
-    levels = data.retrend() if detrended else values
-    tilde[:, np.abs(tilde).max(axis=0) <= 1e-10 * np.abs(levels).max(axis=0)] = 0.0
-    # A sample the sweep cannot finish is flagged in its reason bits and
-    # raised below; numpy's warnings about it would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sweep = _batch.sweep_batch(tilde[None], p, paper_convention)
+    sweep = sweep_samples(
+        values[None], p, DetrendMode.NONE if detrended else mode, paper_convention,
+        data.retrend()[None] if detrended else None,
+    )
     if sweep.reason[0]:
         names = data.names if isinstance(data, TimeSeriesData) else None
         raise _sweep_error(sweep, names)
     return sweep
+
+
+def sweep_samples(
+    values: np.ndarray,
+    p: int,
+    mode: DetrendMode | str = DetrendMode.NONE,
+    paper_convention: bool = False,
+    levels: np.ndarray | None = None,
+) -> _batch.BatchSweep:
+    """The reduced-rank sweeps of a (n, T, K) stack of samples, each one
+    bitwise its :func:`observed_sweep`; a sample the sweep cannot finish is
+    flagged in its reason bits, not raised (:func:`_sweep_error` names it).
+
+    A copy of ``values`` is detrended with ``mode``.  A column that
+    detrending leaves within 1e-10 of the magnitude of its ``levels``
+    (``values`` by default; far above rounding, far below real variation)
+    is constant and is swept as 0.  Raises like :func:`observed_sweep` for
+    a bad ``p`` or too few observations.
+    """
+    _check_lag_order(p)
+    mode = DetrendMode(mode)
+    n_obs, n_vars = values.shape[1:]
+    if n_obs < n_vars * p + 10:
+        raise DataError(
+            f"need at least K*p + 10 = {n_vars * p + 10} observations for p = {p}, got {n_obs}"
+        )
+    # A copy: detrending runs in place and the sweep holds the result, but
+    # ``values`` is the caller's own array.
+    tilde = values.copy()
+    _batch.detrend_batch(tilde, mode)
+    levels = values if levels is None else levels
+    constant = np.abs(tilde).max(axis=1) <= 1e-10 * np.abs(levels).max(axis=1)
+    np.copyto(tilde, 0.0, where=constant[:, None, :])
+    # numpy's warnings about a sample the sweep cannot finish would only
+    # repeat its reason bits.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _batch.sweep_batch(tilde, p, paper_convention)
 
 
 def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:

@@ -15,8 +15,9 @@ from wimpvar import (
     simulate_path,
     true_irf,
 )
-from wimpvar.bootstrap import _EXTRA_METHODS, register_method
-from wimpvar.montecarlo import _bounds_from
+from wimpvar import _batch, bootstrap, montecarlo
+from wimpvar.bootstrap import _EXTRA_METHODS, _zeta_at_rank, register_method
+from wimpvar.montecarlo import _bounds_from, _run_chunk
 
 
 def test_make_dgp_matrices():
@@ -127,7 +128,7 @@ def test_experiment_bookkeeping_and_ranges():
 
 
 def test_experiment_deterministic_across_worker_counts():
-    cfg = _tiny_config(("ols", "wimp"), n_mc=6)
+    cfg = _tiny_config(("ols", "wimp"), n_mc=21)  # a second, partial chunk
     seq = run_experiment(cfg, workers=1)
     par = run_experiment(cfg, workers=2)
     again = run_experiment(cfg, workers=1)
@@ -136,6 +137,130 @@ def test_experiment_deterministic_across_worker_counts():
     assert np.array_equal(seq.success, par.success)
     assert np.array_equal(seq.covered, again.covered)
     assert np.array_equal(seq.width_sum, again.width_sum)
+
+
+ALL_METHODS = (
+    "ols", "true_rank", "aic", "bic", "bers_aic", "bers_bic", "ma", "fdbb_aic", "fdbb_bic",
+    "wimp", "lavar",
+)
+
+
+def _level1_range(prep):
+    """A registered extra that reads a level-1 batch itself: the range of
+    the replications' query values at rank 1."""
+    values, _, _ = _zeta_at_rank(prep.level1(1).sweep, 1, prep.cq)
+    return values.min(axis=0), values.max(axis=0)
+
+
+@pytest.fixture
+def extra_method():
+    register_method("level1_range", _level1_range)
+    yield "level1_range"
+    _EXTRA_METHODS.clear()
+
+
+def _chunk_config(variant, methods, seed=41):
+    return ExperimentConfig(
+        dgp=make_dgp(variant, 60), n_mc=32, n_boot=39, gamma=0.1, h_max=4,
+        methods=methods, seed=seed,
+    )
+
+
+def _solo_sums(cfg, reps):
+    """The sums of single-replication chunks, added in replication order
+    as a chunk adds its replications."""
+    parts = [_run_chunk(cfg, [rep]) for rep in reps]
+    sums = [np.zeros_like(array) for array in parts[0]]
+    for part in parts:
+        for total, array in zip(sums, part):
+            total += array
+    return sums
+
+
+def _assert_bitwise(chunk, solo):
+    for got, want in zip(chunk, solo):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# n = 7 ends in a partial group, n = 16 is one whole chunk of full groups.
+@pytest.mark.parametrize("variant", ["dgp1", "dgp2"])
+@pytest.mark.parametrize("n_reps", [7, 16])
+def test_a_chunk_equals_its_replications_run_alone(variant, n_reps, extra_method):
+    # Stacked preparation and stacked sweeps treat every replication alone:
+    # the chunk's sums are bitwise those of one-replication chunks.
+    cfg = _chunk_config(variant, (*ALL_METHODS, extra_method))
+    reps = list(range(3, 3 + n_reps))
+    chunk = _run_chunk(cfg, reps)
+    assert chunk[2].tolist() == [n_reps] * len(cfg.methods)  # no replication failed
+    _assert_bitwise(chunk, _solo_sums(cfg, reps))
+
+
+def test_a_rejected_observed_sample_fails_every_method_and_spares_its_group(
+    monkeypatch, extra_method
+):
+    cfg = _chunk_config("dgp1", (*ALL_METHODS, extra_method))
+    # The bad replication is prepared in one stack with the others, and
+    # reps 0, 2, 3 and 4 then run as one group.
+    reps, bad = list(range(6)), 1
+    target = simulate_path(cfg.dgp, bootstrap._stream(cfg.seed, 7, 901, bad))
+    original = montecarlo.simulate_path
+
+    def with_a_constant_column(spec, rng):
+        path = original(spec, rng)
+        if np.array_equal(path, target):
+            path[:, 1] = 5.0  # its differences vanish: the observed sweep rejects it
+        return path
+
+    monkeypatch.setattr(montecarlo, "simulate_path", with_a_constant_column)
+    alone = _run_chunk(cfg, [bad])
+    assert not alone[0].any() and not alone[1].any() and not alone[2].any()
+    good = [rep for rep in reps if rep != bad]
+    chunk = _run_chunk(cfg, reps)
+    assert chunk[2].tolist() == [len(good)] * len(cfg.methods)
+    _assert_bitwise(chunk, _solo_sums(cfg, good))
+
+
+def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(monkeypatch):
+    # One 16-replication chunk, all 11 methods: the observed samples are
+    # swept once at p and once at p+1 (for lavar), each rank's level-1
+    # batches once per group of replications, and lavar's bootstrap paths
+    # once per group at p+1.
+    inside, sweeps = [], []
+    sweep_batch = _batch.sweep_batch
+    hold_level1 = bootstrap._hold_level1
+
+    def counting(tilde, p, *args, **kwargs):
+        sweeps.append((bool(inside), len(tilde), p))
+        return sweep_batch(tilde, p, *args, **kwargs)
+
+    def holding(*args, **kwargs):
+        inside.append(True)
+        try:
+            return hold_level1(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("_run_chunk prepares its samples as one stack")
+
+    monkeypatch.setattr(_batch, "sweep_batch", counting)
+    monkeypatch.setattr(bootstrap, "_hold_level1", holding)
+    monkeypatch.setattr(bootstrap, "_prepare", refused)
+    cfg = _chunk_config("dgp1", ALL_METHODS)
+    n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
+    assert _run_chunk(cfg, range(n_reps))[2].tolist() == [n_reps] * len(ALL_METHODS)
+    groups = -(-n_reps // group)
+    assert sorted(sweep for sweep in sweeps if sweep[1] == n_reps) == [
+        (False, n_reps, p), (False, n_reps, p + 1),
+    ]
+    level1 = [sweep for sweep in sweeps if sweep[0]]
+    assert 0 < len(level1) <= (cfg.dgp.n_vars + 1) * groups
+    assert all(size % n_boot == 0 and size <= group * n_boot for _, size, _ in level1)
+    assert sweeps.count((False, group * n_boot, p + 1)) == groups
+    # FDBB level two, per replication and selector, is the only sweep left
+    # per replication.
+    assert sweeps.count((False, n_boot, p)) == 2 * n_reps
+    assert len(sweeps) == 2 + len(level1) + groups + 2 * n_reps
 
 
 def test_experiment_methods_independent_of_method_set():

@@ -498,9 +498,8 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
     build, zeta = bootstrap._level1_batch, bootstrap._zeta_at_rank
 
     def building(prep, dgp_rank, paths):
-        boot = build(prep, dgp_rank, paths)
-        built.append(boot.sweep)
-        return boot
+        built.append(build(prep, dgp_rank, paths))
+        return built[-1]
 
     def counting(sweep, *args, **kwargs):
         zeta_sweeps.append(sweep)
@@ -515,7 +514,8 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
         out = run_methods(_fresh(seed), names)
         assert all(isinstance(result, IntervalSet) for result in out.values()), out
         assert len(built) == 1  # the pair reads one batch
-        return sum(sweep is built[0] for sweep in zeta_sweeps)
+        # the batch's sweep holds the built paths as its tilde
+        return sum(np.shares_memory(sweep.tilde, built[0]) for sweep in zeta_sweeps)
 
     assert level1_calls(("ma", "ma_fixed")) == 4  # ranks 0..K, K = 3
     assert level1_calls(("ma_fixed", "ma")) == 4
@@ -596,7 +596,8 @@ def test_successive_level1_batches_are_built_in_one_path_buffer():
     assert paths.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
     assert prep.level1(0) is first  # the held batch is not rebuilt
     for rank in (1, 3, 0, 2):
-        assert prep.level1(rank).sweep.tilde is paths
+        tilde = prep.level1(rank).sweep.tilde
+        assert tilde.shape == paths.shape and tilde.ctypes.data == paths.ctypes.data
     run_methods(prep, ["ma"])
     assert prep._held is None  # the run frees the batch and its buffer
 
@@ -617,7 +618,7 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed):
         assert held.sweep.tilde.tobytes() == before, name
         scratch = prep._scratch if scratch is None else scratch
         assert scratch is not None and prep._scratch is scratch, name
-        assert scratch is not held.sweep.tilde, name
+        assert not np.shares_memory(scratch, held.sweep.tilde), name
     assert scratch.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
     run_methods(prep, ["fdbb_bic", "lavar"])
     assert prep._held is None and prep._scratch is None  # the run frees both buffers
