@@ -1,0 +1,33 @@
+"""The outcome fixture: twelve fixed CLI runs still produce what
+``tests/outcomes.json`` records (see ``tests/make_outcomes.py``).
+
+A change that moves a rank, a reference rank, a failure census or a
+coverage count fails here; so does one that moves a float by more than
+the fixture's tolerance.  A change that means to move them regenerates
+the fixture and says in CHANGES.md what moved, and why.
+"""
+import json
+
+import pytest
+
+import make_outcomes
+
+with open(make_outcomes.FIXTURE, encoding="utf-8") as handle:
+    FIXTURE = json.load(handle)
+RECORDED = {(b["workload"], b["seed"], b["index"]): b for b in FIXTURE["bundles"]}
+
+
+def test_the_fixture_holds_every_configuration():
+    assert sorted(RECORDED) == sorted(make_outcomes.CONFIGS)
+    assert FIXTURE["float_rtol"] == make_outcomes.FLOAT_RTOL
+
+
+@pytest.mark.parametrize("config", make_outcomes.CONFIGS, ids="{0[0]}-seed{0[1]}-op{0[2]}".format)
+def test_a_fixed_run_reproduces_its_recorded_outcomes(config):
+    recorded = RECORDED[config]
+    now = make_outcomes.outcome(*config)
+    assert now["input_sha256"] == recorded["input_sha256"], "the workload's inputs changed"
+    assert now["discrete_sha256"] == recorded["discrete_sha256"], (
+        "ranks, reference rank, census or counts changed"
+    )
+    assert make_outcomes.float_mismatches(now["floats"], recorded["floats"]) == []
