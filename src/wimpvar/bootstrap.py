@@ -457,6 +457,21 @@ def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
     return np.empty((count * prep.cfg.n_boot, prep.n_obs, prep.n_vars))
 
 
+def _pool_means(resid: np.ndarray) -> np.ndarray:
+    """Column means (n_pools, 1, K) of C-contiguous (n_pools, n, K) residual
+    pools, bitwise those of ``resid.mean(axis=1, keepdims=True)``.
+
+    numpy's mean sums the middle axis row after row, in a loop that is slow
+    at these shapes; einsum sums the same rows in the same order about four
+    times faster, and the division is the same.  At K = 1 the rows are
+    contiguous: the mean sums them pairwise, fast already, where einsum
+    would sum them in another order.
+    """
+    if resid.shape[2] == 1:
+        return resid.mean(axis=1, keepdims=True)
+    return (np.einsum("btk->bk", resid) / resid.shape[1])[:, None]
+
+
 def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
     """Innovations drawn i.i.d. from column-centered residuals on the build's
     stream ``_stream(cfg.seed, level, code)`` into rows m: of ``paths``
@@ -470,13 +485,13 @@ def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths
     (n_boot, n_draw) index matrix is held; the pass size does not enter the
     draws.  The initial rows sit at the end of the pool, so a pass gathers
     whole rows, contiguous in ``paths``, and np.take writes straight into
-    the buffer.
+    the buffer.  The pools are centred by :func:`_pool_means`.
     """
     n_pools, n_pool, n_vars = resid.shape
     n_init, n_draw = len(init), paths.shape[1] - len(init)
     pool = np.empty((n_pools * n_pool + n_init, n_vars))
     centered = pool[: n_pools * n_pool].reshape(resid.shape)
-    np.subtract(resid, resid.mean(axis=1, keepdims=True), out=centered)
+    np.subtract(resid, _pool_means(resid), out=centered)
     pool[n_pools * n_pool :] = init
     stream = _stream(cfg.seed, level, code)
     step = max(1, _PASS_INDICES // max(n_draw, 1))

@@ -2,7 +2,8 @@
 
 * One implementation: a B=1 batch gives, bit for bit, the matching slice of
   a B>1 batch, for every kernel the single-sample API calls and for the
-  resampling recursion, at every position of the batch.
+  resampling recursion, at every position of the batch.  The residual pools
+  are centred by an einsum sum that is bitwise the mean.
 * One positive-definiteness test: the batched Cholesky factor equals
   LAPACK's to rounding, gives a non-finite or zero sample the identity, and
   flags the same samples whatever the units of the variables.  Its batched
@@ -143,6 +144,22 @@ def test_rebuilt_path_is_independent_of_its_batch(
     assert np.array_equal(rebuild(np.array([index]))[0], full[index])
     order = np.array(data.draw(st.permutations(range(n_batch))))
     assert np.array_equal(rebuild(order), full[order])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pools=st.integers(1, 70),
+    n=st.integers(1, 900),
+    n_vars=st.integers(1, 4),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_pool_centring_is_bitwise_the_mean(seed, n_pools, n, n_vars, log_scale):
+    # einsum's sum equals the mean's only because numpy runs both loops in
+    # the same order, so the equality is checked, not assumed.
+    rng = np.random.default_rng(seed)
+    resid = rng.standard_normal((n_pools, n, n_vars)) * 10.0**log_scale + rng.standard_normal(n_vars)
+    assert np.array_equal(bootstrap._pool_means(resid), resid.mean(axis=1, keepdims=True))
 
 
 def _moment_stack(
