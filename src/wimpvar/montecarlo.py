@@ -10,7 +10,6 @@ count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,6 +344,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
     if workers == 1:
         partials = [_run_chunk(cfg, chunk) for chunk in chunks]
     else:
+        # Imported here: the pool machinery costs every import of the
+        # package about 4 ms, and only a pool run needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_allocator) as pool:
             partials = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
 

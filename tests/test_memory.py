@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import platform
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import wimpvar
-from wimpvar import _memory, montecarlo
+from wimpvar import _memory
 from wimpvar.montecarlo import run_experiment
 
 from test_montecarlo import _tiny_config
@@ -75,13 +76,38 @@ def test_run_experiment_pins_its_pool_workers_only(calls, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = _tiny_config(("ols",), n_mc=2)
     run_experiment(cfg, workers=1)
     assert pools == []
     run_experiment(cfg, workers=2)
     assert pools == [{"max_workers": 2, "initializer": _memory.pin_allocator}]
     assert calls == []  # never in the caller's own process
+
+
+def _child_env() -> dict:
+    """A fresh interpreter's environment: this tree's package, one BLAS
+    thread and none of the user's glibc malloc settings."""
+    env = {name: value for name, value in os.environ.items() if name not in GLIBC_SETTINGS}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wimpvar.__file__)))
+    env.update(
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))),
+    )
+    return env
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # Only a run on a pool imports the pool machinery (run_experiment).
+    script = (
+        "import sys, wimpvar; print(sorted(name for name in sys.modules"
+        " if name.startswith(('concurrent.futures.process', 'multiprocessing'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
@@ -103,14 +129,8 @@ for i in range(3):
     assert code == 0, code
 print(json.dumps(faults))
 """
-    env = {name: value for name, value in os.environ.items() if name not in GLIBC_SETTINGS}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wimpvar.__file__)))
-    env.update(
-        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))),
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     faults = json.loads(proc.stdout.strip().splitlines()[-1])
