@@ -468,16 +468,32 @@ def _step_levels(out: np.ndarray, mats: np.ndarray, start: int) -> None:
     """Per-step levels recursion in place: rows ``start:`` of ``out`` (B, T, K)
     hold innovations on entry and levels on exit; ``mats`` is (B, p, K, K).
 
-    Each step is one contraction of [A_p ... A_1] (B, K, pK), laid side by
-    side in a contiguous copy, against the window y_{t-p..t-1}, a view.
-    einsum's rounding depends on the operand layout, so the copy gives the
-    same paths whatever layout the matrices arrive in.
+    The recursion runs batch-last: ``out`` is copied once into a time-major
+    (T K, B) array and back at the end.  Each step contracts [A_p ... A_1],
+    laid side by side in a (K, pK, B) copy, against the window y_{t-p..t-1},
+    a contiguous (pK, B) view, with one einsum into a (K, B) buffer, then
+    adds it to the innovation.  The einsum's inner loop runs along the
+    batch, so each sample's sum is a plain multiply-then-add over its pK
+    terms in order, whatever batch it is in.  A lone sample would take
+    einsum's other loop, a reduction that rounds otherwise, so it runs as
+    the first of a pair.
     """
     n_batch, p, n_vars, _ = mats.shape
-    wide = np.ascontiguousarray(mats[:, ::-1].transpose(0, 2, 1, 3)).reshape(n_batch, n_vars, -1)
-    flat = out.reshape(len(out), -1)  # a view: both callers own a C-contiguous ``out``
-    for t in range(start * n_vars, flat.shape[1], n_vars):
-        flat[:, t : t + n_vars] += np.einsum("bij,bj->bi", wide, flat[:, t - p * n_vars : t])
+    if n_batch == 1:
+        pair = np.concatenate([out, out])
+        _step_levels(pair, np.concatenate([mats, mats]), start)
+        out[...] = pair[:1]
+        return
+    lags = p * n_vars
+    wide = np.ascontiguousarray(mats[:, ::-1].transpose(2, 1, 3, 0)).reshape(n_vars, lags, n_batch)
+    flat = out.reshape(n_batch, -1)  # a view: both callers own a C-contiguous ``out``
+    levels = np.ascontiguousarray(flat.T)
+    step = np.empty((n_vars, n_batch))
+    for t in range(start * n_vars, len(levels), n_vars):
+        np.einsum("ijb,jb->ib", wide, levels[t - lags : t], out=step)
+        row = levels[t : t + n_vars]
+        row += step
+    flat[...] = levels.T
 
 
 def _step_map(mats: np.ndarray) -> np.ndarray:
@@ -507,8 +523,10 @@ def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, n_init: int) -> n
     -------
     ``errors`` itself, each innovation row overwritten by its level; the
     initial rows are left as they are.  Shared coefficients advance _BLOCK
-    steps per matrix product; per-sample coefficients advance one step per
-    contraction of all p lags.
+    steps per matrix product, by a map that :func:`_step_levels` builds;
+    per-sample coefficients run :func:`_step_levels` itself, one einsum of
+    all p lags per step across the whole batch.  Either way a path's bytes
+    do not depend on the batch around it.
     """
     n_batch, n_obs, n_vars = errors.shape
     if not errors.flags.c_contiguous:

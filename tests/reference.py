@@ -6,7 +6,8 @@ sample's Gram matrix from the lag structure of the design without filling
 it, sweeps that Gram matrix, fits a levels VAR as the sweep's full-rank fit
 and builds bootstrap paths in place; these are the plain per-query,
 per-cell, step-by-step, explicitly indexed, explicitly partialled,
-least-squares and out-of-place versions the tests check it against.
+least-squares, out-of-place and one-sample-at-a-time versions the tests
+check it against.
 """
 from types import SimpleNamespace
 
@@ -143,6 +144,26 @@ def rebuild_levels(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np
     paths = np.empty((n_batch, n_init + n_steps, n_vars))
     paths[:, :n_init], paths[:, n_init:] = init, errors
     return _batch.rebuild_levels_batch(mats, paths, n_init)
+
+
+def rebuild_levels_stepwise(mats: np.ndarray, errors: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """The paths of :func:`rebuild_levels` by the explicit recursion y_t =
+    e_t + sum_{i=1..p} A_i y_{t-i}, one sample, one step and one lag at a
+    time; ``mats`` is shared (p, K, K) or per sample (B, p, K, K), ``init``
+    shared (m, K) or per sample (B, m, K)."""
+    n_batch, n_steps, n_vars = errors.shape
+    mats = np.broadcast_to(mats, (n_batch,) + mats.shape[-3:])
+    init = np.broadcast_to(init, (n_batch,) + init.shape[-2:])
+    n_init = init.shape[1]
+    paths = np.empty((n_batch, n_init + n_steps, n_vars))
+    for b in range(n_batch):
+        paths[b, :n_init] = init[b]
+        for t in range(n_init, n_init + n_steps):
+            level = errors[b, t - n_init].copy()
+            for lag in range(1, mats.shape[1] + 1):
+                level += mats[b, lag - 1] @ paths[b, t - lag]
+            paths[b, t] = level
+    return paths
 
 
 def levels_ols(y: np.ndarray, p: int, first: int | None = None):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import levels_ols, rebuild_levels, regressor_blocks, sweep_partialled
+from reference import (
+    levels_ols, rebuild_levels, rebuild_levels_stepwise, regressor_blocks, sweep_partialled,
+)
 from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
     RankSelector,
@@ -262,15 +264,8 @@ def test_rebuild_levels_batch_p4_matches_scalar_loop_across_blocks():
     init = rng.standard_normal((5, 3))
     out = rebuild_levels(mats, errors, init)
     assert out.shape == (5, 5 + n_steps, 3)
-    for b in range(5):
-        path = np.zeros((5 + n_steps, 3))
-        path[:5] = init
-        for t in range(5, 5 + n_steps):
-            path[t] = errors[b, t - 5]
-            for lag in range(1, 5):
-                path[t] += mats[lag - 1] @ path[t - lag]
-        assert np.array_equal(out[b, :5], init)
-        assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(out[:, :5], np.broadcast_to(init, (5, 5, 3)))
+    assert np.allclose(out, rebuild_levels_stepwise(mats, errors, init), rtol=1e-12, atol=1e-12)
 
 
 def test_rebuild_levels_batch_refuses_a_buffer_it_cannot_write_in_place():
@@ -290,15 +285,8 @@ def test_rebuild_levels_batch_per_sample_matches_scalar_loop(p, n_steps):
     init = rng.standard_normal((5, p + 1, 3))
     out = rebuild_levels(mats, errors, init)
     assert out.shape == (5, p + 1 + n_steps, 3)
-    for b in range(5):
-        path = np.zeros((p + 1 + n_steps, 3))
-        path[: p + 1] = init[b]
-        for t in range(p + 1, p + 1 + n_steps):
-            path[t] = errors[b, t - p - 1]
-            for lag in range(1, p + 1):
-                path[t] += mats[b, lag - 1] @ path[t - lag]
-        assert np.array_equal(out[b, : p + 1], init[b])
-        assert np.allclose(out[b], path, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(out[:, : p + 1], init)
+    assert np.allclose(out, rebuild_levels_stepwise(mats, errors, init), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -2,8 +2,10 @@
 
 * One implementation: a B=1 batch gives, bit for bit, the matching slice of
   a B>1 batch, for every kernel the single-sample API calls and for the
-  resampling recursion, at every position of the batch.  The residual pools
-  are centred by an einsum sum that is bitwise the mean.
+  resampling recursion, at every position of the batch and in any
+  sub-batch.  The recursion equals the one-step-at-a-time oracle to
+  rounding, and the residual pools are centred by an einsum sum that is
+  bitwise the mean.
 * One positive-definiteness test: the batched Cholesky factor equals
   LAPACK's to rounding, gives a non-finite or zero sample the identity, and
   flags the same samples whatever the units of the variables.  Its batched
@@ -37,7 +39,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from reference import (  # noqa: E402
-    format_cell, irf_stepwise, rebuild_levels, regressor_blocks, sweep_partialled,
+    format_cell, irf_stepwise, rebuild_levels, rebuild_levels_stepwise, regressor_blocks,
+    sweep_partialled,
 )
 from wimpvar import _batch, bootstrap, cli  # noqa: E402
 from wimpvar import BootstrapConfig, IntervalSet, IrfQuery, RankSelector  # noqa: E402
@@ -144,6 +147,37 @@ def test_rebuilt_path_is_independent_of_its_batch(
     assert np.array_equal(rebuild(np.array([index]))[0], full[index])
     order = np.array(data.draw(st.permutations(range(n_batch))))
     assert np.array_equal(rebuild(order), full[order])
+    # any sub-batch, of any size, its rows taken from anywhere in any order
+    rows = order[: data.draw(st.integers(1, n_batch))]
+    assert np.array_equal(rebuild(rows), full[rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 70),
+    p=st.integers(1, 4),
+    n_vars=st.integers(1, 4),
+    n_steps=st.integers(0, 3 * _batch._BLOCK),
+    shared_mats=st.booleans(),
+    shared_init=st.booleans(),
+)
+def test_rebuilt_path_matches_the_stepwise_recursion(
+    seed, n_batch, p, n_vars, n_steps, shared_mats, shared_init
+):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((n_batch, p, n_vars, n_vars)) * (0.5 / p)
+    init = rng.standard_normal((n_batch, p + 1, n_vars))
+    errors = rng.standard_normal((n_batch, n_steps, n_vars))
+    if shared_mats:
+        mats = mats[0]
+    if shared_init:
+        init = init[0]
+    paths = rebuild_levels(mats, errors, init)
+    oracle = rebuild_levels_stepwise(mats, errors, init)
+    # relative to each path's largest level
+    scale = np.abs(oracle).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(paths - oracle) <= 1e-12 * scale)
 
 
 @settings(max_examples=80, deadline=None)
