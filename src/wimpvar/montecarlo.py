@@ -344,8 +344,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
     if workers == 1:
         partials = [_run_chunk(cfg, chunk) for chunk in chunks]
     else:
-        # Imported here: the pool machinery costs every import of the
-        # package about 4 ms, and only a pool run needs it.
+        # Imported here: the pool machinery (multiprocessing) would add a
+        # few milliseconds to every import of the package, and only a pool
+        # run needs it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_allocator) as pool:

@@ -75,10 +75,6 @@ def _group(row: dict) -> str:
     return f"{method}:{row['rank']}" if "method" in row and row.get("rank") else method
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def summarize(bundle: str) -> dict:
     """The discrete digest and the float statistics of one bundle."""
     with open(os.path.join(bundle, "metadata.json"), encoding="utf-8") as handle:
@@ -107,7 +103,7 @@ def summarize(bundle: str) -> dict:
             for group, by_column in cells.items()
         }
     return {
-        "discrete_sha256": _sha256(json.dumps(discrete, sort_keys=True).encode()),
+        "discrete_sha256": hashlib.sha256(json.dumps(discrete, sort_keys=True).encode()).hexdigest(),
         "floats": floats,
     }
 
