@@ -459,16 +459,13 @@ def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
 
 def _pool_means(resid: np.ndarray) -> np.ndarray:
     """Column means (n_pools, 1, K) of C-contiguous (n_pools, n, K) residual
-    pools, bitwise those of ``resid.mean(axis=1, keepdims=True)``.
+    pools.
 
     numpy's mean sums the middle axis row after row, in a loop that is slow
-    at these shapes; einsum sums the same rows in the same order about four
-    times faster, and the division is the same.  At K = 1 the rows are
-    contiguous: the mean sums them pairwise, fast already, where einsum
-    would sum them in another order.
+    at these shapes; einsum sums each pool about four times faster, and
+    alike wherever the pool sits in the batch.  For K >= 2 it sums the rows
+    in the mean's order, so the result is bitwise the mean's.
     """
-    if resid.shape[2] == 1:
-        return resid.mean(axis=1, keepdims=True)
     return (np.einsum("btk->bk", resid) / resid.shape[1])[:, None]
 
 

@@ -187,13 +187,24 @@ def test_rebuilt_path_matches_the_stepwise_recursion(
     n=st.integers(1, 900),
     n_vars=st.integers(1, 4),
     log_scale=st.floats(-6.0, 6.0),
+    data=st.data(),
 )
-def test_pool_centring_is_bitwise_the_mean(seed, n_pools, n, n_vars, log_scale):
+def test_pool_centring_is_bitwise_the_mean(seed, n_pools, n, n_vars, log_scale, data):
+    # Each pool is centred alike wherever it sits in the batch.  For K >= 2
     # einsum's sum equals the mean's only because numpy runs both loops in
-    # the same order, so the equality is checked, not assumed.
+    # the same order, so the equality is checked, not assumed; at K = 1 the
+    # mean sums the contiguous rows pairwise, and einsum in its own order.
     rng = np.random.default_rng(seed)
     resid = rng.standard_normal((n_pools, n, n_vars)) * 10.0**log_scale + rng.standard_normal(n_vars)
-    assert np.array_equal(bootstrap._pool_means(resid), resid.mean(axis=1, keepdims=True))
+    means = bootstrap._pool_means(resid)
+    start = data.draw(st.integers(0, n_pools - 1), label="start")
+    stop = data.draw(st.integers(start + 1, n_pools), label="stop")
+    assert np.array_equal(bootstrap._pool_means(resid[start:stop].copy()), means[start:stop])
+    if n_vars >= 2:
+        assert np.array_equal(means, resid.mean(axis=1, keepdims=True))
+    else:
+        scale = np.abs(resid).mean(axis=1, keepdims=True)
+        assert np.all(np.abs(means - resid.mean(axis=1, keepdims=True)) <= 1e-12 * scale)
 
 
 def _moment_stack(
