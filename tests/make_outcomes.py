@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -43,9 +44,20 @@ import tempfile
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
-import workloads  # noqa: E402  (perfbench/workloads.py)
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded from its file so that sys.path, and
+    with it the other perfbench modules, stay as they were."""
+    path = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 FIXTURE = os.path.join(HERE, "outcomes.json")
 CONFIGS = tuple(
