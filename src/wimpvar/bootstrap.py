@@ -7,12 +7,12 @@ levels variant.  All of them share the Hall percentile machinery: with
 q*(g) the g-quantile of the centered bootstrap statistics, the interval is
 [point - q*(1 - gamma/2), point - q*(gamma/2)].
 
-Every bootstrap build (a level-1 batch, FDBB's level two, the lag-augmented
-bootstrap) draws its residual indices from one Philox stream, ``_stream``,
-keyed by (seed, level, DGP code); replication r takes the stream's r-th run
-of draws.  So results are bit-identical whatever the worker count and
-whichever other methods run, in any order, and the first B replications of
-a larger build equal a build of B.
+Every bootstrap build (a level-1 batch, FDBB's level two) draws its
+residual indices from one Philox stream, ``_stream``, keyed by (seed,
+level, DGP code); replication r takes the stream's r-th run of draws.  So
+results are bit-identical whatever the worker count and whichever other
+methods run, in any order, and the first B replications of a larger build
+equal a build of B.
 
 Every construction is a function of one prepared sample (``_prepare``,
 exported as ``wimpvar.prepare``; ``_prepare_many`` prepares a stack of
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "wimp_interval",
 ]
 
-_LAVAR_CODE = 1001
 _SELECTOR_CODES = {"aic": 1, "bic": 2, "sequential_trace": 3, "fixed": 4}
 
 
@@ -226,28 +224,12 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 # shared preparation of the observed sample
 
 
-class _Stack:
-    """The detrended observed samples of one preparation, (n, T, K)."""
-
-    def __init__(self, tilde: np.ndarray, p: int):
-        self.tilde, self.p = tilde, p
-
-    @cached_property
-    def lavar_sweep(self) -> _batch.BatchSweep:
-        """Their VAR(p+1) sweep, lavar's point fit: one sweep for them all,
-        made on first use.  Samples too short for it raise a DataError, on
-        every use."""
-        return sweep_samples(self.tilde, self.p + 1)
-
-
 @dataclass
 class _Prepared:
     """One observed sample and what its methods share: its sweep (a batch of
-    one, run through the same kernels as the replications), the stack it
-    was prepared in (row ``row``), compiled queries with the sample's query
-    values at every rank, method settings, fixed-rank fan, one level-1
-    batch, one scratch path buffer and the lag-augmented sweep its group
-    built for it."""
+    one, run through the same kernels as the replications), compiled
+    queries with the sample's query values at every rank, method settings,
+    fixed-rank fan, one level-1 batch and one scratch path buffer."""
 
     raw: np.ndarray
     sweep: _batch.BatchSweep
@@ -256,15 +238,12 @@ class _Prepared:
     cfg: BootstrapConfig
     cq: _CompiledQueries
     points: tuple  # ((K+1, Q) query values at ranks 0..K, (K+1,) ok)
-    stack: _Stack
-    row: int
     c1: float = 1.0
     c2: float = 0.5
     true_rank: int | None = None
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
     _held: _BootBatch | None = None
     _scratch: np.ndarray | None = None
-    _lavar: _batch.BatchSweep | None = None
 
     @property
     def n_vars(self) -> int:
@@ -306,8 +285,8 @@ class _Prepared:
         return self._held
 
     def scratch(self) -> np.ndarray:
-        """The path buffer of FDBB level two and the lag-augmented bootstrap,
-        made on first use; each build overwrites the last one's paths."""
+        """The path buffer of FDBB level two, made on first use; each build
+        overwrites the last one's paths."""
         if self._scratch is None:
             self._scratch = _path_buffer(self)
         return self._scratch
@@ -386,13 +365,12 @@ def _prepare_many(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # flagged in ``ok``
         values, ok, _ = _zeta_at_rank(copies, np.tile(np.arange(width), n_samples), cq)
     values.flags.writeable = False
-    stack = _Stack(sweep.tilde, p)
     preps = []
     for i, cfg in enumerate(cfgs):
         own, rows = sweep.take(slice(i, i + 1)), slice(i * width, (i + 1) * width)
         preps.append(_sweep_error(own, names) if own.reason[0] else _Prepared(
             raw=samples[i], sweep=own, p=p, mode=mode, cfg=cfg, cq=cq,
-            points=(values[rows], ok[rows]), stack=stack, row=i,
+            points=(values[rows], ok[rows]),
             c1=c1, c2=c2, true_rank=true_rank,
         ))
     return preps
@@ -445,6 +423,7 @@ class _BootBatch:
     path buffer, which the next rank's build overwrites.  FDBB level two
     builds its residuals from them; the paths start from the observed
     initial rows, which is all level two reads of the paths themselves.
+    The lag-augmented bootstrap sweeps the rank-K batch's paths at p+1.
     """
 
     sweep: _batch.BatchSweep
@@ -525,16 +504,12 @@ def _redetrend(paths: np.ndarray, prep: _Prepared) -> np.ndarray:
     return finite
 
 
-def _resweep(paths: np.ndarray, prep: _Prepared, lavar: bool = False) -> _batch.BatchSweep:
-    """Sweep of rebuilt paths, detrended in place and kept as the sweep's
-    ``tilde``; a non-finite path is flagged.  The sweep is at lag order p
-    under the sample's convention, or with ``lavar`` at p+1 over rows
-    t = p+2..T under either convention."""
+def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+    """Sweep of rebuilt paths at lag order p under the sample's convention,
+    detrended in place and kept as the sweep's ``tilde``; a non-finite path
+    is flagged."""
     finite = _redetrend(paths, prep)
-    if lavar:
-        sweep = _batch.sweep_batch(paths, prep.p + 1)
-    else:
-        sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
+    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 
@@ -552,10 +527,10 @@ def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> np.ndarr
     return _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
 
 
-def _sweep_stack(preps, paths: np.ndarray, build, lavar: bool = False) -> list:
-    """Each sample's paths, built by ``build(prep, rows)`` in consecutive
-    n_boot-row slices ``rows`` of ``paths``, then swept as one stack
-    (:func:`_resweep`); returns each sample's slice of the sweep.
+def _hold_level1(preps, dgp_rank: int, paths: np.ndarray) -> None:
+    """Build each sample's level-1 batch at ``dgp_rank`` in consecutive
+    n_boot-row slices of ``paths``, sweep them as one stack
+    (:func:`_resweep`) and hold each sample's slice of the sweep.
 
     Each build keeps its own stream and its own recursion, so a sample's
     slice is bitwise what it would be alone: every kernel treats each
@@ -564,20 +539,13 @@ def _sweep_stack(preps, paths: np.ndarray, build, lavar: bool = False) -> list:
     """
     n_boot = preps[0].cfg.n_boot
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
-    for prep, part in zip(preps, rows):
-        build(prep, paths[part])
-    sweep = _resweep(paths[: rows[-1].stop], preps[0], lavar)
-    return [sweep.take(part) for part in rows]
-
-
-def _hold_level1(preps, dgp_rank: int, paths: np.ndarray) -> None:
-    """Build each sample's level-1 batch at ``dgp_rank`` in its slice of
-    ``paths``, sweep them as one stack and hold each sample's slice."""
     for prep in preps:
         prep._held = None  # free the old batches' results before building
-    build = lambda prep, rows: _level1_batch(prep, dgp_rank, rows)  # noqa: E731
-    for prep, sweep in zip(preps, _sweep_stack(preps, paths, build)):
-        prep._held = _BootBatch(sweep=sweep, dgp_rank=dgp_rank)
+    for prep, part in zip(preps, rows):
+        _level1_batch(prep, dgp_rank, paths[part])
+    sweep = _resweep(paths[: rows[-1].stop], preps[0])
+    for prep, part in zip(preps, rows):
+        prep._held = _BootBatch(sweep=sweep.take(part), dgp_rank=dgp_rank)
 
 
 def _read_only(*arrays):
@@ -829,38 +797,26 @@ def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     """Levels bootstrap with one extra estimation lag.
 
     A levels VAR without deterministic terms is the error-correction fit at
-    full rank K.  The bootstrap process is the sample's rank-K fit; the
-    point estimate and every bootstrap estimate come from the rank-K fit of
-    a VAR(p+1), of which only the first p levels matrices feed the
-    responses.  The VAR(p+1) fits use rows t = p+2..T under either sample
-    convention.  In a ``run_methods`` group the bootstrap sweep is the
-    sample's slice of one stacked sweep (:func:`_stage_lavar`).
+    full rank K.  The bootstrap process is the sample's rank-K fit, so the
+    bootstrap paths are the level-1 batch at rank K, which the rank-K fan
+    member reads too.  The point estimate and every bootstrap estimate come
+    from the rank-K fit of a VAR(p+1), of which only the first p levels
+    matrices feed the responses.  The VAR(p+1) fits use rows t = p+2..T
+    under either sample convention; a path that turned non-finite fails.
     """
     cq, cfg = prep.cq, prep.cfg
-    observed = prep.stack.lavar_sweep.take(slice(prep.row, prep.row + 1))
+    observed = sweep_samples(prep.sweep.tilde, prep.p + 1)
     if observed.reason[0]:
         raise _sweep_error(observed, None)
     (points,), (ok_point,) = _lavar_zetas(observed, cq)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    if prep._lavar is None:
-        _stage_lavar([prep], prep.scratch())
-    sweep, prep._lavar = prep._lavar, None
+    held = prep.level1(prep.n_vars).sweep
+    sweep = _batch.sweep_batch(held.tilde, prep.p + 1)
+    sweep.reason |= held.reason & _batch.NONFINITE
     zeta_star, ok = _lavar_zetas(sweep, cq)
     lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the lag-augmented bootstrap")
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
-
-
-def _stage_lavar(preps, paths: np.ndarray) -> None:
-    """lavar's group stage: each sample's bootstrap paths, built from its
-    rank-K fit on its own stream in its slice of ``paths``, are swept at
-    p+1 as one stack, and each sample keeps its slice of the sweep until its
-    :func:`lag_augmented_interval` reads it."""
-    def build(prep, rows):
-        _build_paths(rows, prep, *_dgp(prep, prep.n_vars), 1, _LAVAR_CODE)
-
-    for prep, sweep in zip(preps, _sweep_stack(preps, paths, build, lavar=True)):
-        prep._lavar = sweep
 
 
 def _lavar_zetas(sweep: _batch.BatchSweep, cq: _CompiledQueries):
@@ -903,15 +859,11 @@ def wimp_interval(prep: _Prepared) -> IntervalSet:
 @dataclass(frozen=True)
 class _Method:
     """A method's runner, ``run(prep)``; ``rank(prep)`` is the DGP rank of the
-    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads.
-    A method that reads no level-1 batch may have a group stage,
-    ``stage(preps, paths)``, which ``run_methods`` runs once for its group
-    before the runs, with the group's path buffer ``paths``."""
+    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads."""
 
     run: Callable
     rank: Callable = lambda prep: None
     fan: Callable = lambda prep: ()
-    stage: Callable | None = None
 
 
 def _fan_lookup(name: str, rank_of) -> _Method:
@@ -951,10 +903,7 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "fdbb_aic": _Method(lambda prep: fdbb_interval(prep, _AIC), _selected(_AIC)),
     "fdbb_bic": _Method(lambda prep: fdbb_interval(prep, _BIC), _selected(_BIC)),
     "wimp": _Method(lambda prep: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
-    "lavar": _Method(
-        lambda prep: lag_augmented_interval(prep),
-        stage=lambda preps, paths: _stage_lavar(preps, paths),
-    ),
+    "lavar": _Method(lambda prep: lag_augmented_interval(prep), lambda prep: prep.n_vars),
 })
 
 
@@ -988,9 +937,9 @@ def run_methods(preps, names):
     every sample that reads it builds its batch, on its own stream, in its
     slice of one group path buffer; one sweep covers the stack, and each
     sample runs its fan member and methods there on its slice, then drops
-    it.  A method's group stage runs before its runs.  The order changes no
-    result: every method draws from its own Philox streams, keyed by (seed,
-    level, code), and every kernel treats each sample of a stack alone.
+    it.  The order changes no result: every build draws from its own Philox
+    stream, keyed by (seed, level, code), and every kernel treats each
+    sample of a stack alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.
     """
@@ -1018,15 +967,10 @@ def run_methods(preps, names):
             if not readers:
                 continue
             members = [group[i] for i in readers]
-            stages = [] if rank is not None else [
-                METHODS[name].stage for name in dict.fromkeys(names) if METHODS[name].stage
-            ]
-            if paths is None and (rank is not None or stages):
-                paths = _path_buffer(group[0], len(group))
             if rank is not None:
+                if paths is None:
+                    paths = _path_buffer(group[0], len(group))
                 _hold_level1(members, rank, paths)
-            for stage in stages:
-                stage(members, paths)
             for i, prep in zip(readers, members):
                 prep._scratch = scratch  # one scratch buffer serves the group
                 if rank in fans[i]:
@@ -1036,6 +980,6 @@ def run_methods(preps, names):
                         out[i][name] = _attempt(METHODS[name].run, prep)
                 scratch, prep._scratch, prep._held = prep._scratch, None, None
     for prep in group:
-        prep._held = prep._scratch = prep._lavar = None
+        prep._held = prep._scratch = None
     out = [{name: results[name] for name in names} for results in out]
     return out[0] if single else out

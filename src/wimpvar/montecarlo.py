@@ -323,6 +323,7 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(value)
         except ValueError:
             raise ConfigError(f"WIMPVAR_WORKERS must be an integer, got {value!r}") from None
+    check_integer("workers", workers)
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -333,9 +334,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
 
     Replications are processed in fixed 16-replication chunks and reduced
     in chunk order, so the result is bit-identical whether it is computed
-    in-process (``workers=1``) or on a process pool.  Pool workers pin
-    glibc's allocator thresholds (:func:`~wimpvar._memory.pin_allocator`);
-    the caller's own process is left as it is.
+    in-process (``workers=1``) or on a process pool of at most one worker
+    per chunk.  Pool workers pin glibc's allocator thresholds
+    (:func:`~wimpvar._memory.pin_allocator`); the caller's own process is
+    left as it is.
     """
     workers = _resolve_workers(workers)
     chunks = [
@@ -349,7 +351,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
         # run needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=pin_allocator) as pool:
+        # A forking pool starts all its workers at once: no more than the chunks.
+        size = min(workers, len(chunks))
+        with ProcessPoolExecutor(max_workers=size, initializer=pin_allocator) as pool:
             partials = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
 
     n_methods = len(cfg.methods)

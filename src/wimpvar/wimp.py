@@ -60,15 +60,23 @@ def _relative_plausibilities(
     return x
 
 
-def _extensions(lowers: np.ndarray, uppers: np.ndarray, weights: PlausibilityWeights, transform):
-    """Relative plausibilities (K+1,) and the lower and upper extension of
-    each rank's bounds, ranks along axis 0."""
+def _combined(lowers, uppers, weights: PlausibilityWeights, transform):
+    """The combined bounds of per-rank bounds (ranks along axis 0) with what
+    they were built from: (lower, upper, relative plausibilities (K+1,),
+    lower extensions, upper extensions).  Refuses bounds that miss a rank
+    or are not finite."""
+    lowers = np.asarray(lowers, dtype=float)
+    uppers = np.asarray(uppers, dtype=float)
+    if lowers.shape != uppers.shape or lowers.shape[0] != weights.raw.size:
+        raise ConfigError("per-rank bounds must cover all ranks 0..K")
+    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
+        raise ConfigError("per-rank bounds must be finite for every rank (no missing ranks)")
     x = _relative_plausibilities(weights, transform)
     ref = weights.reference_rank
     x_col = x.reshape((-1,) + (1,) * (lowers.ndim - 1))
     low_ext = x_col * np.maximum(lowers[ref] - lowers, 0.0)
     upp_ext = x_col * np.maximum(uppers - uppers[ref], 0.0)
-    return x, low_ext, upp_ext
+    return lowers[ref] - low_ext.max(axis=0), uppers[ref] + upp_ext.max(axis=0), x, low_ext, upp_ext
 
 
 def wimp_bounds(
@@ -88,15 +96,7 @@ def wimp_bounds(
     -------
     (lower, upper) arrays of shape ``lowers.shape[1:]``.
     """
-    lowers = np.asarray(lowers, dtype=float)
-    uppers = np.asarray(uppers, dtype=float)
-    if lowers.shape != uppers.shape or lowers.shape[0] != weights.raw.size:
-        raise ConfigError("per-rank bounds must cover all ranks 0..K")
-    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
-        raise ConfigError("per-rank bounds must be finite for every rank (no missing ranks)")
-    _, low_ext, upp_ext = _extensions(lowers, uppers, weights, transform)
-    ref = weights.reference_rank
-    return lowers[ref] - low_ext.max(axis=0), uppers[ref] + upp_ext.max(axis=0)
+    return _combined(lowers, uppers, weights, transform)[:2]
 
 
 def wimp_combine(
@@ -128,10 +128,9 @@ def wimp_combine(
         raise ConfigError(
             f"expected bounds for all {weights.raw.size} ranks, got {lowers.size}"
         )
-    lower, upper = wimp_bounds(lowers, uppers, weights, transform)
+    lower, upper, x, low_ext, upp_ext = _combined(lowers, uppers, weights, transform)
     if np.any(lowers > uppers):
         raise ConfigError("every per-rank interval needs lower <= upper")
-    x, low_ext, upp_ext = _extensions(lowers, uppers, weights, transform)
     contributions = tuple(
         RankContribution(r, float(x[r]), float(low_ext[r]), float(upp_ext[r]))
         for r in range(lowers.size)

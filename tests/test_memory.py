@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import wimpvar
-from wimpvar import _memory
+from wimpvar import ConfigError, _memory
 from wimpvar.montecarlo import run_experiment
 
 from test_montecarlo import _tiny_config
@@ -60,12 +60,15 @@ def test_a_libc_without_mallopt_is_left_alone(monkeypatch):
     _memory.pin_allocator()
 
 
-def test_run_experiment_pins_its_pool_workers_only(calls, monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of each process pool run_experiment makes; a
+    stand-in pool maps in this process and starts none."""
+    made = []
 
     class InProcessPool:
         def __init__(self, **kwargs):
-            pools.append(kwargs)
+            made.append(kwargs)
 
         def __enter__(self):
             return self
@@ -77,12 +80,31 @@ def test_run_experiment_pins_its_pool_workers_only(calls, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    cfg = _tiny_config(("ols",), n_mc=2)
+    return made
+
+
+def test_run_experiment_pins_its_pool_workers_only(calls, pools):
+    cfg = _tiny_config(("ols",), n_mc=17)  # two chunks
     run_experiment(cfg, workers=1)
     assert pools == []
     run_experiment(cfg, workers=2)
     assert pools == [{"max_workers": 2, "initializer": _memory.pin_allocator}]
     assert calls == []  # never in the caller's own process
+
+
+@pytest.mark.parametrize("n_mc, workers, size", [(2, 8, 1), (16, 3, 1), (17, 8, 2), (40, 2, 2)])
+def test_the_pool_has_no_more_workers_than_chunks(pools, n_mc, workers, size):
+    # A forking pool starts every worker at once, so a worker with no chunk
+    # would be a process forked for nothing.
+    run_experiment(_tiny_config(("ols",), n_mc=n_mc), workers=workers)
+    assert [pool["max_workers"] for pool in pools] == [size]
+
+
+@pytest.mark.parametrize("workers", [2.0, 2.5, "2"])
+def test_a_worker_count_that_is_not_an_integer_is_refused(pools, workers):
+    with pytest.raises(ConfigError, match="workers must be an integer"):
+        run_experiment(_tiny_config(("ols",), n_mc=2), workers=workers)
+    assert pools == []
 
 
 def _child_env() -> dict:

@@ -222,9 +222,10 @@ def test_a_rejected_observed_sample_fails_every_method_and_spares_its_group(
 
 def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(monkeypatch):
     # One 16-replication chunk, all 11 methods: the observed samples are
-    # swept once at p and once at p+1 (for lavar), each rank's level-1
-    # batches once per group of replications, and lavar's bootstrap paths
-    # once per group at p+1.
+    # swept once at p, and each rank's level-1 batches once per group of
+    # replications.  lavar sweeps each replication's observed sample and
+    # its held rank-K batch at p+1; FDBB level two sweeps per replication
+    # and selector.  No other paths are swept.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
     hold_level1 = bootstrap._hold_level1
@@ -250,28 +251,26 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
     assert _run_chunk(cfg, range(n_reps))[2].tolist() == [n_reps] * len(ALL_METHODS)
     groups = -(-n_reps // group)
-    assert sorted(sweep for sweep in sweeps if sweep[1] == n_reps) == [
-        (False, n_reps, p), (False, n_reps, p + 1),
-    ]
+    assert [sweep for sweep in sweeps if sweep[1] == n_reps] == [(False, n_reps, p)]
     level1 = [sweep for sweep in sweeps if sweep[0]]
     assert 0 < len(level1) <= (cfg.dgp.n_vars + 1) * groups
     assert all(size % n_boot == 0 and size <= group * n_boot for _, size, _ in level1)
-    assert sweeps.count((False, group * n_boot, p + 1)) == groups
-    # FDBB level two, per replication and selector, is the only sweep left
-    # per replication.
+    assert sweeps.count((False, 1, p + 1)) == n_reps
+    assert sweeps.count((False, n_boot, p + 1)) == n_reps
     assert sweeps.count((False, n_boot, p)) == 2 * n_reps
-    assert len(sweeps) == 2 + len(level1) + groups + 2 * n_reps
+    assert len(sweeps) == 1 + len(level1) + 4 * n_reps
 
 
 def test_experiment_methods_independent_of_method_set():
     # Adding another method must not change a method's results (streams are
     # keyed independently of the requested set).
-    alone = run_experiment(_tiny_config(("ols",), n_mc=5))
-    joint = run_experiment(_tiny_config(("ols", "bers_aic", "wimp"), n_mc=5))
-    m_a = alone.methods.index("ols")
-    m_j = joint.methods.index("ols")
-    assert np.array_equal(alone.covered[m_a], joint.covered[m_j])
-    assert np.array_equal(alone.width_sum[m_a], joint.width_sum[m_j])
+    for method, methods in (("ols", ("ols", "bers_aic", "wimp")), ("lavar", ("ols", "lavar", "wimp"))):
+        alone = run_experiment(_tiny_config((method,), n_mc=5))
+        joint = run_experiment(_tiny_config(methods, n_mc=5))
+        m_a = alone.methods.index(method)
+        m_j = joint.methods.index(method)
+        assert np.array_equal(alone.covered[m_a], joint.covered[m_j]), method
+        assert np.array_equal(alone.width_sum[m_a], joint.width_sum[m_j]), method
 
 
 def test_stub_methods_oracle_and_degenerate():

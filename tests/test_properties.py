@@ -586,6 +586,65 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
         assert level1_calls((f"fdbb_{label}", f"bers_{label}")) == 1
 
 
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypatch):
+    # lavar's bootstrap process is the rank-K fit, whose paths the ols fan
+    # member's level-1 batch already holds: adding lavar builds nothing.
+    level1, builds = [], []
+    build_level1, build_paths = bootstrap._level1_batch, bootstrap._build_paths
+
+    def building_level1(prep, dgp_rank, paths):
+        level1.append(dgp_rank)
+        return build_level1(prep, dgp_rank, paths)
+
+    def building_paths(*args, **kwargs):
+        builds.append(True)
+        return build_paths(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "_level1_batch", building_level1)
+    monkeypatch.setattr(bootstrap, "_build_paths", building_paths)
+
+    def calls(names):
+        level1.clear()
+        builds.clear()
+        out = run_methods(_fresh(seed), names)
+        assert all(isinstance(result, IntervalSet) for result in out.values()), out
+        assert len(builds) == len(level1)  # every path build is a level-1 batch
+        return list(level1)
+
+    assert calls(("ols", "lavar")) == calls(("ols",)) == calls(("lavar",)) == [3]
+
+
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, monkeypatch):
+    # The held batch zeroes a non-finite path before it is detrended and
+    # flags it; lavar's VAR(p+1) sweep of the held paths keeps the flag.
+    bad, prep = 5, _fresh(seed)
+    build, sweep_batch = bootstrap._level1_batch, _batch.sweep_batch
+    lavar_sweeps = []
+
+    def spoiling(sample, dgp_rank, paths):
+        out = build(sample, dgp_rank, paths)
+        if dgp_rank == sample.n_vars:
+            out[bad, -1] = np.inf
+        return out
+
+    def sweeping(tilde, p, *args, **kwargs):
+        sweep = sweep_batch(tilde, p, *args, **kwargs)
+        if p == prep.p + 1 and len(tilde) > 1:  # lavar's bootstrap sweep
+            lavar_sweeps.append(sweep)
+        return sweep
+
+    assert _alone(seed)["lavar"].n_failed == 0
+    monkeypatch.setattr(bootstrap, "_level1_batch", spoiling)
+    monkeypatch.setattr(_batch, "sweep_batch", sweeping)
+    result = bootstrap.lag_augmented_interval(prep)
+    assert result.n_failed == 1
+    (sweep,) = lavar_sweeps
+    assert sweep.reason[bad] & _batch.NONFINITE
+    assert not sweep.ok[bad] and np.delete(sweep.ok, bad).all()
+
+
 def _arrays(value):
     if isinstance(value, np.ndarray):
         return [value]
@@ -666,18 +725,23 @@ def test_successive_level1_batches_are_built_in_one_path_buffer():
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed):
-    # FDBB level two and the lag-augmented bootstrap build their paths in
-    # one scratch buffer of the prepared sample, each in turn, never in the
-    # held level-1 batch's buffer; each gives the bytes it gives alone.
+    # FDBB level two builds its paths in one scratch buffer of the prepared
+    # sample, never in the held level-1 batch's buffer.  The lag-augmented
+    # bootstrap reads the held rank-K batch and writes no buffer.  Each
+    # gives the bytes it gives alone.
     prep = _fresh(seed)
-    held = scratch = None
-    for name in ("fdbb_aic", "fdbb_bic", "lavar", "fdbb_aic"):
-        rank = METHODS[name].rank(prep)
-        held = held if rank is None else prep.level1(rank)
+    scratch = None
+    for name in ("lavar", "fdbb_aic", "fdbb_bic", "lavar", "fdbb_aic"):
+        held = prep.level1(METHODS[name].rank(prep))
         before = held.sweep.tilde.tobytes()
+        scratch_before = None if scratch is None else scratch.tobytes()
         assert _same_result(_attempt(METHODS[name].run, prep), _alone(seed)[name]), name
         assert prep._held is held
         assert held.sweep.tilde.tobytes() == before, name
+        if name == "lavar":
+            assert prep._scratch is scratch, name  # made none, kept the last
+            assert scratch is None or scratch.tobytes() == scratch_before, name
+            continue
         scratch = prep._scratch if scratch is None else scratch
         assert scratch is not None and prep._scratch is scratch, name
         assert not np.shares_memory(scratch, held.sweep.tilde), name
