@@ -62,7 +62,6 @@ class BootstrapConfig:
     n_boot: int = 399
     gamma: float = 0.05
     seed: int = 0
-    detrend_bootstrap: bool = True
     max_failure_share: float = 0.05
     paper_sample_convention: bool = False
 
@@ -500,7 +499,7 @@ def _redetrend(paths: np.ndarray, prep: _Prepared) -> np.ndarray:
     finite = np.isfinite(paths).all(axis=(1, 2))
     if not finite.all():
         paths[~finite] = 0.0
-    _batch.detrend_batch(paths, prep.mode if prep.cfg.detrend_bootstrap else DetrendMode.NONE)
+    _batch.detrend_batch(paths, prep.mode)
     return finite
 
 
@@ -946,8 +945,7 @@ def run_methods(preps, names):
     single = isinstance(preps, _Prepared)
     group = [preps] if single else list(preps)
     shared = {
-        (prep.raw.shape, prep.p, prep.mode, prep.cfg.n_boot, prep.cfg.detrend_bootstrap,
-         prep.cfg.paper_sample_convention)
+        (prep.raw.shape, prep.p, prep.mode, prep.cfg.n_boot, prep.cfg.paper_sample_convention)
         for prep in group
     }
     if len(shared) > 1:

@@ -1,11 +1,12 @@
 """Coverage and width experiments for the interval methods.
 
-Simulates a three-variable VAR(1) with two cointegrating relations (in a
-weak and a strong variant), runs every requested interval method on the
-same simulated samples, and aggregates per-cell coverage rates and mean
-widths.  Replications are independent tasks; the reduction is an ordered
-fold over fixed-size chunks, so the output is bit-identical for any worker
-count.
+A design is data: a levels VAR's matrices (:class:`DgpSpec`), simulated
+and answered by the batch kernels.  :func:`make_dgp` builds the two
+built-in three-variable VAR(1)s; :func:`run_experiment` runs any design,
+every requested interval method on the same simulated samples, and
+aggregates per-cell coverage rates and mean widths.  Replications are
+independent tasks; the reduction is an ordered fold over fixed-size
+chunks, so the output is bit-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batch
 from . import bootstrap as bt
 from ._memory import pin_allocator
 from .errors import ConfigError, EstimationError, check_integer, check_weight_constants
@@ -30,38 +32,46 @@ __all__ = [
     "run_experiment",
 ]
 
-# Fixed loading/cointegration vectors of the simulation design.
-_ALPHA1 = np.array([0.0, 1.0, 0.0])
-_ALPHA2 = np.array([0.0, 0.0, 1.0])
-_BETA1 = np.array([2.0, -1.0, 0.0])
-_BETA2 = np.array([1.0, -1.0, -1.0])
-
 _CHUNK = 16  # fixed reduction granularity; must not depend on the worker count
 # Replications whose bootstrap batches are swept as one stack.  Bigger
 # groups save more calls and hold one more path buffer per replication.
 _GROUP = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgpSpec:
-    """Three-variable VAR(1) process y_t = (I + Pi) y_{t-1} + e_t."""
+    """The levels VAR y_t = A_1 y_{t-1} + ... + A_p y_{t-p} + e_t as data:
+    ``mats`` (p, K, K) holds A_1..A_p, kept as a read-only float copy, and
+    ``T`` the simulated rows.  Specs compare by identity (an array field has
+    no value equality)."""
 
-    variant: str
-    d1: float
-    d2: float
+    mats: np.ndarray
     T: int
 
-    @property
-    def Pi(self) -> np.ndarray:
-        return self.d1 * np.outer(_ALPHA1, _BETA1) + self.d2 * np.outer(_ALPHA2, _BETA2)
-
-    @property
-    def companion(self) -> np.ndarray:
-        return np.eye(3) + self.Pi
+    def __post_init__(self):
+        mats = np.array(self.mats, dtype=float)
+        if mats.ndim != 3 or min(mats.shape) < 1 or mats.shape[1] != mats.shape[2]:
+            raise ConfigError(f"mats must have shape (p, K, K) with p, K >= 1, got {mats.shape}")
+        if not np.isfinite(mats).all():
+            raise ConfigError("mats must be finite")
+        check_integer("T", self.T)
+        if self.T < 1:
+            raise ConfigError(f"T must be at least 1, got {self.T}")
+        mats.flags.writeable = False
+        object.__setattr__(self, "mats", mats)
 
     @property
     def n_vars(self) -> int:
-        return 3
+        return self.mats.shape[1]
+
+    @property
+    def Pi(self) -> np.ndarray:
+        """The error-correction matrix A_1 + ... + A_p - I."""
+        return self.mats.sum(axis=0) - np.eye(self.n_vars)
+
+    @property
+    def companion(self) -> np.ndarray:
+        return _batch.companion_batch(self.mats[None])[0]
 
     @property
     def true_rank(self) -> int:
@@ -69,42 +79,40 @@ class DgpSpec:
 
 
 def make_dgp(variant: str, T: int) -> DgpSpec:
-    """The weak (``dgp1``) or strong (``dgp2``) cointegration design."""
-    if variant == "dgp1":
-        return DgpSpec("dgp1", 0.05, 0.02, T)
-    if variant == "dgp2":
-        return DgpSpec("dgp2", 1.0, 1.0, T)
-    raise ConfigError(f"unknown DGP variant {variant!r}; expected 'dgp1' or 'dgp2'")
+    """The weak (``dgp1``) or strong (``dgp2``) cointegration design: the
+    VAR(1) y_t = (I + Pi) y_{t-1} + e_t in three variables, with
+    Pi = d1 a1 b1' + d2 a2 b2' on fixed loadings a and relations b."""
+    weights = {"dgp1": (0.05, 0.02), "dgp2": (1.0, 1.0)}
+    if variant not in weights:
+        raise ConfigError(f"unknown DGP variant {variant!r}; expected 'dgp1' or 'dgp2'")
+    d1, d2 = weights[variant]
+    a1, a2 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    b1, b2 = np.array([2.0, -1.0, 0.0]), np.array([1.0, -1.0, -1.0])
+    pi = d1 * np.outer(a1, b1) + d2 * np.outer(a2, b2)
+    return DgpSpec((np.eye(3) + pi)[None], T)
 
 
 def simulate_path(spec: DgpSpec, rng, innovations: np.ndarray | None = None) -> np.ndarray:
-    """Simulate T rows from y_0 = 0 with standard-normal innovations.
+    """Simulate T rows from p zero rows with standard-normal innovations.
 
-    ``innovations`` overrides the shocks (a T x 3 array), which is useful
+    ``innovations`` overrides the shocks (a T x K array), which is useful
     for noise-free checks.
     """
+    p, n_vars = spec.mats.shape[:2]
     if innovations is None:
-        innovations = rng.standard_normal((spec.T, 3))
-    else:
-        innovations = np.asarray(innovations, dtype=float)
-        if innovations.shape != (spec.T, 3):
-            raise ConfigError(f"innovations must have shape ({spec.T}, 3)")
-    growth = spec.companion
-    out = np.empty((spec.T, 3))
-    prev = np.zeros(3)
-    for t in range(spec.T):
-        prev = growth @ prev + innovations[t]
-        out[t] = prev
-    return out
+        innovations = rng.standard_normal((spec.T, n_vars))
+    elif np.shape(innovations) != (spec.T, n_vars):
+        raise ConfigError(f"innovations must have shape ({spec.T}, {n_vars})")
+    path = np.zeros((1, p + spec.T, n_vars))
+    path[0, p:] = innovations
+    return _batch.rebuild_levels_batch(spec.mats, path, p)[0, p:]
 
 
 def true_irf(spec: DgpSpec, h_max: int) -> IrfArray:
-    """True responses Psi_j = (I + Pi)^j."""
-    psi = np.empty((h_max + 1, 3, 3))
-    psi[0] = np.eye(3)
-    for j in range(1, h_max + 1):
-        psi[j] = spec.companion @ psi[j - 1]
-    return IrfArray(psi, REDUCED_FORM)
+    """True responses Psi_0..Psi_h of the design's levels VAR."""
+    if h_max < 0:
+        raise ConfigError(f"h_max must be >= 0, got {h_max}")
+    return IrfArray(_batch.irf_batch(spec.mats[None], h_max)[0])
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,7 @@ def _bounds_from(method: str, result, n_queries: int):
 
 def _run_chunk(cfg: ExperimentConfig, rep_indices):
     n_methods = len(cfg.methods)
-    n_vars, h_max = 3, cfg.h_max
+    n_vars, h_max = cfg.dgp.n_vars, cfg.h_max
     covered = np.zeros((n_methods, n_vars, n_vars, h_max), dtype=np.int64)
     width_sum = np.zeros((n_methods, n_vars, n_vars, h_max))
     success = np.zeros(n_methods, dtype=np.int64)
@@ -356,19 +364,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Coverag
         with ProcessPoolExecutor(max_workers=size, initializer=pin_allocator) as pool:
             partials = list(pool.map(_run_chunk, [cfg] * len(chunks), chunks))
 
-    n_methods = len(cfg.methods)
-    covered = np.zeros((n_methods, 3, 3, cfg.h_max), dtype=np.int64)
-    width_sum = np.zeros((n_methods, 3, 3, cfg.h_max))
-    success = np.zeros(n_methods, dtype=np.int64)
-    for part_covered, part_width, part_success in partials:
-        covered += part_covered
-        width_sum += part_width
-        success += part_success
+    covered, width_sum, success = (sum(parts) for parts in zip(*partials))
     return CoverageTable(
         methods=cfg.methods,
         n_mc=cfg.n_mc,
         h_max=cfg.h_max,
-        n_vars=3,
+        n_vars=cfg.dgp.n_vars,
         covered=covered,
         width_sum=width_sum,
         success=success,

@@ -630,24 +630,6 @@ def test_run_methods_returns_each_result_or_typed_error():
         run_methods(prep, ("true_rank",))  # the sample's DGP rank is unknown
 
 
-def test_detrended_bootstrap_modes_differ():
-    y = _sim(91, "dgp1", T=120) + 50.0  # add a level shift
-    cfg = BootstrapConfig(n_boot=59, seed=19)
-    query = [IrfQuery(a=1, b=1, horizon=5)]
-    with_detrend = fixed_rank_interval(
-        prepare(y, 1, query, cfg, mode=DetrendMode.CONSTANT_AND_TREND), 2
-    )
-    no_redetrend = fixed_rank_interval(
-        prepare(
-            y, 1, query, BootstrapConfig(n_boot=59, seed=19, detrend_bootstrap=False),
-            mode=DetrendMode.CONSTANT_AND_TREND,
-        ),
-        2,
-    )
-    assert with_detrend.point[0] == no_redetrend.point[0]
-    assert with_detrend.lower[0] != no_redetrend.lower[0]
-
-
 def _integer_cases():
     y, queries, cfg = _sim(93), _queries(1), BootstrapConfig(n_boot=49)
     dgp = make_dgp("dgp1", 60)

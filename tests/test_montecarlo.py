@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import companion_roots
+from reference import companion_roots, rebuild_levels_stepwise
 from wimpvar import (
     ConfigError,
     DgpSpec,
@@ -38,7 +38,7 @@ def test_make_dgp_companion_moduli():
 
 
 def test_make_dgp_zero_adjustment_is_random_walk():
-    spec = DgpSpec("custom", 0.0, 0.0, 50)
+    spec = DgpSpec(np.eye(3)[None], 50)
     assert np.all(spec.Pi == 0)
     assert spec.true_rank == 0
 
@@ -95,6 +95,104 @@ def test_true_irf_cross_module_consistency():
         mine = true_irf(spec, 25)
         other = irf_reduced(VarLevels((spec.companion,)), 25)
         assert np.allclose(mine.values, other.values, atol=1e-12)
+
+
+def test_make_dgp_is_a_var1_held_as_data():
+    spec = make_dgp("dgp1", 100)
+    assert spec.mats.shape == (1, 3, 3) and spec.n_vars == 3 and spec.T == 100
+    assert np.array_equal(spec.companion, spec.mats[0])
+    assert not spec.mats.flags.writeable
+
+
+def test_dgp_spec_keeps_a_copy_of_its_matrices():
+    mats = np.eye(2)[None].copy()
+    spec = DgpSpec(mats, 30)
+    mats[0, 0, 0] = 5.0
+    assert spec.mats[0, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [np.eye(3), np.zeros((1, 2, 3)), np.zeros((0, 3, 3)), np.zeros((1, 0, 0))],
+    ids=["two_axes", "not_square", "no_lags", "no_variables"],
+)
+def test_dgp_spec_refuses_matrices_not_of_shape_p_k_k(mats):
+    with pytest.raises(ConfigError, match="mats"):
+        DgpSpec(mats, 50)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dgp_spec_refuses_non_finite_matrices(bad):
+    mats = np.eye(3)[None].copy()
+    mats[0, 1, 2] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        DgpSpec(mats, 50)
+
+
+def test_dgp_spec_refuses_a_non_integer_sample_length():
+    with pytest.raises(ConfigError, match="T must be an integer"):
+        make_dgp("dgp1", 50.5)
+
+
+def test_dgp_spec_refuses_an_empty_sample():
+    with pytest.raises(ConfigError, match="T must be at least 1"):
+        make_dgp("dgp1", 0)
+
+
+def test_true_irf_refuses_a_negative_horizon():
+    with pytest.raises(ConfigError, match="h_max"):
+        true_irf(make_dgp("dgp1", 50), -1)
+
+
+def _k4_var2_design(T: int) -> DgpSpec:
+    """K = 4, p = 2, rank 2: Delta y_t = alpha beta' y_{t-1} + G Delta y_{t-1} + e_t
+    with alpha = -0.2 [e1, e3], beta = [e1 - e2, e3 - e4] and G = 0.2 I."""
+    eye = np.eye(4)
+    alpha = -0.2 * eye[:, [0, 2]]
+    beta = np.stack([eye[0] - eye[1], eye[2] - eye[3]], axis=1)
+    gamma = 0.2 * eye
+    return DgpSpec(np.stack([eye + alpha @ beta.T + gamma, -gamma]), T)
+
+
+def test_a_k4_var2_design_runs_with_its_own_true_rank_on_any_worker_count():
+    spec = _k4_var2_design(60)
+    assert spec.true_rank == 2
+    cfg = ExperimentConfig(
+        dgp=spec, n_mc=20, n_boot=49, gamma=0.1, h_max=4, p=2,
+        methods=("ols", "true_rank", "wimp"), seed=5,
+    )  # a second, partial chunk
+    seq = run_experiment(cfg, workers=1)
+    par = run_experiment(cfg, workers=2)
+    assert seq.covered.shape == seq.width_sum.shape == (3, 4, 4, 4)
+    assert seq.n_vars == 4 and len(seq.coverage_rows()) == 3 * 16 * 4
+    assert seq.success.tolist() == [cfg.n_mc] * 3
+    _assert_bitwise(*[(table.covered, table.width_sum, table.success) for table in (par, seq)])
+
+
+@pytest.mark.parametrize("design", ["dgp1", "dgp2", "k4_var2"])
+def test_true_irf_is_the_path_difference_of_a_unit_shock(design):
+    # Criterion 09's oracle on the design's own simulator: the path with a
+    # unit shock in b at t = 0 minus the path without it is column b of the
+    # true responses.
+    spec = _k4_var2_design(41) if design == "k4_var2" else make_dgp(design, 41)
+    shocks = np.random.default_rng(8).standard_normal((spec.T, spec.n_vars))
+    base = simulate_path(spec, None, innovations=shocks)
+    irf = true_irf(spec, spec.T - 1)
+    for b in range(spec.n_vars):
+        bumped = shocks.copy()
+        bumped[0, b] += 1.0
+        difference = simulate_path(spec, None, innovations=bumped) - base
+        assert np.abs(irf.values[:, :, b] - difference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("design", ["dgp1", "k4_var2"])
+def test_simulate_path_is_the_stepwise_recursion_from_zero_rows(design):
+    spec = _k4_var2_design(80) if design == "k4_var2" else make_dgp(design, 80)
+    p, n_vars = spec.mats.shape[:2]
+    path = simulate_path(spec, np.random.default_rng(9))
+    shocks = np.random.default_rng(9).standard_normal((spec.T, n_vars))
+    want = rebuild_levels_stepwise(spec.mats, shocks[None], np.zeros((p, n_vars)))[0, p:]
+    assert np.abs(path - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _tiny_config(methods, n_mc=8, seed=33):
