@@ -221,7 +221,7 @@ class BatchSweep:
     """Rank-generic reduced-rank regression pieces for a batch of samples."""
 
     eigenvalues: np.ndarray  # (B, K) descending, clipped to [0, 1)
-    vectors: np.ndarray  # (B, K, K), columns normalized V' S11 V = I
+    vectors: np.ndarray  # (B, K, K), columns normalized V' S11 V = I, signs arbitrary
     S00: np.ndarray  # (B, K, K)
     S01: np.ndarray  # (B, K, K)
     P20: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z0
@@ -264,9 +264,10 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     partialled out, S_ij = (G_ij - G_i2 G22^{-1} G_2j) / T_eff (Johansen
     1995, ch. 6): with G22 = L L' (its test sets SINGULAR_Z2) and H = L^{-1}
     [G21 G20], that is H'H, and [P21 P20] = L^{-T} H, two stacked products
-    by the one inverse L^{-1}.  The generalized eigenproblem ``lam * S11 v
-    = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`.  One
-    sweep serves every rank.
+    by the one inverse L^{-1}; H'H takes a copy of H as its right operand,
+    so numpy runs it as GEMM, not SYRK.  The generalized eigenproblem ``lam
+    * S11 v = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`,
+    whose vectors have arbitrary column signs.  One sweep serves every rank.
     """
     n_batch, n_obs, n_vars = tilde.shape
     # The minimal sample drops p presample rows, the alternative convention one more.
@@ -286,7 +287,8 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
         _flag(reason, good, SINGULAR_Z2)
         inv = tril_inverse_batch(chol)
         half = inv @ cross  # L^{-1} [G21 G20], G22 = L L'
-        moments = moments - np.swapaxes(half, 1, 2) @ half
+        # H'H with a copy of H on the right: GEMM, not SYRK (see _canonical)
+        moments = moments - np.swapaxes(half, 1, 2) @ half.copy()
         coef = np.swapaxes(inv, 1, 2) @ half  # [P21 P20]
     else:
         coef = cross.copy()  # empty, and unlike the view it does not keep ``gram`` alive
@@ -314,19 +316,29 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     reduced-rank problem ``lam * S11 v = S10 S00^{-1} S01 v``, adding failure
     bits to ``reason`` in place.
 
-    One factor each, S11 = L11 L11' and S00 = L00 L00', sets SINGULAR_S11
-    and SINGULAR_S00.  M = Q'Q with Q = L00^{-1} S01 L11^{-T} is symmetric
+    One :func:`cholesky_batch` and one :func:`tril_inverse_batch` of the
+    (2B, K, K) stack [S11; S00] give S11 = L11 L11' and S00 = L00 L00' and
+    their inverses; the two halves of the factor's ``ok`` set SINGULAR_S11
+    and SINGULAR_S00.  Both kernels treat each matrix alone, so the stack
+    changes no bit.  M = Q'Q with Q = L00^{-1} S01 L11^{-T} is symmetric
     with the same eigenvalues, the vectors are L11^{-T} times M's, and
-    ln det S00 = 2 sum ln diag L00.  Each L^{-1} is one
-    :func:`tril_inverse_batch`, so every step is a stacked product.
+    ln det S00 = 2 sum ln diag L00.  Every step is a stacked product; Q'Q
+    has a copy of Q as its right operand, so numpy sends it to GEMM, not to
+    the slower SYRK, with the same bits at these shapes.
+
+    The vectors' column signs are whatever the eigensolver gives: every
+    product inside the package reads them through alpha beta' or alpha
+    alpha', in which a column's sign cancels exactly.
+    :func:`~wimpvar.vecm.johansen_fit_from` fixes the signs a user sees.
     """
-    l11, good = cholesky_batch(s11)
-    _flag(reason, good, SINGULAR_S11)
-    l00, good = cholesky_batch(s00)
-    _flag(reason, good, SINGULAR_S00)
-    inv11_t = np.swapaxes(tril_inverse_batch(l11), 1, 2)  # L11^{-T}
-    q = tril_inverse_batch(l00) @ s01 @ inv11_t
-    m = np.swapaxes(q, 1, 2) @ q
+    n_batch = s00.shape[0]
+    chol, good = cholesky_batch(np.concatenate([s11, s00]))
+    _flag(reason, good[:n_batch], SINGULAR_S11)
+    _flag(reason, good[n_batch:], SINGULAR_S00)
+    inv = tril_inverse_batch(chol)
+    inv11_t = np.swapaxes(inv[:n_batch], 1, 2)  # L11^{-T}
+    q = inv[n_batch:] @ s01 @ inv11_t
+    m = np.swapaxes(q, 1, 2) @ q.copy()
     # A finite but explosive sample can overflow M: flagged and solved as
     # zeros, so it cannot stop the eigensolver for the whole batch.
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -342,21 +354,13 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     lam = np.clip(lam, 0.0, _EIG_CEIL)
 
     vectors = inv11_t @ w
-    # Sign convention, deterministic across platforms: the first coordinate
-    # of each column exceeding the tolerance is made positive.
-    scale = np.abs(vectors).max(axis=1, keepdims=True)
-    big = np.abs(vectors) > 1e-12 * np.maximum(scale, np.finfo(float).tiny)
-    first = np.argmax(big, axis=1)  # (B, K) column-wise first index
-    lead = np.take_along_axis(vectors, first[:, None, :], axis=1)[:, 0, :]
-    signs = np.where(lead < 0, -1.0, 1.0)
-    vectors = vectors * signs[:, None, :]
-
-    ln_det = 2.0 * np.log(np.diagonal(l00, axis1=1, axis2=2)).sum(axis=1)
+    ln_det = 2.0 * np.log(np.diagonal(chol[n_batch:], axis1=1, axis2=2)).sum(axis=1)
     return lam, vectors, ln_det
 
 
 def loadings_batch(sweep: BatchSweep, rank: int):
-    """(alpha (B, K, r), beta (B, K, r)) for one imposed rank r."""
+    """(alpha (B, K, r), beta (B, K, r)) for one imposed rank r, with the
+    sweep's arbitrary column signs."""
     beta = sweep.vectors[:, :, :rank]
     return sweep.S01 @ beta, beta
 

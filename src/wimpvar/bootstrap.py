@@ -153,11 +153,12 @@ def _hall_bounds(centered: np.ndarray, points: np.ndarray, gamma: float):
 class _CompiledQueries:
     """Queries compiled into flat indices over (..., H+1, K, K) response stacks.
 
-    ``groups`` holds one (kind, indices) gather per response kind for the
+    ``groups`` holds one (kind, indices) read per response kind for the
     element queries, with (n,) indices, and one per kind and maximum
     horizon for the maxima, with (n, h_max+1) indices reduced by ``max``.
-    The groups' values, concatenated, are the queries permuted by
-    ``order`` (None when already in query order).
+    An element group whose indices are one ascending contiguous run holds
+    them as a ``slice``.  The groups' values, concatenated, are the queries
+    permuted by ``order`` (None when already in query order).
     """
 
     queries: tuple
@@ -168,7 +169,12 @@ class _CompiledQueries:
     order: np.ndarray | None
 
     def evaluate(self, psi: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
-        """Evaluate all queries on (B, H+1, K, K) stacks, returns (B, Q)."""
+        """Evaluate all queries on (B, H+1, K, K) stacks, returns (B, Q).
+
+        One element group in query order, held as a slice, returns a view
+        of ``psi`` or ``phi``; otherwise the values are gathered into a new
+        array.
+        """
         lead = psi.shape[:-3]
         flat = {REDUCED_FORM: psi.reshape(lead + (-1,))}
         if phi is not None:
@@ -176,9 +182,19 @@ class _CompiledQueries:
         parts = []
         for kind, indices in self.groups:
             values = flat[kind][..., indices]
-            parts.append(values if indices.ndim == 1 else values.max(axis=-1))
+            parts.append(values.max(axis=-1) if np.ndim(indices) == 2 else values)
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         return out if self.order is None else out[..., self.order]
+
+
+def _as_run(indices: np.ndarray):
+    """``indices`` as a slice when they are one ascending contiguous run of
+    flat elements, so the read is a view; else unchanged."""
+    if indices.ndim == 1:
+        start, stop = int(indices[0]), int(indices[0]) + indices.size
+        if np.array_equal(indices, np.arange(start, stop)):
+            return slice(start, stop)
+    return indices
 
 
 def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
@@ -206,7 +222,7 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
         indices.append(index)
     groups, positions = [], []
     for (_, kind, _), (group_positions, indices) in sorted(by_key.items()):
-        groups.append((kind, np.array(indices, dtype=np.intp)))
+        groups.append((kind, _as_run(np.array(indices, dtype=np.intp))))
         positions.extend(group_positions)
     order = None if positions == list(range(len(queries))) else np.argsort(positions)
     return _CompiledQueries(
@@ -609,7 +625,8 @@ def _finalize(zeta_star, ok, points, cfg, what):
     n_failed = _census(ok, cfg, what)
     if n_failed:
         zeta_star = zeta_star[ok]
-    lower, upper = _hall_bounds(zeta_star - points, points, cfg.gamma)
+    # F order from the subtraction itself: the sort runs down contiguous columns.
+    lower, upper = _hall_bounds(np.subtract(zeta_star, points, order="F"), points, cfg.gamma)
     return lower, upper, n_failed
 
 
@@ -780,12 +797,12 @@ def fdbb_interval(
     ok = ok1 & ok2 & np.isfinite(zeta_star).all(axis=1) & np.isfinite(zeta_2).all(axis=1)
     n_failed = _census(ok, cfg, "the double bootstrap")
     # The mean reads the mask copy even when nothing failed: the copy is
-    # C-ordered, so the mean adds its rows one by one, whereas on the
-    # F-ordered query gathers it would sum pairwise and round otherwise.
+    # C-ordered, so the mean adds its rows one by one, whereas on F-ordered
+    # query gathers it would sum pairwise and round otherwise.
     bagged = zeta_star[ok].mean(axis=0)
     if n_failed:
         zeta_star, zeta_2 = zeta_star[ok], zeta_2[ok]
-    lower, upper = _hall_bounds(zeta_2 - zeta_star, bagged, cfg.gamma)
+    lower, upper = _hall_bounds(np.subtract(zeta_2, zeta_star, order="F"), bagged, cfg.gamma)
     return _to_interval_set(
         f"fdbb_{selector.label}", r_hat, cq, lower, upper, bagged, cfg, n_failed,
         rank_counts=_rank_census(ranks_star, ok, cfg.n_boot),

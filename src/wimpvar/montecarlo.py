@@ -60,6 +60,11 @@ class DgpSpec:
         mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)
 
+    def __reduce__(self):
+        # Unpickling, as in a run_experiment pool worker, goes through the
+        # constructor, so the copy is checked and its ``mats`` read-only too.
+        return DgpSpec, (self.mats, self.T)
+
     @property
     def n_vars(self) -> int:
         return self.mats.shape[1]
@@ -276,15 +281,17 @@ def _bounds_from(method: str, result, n_queries: int):
 def _run_chunk(cfg: ExperimentConfig, rep_indices):
     n_methods = len(cfg.methods)
     n_vars, h_max = cfg.dgp.n_vars, cfg.h_max
-    covered = np.zeros((n_methods, n_vars, n_vars, h_max), dtype=np.int64)
-    width_sum = np.zeros((n_methods, n_vars, n_vars, h_max))
+    # Horizon-major, as the tables are filled: the queries are (h, a, b),
+    # the layout of the response stacks, so they read a view of each stack.
+    covered = np.zeros((n_methods, h_max, n_vars, n_vars), dtype=np.int64)
+    width_sum = np.zeros((n_methods, h_max, n_vars, n_vars))
     success = np.zeros(n_methods, dtype=np.int64)
-    truth = np.moveaxis(true_irf(cfg.dgp, h_max).values[1:], 0, -1)  # (K, K, H)
+    truth = true_irf(cfg.dgp, h_max).values[1:]  # (H, K, K)
     queries = tuple(
         IrfQuery(a=a, b=b, horizon=j, functional="element", kind=REDUCED_FORM)
+        for j in range(1, h_max + 1)
         for a in range(1, n_vars + 1)
         for b in range(1, n_vars + 1)
-        for j in range(1, h_max + 1)
     )
 
     reps = list(rep_indices)
@@ -316,11 +323,13 @@ def _run_chunk(cfg: ExperimentConfig, rep_indices):
                     lower, upper = _bounds_from(method, results[method], len(queries))
                 except EstimationError:
                     continue  # NaN or disordered bounds fail, as in IntervalSet
-                low = lower.reshape(n_vars, n_vars, h_max)
-                upp = upper.reshape(n_vars, n_vars, h_max)
+                low = lower.reshape(h_max, n_vars, n_vars)
+                upp = upper.reshape(h_max, n_vars, n_vars)
                 covered[m] += (low <= truth) & (truth <= upp)
                 width_sum[m] += upp - low
                 success[m] += 1
+    # CoverageTable's (M, K, K, H) layout, C-ordered: its per-horizon means add rows in order
+    covered, width_sum = (np.ascontiguousarray(np.moveaxis(t, 1, -1)) for t in (covered, width_sum))
     return covered, width_sum, success
 
 

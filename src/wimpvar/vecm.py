@@ -280,16 +280,34 @@ def sweep_samples(
         return _batch.sweep_batch(tilde, p, paper_convention)
 
 
+def _signed_columns(vectors: np.ndarray) -> np.ndarray:
+    """(B, K, K) vectors with each column's first coordinate above 1e-12 of
+    its largest magnitude made positive; the same on every platform."""
+    scale = np.abs(vectors).max(axis=1, keepdims=True)
+    big = np.abs(vectors) > 1e-12 * np.maximum(scale, np.finfo(float).tiny)
+    first = np.argmax(big, axis=1)  # (B, K) column-wise first index
+    lead = np.take_along_axis(vectors, first[:, None, :], axis=1)[:, 0, :]
+    return vectors * np.where(lead < 0, -1.0, 1.0)[:, None, :]
+
+
 def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
     """Extract the rank-`rank` fit from the sweep of one sample (see :func:`observed_sweep`).
 
     Rank K reproduces the unrestricted OLS fit; rank 0 sets Pi to zero and
     regresses the differences on the lagged differences alone.
+
+    This is where beta's sign convention is set, the one place alpha and
+    beta reach a user: in each column, the first coordinate above 1e-12 of
+    the column's largest magnitude is positive, so the fit does not depend
+    on the signs the eigensolver gives.  Pi and everything else the package
+    computes read the sweep's vectors through alpha beta' or alpha alpha',
+    in which those signs cancel exactly.
     """
     check_integer("rank", rank)
     if rank < 0 or rank > sweep.n_vars:
         raise ConfigError(f"rank must lie in 0..{sweep.n_vars}, got {rank}")
-    alpha, beta = _batch.loadings_batch(sweep, rank)
+    beta = _signed_columns(sweep.vectors)[:, :, :rank]
+    alpha = sweep.S01 @ beta
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
     return VecmFit(
         rank=rank,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,14 @@ def test_dgp_spec_keeps_a_copy_of_its_matrices():
     spec = DgpSpec(mats, 30)
     mats[0, 0, 0] = 5.0
     assert spec.mats[0, 0, 0] == 1.0
+
+
+def test_an_unpickled_dgp_spec_is_rebuilt_read_only():
+    # A run_experiment pool worker receives its design pickled.
+    spec = make_dgp("dgp1", 100)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert not copy.mats.flags.writeable
+    assert np.array_equal(copy.mats, spec.mats) and copy.T == spec.T
 
 
 @pytest.mark.parametrize(

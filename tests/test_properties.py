@@ -10,7 +10,12 @@
   LAPACK's to rounding, gives a non-finite or zero sample the identity, and
   flags the same samples whatever the units of the variables.  Its batched
   inverse inverts it to rounding bounded by |L^{-1}| |L|, also near the
-  pivot floor, and gives a failed sample's identity the identity.
+  pivot floor, and gives a failed sample's identity the identity.  Both
+  give a stack of two halves, as the canonical step factors [S11; S00],
+  bitwise each matrix's own call, failures included.
+* Arbitrary vector signs: flipping any columns of the sweep's canonical
+  vectors moves no bit of the rank fits, covariances or residuals, and
+  ``fit_vecm`` gives beta one sign convention with Pi = alpha beta'.
 * The doubling response kernel equals the step recursion up to rounding
   bounded by the responses of the absolute coefficients, and the Gram sweep
   equals the explicitly partialled one up to rounding bounded by the moment
@@ -30,6 +35,7 @@
   on a fresh sample, whatever order the methods run in.
 * One row format per CSV table writes the cells the per-cell format did.
 """
+import dataclasses
 import functools
 
 import numpy as np
@@ -283,6 +289,33 @@ def test_tril_inverse_batch_inverts_the_factor(
     n_batch=st.integers(1, 9),
     n=st.integers(1, 6),
     singular=st.booleans(),
+    bad=st.sampled_from([None, np.nan, np.inf, 0.0]),
+    data=st.data(),
+)
+def test_a_stacked_factor_and_inverse_equal_each_matrix_alone(seed, n_batch, n, singular, bad, data):
+    # The canonical step factors and inverts [S11; S00] as one (2B, n, n)
+    # stack; every matrix of it, a failed one too, gets its own call's bits.
+    top = _moment_stack(seed, n_batch, n, singular)
+    bottom = _moment_stack(seed + 1, n_batch, n)
+    if bad is not None:
+        index = data.draw(st.integers(0, n_batch - 1))
+        bottom[index, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = bad
+    stack = np.concatenate([top, bottom])
+    factor, ok = _batch.cholesky_batch(stack)
+    inv = _batch.tril_inverse_batch(factor)
+    assert not ok[:n_batch].any() if singular else ok[:n_batch].all()
+    for row in range(2 * n_batch):
+        alone, ok_alone = _batch.cholesky_batch(stack[row : row + 1])
+        assert alone.tobytes() == factor[row].tobytes() and ok_alone[0] == ok[row]
+        assert _batch.tril_inverse_batch(alone).tobytes() == inv[row].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 9),
+    n=st.integers(1, 6),
+    singular=st.booleans(),
     exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
 )
 def test_cholesky_batch_test_does_not_depend_on_units(seed, n_batch, n, singular, exponents):
@@ -512,6 +545,50 @@ def test_rescaling_a_variable_scales_its_response_row_and_column(seed, var, scal
     assert np.allclose(psi_s, expected, rtol=1e-7, atol=1e-9 * np.abs(expected).max())
     for criterion in ("aic", "bic"):
         assert select_rank_ic(scaled, p, criterion, mode) == select_rank_ic(y, p, criterion, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(1, 6),
+    mode=MODES,
+    p=st.integers(1, 3),
+    paper=st.booleans(),
+    data=st.data(),
+)
+def test_flipping_vector_signs_moves_no_bit_of_the_fits(seed, n_batch, mode, p, paper, data):
+    # The sweep's vectors reach every fit through alpha beta' or alpha
+    # alpha', in which a column's sign cancels exactly.
+    tilde = _paths(seed, n_batch)
+    _batch.detrend_batch(tilde, mode)
+    sweep = _batch.sweep_batch(tilde, p, paper)
+    flips = data.draw(st.lists(st.booleans(), min_size=3 * n_batch, max_size=3 * n_batch))
+    signs = np.where(np.array(flips).reshape(n_batch, 1, 3), -1.0, 1.0)
+    flipped = dataclasses.replace(sweep, vectors=sweep.vectors * signs)
+    for rank in range(4):
+        pi, gammas = _batch.rank_fit_batch(sweep, rank)
+        pi_f, gammas_f = _batch.rank_fit_batch(flipped, rank)
+        assert pi_f.tobytes() == pi.tobytes() and gammas_f.tobytes() == gammas.tobytes()
+        sigma = _batch.sigma_batch(sweep, rank)
+        assert _batch.sigma_batch(flipped, rank).tobytes() == sigma.tobytes()
+        resid = _batch.residuals_batch(sweep, pi)
+        assert _batch.residuals_batch(flipped, pi_f).tobytes() == resid.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=MODES, p=st.integers(1, 3), paper=st.booleans())
+def test_fit_vecm_keeps_the_sign_convention_of_beta(seed, mode, p, paper):
+    # In each column of beta, the first coordinate above 1e-12 of the
+    # column's largest magnitude is positive, whatever signs the
+    # eigensolver gave the sweep's vectors.
+    y = _paths(seed, 1)[0]
+    for rank in range(4):
+        fit = fit_vecm(y, p, rank, mode, paper)
+        assert fit.beta.shape == (3, rank) and fit.alpha.shape == (3, rank)
+        for column in fit.beta.T:
+            scale = max(np.abs(column).max(), np.finfo(float).tiny)
+            assert column[np.argmax(np.abs(column) > 1e-12 * scale)] > 0
+        assert np.array_equal(fit.Pi, fit.alpha @ fit.beta.T)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The bootstrap draw is checked against numpy's own Philox generator for the
 build's key, the compiled query gather against the scalar ``evaluate_zeta``
-of the tests' reference module.
+of the tests' reference module.  A contiguous run of element queries reads
+a view of the response stack, and the Hall step gives the same bits on C-
+and F-ordered replication stacks.
 """
 from unittest import mock
 
@@ -19,6 +21,7 @@ from wimpvar.bootstrap import (  # noqa: E402
     _compile_queries,
     _draw_errors,
     _draw_index_matrix,
+    _finalize,
     _stream,
 )
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY  # noqa: E402
@@ -172,3 +175,99 @@ def test_compiled_queries_match_evaluate_zeta(spec, n_batch, seed):
         for pos, query in enumerate(queries):
             irf = IrfArray(stacks[query.kind], query.kind)
             assert got[b, pos] == evaluate_zeta(irf, query)
+
+
+@st.composite
+def _runs(draw):
+    """A (K, kind, queries, flat indices) ascending contiguous run of element
+    queries over the (h, a, b) layout of a response stack."""
+    n_vars = draw(st.integers(1, 4))
+    cells = [
+        (h, a, b)
+        for h in range(draw(st.integers(0, 6)) + 1)
+        for a in range(1, n_vars + 1)
+        for b in range(1, n_vars + 1)
+    ]
+    start = draw(st.integers(0, len(cells) - 1))
+    stop = draw(st.integers(start + 1, len(cells)))
+    kind = draw(st.sampled_from([REDUCED_FORM, STRUCTURAL_CHOLESKY]))
+    queries = [IrfQuery(a=a, b=b, horizon=h, kind=kind) for h, a, b in cells[start:stop]]
+    return n_vars, kind, queries, np.arange(start, stop)
+
+
+def _stacks(cq, n_vars, n_batch, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_batch, cq.h_need + 1, n_vars, n_vars)
+    return {REDUCED_FORM: rng.standard_normal(shape), STRUCTURAL_CHOLESKY: rng.standard_normal(shape)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_runs(), n_batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_contiguous_run_of_element_queries_reads_a_view(run, n_batch, seed):
+    n_vars, kind, queries, indices = run
+    cq = _compile_queries(queries, n_vars)
+    stacks = _stacks(cq, n_vars, n_batch, seed)
+    got = cq.evaluate(stacks[REDUCED_FORM], stacks[STRUCTURAL_CHOLESKY] if cq.need_structural else None)
+    assert np.shares_memory(got, stacks[kind])
+    gathered = stacks[kind].reshape(n_batch, -1)[:, indices]
+    assert got.shape == gathered.shape and got.tobytes() == gathered.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    run=_runs(),
+    change=st.sampled_from(["permute", "gap", "max", "other_kind"]),
+    n_batch=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_permuted_gapped_or_max_query_set_still_gathers(run, change, n_batch, seed, data):
+    n_vars, kind, queries, _ = run
+    hypothesis.assume(len(queries) >= (3 if change == "gap" else 2))
+    if change == "permute":
+        queries = data.draw(st.permutations(queries))
+        hypothesis.assume(queries != sorted(queries, key=lambda q: (q.horizon, q.a, q.b)))
+    elif change == "gap":
+        del queries[data.draw(st.integers(1, len(queries) - 2))]
+    elif change == "max":
+        queries.append(IrfQuery(a=1, b=1, h_max=2, functional="max_over_horizons", kind=kind))
+    else:
+        other = STRUCTURAL_CHOLESKY if kind == REDUCED_FORM else REDUCED_FORM
+        queries[-1] = IrfQuery(a=queries[-1].a, b=queries[-1].b, horizon=queries[-1].horizon, kind=other)
+    cq = _compile_queries(queries, n_vars)
+    stacks = _stacks(cq, n_vars, n_batch, seed)
+    got = cq.evaluate(stacks[REDUCED_FORM], stacks[STRUCTURAL_CHOLESKY] if cq.need_structural else None)
+    assert not any(np.shares_memory(got, stack) for stack in stacks.values())
+    for b in range(n_batch):
+        for pos, query in enumerate(queries):
+            assert got[b, pos] == evaluate_zeta(IrfArray(stacks[query.kind][b], query.kind), query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_boot=st.integers(39, 120),
+    n_queries=st.integers(1, 30),
+    n_failed=st.integers(0, 3),
+    as_nan=st.booleans(),
+    gamma=st.sampled_from([0.05, 0.1, 0.32]),
+)
+def test_finalize_gives_c_and_f_ordered_stacks_the_same_bits(
+    seed, n_boot, n_queries, n_failed, as_nan, gamma
+):
+    # A run of element queries hands _finalize a C-ordered view, a gather an
+    # F-ordered array; the bounds and the census do not depend on which.
+    rng = np.random.default_rng(seed)
+    zeta = rng.standard_normal((n_boot, n_queries)) * rng.uniform(0.1, 10.0, n_queries)
+    ok = np.ones(n_boot, dtype=bool)
+    failed = rng.choice(n_boot, n_failed, replace=False)
+    if as_nan:
+        zeta[failed, rng.integers(0, n_queries, n_failed)] = np.nan
+    else:
+        ok[failed] = False
+    points = rng.standard_normal(n_queries)
+    cfg = BootstrapConfig(n_boot=n_boot, gamma=gamma, max_failure_share=0.5)
+    c_lower, c_upper, c_failed = _finalize(np.ascontiguousarray(zeta), ok, points, cfg, "a test")
+    f_lower, f_upper, f_failed = _finalize(np.asfortranarray(zeta), ok, points, cfg, "a test")
+    assert c_failed == f_failed == n_failed
+    assert c_lower.tobytes() == f_lower.tobytes() and c_upper.tobytes() == f_upper.tobytes()
