@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -241,10 +242,9 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
 
 @dataclass
 class _Prepared:
-    """One observed sample and what its methods share: its sweep (a batch of
-    one, run through the same kernels as the replications), compiled
-    queries with the sample's query values at every rank, method settings,
-    fixed-rank fan, one level-1 batch and one scratch path buffer."""
+    """One observed sample and what its methods share: its sweep (a batch of one,
+    run through the same kernels as the replications), compiled queries with the
+    sample's query values at every rank, method settings and fixed-rank fan."""
 
     raw: np.ndarray
     sweep: _batch.BatchSweep
@@ -257,8 +257,6 @@ class _Prepared:
     c2: float = 0.5
     true_rank: int | None = None
     _fan: dict = field(default_factory=dict)  # rank -> IntervalSet or the error it raised
-    _held: _BootBatch | None = None
-    _scratch: np.ndarray | None = None
 
     @property
     def n_vars(self) -> int:
@@ -287,29 +285,26 @@ class _Prepared:
         stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
         return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
-    def level1(self, dgp_rank: int) -> _BootBatch:
-        """The level-1 batch at ``dgp_rank``; only the latest one is held.
+    def level1(self, dgp_rank: int, boot: _BootBatch | None = None) -> _BootBatch:
+        """``boot`` if it is the level-1 batch at ``dgp_rank``, else a fresh one in
+        fresh buffers; ``run_methods`` shares a group's (:func:`_level1_batches`)."""
+        if boot is None or boot.dgp_rank != dgp_rank:
+            (boot,) = _level1_batches([self], dgp_rank, _path_buffer(self), _lazy_buffer(self))
+        return boot
 
-        The next rank's batch is built in the held batch's path buffer, its
-        ``sweep.tilde``, so a batch's paths are valid only while it is held.
-        ``run_methods`` builds a group's batches itself (:func:`_hold_level1`).
-        """
-        if self._held is None or self._held.dgp_rank != dgp_rank:
-            paths = _path_buffer(self) if self._held is None else self._held.sweep.tilde
-            _hold_level1([self], dgp_rank, paths)
-        return self._held
+    def check_rank(self, rank) -> int:
+        """``rank`` as an int; ConfigError unless it is an integer in 0..K."""
+        rank = check_integer("rank", rank)
+        if rank < 0 or rank > self.n_vars:
+            raise ConfigError(f"rank must lie in 0..{self.n_vars}, got {rank}")
+        return rank
 
-    def scratch(self) -> np.ndarray:
-        """The path buffer of FDBB level two, made on first use; each build
-        overwrites the last one's paths."""
-        if self._scratch is None:
-            self._scratch = _path_buffer(self)
-        return self._scratch
-
-    def fan(self, rank: int) -> IntervalSet:
-        """Fixed-rank interval set at ``rank``, computed once; re-raises its error."""
+    def fan(self, rank: int, boot: _BootBatch | None = None) -> IntervalSet:
+        """Fixed-rank interval set at ``rank``, computed once, from ``boot``
+        when it is the level-1 batch at ``rank``; re-raises its error."""
+        rank = self.check_rank(rank)
         if rank not in self._fan:
-            self._fan[rank] = _attempt(fixed_rank_interval, self, rank)
+            self._fan[rank] = _attempt(fixed_rank_interval, self, rank, boot=boot)
         entry = self._fan[rank]
         if isinstance(entry, Exception):
             raise entry
@@ -430,8 +425,9 @@ def _draw_index_matrix(stream, n_rows: int, pool_size: int, n_draw: int) -> np.n
 
 @dataclass
 class _BootBatch:
-    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and the
-    per-batch results its methods share, keyed by step (read-only arrays).
+    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank, the
+    maker of its level-two buffer (``scratch()``, see :func:`_lazy_buffer`) and
+    the per-batch results its methods share, keyed by step (read-only arrays).
 
     The sweep is the sample's slice of its group's stacked sweep, and holds
     the detrended paths as its ``tilde``, the sample's slice of the group's
@@ -443,12 +439,19 @@ class _BootBatch:
 
     sweep: _batch.BatchSweep
     dgp_rank: int
+    scratch: Callable
     memo: dict = field(default_factory=dict)
 
 
 def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
     """A fresh (count n_boot, T, K) buffer for ``count`` batches of bootstrap paths."""
     return np.empty((count * prep.cfg.n_boot, prep.n_obs, prep.n_vars))
+
+
+def _lazy_buffer(prep: _Prepared) -> Callable:
+    """A maker of one (n_boot, T, K) path buffer, made on the first call: one made and
+    never written would still move later arrays onto untouched pages, raising peak RSS."""
+    return cache(partial(_path_buffer, prep))
 
 
 def _pool_means(resid: np.ndarray) -> np.ndarray:
@@ -509,21 +512,14 @@ def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> 
     return _batch.rebuild_levels_batch(mats, paths, len(init))
 
 
-def _redetrend(paths: np.ndarray, prep: _Prepared) -> np.ndarray:
-    """Detrend rebuilt paths in place like the observed sample, non-finite
-    paths zeroed first; returns the (n_boot,) finite mask."""
+def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+    """Sweep of rebuilt paths at lag order p under the sample's convention,
+    detrended in place like the observed sample and kept as the sweep's
+    ``tilde``; a non-finite path is zeroed before detrending and flagged."""
     finite = np.isfinite(paths).all(axis=(1, 2))
     if not finite.all():
         paths[~finite] = 0.0
     _batch.detrend_batch(paths, prep.mode)
-    return finite
-
-
-def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
-    """Sweep of rebuilt paths at lag order p under the sample's convention,
-    detrended in place and kept as the sweep's ``tilde``; a non-finite path
-    is flagged."""
-    finite = _redetrend(paths, prep)
     sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
@@ -538,14 +534,14 @@ def _dgp(prep: _Prepared, rank: int):
 
 def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> np.ndarray:
     """The level-1 paths at ``dgp_rank``, built in the (n_boot, T, K) buffer
-    ``paths`` and returned; :func:`_hold_level1` sweeps them."""
+    ``paths`` and returned; :func:`_level1_batches` sweeps them."""
     return _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
 
 
-def _hold_level1(preps, dgp_rank: int, paths: np.ndarray) -> None:
-    """Build each sample's level-1 batch at ``dgp_rank`` in consecutive
-    n_boot-row slices of ``paths``, sweep them as one stack
-    (:func:`_resweep`) and hold each sample's slice of the sweep.
+def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, scratch: Callable) -> list:
+    """Each sample's level-1 batch at ``dgp_rank``, built in consecutive
+    n_boot-row slices of ``paths`` and swept as one stack
+    (:func:`_resweep`); every batch gets ``scratch`` as its level-two buffer's maker.
 
     Each build keeps its own stream and its own recursion, so a sample's
     slice is bitwise what it would be alone: every kernel treats each
@@ -554,13 +550,10 @@ def _hold_level1(preps, dgp_rank: int, paths: np.ndarray) -> None:
     """
     n_boot = preps[0].cfg.n_boot
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
-    for prep in preps:
-        prep._held = None  # free the old batches' results before building
     for prep, part in zip(preps, rows):
         _level1_batch(prep, dgp_rank, paths[part])
     sweep = _resweep(paths[: rows[-1].stop], preps[0])
-    for prep, part in zip(preps, rows):
-        prep._held = _BootBatch(sweep=sweep.take(part), dgp_rank=dgp_rank)
+    return [_BootBatch(sweep.take(part), dgp_rank, scratch) for part in rows]
 
 
 def _read_only(*arrays):
@@ -649,19 +642,19 @@ def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, **ex
 # the five interval constructions
 
 
-def fixed_rank_interval(prep: _Prepared, rank: int) -> IntervalSet:
+def fixed_rank_interval(prep: _Prepared, rank: int, *, boot=None) -> IntervalSet:
     """Hall percentile interval with the rank imposed throughout.
 
     Fits the error-correction model at ``rank``, rebuilds ``cfg.n_boot``
     samples recursively from the centered residuals, re-detrends and refits
     each at the same rank, and inverts the centered bootstrap distribution.
-    ``prep.fan(rank)`` holds this interval, computed once per sample.
+    ``prep.fan(rank)`` holds this interval, computed once per sample.  Each
+    construction reads ``boot`` if it is the level-1 batch at its DGP rank.
     """
     cq, cfg = prep.cq, prep.cfg
-    if rank < 0 or rank > prep.n_vars:
-        raise ConfigError(f"rank must lie in 0..{prep.n_vars}, got {rank}")
+    rank = prep.check_rank(rank)
     points = prep.point_zetas(rank)
-    zeta_star, ok, _ = _zeta_at_rank(prep.level1(rank).sweep, rank, cq)
+    zeta_star, ok, _ = _zeta_at_rank(prep.level1(rank, boot).sweep, rank, cq)
     lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, f"the rank-{rank} bootstrap")
     return _to_interval_set("fixed_rank", rank, cq, lower, upper, points, cfg, n_failed)
 
@@ -674,13 +667,15 @@ def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
     return counts
 
 
-def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str):
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot):
     """Level one of the rank re-selection bootstraps: the observed rank, the
     level-1 batch, its per-sample selected ranks and the replications' query
     values, ok flags and fit at those ranks.  The batch keeps the per-sample
     part, so ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
+    if dgp_rank_mode not in ("estimated", "full_K"):
+        raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     r_hat = prep.select_rank(selector)
-    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars)
+    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot)
     key = ("reselect", selector)
     if key not in boot.memo:
         ranks_star = _batch.select_batch(boot.sweep, selector)
@@ -691,7 +686,7 @@ def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str):
 
 
 def bers_interval(
-    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated"
+    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated", *, boot=None
 ) -> IntervalSet:
     """Bootstrap with the rank re-selected inside every replication.
 
@@ -700,10 +695,8 @@ def bers_interval(
     and refits at its own rank.  The interval centers at the point estimate
     under the rank selected on the observed data.
     """
-    if dgp_rank_mode not in ("estimated", "full_K"):
-        raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     cq, cfg = prep.cq, prep.cfg
-    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode)
+    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, boot)
     points = prep.point_zetas(r_hat)
     lower, upper, n_failed = _finalize(
         zeta_star, ok, points, cfg, "the rank re-selection bootstrap"
@@ -740,7 +733,7 @@ def _ma_sums(prep: _Prepared, boot: _BootBatch):
     return boot.memo["ma"]
 
 
-def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSet:
+def ma_interval(prep: _Prepared, weights_mode: str = "endogenous", *, boot=None) -> IntervalSet:
     """Interval for the plausibility-weighted average across all ranks.
 
     The point estimate averages the K+1 fixed-rank estimates with the
@@ -756,7 +749,7 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSe
     data_weights = prep.weights()
     per_rank_points = np.stack([prep.point_zetas(r) for r in range(prep.n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
-    endogenous, fixed, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank))
+    endogenous, fixed, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank, boot))
     zeta_star = endogenous if weights_mode == "endogenous" else fixed
     lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the model-averaging bootstrap")
     return _to_interval_set(
@@ -767,7 +760,7 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous") -> IntervalSe
 
 
 def fdbb_interval(
-    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated"
+    prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated", *, boot=None
 ) -> IntervalSet:
     """Fast-double-bootstrap bagging interval.
 
@@ -777,18 +770,16 @@ def fdbb_interval(
     estimate and inverts the distribution of the level-two minus level-one
     statistics.
     """
-    if dgp_rank_mode not in ("estimated", "full_K"):
-        raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     cq, cfg = prep.cq, prep.cfg
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
-        prep, selector, dgp_rank_mode
+        prep, selector, dgp_rank_mode, boot
     )
 
     # Level two: one sample per level-one sample, rebuilt under its own
     # selected rank, with the same centered-residual resampling scheme and
     # the same initial rows, the observed ones.
     paths2 = _build_paths(
-        prep.scratch(), prep, _batch.var_matrices_batch(pi_star, gam_star),
+        boot.scratch(), prep, _batch.var_matrices_batch(pi_star, gam_star),
         _batch.residuals_batch(boot.sweep, pi_star), 2, _SELECTOR_CODES[selector.method],
     )
     sweep2 = _resweep(paths2, prep)
@@ -809,7 +800,7 @@ def fdbb_interval(
     )
 
 
-def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
+def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
     """Levels bootstrap with one extra estimation lag.
 
     A levels VAR without deterministic terms is the error-correction fit at
@@ -827,9 +818,9 @@ def lag_augmented_interval(prep: _Prepared) -> IntervalSet:
     (points,), (ok_point,) = _lavar_zetas(observed, cq)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    held = prep.level1(prep.n_vars).sweep
-    sweep = _batch.sweep_batch(held.tilde, prep.p + 1)
-    sweep.reason |= held.reason & _batch.NONFINITE
+    level1 = prep.level1(prep.n_vars, boot).sweep
+    sweep = _batch.sweep_batch(level1.tilde, prep.p + 1)
+    sweep.reason |= level1.reason & _batch.NONFINITE
     zeta_star, ok = _lavar_zetas(sweep, cq)
     lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the lag-augmented bootstrap")
     return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
@@ -874,8 +865,8 @@ def wimp_interval(prep: _Prepared) -> IntervalSet:
 
 @dataclass(frozen=True)
 class _Method:
-    """A method's runner, ``run(prep)``; ``rank(prep)`` is the DGP rank of the
-    level-1 batch it reads (None: none), ``fan(prep)`` the fan ranks it reads."""
+    """A method's runner, ``run(prep, boot)``; ``rank(prep)`` is the DGP rank
+    of the level-1 batch ``boot`` (None: none), ``fan(prep)`` the fan ranks it reads."""
 
     run: Callable
     rank: Callable = lambda prep: None
@@ -884,7 +875,7 @@ class _Method:
 
 def _fan_lookup(name: str, rank_of) -> _Method:
     return _Method(
-        run=lambda prep: replace(prep.fan(rank_of(prep)), method=name),
+        run=lambda prep, _: replace(prep.fan(rank_of(prep)), method=name),
         fan=lambda prep: (rank_of(prep),),
     )
 
@@ -912,14 +903,15 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "true_rank": _fan_lookup("true_rank", _known_rank),
     "aic": _fan_lookup("aic", _selected(_AIC)),
     "bic": _fan_lookup("bic", _selected(_BIC)),
-    "bers_aic": _Method(lambda prep: bers_interval(prep, _AIC), _selected(_AIC)),
-    "bers_bic": _Method(lambda prep: bers_interval(prep, _BIC), _selected(_BIC)),
-    "ma": _Method(lambda prep: ma_interval(prep), _reference_rank),
-    "ma_fixed": _Method(lambda prep: ma_interval(prep, weights_mode="fixed"), _reference_rank),
-    "fdbb_aic": _Method(lambda prep: fdbb_interval(prep, _AIC), _selected(_AIC)),
-    "fdbb_bic": _Method(lambda prep: fdbb_interval(prep, _BIC), _selected(_BIC)),
-    "wimp": _Method(lambda prep: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
-    "lavar": _Method(lambda prep: lag_augmented_interval(prep), lambda prep: prep.n_vars),
+    "bers_aic": _Method(lambda prep, boot: bers_interval(prep, _AIC, boot=boot), _selected(_AIC)),
+    "bers_bic": _Method(lambda prep, boot: bers_interval(prep, _BIC, boot=boot), _selected(_BIC)),
+    "ma": _Method(lambda prep, boot: ma_interval(prep, boot=boot), _reference_rank),
+    "ma_fixed": _Method(lambda prep, boot: ma_interval(prep, "fixed", boot=boot), _reference_rank),
+    "fdbb_aic": _Method(lambda prep, boot: fdbb_interval(prep, _AIC, boot=boot), _selected(_AIC)),
+    "fdbb_bic": _Method(lambda prep, boot: fdbb_interval(prep, _BIC, boot=boot), _selected(_BIC)),
+    "wimp": _Method(lambda prep, _: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
+    "lavar": _Method(lambda prep, boot: lag_augmented_interval(prep, boot=boot),
+                     lambda prep: prep.n_vars),
 })
 
 
@@ -930,7 +922,18 @@ def register_method(name: str, runner) -> None:
     ``cfg``, ``queries``, ``c1``, ``c2``, ``true_rank``) and returns an
     :class:`IntervalSet` or a (lower, upper) pair aligned with ``prep.queries``.
     """
-    _EXTRA_METHODS[name] = _Method(runner)
+    _EXTRA_METHODS[name] = _Method(lambda prep, _: runner(prep))
+
+
+def _check_methods(names) -> tuple:
+    """``names`` as a tuple; ConfigError for a bare string or an unknown name."""
+    if isinstance(names, str):
+        raise ConfigError(f"methods must be a sequence of names, got the string {names!r}")
+    names = tuple(names)
+    unknown = [str(name) for name in names if not isinstance(name, str) or name not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown methods: {', '.join(unknown)}")
+    return names
 
 
 def _attempt(run, *args, **kwargs):
@@ -946,21 +949,22 @@ def run_methods(preps, names):
     Returns, for one sample, name -> the method's result, or the
     :class:`DataError` or :class:`EstimationError` it raised; for a
     sequence, one such dict per sample, in order.  A :class:`ConfigError`
-    propagates.  The samples of a group share their shape, lag order,
-    detrending and bootstrap size; their seeds may differ.
+    propagates, for an unknown method name too.  The samples of a group share
+    their shape, lag order, detrending and bootstrap size; seeds may differ.
 
     Fan members and methods run in ascending level-1 rank.  At each rank,
     every sample that reads it builds its batch, on its own stream, in its
     slice of one group path buffer; one sweep covers the stack, and each
-    sample runs its fan member and methods there on its slice, then drops
-    it.  The order changes no result: every build draws from its own Philox
-    stream, keyed by (seed, level, code), and every kernel treats each
-    sample of a stack alone.
+    sample runs its fan member and methods there on its own batch, then
+    drops it; FDBB level two builds in one group scratch buffer.  The order
+    changes no result: every build draws from its own Philox stream, keyed
+    by (seed, level, code), and every kernel treats each sample alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.
     """
     single = isinstance(preps, _Prepared)
     group = [preps] if single else list(preps)
+    names = _check_methods(names)
     shared = {
         (prep.raw.shape, prep.p, prep.mode, prep.cfg.n_boot, prep.cfg.paper_sample_convention)
         for prep in group
@@ -970,31 +974,26 @@ def run_methods(preps, names):
             "samples run together must share their shape, lag order, detrending and bootstrap size"
         )
     out = [{} for _ in group]
-    paths = scratch = None
+    paths, scratch = _path_buffer(group[0], len(group)), _lazy_buffer(group[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fans = [{rank for name in names for rank in METHODS[name].fan(prep)} for prep in group]
-        at_rank = [{name: METHODS[name].rank(prep) for name in names} for prep in group]
-        ranks = set().union(*fans, *(plan.values() for plan in at_rank)) - {None}
-        for rank in [*sorted(ranks), None]:
-            readers = [
-                i for i, fan in enumerate(fans) if rank in fan or rank in at_rank[i].values()
-            ]
-            if not readers:
-                continue
-            members = [group[i] for i in readers]
+        plan: dict = {}  # rank -> [(sample index, readers)]; reader None, first, is the fan
+        for i, prep in enumerate(group):
+            reads = {rank: [None] for name in names for rank in METHODS[name].fan(prep)}
+            for name in dict.fromkeys(names):
+                reads.setdefault(METHODS[name].rank(prep), []).append(name)
+            for rank, readers in reads.items():
+                plan.setdefault(rank, []).append((i, readers))
+        for rank, reads in sorted(plan.items(), key=lambda item: (item[0] is None, item[0] or 0)):
+            boots = [None] * len(reads)
             if rank is not None:
-                if paths is None:
-                    paths = _path_buffer(group[0], len(group))
-                _hold_level1(members, rank, paths)
-            for i, prep in zip(readers, members):
-                prep._scratch = scratch  # one scratch buffer serves the group
-                if rank in fans[i]:
-                    _attempt(prep.fan, rank)  # an error stays in the fan for its readers
-                for name, method_rank in at_rank[i].items():
-                    if method_rank == rank:
-                        out[i][name] = _attempt(METHODS[name].run, prep)
-                scratch, prep._scratch, prep._held = prep._scratch, None, None
-    for prep in group:
-        prep._held = prep._scratch = None
+                boots = _level1_batches([group[i] for i, _ in reads], rank, paths, scratch)
+            for i, readers in reads:
+                prep, boot = group[i], boots.pop(0)
+                for name in readers:
+                    if name is None:
+                        _attempt(prep.fan, rank, boot)  # an error stays in the fan for its readers
+                    else:
+                        out[i][name] = _attempt(METHODS[name].run, prep, boot)
+                del boot  # the batch and its memo go once its readers have run
     out = [{name: results[name] for name in names} for results in out]
     return out[0] if single else out

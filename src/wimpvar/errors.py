@@ -30,10 +30,10 @@ def plain(value) -> str:
     return repr(value.item() if isinstance(value, np.generic) else value)
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is an integer (numpy integers too)."""
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is an integer (numpy integers too)."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {plain(value)}") from None
 

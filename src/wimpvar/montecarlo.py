@@ -137,14 +137,11 @@ class ExperimentConfig:
     c2: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", bt._check_methods(self.methods))
         object.__setattr__(self, "mode", DetrendMode(self.mode))
         for name in ("n_mc", "h_max", "p", "seed"):
             check_integer(name, getattr(self, name))
         check_weight_constants(self.c1, self.c2)
-        unknown = [m for m in self.methods if m not in bt.METHODS]
-        if unknown:
-            raise ConfigError(f"unknown methods: {', '.join(unknown)}")
         if self.n_mc < 1:
             raise ConfigError("n_mc must be positive")
         if self.h_max < 1:

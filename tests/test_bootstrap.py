@@ -630,6 +630,17 @@ def test_run_methods_returns_each_result_or_typed_error():
         run_methods(prep, ("true_rank",))  # the sample's DGP rank is unknown
 
 
+def test_run_methods_rejects_unknown_names_and_a_bare_string():
+    from wimpvar.bootstrap import run_methods
+
+    prep = prepare(_sim(92), 1, _queries(1), BootstrapConfig(n_boot=49))
+    with pytest.raises(ConfigError, match="^unknown methods: nope, 3$"):
+        run_methods(prep, ["wimp", "nope", 3])
+    with pytest.raises(ConfigError, match="string 'wimp'"):
+        run_methods(prep, "wimp")
+    assert prep._fan == {}  # refused before anything ran
+
+
 def _integer_cases():
     y, queries, cfg = _sim(93), _queries(1), BootstrapConfig(n_boot=49)
     dgp = make_dgp("dgp1", 60)
@@ -647,6 +658,9 @@ def _integer_cases():
         "query horizon": lambda: IrfQuery(a=1, b=1, horizon=0.5),
         "query h_max": lambda: IrfQuery(a=1, b=1, h_max=np.float64(4.0)),
         "prepare p": lambda: prepare(y, 1.5, queries, cfg),
+        "fixed rank 1.5": lambda: fixed_rank_interval(prepare(y, 1, queries, cfg), 1.5),
+        "fixed rank 1.0": lambda: fixed_rank_interval(prepare(y, 1, queries, cfg), 1.0),
+        "fan rank 1.5": lambda: prepare(y, 1, queries, cfg).fan(1.5),
     }
 
 
@@ -654,6 +668,16 @@ def _integer_cases():
 def test_integer_settings_reject_non_integral_values(case):
     with pytest.raises(ConfigError, match="must be an integer"):
         _integer_cases()[case]()
+
+
+def test_a_refused_fan_rank_leaves_the_fan_unchanged():
+    prep = prepare(_sim(93), 1, _queries(1), BootstrapConfig(n_boot=49))
+    for rank in (1.0, 1.5, -1, 4):
+        with pytest.raises(ConfigError):
+            prep.fan(rank)
+    assert prep._fan == {}
+    assert prep.fan(True) is prep.fan(np.int64(1)) is prep.fan(1)
+    assert list(prep._fan) == [1] and fixed_rank_interval(prep, True).rank == 1
 
 
 @pytest.mark.parametrize(

@@ -332,20 +332,20 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     # One 16-replication chunk, all 11 methods: the observed samples are
     # swept once at p, and each rank's level-1 batches once per group of
     # replications.  lavar sweeps each replication's observed sample and
-    # its held rank-K batch at p+1; FDBB level two sweeps per replication
+    # its rank-K batch at p+1; FDBB level two sweeps per replication
     # and selector.  No other paths are swept.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
-    hold_level1 = bootstrap._hold_level1
+    level1_batches = bootstrap._level1_batches
 
     def counting(tilde, p, *args, **kwargs):
         sweeps.append((bool(inside), len(tilde), p))
         return sweep_batch(tilde, p, *args, **kwargs)
 
-    def holding(*args, **kwargs):
+    def building(*args, **kwargs):
         inside.append(True)
         try:
-            return hold_level1(*args, **kwargs)
+            return level1_batches(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -353,7 +353,7 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
         raise AssertionError("_run_chunk prepares its samples as one stack")
 
     monkeypatch.setattr(_batch, "sweep_batch", counting)
-    monkeypatch.setattr(bootstrap, "_hold_level1", holding)
+    monkeypatch.setattr(bootstrap, "_level1_batches", building)
     monkeypatch.setattr(bootstrap, "_prepare", refused)
     cfg = _chunk_config("dgp1", ALL_METHODS)
     n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
@@ -468,6 +468,8 @@ def test_runner_nan_bound_fails_the_replication():
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(dgp=make_dgp("dgp1", 100), methods=("nope",))
+    with pytest.raises(ConfigError, match="string 'wimp'"):
+        ExperimentConfig(dgp=make_dgp("dgp1", 100), methods="wimp")
     with pytest.raises(ConfigError):
         ExperimentConfig(dgp=make_dgp("dgp1", 100), n_mc=0)
     # bootstrap-level settings are rejected at configuration time, not

@@ -29,14 +29,20 @@
   relabelling or rescaling of the variables, so the squared canonical
   correlations and trace statistics do not move, and the reduced-form
   responses follow the transformation, Psi -> D Psi D^{-1}.
-* Shared work on a held level-1 batch: ``ma``/``ma_fixed`` and each
+* Shared work on a level-1 batch: ``ma``/``ma_fixed`` and each
   ``bers_*``/``fdbb_*`` pair compute their common part once, read-only,
   and every method's interval set is, bit for bit, the one it gives alone
-  on a fresh sample, whatever order the methods run in.
+  on a fresh sample, whatever order the methods run in and whichever
+  buffer its batch was built in.  ``run_methods`` builds every batch of a
+  group in one path buffer and gives FDBB level two one scratch buffer,
+  made on first use; it frees each batch once the batch's readers have run
+  and both buffers when it returns.
 * One row format per CSV table writes the cells the per-cell format did.
 """
 import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -592,7 +598,7 @@ def test_fit_vecm_keeps_the_sign_convention_of_beta(seed, mode, p, paper):
 
 
 # ---------------------------------------------------------------------------
-# work shared on the held level-1 batch
+# work shared on a level-1 batch
 
 MEMO_SEEDS = (0, 11)  # seed 0: AIC, BIC and the reference rank share one batch
 
@@ -607,7 +613,7 @@ def _fresh(seed):
 @functools.lru_cache(maxsize=None)
 def _alone(seed):
     """Every analyze method's result, each on its own fresh sample."""
-    return {name: _attempt(METHODS[name].run, _fresh(seed)) for name in cli._ANALYZE_EXTRAS}
+    return {name: _attempt(METHODS[name].run, _fresh(seed), None) for name in cli._ANALYZE_EXTRAS}
 
 
 def _same_result(a, b) -> bool:
@@ -694,8 +700,8 @@ def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypat
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, monkeypatch):
-    # The held batch zeroes a non-finite path before it is detrended and
-    # flags it; lavar's VAR(p+1) sweep of the held paths keeps the flag.
+    # The level-1 batch zeroes a non-finite path before it is detrended and
+    # flags it; lavar's VAR(p+1) sweep of the batch's paths keeps the flag.
     bad, prep = 5, _fresh(seed)
     build, sweep_batch = bootstrap._level1_batch, _batch.sweep_batch
     lavar_sweeps = []
@@ -730,10 +736,14 @@ def _arrays(value):
 
 def test_memo_arrays_are_read_only():
     prep = _fresh(MEMO_SEEDS[0])
-    for run in (lambda: bootstrap.bers_interval(prep, RankSelector("aic")),
-                lambda: bootstrap.ma_interval(prep, "fixed")):
-        run()
-        arrays = _arrays(list(prep._held.memo.values()))
+    aic = RankSelector("aic")
+    for rank, run in (
+        (prep.select_rank(aic), lambda boot: bootstrap.bers_interval(prep, aic, boot=boot)),
+        (prep.weights().reference_rank, lambda boot: bootstrap.ma_interval(prep, "fixed", boot=boot)),
+    ):
+        boot = prep.level1(rank)
+        run(boot)
+        arrays = _arrays(list(boot.memo.values()))
         assert len(arrays) >= 3
         for array in arrays:
             assert not array.flags.writeable
@@ -742,7 +752,7 @@ def test_memo_arrays_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# one path buffer, recycled across the level-1 batches of a prepared sample
+# one path buffer, recycled across the level-1 batches of a run
 
 _SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "tilde", "reason")
 
@@ -771,60 +781,122 @@ _STEPS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(seed=st.sampled_from(MEMO_SEEDS), steps=st.lists(_STEPS, min_size=2, max_size=8))
 def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, steps):
-    # Every step on one prepared sample, whose level-1 batches share one
-    # path buffer, equals the same step on a fresh sample, bit for bit.
+    # Every step reads a batch built in the same path and level-two buffers
+    # as the steps before it, and equals the same step on a fresh sample,
+    # bit for bit.
     prep = _fresh(seed)
+    paths, scratch = bootstrap._path_buffer(prep), bootstrap._lazy_buffer(prep)
+
+    def batch(rank):
+        return bootstrap._level1_batches([prep], rank, paths, scratch)[0]
+
     for step in steps:
         if step in cli._ANALYZE_EXTRAS:
-            assert _same_result(_attempt(METHODS[step].run, prep), _alone(seed)[step]), step
+            rank = METHODS[step].rank(prep)
+            boot = None if rank is None else batch(rank)
+            assert _same_result(_attempt(METHODS[step].run, prep, boot), _alone(seed)[step]), step
             continue
         kind, rank = step
         if kind == "fan":
-            assert _same_result(_attempt(prep.fan, rank), _fresh_fan(seed, rank)), step
+            got = _attempt(bootstrap.fixed_rank_interval, prep, rank, boot=batch(rank))
+            assert _same_result(got, _fresh_fan(seed, rank)), step
             continue
-        sweep = prep.level1(rank).sweep
+        sweep = batch(rank).sweep
+        assert sweep.tilde.ctypes.data == paths.ctypes.data
         got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
         assert got == _fresh_level1(seed, rank), step
 
 
-def test_successive_level1_batches_are_built_in_one_path_buffer():
+def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
+    # One run_methods call builds every rank's batch in one path buffer.
+    # Each batch is gone before the next rank's are built, and the path
+    # and level-two buffers are gone when the run returns.
     prep = _fresh(MEMO_SEEDS[0])
-    first = prep.level1(0)
-    paths = first.sweep.tilde
-    assert paths.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
-    assert prep.level1(0) is first  # the held batch is not rebuilt
-    for rank in (1, 3, 0, 2):
-        tilde = prep.level1(rank).sweep.tilde
-        assert tilde.shape == paths.shape and tilde.ctypes.data == paths.ctypes.data
-    run_methods(prep, ["ma"])
-    assert prep._held is None  # the run frees the batch and its buffer
+    addresses, ranks, buffers, batches = [], [], [], []
+    build, build_all = bootstrap._level1_batch, bootstrap._level1_batches
+
+    def building(sample, dgp_rank, paths):
+        assert paths.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
+        addresses.append(paths.ctypes.data)
+        return build(sample, dgp_rank, paths)
+
+    def building_all(preps, dgp_rank, paths, scratch):
+        assert all(ref() is None for ref in batches)  # the last rank's batches are freed
+        ranks.append(dgp_rank)
+        buffers.extend(weakref.ref(buffer) for buffer in (paths, scratch()))
+        out = build_all(preps, dgp_rank, paths, scratch)
+        batches.extend(weakref.ref(boot) for boot in out)
+        return out
+
+    monkeypatch.setattr(bootstrap, "_level1_batch", building)
+    monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
+    out = run_methods(prep, cli._ANALYZE_EXTRAS)
+    assert all(isinstance(result, IntervalSet) for result in out.values()), out
+    assert ranks == [0, 1, 2, 3]
+    assert len(addresses) == 4 and len(set(addresses)) == 1
+    gc.collect()
+    assert all(ref() is None for ref in batches + buffers)
 
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
-def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed):
-    # FDBB level two builds its paths in one scratch buffer of the prepared
-    # sample, never in the held level-1 batch's buffer.  The lag-augmented
-    # bootstrap reads the held rank-K batch and writes no buffer.  Each
-    # gives the bytes it gives alone.
-    prep = _fresh(seed)
-    scratch = None
-    for name in ("lavar", "fdbb_aic", "fdbb_bic", "lavar", "fdbb_aic"):
-        held = prep.level1(METHODS[name].rank(prep))
-        before = held.sweep.tilde.tobytes()
-        scratch_before = None if scratch is None else scratch.tobytes()
-        assert _same_result(_attempt(METHODS[name].run, prep), _alone(seed)[name]), name
-        assert prep._held is held
-        assert held.sweep.tilde.tobytes() == before, name
-        if name == "lavar":
-            assert prep._scratch is scratch, name  # made none, kept the last
-            assert scratch is None or scratch.tobytes() == scratch_before, name
-            continue
-        scratch = prep._scratch if scratch is None else scratch
-        assert scratch is not None and prep._scratch is scratch, name
-        assert not np.shares_memory(scratch, held.sweep.tilde), name
-    assert scratch.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
-    run_methods(prep, ["fdbb_bic", "lavar"])
-    assert prep._held is None and prep._scratch is None  # the run frees both buffers
+def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
+    # In a run of a group, FDBB level two builds its paths in the group's
+    # one scratch buffer, never in the group's level-1 path buffer.  The
+    # lag-augmented bootstrap reads the rank-K batch and writes no buffer.
+    # Each gives the bytes it gives alone.
+    seeds = (seed, *(other for other in MEMO_SEEDS if other != seed))
+    group = [_fresh(each) for each in seeds]
+    path_buffers, scratches, checked = [], [], []
+    build_all = bootstrap._level1_batches
+
+    def building_all(preps, dgp_rank, paths, scratch):
+        path_buffers.append(paths)
+        scratches.append(scratch)
+        assert not np.shares_memory(scratch(), paths)
+        return build_all(preps, dgp_rank, paths, scratch)
+
+    def checking(constructor):
+        def run(prep, *args, boot, **kwargs):
+            assert boot.scratch is scratches[-1] and boot.sweep.tilde.base is path_buffers[-1]
+            before = boot.sweep.tilde.tobytes(), boot.scratch().tobytes()
+            result = constructor(prep, *args, boot=boot, **kwargs)
+            assert boot.sweep.tilde.tobytes() == before[0]
+            if constructor is bootstrap.lag_augmented_interval:
+                assert boot.scratch().tobytes() == before[1]
+            checked.append(constructor.__name__)
+            return result
+        return run
+
+    monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
+    for name in ("fdbb_interval", "lag_augmented_interval"):
+        monkeypatch.setattr(bootstrap, name, checking(getattr(bootstrap, name)))
+    names = ("lavar", "fdbb_aic", "fdbb_bic")
+    for each, results in zip(seeds, run_methods(group, names)):
+        for name in names:
+            assert _same_result(results[name], _alone(each)[name]), (each, name)
+    assert sorted(set(checked)) == ["fdbb_interval", "lag_augmented_interval"]
+    assert len(checked) == 3 * len(group)
+    assert all(paths is path_buffers[0] for paths in path_buffers)
+    assert all(scratch is scratches[0] for scratch in scratches)  # one per group
+    assert scratches[0]().shape == (group[0].cfg.n_boot, group[0].n_obs, group[0].n_vars)
+
+
+def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
+    # The level-two buffer is made on first use: a buffer made and never
+    # written would still move later arrays onto untouched pages.
+    made = []
+    path_buffer = bootstrap._path_buffer
+
+    def making(prep, count=1):
+        made.append(count)
+        return path_buffer(prep, count)
+
+    monkeypatch.setattr(bootstrap, "_path_buffer", making)
+    out = run_methods([_fresh(seed) for seed in MEMO_SEEDS], ("wimp", "lavar", "ma"))
+    assert all(isinstance(result, IntervalSet) for results in out for result in results.values())
+    assert made == [len(MEMO_SEEDS)]  # the group's level-1 buffer only
+    run_methods(_fresh(MEMO_SEEDS[0]), ("fdbb_aic", "fdbb_bic"))
+    assert made[1:] == [1, 1]  # the level-1 buffer, then one scratch buffer
 
 
 @settings(max_examples=20, deadline=None)
