@@ -3,9 +3,10 @@
 Implements the shared recursive-residual bootstrap and, on top of it, the
 five interval constructions: fixed rank, endogenous rank re-selection,
 model averaging, fast-double-bootstrap bagging and the lag-augmented
-levels variant.  All of them share the Hall percentile machinery: with
-q*(g) the g-quantile of the centered bootstrap statistics, the interval is
-[point - q*(1 - gamma/2), point - q*(gamma/2)].
+levels variant.  One finisher, ``_finalize``, ends each of them: it drops
+the failed replications, applies the failure budget and takes the Hall
+percentile interval: with q*(g) the g-quantile of the centered bootstrap
+statistics, the interval is [point - q*(1 - gamma/2), point - q*(gamma/2)].
 
 Every bootstrap build (a level-1 batch, FDBB's level two) draws its
 residual indices from one Philox stream, ``_stream``, keyed by (seed,
@@ -562,9 +563,10 @@ def _read_only(*arrays):
     return arrays
 
 
-def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries):
+def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries, n_lags=None):
     """Per-sample query values at an imposed rank, an int or a (B,) array of
     per-sample ranks; returns ((B, Q) values, (B,) ok, (Pi, Gammas) fit).
+    The first ``n_lags`` levels matrices (all by default) feed the responses.
 
     Each distinct rank is fitted once on the whole batch (Sigma too, when a
     query is structural) and its rows are scattered into the first rank's
@@ -583,20 +585,14 @@ def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries):
         for whole, piece in zip(fit, part):
             whole[mask] = piece[mask]
     pi, gammas, *sigma = fit
-    values, ok = _query_values(_batch.var_matrices_batch(pi, gammas), sweep.ok, cq, *sigma)
-    return values, ok, (pi, gammas)
-
-
-def _query_values(mats: np.ndarray, ok: np.ndarray, cq: _CompiledQueries, sigma=None):
-    """((B, Q) query values, ok) of levels VAR stacks; structural queries use ``sigma``."""
-    psi = _batch.irf_batch(mats, cq.h_need)
-    phi = None
+    psi = _batch.irf_batch(_batch.var_matrices_batch(pi, gammas)[:, :n_lags], cq.h_need)
+    ok, phi = sweep.ok, None
     if cq.need_structural:
-        chol, chol_ok = _chol_batch(sigma)
-        ok = ok & chol_ok
+        chol, chol_ok = _chol_batch(sigma[0])
+        ok &= chol_ok
         # one (B, (H+1)K, K) @ (B, K, K) product per batch, bitwise the per-horizon ones
         phi = (psi.reshape(len(psi), -1, psi.shape[-1]) @ chol).reshape(psi.shape)
-    return cq.evaluate(psi, phi), ok
+    return cq.evaluate(psi, phi), ok, (pi, gammas)
 
 
 def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
@@ -611,19 +607,42 @@ def _census(ok: np.ndarray, cfg: BootstrapConfig, what: str) -> int:
     return n_failed
 
 
-def _finalize(zeta_star, ok, points, cfg, what):
-    """Drop failed replications, apply the failure budget, take Hall bounds
-    of the replications centered at ``points``."""
-    ok = ok & np.isfinite(zeta_star).all(axis=1)
+def _finalize(prep: _Prepared, method, rank, stats, ok, points, what, *, centre=None, ranks=None):
+    """The interval set of replication statistics ``stats`` (B, Q): Hall bounds
+    around ``points`` of ``stats - centre``.  ``centre`` is ``points`` unless
+    FDBB passes its level-one (B, Q) values; the mean of their kept rows, the
+    bagged estimate, is then the point.  A replication fails when ``ok`` is
+    false or a statistic of it is not finite; the failed ones are dropped and
+    the budget applies (:func:`_census`).  The re-selected ``ranks`` give
+    ``rank_counts``: the kept replications per rank, ``-1`` the failed ones."""
+    cfg = prep.cfg
+    ok = ok & np.isfinite(stats).all(axis=1)
+    if centre is not None:
+        ok &= np.isfinite(centre).all(axis=1)
     n_failed = _census(ok, cfg, what)
+    counts = None
+    if ranks is not None:
+        counts = {int(r): int(n) for r, n in zip(*np.unique(ranks[ok], return_counts=True))}
+        if n_failed:
+            counts[-1] = n_failed
+    if centre is None:
+        centre = points
+    else:
+        # The mean reads a mask copy even when nothing failed: the copy is
+        # C-ordered, so the mean adds its rows one by one, whereas on F-ordered
+        # query gathers it would sum pairwise and round otherwise.  The copy is
+        # a temporary: held through the Hall step, it would add (B, Q) to the peak.
+        points = centre[ok].mean(axis=0)
+        if n_failed:
+            centre = centre[ok]
     if n_failed:
-        zeta_star = zeta_star[ok]
+        stats = stats[ok]
     # F order from the subtraction itself: the sort runs down contiguous columns.
-    lower, upper = _hall_bounds(np.subtract(zeta_star, points, order="F"), points, cfg.gamma)
-    return lower, upper, n_failed
+    lower, upper = _hall_bounds(np.subtract(stats, centre, order="F"), points, cfg.gamma)
+    return _to_interval_set(method, rank, prep.cq, lower, upper, points, cfg, n_failed, counts)
 
 
-def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, **extra):
+def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, rank_counts=None):
     return IntervalSet(
         method=method,
         gamma=cfg.gamma,
@@ -634,7 +653,7 @@ def _to_interval_set(method, rank, cq, lower, upper, points, cfg, n_failed, **ex
         point=points,
         n_boot=cfg.n_boot,
         n_failed=n_failed,
-        **extra,
+        rank_counts=rank_counts,
     )
 
 
@@ -651,20 +670,10 @@ def fixed_rank_interval(prep: _Prepared, rank: int, *, boot=None) -> IntervalSet
     ``prep.fan(rank)`` holds this interval, computed once per sample.  Each
     construction reads ``boot`` if it is the level-1 batch at its DGP rank.
     """
-    cq, cfg = prep.cq, prep.cfg
     rank = prep.check_rank(rank)
     points = prep.point_zetas(rank)
-    zeta_star, ok, _ = _zeta_at_rank(prep.level1(rank, boot).sweep, rank, cq)
-    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, f"the rank-{rank} bootstrap")
-    return _to_interval_set("fixed_rank", rank, cq, lower, upper, points, cfg, n_failed)
-
-
-def _rank_census(ranks: np.ndarray, ok: np.ndarray, n_boot: int) -> dict:
-    counts = {int(r): int(((ranks == r) & ok).sum()) for r in np.unique(ranks[ok])}
-    n_failed = int(n_boot - ok.sum())
-    if n_failed:
-        counts[-1] = n_failed
-    return counts
+    zeta_star, ok, _ = _zeta_at_rank(prep.level1(rank, boot).sweep, rank, prep.cq)
+    return _finalize(prep, "fixed_rank", rank, zeta_star, ok, points, f"the rank-{rank} bootstrap")
 
 
 def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot):
@@ -695,15 +704,10 @@ def bers_interval(
     and refits at its own rank.  The interval centers at the point estimate
     under the rank selected on the observed data.
     """
-    cq, cfg = prep.cq, prep.cfg
     r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, boot)
-    points = prep.point_zetas(r_hat)
-    lower, upper, n_failed = _finalize(
-        zeta_star, ok, points, cfg, "the rank re-selection bootstrap"
-    )
-    return _to_interval_set(
-        f"bers_{selector.label}", r_hat, cq, lower, upper, points, cfg, n_failed,
-        rank_counts=_rank_census(ranks_star, ok & np.isfinite(zeta_star).all(axis=1), cfg.n_boot),
+    return _finalize(
+        prep, f"bers_{selector.label}", r_hat, zeta_star, ok, prep.point_zetas(r_hat),
+        "the rank re-selection bootstrap", ranks=ranks_star,
     )
 
 
@@ -745,17 +749,14 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous", *, boot=None)
     """
     if weights_mode not in ("endogenous", "fixed"):
         raise ConfigError(f"weights_mode must be 'endogenous' or 'fixed', got {weights_mode!r}")
-    cq, cfg = prep.cq, prep.cfg
     data_weights = prep.weights()
     per_rank_points = np.stack([prep.point_zetas(r) for r in range(prep.n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
     endogenous, fixed, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank, boot))
     zeta_star = endogenous if weights_mode == "endogenous" else fixed
-    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the model-averaging bootstrap")
-    return _to_interval_set(
-        "ma" if weights_mode == "endogenous" else "ma_fixed",
-        data_weights.reference_rank,
-        cq, lower, upper, points, cfg, n_failed,
+    return _finalize(
+        prep, "ma" if weights_mode == "endogenous" else "ma_fixed", data_weights.reference_rank,
+        zeta_star, ok, points, "the model-averaging bootstrap",
     )
 
 
@@ -770,7 +771,6 @@ def fdbb_interval(
     estimate and inverts the distribution of the level-two minus level-one
     statistics.
     """
-    cq, cfg = prep.cq, prep.cfg
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
         prep, selector, dgp_rank_mode, boot
     )
@@ -783,20 +783,10 @@ def fdbb_interval(
         _batch.residuals_batch(boot.sweep, pi_star), 2, _SELECTOR_CODES[selector.method],
     )
     sweep2 = _resweep(paths2, prep)
-    zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), cq)
-
-    ok = ok1 & ok2 & np.isfinite(zeta_star).all(axis=1) & np.isfinite(zeta_2).all(axis=1)
-    n_failed = _census(ok, cfg, "the double bootstrap")
-    # The mean reads the mask copy even when nothing failed: the copy is
-    # C-ordered, so the mean adds its rows one by one, whereas on F-ordered
-    # query gathers it would sum pairwise and round otherwise.
-    bagged = zeta_star[ok].mean(axis=0)
-    if n_failed:
-        zeta_star, zeta_2 = zeta_star[ok], zeta_2[ok]
-    lower, upper = _hall_bounds(np.subtract(zeta_2, zeta_star, order="F"), bagged, cfg.gamma)
-    return _to_interval_set(
-        f"fdbb_{selector.label}", r_hat, cq, lower, upper, bagged, cfg, n_failed,
-        rank_counts=_rank_census(ranks_star, ok, cfg.n_boot),
+    zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), prep.cq)
+    return _finalize(
+        prep, f"fdbb_{selector.label}", r_hat, zeta_2, ok1 & ok2, None, "the double bootstrap",
+        centre=zeta_star, ranks=ranks_star,
     )
 
 
@@ -811,28 +801,17 @@ def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
     matrices feed the responses.  The VAR(p+1) fits use rows t = p+2..T
     under either sample convention; a path that turned non-finite fails.
     """
-    cq, cfg = prep.cq, prep.cfg
     observed = sweep_samples(prep.sweep.tilde, prep.p + 1)
     if observed.reason[0]:
         raise _sweep_error(observed, None)
-    (points,), (ok_point,) = _lavar_zetas(observed, cq)
+    (points,), (ok_point,), _ = _zeta_at_rank(observed, prep.n_vars, prep.cq, prep.p)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
     level1 = prep.level1(prep.n_vars, boot).sweep
     sweep = _batch.sweep_batch(level1.tilde, prep.p + 1)
     sweep.reason |= level1.reason & _batch.NONFINITE
-    zeta_star, ok = _lavar_zetas(sweep, cq)
-    lower, upper, n_failed = _finalize(zeta_star, ok, points, cfg, "the lag-augmented bootstrap")
-    return _to_interval_set("lavar", None, cq, lower, upper, points, cfg, n_failed)
-
-
-def _lavar_zetas(sweep: _batch.BatchSweep, cq: _CompiledQueries):
-    """Query values of the rank-K fit of a VAR(p+1) sweep, first p levels
-    matrices only; ((B, Q), ok)."""
-    rank = sweep.n_vars
-    pi, gammas = _batch.rank_fit_batch(sweep, rank)
-    sigma = _batch.sigma_batch(sweep, rank) if cq.need_structural else None
-    return _query_values(_batch.var_matrices_batch(pi, gammas)[:, :-1], sweep.ok, cq, sigma)
+    zeta_star, ok, _ = _zeta_at_rank(sweep, prep.n_vars, prep.cq, prep.p)
+    return _finalize(prep, "lavar", None, zeta_star, ok, points, "the lag-augmented bootstrap")
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +919,8 @@ def _attempt(run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
     except (DataError, EstimationError) as exc:
-        return exc
+        # Its traceback's frames would keep the caller's batches and buffers alive.
+        return exc.with_traceback(None)
 
 
 def run_methods(preps, names):

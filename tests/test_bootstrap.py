@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,8 +32,8 @@ from wimpvar import (
     vecm_to_var,
     wimp_interval,
 )
-from wimpvar import _batch
-from wimpvar.bootstrap import _census, _dgp, _draw_errors, _finalize, _resweep
+from wimpvar import _batch, bootstrap
+from wimpvar.bootstrap import _census, _compile_queries, _dgp, _draw_errors, _finalize, _resweep
 from wimpvar.errors import check_integer, check_weight_constants
 from wimpvar.timeseries import DetrendMode
 
@@ -100,6 +103,12 @@ def test_hall_quantile_leaves_the_callers_array_alone():
     assert np.array_equal(frozen, before)
 
 
+def _finisher_prep(cfg, n_queries):
+    """The two fields of a prepared sample that ``_finalize`` reads."""
+    queries = [IrfQuery(a=1, b=1, horizon=h) for h in range(n_queries)]
+    return SimpleNamespace(cfg=cfg, cq=_compile_queries(queries, 1))
+
+
 @pytest.mark.parametrize("failure", ["flag", "nan"])
 def test_finalize_bounds_without_a_failed_row_equal_the_clean_batch(failure):
     # A clean batch takes no mask copy; masking one failed row out of an
@@ -107,18 +116,19 @@ def test_finalize_bounds_without_a_failed_row_equal_the_clean_batch(failure):
     rng = np.random.default_rng(73)
     clean = np.asfortranarray(rng.standard_normal((99, 6)))  # the gathers' layout
     points = rng.standard_normal(6)
-    cfg = BootstrapConfig(n_boot=100, max_failure_share=0.05)
+    prep = _finisher_prep(BootstrapConfig(n_boot=100, max_failure_share=0.05), 6)
     kept = clean.copy()
-    lower, upper, n_failed = _finalize(clean, np.ones(99, bool), points, cfg, "a test")
-    assert n_failed == 0
+    result = _finalize(prep, "a test", None, clean, np.ones(99, bool), points, "a test")
+    assert result.n_failed == 0
     assert np.array_equal(clean, kept)
     row = np.full(6, np.nan) if failure == "nan" else rng.standard_normal(6)
     dirty = np.asfortranarray(np.insert(clean, 40, row, axis=0))
     ok = np.ones(100, bool)
     ok[40] = failure == "nan"
-    lower2, upper2, n_failed2 = _finalize(dirty, ok, points, cfg, "a test")
-    assert n_failed2 == 1
-    assert lower2.tobytes() == lower.tobytes() and upper2.tobytes() == upper.tobytes()
+    result2 = _finalize(prep, "a test", None, dirty, ok, points, "a test")
+    assert result2.n_failed == 1
+    assert result2.lower.tobytes() == result.lower.tobytes()
+    assert result2.upper.tobytes() == result.upper.tobytes()
 
 
 # --- resampling -------------------------------------------------------------------
@@ -389,6 +399,56 @@ def test_bers_rank_census_sums_to_replications():
     result = bers_interval(prepare(y, 1, _queries(4), cfg), RankSelector("bic"))
     assert sum(result.rank_counts.values()) == cfg.n_boot
     assert result.rank == 2  # strong cointegration: selector finds rank 2
+
+
+@pytest.mark.parametrize("constructor", [bers_interval, fdbb_interval])
+def test_rank_census_counts_kept_replications_by_rank_and_failed_ones_at_minus_one(
+    constructor, monkeypatch
+):
+    # Every level's query values lose some replications to a false ok flag
+    # and some to a non-finite value, some to both; FDBB fails a replication
+    # that fails at either level.
+    cfg = BootstrapConfig(n_boot=59, seed=9, max_failure_share=0.5)
+    prep = prepare(_sim(81), 1, _queries(4), cfg)
+    levels, zeta = [], bootstrap._zeta_at_rank
+
+    def spoiling(sweep, rank, cq, *args):
+        values, ok, fit = zeta(sweep, rank, cq, *args)
+        shift = 2 * len(levels)
+        ok[[3 + shift, 10 + shift]] = False
+        values[[10 + shift, 21 + shift], 1] = np.nan
+        levels.append((np.broadcast_to(rank, ok.shape), values.copy(), ok.copy()))
+        return values, ok, fit
+
+    monkeypatch.setattr(bootstrap, "_zeta_at_rank", spoiling)
+    result = constructor(prep, RankSelector("aic"))
+    assert len(levels) == (1 if constructor is bers_interval else 2)
+    ranks = levels[0][0]
+    kept = np.logical_and.reduce([ok & np.isfinite(values).all(axis=1) for _, values, ok in levels])
+    assert result.n_failed == int((~kept).sum()) >= 3 * len(levels)
+    assert result.rank_counts[-1] == result.n_failed
+    assert sum(result.rank_counts.values()) == cfg.n_boot
+    counts = {rank: n for rank, n in result.rank_counts.items() if rank >= 0}
+    assert counts == {int(r): int((ranks[kept] == r).sum()) for r in np.unique(ranks[kept])}
+    if constructor is fdbb_interval:  # the bagged point averages the kept level-one values
+        assert result.point.tobytes() == levels[0][1][kept].mean(axis=0).tobytes()
+
+
+def test_fdbb_with_every_replication_failed_raises_before_its_bagged_mean(monkeypatch):
+    # The bagged point is the mean of the kept level-one values, taken
+    # after the budget refused the run: no warning about an empty mean.
+    prep = prepare(_sim(81), 1, _queries(2), BootstrapConfig(n_boot=39, seed=9))
+    zeta = bootstrap._zeta_at_rank
+
+    def failing(*args):
+        values, ok, fit = zeta(*args)
+        return values, np.zeros_like(ok), fit
+
+    monkeypatch.setattr(bootstrap, "_zeta_at_rank", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="39 of 39 .* double bootstrap"):
+            fdbb_interval(prep, RankSelector("aic"))
 
 
 def test_bers_full_k_mode_differs():

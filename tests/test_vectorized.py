@@ -6,6 +6,7 @@ of the tests' reference module.  A contiguous run of element queries reads
 a view of the response stack, and the Hall step gives the same bits on C-
 and F-ordered replication stacks.
 """
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -267,7 +268,9 @@ def test_finalize_gives_c_and_f_ordered_stacks_the_same_bits(
         ok[failed] = False
     points = rng.standard_normal(n_queries)
     cfg = BootstrapConfig(n_boot=n_boot, gamma=gamma, max_failure_share=0.5)
-    c_lower, c_upper, c_failed = _finalize(np.ascontiguousarray(zeta), ok, points, cfg, "a test")
-    f_lower, f_upper, f_failed = _finalize(np.asfortranarray(zeta), ok, points, cfg, "a test")
-    assert c_failed == f_failed == n_failed
-    assert c_lower.tobytes() == f_lower.tobytes() and c_upper.tobytes() == f_upper.tobytes()
+    queries = [IrfQuery(a=1, b=1, horizon=h) for h in range(n_queries)]
+    prep = SimpleNamespace(cfg=cfg, cq=_compile_queries(queries, 1))
+    c = _finalize(prep, "a test", None, np.ascontiguousarray(zeta), ok, points, "a test")
+    f = _finalize(prep, "a test", None, np.asfortranarray(zeta), ok, points, "a test")
+    assert c.n_failed == f.n_failed == n_failed
+    assert c.lower.tobytes() == f.lower.tobytes() and c.upper.tobytes() == f.upper.tobytes()
