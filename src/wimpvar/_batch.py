@@ -21,6 +21,7 @@ Shapes use B for the batch axis, T for time, K for variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,18 +95,27 @@ def detrend_batch(y: np.ndarray, mode: str) -> np.ndarray:
     n_batch, n_obs, n_vars = y.shape
     if mode == "none":
         return np.zeros((n_batch, 0, n_vars))
-    t = np.arange(1.0, n_obs + 1.0)
-    if mode == "constant":
-        design = np.ones((n_obs, 1))
-    else:
-        design = np.column_stack([np.ones(n_obs), t])
-    proj = np.linalg.solve(design.T @ design, design.T)  # (d, T)
+    design, proj = _trend_design(n_obs, mode != "constant")
     coef = proj @ y  # broadcasts to (B, d, K)
     fit = np.empty((min(n_batch, _CHUNK), n_obs, n_vars))
     for lo in range(0, n_batch, _CHUNK):
         hi = min(lo + _CHUNK, n_batch)
         np.subtract(y[lo:hi], np.matmul(design, coef[lo:hi], out=fit[: hi - lo]), out=y[lo:hi])
     return coef
+
+
+@lru_cache(maxsize=8)
+def _trend_design(n_obs: int, trend: bool):
+    """The deterministic regressors (T, d), 1 and with ``trend`` also t =
+    1..T, and their least-squares projection (d, T), read-only; formed once
+    per (T, trend), as a chunked build detrends many stacks alike."""
+    if trend:
+        design = np.column_stack([np.ones(n_obs), np.arange(1.0, n_obs + 1.0)])
+    else:
+        design = np.ones((n_obs, 1))
+    proj = np.linalg.solve(design.T @ design, design.T)
+    design.flags.writeable = proj.flags.writeable = False
+    return design, proj
 
 
 def _lag_blocks(tilde: np.ndarray, p: int, t_eff: int):
@@ -132,10 +142,11 @@ def _lag_blocks(tilde: np.ndarray, p: int, t_eff: int):
         yield lo, hi, v, [block[:, n_vars:, p - 1 - lag : p - 1 - lag + t_eff] for lag in range(p)]
 
 
-def gram_batch(tilde: np.ndarray, p: int, t_eff: int) -> np.ndarray:
+def gram_batch(tilde: np.ndarray, p: int, t_eff: int, out: np.ndarray | None = None) -> np.ndarray:
     """Gram matrices G = X X' (B, K(p+1), K(p+1)) of the variable-major
     regression design X = [Z2 | Z1 | Z0]' of the last T_eff times t of a
-    (B, T, K) stack, whose rows are [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t].
+    (B, T, K) stack, whose rows are [dy_{t-1} ... dy_{t-p+1} | y_{t-1} | dy_t],
+    written into ``out`` when given.
 
     X is never filled; the products read the views of :func:`_lag_blocks`.
     Three kinds of block:
@@ -155,7 +166,7 @@ def gram_batch(tilde: np.ndarray, p: int, t_eff: int) -> np.ndarray:
     lagged = n_vars * (p - 1)
     width = lagged + 2 * n_vars
     levels, diffs = slice(lagged, lagged + n_vars), slice(lagged + n_vars, width)
-    gram = np.empty((n_batch, width, width))
+    gram = np.empty((n_batch, width, width)) if out is None else out
     # Gram rows of dy_{t-i}, i = 0..p-1
     at = [diffs] + [slice(n_vars * i, n_vars * (i + 1)) for i in range(p - 1)]
     for lo, hi, v, lags in _lag_blocks(tilde, p, t_eff):
@@ -227,7 +238,7 @@ class BatchSweep:
     P20: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z0
     P21: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z1
     ln_det_s00: np.ndarray  # (B,)
-    tilde: np.ndarray  # (B, T, K) the detrended stack swept, not a copy
+    tilde: np.ndarray | None  # (B, T, K) the detrended stack swept, not a copy; None: not kept
     p: int
     t_eff: int  # rows of the effective sample, which fixes the sample convention
     reason: np.ndarray  # (B,) failure bits, 0 for a usable sample
@@ -255,11 +266,20 @@ def _flag(reason: np.ndarray, good: np.ndarray, bit: int) -> None:
     reason[~good] |= bit
 
 
-def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> BatchSweep:
+def sweep_batch(
+    tilde: np.ndarray | None,
+    p: int,
+    paper_convention: bool = False,
+    gram: np.ndarray | None = None,
+    n_obs: int | None = None,
+) -> BatchSweep:
     """Batched reduced-rank regression sweep with per-sample failure bits.
 
     Every moment comes from one Gram matrix per sample, G = X X' of the
     variable-major design X = [Z2 | Z1 | Z0]' (see :func:`gram_batch`).
+    A caller that formed G already, at this ``p`` and convention, passes it
+    as ``gram``, which the sweep overwrites; ``tilde`` is then not read and
+    may be None, with ``n_obs`` the samples' T.  The sweep keeps ``tilde``.
     The Schur complement of G22 gives the moments of Z0 and Z1 with Z2
     partialled out, S_ij = (G_ij - G_i2 G22^{-1} G_2j) / T_eff (Johansen
     1995, ch. 6): with G22 = L L' (its test sets SINGULAR_Z2) and H = L^{-1}
@@ -269,10 +289,13 @@ def sweep_batch(tilde: np.ndarray, p: int, paper_convention: bool = False) -> Ba
     * S11 v = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`,
     whose vectors have arbitrary column signs.  One sweep serves every rank.
     """
-    n_batch, n_obs, n_vars = tilde.shape
+    if n_obs is None:
+        n_obs = tilde.shape[1]
     # The minimal sample drops p presample rows, the alternative convention one more.
     t_eff = n_obs - p - (1 if paper_convention else 0)
-    gram = gram_batch(tilde, p, t_eff)
+    if gram is None:
+        gram = gram_batch(tilde, p, t_eff)
+    n_batch, n_vars = len(gram), gram.shape[-1] // (p + 1)
     reason = np.zeros(n_batch, dtype=np.int64)
     finite = np.isfinite(np.diagonal(gram, axis1=1, axis2=2)).all(axis=1)
     _flag(reason, finite, NONFINITE)
@@ -503,12 +526,23 @@ def _step_levels(out: np.ndarray, mats: np.ndarray, start: int) -> None:
 def _step_map(mats: np.ndarray) -> np.ndarray:
     """The ((p + L) K, L K) map from [p lagged levels, next L innovations] to
     the next L levels, L = _BLOCK, for shared ``mats`` (p, K, K): the
-    per-step recursion run on the identity basis."""
-    p, n_vars = mats.shape[0], mats.shape[1]
+    per-step recursion run on the identity basis.  Read-only, and formed
+    once for the same matrices (:func:`_step_map_of`), as a chunked build
+    rebuilds many stacks under them."""
+    mats = np.ascontiguousarray(mats, dtype=float)
+    return _step_map_of(mats.tobytes(), mats.shape)
+
+
+@lru_cache(maxsize=8)
+def _step_map_of(data: bytes, shape: tuple) -> np.ndarray:
+    mats = np.frombuffer(data).reshape(shape)
+    p, n_vars = shape[0], shape[1]
     width = (p + _BLOCK) * n_vars
     basis = np.eye(width).reshape(width, p + _BLOCK, n_vars)
     _step_levels(basis, np.broadcast_to(mats, (width,) + mats.shape), p)
-    return basis[:, p:].reshape(width, _BLOCK * n_vars)
+    step_map = basis[:, p:].reshape(width, _BLOCK * n_vars)
+    step_map.flags.writeable = False
+    return step_map
 
 
 def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, n_init: int) -> np.ndarray:
@@ -541,15 +575,25 @@ def rebuild_levels_batch(mats: np.ndarray, errors: np.ndarray, n_init: int) -> n
         return paths
     p = mats.shape[0]
     step_map = _step_map(mats)
-    n_chunks = -(-n_batch // _CHUNK)
-    window = np.zeros((n_chunks * _CHUNK, (p + _BLOCK) * n_vars))
+    # Each product multiplies a stack of (_CHUNK, (p + steps) K) matrices by
+    # the map.  The whole chunks are read in place, as a strided view of the
+    # buffer; the tail, fewer than _CHUNK paths, is copied into a zero-padded
+    # window first.
+    full, tail = divmod(n_batch, _CHUNK)
+    chunks = paths[: full * _CHUNK].reshape(full, _CHUNK, n_obs * n_vars)
+    rest = paths[full * _CHUNK :].reshape(tail, n_obs * n_vars)
+    window = np.zeros((1, _CHUNK, (p + _BLOCK) * n_vars)) if tail else None
     for t in range(n_init, n_obs, _BLOCK):
         steps = min(_BLOCK, n_obs - t)
         cols = (p + steps) * n_vars
-        window[:n_batch, :cols] = paths[:, t - p : t + steps].reshape(n_batch, cols)
-        chunks = window[:, :cols].reshape(n_chunks, _CHUNK, cols)
-        levels = chunks @ step_map[:cols, : steps * n_vars]
-        paths[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
+        lags = slice((t - p) * n_vars, (t + steps) * n_vars)
+        new = slice(t * n_vars, lags.stop)
+        step = step_map[:cols, : steps * n_vars]
+        if full:
+            chunks[:, :, new] = chunks[:, :, lags] @ step
+        if tail:
+            window[0, :tail, :cols] = rest[:, lags]
+            rest[:, new] = (window[:, :, :cols] @ step)[0, :tail]
     return paths
 
 

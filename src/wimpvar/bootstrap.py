@@ -19,7 +19,8 @@ Every construction is a function of one prepared sample (``_prepare``,
 exported as ``wimpvar.prepare``; ``_prepare_many`` prepares a stack of
 samples with one sweep).  ``METHODS`` names every construction;
 ``run_methods`` runs a set of them on one prepared sample or on a group of
-them.  It builds each level-1 batch once, and at each rank it sweeps the
+them.  It builds each level-1 batch once, in chunks of 64 replications or
+more, and keeps its paths only when a method reads them; at each rank it sweeps the
 batches of the whole group as one stack; everything downstream of the
 sweep (responses, query values, Hall bounds) runs per sample, on its slice.
 """
@@ -286,11 +287,13 @@ class _Prepared:
         stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
         return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
-    def level1(self, dgp_rank: int, boot: _BootBatch | None = None) -> _BootBatch:
-        """``boot`` if it is the level-1 batch at ``dgp_rank``, else a fresh one in
-        fresh buffers; ``run_methods`` shares a group's (:func:`_level1_batches`)."""
-        if boot is None or boot.dgp_rank != dgp_rank:
-            (boot,) = _level1_batches([self], dgp_rank, _path_buffer(self), _lazy_buffer(self))
+    def level1(self, dgp_rank: int, boot: _BootBatch | None = None, keep=False) -> _BootBatch:
+        """``boot`` if it is the level-1 batch at ``dgp_rank``, holding its paths
+        when ``keep`` asks for them, else a fresh one in fresh buffers;
+        ``run_methods`` shares a group's (:func:`_level1_batches`)."""
+        if boot is None or boot.dgp_rank != dgp_rank or (keep and boot.sweep.tilde is None):
+            buffer = _path_buffer(self) if keep else _chunk_buffer(self)
+            (boot,) = _level1_batches([self], dgp_rank, buffer, _lazy_buffer(self), keep=keep)
         return boot
 
     def check_rank(self, rank) -> int:
@@ -430,12 +433,15 @@ class _BootBatch:
     maker of its level-two buffer (``scratch()``, see :func:`_lazy_buffer`) and
     the per-batch results its methods share, keyed by step (read-only arrays).
 
-    The sweep is the sample's slice of its group's stacked sweep, and holds
-    the detrended paths as its ``tilde``, the sample's slice of the group's
-    path buffer, which the next rank's build overwrites.  FDBB level two
-    builds its residuals from them; the paths start from the observed
-    initial rows, which is all level two reads of the paths themselves.
-    The lag-augmented bootstrap sweeps the rank-K batch's paths at p+1.
+    The sweep is the sample's slice of its group's stacked sweep.  Only two
+    readers need the detrended paths themselves: FDBB level two builds its
+    residual pools from them (the paths start from the observed initial
+    rows, which is all level two reads of the paths themselves), and the
+    lag-augmented bootstrap sweeps the rank-K batch's paths at p+1.  A batch
+    built for them keeps its paths as the sweep's ``tilde``, the sample's
+    slice of its group's path buffer, which the next such build overwrites;
+    any other batch is built in one reused chunk buffer, and its ``tilde``
+    is None (see :func:`_level1_batches`).
     """
 
     sweep: _batch.BatchSweep
@@ -449,10 +455,27 @@ def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
     return np.empty((count * prep.cfg.n_boot, prep.n_obs, prep.n_vars))
 
 
-def _lazy_buffer(prep: _Prepared) -> Callable:
-    """A maker of one (n_boot, T, K) path buffer, made on the first call: one made and
-    never written would still move later arrays onto untouched pages, raising peak RSS."""
-    return cache(partial(_path_buffer, prep))
+# A level-1 build runs in chunks of whole _CHUNKs of replications, as many
+# as fit in about this many bytes of paths, and at least one: 64 short paths
+# are too little work per kernel call.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(prep: _Prepared) -> int:
+    """Replications per chunk of a level-1 build (see _CHUNK_BYTES), at most n_boot."""
+    per_chunk = _batch._CHUNK * prep.n_obs * prep.n_vars * 8
+    return min(prep.cfg.n_boot, _batch._CHUNK * max(1, _CHUNK_BYTES // per_chunk))
+
+
+def _chunk_buffer(prep: _Prepared) -> np.ndarray:
+    """A fresh buffer for one chunk of a streamed level-1 build, (_chunk_rows, T, K)."""
+    return np.empty((_chunk_rows(prep), prep.n_obs, prep.n_vars))
+
+
+def _lazy_buffer(prep: _Prepared, count: int = 1) -> Callable:
+    """A maker of one (count n_boot, T, K) path buffer, made on the first call: one made
+    and never written would still move later arrays onto untouched pages, raising peak RSS."""
+    return cache(partial(_path_buffer, prep, count))
 
 
 def _pool_means(resid: np.ndarray) -> np.ndarray:
@@ -467,40 +490,59 @@ def _pool_means(resid: np.ndarray) -> np.ndarray:
     return (np.einsum("btk->bk", resid) / resid.shape[1])[:, None]
 
 
-def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
-    """Innovations drawn i.i.d. from column-centered residuals on the build's
-    stream ``_stream(cfg.seed, level, code)`` into rows m: of ``paths``
-    (n_boot, m + n_draw, K), a C-contiguous buffer, behind the initial rows
-    ``init`` (m, K) in rows :m; ``resid`` is (1, n, K), one pool shared by
-    every replication, or (n_boot, n, K), one pool each.
+def _drawer(resid, cfg: BootstrapConfig, level: int, code: int, init, rows: int, n_obs: int):
+    """A function ``draw(paths)`` that fills a C-contiguous (m, n_obs, K)
+    buffer, m <= ``rows``, with the next m replications of a build: the
+    initial rows ``init`` first, then innovations drawn i.i.d. from
+    column-centered residuals on the build's stream ``_stream(cfg.seed,
+    level, code)``.  ``resid`` is (1, n, K), one pool shared by every
+    replication, or (n_boot, n, K), one pool each.
 
-    Replication r takes the r-th run of n_draw indices of the stream, so the
-    first B replications of a larger build equal a build of B.  The rows are
-    drawn and gathered in passes of about _PASS_INDICES indices, so no
-    (n_boot, n_draw) index matrix is held; the pass size does not enter the
-    draws.  The initial rows sit at the end of the pool, so a pass gathers
-    whole rows, contiguous in ``paths``, and np.take writes straight into
-    the buffer.  The pools are centred by :func:`_pool_means`.
+    Replication r takes the r-th run of n_obs - len(init) indices of the
+    stream, so the first B replications of a larger build equal a build of
+    B, and however the calls split the replications, the draws are the
+    same: numpy's generator continues its stream across calls.  The initial
+    rows sit at the end of the pool, so a call gathers whole rows,
+    contiguous in the buffer, and np.take writes straight into it through
+    one (rows, n_obs) index buffer.  The pools are centred by
+    :func:`_pool_means`.
     """
     n_pools, n_pool, n_vars = resid.shape
-    n_init, n_draw = len(init), paths.shape[1] - len(init)
+    n_init = len(init)
     pool = np.empty((n_pools * n_pool + n_init, n_vars))
     centered = pool[: n_pools * n_pool].reshape(resid.shape)
     np.subtract(resid, _pool_means(resid), out=centered)
     pool[n_pools * n_pool :] = init
     stream = _stream(cfg.seed, level, code)
-    step = max(1, _PASS_INDICES // max(n_draw, 1))
-    idx = np.empty((min(step, cfg.n_boot), paths.shape[1]), dtype=np.int64)
+    idx = np.empty((rows, n_obs), dtype=np.int64)
     idx[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
-    for start in range(0, cfg.n_boot, step):
-        stop = min(start + step, cfg.n_boot)
-        rows = idx[: stop - start]
-        rows[:, n_init:] = _draw_index_matrix(stream, stop - start, n_pool, n_draw)
+    done = 0
+
+    def draw(paths: np.ndarray) -> None:
+        nonlocal done
+        count = len(paths)
+        part = idx[:count]
+        part[:, n_init:] = _draw_index_matrix(stream, count, n_pool, n_obs - n_init)
         if n_pools > 1:
-            rows[:, n_init:] += np.arange(start * n_pool, stop * n_pool, n_pool)[:, None]
+            part[:, n_init:] += np.arange(done * n_pool, (done + count) * n_pool, n_pool)[:, None]
         # Every index is in range, and "clip", unlike "raise", gathers
         # straight into ``paths`` instead of through a copy.
-        np.take(pool, rows, axis=0, out=paths[start:stop], mode="clip")
+        np.take(pool, part, axis=0, out=paths, mode="clip")
+        done += count
+
+    return draw
+
+
+def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
+    """All ``cfg.n_boot`` replications of a build (:func:`_drawer`) drawn into
+    ``paths`` (n_boot, m + n_draw, K), in passes of about _PASS_INDICES
+    indices, so no (n_boot, n_draw) index matrix is held; the pass size
+    does not enter the draws."""
+    n_obs = paths.shape[1]
+    step = max(1, _PASS_INDICES // max(n_obs - len(init), 1))
+    draw = _drawer(resid, cfg, level, code, init, min(step, cfg.n_boot), n_obs)
+    for start in range(0, cfg.n_boot, step):
+        draw(paths[start : start + step])
 
 
 def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> np.ndarray:
@@ -513,14 +555,21 @@ def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> 
     return _batch.rebuild_levels_batch(mats, paths, len(init))
 
 
-def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
-    """Sweep of rebuilt paths at lag order p under the sample's convention,
-    detrended in place like the observed sample and kept as the sweep's
-    ``tilde``; a non-finite path is zeroed before detrending and flagged."""
+def _detrend_finite(paths: np.ndarray, mode: DetrendMode) -> np.ndarray:
+    """Rebuilt paths detrended in place like the observed sample, each
+    non-finite path zeroed first; returns which paths were finite, (B,)."""
     finite = np.isfinite(paths).all(axis=(1, 2))
     if not finite.all():
         paths[~finite] = 0.0
-    _batch.detrend_batch(paths, prep.mode)
+    _batch.detrend_batch(paths, mode)
+    return finite
+
+
+def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
+    """Sweep of rebuilt paths at lag order p under the sample's convention,
+    detrended in place (:func:`_detrend_finite`) and kept as the sweep's
+    ``tilde``; a non-finite path is flagged."""
+    finite = _detrend_finite(paths, prep.mode)
     sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
@@ -533,27 +582,61 @@ def _dgp(prep: _Prepared, rank: int):
     return _batch.var_matrices_batch(pi, gammas)[0], _batch.residuals_batch(prep.sweep, pi)
 
 
-def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray) -> np.ndarray:
-    """The level-1 paths at ``dgp_rank``, built in the (n_boot, T, K) buffer
-    ``paths`` and returned; :func:`_level1_batches` sweeps them."""
-    return _build_paths(paths, prep, *_dgp(prep, dgp_rank), 1, dgp_rank)
+def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray):
+    """Builds the sample's level-1 batch at ``dgp_rank`` a chunk of
+    replications at a time (:func:`_chunk_rows`: 64 at T = 800, K = 3; all
+    199 at once at T = 100, K = 3), and returns which of its n_boot paths
+    were finite, (n_boot,).
 
-
-def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, scratch: Callable) -> list:
-    """Each sample's level-1 batch at ``dgp_rank``, built in consecutive
-    n_boot-row slices of ``paths`` and swept as one stack
-    (:func:`_resweep`); every batch gets ``scratch`` as its level-two buffer's maker.
-
-    Each build keeps its own stream and its own recursion, so a sample's
-    slice is bitwise what it would be alone: every kernel treats each
-    sample of a stack alone.  The samples share their shape and settings
-    (see :func:`run_methods`).
+    Each chunk draws its rows from the build's one stream (:func:`_drawer`),
+    rebuilds them, zeroes the non-finite paths, detrends them all
+    (:func:`_detrend_finite`) and writes its Gram rows into ``gram``
+    (n_boot, K(p+1), K(p+1)), which :func:`_level1_batches` sweeps.  A
+    ``paths`` buffer of n_boot rows keeps every chunk in its rows; a smaller
+    one, a chunk buffer, takes each chunk in its leading rows in turn.
     """
-    n_boot = preps[0].cfg.n_boot
+    cfg, n_init = prep.cfg, prep.p + 1
+    mats, resid = _dgp(prep, dgp_rank)
+    size = _chunk_rows(prep)
+    draw = _drawer(resid, cfg, 1, dgp_rank, prep.raw[:n_init], size, prep.n_obs)
+    finite = np.empty(cfg.n_boot, dtype=bool)
+    for lo in range(0, cfg.n_boot, size):
+        hi = min(lo + size, cfg.n_boot)
+        chunk = paths[lo:hi] if len(paths) == cfg.n_boot else paths[: hi - lo]
+        draw(chunk)
+        _batch.rebuild_levels_batch(mats, chunk, n_init)
+        finite[lo:hi] = _detrend_finite(chunk, prep.mode)
+        _batch.gram_batch(chunk, prep.p, prep.sweep.t_eff, out=gram[lo:hi])
+    return finite
+
+
+def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, scratch: Callable, *, keep: bool):
+    """Each sample's level-1 batch at ``dgp_rank`` (:func:`_level1_batch`),
+    swept as one stack from their Gram matrices; every batch gets
+    ``scratch`` as its level-two buffer's maker.
+
+    With ``keep``, ``paths`` is the group's path buffer: sample i builds in
+    its rows i n_boot..(i+1) n_boot - 1, and its sweep keeps them as its
+    ``tilde``.  Without, ``paths`` is a chunk buffer (:func:`_chunk_buffer`)
+    that every chunk reuses, and no sweep has a ``tilde``.  Each build keeps
+    its own stream and its own recursion, so a sample's slice is bitwise
+    what it would be alone, kept or not: every kernel treats each sample of
+    a stack alone.  The samples share their shape and settings (see
+    :func:`run_methods`).
+    """
+    first = preps[0]
+    n_boot, width = first.cfg.n_boot, first.n_vars * (first.p + 1)
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
-    for prep, part in zip(preps, rows):
-        _level1_batch(prep, dgp_rank, paths[part])
-    sweep = _resweep(paths[: rows[-1].stop], preps[0])
+    gram = np.empty((rows[-1].stop, width, width))
+    finite = np.concatenate([
+        _level1_batch(prep, dgp_rank, paths[part] if keep else paths, gram[part])
+        for prep, part in zip(preps, rows)
+    ])
+    sweep = _batch.sweep_batch(
+        paths[: rows[-1].stop] if keep else None, first.p, first.cfg.paper_sample_convention,
+        gram=gram, n_obs=first.n_obs,
+    )
+    sweep.reason[~finite] |= _batch.NONFINITE
     return [_BootBatch(sweep.take(part), dgp_rank, scratch) for part in rows]
 
 
@@ -676,15 +759,16 @@ def fixed_rank_interval(prep: _Prepared, rank: int, *, boot=None) -> IntervalSet
     return _finalize(prep, "fixed_rank", rank, zeta_star, ok, points, f"the rank-{rank} bootstrap")
 
 
-def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot):
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot, keep=False):
     """Level one of the rank re-selection bootstraps: the observed rank, the
-    level-1 batch, its per-sample selected ranks and the replications' query
-    values, ok flags and fit at those ranks.  The batch keeps the per-sample
-    part, so ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
+    level-1 batch, holding its paths if ``keep``, its per-sample selected
+    ranks and the replications' query values, ok flags and fit at those
+    ranks.  The batch keeps the per-sample part, so ``bers_*`` and ``fdbb_*``
+    with one selector compute it once."""
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     r_hat = prep.select_rank(selector)
-    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot)
+    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot, keep)
     key = ("reselect", selector)
     if key not in boot.memo:
         ranks_star = _batch.select_batch(boot.sweep, selector)
@@ -772,7 +856,7 @@ def fdbb_interval(
     statistics.
     """
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
-        prep, selector, dgp_rank_mode, boot
+        prep, selector, dgp_rank_mode, boot, keep=True
     )
 
     # Level two: one sample per level-one sample, rebuilt under its own
@@ -807,7 +891,7 @@ def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
     (points,), (ok_point,), _ = _zeta_at_rank(observed, prep.n_vars, prep.cq, prep.p)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    level1 = prep.level1(prep.n_vars, boot).sweep
+    level1 = prep.level1(prep.n_vars, boot, keep=True).sweep
     sweep = _batch.sweep_batch(level1.tilde, prep.p + 1)
     sweep.reason |= level1.reason & _batch.NONFINITE
     zeta_star, ok, _ = _zeta_at_rank(sweep, prep.n_vars, prep.cq, prep.p)
@@ -845,11 +929,13 @@ def wimp_interval(prep: _Prepared) -> IntervalSet:
 @dataclass(frozen=True)
 class _Method:
     """A method's runner, ``run(prep, boot)``; ``rank(prep)`` is the DGP rank
-    of the level-1 batch ``boot`` (None: none), ``fan(prep)`` the fan ranks it reads."""
+    of the level-1 batch ``boot`` (None: none), ``fan(prep)`` the fan ranks it
+    reads, and ``paths`` whether it reads the batch's paths, not only its sweep."""
 
     run: Callable
     rank: Callable = lambda prep: None
     fan: Callable = lambda prep: ()
+    paths: bool = False
 
 
 def _fan_lookup(name: str, rank_of) -> _Method:
@@ -886,11 +972,15 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "bers_bic": _Method(lambda prep, boot: bers_interval(prep, _BIC, boot=boot), _selected(_BIC)),
     "ma": _Method(lambda prep, boot: ma_interval(prep, boot=boot), _reference_rank),
     "ma_fixed": _Method(lambda prep, boot: ma_interval(prep, "fixed", boot=boot), _reference_rank),
-    "fdbb_aic": _Method(lambda prep, boot: fdbb_interval(prep, _AIC, boot=boot), _selected(_AIC)),
-    "fdbb_bic": _Method(lambda prep, boot: fdbb_interval(prep, _BIC, boot=boot), _selected(_BIC)),
+    "fdbb_aic": _Method(
+        lambda prep, boot: fdbb_interval(prep, _AIC, boot=boot), _selected(_AIC), paths=True
+    ),
+    "fdbb_bic": _Method(
+        lambda prep, boot: fdbb_interval(prep, _BIC, boot=boot), _selected(_BIC), paths=True
+    ),
     "wimp": _Method(lambda prep, _: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
     "lavar": _Method(lambda prep, boot: lag_augmented_interval(prep, boot=boot),
-                     lambda prep: prep.n_vars),
+                     lambda prep: prep.n_vars, paths=True),
 })
 
 
@@ -933,12 +1023,18 @@ def run_methods(preps, names):
     their shape, lag order, detrending and bootstrap size; seeds may differ.
 
     Fan members and methods run in ascending level-1 rank.  At each rank,
-    every sample that reads it builds its batch, on its own stream, in its
-    slice of one group path buffer; one sweep covers the stack, and each
-    sample runs its fan member and methods there on its own batch, then
-    drops it; FDBB level two builds in one group scratch buffer.  The order
-    changes no result: every build draws from its own Philox stream, keyed
-    by (seed, level, code), and every kernel treats each sample alone.
+    every sample that reads it builds its batch, on its own stream; one
+    sweep covers the stack, and each sample runs its fan member and methods
+    there on its own batch, then drops it.  A rank with a method that reads
+    the paths (``_Method.paths``: FDBB and ``lavar``) builds them in the
+    samples' slices of one group path buffer; every other rank streams its
+    builds through one chunk buffer, the head of that path buffer when the
+    run has one, else a buffer of its own (:func:`_chunk_buffer`).  So a run of the
+    fan and WIMP holds no (n_boot, T, K) paths, and no run holds two path
+    buffers.  Each buffer is made at its first use.  FDBB level two
+    builds in one group scratch buffer.  The order changes no result: every
+    build draws from its own Philox stream, keyed by (seed, level, code),
+    and every kernel treats each sample alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.
     """
@@ -954,7 +1050,7 @@ def run_methods(preps, names):
             "samples run together must share their shape, lag order, detrending and bootstrap size"
         )
     out = [{} for _ in group]
-    paths, scratch = _path_buffer(group[0], len(group)), _lazy_buffer(group[0])
+    paths, scratch = _lazy_buffer(group[0], len(group)), _lazy_buffer(group[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         plan: dict = {}  # rank -> [(sample index, readers)]; reader None, first, is the fan
         for i, prep in enumerate(group):
@@ -963,10 +1059,21 @@ def run_methods(preps, names):
                 reads.setdefault(METHODS[name].rank(prep), []).append(name)
             for rank, readers in reads.items():
                 plan.setdefault(rank, []).append((i, readers))
+        keeps = {
+            rank: any(METHODS[name].paths for _, readers in reads for name in readers if name)
+            for rank, reads in plan.items()
+        }
+        # A run that keeps some rank's paths streams the others through the
+        # head of its path buffer, so it holds no second buffer.
+        chunk = paths if any(keeps.values()) else cache(partial(_chunk_buffer, group[0]))
+        rows = _chunk_rows(group[0])
         for rank, reads in sorted(plan.items(), key=lambda item: (item[0] is None, item[0] or 0)):
             boots = [None] * len(reads)
             if rank is not None:
-                boots = _level1_batches([group[i] for i, _ in reads], rank, paths, scratch)
+                keep = keeps[rank]
+                buffer = paths() if keep else chunk()[:rows]
+                preps_at = [group[i] for i, _ in reads]
+                boots = _level1_batches(preps_at, rank, buffer, scratch, keep=keep)
             for i, readers in reads:
                 prep, boot = group[i], boots.pop(0)
                 for name in readers:

@@ -245,10 +245,11 @@ _KEYS = {option.key: name for name, option in _OPTIONS.items() if option.key}
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat ``key = value`` file; '#' starts a comment.  A key given twice is
+    a ConfigError naming both lines."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    values = {}
+    values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -257,7 +258,13 @@ def _read_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r} given twice, "
+                    f"on lines {lines[key]} and {lineno}"
+                )
+            values[key], lines[key] = value.strip(), lineno
     return values
 
 

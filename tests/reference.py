@@ -7,13 +7,16 @@ it, sweeps that Gram matrix, fits a levels VAR as the sweep's full-rank fit
 and builds bootstrap paths in place; these are the plain per-query,
 per-cell, step-by-step, explicitly indexed, explicitly partialled,
 least-squares, out-of-place and one-sample-at-a-time versions the tests
-check it against.
+check it against.  It rebuilds shared-coefficient paths through the
+buffer, and builds a level-1 batch _CHUNK replications at a time; the
+zero-padded window rebuild and the whole-batch build (draw every
+replication, rebuild, detrend, then sweep the stack) are kept here too.
 """
 from types import SimpleNamespace
 
 import numpy as np
 
-from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, _batch, companion_matrix
+from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, _batch, bootstrap, companion_matrix
 from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY
 
 
@@ -181,3 +184,72 @@ def levels_ols(y: np.ndarray, p: int, first: int | None = None):
     resid = y[rows] - design @ coef
     mats = coef.T.reshape(n_vars, p, n_vars).transpose(1, 0, 2)
     return mats, resid, resid.T @ resid / len(rows)
+
+
+def rebuild_levels_window(mats: np.ndarray, errors: np.ndarray, n_init: int) -> np.ndarray:
+    """``_batch.rebuild_levels_batch`` under shared ``mats`` (p, K, K), in
+    place, with every product read from a zero-padded window: each _BLOCK
+    steps the whole batch's lagged levels and innovations are copied into
+    one (n_chunks _CHUNK, (p + _BLOCK) K) array, multiplied by the block
+    map chunk by chunk, and the levels copied back."""
+    n_batch, n_obs, n_vars = errors.shape
+    p = mats.shape[0]
+    step_map = _batch._step_map(mats)
+    n_chunks = -(-n_batch // _batch._CHUNK)
+    window = np.zeros((n_chunks * _batch._CHUNK, (p + _batch._BLOCK) * n_vars))
+    for t in range(n_init, n_obs, _batch._BLOCK):
+        steps = min(_batch._BLOCK, n_obs - t)
+        cols = (p + steps) * n_vars
+        window[:n_batch, :cols] = errors[:, t - p : t + steps].reshape(n_batch, cols)
+        chunks = window[:, :cols].reshape(n_chunks, _batch._CHUNK, cols)
+        levels = chunks @ step_map[:cols, : steps * n_vars]
+        errors[:, t : t + steps] = levels.reshape(-1, steps, n_vars)[:n_batch]
+    return errors
+
+
+def draw_errors_in_passes(resid, cfg, level: int, code: int, init, paths: np.ndarray) -> None:
+    """Innovations of every replication of a build drawn into ``paths``
+    (n_boot, m + n_draw, K) behind the initial rows ``init``, in passes of
+    ``bootstrap._PASS_INDICES // n_draw`` replications, each pass one call
+    of the build's stream for its (rows, n_draw) indices."""
+    n_pools, n_pool, n_vars = resid.shape
+    n_init, n_draw = len(init), paths.shape[1] - len(init)
+    pool = np.concatenate([
+        (resid - bootstrap._pool_means(resid)).reshape(-1, n_vars), init,
+    ])
+    stream = bootstrap._stream(cfg.seed, level, code)
+    step = max(1, bootstrap._PASS_INDICES // max(n_draw, 1))
+    for start in range(0, cfg.n_boot, step):
+        stop = min(start + step, cfg.n_boot)
+        rows = np.empty((stop - start, n_init + n_draw), dtype=np.int64)
+        rows[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
+        rows[:, n_init:] = bootstrap._draw_index_matrix(stream, stop - start, n_pool, n_draw)
+        if n_pools > 1:
+            rows[:, n_init:] += np.arange(start * n_pool, stop * n_pool, n_pool)[:, None]
+        paths[start:stop] = pool[rows]
+
+
+def level1_whole(preps, dgp_rank: int, spoil=()):
+    """The level-1 sweeps of ``preps`` at ``dgp_rank``, each sample's batch
+    built whole: all its replications drawn in passes
+    (:func:`draw_errors_in_passes`) and rebuilt in one window rebuild
+    (:func:`rebuild_levels_window`); then the group's stack is detrended,
+    each non-finite path zeroed first and flagged, and swept as one.  Row g
+    of the stack, for g in ``spoil``, gets an infinite last row after the
+    rebuild.  Returns one sweep per sample, each keeping its paths."""
+    first = preps[0]
+    n_boot, n_init = first.cfg.n_boot, first.p + 1
+    paths = np.empty((len(preps) * n_boot, first.n_obs, first.n_vars))
+    for i, prep in enumerate(preps):
+        mats, resid = bootstrap._dgp(prep, dgp_rank)
+        part = paths[i * n_boot : (i + 1) * n_boot]
+        draw_errors_in_passes(resid, prep.cfg, 1, dgp_rank, prep.raw[:n_init], part)
+        rebuild_levels_window(mats, part, n_init)
+    for row in spoil:
+        paths[row, -1] = np.inf
+    finite = np.isfinite(paths).all(axis=(1, 2))
+    paths[~finite] = 0.0
+    _batch.detrend_batch(paths, first.mode)
+    sweep = _batch.sweep_batch(paths, first.p, first.cfg.paper_sample_convention)
+    sweep.reason[~finite] |= _batch.NONFINITE
+    return [sweep.take(slice(i * n_boot, (i + 1) * n_boot)) for i in range(len(preps))]

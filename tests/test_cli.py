@@ -252,6 +252,17 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
+def test_config_file_key_given_twice_exit_code(tmp_path, capsys):
+    # The second value would otherwise silently replace the first.
+    csv_path = _toy_csv(tmp_path, seed=8)
+    config = _write(tmp_path, "run.cfg", "B = 39\n# more\nh_max = 1\nB = 59\n")
+    out = str(tmp_path / "o")
+    assert main(["analyze", "--config", config, "--input", csv_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'B' given twice, on lines 1 and 4" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -468,9 +479,9 @@ def test_analyze_builds_each_level1_batch_once_in_rank_order(tmp_path, monkeypat
     built = []
     original = bootstrap._level1_batch
 
-    def counting(prep, dgp_rank, paths):
+    def counting(prep, dgp_rank, *buffers):
         built.append(dgp_rank)
-        return original(prep, dgp_rank, paths)
+        return original(prep, dgp_rank, *buffers)
 
     monkeypatch.setattr(bootstrap, "_level1_batch", counting)
     csv_path = _toy_csv(tmp_path, seed=5, K=2, T=80)

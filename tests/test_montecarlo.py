@@ -331,15 +331,20 @@ def test_a_rejected_observed_sample_fails_every_method_and_spares_its_group(
 def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(monkeypatch):
     # One 16-replication chunk, all 11 methods: the observed samples are
     # swept once at p, and each rank's level-1 batches once per group of
-    # replications.  lavar sweeps each replication's observed sample and
-    # its rank-K batch at p+1; FDBB level two sweeps per replication
-    # and selector.  No other paths are swept.
+    # replications, from the Gram matrices their chunked builds wrote, with
+    # the paths passed along only when the rank keeps them.  lavar sweeps
+    # each replication's observed sample and its rank-K batch at p+1; FDBB
+    # level two sweeps per replication and selector.  No other paths are
+    # swept.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
     level1_batches = bootstrap._level1_batches
 
     def counting(tilde, p, *args, **kwargs):
-        sweeps.append((bool(inside), len(tilde), p))
+        gram = kwargs.get("gram")
+        assert (gram is not None) == bool(inside)  # a level-1 sweep, and only it, gets its Gram
+        assert tilde is None or gram is None or len(tilde) == len(gram)
+        sweeps.append((bool(inside), len(tilde if gram is None else gram), p))
         return sweep_batch(tilde, p, *args, **kwargs)
 
     def building(*args, **kwargs):

@@ -33,10 +33,20 @@
   ``bers_*``/``fdbb_*`` pair compute their common part once, read-only,
   and every method's interval set is, bit for bit, the one it gives alone
   on a fresh sample, whatever order the methods run in and whichever
-  buffer its batch was built in.  ``run_methods`` builds every batch of a
-  group in one path buffer and gives FDBB level two one scratch buffer,
-  made on first use; it frees each batch once the batch's readers have run
-  and both buffers when it returns, also when a method or fan member fails.
+  buffer its batch was built in.  ``run_methods`` builds the batches of the
+  ranks whose readers read the paths (FDBB, lavar) in one group path
+  buffer, streams every other rank through one chunk buffer (the head of
+  that path buffer when there is one), so the fan and WIMP make no path
+  buffer, and gives FDBB level two one scratch buffer, made on first use;
+  it frees each batch once the batch's readers have run and every buffer
+  when it returns, also when a method or fan member fails.
+* Chunked level-1 builds: a group's batches built 64 replications at a
+  time, kept or streamed, sweep bitwise as the whole-batch build of
+  ``tests/reference.py`` (draws in passes, a window rebuild, one sweep of
+  the stack), spoilt paths included, which are zeroed before any
+  detrending; the in-place rebuild equals the window rebuild, and draws in
+  64-row chunks equal the draws in passes, rejections of numpy's bounded
+  draw included.
 * One row format per CSV table writes the cells the per-cell format did.
 * Adversarial data through ``cli.main`` (random walks, stationary,
   heavy-tailed and explosive series, columns scaled by 10^±150, collinear,
@@ -51,7 +61,9 @@ import functools
 import gc
 import io
 import os
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +71,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import reference  # noqa: E402
 from reference import (  # noqa: E402
     format_cell, irf_stepwise, rebuild_levels, rebuild_levels_stepwise, regressor_blocks,
     sweep_partialled,
@@ -648,28 +661,34 @@ def test_run_methods_gives_each_method_its_result_alone_in_any_order(seed, order
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
-    built, zeta_sweeps = [], []
-    build, zeta = bootstrap._level1_batch, bootstrap._zeta_at_rank
+    built, batches, zeta_sweeps = [], [], []
+    build, build_all = bootstrap._level1_batch, bootstrap._level1_batches
+    zeta = bootstrap._zeta_at_rank
 
-    def building(prep, dgp_rank, paths):
-        built.append(build(prep, dgp_rank, paths))
-        return built[-1]
+    def building(prep, dgp_rank, *buffers):
+        built.append(dgp_rank)
+        return build(prep, dgp_rank, *buffers)
+
+    def building_all(*args, **kwargs):
+        batches.extend(build_all(*args, **kwargs))
+        return batches[-len(args[0]):]
 
     def counting(sweep, *args, **kwargs):
         zeta_sweeps.append(sweep)
         return zeta(sweep, *args, **kwargs)
 
     monkeypatch.setattr(bootstrap, "_level1_batch", building)
+    monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
     monkeypatch.setattr(bootstrap, "_zeta_at_rank", counting)
 
     def level1_calls(names):
         built.clear()
+        batches.clear()
         zeta_sweeps.clear()
         out = run_methods(_fresh(seed), names)
         assert all(isinstance(result, IntervalSet) for result in out.values()), out
-        assert len(built) == 1  # the pair reads one batch
-        # the batch's sweep holds the built paths as its tilde
-        return sum(np.shares_memory(sweep.tilde, built[0]) for sweep in zeta_sweeps)
+        assert len(built) == 1 and len(batches) == 1  # the pair reads one batch
+        return sum(sweep is batches[0].sweep for sweep in zeta_sweeps)
 
     assert level1_calls(("ma", "ma_fixed")) == 4  # ranks 0..K, K = 3
     assert level1_calls(("ma_fixed", "ma")) == 4
@@ -682,19 +701,20 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
 def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypatch):
     # lavar's bootstrap process is the rank-K fit, whose paths the ols fan
     # member's level-1 batch already holds: adding lavar builds nothing.
+    # Every build of paths draws through one drawer.
     level1, builds = [], []
-    build_level1, build_paths = bootstrap._level1_batch, bootstrap._build_paths
+    build_level1, drawer = bootstrap._level1_batch, bootstrap._drawer
 
-    def building_level1(prep, dgp_rank, paths):
+    def building_level1(prep, dgp_rank, *buffers):
         level1.append(dgp_rank)
-        return build_level1(prep, dgp_rank, paths)
+        return build_level1(prep, dgp_rank, *buffers)
 
-    def building_paths(*args, **kwargs):
+    def drawing(*args, **kwargs):
         builds.append(True)
-        return build_paths(*args, **kwargs)
+        return drawer(*args, **kwargs)
 
     monkeypatch.setattr(bootstrap, "_level1_batch", building_level1)
-    monkeypatch.setattr(bootstrap, "_build_paths", building_paths)
+    monkeypatch.setattr(bootstrap, "_drawer", drawing)
 
     def calls(names):
         level1.clear()
@@ -713,12 +733,21 @@ def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, m
     # flags it; lavar's VAR(p+1) sweep of the batch's paths keeps the flag.
     bad, prep = 5, _fresh(seed)
     build, sweep_batch = bootstrap._level1_batch, _batch.sweep_batch
-    lavar_sweeps = []
+    rebuild = _batch.rebuild_levels_batch
+    lavar_sweeps, rank_k = [], []
 
-    def spoiling(sample, dgp_rank, paths):
-        out = build(sample, dgp_rank, paths)
-        if dgp_rank == sample.n_vars:
+    def spoiling(sample, dgp_rank, *buffers):
+        rank_k.append(dgp_rank == sample.n_vars)
+        try:
+            return build(sample, dgp_rank, *buffers)
+        finally:
+            rank_k.pop()
+
+    def rebuilding(mats, errors, n_init):
+        out = rebuild(mats, errors, n_init)
+        if rank_k and rank_k[-1]:  # the rank-K build's first chunk holds row ``bad``
             out[bad, -1] = np.inf
+            rank_k[-1] = False
         return out
 
     def sweeping(tilde, p, *args, **kwargs):
@@ -729,6 +758,7 @@ def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, m
 
     assert _alone(seed)["lavar"].n_failed == 0
     monkeypatch.setattr(bootstrap, "_level1_batch", spoiling)
+    monkeypatch.setattr(_batch, "rebuild_levels_batch", rebuilding)
     monkeypatch.setattr(_batch, "sweep_batch", sweeping)
     result = bootstrap.lag_augmented_interval(prep)
     assert result.n_failed == 1
@@ -769,8 +799,8 @@ _SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s
 @functools.lru_cache(maxsize=None)
 def _fresh_level1(seed, rank):
     """The bytes of each swept field of the level-1 batch at ``rank`` of a
-    fresh sample, built in a fresh path buffer."""
-    sweep = _fresh(seed).level1(rank).sweep
+    fresh sample, built in a fresh path buffer that it keeps."""
+    sweep = _fresh(seed).level1(rank, keep=True).sweep
     return {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
 
 
@@ -790,50 +820,67 @@ _STEPS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(seed=st.sampled_from(MEMO_SEEDS), steps=st.lists(_STEPS, min_size=2, max_size=8))
 def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, steps):
-    # Every step reads a batch built in the same path and level-two buffers
-    # as the steps before it, and equals the same step on a fresh sample,
-    # bit for bit.
+    # Every step reads a batch built in the same path, chunk and level-two
+    # buffers as the steps before it, and equals the same step on a fresh
+    # sample, bit for bit.  A batch keeps its paths when its reader reads
+    # them; a level-1 step builds the batch both ways.
     prep = _fresh(seed)
-    paths, scratch = bootstrap._path_buffer(prep), bootstrap._lazy_buffer(prep)
+    paths, chunk = bootstrap._path_buffer(prep), bootstrap._chunk_buffer(prep)
+    scratch = bootstrap._lazy_buffer(prep)
 
-    def batch(rank):
-        return bootstrap._level1_batches([prep], rank, paths, scratch)[0]
+    def batch(rank, keep):
+        buffer = paths if keep else chunk
+        return bootstrap._level1_batches([prep], rank, buffer, scratch, keep=keep)[0]
 
     for step in steps:
         if step in cli._ANALYZE_EXTRAS:
             rank = METHODS[step].rank(prep)
-            boot = None if rank is None else batch(rank)
+            boot = None if rank is None else batch(rank, METHODS[step].paths)
             assert _same_result(_attempt(METHODS[step].run, prep, boot), _alone(seed)[step]), step
             continue
         kind, rank = step
         if kind == "fan":
-            got = _attempt(bootstrap.fixed_rank_interval, prep, rank, boot=batch(rank))
+            got = _attempt(bootstrap.fixed_rank_interval, prep, rank, boot=batch(rank, False))
             assert _same_result(got, _fresh_fan(seed, rank)), step
             continue
-        sweep = batch(rank).sweep
+        sweep = batch(rank, True).sweep
         assert sweep.tilde.ctypes.data == paths.ctypes.data
         got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
         assert got == _fresh_level1(seed, rank), step
+        sweep = batch(rank, False).sweep
+        assert sweep.tilde is None
+        got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS if name != "tilde"}
+        expected = dict(_fresh_level1(seed, rank))
+        del expected["tilde"]
+        assert got == expected, step
 
 
 def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
-    # One run_methods call builds every rank's batch in one path buffer.
-    # Each batch is gone before the next rank's are built, and the path
-    # and level-two buffers are gone when the run returns.
+    # One run_methods call builds the batch of every rank with a reader of
+    # the paths (FDBB, lavar) in one path buffer, which its sweep keeps, and
+    # every other rank's in one chunk buffer, the head of that path buffer,
+    # which no sweep keeps.  Each batch is gone before the next rank's are
+    # built, and the path and level-two buffers are gone when the run
+    # returns.
     prep = _fresh(MEMO_SEEDS[0])
-    addresses, ranks, buffers, batches = [], [], [], []
+    built, ranks, buffers, batches = {True: [], False: []}, [], [], []
     build, build_all = bootstrap._level1_batch, bootstrap._level1_batches
+    path_shape = (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
+    chunk_shape = (min(_batch._CHUNK, prep.cfg.n_boot), prep.n_obs, prep.n_vars)
 
-    def building(sample, dgp_rank, paths):
-        assert paths.shape == (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
-        addresses.append(paths.ctypes.data)
-        return build(sample, dgp_rank, paths)
+    def building(sample, dgp_rank, paths, gram):
+        assert paths.shape == (path_shape if ranks[-1][1] else chunk_shape)
+        built[ranks[-1][1]].append(paths.ctypes.data)
+        return build(sample, dgp_rank, paths, gram)
 
-    def building_all(preps, dgp_rank, paths, scratch):
+    def building_all(preps, dgp_rank, paths, scratch, *, keep):
         assert all(ref() is None for ref in batches)  # the last rank's batches are freed
-        ranks.append(dgp_rank)
+        ranks.append((dgp_rank, keep))
         buffers.extend(weakref.ref(buffer) for buffer in (paths, scratch()))
-        out = build_all(preps, dgp_rank, paths, scratch)
+        out = build_all(preps, dgp_rank, paths, scratch, keep=keep)
+        for boot in out:
+            tilde = boot.sweep.tilde
+            assert tilde is None if not keep else tilde.base is paths
         batches.extend(weakref.ref(boot) for boot in out)
         return out
 
@@ -841,8 +888,10 @@ def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
     monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
     out = run_methods(prep, cli._ANALYZE_EXTRAS)
     assert all(isinstance(result, IntervalSet) for result in out.values()), out
-    assert ranks == [0, 1, 2, 3]
-    assert len(addresses) == 4 and len(set(addresses)) == 1
+    readers = {prep.n_vars, *(prep.select_rank(RankSelector(ic)) for ic in ("aic", "bic"))}
+    assert ranks == [(rank, rank in readers) for rank in range(4)]
+    assert len(built[True]) == len(readers) and len(set(built[True])) == 1
+    assert len(built[False]) == 4 - len(readers) > 0 and set(built[False]) == set(built[True])
     gc.collect()
     assert all(ref() is None for ref in batches + buffers)
 
@@ -858,11 +907,12 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
     path_buffers, scratches, checked = [], [], []
     build_all = bootstrap._level1_batches
 
-    def building_all(preps, dgp_rank, paths, scratch):
+    def building_all(preps, dgp_rank, paths, scratch, *, keep):
+        assert keep  # every rank has a reader of its paths
         path_buffers.append(paths)
         scratches.append(scratch)
         assert not np.shares_memory(scratch(), paths)
-        return build_all(preps, dgp_rank, paths, scratch)
+        return build_all(preps, dgp_rank, paths, scratch, keep=keep)
 
     def checking(constructor):
         def run(prep, *args, boot, **kwargs):
@@ -914,9 +964,9 @@ def test_a_failed_fan_member_keeps_no_batch_or_buffer_alive(monkeypatch):
     prep, buffers = _fresh(MEMO_SEEDS[0]), []
     build_all, fixed = bootstrap._level1_batches, bootstrap.fixed_rank_interval
 
-    def building_all(preps, dgp_rank, paths, scratch):
+    def building_all(preps, dgp_rank, paths, scratch, *, keep):
         buffers.append(weakref.ref(paths))
-        return build_all(preps, dgp_rank, paths, scratch)
+        return build_all(preps, dgp_rank, paths, scratch, keep=keep)
 
     def failing(sample, rank, *, boot=None):
         if rank == 1:
@@ -944,6 +994,214 @@ def test_detrending_in_place_equals_each_sample_alone(seed, n_batch, mode, data)
     alone = ys[index : index + 1].copy()
     assert np.array_equal(_batch.detrend_batch(alone, mode), coef[index : index + 1])
     assert np.array_equal(alone[0], tilde[index])
+
+
+# ---------------------------------------------------------------------------
+# streamed level-1 builds against the whole-batch build
+
+
+def _long(seed, n_obs=800, n_boot=399):
+    """A K=2, p=1 sample long enough that one (n_boot, T, K) path buffer
+    outweighs what a streamed build holds at once."""
+    cfg = BootstrapConfig(n_boot=n_boot, seed=seed)
+    return _prepare(_paths(seed, 1, n_obs=n_obs, n_vars=2)[0], 1, [IrfQuery(1, 2, 1)], cfg,
+                    DetrendMode.CONSTANT)
+
+
+@contextlib.contextmanager
+def _spoilt_builds(rows, detrended):
+    """Rows ``rows`` of the build order (replication r of the i-th sample built
+    is row i n_boot + r) get an infinite last row right after their rebuild;
+    ``detrended`` collects, per detrending call, whether all its paths were
+    finite."""
+    rebuild, detrend, seen = _batch.rebuild_levels_batch, _batch.detrend_batch, [0]
+
+    def rebuilding(mats, errors, n_init):
+        out = rebuild(mats, errors, n_init)
+        for row in rows:
+            if seen[0] <= row < seen[0] + len(out):
+                out[row - seen[0], -1] = np.inf
+        seen[0] += len(out)
+        return out
+
+    def detrending(y, mode):
+        detrended.append(bool(np.isfinite(y).all()))
+        return detrend(y, mode)
+
+    with mock.patch.object(_batch, "rebuild_levels_batch", rebuilding), \
+            mock.patch.object(_batch, "detrend_batch", detrending):
+        yield
+
+
+@pytest.mark.parametrize("n_boot", [39, 63, 64, 65, 128, 199])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_vars=st.integers(1, 4),
+    p=st.integers(1, 4),
+    rank=st.integers(0, 4),
+    mode=MODES,
+    paper=st.booleans(),
+    size=st.sampled_from([1, 3]),
+    keep=st.booleans(),
+    spoil=st.booleans(),
+    chunk_bytes=st.sampled_from([0, bootstrap._CHUNK_BYTES]),
+)
+def test_chunked_level1_builds_equal_the_whole_batch_build(
+    n_boot, seed, n_vars, p, rank, mode, paper, size, keep, spoil, chunk_bytes
+):
+    # A group's level-1 batches built a chunk at a time, 64 replications
+    # (a zero budget) or as many as the budget allows (here all of them),
+    # kept in the group's path buffer or streamed through one chunk buffer,
+    # sweep bitwise as the whole-batch build does: every replication drawn
+    # in passes, rebuilt through a zero-padded window, then the stack zeroed
+    # where non-finite, detrended and swept.  A spoilt path in the first
+    # chunk and one in the last sample's tail chunk are zeroed before any
+    # detrending and flagged.
+    rank = min(rank, n_vars)
+    cfg = BootstrapConfig(n_boot=n_boot, seed=seed, paper_sample_convention=paper)
+    samples = _paths(seed, size, n_obs=40, n_vars=n_vars)
+    group = [
+        _prepare(sample, p, [IrfQuery(1, n_vars, 1)], dataclasses.replace(cfg, seed=seed + i), mode)
+        for i, sample in enumerate(samples)
+    ]
+    rows = (5, size * n_boot - 1) if spoil else ()
+    detrended = []
+    with np.errstate(all="ignore"), mock.patch.object(bootstrap, "_CHUNK_BYTES", chunk_bytes):
+        chunk = bootstrap._chunk_rows(group[0])
+        assert chunk == (min(n_boot, _batch._CHUNK) if chunk_bytes == 0 else n_boot)
+        buffer = bootstrap._path_buffer(group[0], size) if keep else bootstrap._chunk_buffer(group[0])
+        expected = reference.level1_whole(group, rank, spoil=rows)
+        with _spoilt_builds(rows, detrended):
+            boots = bootstrap._level1_batches(
+                group, rank, buffer, bootstrap._lazy_buffer(group[0]), keep=keep
+            )
+    assert len(detrended) == size * -(-n_boot // chunk) and all(detrended)
+    for i, (boot, want) in enumerate(zip(boots, expected)):
+        assert boot.dgp_rank == rank and (boot.sweep.p, boot.sweep.t_eff) == (want.p, want.t_eff)
+        for name in _SWEEP_FIELDS:
+            got = getattr(boot.sweep, name)
+            if name == "tilde" and not keep:
+                assert got is None
+                continue
+            assert got.tobytes() == getattr(want, name).tobytes(), (i, name)
+    for row in rows:
+        assert boots[row // n_boot].sweep.reason[row % n_boot] & _batch.NONFINITE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vars=st.integers(1, 5),
+    p=st.integers(1, 4),
+    n_batch=st.sampled_from([1, 2, 63, 64, 65, 128, 199]),
+    length=st.sampled_from([2, 9, 37, 200]),
+    extra_init=st.booleans(),
+)
+def test_rebuild_through_the_buffer_equals_the_window_rebuild(
+    seed, n_vars, p, n_batch, length, extra_init
+):
+    # Whole chunks are multiplied in place, as strided views of the path
+    # buffer, and the tail through a zero-padded window; every path's bytes
+    # equal the rebuild that copies every chunk into the window.
+    rng = np.random.default_rng(seed)
+    n_obs = length if length > 30 else p + length
+    mats = rng.standard_normal((p, n_vars, n_vars)) * (0.4 / (n_vars * p))
+    mats[0] += 0.5 * np.eye(n_vars)
+    errors = rng.standard_normal((n_batch, n_obs, n_vars))
+    n_init = p + 1 if extra_init else p
+    got = _batch.rebuild_levels_batch(mats, errors.copy(), n_init)
+    assert got.tobytes() == reference.rebuild_levels_window(mats, errors.copy(), n_init).tobytes()
+
+
+def _u32_used(stream) -> int:
+    """32-bit words a Philox stream has handed out."""
+    state = stream.bit_generator.state
+    words = int(state["state"]["counter"][0]) * 4 - (4 - state["buffer_pos"])
+    return 2 * words - state["has_uint32"]
+
+
+@pytest.mark.parametrize("pool_size", [1024, 3_000_000])
+def test_draws_in_chunks_equal_the_draws_in_passes(pool_size):
+    # A build draws _CHUNK replications per call; the former passes drew
+    # _PASS_INDICES // n_draw.  Both continue one stream, also where
+    # numpy's bounded draw rejects words: none at a power of two, and a
+    # hundred or so over 399 x 795 draws from a pool of 3e6 rows.
+    n_rows, n_draw = 399, 795
+    step = bootstrap._PASS_INDICES // n_draw
+    passes, chunks = bootstrap._stream(9, 1, 3), bootstrap._stream(9, 1, 3)
+    by_pass = np.concatenate([
+        bootstrap._draw_index_matrix(passes, min(step, n_rows - lo), pool_size, n_draw)
+        for lo in range(0, n_rows, step)
+    ])
+    by_chunk = np.concatenate([
+        bootstrap._draw_index_matrix(chunks, min(_batch._CHUNK, n_rows - lo), pool_size, n_draw)
+        for lo in range(0, n_rows, _batch._CHUNK)
+    ])
+    assert np.array_equal(by_chunk, by_pass)
+    rejected = _u32_used(chunks) - n_rows * n_draw
+    assert rejected == _u32_used(passes) - n_rows * n_draw
+    assert rejected > 50 if pool_size == 3_000_000 else rejected == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_boot=st.sampled_from([39, 63, 64, 65, 128, 199]),
+    n_draw=st.integers(1, 120),
+    pool_size=st.integers(1, 400),
+    own_pools=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_chunked_gathers_equal_the_gathers_in_passes(n_boot, n_draw, pool_size, own_pools, seed):
+    # The drawer fills _CHUNK replications per call, shared pool or one pool
+    # each, with the paths the former passes gathered.
+    rng = np.random.default_rng(seed)
+    resid = rng.standard_normal((n_boot if own_pools else 1, pool_size, 2))
+    init = rng.standard_normal((3, 2))
+    cfg = BootstrapConfig(n_boot=n_boot, seed=seed)
+    expected = np.empty((n_boot, 3 + n_draw, 2))
+    reference.draw_errors_in_passes(resid, cfg, 1, 2, init, expected)
+    got = np.full_like(expected, np.nan)
+    draw = bootstrap._drawer(resid, cfg, 1, 2, init, _batch._CHUNK, 3 + n_draw)
+    for lo in range(0, n_boot, _batch._CHUNK):
+        draw(got[lo : lo + _batch._CHUNK])
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_only_runs_that_read_paths_make_a_path_buffer(monkeypatch):
+    # The fan and WIMP stream every build through one chunk buffer: no
+    # (n_boot, T, K) path buffer is made, and the traced peak stays below
+    # the size of one.  lavar or FDBB make the group's one path buffer, and
+    # FDBB its one level-two buffer after it.
+    made = []
+    path_buffer = bootstrap._path_buffer
+
+    def making(prep, count=1):
+        made.append(count)
+        return path_buffer(prep, count)
+
+    monkeypatch.setattr(bootstrap, "_path_buffer", making)
+    group = [_long(seed) for seed in (1, 2)]
+    size = group[0].cfg.n_boot * group[0].n_obs * group[0].n_vars * 8
+
+    def run(preps, names):
+        made.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = run_methods(preps, names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(one, IntervalSet) for results in out for one in results.values())
+        return peak, list(made)
+
+    peak, buffers = run(group[:1], ["wimp"])
+    assert buffers == [] and peak < size
+    assert run(group, ["wimp"])[1] == []
+    peak, buffers = run(group, ["wimp", "lavar"])
+    assert buffers == [2] and peak > 2 * size
+    assert run(group, ["wimp", "fdbb_aic"])[1] == [2, 1]
 
 
 # ---------------------------------------------------------------------------
