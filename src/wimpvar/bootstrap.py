@@ -20,15 +20,17 @@ exported as ``wimpvar.prepare``; ``_prepare_many`` prepares a stack of
 samples with one sweep).  ``METHODS`` names every construction;
 ``run_methods`` runs a set of them on one prepared sample or on a group of
 them.  It builds each level-1 batch once, in chunks of 64 replications or
-more, and keeps its paths only when a method reads them; at each rank it sweeps the
-batches of the whole group as one stack; everything downstream of the
-sweep (responses, query values, Hall bounds) runs per sample, on its slice.
+more, each chunk writing its rows of the batch's Gram matrices, and at each
+rank it sweeps the batches of the whole group as one stack; everything
+downstream of the sweep (responses, query values, Hall bounds) runs per
+sample, on its slice.  No batch keeps its paths: FDBB level two and the
+lag-augmented bootstrap replay the chunks of the batch they read, which
+gives the same bits, so no build holds an (n_boot, T, K) array.
 """
 from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -287,13 +289,12 @@ class _Prepared:
         stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
         return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
-    def level1(self, dgp_rank: int, boot: _BootBatch | None = None, keep=False) -> _BootBatch:
-        """``boot`` if it is the level-1 batch at ``dgp_rank``, holding its paths
-        when ``keep`` asks for them, else a fresh one in fresh buffers;
-        ``run_methods`` shares a group's (:func:`_level1_batches`)."""
-        if boot is None or boot.dgp_rank != dgp_rank or (keep and boot.sweep.tilde is None):
-            buffer = _path_buffer(self) if keep else _chunk_buffer(self)
-            (boot,) = _level1_batches([self], dgp_rank, buffer, _lazy_buffer(self), keep=keep)
+    def level1(self, dgp_rank: int, boot: _BootBatch | None = None) -> _BootBatch:
+        """``boot`` if it is the level-1 batch at ``dgp_rank``, else a fresh one
+        built in a fresh chunk buffer; ``run_methods`` shares a group's
+        (:func:`_level1_batches`)."""
+        if boot is None or boot.dgp_rank != dgp_rank:
+            (boot,) = _level1_batches([self], dgp_rank, _chunk_buffer(self))
         return boot
 
     def check_rank(self, rank) -> int:
@@ -408,9 +409,6 @@ def _stream(seed: int, level: int, code: int, rep: int = 0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_PASS_INDICES = 32768  # residual indices drawn per pass; bounds the index buffer
-
-
 def _draw_index_matrix(stream, n_rows: int, pool_size: int, n_draw: int) -> np.ndarray:
     """The next ``n_rows`` runs of ``n_draw`` residual indices in
     0..pool_size-1 from ``stream``, (n_rows, n_draw) int64.
@@ -429,53 +427,35 @@ def _draw_index_matrix(stream, n_rows: int, pool_size: int, n_draw: int) -> np.n
 
 @dataclass
 class _BootBatch:
-    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank, the
-    maker of its level-two buffer (``scratch()``, see :func:`_lazy_buffer`) and
+    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and
     the per-batch results its methods share, keyed by step (read-only arrays).
 
-    The sweep is the sample's slice of its group's stacked sweep.  Only two
-    readers need the detrended paths themselves: FDBB level two builds its
-    residual pools from them (the paths start from the observed initial
-    rows, which is all level two reads of the paths themselves), and the
-    lag-augmented bootstrap sweeps the rank-K batch's paths at p+1.  A batch
-    built for them keeps its paths as the sweep's ``tilde``, the sample's
-    slice of its group's path buffer, which the next such build overwrites;
-    any other batch is built in one reused chunk buffer, and its ``tilde``
-    is None (see :func:`_level1_batches`).
+    The sweep is the sample's slice of its group's stacked sweep, made from
+    Gram matrices; it keeps no paths (its ``tilde`` is None).  A reader that
+    needs the paths themselves, FDBB level two and the lag-augmented
+    bootstrap, replays the batch's chunks (:func:`_replay`).
     """
 
     sweep: _batch.BatchSweep
     dgp_rank: int
-    scratch: Callable
     memo: dict = field(default_factory=dict)
 
 
-def _path_buffer(prep: _Prepared, count: int = 1) -> np.ndarray:
-    """A fresh (count n_boot, T, K) buffer for ``count`` batches of bootstrap paths."""
-    return np.empty((count * prep.cfg.n_boot, prep.n_obs, prep.n_vars))
-
-
-# A level-1 build runs in chunks of whole _CHUNKs of replications, as many
-# as fit in about this many bytes of paths, and at least one: 64 short paths
-# are too little work per kernel call.
+# A build runs in chunks of whole _CHUNKs of replications, as many as fit in
+# about this many bytes of paths, and at least one: 64 short paths are too
+# little work per kernel call.
 _CHUNK_BYTES = 1 << 20
 
 
 def _chunk_rows(prep: _Prepared) -> int:
-    """Replications per chunk of a level-1 build (see _CHUNK_BYTES), at most n_boot."""
+    """Replications per chunk of a build (see _CHUNK_BYTES), at most n_boot."""
     per_chunk = _batch._CHUNK * prep.n_obs * prep.n_vars * 8
     return min(prep.cfg.n_boot, _batch._CHUNK * max(1, _CHUNK_BYTES // per_chunk))
 
 
 def _chunk_buffer(prep: _Prepared) -> np.ndarray:
-    """A fresh buffer for one chunk of a streamed level-1 build, (_chunk_rows, T, K)."""
+    """A fresh buffer for one chunk of a streamed build, (_chunk_rows, T, K)."""
     return np.empty((_chunk_rows(prep), prep.n_obs, prep.n_vars))
-
-
-def _lazy_buffer(prep: _Prepared, count: int = 1) -> Callable:
-    """A maker of one (count n_boot, T, K) path buffer, made on the first call: one made
-    and never written would still move later arrays onto untouched pages, raising peak RSS."""
-    return cache(partial(_path_buffer, prep, count))
 
 
 def _pool_means(resid: np.ndarray) -> np.ndarray:
@@ -490,69 +470,41 @@ def _pool_means(resid: np.ndarray) -> np.ndarray:
     return (np.einsum("btk->bk", resid) / resid.shape[1])[:, None]
 
 
-def _drawer(resid, cfg: BootstrapConfig, level: int, code: int, init, rows: int, n_obs: int):
-    """A function ``draw(paths)`` that fills a C-contiguous (m, n_obs, K)
-    buffer, m <= ``rows``, with the next m replications of a build: the
-    initial rows ``init`` first, then innovations drawn i.i.d. from
-    column-centered residuals on the build's stream ``_stream(cfg.seed,
-    level, code)``.  ``resid`` is (1, n, K), one pool shared by every
-    replication, or (n_boot, n, K), one pool each.
+def _drawer(cfg: BootstrapConfig, level: int, code: int, init):
+    """A function ``draw(paths, resid)`` that fills a C-contiguous (m, n_obs,
+    K) buffer with the next m replications of a build: the initial rows
+    ``init`` first, then innovations drawn i.i.d. from the column-centred
+    residual pools ``resid`` on the build's stream ``_stream(cfg.seed,
+    level, code)``.  Each call passes its own pools: (1, n, K), one pool
+    shared by its replications, or (m, n, K), one pool each.
 
     Replication r takes the r-th run of n_obs - len(init) indices of the
     stream, so the first B replications of a larger build equal a build of
     B, and however the calls split the replications, the draws are the
     same: numpy's generator continues its stream across calls.  The initial
-    rows sit at the end of the pool, so a call gathers whole rows,
-    contiguous in the buffer, and np.take writes straight into it through
-    one (rows, n_obs) index buffer.  The pools are centred by
-    :func:`_pool_means`.
+    rows sit at the end of the call's pool, so a call gathers whole rows,
+    contiguous in the buffer, and np.take writes straight into it.  The
+    pools are centred by :func:`_pool_means`.
     """
-    n_pools, n_pool, n_vars = resid.shape
     n_init = len(init)
-    pool = np.empty((n_pools * n_pool + n_init, n_vars))
-    centered = pool[: n_pools * n_pool].reshape(resid.shape)
-    np.subtract(resid, _pool_means(resid), out=centered)
-    pool[n_pools * n_pool :] = init
     stream = _stream(cfg.seed, level, code)
-    idx = np.empty((rows, n_obs), dtype=np.int64)
-    idx[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
-    done = 0
 
-    def draw(paths: np.ndarray) -> None:
-        nonlocal done
-        count = len(paths)
-        part = idx[:count]
-        part[:, n_init:] = _draw_index_matrix(stream, count, n_pool, n_obs - n_init)
+    def draw(paths: np.ndarray, resid: np.ndarray) -> None:
+        count, n_obs, n_vars = paths.shape
+        n_pools, n_pool = resid.shape[:2]
+        pool = np.empty((n_pools * n_pool + n_init, n_vars))
+        np.subtract(resid, _pool_means(resid), out=pool[: n_pools * n_pool].reshape(resid.shape))
+        pool[n_pools * n_pool :] = init
+        idx = np.empty((count, n_obs), dtype=np.int64)
+        idx[:, :n_init] = np.arange(len(pool) - n_init, len(pool))
+        idx[:, n_init:] = _draw_index_matrix(stream, count, n_pool, n_obs - n_init)
         if n_pools > 1:
-            part[:, n_init:] += np.arange(done * n_pool, (done + count) * n_pool, n_pool)[:, None]
+            idx[:, n_init:] += np.arange(0, count * n_pool, n_pool)[:, None]
         # Every index is in range, and "clip", unlike "raise", gathers
         # straight into ``paths`` instead of through a copy.
-        np.take(pool, part, axis=0, out=paths, mode="clip")
-        done += count
+        np.take(pool, idx, axis=0, out=paths, mode="clip")
 
     return draw
-
-
-def _draw_errors(resid, cfg: BootstrapConfig, level: int, code: int, init, paths: np.ndarray):
-    """All ``cfg.n_boot`` replications of a build (:func:`_drawer`) drawn into
-    ``paths`` (n_boot, m + n_draw, K), in passes of about _PASS_INDICES
-    indices, so no (n_boot, n_draw) index matrix is held; the pass size
-    does not enter the draws."""
-    n_obs = paths.shape[1]
-    step = max(1, _PASS_INDICES // max(n_obs - len(init), 1))
-    draw = _drawer(resid, cfg, level, code, init, min(step, cfg.n_boot), n_obs)
-    for start in range(0, cfg.n_boot, step):
-        draw(paths[start : start + step])
-
-
-def _build_paths(paths, prep: _Prepared, mats, resid, level: int, code: int) -> np.ndarray:
-    """Bootstrap paths built in ``paths``, a (n_boot, T, K) buffer: the
-    observed initial rows, then innovations drawn from ``resid`` on the
-    (level, code) stream, turned into levels by the recursion under
-    ``mats``.  Returns ``paths``."""
-    init = prep.raw[: prep.p + 1]
-    _draw_errors(resid, prep.cfg, level, code, init, paths)
-    return _batch.rebuild_levels_batch(mats, paths, len(init))
 
 
 def _detrend_finite(paths: np.ndarray, mode: DetrendMode) -> np.ndarray:
@@ -565,16 +517,6 @@ def _detrend_finite(paths: np.ndarray, mode: DetrendMode) -> np.ndarray:
     return finite
 
 
-def _resweep(paths: np.ndarray, prep: _Prepared) -> _batch.BatchSweep:
-    """Sweep of rebuilt paths at lag order p under the sample's convention,
-    detrended in place (:func:`_detrend_finite`) and kept as the sweep's
-    ``tilde``; a non-finite path is flagged."""
-    finite = _detrend_finite(paths, prep.mode)
-    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
-    sweep.reason[~finite] |= _batch.NONFINITE
-    return sweep
-
-
 def _dgp(prep: _Prepared, rank: int):
     """The observed sample's rank-``rank`` fit as a bootstrap process: its
     levels VAR matrices (p, K, K) and residuals (1, T_eff, K)."""
@@ -582,62 +524,80 @@ def _dgp(prep: _Prepared, rank: int):
     return _batch.var_matrices_batch(pi, gammas)[0], _batch.residuals_batch(prep.sweep, pi)
 
 
-def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray):
-    """Builds the sample's level-1 batch at ``dgp_rank`` a chunk of
-    replications at a time (:func:`_chunk_rows`: 64 at T = 800, K = 3; all
-    199 at once at T = 100, K = 3), and returns which of its n_boot paths
-    were finite, (n_boot,).
+def _level1_chunks(prep: _Prepared, dgp_rank: int, paths: np.ndarray):
+    """The sample's level-1 batch at ``dgp_rank``, a chunk of replications at
+    a time in the chunk buffer ``paths`` (:func:`_chunk_rows`: 64 at T =
+    800, K = 3; all 199 at once at T = 100, K = 3).
 
     Each chunk draws its rows from the build's one stream (:func:`_drawer`),
-    rebuilds them, zeroes the non-finite paths, detrends them all
-    (:func:`_detrend_finite`) and writes its Gram rows into ``gram``
-    (n_boot, K(p+1), K(p+1)), which :func:`_level1_batches` sweeps.  A
-    ``paths`` buffer of n_boot rows keeps every chunk in its rows; a smaller
-    one, a chunk buffer, takes each chunk in its leading rows in turn.
+    is rebuilt, has its non-finite paths zeroed and is detrended
+    (:func:`_detrend_finite`).  Yields (first replication, chunk, which of
+    its paths were finite); the next chunk overwrites the buffer.
     """
-    cfg, n_init = prep.cfg, prep.p + 1
+    n_boot, n_init = prep.cfg.n_boot, prep.p + 1
     mats, resid = _dgp(prep, dgp_rank)
-    size = _chunk_rows(prep)
-    draw = _drawer(resid, cfg, 1, dgp_rank, prep.raw[:n_init], size, prep.n_obs)
-    finite = np.empty(cfg.n_boot, dtype=bool)
-    for lo in range(0, cfg.n_boot, size):
-        hi = min(lo + size, cfg.n_boot)
-        chunk = paths[lo:hi] if len(paths) == cfg.n_boot else paths[: hi - lo]
-        draw(chunk)
+    draw = _drawer(prep.cfg, 1, dgp_rank, prep.raw[:n_init])
+    for lo in range(0, n_boot, len(paths)):
+        chunk = paths[: min(len(paths), n_boot - lo)]
+        draw(chunk, resid)
         _batch.rebuild_levels_batch(mats, chunk, n_init)
-        finite[lo:hi] = _detrend_finite(chunk, prep.mode)
-        _batch.gram_batch(chunk, prep.p, prep.sweep.t_eff, out=gram[lo:hi])
+        yield lo, chunk, _detrend_finite(chunk, prep.mode)
+
+
+def _replay(prep: _Prepared, boot: _BootBatch):
+    """The chunks of the built level-1 batch ``boot`` once more
+    (:func:`_level1_chunks`), in a fresh chunk buffer: the same stream and
+    the same steps, so the same bits as its build."""
+    return _level1_chunks(prep, boot.dgp_rank, _chunk_buffer(prep))
+
+
+def _grams(chunks, gram: np.ndarray, p: int, t_eff: int) -> np.ndarray:
+    """Writes the Gram rows at lag order ``p`` of each chunk that ``chunks``
+    yields, as (first row, detrended chunk, finite), into ``gram``
+    (B, K(p+1), K(p+1)); returns which paths were finite, (B,)."""
+    finite = np.empty(len(gram), dtype=bool)
+    for lo, chunk, ok in chunks:
+        rows = slice(lo, lo + len(chunk))
+        finite[rows] = ok
+        _batch.gram_batch(chunk, p, t_eff, out=gram[rows])
     return finite
 
 
-def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, scratch: Callable, *, keep: bool):
-    """Each sample's level-1 batch at ``dgp_rank`` (:func:`_level1_batch`),
-    swept as one stack from their Gram matrices; every batch gets
-    ``scratch`` as its level-two buffer's maker.
+def _sweep_grams(gram, finite, p: int, paper_convention: bool, n_obs: int) -> _batch.BatchSweep:
+    """The sweep at lag order ``p`` of a batch from its Gram matrices
+    (:func:`_grams`), a non-finite path flagged; it keeps no paths."""
+    sweep = _batch.sweep_batch(None, p, paper_convention, gram=gram, n_obs=n_obs)
+    sweep.reason[~finite] |= _batch.NONFINITE
+    return sweep
 
-    With ``keep``, ``paths`` is the group's path buffer: sample i builds in
-    its rows i n_boot..(i+1) n_boot - 1, and its sweep keeps them as its
-    ``tilde``.  Without, ``paths`` is a chunk buffer (:func:`_chunk_buffer`)
-    that every chunk reuses, and no sweep has a ``tilde``.  Each build keeps
-    its own stream and its own recursion, so a sample's slice is bitwise
-    what it would be alone, kept or not: every kernel treats each sample of
-    a stack alone.  The samples share their shape and settings (see
-    :func:`run_methods`).
+
+def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray):
+    """Builds the sample's level-1 batch at ``dgp_rank`` in the chunk buffer
+    ``paths`` (:func:`_level1_chunks`), each chunk writing its rows of
+    ``gram`` (n_boot, K(p+1), K(p+1)), which :func:`_level1_batches`
+    sweeps; returns which of its n_boot paths were finite, (n_boot,)."""
+    return _grams(_level1_chunks(prep, dgp_rank, paths), gram, prep.p, prep.sweep.t_eff)
+
+
+def _level1_batches(preps, dgp_rank: int, paths: np.ndarray):
+    """Each sample's level-1 batch at ``dgp_rank`` (:func:`_level1_batch`),
+    built in turn through the one chunk buffer ``paths`` and swept as one
+    stack from their Gram matrices.
+
+    Each build keeps its own stream and its own recursion, so a sample's
+    slice is bitwise what it would be alone: every kernel treats each
+    sample of a stack alone.  The samples share their shape and settings
+    (see :func:`run_methods`).
     """
     first = preps[0]
     n_boot, width = first.cfg.n_boot, first.n_vars * (first.p + 1)
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
     gram = np.empty((rows[-1].stop, width, width))
     finite = np.concatenate([
-        _level1_batch(prep, dgp_rank, paths[part] if keep else paths, gram[part])
-        for prep, part in zip(preps, rows)
+        _level1_batch(prep, dgp_rank, paths, gram[part]) for prep, part in zip(preps, rows)
     ])
-    sweep = _batch.sweep_batch(
-        paths[: rows[-1].stop] if keep else None, first.p, first.cfg.paper_sample_convention,
-        gram=gram, n_obs=first.n_obs,
-    )
-    sweep.reason[~finite] |= _batch.NONFINITE
-    return [_BootBatch(sweep.take(part), dgp_rank, scratch) for part in rows]
+    sweep = _sweep_grams(gram, finite, first.p, first.cfg.paper_sample_convention, first.n_obs)
+    return [_BootBatch(sweep.take(part), dgp_rank) for part in rows]
 
 
 def _read_only(*arrays):
@@ -759,16 +719,15 @@ def fixed_rank_interval(prep: _Prepared, rank: int, *, boot=None) -> IntervalSet
     return _finalize(prep, "fixed_rank", rank, zeta_star, ok, points, f"the rank-{rank} bootstrap")
 
 
-def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot, keep=False):
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot):
     """Level one of the rank re-selection bootstraps: the observed rank, the
-    level-1 batch, holding its paths if ``keep``, its per-sample selected
-    ranks and the replications' query values, ok flags and fit at those
-    ranks.  The batch keeps the per-sample part, so ``bers_*`` and ``fdbb_*``
-    with one selector compute it once."""
+    level-1 batch, its per-sample selected ranks and the replications' query
+    values, ok flags and fit at those ranks.  The batch keeps the per-sample
+    part, so ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     r_hat = prep.select_rank(selector)
-    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot, keep)
+    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot)
     key = ("reselect", selector)
     if key not in boot.memo:
         ranks_star = _batch.select_batch(boot.sweep, selector)
@@ -844,6 +803,29 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous", *, boot=None)
     )
 
 
+def _level_two(prep: _Prepared, boot: _BootBatch, code: int, pi_star, gam_star):
+    """FDBB's level two, a chunk at a time, as :func:`_level1_chunks` yields
+    level one: one sample per level-one sample, drawn on the stream (seed,
+    2, ``code``) from that sample's centred residuals at its selected rank
+    (``pi_star``, ``gam_star``), from the observed initial rows, rebuilt
+    under that fit, zeroed where non-finite and detrended.
+
+    Level one's chunks are replayed (:func:`_replay`), so each chunk's
+    residuals come from its paths and its rows of the level-1 sweep.
+    """
+    n_init = prep.p + 1
+    draw = _drawer(prep.cfg, 2, code, prep.raw[:n_init])
+    paths = _chunk_buffer(prep)
+    for lo, level1, _ in _replay(prep, boot):
+        rows = slice(lo, lo + len(level1))
+        chunk = paths[: len(level1)]
+        sweep = replace(boot.sweep.take(rows), tilde=level1)
+        draw(chunk, _batch.residuals_batch(sweep, pi_star[rows]))
+        mats = _batch.var_matrices_batch(pi_star[rows], gam_star[rows])
+        _batch.rebuild_levels_batch(mats, chunk, n_init)
+        yield lo, chunk, _detrend_finite(chunk, prep.mode)
+
+
 def fdbb_interval(
     prep: _Prepared, selector: RankSelector, dgp_rank_mode: str = "estimated", *, boot=None
 ) -> IntervalSet:
@@ -856,17 +838,13 @@ def fdbb_interval(
     statistics.
     """
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
-        prep, selector, dgp_rank_mode, boot, keep=True
+        prep, selector, dgp_rank_mode, boot
     )
-
-    # Level two: one sample per level-one sample, rebuilt under its own
-    # selected rank, with the same centered-residual resampling scheme and
-    # the same initial rows, the observed ones.
-    paths2 = _build_paths(
-        boot.scratch(), prep, _batch.var_matrices_batch(pi_star, gam_star),
-        _batch.residuals_batch(boot.sweep, pi_star), 2, _SELECTOR_CODES[selector.method],
-    )
-    sweep2 = _resweep(paths2, prep)
+    p, width = prep.p, prep.n_vars * (prep.p + 1)
+    gram = np.empty((prep.cfg.n_boot, width, width))
+    chunks = _level_two(prep, boot, _SELECTOR_CODES[selector.method], pi_star, gam_star)
+    finite = _grams(chunks, gram, p, prep.sweep.t_eff)
+    sweep2 = _sweep_grams(gram, finite, p, prep.cfg.paper_sample_convention, prep.n_obs)
     zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), prep.cq)
     return _finalize(
         prep, f"fdbb_{selector.label}", r_hat, zeta_2, ok1 & ok2, None, "the double bootstrap",
@@ -880,21 +858,32 @@ def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
     A levels VAR without deterministic terms is the error-correction fit at
     full rank K.  The bootstrap process is the sample's rank-K fit, so the
     bootstrap paths are the level-1 batch at rank K, which the rank-K fan
-    member reads too.  The point estimate and every bootstrap estimate come
-    from the rank-K fit of a VAR(p+1), of which only the first p levels
-    matrices feed the responses.  The VAR(p+1) fits use rows t = p+2..T
-    under either sample convention; a path that turned non-finite fails.
+    member reads too; its chunks are replayed (:func:`_replay`) and their
+    Gram rows written at p+1.  The point estimate and every bootstrap
+    estimate come from the rank-K fit of a VAR(p+1), of which only the
+    first p levels matrices feed the responses.  The VAR(p+1) fits use rows
+    t = p+2..T under either sample convention; a path that turned
+    non-finite fails.  A sample too short for p+1 lags raises DataError.
     """
-    observed = sweep_samples(prep.sweep.tilde, prep.p + 1)
+    n_vars, p, n_obs = prep.n_vars, prep.p, prep.n_obs
+    if n_obs < n_vars * (p + 1) + 10:
+        raise DataError(
+            f"lavar fits a VAR(p + 1) = VAR({p + 1}) for p = {p}: it needs at least"
+            f" K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations, got {n_obs}"
+        )
+    observed = sweep_samples(prep.sweep.tilde, p + 1)
     if observed.reason[0]:
         raise _sweep_error(observed, None)
-    (points,), (ok_point,), _ = _zeta_at_rank(observed, prep.n_vars, prep.cq, prep.p)
+    (points,), (ok_point,), _ = _zeta_at_rank(observed, n_vars, prep.cq, p)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    level1 = prep.level1(prep.n_vars, boot, keep=True).sweep
-    sweep = _batch.sweep_batch(level1.tilde, prep.p + 1)
-    sweep.reason |= level1.reason & _batch.NONFINITE
-    zeta_star, ok, _ = _zeta_at_rank(sweep, prep.n_vars, prep.cq, prep.p)
+    level1 = prep.level1(n_vars, boot)
+    width = n_vars * (p + 2)
+    gram = np.empty((prep.cfg.n_boot, width, width))
+    finite = _grams(_replay(prep, level1), gram, p + 1, n_obs - p - 1)
+    sweep = _sweep_grams(gram, finite, p + 1, False, n_obs)
+    sweep.reason |= level1.sweep.reason & _batch.NONFINITE
+    zeta_star, ok, _ = _zeta_at_rank(sweep, n_vars, prep.cq, p)
     return _finalize(prep, "lavar", None, zeta_star, ok, points, "the lag-augmented bootstrap")
 
 
@@ -929,13 +918,12 @@ def wimp_interval(prep: _Prepared) -> IntervalSet:
 @dataclass(frozen=True)
 class _Method:
     """A method's runner, ``run(prep, boot)``; ``rank(prep)`` is the DGP rank
-    of the level-1 batch ``boot`` (None: none), ``fan(prep)`` the fan ranks it
-    reads, and ``paths`` whether it reads the batch's paths, not only its sweep."""
+    of the level-1 batch ``boot`` (None: none) and ``fan(prep)`` the fan
+    ranks it reads."""
 
     run: Callable
     rank: Callable = lambda prep: None
     fan: Callable = lambda prep: ()
-    paths: bool = False
 
 
 def _fan_lookup(name: str, rank_of) -> _Method:
@@ -972,15 +960,11 @@ METHODS = ChainMap(_EXTRA_METHODS, {
     "bers_bic": _Method(lambda prep, boot: bers_interval(prep, _BIC, boot=boot), _selected(_BIC)),
     "ma": _Method(lambda prep, boot: ma_interval(prep, boot=boot), _reference_rank),
     "ma_fixed": _Method(lambda prep, boot: ma_interval(prep, "fixed", boot=boot), _reference_rank),
-    "fdbb_aic": _Method(
-        lambda prep, boot: fdbb_interval(prep, _AIC, boot=boot), _selected(_AIC), paths=True
-    ),
-    "fdbb_bic": _Method(
-        lambda prep, boot: fdbb_interval(prep, _BIC, boot=boot), _selected(_BIC), paths=True
-    ),
+    "fdbb_aic": _Method(lambda prep, boot: fdbb_interval(prep, _AIC, boot=boot), _selected(_AIC)),
+    "fdbb_bic": _Method(lambda prep, boot: fdbb_interval(prep, _BIC, boot=boot), _selected(_BIC)),
     "wimp": _Method(lambda prep, _: wimp_interval(prep), fan=lambda prep: range(prep.n_vars + 1)),
     "lavar": _Method(lambda prep, boot: lag_augmented_interval(prep, boot=boot),
-                     lambda prep: prep.n_vars, paths=True),
+                     lambda prep: prep.n_vars),
 })
 
 
@@ -1023,18 +1007,15 @@ def run_methods(preps, names):
     their shape, lag order, detrending and bootstrap size; seeds may differ.
 
     Fan members and methods run in ascending level-1 rank.  At each rank,
-    every sample that reads it builds its batch, on its own stream; one
-    sweep covers the stack, and each sample runs its fan member and methods
-    there on its own batch, then drops it.  A rank with a method that reads
-    the paths (``_Method.paths``: FDBB and ``lavar``) builds them in the
-    samples' slices of one group path buffer; every other rank streams its
-    builds through one chunk buffer, the head of that path buffer when the
-    run has one, else a buffer of its own (:func:`_chunk_buffer`).  So a run of the
-    fan and WIMP holds no (n_boot, T, K) paths, and no run holds two path
-    buffers.  Each buffer is made at its first use.  FDBB level two
-    builds in one group scratch buffer.  The order changes no result: every
-    build draws from its own Philox stream, keyed by (seed, level, code),
-    and every kernel treats each sample alone.
+    every sample that reads it builds its batch, on its own stream, through
+    the run's one chunk buffer (:func:`_chunk_buffer`); one sweep covers the
+    stack, and each sample runs its fan member and methods there on its own
+    batch, then drops it.  No batch keeps its paths: FDBB level two and
+    ``lavar`` replay the chunks of the batch they read, each in chunk
+    buffers of its own (:func:`_replay`).  So no run holds an (n_boot, T, K)
+    array.  The order changes no result: every build draws from its own
+    Philox stream, keyed by (seed, level, code), and every kernel treats
+    each sample alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.
     """
@@ -1050,7 +1031,6 @@ def run_methods(preps, names):
             "samples run together must share their shape, lag order, detrending and bootstrap size"
         )
     out = [{} for _ in group]
-    paths, scratch = _lazy_buffer(group[0], len(group)), _lazy_buffer(group[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         plan: dict = {}  # rank -> [(sample index, readers)]; reader None, first, is the fan
         for i, prep in enumerate(group):
@@ -1059,21 +1039,12 @@ def run_methods(preps, names):
                 reads.setdefault(METHODS[name].rank(prep), []).append(name)
             for rank, readers in reads.items():
                 plan.setdefault(rank, []).append((i, readers))
-        keeps = {
-            rank: any(METHODS[name].paths for _, readers in reads for name in readers if name)
-            for rank, reads in plan.items()
-        }
-        # A run that keeps some rank's paths streams the others through the
-        # head of its path buffer, so it holds no second buffer.
-        chunk = paths if any(keeps.values()) else cache(partial(_chunk_buffer, group[0]))
-        rows = _chunk_rows(group[0])
+        # made only when some rank is built, right before the first build
+        paths = _chunk_buffer(group[0]) if set(plan) - {None} else None
         for rank, reads in sorted(plan.items(), key=lambda item: (item[0] is None, item[0] or 0)):
             boots = [None] * len(reads)
             if rank is not None:
-                keep = keeps[rank]
-                buffer = paths() if keep else chunk()[:rows]
-                preps_at = [group[i] for i, _ in reads]
-                boots = _level1_batches(preps_at, rank, buffer, scratch, keep=keep)
+                boots = _level1_batches([group[i] for i, _ in reads], rank, paths)
             for i, readers in reads:
                 prep, boot = group[i], boots.pop(0)
                 for name in readers:

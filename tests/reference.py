@@ -8,16 +8,18 @@ and builds bootstrap paths in place; these are the plain per-query,
 per-cell, step-by-step, explicitly indexed, explicitly partialled,
 least-squares, out-of-place and one-sample-at-a-time versions the tests
 check it against.  It rebuilds shared-coefficient paths through the
-buffer, and builds a level-1 batch _CHUNK replications at a time; the
-zero-padded window rebuild and the whole-batch build (draw every
-replication, rebuild, detrend, then sweep the stack) are kept here too.
+buffer, and builds every bootstrap batch _CHUNK replications at a time,
+keeping no paths; the zero-padded window rebuild and the whole-batch
+builds (draw every replication in passes, rebuild, detrend, then sweep the
+stack, keeping its paths) of level one, of FDBB's level two and of the
+lag-augmented bootstrap are kept here too.
 """
 from types import SimpleNamespace
 
 import numpy as np
 
 from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, _batch, bootstrap, companion_matrix
-from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY
+from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY, sweep_samples
 
 
 def companion_roots(var: VarLevels) -> np.ndarray:
@@ -207,18 +209,22 @@ def rebuild_levels_window(mats: np.ndarray, errors: np.ndarray, n_init: int) -> 
     return errors
 
 
+_PASS_INDICES = 32768  # residual indices drawn per pass; bounds the index buffer
+
+
 def draw_errors_in_passes(resid, cfg, level: int, code: int, init, paths: np.ndarray) -> None:
     """Innovations of every replication of a build drawn into ``paths``
     (n_boot, m + n_draw, K) behind the initial rows ``init``, in passes of
-    ``bootstrap._PASS_INDICES // n_draw`` replications, each pass one call
-    of the build's stream for its (rows, n_draw) indices."""
+    ``_PASS_INDICES // n_draw`` replications, each pass one call of the
+    build's stream for its (rows, n_draw) indices.  ``resid`` is (1, n, K),
+    one pool for every replication, or (n_boot, n, K), one pool each."""
     n_pools, n_pool, n_vars = resid.shape
     n_init, n_draw = len(init), paths.shape[1] - len(init)
     pool = np.concatenate([
         (resid - bootstrap._pool_means(resid)).reshape(-1, n_vars), init,
     ])
     stream = bootstrap._stream(cfg.seed, level, code)
-    step = max(1, bootstrap._PASS_INDICES // max(n_draw, 1))
+    step = max(1, _PASS_INDICES // max(n_draw, 1))
     for start in range(0, cfg.n_boot, step):
         stop = min(start + step, cfg.n_boot)
         rows = np.empty((stop - start, n_init + n_draw), dtype=np.int64)
@@ -227,6 +233,20 @@ def draw_errors_in_passes(resid, cfg, level: int, code: int, init, paths: np.nda
         if n_pools > 1:
             rows[:, n_init:] += np.arange(start * n_pool, stop * n_pool, n_pool)[:, None]
         paths[start:stop] = pool[rows]
+
+
+def _swept(paths: np.ndarray, prep, spoil=()):
+    """The sweep at the sample's p and convention of rebuilt ``paths``, which
+    it keeps: rows ``spoil`` get an infinite last row first, then every
+    non-finite path is zeroed and flagged and the stack detrended."""
+    for row in spoil:
+        paths[row, -1] = np.inf
+    finite = np.isfinite(paths).all(axis=(1, 2))
+    paths[~finite] = 0.0
+    _batch.detrend_batch(paths, prep.mode)
+    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
+    sweep.reason[~finite] |= _batch.NONFINITE
+    return sweep
 
 
 def level1_whole(preps, dgp_rank: int, spoil=()):
@@ -245,11 +265,53 @@ def level1_whole(preps, dgp_rank: int, spoil=()):
         part = paths[i * n_boot : (i + 1) * n_boot]
         draw_errors_in_passes(resid, prep.cfg, 1, dgp_rank, prep.raw[:n_init], part)
         rebuild_levels_window(mats, part, n_init)
-    for row in spoil:
-        paths[row, -1] = np.inf
-    finite = np.isfinite(paths).all(axis=(1, 2))
-    paths[~finite] = 0.0
-    _batch.detrend_batch(paths, first.mode)
-    sweep = _batch.sweep_batch(paths, first.p, first.cfg.paper_sample_convention)
-    sweep.reason[~finite] |= _batch.NONFINITE
+    sweep = _swept(paths, first, spoil)
     return [sweep.take(slice(i * n_boot, (i + 1) * n_boot)) for i in range(len(preps))]
+
+
+def fdbb_whole(prep, selector, level1, spoil=()):
+    """FDBB's (interval set or the error it raises, level-two sweep), built
+    whole from ``level1``, the sample's level-1 sweep at its DGP rank that
+    keeps its paths (:func:`level1_whole`).
+
+    Level two takes every replication's residuals at its selected rank from
+    the kept paths, draws all of level two in passes on the stream (seed, 2,
+    selector code) from those n_boot pools, rebuilds the whole batch under
+    the per-replication fits, and sweeps it (:func:`_swept`, with
+    ``spoil``).
+    """
+    cfg, n_init = prep.cfg, prep.p + 1
+    ranks = _batch.select_batch(level1, selector)
+    values, ok1, (pi, gammas) = bootstrap._zeta_at_rank(level1, ranks, prep.cq)
+    paths = np.empty((cfg.n_boot, prep.n_obs, prep.n_vars))
+    code = bootstrap._SELECTOR_CODES[selector.method]
+    resid = _batch.residuals_batch(level1, pi)
+    draw_errors_in_passes(resid, cfg, 2, code, prep.raw[:n_init], paths)
+    _batch.rebuild_levels_batch(_batch.var_matrices_batch(pi, gammas), paths, n_init)
+    sweep = _swept(paths, prep, spoil)
+    values2, ok2, _ = bootstrap._zeta_at_rank(sweep, _batch.select_batch(sweep, selector), prep.cq)
+    result = bootstrap._attempt(
+        bootstrap._finalize, prep, f"fdbb_{selector.label}", prep.select_rank(selector), values2,
+        ok1 & ok2, None, "the double bootstrap", centre=values, ranks=ranks,
+    )
+    return result, sweep
+
+
+def lavar_whole(prep, level1):
+    """The lag-augmented bootstrap's (interval set or the error it raises,
+    bootstrap sweep) from ``level1``, the sample's rank-K level-1 sweep that
+    keeps its paths (:func:`level1_whole`): one VAR(p+1) sweep of the kept
+    paths, which keeps the batch's non-finite flags.  (None, None) when the
+    observed sample's VAR(p+1) sweep fails."""
+    n_vars, p = prep.n_vars, prep.p
+    observed = sweep_samples(prep.sweep.tilde, p + 1)
+    (points,), (ok_point,), _ = bootstrap._zeta_at_rank(observed, n_vars, prep.cq, p)
+    if observed.reason[0] or not ok_point:
+        return None, None  # the observed sample is refused
+    sweep = _batch.sweep_batch(level1.tilde, p + 1)
+    sweep.reason |= level1.reason & _batch.NONFINITE
+    values, ok, _ = bootstrap._zeta_at_rank(sweep, n_vars, prep.cq, p)
+    result = bootstrap._attempt(
+        bootstrap._finalize, prep, "lavar", None, values, ok, points, "the lag-augmented bootstrap"
+    )
+    return result, sweep

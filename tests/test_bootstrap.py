@@ -33,7 +33,7 @@ from wimpvar import (
     wimp_interval,
 )
 from wimpvar import _batch, bootstrap
-from wimpvar.bootstrap import _census, _compile_queries, _dgp, _draw_errors, _finalize, _resweep
+from wimpvar.bootstrap import _census, _compile_queries, _dgp, _finalize
 from wimpvar.errors import check_integer, check_weight_constants
 from wimpvar.timeseries import DetrendMode
 
@@ -135,11 +135,16 @@ def test_finalize_bounds_without_a_failed_row_equal_the_clean_batch(failure):
 
 
 def _draws(resid, cfg, n_draw, init=None):
-    """The innovations ``_draw_errors`` gathers into a path buffer behind the
-    initial rows ``init`` (one zero row by default), (n_boot, n_draw, K)."""
+    """The innovations a build's drawer gathers into its chunks, 64 rows at
+    a time, behind the initial rows ``init`` (one zero row by default),
+    (n_boot, n_draw, K); with one pool per replication, each chunk passes
+    its own."""
     init = np.zeros((1, resid.shape[-1])) if init is None else init
     paths = np.full((cfg.n_boot, len(init) + n_draw, resid.shape[-1]), np.nan)
-    _draw_errors(resid, cfg, 1, 0, init, paths)
+    draw = bootstrap._drawer(cfg, 1, 0, init)
+    for lo in range(0, cfg.n_boot, _batch._CHUNK):
+        rows = slice(lo, lo + _batch._CHUNK)
+        draw(paths[rows], resid[rows] if len(resid) > 1 else resid)
     assert np.array_equal(paths[:, : len(init)], np.broadcast_to(init, paths[:, : len(init)].shape))
     return paths[:, len(init) :]
 
@@ -162,9 +167,9 @@ def test_resample_mean_law_of_large_numbers():
 
 @pytest.mark.parametrize("n_pools", [1, 200])
 def test_draw_gathers_the_builds_stream_across_passes(n_pools):
-    # 200 replications of 795 draws take five passes of 41 rows; row r
-    # gathers the r-th run of 795 indices of the build's stream from its
-    # pool, shared or its own.
+    # 200 replications of 795 draws take four chunks, the last of 8 rows;
+    # row r gathers the r-th run of 795 indices of the build's stream from
+    # its pool, shared or its own.
     resid = np.random.default_rng(70).standard_normal((n_pools, 40, 2))
     cfg = BootstrapConfig(n_boot=200, seed=4)
     centered = resid - resid.mean(axis=1, keepdims=True)
@@ -224,6 +229,18 @@ def test_rebuild_matches_independent_scalar_loop():
     for t in range(2, 100):
         path[t] = path[t - 1] + fit.Pi @ path[t - 1] + errors[t - 2]
     assert np.allclose(out, path, atol=1e-10)
+
+
+def _resweep(paths, prep):
+    """The sweep of rebuilt ``paths`` at the sample's p, as a streamed build
+    makes it: each non-finite path zeroed and flagged, the paths detrended
+    in place, then swept from their Gram matrices."""
+    width = prep.n_vars * (prep.p + 1)
+    gram = np.empty((len(paths), width, width))
+    chunks = [(0, paths, bootstrap._detrend_finite(paths, prep.mode))]
+    finite = bootstrap._grams(chunks, gram, prep.p, prep.sweep.t_eff)
+    paper = prep.cfg.paper_sample_convention
+    return bootstrap._sweep_grams(gram, finite, prep.p, paper, prep.n_obs)
 
 
 def test_rebuild_rejects_explosive():
@@ -679,12 +696,15 @@ def test_run_methods_returns_each_result_or_typed_error():
     assert out["ols"].method == "ols"
     assert np.array_equal(out["ols"].lower, fixed_rank_interval(alone, 3).lower)
     # lag augmentation sweeps at p + 1, which needs K*(p+1) + 10
-    # observations: a typed error naming that lag order, kept per method,
-    # while the other methods still run
+    # observations: a typed error naming lavar, its VAR(p + 1) and the
+    # user's p, kept per method, while the other methods still run
     short = prepare(y[:15], 1, queries, cfg)
     out = run_methods(short, ("lavar", "ols"))
     assert isinstance(out["lavar"], DataError)
-    assert str(out["lavar"]) == "need at least K*p + 10 = 16 observations for p = 2, got 15"
+    assert str(out["lavar"]) == (
+        "lavar fits a VAR(p + 1) = VAR(2) for p = 1: it needs at least K*(p+1) + 10 = 16"
+        " observations, got 15"
+    )
     assert out["ols"].method == "ols"
     with pytest.raises(ConfigError, match="known data-generating process"):
         run_methods(prep, ("true_rank",))  # the sample's DGP rank is unknown

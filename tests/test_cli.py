@@ -623,6 +623,27 @@ def test_simulate_refuses_a_sample_too_short_for_lavar(tmp_path, capsys, n_obs):
         assert json.loads((out / "metadata.json").read_text())["failure_census"] == {"lavar": 0}
 
 
+@pytest.mark.parametrize("n_vars, p, methods", [(2, 2, "lavar"), (3, 1, "lavar,fdbb_aic")])
+def test_analyze_names_lavar_and_the_users_p_when_the_sample_is_too_short(
+    tmp_path, capsys, n_vars, p, methods
+):
+    # T = 14 is enough for the estimator (K*p + 10 <= 14) but not for
+    # lavar's VAR(p + 1), which needs K*(p+1) + 10 = 16: the data error
+    # names lavar, its lag order and the p the user gave, and the same file
+    # runs without lavar
+    csv_path = _toy_csv(tmp_path, seed=1, K=n_vars, T=14)
+    args = ["analyze", "--input", csv_path, "--p", str(p), "--B", "39"]
+    assert main(args + ["--out", str(tmp_path / "a"), "--methods", methods]) == 3
+    err = capsys.readouterr().err
+    assert (
+        f"lavar fits a VAR(p + 1) = VAR({p + 1}) for p = {p}: it needs at least"
+        " K*(p+1) + 10 = 16 observations, got 14"
+    ) in err
+    assert not (tmp_path / "a").exists()
+    others = methods.replace("lavar", "").strip(",")
+    assert main(args + ["--out", str(tmp_path / "b"), "--methods", others]) == 0
+
+
 def test_simulate_empty_methods_header_only(tmp_path):
     out = str(tmp_path / "s")
     code = main(["simulate", "--dgp", "dgp1", "--T", "80", "--n-mc", "2",

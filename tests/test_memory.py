@@ -14,6 +14,7 @@ from wimpvar.montecarlo import run_experiment
 from test_montecarlo import _tiny_config
 
 ELEVEN_METHODS = "ols,true_rank,aic,bic,bers_aic,bers_bic,ma,fdbb_aic,fdbb_bic,wimp,lavar"
+HERE = os.path.dirname(os.path.abspath(__file__))
 GLIBC_SETTINGS = (*_memory.USER_SETTINGS, "GLIBC_TUNABLES")
 
 
@@ -147,6 +148,39 @@ for i in range(3):
     code = main(["simulate", "--dgp", "dgp1", "--n-mc", "4", "--B", "199", "--h-max", "60",
                  "--workers", "1", "--seed", str(i), "--methods", {ELEVEN_METHODS!r},
                  "--out", {str(tmp_path)!r} + f"/bundle{{i}}"])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert code == 0, code
+print(json.dumps(faults))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(count < 1000 for count in faults[1:]), faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_repeated_analyze_calls_fault_in_few_pages(tmp_path):
+    # Every build, and every replay of a level-1 batch by FDBB level two and
+    # lavar, allocates its chunk buffers afresh on each call; with pinned
+    # thresholds they come back from the heap instead of being faulted in
+    # again.  analyze_k4's operations 0-4 of benchmark seed 7 (K=4, T=200,
+    # p=2, B=399, every extra method): about 3.4k minor faults in the first
+    # call, then under 50.
+    perfbench = os.path.join(os.path.dirname(HERE), "perfbench")
+    script = f"""
+import json, resource, sys
+sys.path.insert(0, {perfbench!r})
+import workloads
+from wimpvar.cli import main
+
+workload, faults = workloads.WORKLOADS["analyze_k4"], []
+for i in range(5):
+    path = {str(tmp_path)!r} + f"/input{{i}}.csv"
+    seed = workloads.write_input(workload, 7, i, path)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = main(workloads.argv(workload, seed, path, {str(tmp_path)!r} + f"/bundle{{i}}"))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert code == 0, code
 print(json.dumps(faults))

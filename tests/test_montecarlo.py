@@ -331,20 +331,23 @@ def test_a_rejected_observed_sample_fails_every_method_and_spares_its_group(
 def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(monkeypatch):
     # One 16-replication chunk, all 11 methods: the observed samples are
     # swept once at p, and each rank's level-1 batches once per group of
-    # replications, from the Gram matrices their chunked builds wrote, with
-    # the paths passed along only when the rank keeps them.  lavar sweeps
-    # each replication's observed sample and its rank-K batch at p+1; FDBB
-    # level two sweeps per replication and selector.  No other paths are
-    # swept.
+    # replications, from the Gram matrices their chunked builds wrote.
+    # lavar sweeps each replication's observed sample and its replayed
+    # rank-K batch at p+1; FDBB level two sweeps per replication and
+    # selector.  Every bootstrap sweep starts from its Gram matrices and
+    # gets no paths; only the observed samples are swept from their paths.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
     level1_batches = bootstrap._level1_batches
+    cfg = _chunk_config("dgp1", ALL_METHODS)
+    n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
 
     def counting(tilde, p, *args, **kwargs):
         gram = kwargs.get("gram")
-        assert (gram is not None) == bool(inside)  # a level-1 sweep, and only it, gets its Gram
-        assert tilde is None or gram is None or len(tilde) == len(gram)
-        sweeps.append((bool(inside), len(tilde if gram is None else gram), p))
+        assert (gram is None) != (tilde is None)
+        size = len(tilde if gram is None else gram)
+        assert (gram is not None) == (size % n_boot == 0)  # a bootstrap sweep
+        sweeps.append((bool(inside), size, p))
         return sweep_batch(tilde, p, *args, **kwargs)
 
     def building(*args, **kwargs):
@@ -360,8 +363,6 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     monkeypatch.setattr(_batch, "sweep_batch", counting)
     monkeypatch.setattr(bootstrap, "_level1_batches", building)
     monkeypatch.setattr(bootstrap, "_prepare", refused)
-    cfg = _chunk_config("dgp1", ALL_METHODS)
-    n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
     assert _run_chunk(cfg, range(n_reps))[2].tolist() == [n_reps] * len(ALL_METHODS)
     groups = -(-n_reps // group)
     assert [sweep for sweep in sweeps if sweep[1] == n_reps] == [(False, n_reps, p)]

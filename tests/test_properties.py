@@ -33,20 +33,21 @@
   ``bers_*``/``fdbb_*`` pair compute their common part once, read-only,
   and every method's interval set is, bit for bit, the one it gives alone
   on a fresh sample, whatever order the methods run in and whichever
-  buffer its batch was built in.  ``run_methods`` builds the batches of the
-  ranks whose readers read the paths (FDBB, lavar) in one group path
-  buffer, streams every other rank through one chunk buffer (the head of
-  that path buffer when there is one), so the fan and WIMP make no path
-  buffer, and gives FDBB level two one scratch buffer, made on first use;
-  it frees each batch once the batch's readers have run and every buffer
-  when it returns, also when a method or fan member fails.
-* Chunked level-1 builds: a group's batches built 64 replications at a
-  time, kept or streamed, sweep bitwise as the whole-batch build of
-  ``tests/reference.py`` (draws in passes, a window rebuild, one sweep of
-  the stack), spoilt paths included, which are zeroed before any
-  detrending; the in-place rebuild equals the window rebuild, and draws in
-  64-row chunks equal the draws in passes, rejections of numpy's bounded
-  draw included.
+  chunk buffer its batch was built in.  ``run_methods`` streams every
+  build through one chunk buffer and FDBB level two and lavar replay
+  their level-1 chunks in chunk buffers of their own, so no run makes an
+  (n_boot, T, K) buffer and no sweep keeps paths; it frees each batch
+  once the batch's readers have run and every buffer when it returns,
+  also when a method or fan member fails.
+* Chunked builds: a group's level-1 batches built 64 replications at a
+  time sweep bitwise as the whole-batch build of ``tests/reference.py``
+  (draws in passes, a window rebuild, one sweep of the stack), spoilt
+  paths included, which are zeroed before any detrending.  FDBB level two
+  and lavar, which replay level one's chunks, give the interval sets and
+  sweeps of their whole-batch oracles, which read level one's kept paths.
+  The in-place rebuild equals the window rebuild, and draws in 64-row
+  chunks equal the draws in passes, from one pool or from each chunk's own
+  pools, rejections of numpy's bounded draw included.
 * One row format per CSV table writes the cells the per-cell format did.
 * Adversarial data through ``cli.main`` (random walks, stationary,
   heavy-tailed and explosive series, columns scaled by 10^±150, collinear,
@@ -625,9 +626,9 @@ def test_fit_vecm_keeps_the_sign_convention_of_beta(seed, mode, p, paper):
 MEMO_SEEDS = (0, 11)  # seed 0: AIC, BIC and the reference rank share one batch
 
 
-def _fresh(seed):
+def _fresh(seed, n_boot=39):
     """A K=3, p=2 sample with structural queries, prepared anew."""
-    cfg = BootstrapConfig(n_boot=39, seed=seed)
+    cfg = BootstrapConfig(n_boot=n_boot, seed=seed)
     return _prepare(_paths(seed, 1, n_obs=70)[0], 2, _query_set("structural_cholesky"), cfg,
                     DetrendMode.CONSTANT)
 
@@ -699,11 +700,11 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypatch):
-    # lavar's bootstrap process is the rank-K fit, whose paths the ols fan
-    # member's level-1 batch already holds: adding lavar builds nothing.
-    # Every build of paths draws through one drawer.
-    level1, builds = [], []
-    build_level1, drawer = bootstrap._level1_batch, bootstrap._drawer
+    # lavar's bootstrap process is the rank-K fit, whose batch the ols fan
+    # member reads too: adding lavar builds nothing, and lavar replays that
+    # batch's chunks.  Every build and every replay draws through one drawer.
+    level1, builds, replays = [], [], []
+    build_level1, drawer, replay = bootstrap._level1_batch, bootstrap._drawer, bootstrap._replay
 
     def building_level1(prep, dgp_rank, *buffers):
         level1.append(dgp_rank)
@@ -713,15 +714,22 @@ def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypat
         builds.append(True)
         return drawer(*args, **kwargs)
 
+    def replaying(prep, boot):
+        replays.append(boot.dgp_rank)
+        return replay(prep, boot)
+
     monkeypatch.setattr(bootstrap, "_level1_batch", building_level1)
     monkeypatch.setattr(bootstrap, "_drawer", drawing)
+    monkeypatch.setattr(bootstrap, "_replay", replaying)
 
     def calls(names):
         level1.clear()
         builds.clear()
+        replays.clear()
         out = run_methods(_fresh(seed), names)
         assert all(isinstance(result, IntervalSet) for result in out.values()), out
-        assert len(builds) == len(level1)  # every path build is a level-1 batch
+        assert replays == ([3] if "lavar" in names else [])
+        assert len(builds) == len(level1) + len(replays)  # every draw builds or replays level one
         return list(level1)
 
     assert calls(("ols", "lavar")) == calls(("ols",)) == calls(("lavar",)) == [3]
@@ -729,8 +737,8 @@ def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypat
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, monkeypatch):
-    # The level-1 batch zeroes a non-finite path before it is detrended and
-    # flags it; lavar's VAR(p+1) sweep of the batch's paths keeps the flag.
+    # The level-1 build zeroes a non-finite path before it is detrended and
+    # flags it; lavar's VAR(p+1) sweep of the replayed batch keeps the flag.
     bad, prep = 5, _fresh(seed)
     build, sweep_batch = bootstrap._level1_batch, _batch.sweep_batch
     rebuild = _batch.rebuild_levels_batch
@@ -752,7 +760,7 @@ def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, m
 
     def sweeping(tilde, p, *args, **kwargs):
         sweep = sweep_batch(tilde, p, *args, **kwargs)
-        if p == prep.p + 1 and len(tilde) > 1:  # lavar's bootstrap sweep
+        if p == prep.p + 1 and tilde is None:  # lavar's bootstrap sweep, from its Gram
             lavar_sweeps.append(sweep)
         return sweep
 
@@ -791,16 +799,16 @@ def test_memo_arrays_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# one path buffer, recycled across the level-1 batches of a run
+# one chunk buffer, recycled across the level-1 batches of a run
 
-_SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "tilde", "reason")
+_SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "reason")
 
 
 @functools.lru_cache(maxsize=None)
 def _fresh_level1(seed, rank):
     """The bytes of each swept field of the level-1 batch at ``rank`` of a
-    fresh sample, built in a fresh path buffer that it keeps."""
-    sweep = _fresh(seed).level1(rank, keep=True).sweep
+    fresh sample, built in a fresh chunk buffer."""
+    sweep = _fresh(seed).level1(rank).sweep
     return {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
 
 
@@ -820,113 +828,101 @@ _STEPS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(seed=st.sampled_from(MEMO_SEEDS), steps=st.lists(_STEPS, min_size=2, max_size=8))
 def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, steps):
-    # Every step reads a batch built in the same path, chunk and level-two
-    # buffers as the steps before it, and equals the same step on a fresh
-    # sample, bit for bit.  A batch keeps its paths when its reader reads
-    # them; a level-1 step builds the batch both ways.
+    # Every step reads a batch built in the same chunk buffer as the steps
+    # before it, and equals the same step on a fresh sample, bit for bit.
+    # No batch keeps its paths.
     prep = _fresh(seed)
-    paths, chunk = bootstrap._path_buffer(prep), bootstrap._chunk_buffer(prep)
-    scratch = bootstrap._lazy_buffer(prep)
+    chunk = bootstrap._chunk_buffer(prep)
 
-    def batch(rank, keep):
-        buffer = paths if keep else chunk
-        return bootstrap._level1_batches([prep], rank, buffer, scratch, keep=keep)[0]
+    def batch(rank):
+        return bootstrap._level1_batches([prep], rank, chunk)[0]
 
     for step in steps:
         if step in cli._ANALYZE_EXTRAS:
             rank = METHODS[step].rank(prep)
-            boot = None if rank is None else batch(rank, METHODS[step].paths)
+            boot = None if rank is None else batch(rank)
             assert _same_result(_attempt(METHODS[step].run, prep, boot), _alone(seed)[step]), step
             continue
         kind, rank = step
         if kind == "fan":
-            got = _attempt(bootstrap.fixed_rank_interval, prep, rank, boot=batch(rank, False))
+            got = _attempt(bootstrap.fixed_rank_interval, prep, rank, boot=batch(rank))
             assert _same_result(got, _fresh_fan(seed, rank)), step
             continue
-        sweep = batch(rank, True).sweep
-        assert sweep.tilde.ctypes.data == paths.ctypes.data
+        sweep = batch(rank).sweep
+        assert sweep.tilde is None
         got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
         assert got == _fresh_level1(seed, rank), step
-        sweep = batch(rank, False).sweep
-        assert sweep.tilde is None
-        got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS if name != "tilde"}
-        expected = dict(_fresh_level1(seed, rank))
-        del expected["tilde"]
-        assert got == expected, step
 
 
 def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
-    # One run_methods call builds the batch of every rank with a reader of
-    # the paths (FDBB, lavar) in one path buffer, which its sweep keeps, and
-    # every other rank's in one chunk buffer, the head of that path buffer,
-    # which no sweep keeps.  Each batch is gone before the next rank's are
-    # built, and the path and level-two buffers are gone when the run
-    # returns.
-    prep = _fresh(MEMO_SEEDS[0])
-    built, ranks, buffers, batches = {True: [], False: []}, [], [], []
+    # One run_methods call builds every rank's batches through one chunk
+    # buffer, and FDBB level two and lavar replay theirs through chunk
+    # buffers of their own; with chunks of 64, no buffer has n_boot rows,
+    # and no bootstrap sweep keeps paths.  Each batch is gone before the
+    # next rank's are built, and every buffer is gone when the run returns.
+    monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 0)
+    prep = _fresh(MEMO_SEEDS[0], n_boot=199)
+    built, ranks, made, batches, sweeps = [], [], [], [], []
     build, build_all = bootstrap._level1_batch, bootstrap._level1_batches
-    path_shape = (prep.cfg.n_boot, prep.n_obs, prep.n_vars)
-    chunk_shape = (min(_batch._CHUNK, prep.cfg.n_boot), prep.n_obs, prep.n_vars)
+    chunk_buffer, sweep_grams = bootstrap._chunk_buffer, bootstrap._sweep_grams
+    chunk_shape = (bootstrap._chunk_rows(prep), prep.n_obs, prep.n_vars)
+
+    def making(sample):
+        buffer = chunk_buffer(sample)
+        assert buffer.shape == chunk_shape and len(buffer) < prep.cfg.n_boot
+        made.append(weakref.ref(buffer))
+        return buffer
 
     def building(sample, dgp_rank, paths, gram):
-        assert paths.shape == (path_shape if ranks[-1][1] else chunk_shape)
-        built[ranks[-1][1]].append(paths.ctypes.data)
+        built.append(paths.ctypes.data)
         return build(sample, dgp_rank, paths, gram)
 
-    def building_all(preps, dgp_rank, paths, scratch, *, keep):
+    def building_all(preps, dgp_rank, paths):
         assert all(ref() is None for ref in batches)  # the last rank's batches are freed
-        ranks.append((dgp_rank, keep))
-        buffers.extend(weakref.ref(buffer) for buffer in (paths, scratch()))
-        out = build_all(preps, dgp_rank, paths, scratch, keep=keep)
-        for boot in out:
-            tilde = boot.sweep.tilde
-            assert tilde is None if not keep else tilde.base is paths
+        ranks.append(dgp_rank)
+        out = build_all(preps, dgp_rank, paths)
         batches.extend(weakref.ref(boot) for boot in out)
         return out
 
+    def sweeping(*args):
+        sweep = sweep_grams(*args)
+        sweeps.append(sweep)
+        return sweep
+
+    monkeypatch.setattr(bootstrap, "_chunk_buffer", making)
     monkeypatch.setattr(bootstrap, "_level1_batch", building)
     monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
+    monkeypatch.setattr(bootstrap, "_sweep_grams", sweeping)
     out = run_methods(prep, cli._ANALYZE_EXTRAS)
     assert all(isinstance(result, IntervalSet) for result in out.values()), out
-    readers = {prep.n_vars, *(prep.select_rank(RankSelector(ic)) for ic in ("aic", "bic"))}
-    assert ranks == [(rank, rank in readers) for rank in range(4)]
-    assert len(built[True]) == len(readers) and len(set(built[True])) == 1
-    assert len(built[False]) == 4 - len(readers) > 0 and set(built[False]) == set(built[True])
+    assert ranks == list(range(4)) and len(built) == 4 and len(set(built)) == 1
+    # the run's chunk buffer, then two per FDBB (level one and level two)
+    # and one for lavar's replay
+    assert len(made) == 1 + 2 * 2 + 1
+    # four level-1 sweeps, two level-two sweeps and lavar's
+    assert len(sweeps) == 4 + 2 + 1 and all(sweep.tilde is None for sweep in sweeps)
+    del sweeps[:]
     gc.collect()
-    assert all(ref() is None for ref in batches + buffers)
+    assert all(ref() is None for ref in batches + made)
 
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
-    # In a run of a group, FDBB level two builds its paths in the group's
-    # one scratch buffer, never in the group's level-1 path buffer.  The
-    # lag-augmented bootstrap reads the rank-K batch and writes no buffer.
-    # Each gives the bytes it gives alone.
+    # In a run of a group, FDBB level two and the lag-augmented bootstrap
+    # replay the chunks of a level-1 batch that keeps no paths, and each
+    # gives the bytes it gives alone.
     seeds = (seed, *(other for other in MEMO_SEEDS if other != seed))
     group = [_fresh(each) for each in seeds]
-    path_buffers, scratches, checked = [], [], []
-    build_all = bootstrap._level1_batches
-
-    def building_all(preps, dgp_rank, paths, scratch, *, keep):
-        assert keep  # every rank has a reader of its paths
-        path_buffers.append(paths)
-        scratches.append(scratch)
-        assert not np.shares_memory(scratch(), paths)
-        return build_all(preps, dgp_rank, paths, scratch, keep=keep)
+    checked = []
 
     def checking(constructor):
         def run(prep, *args, boot, **kwargs):
-            assert boot.scratch is scratches[-1] and boot.sweep.tilde.base is path_buffers[-1]
-            before = boot.sweep.tilde.tobytes(), boot.scratch().tobytes()
+            assert boot.sweep.tilde is None
             result = constructor(prep, *args, boot=boot, **kwargs)
-            assert boot.sweep.tilde.tobytes() == before[0]
-            if constructor is bootstrap.lag_augmented_interval:
-                assert boot.scratch().tobytes() == before[1]
             checked.append(constructor.__name__)
             return result
         return run
 
-    monkeypatch.setattr(bootstrap, "_level1_batches", building_all)
     for name in ("fdbb_interval", "lag_augmented_interval"):
         monkeypatch.setattr(bootstrap, name, checking(getattr(bootstrap, name)))
     names = ("lavar", "fdbb_aic", "fdbb_bic")
@@ -935,27 +931,35 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
             assert _same_result(results[name], _alone(each)[name]), (each, name)
     assert sorted(set(checked)) == ["fdbb_interval", "lag_augmented_interval"]
     assert len(checked) == 3 * len(group)
-    assert all(paths is path_buffers[0] for paths in path_buffers)
-    assert all(scratch is scratches[0] for scratch in scratches)  # one per group
-    assert scratches[0]().shape == (group[0].cfg.n_boot, group[0].n_obs, group[0].n_vars)
 
 
 def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
-    # The level-two buffer is made on first use: a buffer made and never
-    # written would still move later arrays onto untouched pages.
+    # Every buffer a run makes is a chunk buffer: the run's own, one for
+    # each lavar replay and two for each FDBB level two.  A run makes its
+    # chunk buffer only when it builds a batch.
     made = []
-    path_buffer = bootstrap._path_buffer
+    chunk_buffer = bootstrap._chunk_buffer
 
-    def making(prep, count=1):
-        made.append(count)
-        return path_buffer(prep, count)
+    def making(prep):
+        made.append(prep.cfg.seed)
+        return chunk_buffer(prep)
 
-    monkeypatch.setattr(bootstrap, "_path_buffer", making)
-    out = run_methods([_fresh(seed) for seed in MEMO_SEEDS], ("wimp", "lavar", "ma"))
+    monkeypatch.setattr(bootstrap, "_chunk_buffer", making)
+    group = [_fresh(seed) for seed in MEMO_SEEDS]
+    out = run_methods(group, ("wimp", "lavar", "ma"))
     assert all(isinstance(result, IntervalSet) for results in out for result in results.values())
-    assert made == [len(MEMO_SEEDS)]  # the group's level-1 buffer only
+    assert made == [MEMO_SEEDS[0], *MEMO_SEEDS]  # the group's buffer, then a replay per sample
+    made.clear()
     run_methods(_fresh(MEMO_SEEDS[0]), ("fdbb_aic", "fdbb_bic"))
-    assert made[1:] == [1, 1]  # the level-1 buffer, then one scratch buffer
+    assert len(made) == 1 + 2 * 2
+    made.clear()
+    points = group[0].point_zetas(0)
+    bootstrap.register_method("a test", lambda prep: (points, points))
+    try:
+        assert run_methods(group[0], ("a test",))["a test"] == (points, points)
+    finally:
+        bootstrap._EXTRA_METHODS.pop("a test")
+    assert made == []
 
 
 def test_a_failed_fan_member_keeps_no_batch_or_buffer_alive(monkeypatch):
@@ -964,9 +968,9 @@ def test_a_failed_fan_member_keeps_no_batch_or_buffer_alive(monkeypatch):
     prep, buffers = _fresh(MEMO_SEEDS[0]), []
     build_all, fixed = bootstrap._level1_batches, bootstrap.fixed_rank_interval
 
-    def building_all(preps, dgp_rank, paths, scratch, *, keep):
+    def building_all(preps, dgp_rank, paths):
         buffers.append(weakref.ref(paths))
-        return build_all(preps, dgp_rank, paths, scratch, keep=keep)
+        return build_all(preps, dgp_rank, paths)
 
     def failing(sample, rank, *, boot=None):
         if rank == 1:
@@ -1000,11 +1004,12 @@ def test_detrending_in_place_equals_each_sample_alone(seed, n_batch, mode, data)
 # streamed level-1 builds against the whole-batch build
 
 
-def _long(seed, n_obs=800, n_boot=399):
-    """A K=2, p=1 sample long enough that one (n_boot, T, K) path buffer
-    outweighs what a streamed build holds at once."""
-    cfg = BootstrapConfig(n_boot=n_boot, seed=seed)
-    return _prepare(_paths(seed, 1, n_obs=n_obs, n_vars=2)[0], 1, [IrfQuery(1, 2, 1)], cfg,
+def _long(seed):
+    """A sample of analyze_long's shape (T=800, K=3, p=4, B=399), long enough
+    that one (n_boot, T, K) path buffer outweighs what a streamed build
+    holds at once."""
+    cfg = BootstrapConfig(n_boot=399, seed=seed)
+    return _prepare(_paths(seed, 1, n_obs=800)[0], 4, [IrfQuery(1, 2, 1)], cfg,
                     DetrendMode.CONSTANT)
 
 
@@ -1043,21 +1048,19 @@ def _spoilt_builds(rows, detrended):
     mode=MODES,
     paper=st.booleans(),
     size=st.sampled_from([1, 3]),
-    keep=st.booleans(),
     spoil=st.booleans(),
     chunk_bytes=st.sampled_from([0, bootstrap._CHUNK_BYTES]),
 )
 def test_chunked_level1_builds_equal_the_whole_batch_build(
-    n_boot, seed, n_vars, p, rank, mode, paper, size, keep, spoil, chunk_bytes
+    n_boot, seed, n_vars, p, rank, mode, paper, size, spoil, chunk_bytes
 ):
     # A group's level-1 batches built a chunk at a time, 64 replications
     # (a zero budget) or as many as the budget allows (here all of them),
-    # kept in the group's path buffer or streamed through one chunk buffer,
-    # sweep bitwise as the whole-batch build does: every replication drawn
-    # in passes, rebuilt through a zero-padded window, then the stack zeroed
-    # where non-finite, detrended and swept.  A spoilt path in the first
-    # chunk and one in the last sample's tail chunk are zeroed before any
-    # detrending and flagged.
+    # streamed through one chunk buffer, sweep bitwise as the whole-batch
+    # build does: every replication drawn in passes, rebuilt through a
+    # zero-padded window, then the stack zeroed where non-finite, detrended
+    # and swept.  A spoilt path in the first chunk and one in the last
+    # sample's tail chunk are zeroed before any detrending and flagged.
     rank = min(rank, n_vars)
     cfg = BootstrapConfig(n_boot=n_boot, seed=seed, paper_sample_convention=paper)
     samples = _paths(seed, size, n_obs=40, n_vars=n_vars)
@@ -1070,23 +1073,145 @@ def test_chunked_level1_builds_equal_the_whole_batch_build(
     with np.errstate(all="ignore"), mock.patch.object(bootstrap, "_CHUNK_BYTES", chunk_bytes):
         chunk = bootstrap._chunk_rows(group[0])
         assert chunk == (min(n_boot, _batch._CHUNK) if chunk_bytes == 0 else n_boot)
-        buffer = bootstrap._path_buffer(group[0], size) if keep else bootstrap._chunk_buffer(group[0])
         expected = reference.level1_whole(group, rank, spoil=rows)
         with _spoilt_builds(rows, detrended):
-            boots = bootstrap._level1_batches(
-                group, rank, buffer, bootstrap._lazy_buffer(group[0]), keep=keep
-            )
+            boots = bootstrap._level1_batches(group, rank, bootstrap._chunk_buffer(group[0]))
     assert len(detrended) == size * -(-n_boot // chunk) and all(detrended)
     for i, (boot, want) in enumerate(zip(boots, expected)):
         assert boot.dgp_rank == rank and (boot.sweep.p, boot.sweep.t_eff) == (want.p, want.t_eff)
+        assert boot.sweep.tilde is None
         for name in _SWEEP_FIELDS:
-            got = getattr(boot.sweep, name)
-            if name == "tilde" and not keep:
-                assert got is None
-                continue
-            assert got.tobytes() == getattr(want, name).tobytes(), (i, name)
+            assert getattr(boot.sweep, name).tobytes() == getattr(want, name).tobytes(), (i, name)
     for row in rows:
         assert boots[row // n_boot].sweep.reason[row % n_boot] & _batch.NONFINITE
+
+
+@contextlib.contextmanager
+def _spoilt_ends(n_boot):
+    """Right after its rebuild, before its paths are checked and detrended,
+    every level-1 build or replay gets an infinite last row in row 5 of its
+    first chunk, and every FDBB level two in the last row of its last
+    chunk."""
+    rebuild, level1_chunks, level_two = (
+        _batch.rebuild_levels_batch, bootstrap._level1_chunks, bootstrap._level_two
+    )
+    state = {"first": False, "seen": 0}
+
+    def chunks(*args):
+        state["first"] = True
+        yield from level1_chunks(*args)
+
+    def second(*args):
+        state["seen"] = 0
+        yield from level_two(*args)
+
+    def rebuilding(mats, errors, n_init):
+        out = rebuild(mats, errors, n_init)
+        if mats.ndim == 3 and state["first"]:  # level one: the DGP's shared matrices
+            out[5, -1] = np.inf
+            state["first"] = False
+        elif mats.ndim == 4:  # level two: each replication's own fit
+            state["seen"] += len(out)
+            if state["seen"] == n_boot:
+                out[-1, -1] = np.inf
+        return out
+
+    with mock.patch.object(bootstrap, "_level1_chunks", chunks), \
+            mock.patch.object(bootstrap, "_level_two", second), \
+            mock.patch.object(_batch, "rebuild_levels_batch", rebuilding):
+        yield
+
+
+@pytest.mark.parametrize("n_boot", [39, 63, 64, 65, 128, 199])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_vars=st.integers(1, 4),
+    p=st.integers(1, 4),
+    mode=MODES,
+    paper=st.booleans(),
+    size=st.sampled_from([1, 3]),
+    spoil=st.booleans(),
+    chunk_bytes=st.sampled_from([0, bootstrap._CHUNK_BYTES]),
+)
+def test_replayed_level_two_and_lavar_equal_their_whole_batch_oracles(
+    n_boot, seed, n_vars, p, mode, paper, size, spoil, chunk_bytes
+):
+    # In a run of a group, FDBB level two and lavar replay, a chunk at a
+    # time, the level-1 batch they read; their interval sets and their
+    # bootstrap sweeps equal, bit for bit, the oracles that read the
+    # batch's kept paths and build everything whole (tests/reference.py).
+    # A path spoilt in level one's first chunk (build and replay alike)
+    # and one in level two's last chunk are flagged and fail their
+    # replications.
+    base = BootstrapConfig(
+        n_boot=n_boot, seed=seed, paper_sample_convention=paper, max_failure_share=0.5
+    )
+    queries = [IrfQuery(1, n_vars, 1), IrfQuery(n_vars, 1, 3)]
+    try:
+        group = [
+            _prepare(sample, p, queries, dataclasses.replace(base, seed=seed + i), mode)
+            for i, sample in enumerate(_paths(seed, size, n_obs=40, n_vars=n_vars))
+        ]
+    except EstimationError:
+        hypothesis.assume(False)
+    names = ("fdbb_aic", "fdbb_bic", "lavar")
+    current, swept = [], {}
+    sweep_grams = bootstrap._sweep_grams
+
+    def tagged(constructor):
+        def run(prep, *args, **kwargs):
+            name = f"fdbb_{args[0].label}" if args else "lavar"
+            current.append((id(prep), name))
+            try:
+                return constructor(prep, *args, **kwargs)
+            finally:
+                current.pop()
+        return run
+
+    def sweeping(*args):
+        sweep = sweep_grams(*args)
+        if current:  # the method's own sweep: level two, or lavar's at p + 1
+            swept[current[-1]] = sweep
+        return sweep
+
+    spoilt = _spoilt_ends(n_boot) if spoil else contextlib.nullcontext()
+    with np.errstate(all="ignore"), spoilt, \
+            mock.patch.object(bootstrap, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(bootstrap, "_sweep_grams", sweeping), \
+            mock.patch.object(bootstrap, "fdbb_interval", tagged(bootstrap.fdbb_interval)), \
+            mock.patch.object(bootstrap, "lag_augmented_interval",
+                              tagged(bootstrap.lag_augmented_interval)):
+        out = run_methods(group, names)
+    level1_rows, level2_rows = ((5,), (n_boot - 1,)) if spoil else ((), ())
+    with np.errstate(all="ignore"):
+        for prep, results in zip(group, out):
+            for name in names:
+                if name == "lavar":
+                    level1 = reference.level1_whole([prep], n_vars, spoil=level1_rows)[0]
+                    want, sweep = reference.lavar_whole(prep, level1)
+                else:
+                    selector = RankSelector(name[len("fdbb_"):])
+                    rank = prep.select_rank(selector)
+                    level1 = reference.level1_whole([prep], rank, spoil=level1_rows)[0]
+                    want, sweep = reference.fdbb_whole(prep, selector, level1, level2_rows)
+                if want is None:  # lavar refuses the observed sample
+                    assert isinstance(results[name], DataError | EstimationError), name
+                    continue
+                assert _same_result(results[name], want), name
+                got = swept[(id(prep), name)]
+                assert got.tilde is None
+                for field in _SWEEP_FIELDS:
+                    assert getattr(got, field).tobytes() == getattr(sweep, field).tobytes(), field
+                if spoil:
+                    # lavar sweeps level one's spoilt path; FDBB's level-two
+                    # sweep flags its own, and its level-one one fails too
+                    flagged = level1_rows if name == "lavar" else level2_rows
+                    assert all(got.reason[row] & _batch.NONFINITE for row in flagged), name
+                    assert level1.reason[level1_rows[0]] & _batch.NONFINITE
+                    failed = level1_rows + (() if name == "lavar" else level2_rows)
+                    if isinstance(results[name], IntervalSet):
+                        assert results[name].n_failed >= len(failed), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -1123,12 +1248,12 @@ def _u32_used(stream) -> int:
 
 @pytest.mark.parametrize("pool_size", [1024, 3_000_000])
 def test_draws_in_chunks_equal_the_draws_in_passes(pool_size):
-    # A build draws _CHUNK replications per call; the former passes drew
-    # _PASS_INDICES // n_draw.  Both continue one stream, also where
+    # A build draws _CHUNK replications per call; the whole-batch oracle
+    # draws _PASS_INDICES // n_draw.  Both continue one stream, also where
     # numpy's bounded draw rejects words: none at a power of two, and a
     # hundred or so over 399 x 795 draws from a pool of 3e6 rows.
     n_rows, n_draw = 399, 795
-    step = bootstrap._PASS_INDICES // n_draw
+    step = reference._PASS_INDICES // n_draw
     passes, chunks = bootstrap._stream(9, 1, 3), bootstrap._stream(9, 1, 3)
     by_pass = np.concatenate([
         bootstrap._draw_index_matrix(passes, min(step, n_rows - lo), pool_size, n_draw)
@@ -1153,8 +1278,9 @@ def test_draws_in_chunks_equal_the_draws_in_passes(pool_size):
     seed=st.integers(0, 2**16),
 )
 def test_chunked_gathers_equal_the_gathers_in_passes(n_boot, n_draw, pool_size, own_pools, seed):
-    # The drawer fills _CHUNK replications per call, shared pool or one pool
-    # each, with the paths the former passes gathered.
+    # The drawer fills _CHUNK replications per call, from one shared pool or
+    # from the call's own pools, one per replication (FDBB level two passes
+    # each chunk's), with the paths the whole-batch passes gather.
     rng = np.random.default_rng(seed)
     resid = rng.standard_normal((n_boot if own_pools else 1, pool_size, 2))
     init = rng.standard_normal((3, 2))
@@ -1162,46 +1288,38 @@ def test_chunked_gathers_equal_the_gathers_in_passes(n_boot, n_draw, pool_size, 
     expected = np.empty((n_boot, 3 + n_draw, 2))
     reference.draw_errors_in_passes(resid, cfg, 1, 2, init, expected)
     got = np.full_like(expected, np.nan)
-    draw = bootstrap._drawer(resid, cfg, 1, 2, init, _batch._CHUNK, 3 + n_draw)
+    draw = bootstrap._drawer(cfg, 1, 2, init)
     for lo in range(0, n_boot, _batch._CHUNK):
-        draw(got[lo : lo + _batch._CHUNK])
+        rows = slice(lo, lo + _batch._CHUNK)
+        draw(got[rows], resid[rows] if own_pools else resid)
     assert got.tobytes() == expected.tobytes()
 
 
-def test_only_runs_that_read_paths_make_a_path_buffer(monkeypatch):
-    # The fan and WIMP stream every build through one chunk buffer: no
-    # (n_boot, T, K) path buffer is made, and the traced peak stays below
-    # the size of one.  lavar or FDBB make the group's one path buffer, and
-    # FDBB its one level-two buffer after it.
-    made = []
-    path_buffer = bootstrap._path_buffer
-
-    def making(prep, count=1):
-        made.append(count)
-        return path_buffer(prep, count)
-
-    monkeypatch.setattr(bootstrap, "_path_buffer", making)
+def test_only_runs_that_read_paths_make_a_path_buffer():
+    # No run holds an (n_boot, T, K) buffer, whichever methods it runs: at
+    # analyze_long's shape, a group of two adding lavar, FDBB or every extra
+    # method to WIMP raises the traced peak by less than one such buffer,
+    # where keeping one level-1 batch's paths would take one per sample.
     group = [_long(seed) for seed in (1, 2)]
     size = group[0].cfg.n_boot * group[0].n_obs * group[0].n_vars * 8
 
-    def run(preps, names):
-        made.clear()
+    def peak(names):
+        for prep in group:
+            prep._fan.clear()  # each run computes its fan anew
         gc.collect()
         tracemalloc.start()
         try:
-            out = run_methods(preps, names)
+            out = run_methods(group, names)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(isinstance(one, IntervalSet) for results in out for one in results.values())
-        return peak, list(made)
+        return peak
 
-    peak, buffers = run(group[:1], ["wimp"])
-    assert buffers == [] and peak < size
-    assert run(group, ["wimp"])[1] == []
-    peak, buffers = run(group, ["wimp", "lavar"])
-    assert buffers == [2] and peak > 2 * size
-    assert run(group, ["wimp", "fdbb_aic"])[1] == [2, 1]
+    wimp = peak(["wimp"])
+    assert wimp < size
+    for extra in (["lavar"], ["fdbb_aic"], list(cli._ANALYZE_EXTRAS)):
+        assert peak(["wimp", *extra]) - wimp < size, extra
 
 
 # ---------------------------------------------------------------------------

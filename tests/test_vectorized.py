@@ -7,7 +7,6 @@ a view of the response stack, and the Hall step gives the same bits on C-
 and F-ordered replication stacks.
 """
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +16,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from reference import evaluate_zeta  # noqa: E402
 from wimpvar import BootstrapConfig, IrfArray, IrfQuery  # noqa: E402
-from wimpvar import bootstrap  # noqa: E402
+from wimpvar import _batch, bootstrap  # noqa: E402
 from wimpvar.bootstrap import (  # noqa: E402
     _compile_queries,
-    _draw_errors,
     _draw_index_matrix,
     _finalize,
     _stream,
@@ -71,15 +69,28 @@ def test_draw_half_rejecting_pool_matches_numpy():
     assert np.array_equal(got, _reference(3, 1, 2, 25, pool, 19))
 
 
+def _draws(resid, cfg, level, code, init, n_obs, step):
+    """Every replication of a build drawn ``step`` rows per call of its
+    drawer, (n_boot, n_obs, K); with one pool per replication, each call
+    passes its own."""
+    paths = np.full((cfg.n_boot, n_obs, resid.shape[-1]), np.nan)
+    draw = bootstrap._drawer(cfg, level, code, init)
+    for lo in range(0, cfg.n_boot, step):
+        rows = slice(lo, lo + step)
+        draw(paths[rows], resid[rows] if len(resid) > 1 else resid)
+    return paths
+
+
 def test_draw_large_grid_spans_several_passes():
-    # 399 replications of 795 draws take ten passes of 41 rows; rows must
-    # not shift across the pass boundaries.
-    assert bootstrap._PASS_INDICES // 795 == 41
+    # 399 replications of 795 draws take seven calls of the drawer, 64 rows
+    # each and a tail of 15, as a streamed build makes them; rows must not
+    # shift across the call boundaries.
+    assert -(-399 // _batch._CHUNK) == 7
     # Pool row i holds i, so the gathered paths read back as the indices
     # (exact in floats once the pool's mean, 397, is added back).
     resid = np.arange(795.0)[None, :, None]
-    paths = np.full((399, 1 + 795, 1), np.nan)
-    _draw_errors(resid, BootstrapConfig(n_boot=399, seed=2**64 - 1), 1, 3, np.zeros((1, 1)), paths)
+    cfg = BootstrapConfig(n_boot=399, seed=2**64 - 1)
+    paths = _draws(resid, cfg, 1, 3, np.zeros((1, 1)), 1 + 795, _batch._CHUNK)
     expected = _reference(2**64 - 1, 1, 3, 399, 795, 795)
     assert np.array_equal(paths[:, 1:, 0] + 397, expected)
 
@@ -97,23 +108,20 @@ def test_draw_large_grid_spans_several_passes():
 def test_draw_pass_boundaries_never_enter_the_draws(
     n_boot, n_small, n_draw, pool_size, level, code, own_pools
 ):
-    # One row per pass and all rows in one pass draw the same paths, and a
-    # smaller build draws the leading rows of a larger one.
+    # One row per call of the drawer and all rows in one call draw the same
+    # paths, and a smaller build draws the leading rows of a larger one.
     n_small = min(n_small, n_boot)
     n_pools = n_boot if own_pools else 1
     resid = np.random.default_rng(n_draw).standard_normal((n_pools, pool_size, 2))
     init = np.ones((2, 2))
 
-    def draws(n, pass_indices):
+    def draws(n, step):
         cfg = BootstrapConfig(n_boot=n, seed=11)
-        paths = np.full((n, 2 + n_draw, 2), np.nan)
-        with mock.patch.object(bootstrap, "_PASS_INDICES", pass_indices):
-            _draw_errors(resid[:n] if n_pools > 1 else resid, cfg, level, code, init, paths)
-        return paths
+        return _draws(resid[:n] if n_pools > 1 else resid, cfg, level, code, init, 2 + n_draw, step)
 
     one_row = draws(n_boot, 1)
-    assert np.array_equal(draws(n_boot, n_boot * n_draw), one_row)
-    assert np.array_equal(draws(n_small, n_boot * n_draw), one_row[:n_small])
+    assert np.array_equal(draws(n_boot, n_boot), one_row)
+    assert np.array_equal(draws(n_small, n_boot), one_row[:n_small])
     assert np.array_equal(draws(n_small, 1), one_row[:n_small])
 
 
