@@ -19,13 +19,16 @@ Every construction is a function of one prepared sample (``_prepare``,
 exported as ``wimpvar.prepare``; ``_prepare_many`` prepares a stack of
 samples with one sweep).  ``METHODS`` names every construction;
 ``run_methods`` runs a set of them on one prepared sample or on a group of
-them.  It builds each level-1 batch once, in chunks of 64 replications or
-more, each chunk writing its rows of the batch's Gram matrices, and at each
+them.  Its plan names, per level-1 rank, the methods that read each batch.
+It builds each level-1 batch once, in chunks of 64 replications or more,
+each chunk writing its rows of the batch's Gram matrices (and its rows at
+p + 1 too when the lag-augmented bootstrap reads the batch), and at each
 rank it sweeps the batches of the whole group as one stack; everything
 downstream of the sweep (responses, query values, Hall bounds) runs per
-sample, on its slice.  No batch keeps its paths: FDBB level two and the
-lag-augmented bootstrap replay the chunks of the batch they read, which
-gives the same bits, so no build holds an (n_boot, T, K) array.
+sample, on its slice.  A result that methods share on a batch is computed
+for the methods that read it and freed once the last of them has run.  No
+batch keeps its paths: FDBB level two replays the chunks of the batch it
+reads, which gives the same bits, so no build holds an (n_boot, T, K) array.
 """
 from __future__ import annotations
 
@@ -143,10 +146,18 @@ def hall_quantile(centered_stats, gamma_point: float) -> float:
     return float(_batch.hall_quantiles(stats.copy(), (gamma_point,))[0])
 
 
-def _hall_bounds(centered: np.ndarray, points: np.ndarray, gamma: float):
-    """Vectorized Hall interval bounds per query column; sorts the
-    temporary ``centered`` in place."""
-    q_lo, q_hi = _batch.hall_quantiles(centered, (gamma / 2.0, 1.0 - gamma / 2.0))
+def _hall_bounds(stats: np.ndarray, points: np.ndarray, gamma: float, shift=None):
+    """Vectorized Hall interval bounds per query column of the centred
+    statistics ``stats - shift`` (``stats`` itself when ``shift`` is None);
+    sorts the temporary ``stats`` in place.
+
+    A (Q,) ``shift`` is subtracted from the two order statistics only:
+    fl(x - c) is monotone in x, so the k-th smallest of a shifted column is
+    the shifted k-th smallest, bitwise what sorting a centred copy gives.
+    """
+    q_lo, q_hi = _batch.hall_quantiles(stats, (gamma / 2.0, 1.0 - gamma / 2.0))
+    if shift is not None:
+        q_lo, q_hi = q_lo - shift, q_hi - shift
     return points - q_hi, points - q_lo
 
 
@@ -169,21 +180,25 @@ class _CompiledQueries:
     queries: tuple
     h_need: int
     need_structural: bool
+    need_reduced: bool
     n_vars: int
     groups: tuple
     order: np.ndarray | None
 
-    def evaluate(self, psi: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
+    def evaluate(self, psi: np.ndarray | None, phi: np.ndarray | None) -> np.ndarray:
         """Evaluate all queries on (B, H+1, K, K) stacks, returns (B, Q).
+        ``psi`` may be None when no query is reduced-form, ``phi`` when none
+        is structural.
 
         One element group in query order, held as a slice, returns a view
         of ``psi`` or ``phi``; otherwise the values are gathered into a new
         array.
         """
-        lead = psi.shape[:-3]
-        flat = {REDUCED_FORM: psi.reshape(lead + (-1,))}
-        if phi is not None:
-            flat[STRUCTURAL_CHOLESKY] = phi.reshape(lead + (-1,))
+        flat = {
+            kind: stack.reshape(stack.shape[:-3] + (-1,))
+            for kind, stack in ((REDUCED_FORM, psi), (STRUCTURAL_CHOLESKY, phi))
+            if stack is not None
+        }
         parts = []
         for kind, indices in self.groups:
             values = flat[kind][..., indices]
@@ -234,6 +249,7 @@ def _compile_queries(queries, n_vars: int) -> _CompiledQueries:
         queries=queries,
         h_need=max(q.needed_horizon for q in queries),
         need_structural=any(q.kind == STRUCTURAL_CHOLESKY for q in queries),
+        need_reduced=any(q.kind == REDUCED_FORM for q in queries),
         n_vars=n_vars,
         groups=tuple(groups),
         order=order,
@@ -289,12 +305,13 @@ class _Prepared:
         stats = _batch.trace_stats_batch(self.sweep.eigenvalues, self.sweep.t_eff)[0]
         return plausibility_weights(stats, self.sweep.t_eff, self.c1, self.c2)
 
-    def level1(self, dgp_rank: int, boot: _BootBatch | None = None) -> _BootBatch:
+    def level1(self, dgp_rank: int, boot: _BootBatch | None = None, reader=None) -> _BootBatch:
         """``boot`` if it is the level-1 batch at ``dgp_rank``, else a fresh one
-        built in a fresh chunk buffer; ``run_methods`` shares a group's
-        (:func:`_level1_batches`)."""
+        built for the method ``reader`` alone in a fresh chunk buffer;
+        ``run_methods`` shares a group's (:func:`_level1_batches`)."""
         if boot is None or boot.dgp_rank != dgp_rank:
-            (boot,) = _level1_batches([self], dgp_rank, _chunk_buffer(self))
+            readers = [(reader,)] if reader else None
+            (boot,) = _level1_batches([self], dgp_rank, _chunk_buffer(self), readers)
         return boot
 
     def check_rank(self, rank) -> int:
@@ -427,18 +444,28 @@ def _draw_index_matrix(stream, n_rows: int, pool_size: int, n_draw: int) -> np.n
 
 @dataclass
 class _BootBatch:
-    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank and
-    the per-batch results its methods share, keyed by step (read-only arrays).
+    """A level-1 batch: the sweep of its rebuilt paths at one DGP rank, the
+    methods that read it and the per-batch results they share.
 
     The sweep is the sample's slice of its group's stacked sweep, made from
-    Gram matrices; it keeps no paths (its ``tilde`` is None).  A reader that
-    needs the paths themselves, FDBB level two and the lag-augmented
-    bootstrap, replays the batch's chunks (:func:`_replay`).
+    Gram matrices; it keeps no paths (its ``tilde`` is None).  FDBB level
+    two, which needs the paths themselves, replays the batch's chunks
+    (:func:`_replay`).  ``readers`` names the methods that read the batch,
+    in the order they run (None: the fan member); None instead of a list
+    leaves them open, so any method may read it.  ``memo`` maps the names
+    of the methods that share a result to it (read-only arrays); a memo
+    goes once none of its methods is left to read it (:meth:`release`).
     """
 
     sweep: _batch.BatchSweep
     dgp_rank: int
+    readers: tuple | list | None = None
     memo: dict = field(default_factory=dict)
+
+    def release(self, left) -> None:
+        """Drops each memo that no method named in ``left`` reads."""
+        for names in [names for names in self.memo if not any(name in left for name in names)]:
+            del self.memo[names]
 
 
 # A build runs in chunks of whole _CHUNKs of replications, as many as fit in
@@ -547,19 +574,23 @@ def _level1_chunks(prep: _Prepared, dgp_rank: int, paths: np.ndarray):
 def _replay(prep: _Prepared, boot: _BootBatch):
     """The chunks of the built level-1 batch ``boot`` once more
     (:func:`_level1_chunks`), in a fresh chunk buffer: the same stream and
-    the same steps, so the same bits as its build."""
+    the same steps, so the same bits as its build.  FDBB level two is its caller."""
     return _level1_chunks(prep, boot.dgp_rank, _chunk_buffer(prep))
 
 
-def _grams(chunks, gram: np.ndarray, p: int, t_eff: int) -> np.ndarray:
+def _grams(chunks, gram: np.ndarray, p: int, t_eff: int, augmented=None) -> np.ndarray:
     """Writes the Gram rows at lag order ``p`` of each chunk that ``chunks``
     yields, as (first row, detrended chunk, finite), into ``gram``
-    (B, K(p+1), K(p+1)); returns which paths were finite, (B,)."""
+    (B, K(p+1), K(p+1)), and, when ``augmented`` (B, K(p+2), K(p+2)) is
+    given, its rows at p + 1 over t = p+2..T, ``lavar``'s, there; returns
+    which paths were finite, (B,)."""
     finite = np.empty(len(gram), dtype=bool)
     for lo, chunk, ok in chunks:
         rows = slice(lo, lo + len(chunk))
         finite[rows] = ok
         _batch.gram_batch(chunk, p, t_eff, out=gram[rows])
+        if augmented is not None:
+            _batch.gram_batch(chunk, p + 1, chunk.shape[1] - p - 1, out=augmented[rows])
     return finite
 
 
@@ -571,18 +602,35 @@ def _sweep_grams(gram, finite, p: int, paper_convention: bool, n_obs: int) -> _b
     return sweep
 
 
-def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray):
+def _level1_batch(
+    prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray, augmented=None
+):
     """Builds the sample's level-1 batch at ``dgp_rank`` in the chunk buffer
     ``paths`` (:func:`_level1_chunks`), each chunk writing its rows of
-    ``gram`` (n_boot, K(p+1), K(p+1)), which :func:`_level1_batches`
-    sweeps; returns which of its n_boot paths were finite, (n_boot,)."""
-    return _grams(_level1_chunks(prep, dgp_rank, paths), gram, prep.p, prep.sweep.t_eff)
+    ``gram`` (n_boot, K(p+1), K(p+1)) and, for ``lavar``, of ``augmented``
+    (:func:`_grams`), which :func:`_level1_batches` sweeps; returns which
+    of its n_boot paths were finite, (n_boot,)."""
+    chunks = _level1_chunks(prep, dgp_rank, paths)
+    return _grams(chunks, gram, prep.p, prep.sweep.t_eff, augmented)
 
 
-def _level1_batches(preps, dgp_rank: int, paths: np.ndarray):
+def _gram_stack(n_rows: int, n_vars: int, p: int) -> np.ndarray:
+    """An empty (n_rows, K(p+1), K(p+1)) stack of Gram matrices at lag order ``p``."""
+    width = n_vars * (p + 1)
+    return np.empty((n_rows, width, width))
+
+
+def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, readers=None):
     """Each sample's level-1 batch at ``dgp_rank`` (:func:`_level1_batch`),
     built in turn through the one chunk buffer ``paths`` and swept as one
-    stack from their Gram matrices.
+    stack from their Gram matrices.  ``readers[i]`` names the methods that
+    read sample i's batch (:class:`_BootBatch`; open by default).
+
+    A sample whose readers include ``lavar`` also writes its Gram rows at
+    p + 1 as it builds.  Those samples' p + 1 Gram matrices are swept as one
+    stack, and so are their observed samples at p + 1; each of their
+    batches keeps its slices of the two for ``lavar``
+    (:func:`lag_augmented_interval`).
 
     Each build keeps its own stream and its own recursion, so a sample's
     slice is bitwise what it would be alone: every kernel treats each
@@ -590,14 +638,32 @@ def _level1_batches(preps, dgp_rank: int, paths: np.ndarray):
     (see :func:`run_methods`).
     """
     first = preps[0]
-    n_boot, width = first.cfg.n_boot, first.n_vars * (first.p + 1)
+    n_boot, n_vars, p = first.cfg.n_boot, first.n_vars, first.p
+    readers = readers or [None] * len(preps)
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
-    gram = np.empty((rows[-1].stop, width, width))
-    finite = np.concatenate([
-        _level1_batch(prep, dgp_rank, paths, gram[part]) for prep, part in zip(preps, rows)
-    ])
-    sweep = _sweep_grams(gram, finite, first.p, first.cfg.paper_sample_convention, first.n_obs)
-    return [_BootBatch(sweep.take(part), dgp_rank) for part in rows]
+    # lavar reads the rank-K batch; a sample too short for it gets its DataError instead
+    lavar = [i for i, names in enumerate(readers) if names and "lavar" in names]
+    if dgp_rank != n_vars or _lavar_error(first):
+        lavar = []
+    gram, augmented = _gram_stack(len(preps) * n_boot, n_vars, p), None
+    if lavar:
+        augmented = _gram_stack(len(lavar) * n_boot, n_vars, p + 1)
+    finite = np.empty(len(gram), dtype=bool)
+    for i, (prep, part) in enumerate(zip(preps, rows)):
+        extra = augmented[rows[lavar.index(i)]] if i in lavar else None
+        finite[part] = _level1_batch(prep, dgp_rank, paths, gram[part], extra)
+    sweep = _sweep_grams(gram, finite, p, first.cfg.paper_sample_convention, first.n_obs)
+    boots = [_BootBatch(sweep.take(part), dgp_rank, names) for part, names in zip(rows, readers)]
+    if lavar:
+        kept = np.repeat([i in lavar for i in range(len(preps))], n_boot)  # lavar's rows
+        sweep_lavar = _sweep_grams(augmented, finite[kept], p + 1, False, first.n_obs)
+        # a replication whose level-1 sweep met a non-finite value fails here
+        # too: a spoilt path, or a Gram or canonical matrix that overflowed at p
+        sweep_lavar.reason |= sweep.reason[kept] & _batch.NONFINITE
+        observed = sweep_samples(np.concatenate([preps[i].sweep.tilde for i in lavar]), p + 1)
+        for j, i in enumerate(lavar):
+            boots[i].memo[("lavar",)] = (observed.take(slice(j, j + 1)), sweep_lavar.take(rows[j]))
+    return boots
 
 
 def _read_only(*arrays):
@@ -606,27 +672,40 @@ def _read_only(*arrays):
     return arrays
 
 
+# The sweep fields that rank_fit_batch and sigma_batch read
+_FIT_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21")
+
+
+def _rank_fit(sweep: _batch.BatchSweep, rank: int, structural: bool) -> tuple:
+    """(Pi, Gammas) at ``rank``, and Sigma too when ``structural``."""
+    fit = _batch.rank_fit_batch(sweep, rank)
+    return fit + (_batch.sigma_batch(sweep, rank),) if structural else fit
+
+
 def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries, n_lags=None):
     """Per-sample query values at an imposed rank, an int or a (B,) array of
     per-sample ranks; returns ((B, Q) values, (B,) ok, (Pi, Gammas) fit).
     The first ``n_lags`` levels matrices (all by default) feed the responses.
 
-    Each distinct rank is fitted once on the whole batch (Sigma too, when a
-    query is structural) and its rows are scattered into the first rank's
-    fit, so row b equals the int-rank call at ``rank[b]``.
+    Each distinct rank is fitted on its own rows only (Sigma too, when a
+    query is structural), and the fits are scattered into one, so row b
+    equals the int-rank call at ``rank[b]``.  When no query is reduced-form
+    the reduced-form responses are freed before the gather.
     """
     ranks = np.broadcast_to(rank, sweep.reason.shape)
-    fit = None
-    for r in np.unique(ranks):
-        part = _batch.rank_fit_batch(sweep, int(r))
-        if cq.need_structural:
-            part += (_batch.sigma_batch(sweep, int(r)),)
-        if fit is None:
-            fit = part
-            continue
-        mask = ranks == r
-        for whole, piece in zip(fit, part):
-            whole[mask] = piece[mask]
+    distinct = np.unique(ranks)
+    if len(distinct) == 1:
+        fit = _rank_fit(sweep, int(distinct[0]), cq.need_structural)
+    else:
+        fit = None
+        for r in distinct:
+            rows = ranks == r
+            own = replace(sweep, **{name: getattr(sweep, name)[rows] for name in _FIT_FIELDS})
+            part = _rank_fit(own, int(r), cq.need_structural)
+            if fit is None:
+                fit = tuple(np.empty(ranks.shape + piece.shape[1:]) for piece in part)
+            for whole, piece in zip(fit, part):
+                whole[rows] = piece
     pi, gammas, *sigma = fit
     psi = _batch.irf_batch(_batch.var_matrices_batch(pi, gammas)[:, :n_lags], cq.h_need)
     ok, phi = sweep.ok, None
@@ -635,6 +714,8 @@ def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries, n_lags=N
         ok &= chol_ok
         # one (B, (H+1)K, K) @ (B, K, K) product per batch, bitwise the per-horizon ones
         phi = (psi.reshape(len(psi), -1, psi.shape[-1]) @ chol).reshape(psi.shape)
+        if not cq.need_reduced:
+            psi = None
     return cq.evaluate(psi, phi), ok, (pi, gammas)
 
 
@@ -657,7 +738,12 @@ def _finalize(prep: _Prepared, method, rank, stats, ok, points, what, *, centre=
     bagged estimate, is then the point.  A replication fails when ``ok`` is
     false or a statistic of it is not finite; the failed ones are dropped and
     the budget applies (:func:`_census`).  The re-selected ``ranks`` give
-    ``rank_counts``: the kept replications per rank, ``-1`` the failed ones."""
+    ``rank_counts``: the kept replications per rank, ``-1`` the failed ones.
+
+    Both forms sort one F-ordered (B, Q) temporary, so the sort runs down
+    contiguous columns: for a fixed centre a plain copy of the statistics,
+    whose two order statistics :func:`_hall_bounds` shifts by the points
+    (bitwise the centred sort), for FDBB's the centred statistics."""
     cfg = prep.cfg
     ok = ok & np.isfinite(stats).all(axis=1)
     if centre is not None:
@@ -665,11 +751,13 @@ def _finalize(prep: _Prepared, method, rank, stats, ok, points, what, *, centre=
     n_failed = _census(ok, cfg, what)
     counts = None
     if ranks is not None:
-        counts = {int(r): int(n) for r, n in zip(*np.unique(ranks[ok], return_counts=True))}
+        counts = {r: int(n) for r, n in enumerate(np.bincount(ranks[ok])) if n}
         if n_failed:
             counts[-1] = n_failed
+    if n_failed:
+        stats = stats[ok]
     if centre is None:
-        centre = points
+        lower, upper = _hall_bounds(np.array(stats, order="F"), points, cfg.gamma, points)
     else:
         # The mean reads a mask copy even when nothing failed: the copy is
         # C-ordered, so the mean adds its rows one by one, whereas on F-ordered
@@ -678,10 +766,7 @@ def _finalize(prep: _Prepared, method, rank, stats, ok, points, what, *, centre=
         points = centre[ok].mean(axis=0)
         if n_failed:
             centre = centre[ok]
-    if n_failed:
-        stats = stats[ok]
-    # F order from the subtraction itself: the sort runs down contiguous columns.
-    lower, upper = _hall_bounds(np.subtract(stats, centre, order="F"), points, cfg.gamma)
+        lower, upper = _hall_bounds(np.subtract(stats, centre, order="F"), points, cfg.gamma)
     return _to_interval_set(method, rank, prep.cq, lower, upper, points, cfg, n_failed, counts)
 
 
@@ -723,12 +808,13 @@ def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot)
     """Level one of the rank re-selection bootstraps: the observed rank, the
     level-1 batch, its per-sample selected ranks and the replications' query
     values, ok flags and fit at those ranks.  The batch keeps the per-sample
-    part, so ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
+    part for the two methods that read it, so ``bers_*`` and ``fdbb_*`` with
+    one selector compute it once."""
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     r_hat = prep.select_rank(selector)
     boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot)
-    key = ("reselect", selector)
+    key = (f"bers_{selector.label}", f"fdbb_{selector.label}")
     if key not in boot.memo:
         ranks_star = _batch.select_batch(boot.sweep, selector)
         values, ok, (pi, gammas) = _zeta_at_rank(boot.sweep, ranks_star, prep.cq)
@@ -754,30 +840,42 @@ def bers_interval(
     )
 
 
-def _ma_sums(prep: _Prepared, boot: _BootBatch):
-    """The replications' per-rank query values averaged with their own
-    weights and with the observed-data weights, (B, Q) each, and ok.
+_MA_NAMES = ("ma", "ma_fixed")
 
-    One pass over ranks 0..K serves ``ma`` and ``ma_fixed``; each rank's
-    values go straight into the two sums, summed in rank order from zero.
+
+def _ma_sums(prep: _Prepared, boot: _BootBatch, name: str):
+    """The replications' per-rank query values averaged under the weighting
+    of the MA method ``name``, (B, Q), and ok: with each replication's own
+    weights (``ma``) or with the observed-data weights (``ma_fixed``).
+
+    One pass over ranks 0..K sums ``name``'s weighting and the other one
+    when the batch's ``readers`` name it or are open; each rank's values go
+    straight into the sums, summed in rank order from zero.  Each sum is
+    the memo of its one method.
     """
-    if "ma" not in boot.memo:
+    if (name,) not in boot.memo:
         sweep = boot.sweep
-        stats = _batch.trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
-        _, weights_star = _batch.weights_batch(stats, sweep.t_eff, prep.c1, prep.c2)
-        data_weights = prep.weights().normalized
-        endogenous = np.zeros((sweep.reason.size, len(prep.queries)))
-        fixed = np.zeros_like(endogenous)
+        readers = _MA_NAMES if boot.readers is None else boot.readers
+        wanted = [each for each in _MA_NAMES if each == name or each in readers]
+        sums = {each: np.zeros((sweep.reason.size, len(prep.queries))) for each in wanted}
+        if "ma" in sums:
+            stats = _batch.trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
+            _, weights_star = _batch.weights_batch(stats, sweep.t_eff, prep.c1, prep.c2)
+        if "ma_fixed" in sums:
+            data_weights = prep.weights().normalized
         ok = sweep.ok
         for rank in range(prep.n_vars + 1):
             values, rank_ok, _ = _zeta_at_rank(sweep, rank, prep.cq)
             ok &= rank_ok
-            fixed += data_weights[rank] * values
-            values *= weights_star[:, rank, None]
-            endogenous += values
+            if "ma_fixed" in sums:
+                sums["ma_fixed"] += data_weights[rank] * values
+            if "ma" in sums:
+                values *= weights_star[:, rank, None]
+                sums["ma"] += values
             del values  # freed before the next rank's are made
-        boot.memo["ma"] = _read_only(endogenous, fixed, ok)
-    return boot.memo["ma"]
+        _read_only(ok, *sums.values())
+        boot.memo.update({(each,): (total, ok) for each, total in sums.items()})
+    return boot.memo[(name,)]
 
 
 def ma_interval(prep: _Prepared, weights_mode: str = "endogenous", *, boot=None) -> IntervalSet:
@@ -792,14 +890,14 @@ def ma_interval(prep: _Prepared, weights_mode: str = "endogenous", *, boot=None)
     """
     if weights_mode not in ("endogenous", "fixed"):
         raise ConfigError(f"weights_mode must be 'endogenous' or 'fixed', got {weights_mode!r}")
+    name = "ma" if weights_mode == "endogenous" else "ma_fixed"
     data_weights = prep.weights()
     per_rank_points = np.stack([prep.point_zetas(r) for r in range(prep.n_vars + 1)])
     points = data_weights.normalized @ per_rank_points
-    endogenous, fixed, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank, boot))
-    zeta_star = endogenous if weights_mode == "endogenous" else fixed
+    zeta_star, ok = _ma_sums(prep, prep.level1(data_weights.reference_rank, boot, name), name)
     return _finalize(
-        prep, "ma" if weights_mode == "endogenous" else "ma_fixed", data_weights.reference_rank,
-        zeta_star, ok, points, "the model-averaging bootstrap",
+        prep, name, data_weights.reference_rank, zeta_star, ok, points,
+        "the model-averaging bootstrap",
     )
 
 
@@ -852,38 +950,44 @@ def fdbb_interval(
     )
 
 
+def _lavar_error(prep: _Prepared) -> DataError | None:
+    """The DataError of a sample too short for ``lavar``'s VAR(p + 1), or None."""
+    n_vars, p, n_obs = prep.n_vars, prep.p, prep.n_obs
+    if n_obs >= n_vars * (p + 1) + 10:
+        return None
+    return DataError(
+        f"lavar fits a VAR(p + 1) = VAR({p + 1}) for p = {p}: it needs at least"
+        f" K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations, got {n_obs}"
+    )
+
+
 def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
     """Levels bootstrap with one extra estimation lag.
 
     A levels VAR without deterministic terms is the error-correction fit at
     full rank K.  The bootstrap process is the sample's rank-K fit, so the
     bootstrap paths are the level-1 batch at rank K, which the rank-K fan
-    member reads too; its chunks are replayed (:func:`_replay`) and their
-    Gram rows written at p+1.  The point estimate and every bootstrap
-    estimate come from the rank-K fit of a VAR(p+1), of which only the
-    first p levels matrices feed the responses.  The VAR(p+1) fits use rows
-    t = p+2..T under either sample convention; a path that turned
+    member reads too; built for ``lavar``, each of its chunks writes its
+    Gram rows at p+1 too, and the batch keeps their sweep and the observed
+    sample's at p+1 (:func:`_level1_batches`).  A batch built without them
+    is not read: ``lavar`` builds its own.  The point estimate and every
+    bootstrap estimate come from the rank-K fit of a VAR(p+1), of which
+    only the first p levels matrices feed the responses.  The VAR(p+1) fits
+    use rows t = p+2..T under either sample convention; a path that turned
     non-finite fails.  A sample too short for p+1 lags raises DataError.
     """
-    n_vars, p, n_obs = prep.n_vars, prep.p, prep.n_obs
-    if n_obs < n_vars * (p + 1) + 10:
-        raise DataError(
-            f"lavar fits a VAR(p + 1) = VAR({p + 1}) for p = {p}: it needs at least"
-            f" K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations, got {n_obs}"
-        )
-    observed = sweep_samples(prep.sweep.tilde, p + 1)
+    error = _lavar_error(prep)
+    if error is not None:
+        raise error
+    if boot is not None and ("lavar",) not in boot.memo:
+        boot = None
+    observed, sweep = prep.level1(prep.n_vars, boot, "lavar").memo[("lavar",)]
     if observed.reason[0]:
         raise _sweep_error(observed, None)
-    (points,), (ok_point,), _ = _zeta_at_rank(observed, n_vars, prep.cq, p)
+    (points,), (ok_point,), _ = _zeta_at_rank(observed, prep.n_vars, prep.cq, prep.p)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
-    level1 = prep.level1(n_vars, boot)
-    width = n_vars * (p + 2)
-    gram = np.empty((prep.cfg.n_boot, width, width))
-    finite = _grams(_replay(prep, level1), gram, p + 1, n_obs - p - 1)
-    sweep = _sweep_grams(gram, finite, p + 1, False, n_obs)
-    sweep.reason |= level1.sweep.reason & _batch.NONFINITE
-    zeta_star, ok, _ = _zeta_at_rank(sweep, n_vars, prep.cq, p)
+    zeta_star, ok, _ = _zeta_at_rank(sweep, prep.n_vars, prep.cq, prep.p)
     return _finalize(prep, "lavar", None, zeta_star, ok, points, "the lag-augmented bootstrap")
 
 
@@ -1006,16 +1110,19 @@ def run_methods(preps, names):
     propagates, for an unknown method name too.  The samples of a group share
     their shape, lag order, detrending and bootstrap size; seeds may differ.
 
-    Fan members and methods run in ascending level-1 rank.  At each rank,
-    every sample that reads it builds its batch, on its own stream, through
-    the run's one chunk buffer (:func:`_chunk_buffer`); one sweep covers the
-    stack, and each sample runs its fan member and methods there on its own
-    batch, then drops it.  No batch keeps its paths: FDBB level two and
-    ``lavar`` replay the chunks of the batch they read, each in chunk
-    buffers of its own (:func:`_replay`).  So no run holds an (n_boot, T, K)
-    array.  The order changes no result: every build draws from its own
-    Philox stream, keyed by (seed, level, code), and every kernel treats
-    each sample alone.
+    Fan members and methods run in ascending level-1 rank.  The plan lists,
+    per rank and sample, the readers of the batch in the order they run,
+    and the build gets it (:func:`_level1_batches`): every sample that reads
+    the rank builds its batch, on its own stream, through the run's one
+    chunk buffer (:func:`_chunk_buffer`), writing ``lavar``'s p + 1 Gram
+    rows too when ``lavar`` reads it; one sweep covers the stack, and each
+    sample runs its fan member and methods there on its own batch.  A memo
+    on the batch goes once its last reader has run (:meth:`_BootBatch.release`),
+    and the batch once all have.  No batch keeps its paths: FDBB level two
+    replays the chunks of the batch it reads in chunk buffers of its own
+    (:func:`_replay`).  So no run holds an (n_boot, T, K) array.  The order
+    changes no result: every build draws from its own Philox stream, keyed
+    by (seed, level, code), and every kernel treats each sample alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.
     """
@@ -1044,14 +1151,18 @@ def run_methods(preps, names):
         for rank, reads in sorted(plan.items(), key=lambda item: (item[0] is None, item[0] or 0)):
             boots = [None] * len(reads)
             if rank is not None:
-                boots = _level1_batches([group[i] for i, _ in reads], rank, paths)
+                boots = _level1_batches(
+                    [group[i] for i, _ in reads], rank, paths, [readers for _, readers in reads]
+                )
             for i, readers in reads:
                 prep, boot = group[i], boots.pop(0)
-                for name in readers:
+                for k, name in enumerate(readers):
                     if name is None:
                         _attempt(prep.fan, rank, boot)  # an error stays in the fan for its readers
                     else:
                         out[i][name] = _attempt(METHODS[name].run, prep, boot)
-                del boot  # the batch and its memo go once its readers have run
+                    if boot is not None:
+                        boot.release(readers[k + 1 :])
+                del boot  # the batch goes once its readers have run
     out = [{name: results[name] for name in names} for results in out]
     return out[0] if single else out

@@ -207,27 +207,22 @@ class CoverageTable:
     def coverage_rows(self):
         """Flat rows (method, response, shock, horizon, coverage, mean_width,
         n_covered, n_success, n_fail)."""
+        # (a, b, h) in the C order of the (K, K, H) arrays, whose whole-array
+        # tolist() gives the cells as Python floats and ints
+        cells = [
+            (a + 1, b + 1, h + 1)
+            for a in range(self.n_vars) for b in range(self.n_vars) for h in range(self.h_max)
+        ]
         rows = []
         for m, method in enumerate(self.methods):
-            rates = self.coverage(method)
-            widths = self.mean_width(method)
             n_success = int(self.success[m])
-            for a in range(self.n_vars):
-                for b in range(self.n_vars):
-                    for h in range(self.h_max):
-                        rows.append(
-                            [
-                                method,
-                                a + 1,
-                                b + 1,
-                                h + 1,
-                                float(rates[a, b, h]),
-                                float(widths[a, b, h]),
-                                int(self.covered[m, a, b, h]),
-                                n_success,
-                                self.n_mc - n_success,
-                            ]
-                        )
+            columns = (self.coverage(method), self.mean_width(method), self.covered[m])
+            rows.extend(
+                [method, a, b, h, rate, width, covered, n_success, self.n_mc - n_success]
+                for (a, b, h), rate, width, covered in zip(
+                    cells, *(column.ravel().tolist() for column in columns)
+                )
+            )
         return rows
 
     def summary_rows(self):

@@ -12,7 +12,8 @@ buffer, and builds every bootstrap batch _CHUNK replications at a time,
 keeping no paths; the zero-padded window rebuild and the whole-batch
 builds (draw every replication in passes, rebuild, detrend, then sweep the
 stack, keeping its paths) of level one, of FDBB's level two and of the
-lag-augmented bootstrap are kept here too.
+lag-augmented bootstrap are kept here too, and the Hall step on a whole
+centred copy of the statistics.
 """
 from types import SimpleNamespace
 
@@ -315,3 +316,18 @@ def lavar_whole(prep, level1):
         bootstrap._finalize, prep, "lavar", None, values, ok, points, "the lag-augmented bootstrap"
     )
     return result, sweep
+
+
+def hall_bounds_centred(stats, points, gamma):
+    """Hall bounds [points - q(1 - gamma/2), points - q(gamma/2)] per column
+    of (B, Q) statistics, with q the order statistics ceil((B+1) g),
+    clamped to 1..B, of the centred copy ``stats - points``, sorted whole:
+    the finisher's form for a fixed centre before it shifted its two order
+    statistics instead."""
+    centred = np.subtract(stats, points, order="F")
+    centred.sort(axis=0)
+    n = len(centred)
+    q_lo, q_hi = (
+        centred[min(max(int(np.ceil((n + 1) * g)), 1), n) - 1] for g in (gamma / 2, 1 - gamma / 2)
+    )
+    return points - q_hi, points - q_lo

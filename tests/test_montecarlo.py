@@ -332,10 +332,11 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     # One 16-replication chunk, all 11 methods: the observed samples are
     # swept once at p, and each rank's level-1 batches once per group of
     # replications, from the Gram matrices their chunked builds wrote.
-    # lavar sweeps each replication's observed sample and its replayed
-    # rank-K batch at p+1; FDBB level two sweeps per replication and
-    # selector.  Every bootstrap sweep starts from its Gram matrices and
-    # gets no paths; only the observed samples are swept from their paths.
+    # The rank-K build of a group also sweeps lavar's p+1 Gram rows of its
+    # batches as one stack, and the group's observed samples at p+1 as
+    # another; FDBB level two sweeps per replication and selector.  Every
+    # bootstrap sweep starts from its Gram matrices and gets no paths; only
+    # the observed samples are swept from their paths.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
     level1_batches = bootstrap._level1_batches
@@ -365,14 +366,15 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     monkeypatch.setattr(bootstrap, "_prepare", refused)
     assert _run_chunk(cfg, range(n_reps))[2].tolist() == [n_reps] * len(ALL_METHODS)
     groups = -(-n_reps // group)
+    assert n_reps % group == 0  # every group is whole
     assert [sweep for sweep in sweeps if sweep[1] == n_reps] == [(False, n_reps, p)]
-    level1 = [sweep for sweep in sweeps if sweep[0]]
+    level1 = [sweep for sweep in sweeps if sweep[0] and sweep[2] == p]
     assert 0 < len(level1) <= (cfg.dgp.n_vars + 1) * groups
     assert all(size % n_boot == 0 and size <= group * n_boot for _, size, _ in level1)
-    assert sweeps.count((False, 1, p + 1)) == n_reps
-    assert sweeps.count((False, n_boot, p + 1)) == n_reps
+    lavar = [sweep for sweep in sweeps if sweep[0] and sweep[2] == p + 1]
+    assert sorted(lavar) == [(True, group, p + 1)] * groups + [(True, group * n_boot, p + 1)] * groups
     assert sweeps.count((False, n_boot, p)) == 2 * n_reps
-    assert len(sweeps) == 1 + len(level1) + 4 * n_reps
+    assert len(sweeps) == 1 + len(level1) + len(lavar) + 2 * n_reps
 
 
 def test_experiment_methods_independent_of_method_set():

@@ -22,7 +22,8 @@
   magnitude, with the same failure bits.
 * One query-value path: query values at per-sample ranks equal, row by row
   and bit for bit, the values at each row's rank imposed on the whole batch,
-  and the observed sample's table at ranks 0..K equals B=1 calls.
+  each rank fitted on its own rows, and the observed sample's table at
+  ranks 0..K equals B=1 calls.
 * One entry point: the prepared sample's sweep is, field for field and bit
   for bit, the sweep ``observed_sweep`` gives the same data.
 * Equivariance: at a fixed rank the reduced-rank fit commutes with a
@@ -31,20 +32,23 @@
   responses follow the transformation, Psi -> D Psi D^{-1}.
 * Shared work on a level-1 batch: ``ma``/``ma_fixed`` and each
   ``bers_*``/``fdbb_*`` pair compute their common part once, read-only,
-  and every method's interval set is, bit for bit, the one it gives alone
-  on a fresh sample, whatever order the methods run in and whichever
-  chunk buffer its batch was built in.  ``run_methods`` streams every
-  build through one chunk buffer and FDBB level two and lavar replay
-  their level-1 chunks in chunk buffers of their own, so no run makes an
-  (n_boot, T, K) buffer and no sweep keeps paths; it frees each batch
+  ``ma`` sums only the weightings that are read, each shared part is freed
+  once its last reader has run, and every method's interval set is, bit
+  for bit, the one it gives alone on a fresh sample, whatever order the
+  methods run in and whichever chunk buffer its batch was built in.
+  ``run_methods`` streams every build through one chunk buffer; FDBB level
+  two replays its level-1 chunks in chunk buffers of its own, and lavar
+  reads the p + 1 Gram rows that the rank-K build wrote.  So no run makes
+  an (n_boot, T, K) buffer and no sweep keeps paths; it frees each batch
   once the batch's readers have run and every buffer when it returns,
   also when a method or fan member fails.
 * Chunked builds: a group's level-1 batches built 64 replications at a
   time sweep bitwise as the whole-batch build of ``tests/reference.py``
   (draws in passes, a window rebuild, one sweep of the stack), spoilt
-  paths included, which are zeroed before any detrending.  FDBB level two
-  and lavar, which replay level one's chunks, give the interval sets and
-  sweeps of their whole-batch oracles, which read level one's kept paths.
+  paths included, which are zeroed before any detrending.  FDBB level two,
+  which replays level one's chunks, and lavar, which reads the rank-K
+  build's p + 1 sweep, give the interval sets and sweeps of their
+  whole-batch oracles, which read level one's kept paths.
   The in-place rebuild equals the window rebuild, and draws in 64-row
   chunks equal the draws in passes, from one pool or from each chunk's own
   pools, rejections of numpy's bounded draw included.
@@ -701,14 +705,15 @@ def test_method_pairs_compute_their_level1_part_once(seed, monkeypatch):
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypatch):
     # lavar's bootstrap process is the rank-K fit, whose batch the ols fan
-    # member reads too: adding lavar builds nothing, and lavar replays that
-    # batch's chunks.  Every build and every replay draws through one drawer.
+    # member reads too: adding lavar builds nothing and replays nothing; the
+    # rank-K build writes lavar's Gram rows at p + 1 when lavar reads it.
+    # Every draw builds level one.
     level1, builds, replays = [], [], []
     build_level1, drawer, replay = bootstrap._level1_batch, bootstrap._drawer, bootstrap._replay
 
-    def building_level1(prep, dgp_rank, *buffers):
-        level1.append(dgp_rank)
-        return build_level1(prep, dgp_rank, *buffers)
+    def building_level1(prep, dgp_rank, paths, gram, augmented=None):
+        level1.append((dgp_rank, augmented is not None))
+        return build_level1(prep, dgp_rank, paths, gram, augmented)
 
     def drawing(*args, **kwargs):
         builds.append(True)
@@ -728,17 +733,17 @@ def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypat
         replays.clear()
         out = run_methods(_fresh(seed), names)
         assert all(isinstance(result, IntervalSet) for result in out.values()), out
-        assert replays == ([3] if "lavar" in names else [])
-        assert len(builds) == len(level1) + len(replays)  # every draw builds or replays level one
+        assert replays == [] and len(builds) == len(level1)
         return list(level1)
 
-    assert calls(("ols", "lavar")) == calls(("ols",)) == calls(("lavar",)) == [3]
+    assert calls(("ols", "lavar")) == calls(("lavar",)) == [(3, True)]
+    assert calls(("ols",)) == [(3, False)]
 
 
 @pytest.mark.parametrize("seed", MEMO_SEEDS)
 def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, monkeypatch):
     # The level-1 build zeroes a non-finite path before it is detrended and
-    # flags it; lavar's VAR(p+1) sweep of the replayed batch keeps the flag.
+    # flags it; lavar's VAR(p+1) sweep of the batch's Gram rows keeps the flag.
     bad, prep = 5, _fresh(seed)
     build, sweep_batch = bootstrap._level1_batch, _batch.sweep_batch
     rebuild = _batch.rebuild_levels_batch
@@ -796,6 +801,149 @@ def test_memo_arrays_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_ma_sums_only_the_weightings_its_batch_is_read_for(seed, monkeypatch):
+    # ma alone, ma_fixed alone and the two together give the same interval
+    # sets, bit for bit, in a run and in direct calls; a run sums only the
+    # weightings its methods read, in one pass.
+    held = []
+    ma_sums = bootstrap._ma_sums
+
+    def summing(prep, boot, name):
+        out = ma_sums(prep, boot, name)
+        held.append(sorted(key for key in boot.memo if key in (("ma",), ("ma_fixed",))))
+        return out
+
+    monkeypatch.setattr(bootstrap, "_ma_sums", summing)
+    both = run_methods(_fresh(seed), ("ma", "ma_fixed"))
+    # ma sums both weightings, and its own memo goes before ma_fixed runs
+    assert held == [[("ma",), ("ma_fixed",)], [("ma_fixed",)]]
+    for name in ("ma", "ma_fixed"):
+        held.clear()
+        alone = run_methods(_fresh(seed), (name,))[name]
+        assert held == [[(name,)]]
+        assert _same_result(alone, both[name]), name
+        assert _same_result(_alone(seed)[name], both[name]), name
+
+
+def test_each_memo_is_freed_once_its_last_reader_has_run(monkeypatch):
+    # Seed 0's AIC, BIC and reference ranks share one batch.  As each
+    # method starts, the memos that are still alive are those a method yet
+    # to run reads; the others were freed, not merely dropped from the dict.
+    started, refs = [], {}
+
+    def watching(constructor, label):
+        def run(prep, *args, boot, **kwargs):
+            alive = sorted(key for key, ref in refs.items() if ref() is not None)
+            started.append((label(*args, **kwargs), alive))
+            result = constructor(prep, *args, boot=boot, **kwargs)
+            for key, value in boot.memo.items():
+                refs.setdefault(key, weakref.ref(value[0]))
+            return result
+        return run
+
+    by_selector = lambda prefix: lambda selector, *_: f"{prefix}_{selector.label}"  # noqa: E731
+    for name, label in (
+        ("bers_interval", by_selector("bers")),
+        ("fdbb_interval", by_selector("fdbb")),
+        ("ma_interval", lambda mode="endogenous": "ma" if mode == "endogenous" else "ma_fixed"),
+    ):
+        monkeypatch.setattr(bootstrap, name, watching(getattr(bootstrap, name), label))
+    names = ("ma", "bers_aic", "ma_fixed", "fdbb_aic", "bers_bic")
+    out = run_methods(_fresh(MEMO_SEEDS[0]), names)
+    assert all(isinstance(result, IntervalSet) for result in out.values()), out
+    aic = ("bers_aic", "fdbb_aic")
+    assert started == [
+        ("ma", []),
+        ("bers_aic", [("ma_fixed",)]),
+        ("ma_fixed", [aic, ("ma_fixed",)]),
+        ("fdbb_aic", [aic]),
+        ("bers_bic", []),
+    ]
+    assert all(ref() is None for ref in refs.values())
+
+
+def test_a_group_runs_lavar_without_a_replay_or_a_chunk_buffer(monkeypatch):
+    # A group of 3 runs lavar on the p + 1 sweep its rank-K build wrote: no
+    # replay and no chunk buffer but the run's own, and each sample's
+    # bootstrap sweep and interval set equal the whole-batch oracle's, bit
+    # for bit (tests/reference.py).
+    group = [_fresh(seed) for seed in (*MEMO_SEEDS, 5)]
+    made, replays, swept = [], [], {}
+    chunk_buffer, replay = bootstrap._chunk_buffer, bootstrap._replay
+    lavar = bootstrap.lag_augmented_interval
+
+    def making(prep):
+        made.append(prep)
+        return chunk_buffer(prep)
+
+    def replaying(*args):
+        replays.append(args)
+        return replay(*args)
+
+    def reading(prep, *, boot):
+        swept[id(prep)] = boot.memo[("lavar",)][1]
+        return lavar(prep, boot=boot)
+
+    monkeypatch.setattr(bootstrap, "_chunk_buffer", making)
+    monkeypatch.setattr(bootstrap, "_replay", replaying)
+    monkeypatch.setattr(bootstrap, "lag_augmented_interval", reading)
+    out = run_methods(group, ("lavar",))
+    assert made == [group[0]] and replays == []
+    for prep, results in zip(group, out):
+        want, sweep = reference.lavar_whole(prep, reference.level1_whole([prep], prep.n_vars)[0])
+        assert isinstance(want, IntervalSet) and _same_result(results["lavar"], want)
+        got = swept[id(prep)]
+        assert got.tilde is None
+        for name in _SWEEP_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(sweep, name).tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_batch=st.integers(2, 9),
+    p=st.integers(1, 3),
+    queries=QUERY_SETS,
+    data=st.data(),
+)
+def test_each_selected_rank_is_fitted_on_its_own_rows(seed, n_batch, p, queries, data):
+    # Per-sample ranks fit each distinct rank once, on its rows alone (Sigma
+    # too when a query is structural); when every query is structural the
+    # reduced-form responses are not handed to the gather.
+    tilde = _paths(seed, n_batch)
+    sweep = _batch.sweep_batch(tilde, p)
+    cq = _compile_queries(queries, 3)
+    ranks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_batch, max_size=n_batch)))
+    fits, gathers = [], []
+    rank_fit, sigma, evaluate = (
+        _batch.rank_fit_batch, _batch.sigma_batch, bootstrap._CompiledQueries.evaluate
+    )
+
+    def fitting(kernel, kind):
+        def fit(part, rank):
+            fits.append((kind, rank, len(part.eigenvalues)))
+            return kernel(part, rank)
+        return fit
+
+    def gathering(self, psi, phi):
+        gathers.append((psi is None, phi is None))
+        return evaluate(self, psi, phi)
+
+    with mock.patch.object(_batch, "rank_fit_batch", fitting(rank_fit, "fit")), \
+            mock.patch.object(_batch, "sigma_batch", fitting(sigma, "sigma")), \
+            mock.patch.object(bootstrap._CompiledQueries, "evaluate", gathering):
+        _zeta_at_rank(sweep, ranks, cq)
+    kinds = ("fit", "sigma") if cq.need_structural else ("fit",)
+    distinct, counts = np.unique(ranks, return_counts=True)
+    if len(distinct) == 1:
+        counts = [n_batch]
+    assert sorted(fits) == sorted(
+        (kind, int(rank), int(count)) for kind in kinds for rank, count in zip(distinct, counts)
+    )
+    assert gathers == [(not cq.need_reduced, not cq.need_structural)]
 
 
 # ---------------------------------------------------------------------------
@@ -856,10 +1004,11 @@ def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, step
 
 def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
     # One run_methods call builds every rank's batches through one chunk
-    # buffer, and FDBB level two and lavar replay theirs through chunk
-    # buffers of their own; with chunks of 64, no buffer has n_boot rows,
-    # and no bootstrap sweep keeps paths.  Each batch is gone before the
-    # next rank's are built, and every buffer is gone when the run returns.
+    # buffer, and FDBB level two replays its batch through chunk buffers of
+    # its own; lavar reads the Gram rows the rank-K build wrote.  With
+    # chunks of 64, no buffer has n_boot rows, and no bootstrap sweep keeps
+    # paths.  Each batch is gone before the next rank's are built, and
+    # every buffer is gone when the run returns.
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 0)
     prep = _fresh(MEMO_SEEDS[0], n_boot=199)
     built, ranks, made, batches, sweeps = [], [], [], [], []
@@ -873,14 +1022,14 @@ def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
         made.append(weakref.ref(buffer))
         return buffer
 
-    def building(sample, dgp_rank, paths, gram):
+    def building(sample, dgp_rank, paths, gram, augmented=None):
         built.append(paths.ctypes.data)
-        return build(sample, dgp_rank, paths, gram)
+        return build(sample, dgp_rank, paths, gram, augmented)
 
-    def building_all(preps, dgp_rank, paths):
+    def building_all(preps, dgp_rank, paths, readers=None):
         assert all(ref() is None for ref in batches)  # the last rank's batches are freed
         ranks.append(dgp_rank)
-        out = build_all(preps, dgp_rank, paths)
+        out = build_all(preps, dgp_rank, paths, readers)
         batches.extend(weakref.ref(boot) for boot in out)
         return out
 
@@ -897,9 +1046,8 @@ def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
     assert all(isinstance(result, IntervalSet) for result in out.values()), out
     assert ranks == list(range(4)) and len(built) == 4 and len(set(built)) == 1
     # the run's chunk buffer, then two per FDBB (level one and level two)
-    # and one for lavar's replay
-    assert len(made) == 1 + 2 * 2 + 1
-    # four level-1 sweeps, two level-two sweeps and lavar's
+    assert len(made) == 1 + 2 * 2
+    # four level-1 sweeps, two level-two sweeps and lavar's, at rank K
     assert len(sweeps) == 4 + 2 + 1 and all(sweep.tilde is None for sweep in sweeps)
     del sweeps[:]
     gc.collect()
@@ -934,9 +1082,9 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
 
 
 def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
-    # Every buffer a run makes is a chunk buffer: the run's own, one for
-    # each lavar replay and two for each FDBB level two.  A run makes its
-    # chunk buffer only when it builds a batch.
+    # Every buffer a run makes is a chunk buffer: the run's own and two for
+    # each FDBB level two; lavar reads the group's rank-K build and makes
+    # none.  A run makes its chunk buffer only when it builds a batch.
     made = []
     chunk_buffer = bootstrap._chunk_buffer
 
@@ -948,7 +1096,7 @@ def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
     group = [_fresh(seed) for seed in MEMO_SEEDS]
     out = run_methods(group, ("wimp", "lavar", "ma"))
     assert all(isinstance(result, IntervalSet) for results in out for result in results.values())
-    assert made == [MEMO_SEEDS[0], *MEMO_SEEDS]  # the group's buffer, then a replay per sample
+    assert made == [MEMO_SEEDS[0]]  # the group's buffer alone
     made.clear()
     run_methods(_fresh(MEMO_SEEDS[0]), ("fdbb_aic", "fdbb_bic"))
     assert len(made) == 1 + 2 * 2
@@ -968,9 +1116,9 @@ def test_a_failed_fan_member_keeps_no_batch_or_buffer_alive(monkeypatch):
     prep, buffers = _fresh(MEMO_SEEDS[0]), []
     build_all, fixed = bootstrap._level1_batches, bootstrap.fixed_rank_interval
 
-    def building_all(preps, dgp_rank, paths):
+    def building_all(preps, dgp_rank, paths, readers=None):
         buffers.append(weakref.ref(paths))
-        return build_all(preps, dgp_rank, paths)
+        return build_all(preps, dgp_rank, paths, readers)
 
     def failing(sample, rank, *, boot=None):
         if rank == 1:
@@ -1137,13 +1285,13 @@ def _spoilt_ends(n_boot):
 def test_replayed_level_two_and_lavar_equal_their_whole_batch_oracles(
     n_boot, seed, n_vars, p, mode, paper, size, spoil, chunk_bytes
 ):
-    # In a run of a group, FDBB level two and lavar replay, a chunk at a
-    # time, the level-1 batch they read; their interval sets and their
-    # bootstrap sweeps equal, bit for bit, the oracles that read the
-    # batch's kept paths and build everything whole (tests/reference.py).
-    # A path spoilt in level one's first chunk (build and replay alike)
-    # and one in level two's last chunk are flagged and fail their
-    # replications.
+    # In a run of a group, FDBB level two replays, a chunk at a time, the
+    # level-1 batch it reads, and lavar reads the p + 1 sweep that the
+    # group's rank-K build wrote; their interval sets and their bootstrap
+    # sweeps equal, bit for bit, the oracles that read the batch's kept
+    # paths and build everything whole (tests/reference.py).  A path spoilt
+    # in level one's first chunk (build and replay alike) and one in level
+    # two's last chunk are flagged and fail their replications.
     base = BootstrapConfig(
         n_boot=n_boot, seed=seed, paper_sample_convention=paper, max_failure_share=0.5
     )
@@ -1160,18 +1308,20 @@ def test_replayed_level_two_and_lavar_equal_their_whole_batch_oracles(
     sweep_grams = bootstrap._sweep_grams
 
     def tagged(constructor):
-        def run(prep, *args, **kwargs):
+        def run(prep, *args, boot, **kwargs):
             name = f"fdbb_{args[0].label}" if args else "lavar"
+            if name == "lavar":  # its sweep at p + 1, which the group's build made
+                swept[(id(prep), name)] = boot.memo[("lavar",)][1]
             current.append((id(prep), name))
             try:
-                return constructor(prep, *args, **kwargs)
+                return constructor(prep, *args, boot=boot, **kwargs)
             finally:
                 current.pop()
         return run
 
     def sweeping(*args):
         sweep = sweep_grams(*args)
-        if current:  # the method's own sweep: level two, or lavar's at p + 1
+        if current:  # FDBB's own sweep, of level two
             swept[current[-1]] = sweep
         return sweep
 

@@ -4,7 +4,8 @@ The bootstrap draw is checked against numpy's own Philox generator for the
 build's key, the compiled query gather against the scalar ``evaluate_zeta``
 of the tests' reference module.  A contiguous run of element queries reads
 a view of the response stack, and the Hall step gives the same bits on C-
-and F-ordered replication stacks.
+and F-ordered replication stacks.  For a fixed centre, the shifted order
+statistics of a plain copy equal the sort of the centred copy, bit for bit.
 """
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import reference  # noqa: E402
 from reference import evaluate_zeta  # noqa: E402
 from wimpvar import BootstrapConfig, IrfArray, IrfQuery  # noqa: E402
 from wimpvar import _batch, bootstrap  # noqa: E402
@@ -282,3 +284,49 @@ def test_finalize_gives_c_and_f_ordered_stacks_the_same_bits(
     f = _finalize(prep, "a test", None, np.asfortranarray(zeta), ok, points, "a test")
     assert c.n_failed == f.n_failed == n_failed
     assert c.lower.tobytes() == f.lower.tobytes() and c.upper.tobytes() == f.upper.tobytes()
+
+
+# Values with ties (a small pool), both zeros and magnitudes from 1e-300 to 1e300
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_boot=st.sampled_from([39, 40, 199, 399]),
+    gamma=st.sampled_from([0.05, 0.1, 0.32]),
+    n_queries=st.integers(1, 5),
+    pool=st.lists(_VALUES, min_size=1, max_size=12),
+    points=st.lists(_VALUES, min_size=5, max_size=5),
+    n_failed=st.integers(0, 3),
+    as_nan=st.booleans(),
+)
+def test_shifted_order_statistics_equal_the_centred_sort(
+    seed, n_boot, gamma, n_queries, pool, points, n_failed, as_nan
+):
+    # For a fixed centre the finisher sorts a plain copy of the statistics
+    # and shifts its two order statistics by the points: fl(x - c) is
+    # monotone in x, so the bounds are bitwise those of sorting the centred
+    # copy (tests/reference.py), ties, both zeros and failed rows included.
+    rng = np.random.default_rng(seed)
+    stats = np.array(pool)[rng.integers(0, len(pool), (n_boot, n_queries))]
+    points = np.array(points[:n_queries])
+    ok = np.ones(n_boot, dtype=bool)
+    failed = rng.choice(n_boot, n_failed, replace=False)
+    if as_nan:
+        stats[failed, rng.integers(0, n_queries, n_failed)] = np.nan
+    else:
+        ok[failed] = False
+    kept = np.delete(stats, failed, axis=0)
+    lower, upper = reference.hall_bounds_centred(kept, points, gamma)
+    got = bootstrap._hall_bounds(np.array(kept, order="F"), points, gamma, points)
+    assert got[0].tobytes() == lower.tobytes() and got[1].tobytes() == upper.tobytes()
+    cfg = BootstrapConfig(n_boot=n_boot, gamma=gamma, max_failure_share=0.5)
+    queries = [IrfQuery(a=1, b=1, horizon=h) for h in range(n_queries)]
+    prep = SimpleNamespace(cfg=cfg, cq=_compile_queries(queries, 1))
+    result = _finalize(prep, "a test", None, stats, ok, points, "a test")
+    assert result.n_failed == n_failed
+    assert result.lower.tobytes() == lower.tobytes() and result.upper.tobytes() == upper.tobytes()
