@@ -4,7 +4,8 @@ Every estimator step (detrending, the reduced-rank sweep, rank fits and
 residuals, VAR conversion, impulse responses, trace statistics, rank
 selection, weights and the Hall order statistic) works on a stack of B
 samples.  The lag alignment of the regression has one implementation, the
-block fill that the sweep and the residuals read.  The unrestricted levels
+block fill that the Gram matrices and the residuals read; the sweep reads
+Gram matrices alone and holds moments only.  The unrestricted levels
 VAR(p) is the sweep's fit at rank K, not a regression of its own.  The
 bootstrap runs whole batches of replications through them; the
 single-sample functions of :mod:`wimpvar.timeseries`, :mod:`wimpvar.vecm`,
@@ -229,7 +230,8 @@ def tril_inverse_batch(factor: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchSweep:
-    """Rank-generic reduced-rank regression pieces for a batch of samples."""
+    """Rank-generic reduced-rank regression moments for a batch of samples;
+    a caller that needs the samples themselves passes them beside it."""
 
     eigenvalues: np.ndarray  # (B, K) descending, clipped to [0, 1)
     vectors: np.ndarray  # (B, K, K), columns normalized V' S11 V = I, signs arbitrary
@@ -238,7 +240,6 @@ class BatchSweep:
     P20: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z0
     P21: np.ndarray  # (B, K(p-1), K) (Z2'Z2)^{-1} Z2'Z1
     ln_det_s00: np.ndarray  # (B,)
-    tilde: np.ndarray | None  # (B, T, K) the detrended stack swept, not a copy; None: not kept
     p: int
     t_eff: int  # rows of the effective sample, which fixes the sample convention
     reason: np.ndarray  # (B,) failure bits, 0 for a usable sample
@@ -266,20 +267,13 @@ def _flag(reason: np.ndarray, good: np.ndarray, bit: int) -> None:
     reason[~good] |= bit
 
 
-def sweep_batch(
-    tilde: np.ndarray | None,
-    p: int,
-    paper_convention: bool = False,
-    gram: np.ndarray | None = None,
-    n_obs: int | None = None,
-) -> BatchSweep:
+def sweep_batch(gram: np.ndarray, p: int, t_eff: int) -> BatchSweep:
     """Batched reduced-rank regression sweep with per-sample failure bits.
 
-    Every moment comes from one Gram matrix per sample, G = X X' of the
-    variable-major design X = [Z2 | Z1 | Z0]' (see :func:`gram_batch`).
-    A caller that formed G already, at this ``p`` and convention, passes it
-    as ``gram``, which the sweep overwrites; ``tilde`` is then not read and
-    may be None, with ``n_obs`` the samples' T.  The sweep keeps ``tilde``.
+    Every moment comes from one Gram matrix per sample, ``gram`` (B, K(p+1),
+    K(p+1)), G = X X' of the variable-major design X = [Z2 | Z1 | Z0]' over
+    the last ``t_eff`` times (see :func:`gram_batch`); the sweep overwrites
+    it.  The caller fixes T_eff, and with it the sample convention.
     The Schur complement of G22 gives the moments of Z0 and Z1 with Z2
     partialled out, S_ij = (G_ij - G_i2 G22^{-1} G_2j) / T_eff (Johansen
     1995, ch. 6): with G22 = L L' (its test sets SINGULAR_Z2) and H = L^{-1}
@@ -289,12 +283,6 @@ def sweep_batch(
     * S11 v = S10 S00^{-1} S01 v`` is then solved as in :func:`_canonical`,
     whose vectors have arbitrary column signs.  One sweep serves every rank.
     """
-    if n_obs is None:
-        n_obs = tilde.shape[1]
-    # The minimal sample drops p presample rows, the alternative convention one more.
-    t_eff = n_obs - p - (1 if paper_convention else 0)
-    if gram is None:
-        gram = gram_batch(tilde, p, t_eff)
     n_batch, n_vars = len(gram), gram.shape[-1] // (p + 1)
     reason = np.zeros(n_batch, dtype=np.int64)
     finite = np.isfinite(np.diagonal(gram, axis1=1, axis2=2)).all(axis=1)
@@ -327,7 +315,6 @@ def sweep_batch(
         P20=coef[:, :, n_vars:],
         P21=coef[:, :, :n_vars],
         ln_det_s00=ln_det,
-        tilde=tilde,
         p=p,
         t_eff=t_eff,
         reason=reason,
@@ -352,7 +339,7 @@ def _canonical(s00: np.ndarray, s01: np.ndarray, s11: np.ndarray, reason: np.nda
     The vectors' column signs are whatever the eigensolver gives: every
     product inside the package reads them through alpha beta' or alpha
     alpha', in which a column's sign cancels exactly.
-    :func:`~wimpvar.vecm.johansen_fit_from` fixes the signs a user sees.
+    :func:`~wimpvar.vecm.fit_vecm` fixes the signs a user sees.
     """
     n_batch = s00.shape[0]
     chol, good = cholesky_batch(np.concatenate([s11, s00]))
@@ -402,12 +389,13 @@ def rank_fit_batch(sweep: BatchSweep, rank: int):
     return pi, gammas
 
 
-def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
+def residuals_batch(tilde: np.ndarray, sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
     """Error-correction residuals dy_t - Pi y_{t-1} - sum_i Gamma_i dy_{t-i}
-    implied by a Pi stack, (B, T_eff, K), with the Gammas of that Pi.
+    implied by a Pi stack, (B, T_eff, K), with the Gammas of that Pi, for
+    the detrended (B, T, K) stack ``tilde`` that ``sweep`` was formed from.
 
-    Read from the blocks of :func:`_lag_blocks` of the swept stack: one
-    product for the lagged level and one per lagged difference.
+    Read from the blocks of :func:`_lag_blocks` of ``tilde``: one product
+    for the lagged level and one per lagged difference.
     """
     n_batch, n_vars = pi.shape[:2]
     lagged = n_vars * (sweep.p - 1)
@@ -415,7 +403,7 @@ def residuals_batch(sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
     # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, (B, Kp, K), as in rank_fit_batch
     coef = np.concatenate([sweep.P20 - sweep.P21 @ pi_t, pi_t], axis=1)
     resid = np.empty((n_batch, sweep.t_eff, n_vars))
-    for lo, hi, v, lags in _lag_blocks(sweep.tilde, sweep.p, sweep.t_eff):
+    for lo, hi, v, lags in _lag_blocks(tilde, sweep.p, sweep.t_eff):
         fit = np.matmul(np.swapaxes(v[:, :n_vars], 1, 2), coef[lo:hi, lagged:], out=resid[lo:hi])
         for lag in range(1, sweep.p):
             rows = coef[lo:hi, n_vars * (lag - 1) : n_vars * lag]

@@ -26,9 +26,10 @@ p + 1 too when the lag-augmented bootstrap reads the batch), and at each
 rank it sweeps the batches of the whole group as one stack; everything
 downstream of the sweep (responses, query values, Hall bounds) runs per
 sample, on its slice.  A result that methods share on a batch is computed
-for the methods that read it and freed once the last of them has run.  No
-batch keeps its paths: FDBB level two replays the chunks of the batch it
-reads, which gives the same bits, so no build holds an (n_boot, T, K) array.
+for the methods that read it and freed once the last of them has run.  A
+sweep holds moments only, so no batch keeps its paths: FDBB level two
+replays the chunks of the batch it reads, which gives the same bits, and
+draws its own chunks over them, so no build holds an (n_boot, T, K) array.
 """
 from __future__ import annotations
 
@@ -267,6 +268,7 @@ class _Prepared:
     sample's query values at every rank, method settings and fixed-rank fan."""
 
     raw: np.ndarray
+    tilde: np.ndarray  # (1, T, K) the detrended sample that ``sweep`` was formed from
     sweep: _batch.BatchSweep
     p: int
     mode: DetrendMode
@@ -389,7 +391,7 @@ def _prepare_many(
     """
     check_weight_constants(c1, c2)
     mode = DetrendMode(mode)
-    sweep = sweep_samples(samples, p, mode, cfgs[0].paper_sample_convention)
+    tilde, sweep = sweep_samples(samples, p, mode, cfgs[0].paper_sample_convention)
     n_samples, _, n_vars = samples.shape
     cq = _compile_queries(queries, n_vars)
     width = n_vars + 1
@@ -399,9 +401,10 @@ def _prepare_many(
     values.flags.writeable = False
     preps = []
     for i, cfg in enumerate(cfgs):
-        own, rows = sweep.take(slice(i, i + 1)), slice(i * width, (i + 1) * width)
-        preps.append(_sweep_error(own, names) if own.reason[0] else _Prepared(
-            raw=samples[i], sweep=own, p=p, mode=mode, cfg=cfg, cq=cq,
+        one, rows = slice(i, i + 1), slice(i * width, (i + 1) * width)
+        own = sweep.take(one)
+        preps.append(_sweep_error(own, tilde[one], names) if own.reason[0] else _Prepared(
+            raw=samples[i], tilde=tilde[one], sweep=own, p=p, mode=mode, cfg=cfg, cq=cq,
             points=(values[rows], ok[rows]),
             c1=c1, c2=c2, true_rank=true_rank,
         ))
@@ -448,8 +451,8 @@ class _BootBatch:
     methods that read it and the per-batch results they share.
 
     The sweep is the sample's slice of its group's stacked sweep, made from
-    Gram matrices; it keeps no paths (its ``tilde`` is None).  FDBB level
-    two, which needs the paths themselves, replays the batch's chunks
+    Gram matrices; like every sweep it holds moments only, not paths.  FDBB
+    level two, which needs the paths themselves, replays the batch's chunks
     (:func:`_replay`).  ``readers`` names the methods that read the batch,
     in the order they run (None: the fan member); None instead of a list
     leaves them open, so any method may read it.  ``memo`` maps the names
@@ -548,7 +551,8 @@ def _dgp(prep: _Prepared, rank: int):
     """The observed sample's rank-``rank`` fit as a bootstrap process: its
     levels VAR matrices (p, K, K) and residuals (1, T_eff, K)."""
     pi, gammas = _batch.rank_fit_batch(prep.sweep, rank)
-    return _batch.var_matrices_batch(pi, gammas)[0], _batch.residuals_batch(prep.sweep, pi)
+    resid = _batch.residuals_batch(prep.tilde, prep.sweep, pi)
+    return _batch.var_matrices_batch(pi, gammas)[0], resid
 
 
 def _level1_chunks(prep: _Prepared, dgp_rank: int, paths: np.ndarray):
@@ -578,40 +582,34 @@ def _replay(prep: _Prepared, boot: _BootBatch):
     return _level1_chunks(prep, boot.dgp_rank, _chunk_buffer(prep))
 
 
-def _grams(chunks, gram: np.ndarray, p: int, t_eff: int, augmented=None) -> np.ndarray:
-    """Writes the Gram rows at lag order ``p`` of each chunk that ``chunks``
-    yields, as (first row, detrended chunk, finite), into ``gram``
-    (B, K(p+1), K(p+1)), and, when ``augmented`` (B, K(p+2), K(p+2)) is
-    given, its rows at p + 1 over t = p+2..T, ``lavar``'s, there; returns
-    which paths were finite, (B,)."""
-    finite = np.empty(len(gram), dtype=bool)
+def _grams(chunks, grams) -> np.ndarray:
+    """Writes the rows of each chunk that ``chunks`` yields, as (first row,
+    detrended chunk, finite), into every Gram stack of ``grams``, a list of
+    (stack (B, K(q+1), K(q+1)), lag order q, T_eff); returns which paths
+    were finite, (B,)."""
+    finite = np.empty(len(grams[0][0]), dtype=bool)
     for lo, chunk, ok in chunks:
         rows = slice(lo, lo + len(chunk))
         finite[rows] = ok
-        _batch.gram_batch(chunk, p, t_eff, out=gram[rows])
-        if augmented is not None:
-            _batch.gram_batch(chunk, p + 1, chunk.shape[1] - p - 1, out=augmented[rows])
+        for gram, p, t_eff in grams:
+            _batch.gram_batch(chunk, p, t_eff, out=gram[rows])
     return finite
 
 
-def _sweep_grams(gram, finite, p: int, paper_convention: bool, n_obs: int) -> _batch.BatchSweep:
-    """The sweep at lag order ``p`` of a batch from its Gram matrices
-    (:func:`_grams`), a non-finite path flagged; it keeps no paths."""
-    sweep = _batch.sweep_batch(None, p, paper_convention, gram=gram, n_obs=n_obs)
+def _sweep_grams(gram, finite, p: int, t_eff: int) -> _batch.BatchSweep:
+    """The sweep at lag order ``p`` of a batch from its Gram matrices over
+    ``t_eff`` rows (:func:`_grams`), a non-finite path flagged."""
+    sweep = _batch.sweep_batch(gram, p, t_eff)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 
 
-def _level1_batch(
-    prep: _Prepared, dgp_rank: int, paths: np.ndarray, gram: np.ndarray, augmented=None
-):
+def _level1_batch(prep: _Prepared, dgp_rank: int, paths: np.ndarray, grams):
     """Builds the sample's level-1 batch at ``dgp_rank`` in the chunk buffer
-    ``paths`` (:func:`_level1_chunks`), each chunk writing its rows of
-    ``gram`` (n_boot, K(p+1), K(p+1)) and, for ``lavar``, of ``augmented``
-    (:func:`_grams`), which :func:`_level1_batches` sweeps; returns which
-    of its n_boot paths were finite, (n_boot,)."""
-    chunks = _level1_chunks(prep, dgp_rank, paths)
-    return _grams(chunks, gram, prep.p, prep.sweep.t_eff, augmented)
+    ``paths`` (:func:`_level1_chunks`), each chunk writing its rows of the
+    Gram stacks ``grams`` (:func:`_grams`), which :func:`_level1_batches`
+    sweeps; returns which of its n_boot paths were finite, (n_boot,)."""
+    return _grams(_level1_chunks(prep, dgp_rank, paths), grams)
 
 
 def _gram_stack(n_rows: int, n_vars: int, p: int) -> np.ndarray:
@@ -645,22 +643,26 @@ def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, readers=None):
     lavar = [i for i, names in enumerate(readers) if names and "lavar" in names]
     if dgp_rank != n_vars or _lavar_error(first):
         lavar = []
-    gram, augmented = _gram_stack(len(preps) * n_boot, n_vars, p), None
-    if lavar:
-        augmented = _gram_stack(len(lavar) * n_boot, n_vars, p + 1)
+    # lavar's VAR(p + 1) fits use rows t = p+2..T under either sample convention
+    t_eff, t_lavar = first.sweep.t_eff, first.n_obs - p - 1
+    gram = _gram_stack(len(preps) * n_boot, n_vars, p)
+    augmented = _gram_stack(len(lavar) * n_boot, n_vars, p + 1)
     finite = np.empty(len(gram), dtype=bool)
     for i, (prep, part) in enumerate(zip(preps, rows)):
-        extra = augmented[rows[lavar.index(i)]] if i in lavar else None
-        finite[part] = _level1_batch(prep, dgp_rank, paths, gram[part], extra)
-    sweep = _sweep_grams(gram, finite, p, first.cfg.paper_sample_convention, first.n_obs)
+        grams = [(gram[part], p, t_eff)]
+        if i in lavar:
+            grams.append((augmented[rows[lavar.index(i)]], p + 1, t_lavar))
+        finite[part] = _level1_batch(prep, dgp_rank, paths, grams)
+    sweep = _sweep_grams(gram, finite, p, t_eff)
     boots = [_BootBatch(sweep.take(part), dgp_rank, names) for part, names in zip(rows, readers)]
     if lavar:
         kept = np.repeat([i in lavar for i in range(len(preps))], n_boot)  # lavar's rows
-        sweep_lavar = _sweep_grams(augmented, finite[kept], p + 1, False, first.n_obs)
+        sweep_lavar = _sweep_grams(augmented, finite[kept], p + 1, t_lavar)
         # a replication whose level-1 sweep met a non-finite value fails here
         # too: a spoilt path, or a Gram or canonical matrix that overflowed at p
         sweep_lavar.reason |= sweep.reason[kept] & _batch.NONFINITE
-        observed = sweep_samples(np.concatenate([preps[i].sweep.tilde for i in lavar]), p + 1)
+        tilde = np.concatenate([preps[i].tilde for i in lavar])
+        observed = _batch.sweep_batch(_batch.gram_batch(tilde, p + 1, t_lavar), p + 1, t_lavar)
         for j, i in enumerate(lavar):
             boots[i].memo[("lavar",)] = (observed.take(slice(j, j + 1)), sweep_lavar.take(rows[j]))
     return boots
@@ -909,16 +911,14 @@ def _level_two(prep: _Prepared, boot: _BootBatch, code: int, pi_star, gam_star):
     under that fit, zeroed where non-finite and detrended.
 
     Level one's chunks are replayed (:func:`_replay`), so each chunk's
-    residuals come from its paths and its rows of the level-1 sweep.
+    residuals come from its paths and its rows of the level-1 sweep; then
+    its level-two chunk is drawn over it, in the one chunk buffer.
     """
     n_init = prep.p + 1
     draw = _drawer(prep.cfg, 2, code, prep.raw[:n_init])
-    paths = _chunk_buffer(prep)
-    for lo, level1, _ in _replay(prep, boot):
-        rows = slice(lo, lo + len(level1))
-        chunk = paths[: len(level1)]
-        sweep = replace(boot.sweep.take(rows), tilde=level1)
-        draw(chunk, _batch.residuals_batch(sweep, pi_star[rows]))
+    for lo, chunk, _ in _replay(prep, boot):
+        rows = slice(lo, lo + len(chunk))
+        draw(chunk, _batch.residuals_batch(chunk, boot.sweep.take(rows), pi_star[rows]))
         mats = _batch.var_matrices_batch(pi_star[rows], gam_star[rows])
         _batch.rebuild_levels_batch(mats, chunk, n_init)
         yield lo, chunk, _detrend_finite(chunk, prep.mode)
@@ -938,11 +938,10 @@ def fdbb_interval(
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
         prep, selector, dgp_rank_mode, boot
     )
-    p, width = prep.p, prep.n_vars * (prep.p + 1)
-    gram = np.empty((prep.cfg.n_boot, width, width))
+    p, t_eff = prep.p, prep.sweep.t_eff
+    gram = _gram_stack(prep.cfg.n_boot, prep.n_vars, p)
     chunks = _level_two(prep, boot, _SELECTOR_CODES[selector.method], pi_star, gam_star)
-    finite = _grams(chunks, gram, p, prep.sweep.t_eff)
-    sweep2 = _sweep_grams(gram, finite, p, prep.cfg.paper_sample_convention, prep.n_obs)
+    sweep2 = _sweep_grams(gram, _grams(chunks, [(gram, p, t_eff)]), p, t_eff)
     zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), prep.cq)
     return _finalize(
         prep, f"fdbb_{selector.label}", r_hat, zeta_2, ok1 & ok2, None, "the double bootstrap",
@@ -983,7 +982,7 @@ def lag_augmented_interval(prep: _Prepared, *, boot=None) -> IntervalSet:
         boot = None
     observed, sweep = prep.level1(prep.n_vars, boot, "lavar").memo[("lavar",)]
     if observed.reason[0]:
-        raise _sweep_error(observed, None)
+        raise _sweep_error(observed, prep.tilde, None)
     (points,), (ok_point,), _ = _zeta_at_rank(observed, prep.n_vars, prep.cq, prep.p)
     if not ok_point:
         raise EstimationError("covariance matrix is not positive definite")
@@ -1119,9 +1118,9 @@ def run_methods(preps, names):
     sample runs its fan member and methods there on its own batch.  A memo
     on the batch goes once its last reader has run (:meth:`_BootBatch.release`),
     and the batch once all have.  No batch keeps its paths: FDBB level two
-    replays the chunks of the batch it reads in chunk buffers of its own
-    (:func:`_replay`).  So no run holds an (n_boot, T, K) array.  The order
-    changes no result: every build draws from its own Philox stream, keyed
+    replays the chunks of the batch it reads in a chunk buffer of its own
+    (:func:`_replay`), drawing over them.  So no run holds an (n_boot, T,
+    K) array.  The order changes no result: every build draws from its own Philox stream, keyed
     by (seed, level, code), and every kernel treats each sample alone.
     Numpy's floating-point warnings are silenced: a replication they concern
     is flagged by the kernels and counted as failed.

@@ -10,9 +10,10 @@ is essentially free after the first fit.
 The arithmetic lives in :mod:`wimpvar._batch`; the functions here run one
 sample through it as a batch of one and raise typed errors.
 :func:`sweep_samples` is the one path from data to the sweeps of observed
-samples, a stack of them at once; :func:`observed_sweep` runs one sample
-through it and raises its failure.  The prepared samples of the bootstrap,
-the rank selectors and :func:`fit_vecm` all start from them.
+samples, a stack of them at once, beside their detrended values;
+:func:`observed_sweep` runs one sample through it and raises its failure.
+The prepared samples of the bootstrap, the rank selectors and
+:func:`fit_vecm` all start from them.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "IrfArray",
     "IrfQuery",
     "observed_sweep",
-    "johansen_fit_from",
     "fit_vecm",
     "trace_statistics",
     "trace_stats_from_eigenvalues",
@@ -174,11 +174,12 @@ def _dependent_columns(block: np.ndarray) -> list:
     return np.flatnonzero(np.diagonal(r) ** 2 <= _batch._PIVOT_FLOOR).tolist()
 
 
-def _sweep_error(sweep: _batch.BatchSweep, names) -> EstimationError:
-    """The error for the first failure bit of a swept sample, naming the
-    columns at fault when a moment matrix is singular because of them: in
-    the detrended differences, and for S11 in the lagged levels too."""
-    reason, tilde = int(sweep.reason[0]), sweep.tilde[0]
+def _sweep_error(sweep: _batch.BatchSweep, tilde: np.ndarray, names) -> EstimationError:
+    """The error for the first failure bit of a swept sample, a batch of one
+    formed from the detrended (1, T, K) ``tilde``, naming the columns at
+    fault when a moment matrix is singular because of them: in the
+    detrended differences, and for S11 in the lagged levels too."""
+    reason, tilde = int(sweep.reason[0]), tilde[0]
     bit, message = next((bit, message) for bit, message in _SWEEP_ERRORS if reason & bit)
     dependent = set()
     if bit & _COLUMN_BITS:
@@ -229,18 +230,23 @@ def observed_sweep(
         If a moment matrix is singular or an eigenvalue reaches 1; a column
         that is constant or collinear with earlier ones is named.
     """
+    return _observed(data, p, mode, paper_convention)[1]
+
+
+def _observed(data, p: int, mode, paper_convention: bool):
+    """(detrended (1, T, K) stack, sweep) of one sample, as :func:`observed_sweep`."""
     _check_lag_order(p)
     mode = DetrendMode(mode)
     values = _as_values(data)
     detrended = isinstance(data, DetrendedSeries)
-    sweep = sweep_samples(
+    tilde, sweep = sweep_samples(
         values[None], p, DetrendMode.NONE if detrended else mode, paper_convention,
         data.retrend()[None] if detrended else None,
     )
     if sweep.reason[0]:
         names = data.names if isinstance(data, TimeSeriesData) else None
-        raise _sweep_error(sweep, names)
-    return sweep
+        raise _sweep_error(sweep, tilde, names)
+    return tilde, sweep
 
 
 def sweep_samples(
@@ -249,16 +255,18 @@ def sweep_samples(
     mode: DetrendMode | str = DetrendMode.NONE,
     paper_convention: bool = False,
     levels: np.ndarray | None = None,
-) -> _batch.BatchSweep:
-    """The reduced-rank sweeps of a (n, T, K) stack of samples, each one
-    bitwise its :func:`observed_sweep`; a sample the sweep cannot finish is
-    flagged in its reason bits, not raised (:func:`_sweep_error` names it).
+):
+    """(tilde, sweep): the detrended (n, T, K) copy of a stack of samples
+    ``values`` and its reduced-rank sweeps, each one bitwise its
+    :func:`observed_sweep`; a sample the sweep cannot finish is flagged in
+    its reason bits, not raised (:func:`_sweep_error` names it).
 
     A copy of ``values`` is detrended with ``mode``.  A column that
     detrending leaves within 1e-10 of the magnitude of its ``levels``
     (``values`` by default; far above rounding, far below real variation)
-    is constant and is swept as 0.  Raises like :func:`observed_sweep` for
-    a bad ``p`` or too few observations.
+    is constant and is swept as 0.  The sweep reads the Gram matrices over
+    the effective sample.  Raises like :func:`observed_sweep` for a bad
+    ``p`` or too few observations.
     """
     _check_lag_order(p)
     mode = DetrendMode(mode)
@@ -267,17 +275,18 @@ def sweep_samples(
         raise DataError(
             f"need at least K*p + 10 = {n_vars * p + 10} observations for p = {p}, got {n_obs}"
         )
-    # A copy: detrending runs in place and the sweep holds the result, but
-    # ``values`` is the caller's own array.
+    # A copy: detrending runs in place, but ``values`` is the caller's own array.
     tilde = values.copy()
     _batch.detrend_batch(tilde, mode)
     levels = values if levels is None else levels
     constant = np.abs(tilde).max(axis=1) <= 1e-10 * np.abs(levels).max(axis=1)
     np.copyto(tilde, 0.0, where=constant[:, None, :])
+    # The minimal sample drops p presample rows, the alternative convention one more.
+    t_eff = n_obs - p - (1 if paper_convention else 0)
     # numpy's warnings about a sample the sweep cannot finish would only
     # repeat its reason bits.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _batch.sweep_batch(tilde, p, paper_convention)
+        return tilde, _batch.sweep_batch(_batch.gram_batch(tilde, p, t_eff), p, t_eff)
 
 
 def _signed_columns(vectors: np.ndarray) -> np.ndarray:
@@ -290,8 +299,16 @@ def _signed_columns(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0, -1.0, 1.0)[:, None, :]
 
 
-def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
-    """Extract the rank-`rank` fit from the sweep of one sample (see :func:`observed_sweep`).
+def fit_vecm(
+    data,
+    p: int,
+    rank: int,
+    mode: DetrendMode | str = DetrendMode.NONE,
+    paper_convention: bool = False,
+) -> VecmFit:
+    """Reduced-rank quasi-ML fit at ``rank`` from the :func:`observed_sweep`
+    of ``data``; raises like it, and ConfigError unless ``rank`` is an
+    integer in 0..K.
 
     Rank K reproduces the unrestricted OLS fit; rank 0 sets Pi to zero and
     regresses the differences on the lagged differences alone.
@@ -303,6 +320,7 @@ def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
     computes read the sweep's vectors through alpha beta' or alpha alpha',
     in which those signs cancel exactly.
     """
+    tilde, sweep = _observed(data, p, mode, paper_convention)
     check_integer("rank", rank)
     if rank < 0 or rank > sweep.n_vars:
         raise ConfigError(f"rank must lie in 0..{sweep.n_vars}, got {rank}")
@@ -316,23 +334,11 @@ def johansen_fit_from(sweep: _batch.BatchSweep, rank: int) -> VecmFit:
         Pi=pi[0],
         Gammas=tuple(gammas[0]),
         Sigma_u=_batch.sigma_batch(sweep, rank)[0],
-        residuals=_batch.residuals_batch(sweep, pi)[0],
+        residuals=_batch.residuals_batch(tilde, sweep, pi)[0],
         eigenvalues=sweep.eigenvalues[0],
         p=sweep.p,
         t_eff=sweep.t_eff,
     )
-
-
-def fit_vecm(
-    data,
-    p: int,
-    rank: int,
-    mode: DetrendMode | str = DetrendMode.NONE,
-    paper_convention: bool = False,
-) -> VecmFit:
-    """Reduced-rank quasi-ML fit at ``rank``: the :func:`observed_sweep` of
-    ``data``, then :func:`johansen_fit_from`."""
-    return johansen_fit_from(observed_sweep(data, p, mode, paper_convention), rank)
 
 
 def trace_stats_from_eigenvalues(eigenvalues: np.ndarray, t_eff: int) -> np.ndarray:

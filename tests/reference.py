@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from wimpvar import ConfigError, IrfArray, IrfQuery, VarLevels, _batch, bootstrap, companion_matrix
-from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY, sweep_samples
+from wimpvar.vecm import REDUCED_FORM, STRUCTURAL_CHOLESKY
 
 
 def companion_roots(var: VarLevels) -> np.ndarray:
@@ -98,6 +98,14 @@ def regressor_blocks(tilde: np.ndarray, p: int, paper_convention: bool = False):
         [[[y[t - i] - y[t - i - 1] for i in range(1, p)] for t in rows] for y in tilde]
     ).reshape(n_batch, len(rows), n_vars * (p - 1))
     return z0, z1, z2
+
+
+def sweep_of(tilde: np.ndarray, p: int, paper_convention: bool = False):
+    """The kernel sweep of a detrended (B, T, K) stack at lag order ``p``,
+    from its Gram matrices over T - p rows, or T - p - 1 under the
+    alternative convention; the package forms them in ``sweep_samples``."""
+    t_eff = tilde.shape[1] - p - (1 if paper_convention else 0)
+    return _batch.sweep_batch(_batch.gram_batch(tilde, p, t_eff), p, t_eff)
 
 
 def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):
@@ -237,15 +245,15 @@ def draw_errors_in_passes(resid, cfg, level: int, code: int, init, paths: np.nda
 
 
 def _swept(paths: np.ndarray, prep, spoil=()):
-    """The sweep at the sample's p and convention of rebuilt ``paths``, which
-    it keeps: rows ``spoil`` get an infinite last row first, then every
-    non-finite path is zeroed and flagged and the stack detrended."""
+    """The sweep at the sample's p and convention of rebuilt ``paths``: rows
+    ``spoil`` get an infinite last row first, then every non-finite path is
+    zeroed and flagged and the stack detrended in place."""
     for row in spoil:
         paths[row, -1] = np.inf
     finite = np.isfinite(paths).all(axis=(1, 2))
     paths[~finite] = 0.0
     _batch.detrend_batch(paths, prep.mode)
-    sweep = _batch.sweep_batch(paths, prep.p, prep.cfg.paper_sample_convention)
+    sweep = sweep_of(paths, prep.p, prep.cfg.paper_sample_convention)
     sweep.reason[~finite] |= _batch.NONFINITE
     return sweep
 
@@ -257,7 +265,8 @@ def level1_whole(preps, dgp_rank: int, spoil=()):
     (:func:`rebuild_levels_window`); then the group's stack is detrended,
     each non-finite path zeroed first and flagged, and swept as one.  Row g
     of the stack, for g in ``spoil``, gets an infinite last row after the
-    rebuild.  Returns one sweep per sample, each keeping its paths."""
+    rebuild.  Returns one (detrended paths, sweep) pair per sample: the
+    paths are kept."""
     first = preps[0]
     n_boot, n_init = first.cfg.n_boot, first.p + 1
     paths = np.empty((len(preps) * n_boot, first.n_obs, first.n_vars))
@@ -267,13 +276,14 @@ def level1_whole(preps, dgp_rank: int, spoil=()):
         draw_errors_in_passes(resid, prep.cfg, 1, dgp_rank, prep.raw[:n_init], part)
         rebuild_levels_window(mats, part, n_init)
     sweep = _swept(paths, first, spoil)
-    return [sweep.take(slice(i * n_boot, (i + 1) * n_boot)) for i in range(len(preps))]
+    rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
+    return [(paths[part], sweep.take(part)) for part in rows]
 
 
 def fdbb_whole(prep, selector, level1, spoil=()):
     """FDBB's (interval set or the error it raises, level-two sweep), built
-    whole from ``level1``, the sample's level-1 sweep at its DGP rank that
-    keeps its paths (:func:`level1_whole`).
+    whole from ``level1``, the sample's (kept paths, sweep) at its DGP rank
+    (:func:`level1_whole`).
 
     Level two takes every replication's residuals at its selected rank from
     the kept paths, draws all of level two in passes on the stream (seed, 2,
@@ -282,11 +292,12 @@ def fdbb_whole(prep, selector, level1, spoil=()):
     ``spoil``).
     """
     cfg, n_init = prep.cfg, prep.p + 1
+    tilde, level1 = level1
     ranks = _batch.select_batch(level1, selector)
     values, ok1, (pi, gammas) = bootstrap._zeta_at_rank(level1, ranks, prep.cq)
     paths = np.empty((cfg.n_boot, prep.n_obs, prep.n_vars))
     code = bootstrap._SELECTOR_CODES[selector.method]
-    resid = _batch.residuals_batch(level1, pi)
+    resid = _batch.residuals_batch(tilde, level1, pi)
     draw_errors_in_passes(resid, cfg, 2, code, prep.raw[:n_init], paths)
     _batch.rebuild_levels_batch(_batch.var_matrices_batch(pi, gammas), paths, n_init)
     sweep = _swept(paths, prep, spoil)
@@ -300,16 +311,17 @@ def fdbb_whole(prep, selector, level1, spoil=()):
 
 def lavar_whole(prep, level1):
     """The lag-augmented bootstrap's (interval set or the error it raises,
-    bootstrap sweep) from ``level1``, the sample's rank-K level-1 sweep that
-    keeps its paths (:func:`level1_whole`): one VAR(p+1) sweep of the kept
+    bootstrap sweep) from ``level1``, the sample's rank-K (kept paths,
+    level-1 sweep) (:func:`level1_whole`): one VAR(p+1) sweep of the kept
     paths, which keeps the batch's non-finite flags.  (None, None) when the
     observed sample's VAR(p+1) sweep fails."""
     n_vars, p = prep.n_vars, prep.p
-    observed = sweep_samples(prep.sweep.tilde, p + 1)
+    tilde, level1 = level1
+    observed = sweep_of(prep.tilde, p + 1)
     (points,), (ok_point,), _ = bootstrap._zeta_at_rank(observed, n_vars, prep.cq, p)
     if observed.reason[0] or not ok_point:
         return None, None  # the observed sample is refused
-    sweep = _batch.sweep_batch(level1.tilde, p + 1)
+    sweep = sweep_of(tilde, p + 1)
     sweep.reason |= level1.reason & _batch.NONFINITE
     values, ok, _ = bootstrap._zeta_at_rank(sweep, n_vars, prep.cq, p)
     result = bootstrap._attempt(

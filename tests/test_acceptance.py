@@ -13,6 +13,7 @@ from wimpvar import (
     ExperimentConfig,
     PlausibilityWeights,
     VarLevels,
+    fit_vecm,
     irf_reduced,
     make_dgp,
     plausibility_weights,
@@ -21,7 +22,6 @@ from wimpvar import (
     wimp_combine,
 )
 from wimpvar.cli import _write_csv
-from wimpvar.vecm import johansen_fit_from, observed_sweep
 
 SEED = 20250808
 SCALE = dict(n_mc=300, n_boot=199, gamma=0.05, h_max=60)
@@ -81,10 +81,9 @@ def test_criterion_02_estimator_oracle():
         n_obs = int(rng.integers(80, 140))
         y = np.cumsum(rng.standard_normal((n_obs, n_vars)), axis=0)
         y += rng.standard_normal((n_obs, n_vars))
-        sweep = observed_sweep(y, p)
         (z0,), (z1,), (z2,) = regressor_blocks(y[None], p)
 
-        full = johansen_fit_from(sweep, n_vars)
+        full = fit_vecm(y, p, n_vars)
         design = np.hstack([z1, z2])
         coef, *_ = np.linalg.lstsq(design, z0, rcond=None)
         pi_ols = coef[:n_vars].T
@@ -96,7 +95,7 @@ def test_criterion_02_estimator_oracle():
             rel = np.linalg.norm(full.Gammas[lag] - block) / max(np.linalg.norm(block), 1.0)
             assert rel < 1e-8
 
-        zero = johansen_fit_from(sweep, 0)
+        zero = fit_vecm(y, p, 0)
         assert np.all(zero.Pi == 0)
         if z2.shape[1]:
             coef0, *_ = np.linalg.lstsq(z2, z0, rcond=None)

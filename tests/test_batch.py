@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
-    levels_ols, rebuild_levels, rebuild_levels_stepwise, regressor_blocks, sweep_partialled,
+    levels_ols, rebuild_levels, rebuild_levels_stepwise, regressor_blocks, sweep_of,
+    sweep_partialled,
 )
 from wimpvar import EstimationError, _batch
 from wimpvar.ranks import (
@@ -25,8 +26,8 @@ from wimpvar.timeseries import DetrendMode, DetrendedSeries, detrend
 from wimpvar.vecm import (
     VarLevels,
     companion_matrix,
+    fit_vecm,
     irf_reduced,
-    johansen_fit_from,
     observed_sweep,
     trace_stats_from_eigenvalues,
     var_to_vecm,
@@ -42,8 +43,7 @@ def _stack(n_batch, T=120, seed=60, variant="dgp1"):
     )
 
 
-def _sweep(ys, p):
-    return _batch.sweep_batch(ys, p)
+_sweep = sweep_of
 
 
 @pytest.mark.parametrize("mode", list(DetrendMode))
@@ -120,7 +120,7 @@ def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper
         pinned[:, n_vars:] = block[:, n_vars:] @ block_t
         pinned[:, :n_vars, n_vars:] = np.swapaxes(pinned[:, n_vars:, :n_vars], 1, 2)
         assert np.array_equal(gram, pinned)
-    sweep = _batch.sweep_batch(ys, p, paper)
+    sweep = _sweep(ys, p, paper)
     pi, gammas = _batch.rank_fit_batch(sweep, data.draw(st.integers(0, n_vars)))
     # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, the coefficients of [Z2 | Z1]
     coef = np.concatenate(
@@ -129,7 +129,7 @@ def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper
     lagged = np.concatenate([z2, z1], axis=2)
     # Each residual within 1e-13 of the sum of the magnitudes of its terms.
     scale = np.abs(z0) + np.abs(lagged) @ np.abs(coef)
-    resid = _batch.residuals_batch(sweep, pi)
+    resid = _batch.residuals_batch(ys, sweep, pi)
     assert np.all(np.abs(resid - (z0 - lagged @ coef)) <= 1e-13 * scale)
 
 
@@ -137,7 +137,7 @@ def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper
 def test_sweep_batch_matches_decomposition(p):
     ys = _stack(5)
     z0, z1, z2 = regressor_blocks(ys, p)
-    sweep = _batch.sweep_batch(ys, p)
+    sweep = _sweep(ys, p)
     assert sweep.ok.all()
     for i in range(5):
         # Partialling oracle: S00, S01 and S11 are the moment matrices of the
@@ -172,9 +172,9 @@ def test_sweep_batch_matches_decomposition(p):
 def test_rank_fit_batch_matches_reference(p, rank):
     ys = _stack(4)
     z0, z1, z2 = regressor_blocks(ys, p)
-    sweep = _batch.sweep_batch(ys, p)
+    sweep = _sweep(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
-    resid = _batch.residuals_batch(sweep, pi)
+    resid = _batch.residuals_batch(ys, sweep, pi)
     sigma = _batch.sigma_batch(sweep, rank)
     for i in range(4):
         assert np.linalg.matrix_rank(pi[i], tol=1e-10) <= rank
@@ -189,7 +189,7 @@ def test_rank_fit_batch_matches_reference(p, rank):
         assert np.allclose(resid[i], target - z2[i] @ stacked.T, atol=1e-10)
         # S00 - alpha alpha' equals the residual covariance.
         assert np.allclose(sigma[i], resid[i].T @ resid[i] / sweep.t_eff, atol=1e-12)
-        fit = johansen_fit_from(observed_sweep(ys[i], p), rank)
+        fit = fit_vecm(ys[i], p, rank)
         assert np.array_equal(fit.Pi, pi[i])
         assert np.array_equal(np.reshape(fit.Gammas, gammas[i].shape), gammas[i])
         assert np.array_equal(fit.residuals, resid[i])
@@ -214,7 +214,7 @@ def test_var_matrices_and_irf_batch_match_reference():
         for h in range(16):
             assert np.allclose(psi[i, h], power[:3, :3], atol=1e-10)
             power = comp @ power
-        fit = johansen_fit_from(observed_sweep(ys[i], 3), 2)
+        fit = fit_vecm(ys[i], 3, 2)
         assert np.array_equal(np.stack(vecm_to_var(fit).A), mats[i])
         assert np.array_equal(irf_reduced(vecm_to_var(fit), 15).values, psi[i])
 
@@ -294,10 +294,10 @@ def test_rank_k_fit_is_the_levels_ols(p):
     # A levels VAR(p) without deterministic terms is the error-correction
     # fit at full rank: same regressor space, same rows t = p+1..T.
     ys = _stack(3, T=80)
-    sweep = _batch.sweep_batch(ys, p)
+    sweep = _sweep(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, 3)
     mats = _batch.var_matrices_batch(pi, gammas)
-    resid = _batch.residuals_batch(sweep, pi)
+    resid = _batch.residuals_batch(ys, sweep, pi)
     sigma = _batch.sigma_batch(sweep, 3)
     for i in range(3):
         ols_mats, ols_resid, ols_sigma = levels_ols(ys[i], p)
@@ -338,10 +338,9 @@ def test_ic_select_batch_matches_reference(criterion):
     c_t = 2.0 if criterion == "aic" else np.log(sweep.t_eff)
     for i in range(6):
         # Oracle: refit every rank and compare ln det Sigma(r) + penalty.
-        one = observed_sweep(ys[i], 2)
         values = []
         for rank in range(4):
-            resid = johansen_fit_from(one, rank).residuals
+            resid = fit_vecm(ys[i], 2, rank).residuals
             _, ln_det = np.linalg.slogdet(resid.T @ resid / sweep.t_eff)
             values.append(ln_det + c_t * ic_param_count(rank, 3, 2) / sweep.t_eff)
         assert picked[i] == np.argmin(values)
@@ -367,19 +366,19 @@ def test_seq_select_batch_matches_reference():
 
 def test_select_batch_fixed():
     ys = _stack(2)
-    sweep = _batch.sweep_batch(ys, 1)
+    sweep = _sweep(ys, 1)
     assert np.all(_batch.select_batch(sweep, RankSelector("fixed", rank=2)) == 2)
 
 
 def test_sweep_batch_masks_degenerate_samples():
     ys = _stack(5)
     ys[2] = 1.0  # constant sample: singular moment matrices
-    sweep = _batch.sweep_batch(ys, 1)
+    sweep = _sweep(ys, 1)
     assert not sweep.ok[2]
     assert sweep.reason[2] & _batch.SINGULAR_S11
     assert sweep.ok[[0, 1, 3, 4]].all()
     # the healthy samples are unaffected by the bad one
-    clean = _batch.sweep_batch(ys[[0, 1, 3, 4]], 1)
+    clean = _sweep(ys[[0, 1, 3, 4]], 1)
     assert np.allclose(sweep.eigenvalues[[0, 1, 3, 4]], clean.eigenvalues, atol=1e-12)
 
 
@@ -401,12 +400,12 @@ def test_sweep_flags_an_explosive_sample_and_keeps_the_others(p):
     ys = _stack(5)
     ys[2] = _explosive(ys.shape[1], 5.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        sweep = _batch.sweep_batch(ys, p)
+        sweep = _sweep(ys, p)
     assert np.isfinite(ys[2]).all()
     assert sweep.reason[2] & _batch.NONFINITE
     assert not sweep.ok[2]
     for i in (0, 1, 3, 4):
-        one = _batch.sweep_batch(ys[i : i + 1], p)
+        one = _sweep(ys[i : i + 1], p)
         for name in ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "reason"):
             assert np.array_equal(getattr(one, name)[0], getattr(sweep, name)[i]), name
 
@@ -449,7 +448,7 @@ def _perfect_fit(y):
 def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, message):
     ys = _stack(4)
     ys[2] = spoil(ys[2])
-    sweep = _batch.sweep_batch(ys, p)
+    sweep = _sweep(ys, p)
     oracle = sweep_partialled(*regressor_blocks(ys, p), p)
     assert sweep.reason[2] & bit and oracle.reason[2] & bit
     assert np.array_equal(sweep.reason, oracle.reason)
@@ -465,13 +464,13 @@ def test_degenerate_samples_get_the_partialled_sweeps_bits(spoil, p, bit, messag
 @pytest.mark.parametrize("paper", [False, True])
 def test_residuals_from_the_levels_match_the_partialled_blocks(p, paper):
     ys = _stack(6)
-    sweep = _batch.sweep_batch(ys, p, paper)
+    sweep = _sweep(ys, p, paper)
     oracle = sweep_partialled(*regressor_blocks(ys, p, paper), p)
     # Per-sample ranks, as FDBB's level two uses them.
     ranks = np.array([0, 1, 2, 3, 1, 2])
     fits = np.stack([_batch.rank_fit_batch(sweep, rank)[0] for rank in range(4)])
     pi = fits[ranks, np.arange(6)]
-    resid = _batch.residuals_batch(sweep, pi)
+    resid = _batch.residuals_batch(ys, sweep, pi)
     expected = oracle.R0 - oracle.R1 @ np.swapaxes(pi, 1, 2)
     assert resid.shape == expected.shape == (6, sweep.t_eff, 3)
     # Both are differences of the same regression at rounding level: within

@@ -235,12 +235,11 @@ def _resweep(paths, prep):
     """The sweep of rebuilt ``paths`` at the sample's p, as a streamed build
     makes it: each non-finite path zeroed and flagged, the paths detrended
     in place, then swept from their Gram matrices."""
-    width = prep.n_vars * (prep.p + 1)
-    gram = np.empty((len(paths), width, width))
+    p, t_eff = prep.p, prep.sweep.t_eff
+    gram = bootstrap._gram_stack(len(paths), prep.n_vars, p)
     chunks = [(0, paths, bootstrap._detrend_finite(paths, prep.mode))]
-    finite = bootstrap._grams(chunks, gram, prep.p, prep.sweep.t_eff)
-    paper = prep.cfg.paper_sample_convention
-    return bootstrap._sweep_grams(gram, finite, prep.p, paper, prep.n_obs)
+    finite = bootstrap._grams(chunks, [(gram, p, t_eff)])
+    return bootstrap._sweep_grams(gram, finite, p, t_eff)
 
 
 def test_rebuild_rejects_explosive():
@@ -617,7 +616,7 @@ def test_lag_augmented_process_follows_the_sample_convention(p):
     cfg = BootstrapConfig(n_boot=49, seed=16, paper_sample_convention=True)
     prep = prepare(y, p, _queries(2), cfg, mode="constant")
     mats, resid = _dgp(prep, prep.n_vars)
-    ols_mats, ols_resid, _ = levels_ols(prep.sweep.tilde[0], p, first=p + 1)
+    ols_mats, ols_resid, _ = levels_ols(prep.tilde[0], p, first=p + 1)
     assert resid.shape == (1, 120 - p - 1, 3)
     assert np.allclose(mats, ols_mats, rtol=0, atol=1e-8)
     assert np.allclose(resid[0], ols_resid, rtol=0, atol=1e-10 * np.abs(ols_resid).max())

@@ -335,21 +335,20 @@ def test_a_chunk_sweeps_its_observed_samples_once_and_stacks_its_level1_batches(
     # The rank-K build of a group also sweeps lavar's p+1 Gram rows of its
     # batches as one stack, and the group's observed samples at p+1 as
     # another; FDBB level two sweeps per replication and selector.  Every
-    # bootstrap sweep starts from its Gram matrices and gets no paths; only
-    # the observed samples are swept from their paths.
+    # sweep, observed or bootstrap, gets only Gram matrices of the width of
+    # its lag order, over T - p rows at p and T - p - 1 at p + 1.
     inside, sweeps = [], []
     sweep_batch = _batch.sweep_batch
     level1_batches = bootstrap._level1_batches
     cfg = _chunk_config("dgp1", ALL_METHODS)
     n_reps, p, n_boot, group = 16, cfg.p, cfg.n_boot, montecarlo._GROUP
 
-    def counting(tilde, p, *args, **kwargs):
-        gram = kwargs.get("gram")
-        assert (gram is None) != (tilde is None)
-        size = len(tilde if gram is None else gram)
-        assert (gram is not None) == (size % n_boot == 0)  # a bootstrap sweep
-        sweeps.append((bool(inside), size, p))
-        return sweep_batch(tilde, p, *args, **kwargs)
+    def counting(gram, p, t_eff):
+        width = cfg.dgp.n_vars * (p + 1)
+        assert gram.ndim == 3 and gram.shape[1:] == (width, width)
+        assert t_eff == cfg.dgp.T - p  # at lavar's lag order, T - cfg.p - 1
+        sweeps.append((bool(inside), len(gram), p))
+        return sweep_batch(gram, p, t_eff)
 
     def building(*args, **kwargs):
         inside.append(True)

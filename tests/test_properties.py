@@ -78,7 +78,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import reference  # noqa: E402
 from reference import (  # noqa: E402
-    format_cell, irf_stepwise, rebuild_levels, rebuild_levels_stepwise, regressor_blocks,
+    format_cell, irf_stepwise, rebuild_levels, rebuild_levels_stepwise, regressor_blocks, sweep_of,
     sweep_partialled,
 )
 from wimpvar import _batch, bootstrap, cli  # noqa: E402
@@ -108,7 +108,7 @@ def _pipeline(ys, mode, p, h_max=8):
     tilde = ys.copy()
     coef = _batch.detrend_batch(tilde, mode)
     z0, z1, z2 = regressor_blocks(tilde, p)
-    sweep = _batch.sweep_batch(tilde, p)
+    sweep = sweep_of(tilde, p)
     out = {"tilde": tilde, "coef": coef, "z0": z0, "z1": z1, "z2": z2}
     for name in ("eigenvalues", "vectors", "S00", "S01", "ln_det_s00", "reason"):
         out[name] = getattr(sweep, name)
@@ -119,7 +119,7 @@ def _pipeline(ys, mode, p, h_max=8):
         pi, gammas = _batch.rank_fit_batch(sweep, rank)
         sigma = _batch.sigma_batch(sweep, rank)
         out[f"pi{rank}"], out[f"gammas{rank}"] = pi, gammas
-        out[f"resid{rank}"] = _batch.residuals_batch(sweep, pi)
+        out[f"resid{rank}"] = _batch.residuals_batch(tilde, sweep, pi)
         out[f"sigma{rank}"] = sigma
         out[f"chol{rank}"] = _batch.cholesky_batch(sigma)[0]
         out[f"psi{rank}"] = _batch.irf_batch(_batch.var_matrices_batch(pi, gammas), h_max)
@@ -397,7 +397,7 @@ def test_gram_sweep_matches_the_partialled_sweep(seed, n_batch, mode, p, n_vars,
     tilde = _paths(seed, n_batch, n_vars=n_vars)
     _batch.detrend_batch(tilde, mode)
     blocks = regressor_blocks(tilde, p, paper)
-    fast = _batch.sweep_batch(tilde, p, paper)
+    fast = sweep_of(tilde, p, paper)
     slow = sweep_partialled(*blocks, p)
     assert fast.t_eff == slow.t_eff
     assert np.array_equal(fast.reason, slow.reason)
@@ -430,7 +430,7 @@ def test_gram_sweep_matches_the_partialled_sweep(seed, n_batch, mode, p, n_vars,
     index = data.draw(st.integers(0, n_batch - 1))
     order = np.array(data.draw(st.permutations(range(n_batch))))
     for rows in (np.array([index]), order):
-        part = _batch.sweep_batch(tilde[rows], p, paper)
+        part = sweep_of(tilde[rows], p, paper)
         for name in ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "reason"):
             assert np.array_equal(getattr(part, name), getattr(fast, name)[rows]), name
 
@@ -494,7 +494,7 @@ QUERY_SETS = st.sampled_from([_query_set("reduced_form"), _query_set("structural
 def test_per_sample_ranks_equal_each_rank_imposed_on_the_batch(seed, n_batch, mode, p, queries, data):
     tilde = _paths(seed, n_batch)
     _batch.detrend_batch(tilde, mode)
-    sweep = _batch.sweep_batch(tilde, p)
+    sweep = sweep_of(tilde, p)
     cq = _compile_queries(queries, 3)
     ranks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_batch, max_size=n_batch)))
     values, ok, (pi, gammas) = _zeta_at_rank(sweep, ranks, cq)
@@ -594,7 +594,7 @@ def test_flipping_vector_signs_moves_no_bit_of_the_fits(seed, n_batch, mode, p, 
     # alpha', in which a column's sign cancels exactly.
     tilde = _paths(seed, n_batch)
     _batch.detrend_batch(tilde, mode)
-    sweep = _batch.sweep_batch(tilde, p, paper)
+    sweep = sweep_of(tilde, p, paper)
     flips = data.draw(st.lists(st.booleans(), min_size=3 * n_batch, max_size=3 * n_batch))
     signs = np.where(np.array(flips).reshape(n_batch, 1, 3), -1.0, 1.0)
     flipped = dataclasses.replace(sweep, vectors=sweep.vectors * signs)
@@ -604,8 +604,8 @@ def test_flipping_vector_signs_moves_no_bit_of_the_fits(seed, n_batch, mode, p, 
         assert pi_f.tobytes() == pi.tobytes() and gammas_f.tobytes() == gammas.tobytes()
         sigma = _batch.sigma_batch(sweep, rank)
         assert _batch.sigma_batch(flipped, rank).tobytes() == sigma.tobytes()
-        resid = _batch.residuals_batch(sweep, pi)
-        assert _batch.residuals_batch(flipped, pi_f).tobytes() == resid.tobytes()
+        resid = _batch.residuals_batch(tilde, sweep, pi)
+        assert _batch.residuals_batch(tilde, flipped, pi_f).tobytes() == resid.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -711,9 +711,9 @@ def test_lavar_reads_the_rank_k_level1_batch_and_builds_no_paths(seed, monkeypat
     level1, builds, replays = [], [], []
     build_level1, drawer, replay = bootstrap._level1_batch, bootstrap._drawer, bootstrap._replay
 
-    def building_level1(prep, dgp_rank, paths, gram, augmented=None):
-        level1.append((dgp_rank, augmented is not None))
-        return build_level1(prep, dgp_rank, paths, gram, augmented)
+    def building_level1(prep, dgp_rank, paths, grams):
+        level1.append((dgp_rank, [q for _, q, _ in grams] == [prep.p, prep.p + 1]))
+        return build_level1(prep, dgp_rank, paths, grams)
 
     def drawing(*args, **kwargs):
         builds.append(True)
@@ -763,9 +763,9 @@ def test_a_rank_k_path_that_turns_non_finite_fails_its_lavar_replication(seed, m
             rank_k[-1] = False
         return out
 
-    def sweeping(tilde, p, *args, **kwargs):
-        sweep = sweep_batch(tilde, p, *args, **kwargs)
-        if p == prep.p + 1 and tilde is None:  # lavar's bootstrap sweep, from its Gram
+    def sweeping(gram, p, t_eff):
+        sweep = sweep_batch(gram, p, t_eff)
+        if p == prep.p + 1 and len(gram) == prep.cfg.n_boot:  # lavar's bootstrap sweep
             lavar_sweeps.append(sweep)
         return sweep
 
@@ -896,7 +896,7 @@ def test_a_group_runs_lavar_without_a_replay_or_a_chunk_buffer(monkeypatch):
         want, sweep = reference.lavar_whole(prep, reference.level1_whole([prep], prep.n_vars)[0])
         assert isinstance(want, IntervalSet) and _same_result(results["lavar"], want)
         got = swept[id(prep)]
-        assert got.tilde is None
+        assert _holds_no_paths(got)
         for name in _SWEEP_FIELDS:
             assert getattr(got, name).tobytes() == getattr(sweep, name).tobytes(), name
 
@@ -914,7 +914,7 @@ def test_each_selected_rank_is_fitted_on_its_own_rows(seed, n_batch, p, queries,
     # too when a query is structural); when every query is structural the
     # reduced-form responses are not handed to the gather.
     tilde = _paths(seed, n_batch)
-    sweep = _batch.sweep_batch(tilde, p)
+    sweep = sweep_of(tilde, p)
     cq = _compile_queries(queries, 3)
     ranks = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_batch, max_size=n_batch)))
     fits, gathers = [], []
@@ -950,6 +950,14 @@ def test_each_selected_rank_is_fitted_on_its_own_rows(seed, n_batch, p, queries,
 # one chunk buffer, recycled across the level-1 batches of a run
 
 _SWEEP_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21", "ln_det_s00", "reason")
+
+
+def _holds_no_paths(sweep) -> bool:
+    """No field of ``sweep`` has a path's length: it holds moments only."""
+    arrays = [value for value in vars(sweep).values() if isinstance(value, np.ndarray)]
+    return "tilde" not in vars(sweep) and all(
+        value.ndim < 2 or value.shape[1] < sweep.t_eff for value in arrays
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -997,17 +1005,17 @@ def test_recycled_path_buffer_gives_fresh_sample_results_in_any_order(seed, step
             assert _same_result(got, _fresh_fan(seed, rank)), step
             continue
         sweep = batch(rank).sweep
-        assert sweep.tilde is None
+        assert _holds_no_paths(sweep)
         got = {name: getattr(sweep, name).tobytes() for name in _SWEEP_FIELDS}
         assert got == _fresh_level1(seed, rank), step
 
 
 def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
     # One run_methods call builds every rank's batches through one chunk
-    # buffer, and FDBB level two replays its batch through chunk buffers of
-    # its own; lavar reads the Gram rows the rank-K build wrote.  With
-    # chunks of 64, no buffer has n_boot rows, and no bootstrap sweep keeps
-    # paths.  Each batch is gone before the next rank's are built, and
+    # buffer, and FDBB level two replays its batch through a chunk buffer of
+    # its own and draws over it; lavar reads the Gram rows the rank-K build
+    # wrote.  With chunks of 64, no buffer has n_boot rows, and no sweep
+    # holds paths.  Each batch is gone before the next rank's are built, and
     # every buffer is gone when the run returns.
     monkeypatch.setattr(bootstrap, "_CHUNK_BYTES", 0)
     prep = _fresh(MEMO_SEEDS[0], n_boot=199)
@@ -1022,9 +1030,9 @@ def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
         made.append(weakref.ref(buffer))
         return buffer
 
-    def building(sample, dgp_rank, paths, gram, augmented=None):
+    def building(sample, dgp_rank, paths, grams):
         built.append(paths.ctypes.data)
-        return build(sample, dgp_rank, paths, gram, augmented)
+        return build(sample, dgp_rank, paths, grams)
 
     def building_all(preps, dgp_rank, paths, readers=None):
         assert all(ref() is None for ref in batches)  # the last rank's batches are freed
@@ -1045,10 +1053,10 @@ def test_successive_level1_batches_are_built_in_one_path_buffer(monkeypatch):
     out = run_methods(prep, cli._ANALYZE_EXTRAS)
     assert all(isinstance(result, IntervalSet) for result in out.values()), out
     assert ranks == list(range(4)) and len(built) == 4 and len(set(built)) == 1
-    # the run's chunk buffer, then two per FDBB (level one and level two)
-    assert len(made) == 1 + 2 * 2
+    # the run's chunk buffer, then one per FDBB, which level two shares
+    assert len(made) == 1 + 2
     # four level-1 sweeps, two level-two sweeps and lavar's, at rank K
-    assert len(sweeps) == 4 + 2 + 1 and all(sweep.tilde is None for sweep in sweeps)
+    assert len(sweeps) == 4 + 2 + 1 and all(_holds_no_paths(sweep) for sweep in sweeps)
     del sweeps[:]
     gc.collect()
     assert all(ref() is None for ref in batches + made)
@@ -1065,7 +1073,7 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
 
     def checking(constructor):
         def run(prep, *args, boot, **kwargs):
-            assert boot.sweep.tilde is None
+            assert _holds_no_paths(boot.sweep)
             result = constructor(prep, *args, boot=boot, **kwargs)
             checked.append(constructor.__name__)
             return result
@@ -1082,9 +1090,10 @@ def test_level_two_and_lavar_leave_the_held_paths_unchanged(seed, monkeypatch):
 
 
 def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
-    # Every buffer a run makes is a chunk buffer: the run's own and two for
-    # each FDBB level two; lavar reads the group's rank-K build and makes
-    # none.  A run makes its chunk buffer only when it builds a batch.
+    # Every buffer a run makes is a chunk buffer: the run's own and one for
+    # each FDBB, whose level two is drawn over its replayed level one; lavar
+    # reads the group's rank-K build and makes none.  A run makes its chunk
+    # buffer only when it builds a batch.
     made = []
     chunk_buffer = bootstrap._chunk_buffer
 
@@ -1099,7 +1108,7 @@ def test_a_run_without_level_two_makes_no_scratch_buffer(monkeypatch):
     assert made == [MEMO_SEEDS[0]]  # the group's buffer alone
     made.clear()
     run_methods(_fresh(MEMO_SEEDS[0]), ("fdbb_aic", "fdbb_bic"))
-    assert len(made) == 1 + 2 * 2
+    assert len(made) == 1 + 2
     made.clear()
     points = group[0].point_zetas(0)
     bootstrap.register_method("a test", lambda prep: (points, points))
@@ -1225,9 +1234,9 @@ def test_chunked_level1_builds_equal_the_whole_batch_build(
         with _spoilt_builds(rows, detrended):
             boots = bootstrap._level1_batches(group, rank, bootstrap._chunk_buffer(group[0]))
     assert len(detrended) == size * -(-n_boot // chunk) and all(detrended)
-    for i, (boot, want) in enumerate(zip(boots, expected)):
+    for i, (boot, (_, want)) in enumerate(zip(boots, expected)):
         assert boot.dgp_rank == rank and (boot.sweep.p, boot.sweep.t_eff) == (want.p, want.t_eff)
-        assert boot.sweep.tilde is None
+        assert _holds_no_paths(boot.sweep)
         for name in _SWEEP_FIELDS:
             assert getattr(boot.sweep, name).tobytes() == getattr(want, name).tobytes(), (i, name)
     for row in rows:
@@ -1350,7 +1359,7 @@ def test_replayed_level_two_and_lavar_equal_their_whole_batch_oracles(
                     continue
                 assert _same_result(results[name], want), name
                 got = swept[(id(prep), name)]
-                assert got.tilde is None
+                assert _holds_no_paths(got)
                 for field in _SWEEP_FIELDS:
                     assert getattr(got, field).tobytes() == getattr(sweep, field).tobytes(), field
                 if spoil:
@@ -1358,7 +1367,7 @@ def test_replayed_level_two_and_lavar_equal_their_whole_batch_oracles(
                     # sweep flags its own, and its level-one one fails too
                     flagged = level1_rows if name == "lavar" else level2_rows
                     assert all(got.reason[row] & _batch.NONFINITE for row in flagged), name
-                    assert level1.reason[level1_rows[0]] & _batch.NONFINITE
+                    assert level1[1].reason[level1_rows[0]] & _batch.NONFINITE
                     failed = level1_rows + (() if name == "lavar" else level2_rows)
                     if isinstance(results[name], IntervalSet):
                         assert results[name].n_failed >= len(failed), name

@@ -20,7 +20,7 @@ from wimpvar.ranks import (
     ic_values_from_eigenvalues,
     trace_critical_value,
 )
-from wimpvar.vecm import johansen_fit_from, observed_sweep
+from wimpvar.vecm import observed_sweep
 
 
 def _sim(seed, variant="dgp2", T=200):
@@ -36,8 +36,8 @@ def test_ic_binary_case_equals_direct_comparison():
     for trial in range(10):
         y = np.cumsum(rng.standard_normal(80))[:, None] + rng.standard_normal((80, 1))
         sweep = observed_sweep(y, 1)
-        fit0 = johansen_fit_from(sweep, 0)
-        fit1 = johansen_fit_from(sweep, 1)
+        fit0 = fit_vecm(y, 1, 0)
+        fit1 = fit_vecm(y, 1, 1)
         for criterion, c_t in (("aic", 2.0), ("bic", np.log(sweep.t_eff))):
             ic0 = np.log(np.linalg.det(np.atleast_2d(fit0.Sigma_u)))
             ic1 = (
@@ -58,7 +58,7 @@ def test_ic_values_match_per_rank_refits():
             sweep.eigenvalues[0], sweep.ln_det_s00[0], sweep.t_eff, sweep.p, criterion
         )
         for rank in range(4):
-            fit = johansen_fit_from(sweep, rank)
+            fit = fit_vecm(y, 2, rank)
             direct = (
                 np.log(np.linalg.det(fit.Sigma_u))
                 + c_t * ic_param_count(rank, 3, 2) / sweep.t_eff

@@ -10,6 +10,7 @@ from wimpvar import (
     TimeSeriesData,
     VarLevels,
     _batch,
+    bootstrap,
     cholesky_factor,
     companion_matrix,
     fit_vecm,
@@ -172,6 +173,51 @@ def test_singular_moments_name_the_column_at_fault(spoil, p, mode, phrase):
     with pytest.raises(EstimationError) as raised:
         fit_vecm(TimeSeriesData(y, names=("gdp", "cons", "inv")), p, 1, mode)
     assert str(raised.value) == f"{phrase}; inv {fault}"
+
+
+def _same_prepared(a, b) -> bool:
+    """Bitwise equality of two prepared samples, field by field."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (_batch.BatchSweep, bootstrap._Prepared)):
+        return vars(a).keys() == vars(b).keys() and _same_prepared(
+            list(vars(a).values()), list(vars(b).values())
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same_prepared(x, y) for x, y in zip(a, b))
+    if isinstance(a, bootstrap._CompiledQueries):
+        return a.queries == b.queries
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "spoil, p, mode",
+    [(_constant, 2, "none"), (_constant, 1, "constant"), (_duplicate, 2, "none"),
+     (_combination, 1, "none")],
+)
+def test_a_stack_names_its_singular_sample_and_prepares_the_others_as_alone(spoil, p, mode):
+    # One sweep of a stack of three: the middle sample, with a constant or
+    # collinear column, gets the error fit_vecm raises for it alone, naming
+    # that column from its own detrended values (for S11 its lagged levels
+    # too); its neighbours are prepared bitwise as _prepare prepares them.
+    names = ("gdp", "cons", "inv")
+    samples = np.stack([
+        np.cumsum(np.random.default_rng(seed).standard_normal((200, 3)), axis=0)
+        for seed in range(3)
+    ])
+    spoil(samples[1])
+    queries = (IrfQuery(a=1, b=2, horizon=2), IrfQuery(a=3, b=1, kind="structural_cholesky"))
+    cfgs = [BootstrapConfig(n_boot=39, seed=seed) for seed in range(3)]
+    preps = bootstrap._prepare_many(samples, p, queries, cfgs, mode, names=names)
+    with pytest.raises(EstimationError) as raised:
+        fit_vecm(TimeSeriesData(samples[1], names=names), p, 1, mode)
+    assert isinstance(preps[1], EstimationError)
+    assert str(preps[1]) == str(raised.value)
+    assert str(raised.value).endswith("; inv is constant or a linear combination of earlier columns")
+    for i in (0, 2):
+        alone = prepare(TimeSeriesData(samples[i], names=names), p, queries, cfgs[i], mode)
+        assert _same_prepared(preps[i], alone), i
+        assert _same_prepared(preps[i].tilde[0], detrend(samples[i], mode).tilde_values), i
 
 
 # The sweep's pivot test against each spoiled walk: y3 in units 1e7 times
