@@ -389,23 +389,27 @@ def rank_fit_batch(sweep: BatchSweep, rank: int):
     return pi, gammas
 
 
-def residuals_batch(tilde: np.ndarray, sweep: BatchSweep, pi: np.ndarray) -> np.ndarray:
+def residuals_batch(
+    tilde: np.ndarray, pi: np.ndarray, gammas: np.ndarray, t_eff: int
+) -> np.ndarray:
     """Error-correction residuals dy_t - Pi y_{t-1} - sum_i Gamma_i dy_{t-i}
-    implied by a Pi stack, (B, T_eff, K), with the Gammas of that Pi, for
-    the detrended (B, T, K) stack ``tilde`` that ``sweep`` was formed from.
+    of a fit (Pi (B, K, K), Gammas (B, p-1, K, K), as :func:`rank_fit_batch`
+    gives them) over the last ``t_eff`` times of the detrended (B, T, K)
+    stack ``tilde``, (B, T_eff, K).
 
     Read from the blocks of :func:`_lag_blocks` of ``tilde``: one product
     for the lagged level and one per lagged difference.
     """
     n_batch, n_vars = pi.shape[:2]
-    lagged = n_vars * (sweep.p - 1)
+    p = gammas.shape[1] + 1
+    lagged = n_vars * (p - 1)
     pi_t = np.swapaxes(pi, 1, 2)
-    # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, (B, Kp, K), as in rank_fit_batch
-    coef = np.concatenate([sweep.P20 - sweep.P21 @ pi_t, pi_t], axis=1)
-    resid = np.empty((n_batch, sweep.t_eff, n_vars))
-    for lo, hi, v, lags in _lag_blocks(tilde, sweep.p, sweep.t_eff):
+    # [Gamma_1 ... Gamma_{p-1} | Pi]' stacked, (B, Kp, K)
+    coef = np.concatenate([np.swapaxes(gammas, 2, 3).reshape(n_batch, lagged, n_vars), pi_t], 1)
+    resid = np.empty((n_batch, t_eff, n_vars))
+    for lo, hi, v, lags in _lag_blocks(tilde, p, t_eff):
         fit = np.matmul(np.swapaxes(v[:, :n_vars], 1, 2), coef[lo:hi, lagged:], out=resid[lo:hi])
-        for lag in range(1, sweep.p):
+        for lag in range(1, p):
             rows = coef[lo:hi, n_vars * (lag - 1) : n_vars * lag]
             fit += np.swapaxes(lags[lag], 1, 2) @ rows
         np.subtract(np.swapaxes(lags[0], 1, 2), fit, out=fit)

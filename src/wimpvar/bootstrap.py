@@ -45,7 +45,8 @@ from .errors import ConfigError, DataError, EstimationError, check_integer, chec
 from .ranks import RankSelector, plausibility_weights
 from .timeseries import DetrendedSeries, DetrendMode, TimeSeriesData, _as_values
 from .vecm import (
-    IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, _check_lag_order, _sweep_error, sweep_samples,
+    IrfQuery, REDUCED_FORM, STRUCTURAL_CHOLESKY, _check_lag_order, _min_obs, _sweep_error,
+    sweep_samples,
 )
 from .wimp import wimp_bounds
 
@@ -309,11 +310,10 @@ class _Prepared:
 
     def level1(self, dgp_rank: int, boot: _BootBatch | None = None, reader=None) -> _BootBatch:
         """``boot`` if it is the level-1 batch at ``dgp_rank``, else a fresh one
-        built for the method ``reader`` alone in a fresh chunk buffer;
-        ``run_methods`` shares a group's (:func:`_level1_batches`)."""
+        read by ``reader`` alone (a method name, None for the fan member), in a
+        fresh chunk buffer; ``run_methods`` shares a group's (:func:`_level1_batches`)."""
         if boot is None or boot.dgp_rank != dgp_rank:
-            readers = [(reader,)] if reader else None
-            (boot,) = _level1_batches([self], dgp_rank, _chunk_buffer(self), readers)
+            (boot,) = _level1_batches([self], dgp_rank, _chunk_buffer(self), [(reader,)])
         return boot
 
     def check_rank(self, rank) -> int:
@@ -454,15 +454,14 @@ class _BootBatch:
     Gram matrices; like every sweep it holds moments only, not paths.  FDBB
     level two, which needs the paths themselves, replays the batch's chunks
     (:func:`_replay`).  ``readers`` names the methods that read the batch,
-    in the order they run (None: the fan member); None instead of a list
-    leaves them open, so any method may read it.  ``memo`` maps the names
+    in the order they run (None: the fan member).  ``memo`` maps the names
     of the methods that share a result to it (read-only arrays); a memo
     goes once none of its methods is left to read it (:meth:`release`).
     """
 
     sweep: _batch.BatchSweep
     dgp_rank: int
-    readers: tuple | list | None = None
+    readers: tuple
     memo: dict = field(default_factory=dict)
 
     def release(self, left) -> None:
@@ -551,7 +550,7 @@ def _dgp(prep: _Prepared, rank: int):
     """The observed sample's rank-``rank`` fit as a bootstrap process: its
     levels VAR matrices (p, K, K) and residuals (1, T_eff, K)."""
     pi, gammas = _batch.rank_fit_batch(prep.sweep, rank)
-    resid = _batch.residuals_batch(prep.tilde, prep.sweep, pi)
+    resid = _batch.residuals_batch(prep.tilde, pi, gammas, prep.sweep.t_eff)
     return _batch.var_matrices_batch(pi, gammas)[0], resid
 
 
@@ -618,17 +617,16 @@ def _gram_stack(n_rows: int, n_vars: int, p: int) -> np.ndarray:
     return np.empty((n_rows, width, width))
 
 
-def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, readers=None):
+def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, readers):
     """Each sample's level-1 batch at ``dgp_rank`` (:func:`_level1_batch`),
     built in turn through the one chunk buffer ``paths`` and swept as one
-    stack from their Gram matrices.  ``readers[i]`` names the methods that
-    read sample i's batch (:class:`_BootBatch`; open by default).
+    stack from their Gram matrices.  ``readers[i]``, a tuple, names the
+    methods that read sample i's batch (:class:`_BootBatch`).
 
-    A sample whose readers include ``lavar`` also writes its Gram rows at
-    p + 1 as it builds.  Those samples' p + 1 Gram matrices are swept as one
-    stack, and so are their observed samples at p + 1; each of their
-    batches keeps its slices of the two for ``lavar``
-    (:func:`lag_augmented_interval`).
+    When ``lavar`` reads the rank-K batches, every sample also writes its
+    Gram rows at p + 1 as it builds.  Those p + 1 Gram matrices are swept
+    as one stack, and so are the observed samples at p + 1; each batch
+    keeps its slices of the two for ``lavar`` (:func:`lag_augmented_interval`).
 
     Each build keeps its own stream and its own recursion, so a sample's
     slice is bitwise what it would be alone: every kernel treats each
@@ -637,34 +635,30 @@ def _level1_batches(preps, dgp_rank: int, paths: np.ndarray, readers=None):
     """
     first = preps[0]
     n_boot, n_vars, p = first.cfg.n_boot, first.n_vars, first.p
-    readers = readers or [None] * len(preps)
     rows = [slice(i * n_boot, (i + 1) * n_boot) for i in range(len(preps))]
     # lavar reads the rank-K batch; a sample too short for it gets its DataError instead
-    lavar = [i for i, names in enumerate(readers) if names and "lavar" in names]
-    if dgp_rank != n_vars or _lavar_error(first):
-        lavar = []
+    lavar = dgp_rank == n_vars and any("lavar" in n for n in readers) and not _lavar_error(first)
     # lavar's VAR(p + 1) fits use rows t = p+2..T under either sample convention
     t_eff, t_lavar = first.sweep.t_eff, first.n_obs - p - 1
     gram = _gram_stack(len(preps) * n_boot, n_vars, p)
-    augmented = _gram_stack(len(lavar) * n_boot, n_vars, p + 1)
+    augmented = _gram_stack(len(gram), n_vars, p + 1) if lavar else None
     finite = np.empty(len(gram), dtype=bool)
-    for i, (prep, part) in enumerate(zip(preps, rows)):
+    for prep, part in zip(preps, rows):
         grams = [(gram[part], p, t_eff)]
-        if i in lavar:
-            grams.append((augmented[rows[lavar.index(i)]], p + 1, t_lavar))
+        if lavar:
+            grams.append((augmented[part], p + 1, t_lavar))
         finite[part] = _level1_batch(prep, dgp_rank, paths, grams)
     sweep = _sweep_grams(gram, finite, p, t_eff)
     boots = [_BootBatch(sweep.take(part), dgp_rank, names) for part, names in zip(rows, readers)]
     if lavar:
-        kept = np.repeat([i in lavar for i in range(len(preps))], n_boot)  # lavar's rows
-        sweep_lavar = _sweep_grams(augmented, finite[kept], p + 1, t_lavar)
+        sweep_lavar = _sweep_grams(augmented, finite, p + 1, t_lavar)
         # a replication whose level-1 sweep met a non-finite value fails here
         # too: a spoilt path, or a Gram or canonical matrix that overflowed at p
-        sweep_lavar.reason |= sweep.reason[kept] & _batch.NONFINITE
-        tilde = np.concatenate([preps[i].tilde for i in lavar])
+        sweep_lavar.reason |= sweep.reason & _batch.NONFINITE
+        tilde = np.concatenate([prep.tilde for prep in preps])
         observed = _batch.sweep_batch(_batch.gram_batch(tilde, p + 1, t_lavar), p + 1, t_lavar)
-        for j, i in enumerate(lavar):
-            boots[i].memo[("lavar",)] = (observed.take(slice(j, j + 1)), sweep_lavar.take(rows[j]))
+        for i, (boot, part) in enumerate(zip(boots, rows)):
+            boot.memo[("lavar",)] = (observed.take(slice(i, i + 1)), sweep_lavar.take(part))
     return boots
 
 
@@ -672,10 +666,6 @@ def _read_only(*arrays):
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-# The sweep fields that rank_fit_batch and sigma_batch read
-_FIT_FIELDS = ("eigenvalues", "vectors", "S00", "S01", "P20", "P21")
 
 
 def _rank_fit(sweep: _batch.BatchSweep, rank: int, structural: bool) -> tuple:
@@ -702,8 +692,7 @@ def _zeta_at_rank(sweep: _batch.BatchSweep, rank, cq: _CompiledQueries, n_lags=N
         fit = None
         for r in distinct:
             rows = ranks == r
-            own = replace(sweep, **{name: getattr(sweep, name)[rows] for name in _FIT_FIELDS})
-            part = _rank_fit(own, int(r), cq.need_structural)
+            part = _rank_fit(sweep.take(rows), int(r), cq.need_structural)
             if fit is None:
                 fit = tuple(np.empty(ranks.shape + piece.shape[1:]) for piece in part)
             for whole, piece in zip(fit, part):
@@ -806,16 +795,16 @@ def fixed_rank_interval(prep: _Prepared, rank: int, *, boot=None) -> IntervalSet
     return _finalize(prep, "fixed_rank", rank, zeta_star, ok, points, f"the rank-{rank} bootstrap")
 
 
-def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot):
-    """Level one of the rank re-selection bootstraps: the observed rank, the
-    level-1 batch, its per-sample selected ranks and the replications' query
-    values, ok flags and fit at those ranks.  The batch keeps the per-sample
-    part for the two methods that read it, so ``bers_*`` and ``fdbb_*`` with
-    one selector compute it once."""
+def _reselect(prep: _Prepared, selector: RankSelector, dgp_rank_mode: str, boot, reader):
+    """Level one of the rank re-selection bootstrap ``reader``: the observed
+    rank, the level-1 batch, its per-sample selected ranks and the
+    replications' query values, ok flags and fit at those ranks.  The batch
+    keeps the per-sample part for the two methods that read it, so
+    ``bers_*`` and ``fdbb_*`` with one selector compute it once."""
     if dgp_rank_mode not in ("estimated", "full_K"):
         raise ConfigError(f"dgp_rank_mode must be 'estimated' or 'full_K', got {dgp_rank_mode!r}")
     r_hat = prep.select_rank(selector)
-    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot)
+    boot = prep.level1(r_hat if dgp_rank_mode == "estimated" else prep.n_vars, boot, reader)
     key = (f"bers_{selector.label}", f"fdbb_{selector.label}")
     if key not in boot.memo:
         ranks_star = _batch.select_batch(boot.sweep, selector)
@@ -835,9 +824,10 @@ def bers_interval(
     and refits at its own rank.  The interval centers at the point estimate
     under the rank selected on the observed data.
     """
-    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, boot)
+    name = f"bers_{selector.label}"
+    r_hat, _, ranks_star, zeta_star, ok, _ = _reselect(prep, selector, dgp_rank_mode, boot, name)
     return _finalize(
-        prep, f"bers_{selector.label}", r_hat, zeta_star, ok, prep.point_zetas(r_hat),
+        prep, name, r_hat, zeta_star, ok, prep.point_zetas(r_hat),
         "the rank re-selection bootstrap", ranks=ranks_star,
     )
 
@@ -851,14 +841,13 @@ def _ma_sums(prep: _Prepared, boot: _BootBatch, name: str):
     weights (``ma``) or with the observed-data weights (``ma_fixed``).
 
     One pass over ranks 0..K sums ``name``'s weighting and the other one
-    when the batch's ``readers`` name it or are open; each rank's values go
-    straight into the sums, summed in rank order from zero.  Each sum is
-    the memo of its one method.
+    when the batch's ``readers`` name it; each rank's values go straight
+    into the sums, summed in rank order from zero.  Each sum is the memo of
+    its one method.
     """
     if (name,) not in boot.memo:
         sweep = boot.sweep
-        readers = _MA_NAMES if boot.readers is None else boot.readers
-        wanted = [each for each in _MA_NAMES if each == name or each in readers]
+        wanted = [each for each in _MA_NAMES if each == name or each in boot.readers]
         sums = {each: np.zeros((sweep.reason.size, len(prep.queries))) for each in wanted}
         if "ma" in sums:
             stats = _batch.trace_stats_batch(sweep.eigenvalues, sweep.t_eff)
@@ -911,14 +900,14 @@ def _level_two(prep: _Prepared, boot: _BootBatch, code: int, pi_star, gam_star):
     under that fit, zeroed where non-finite and detrended.
 
     Level one's chunks are replayed (:func:`_replay`), so each chunk's
-    residuals come from its paths and its rows of the level-1 sweep; then
+    residuals come from its paths and its rows of the selected fits; then
     its level-two chunk is drawn over it, in the one chunk buffer.
     """
-    n_init = prep.p + 1
+    n_init, t_eff = prep.p + 1, prep.sweep.t_eff
     draw = _drawer(prep.cfg, 2, code, prep.raw[:n_init])
     for lo, chunk, _ in _replay(prep, boot):
         rows = slice(lo, lo + len(chunk))
-        draw(chunk, _batch.residuals_batch(chunk, boot.sweep.take(rows), pi_star[rows]))
+        draw(chunk, _batch.residuals_batch(chunk, pi_star[rows], gam_star[rows], t_eff))
         mats = _batch.var_matrices_batch(pi_star[rows], gam_star[rows])
         _batch.rebuild_levels_batch(mats, chunk, n_init)
         yield lo, chunk, _detrend_finite(chunk, prep.mode)
@@ -935,8 +924,9 @@ def fdbb_interval(
     estimate and inverts the distribution of the level-two minus level-one
     statistics.
     """
+    name = f"fdbb_{selector.label}"
     r_hat, boot, ranks_star, zeta_star, ok1, (pi_star, gam_star) = _reselect(
-        prep, selector, dgp_rank_mode, boot
+        prep, selector, dgp_rank_mode, boot, name
     )
     p, t_eff = prep.p, prep.sweep.t_eff
     gram = _gram_stack(prep.cfg.n_boot, prep.n_vars, p)
@@ -944,19 +934,19 @@ def fdbb_interval(
     sweep2 = _sweep_grams(gram, _grams(chunks, [(gram, p, t_eff)]), p, t_eff)
     zeta_2, ok2, _ = _zeta_at_rank(sweep2, _batch.select_batch(sweep2, selector), prep.cq)
     return _finalize(
-        prep, f"fdbb_{selector.label}", r_hat, zeta_2, ok1 & ok2, None, "the double bootstrap",
+        prep, name, r_hat, zeta_2, ok1 & ok2, None, "the double bootstrap",
         centre=zeta_star, ranks=ranks_star,
     )
 
 
 def _lavar_error(prep: _Prepared) -> DataError | None:
     """The DataError of a sample too short for ``lavar``'s VAR(p + 1), or None."""
-    n_vars, p, n_obs = prep.n_vars, prep.p, prep.n_obs
-    if n_obs >= n_vars * (p + 1) + 10:
+    p, n_obs, need = prep.p, prep.n_obs, _min_obs(prep.n_vars, prep.p + 1)
+    if n_obs >= need:
         return None
     return DataError(
         f"lavar fits a VAR(p + 1) = VAR({p + 1}) for p = {p}: it needs at least"
-        f" K*(p+1) + 10 = {n_vars * (p + 1) + 10} observations, got {n_obs}"
+        f" K*(p+1) + 10 = {need} observations, got {n_obs}"
     )
 
 
@@ -1082,14 +1072,14 @@ def register_method(name: str, runner) -> None:
 
 
 def _check_methods(names) -> tuple:
-    """``names`` as a tuple; ConfigError for a bare string or an unknown name."""
+    """``names`` as a tuple, repeats dropped; ConfigError for a bare string or unknown name."""
     if isinstance(names, str):
         raise ConfigError(f"methods must be a sequence of names, got the string {names!r}")
     names = tuple(names)
     unknown = [str(name) for name in names if not isinstance(name, str) or name not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods: {', '.join(unknown)}")
-    return names
+    return tuple(dict.fromkeys(names))
 
 
 def _attempt(run, *args, **kwargs):
@@ -1141,10 +1131,10 @@ def run_methods(preps, names):
         plan: dict = {}  # rank -> [(sample index, readers)]; reader None, first, is the fan
         for i, prep in enumerate(group):
             reads = {rank: [None] for name in names for rank in METHODS[name].fan(prep)}
-            for name in dict.fromkeys(names):
+            for name in names:
                 reads.setdefault(METHODS[name].rank(prep), []).append(name)
             for rank, readers in reads.items():
-                plan.setdefault(rank, []).append((i, readers))
+                plan.setdefault(rank, []).append((i, tuple(readers)))
         # made only when some rank is built, right before the first build
         paths = _chunk_buffer(group[0]) if set(plan) - {None} else None
         for rank, reads in sorted(plan.items(), key=lambda item: (item[0] is None, item[0] or 0)):

@@ -20,7 +20,7 @@ from . import bootstrap as bt
 from ._memory import pin_allocator
 from .errors import ConfigError, EstimationError, check_integer, check_weight_constants
 from .timeseries import DetrendMode
-from .vecm import IrfArray, IrfQuery, REDUCED_FORM
+from .vecm import IrfArray, IrfQuery, REDUCED_FORM, _min_obs
 
 __all__ = [
     "DgpSpec",
@@ -146,11 +146,11 @@ class ExperimentConfig:
             raise ConfigError("n_mc must be positive")
         if self.h_max < 1:
             raise ConfigError("h_max must be at least 1")
-        min_obs = self.dgp.n_vars * self.p + 10  # the estimator's own minimum
+        min_obs = _min_obs(self.dgp.n_vars, self.p)  # the estimator's own minimum
         if self.dgp.T < min_obs:
             raise ConfigError(f"T must be at least K*p + 10 = {min_obs}, got {self.dgp.T}")
         # lavar sweeps at p + 1, so below its minimum every replication would fail
-        min_lavar = min_obs + self.dgp.n_vars
+        min_lavar = _min_obs(self.dgp.n_vars, self.p + 1)
         if "lavar" in self.methods and self.dgp.T < min_lavar:
             raise ConfigError(
                 f"lavar fits a VAR(p + 1): T must be at least K*(p+1) + 10 = {min_lavar},"

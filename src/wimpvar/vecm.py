@@ -196,6 +196,11 @@ def _sweep_error(sweep: _batch.BatchSweep, tilde: np.ndarray, names) -> Estimati
     return EstimationError(message)
 
 
+def _min_obs(n_vars: int, p: int) -> int:
+    """K*p + 10, the fewest observations a VECM with ``p`` lags is fitted to."""
+    return n_vars * p + 10
+
+
 def _check_lag_order(p) -> None:
     """Refuse a lag order that is not an integer (ConfigError) or below 1 (DataError)."""
     check_integer("p", p)
@@ -271,10 +276,9 @@ def sweep_samples(
     _check_lag_order(p)
     mode = DetrendMode(mode)
     n_obs, n_vars = values.shape[1:]
-    if n_obs < n_vars * p + 10:
-        raise DataError(
-            f"need at least K*p + 10 = {n_vars * p + 10} observations for p = {p}, got {n_obs}"
-        )
+    need = _min_obs(n_vars, p)
+    if n_obs < need:
+        raise DataError(f"need at least K*p + 10 = {need} observations for p = {p}, got {n_obs}")
     # A copy: detrending runs in place, but ``values`` is the caller's own array.
     tilde = values.copy()
     _batch.detrend_batch(tilde, mode)
@@ -334,7 +338,7 @@ def fit_vecm(
         Pi=pi[0],
         Gammas=tuple(gammas[0]),
         Sigma_u=_batch.sigma_batch(sweep, rank)[0],
-        residuals=_batch.residuals_batch(tilde, sweep, pi)[0],
+        residuals=_batch.residuals_batch(tilde, pi, gammas, sweep.t_eff)[0],
         eigenvalues=sweep.eigenvalues[0],
         p=sweep.p,
         t_eff=sweep.t_eff,

@@ -12,8 +12,9 @@ buffer, and builds every bootstrap batch _CHUNK replications at a time,
 keeping no paths; the zero-padded window rebuild and the whole-batch
 builds (draw every replication in passes, rebuild, detrend, then sweep the
 stack, keeping its paths) of level one, of FDBB's level two and of the
-lag-augmented bootstrap are kept here too, and the Hall step on a whole
-centred copy of the statistics.
+lag-augmented bootstrap are kept here too, the Hall step on a whole
+centred copy of the statistics, and the residuals whose Gammas come from
+the sweep rather than from the fit.
 """
 from types import SimpleNamespace
 
@@ -106,6 +107,27 @@ def sweep_of(tilde: np.ndarray, p: int, paper_convention: bool = False):
     alternative convention; the package forms them in ``sweep_samples``."""
     t_eff = tilde.shape[1] - p - (1 if paper_convention else 0)
     return _batch.sweep_batch(_batch.gram_batch(tilde, p, t_eff), p, t_eff)
+
+
+def residuals_from_sweep(tilde: np.ndarray, sweep, pi: np.ndarray) -> np.ndarray:
+    """Error-correction residuals dy_t - Pi y_{t-1} - sum_i Gamma_i dy_{t-i}
+    of a Pi stack, (B, T_eff, K), for the detrended (B, T, K) stack
+    ``tilde`` that ``sweep`` was formed from, with the Gammas that the sweep
+    gives that Pi, [Gamma_1 ... Gamma_{p-1}]' = P20 - P21 Pi': the form the
+    package used before ``residuals_batch`` read the Gammas of the fit.
+    """
+    n_batch, n_vars = pi.shape[:2]
+    lagged = n_vars * (sweep.p - 1)
+    pi_t = np.swapaxes(pi, 1, 2)
+    coef = np.concatenate([sweep.P20 - sweep.P21 @ pi_t, pi_t], axis=1)
+    resid = np.empty((n_batch, sweep.t_eff, n_vars))
+    for lo, hi, v, lags in _batch._lag_blocks(tilde, sweep.p, sweep.t_eff):
+        fit = np.matmul(np.swapaxes(v[:, :n_vars], 1, 2), coef[lo:hi, lagged:], out=resid[lo:hi])
+        for lag in range(1, sweep.p):
+            rows = coef[lo:hi, n_vars * (lag - 1) : n_vars * lag]
+            fit += np.swapaxes(lags[lag], 1, 2) @ rows
+        np.subtract(np.swapaxes(lags[0], 1, 2), fit, out=fit)
+    return resid
 
 
 def sweep_partialled(z0: np.ndarray, z1: np.ndarray, z2: np.ndarray, p: int):
@@ -297,7 +319,7 @@ def fdbb_whole(prep, selector, level1, spoil=()):
     values, ok1, (pi, gammas) = bootstrap._zeta_at_rank(level1, ranks, prep.cq)
     paths = np.empty((cfg.n_boot, prep.n_obs, prep.n_vars))
     code = bootstrap._SELECTOR_CODES[selector.method]
-    resid = _batch.residuals_batch(tilde, level1, pi)
+    resid = residuals_from_sweep(tilde, level1, pi)
     draw_errors_in_passes(resid, cfg, 2, code, prep.raw[:n_init], paths)
     _batch.rebuild_levels_batch(_batch.var_matrices_batch(pi, gammas), paths, n_init)
     sweep = _swept(paths, prep, spoil)

@@ -35,6 +35,8 @@ from wimpvar.vecm import (
 )
 from wimpvar.montecarlo import make_dgp, simulate_path
 
+pytestmark = pytest.mark.bitwise
+
 
 def _stack(n_batch, T=120, seed=60, variant="dgp1"):
     spec = make_dgp(variant, T)
@@ -129,7 +131,7 @@ def test_lag_gram_and_residuals_equal_the_explicit_design(seed, n_vars, p, paper
     lagged = np.concatenate([z2, z1], axis=2)
     # Each residual within 1e-13 of the sum of the magnitudes of its terms.
     scale = np.abs(z0) + np.abs(lagged) @ np.abs(coef)
-    resid = _batch.residuals_batch(ys, sweep, pi)
+    resid = _batch.residuals_batch(ys, pi, gammas, sweep.t_eff)
     assert np.all(np.abs(resid - (z0 - lagged @ coef)) <= 1e-13 * scale)
 
 
@@ -174,7 +176,7 @@ def test_rank_fit_batch_matches_reference(p, rank):
     z0, z1, z2 = regressor_blocks(ys, p)
     sweep = _sweep(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, rank)
-    resid = _batch.residuals_batch(ys, sweep, pi)
+    resid = _batch.residuals_batch(ys, pi, gammas, sweep.t_eff)
     sigma = _batch.sigma_batch(sweep, rank)
     for i in range(4):
         assert np.linalg.matrix_rank(pi[i], tol=1e-10) <= rank
@@ -297,7 +299,7 @@ def test_rank_k_fit_is_the_levels_ols(p):
     sweep = _sweep(ys, p)
     pi, gammas = _batch.rank_fit_batch(sweep, 3)
     mats = _batch.var_matrices_batch(pi, gammas)
-    resid = _batch.residuals_batch(ys, sweep, pi)
+    resid = _batch.residuals_batch(ys, pi, gammas, sweep.t_eff)
     sigma = _batch.sigma_batch(sweep, 3)
     for i in range(3):
         ols_mats, ols_resid, ols_sigma = levels_ols(ys[i], p)
@@ -468,9 +470,9 @@ def test_residuals_from_the_levels_match_the_partialled_blocks(p, paper):
     oracle = sweep_partialled(*regressor_blocks(ys, p, paper), p)
     # Per-sample ranks, as FDBB's level two uses them.
     ranks = np.array([0, 1, 2, 3, 1, 2])
-    fits = np.stack([_batch.rank_fit_batch(sweep, rank)[0] for rank in range(4)])
-    pi = fits[ranks, np.arange(6)]
-    resid = _batch.residuals_batch(ys, sweep, pi)
+    fits = [_batch.rank_fit_batch(sweep, rank) for rank in range(4)]
+    pi, gammas = (np.stack(part)[ranks, np.arange(6)] for part in zip(*fits))
+    resid = _batch.residuals_batch(ys, pi, gammas, sweep.t_eff)
     expected = oracle.R0 - oracle.R1 @ np.swapaxes(pi, 1, 2)
     assert resid.shape == expected.shape == (6, sweep.t_eff, 3)
     # Both are differences of the same regression at rounding level: within

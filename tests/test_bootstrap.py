@@ -165,6 +165,7 @@ def test_resample_mean_law_of_large_numbers():
     assert np.all(np.abs(draws.mean(axis=0)) < 4 * se)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n_pools", [1, 200])
 def test_draw_gathers_the_builds_stream_across_passes(n_pools):
     # 200 replications of 795 draws take four chunks, the last of 8 rows;

@@ -164,6 +164,7 @@ def _k4_var2_design(T: int) -> DgpSpec:
     return DgpSpec(np.stack([eye + alpha @ beta.T + gamma, -gamma]), T)
 
 
+@pytest.mark.bitwise
 def test_a_k4_var2_design_runs_with_its_own_true_rank_on_any_worker_count():
     spec = _k4_var2_design(60)
     assert spec.true_rank == 2
@@ -291,6 +292,7 @@ def _assert_bitwise(chunk, solo):
 
 
 # n = 7 ends in a partial group, n = 16 is one whole chunk of full groups.
+@pytest.mark.bitwise
 @pytest.mark.parametrize("variant", ["dgp1", "dgp2"])
 @pytest.mark.parametrize("n_reps", [7, 16])
 def test_a_chunk_equals_its_replications_run_alone(variant, n_reps, extra_method):
@@ -303,6 +305,7 @@ def test_a_chunk_equals_its_replications_run_alone(variant, n_reps, extra_method
     _assert_bitwise(chunk, _solo_sums(cfg, reps))
 
 
+@pytest.mark.bitwise
 def test_a_rejected_observed_sample_fails_every_method_and_spares_its_group(
     monkeypatch, extra_method
 ):
@@ -470,6 +473,16 @@ def test_runner_nan_bound_fails_the_replication():
             _bounds_from("stub_nan", (lower[:2], upper[:2]), 2)
     finally:
         _EXTRA_METHODS.clear()
+
+
+def test_repeated_method_names_are_run_and_listed_once():
+    cfg = ExperimentConfig(
+        dgp=make_dgp("dgp1", 60), n_mc=1, n_boot=39, h_max=2, methods=("ols", "ols"), seed=3
+    )
+    assert cfg.methods == ("ols",)
+    table = run_experiment(cfg, workers=1)
+    assert table.methods == ("ols",)
+    assert len(table.coverage_rows()) == 3 * 3 * 2  # (a, b) pairs at K = 3, horizons 1..2
 
 
 def test_experiment_config_validation():

@@ -12,6 +12,8 @@ import pytest
 
 import make_outcomes
 
+pytestmark = pytest.mark.bitwise
+
 with open(make_outcomes.FIXTURE, encoding="utf-8") as handle:
     FIXTURE = json.load(handle)
 RECORDED = {(b["workload"], b["seed"], b["index"]): b for b in FIXTURE["bundles"]}

@@ -190,6 +190,7 @@ def _same_prepared(a, b) -> bool:
     return a == b
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "spoil, p, mode",
     [(_constant, 2, "none"), (_constant, 1, "constant"), (_duplicate, 2, "none"),

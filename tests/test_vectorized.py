@@ -293,6 +293,7 @@ _VALUES = st.one_of(
 )
 
 
+@pytest.mark.bitwise
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
